@@ -51,6 +51,13 @@ func cmdBench(args []string) {
 	corrupt := fs.Float64("corrupt", 0, "per-read shard corruption probability")
 	seed := fs.Int64("seed", 1, "workload and fault seed")
 	asJSON := fs.Bool("json", false, "emit results as JSON instead of a table")
+	fs.Usage = func() {
+		fmt.Fprint(fs.Output(), "usage: archivectl bench [flags]\n\n"+
+			"bench runs the integrity chain on group.Test() (256-bit, insecure), the group the\n"+
+			"committed BENCH_*.json figures were measured on. `archivectl serve` and `stats` run\n"+
+			"the production group; bench/ is the benchmark that measures it.\n\n")
+		fs.PrintDefaults()
+	}
 	fs.Parse(args)
 
 	enc, err := buildEncoding(*encName, *n, *t, *k)

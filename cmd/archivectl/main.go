@@ -13,6 +13,10 @@
 //	archivectl serve -encoding erasure -n 8 -t 4 [-offline 2] [-transient 0.2] [-addr 127.0.0.1:8080] [-cache-bytes 67108864]
 //	archivectl bench -encoding erasure -n 8 -t 4 -workers 1,4,16 -ops 256 [-batch] [-skew 1.1 -cache-bytes 1048576] [-offline 1] [-transient 0.1] [-store disk [-store-dir DIR] [-fsync commit|always|never]]
 //
+// stats and serve run the vault's integrity chain on the library default,
+// the RFC 3526 2048-bit group. bench stays on group.Test() (256-bit,
+// insecure): it regenerates figures that were measured on it.
+//
 // Encodings: replication, erasure, aes, cascade, entropic, aont, shamir,
 // packed, lrss. After put, delete up to n−min node directories and get
 // still succeeds; at or below the privacy threshold, the shards reveal
@@ -73,6 +77,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: archivectl put|get|info|scrub|stats|serve|bench [flags]")
+	fmt.Fprintln(os.Stderr, "  stats and serve use the production 2048-bit commitment group; bench uses group.Test() (see bench -h)")
 	os.Exit(2)
 }
 

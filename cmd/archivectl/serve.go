@@ -16,7 +16,6 @@ import (
 	"securearchive/internal/api"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/monitor"
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
@@ -82,7 +81,9 @@ func cmdServe(args []string) {
 		defer f.Close()
 		tr.AddExporter(trace.NewJSONL(f))
 	}
-	vopts := []core.VaultOption{core.WithGroup(group.Test())}
+	// No WithGroup: the service runs the integrity chain on NewVault's
+	// default, the RFC 3526 2048-bit group.
+	var vopts []core.VaultOption
 	if *cacheBytes > 0 {
 		vopts = append(vopts, core.WithReadCache(*cacheBytes), core.WithCacheTenantShare(*cacheShare))
 	}

@@ -9,7 +9,6 @@ import (
 
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 )
 
@@ -40,7 +39,7 @@ func cmdStats(args []string) {
 		fmt.Fprintf(os.Stderr, "archivectl: warning: %d offline nodes exceeds the %d the code tolerates; reads will degrade below threshold\n", *offline, *n-min)
 	}
 	c := cluster.New(*n, nil)
-	v, err := core.NewVault(c, enc, core.WithGroup(group.Test()))
+	v, err := core.NewVault(c, enc) // the library default: the RFC 3526 2048-bit group
 	if err != nil {
 		fatal(err)
 	}

@@ -10,6 +10,10 @@
 //
 //	attacksim -campaign hndl|mobile|leakage|faults|all [-epochs N] [-budget B] [-seed S]
 //	          [-transient P] [-offline K] [-corrupt P]
+//
+// The systems under attack commit on group.Test() (256-bit, insecure) so
+// that seeded campaigns reproduce the committed tables; no campaign
+// attacks the group itself.
 package main
 
 import (
@@ -40,6 +44,12 @@ func main() {
 	transient := flag.Float64("transient", 0.2, "faults: per-op transient-error probability")
 	offline := flag.Int("offline", 2, "faults: nodes offline at a time (rotating)")
 	corrupt := flag.Float64("corrupt", 0.01, "faults: per-read bit-rot probability")
+	flag.Usage = func() {
+		fmt.Fprint(flag.CommandLine.Output(), "usage: attacksim -campaign hndl|mobile|leakage|faults|all [flags]\n\n"+
+			"The systems under attack commit on group.Test() (256-bit, insecure) so that seeded\n"+
+			"campaigns reproduce the committed tables; no campaign attacks the group itself.\n\n")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	switch *campaign {

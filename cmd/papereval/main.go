@@ -5,6 +5,10 @@
 // re-encryption arithmetic — printing paper-stated values next to
 // measured ones.
 //
+// Every vault it builds runs the integrity chain on group.Test()
+// (256-bit, insecure): the committed figures were measured on it and
+// must regenerate unchanged; bench/ measures the production group.
+//
 // Usage:
 //
 //	papereval [-figure1] [-table1] [-reencrypt] [-renewal] [-advantage] [-kernels] [-obs] [-saturate] [-saturate-read] [-all]
@@ -83,6 +87,13 @@ func main() {
 	satRead := flag.Bool("saturate-read", false, "run the zipfian cached-vs-uncached read sweep (read_cache section of -saturate-out)")
 	all := flag.Bool("all", false, "run everything")
 	objKiB := flag.Int("obj", 256, "object size in KiB for measurements")
+	flag.Usage = func() {
+		fmt.Fprint(flag.CommandLine.Output(), "usage: papereval [flags]\n\n"+
+			"Every vault papereval builds runs the integrity chain on group.Test() (256-bit,\n"+
+			"insecure): the committed paper figures and BENCH_*.json were measured on it and\n"+
+			"must regenerate unchanged. bench/ measures the production 2048-bit group.\n\n")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	if !*figure1 && !*table1 && !*reencrypt && !*renewal && !*adv && !*kernels && !*obsBench && !*saturate && !*satSmall && !*satDisk && !*satNet && !*satRead {

@@ -542,7 +542,7 @@ func (v *Vault) scrubBatchMember(ctx context.Context, id string, obj *vaultObjec
 		return rep, fmt.Errorf("core: scrub %s: decode batch %s from %d healthy shards: %w", id, bs.id, len(healthy), err)
 	}
 	_, vsp := trace.Child(ctx, "vault.verify")
-	err = bs.chain.VerifyData(blob)
+	err = verifyRepairSource(bs.chain, blob)
 	vsp.End(err)
 	if err != nil {
 		return rep, fmt.Errorf("core: scrub %s: integrity chain rejects recovered batch %s: %w", id, bs.id, err)

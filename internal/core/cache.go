@@ -28,9 +28,9 @@ import (
 //     strictly before any later mutation's invalidate — the classic
 //     read-old / write-new / insert-stale interleaving cannot happen.
 //  3. Immutable entries. A cached slice is never written again after
-//     insert; put stores a private copy and Get hands the caller a copy,
-//     so neither caller mutations nor eviction can corrupt a concurrent
-//     reader.
+//     insert; put stores a private copy (putOwned: a slice its caller
+//     gave up) and Get hands the caller a copy, so neither caller
+//     mutations nor eviction can corrupt a concurrent reader.
 //
 // Within the byte budget the cache is a segmented LRU (probationary +
 // protected) with a TinyLFU-style frequency sketch as admission filter:
@@ -224,6 +224,16 @@ func (rc *readCache) get(id string, epoch int) ([]byte, bool) {
 // caller just read this plaintext at this epoch, which is strictly
 // fresher information.
 func (rc *readCache) put(id string, epoch int, data []byte) {
+	rc.insert(id, epoch, data, false)
+}
+
+// putOwned is put for a caller that gives data up: the slice itself
+// becomes the entry (no copy), so it must never be written again.
+func (rc *readCache) putOwned(id string, epoch int, data []byte) {
+	rc.insert(id, epoch, data, true)
+}
+
+func (rc *readCache) insert(id string, epoch int, data []byte, owned bool) {
 	size := int64(len(data))
 	if size == 0 || size > rc.maxEntry {
 		return
@@ -264,12 +274,10 @@ func (rc *readCache) put(id string, epoch int, data []byte) {
 		}
 		rc.evictLocked(victim)
 	}
-	e := &cacheEntry{
-		id:    id,
-		owner: owner,
-		epoch: epoch,
-		data:  append([]byte(nil), data...),
+	if !owned {
+		data = append([]byte(nil), data...)
 	}
+	e := &cacheEntry{id: id, owner: owner, epoch: epoch, data: data}
 	rc.entries[id] = e
 	rc.probation.pushFront(e)
 	rc.bytes += size

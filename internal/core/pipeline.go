@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -187,16 +186,32 @@ func (v *Vault) disperseChunked(ctx context.Context, id string, data []byte) ([]
 
 // readChunked is the degraded read body for pipeline-written objects;
 // callers hold obj.mu and have checked liveness. It is readChunkedTo
-// (stream.go) into a buffer: each chunk is an independent k-of-n stripe
+// (stream.go) into memory: each chunk is an independent k-of-n stripe
 // read validated against its own digests, and the integrity chain
 // verifies the whole exactly as it was written.
 func (v *Vault) readChunked(ctx context.Context, id string, obj *vaultObject) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(obj.enc.PlainLen)
-	if _, err := v.readChunkedTo(ctx, id, obj, &buf); err != nil {
+	var sink chunkSink
+	if len(obj.chunks) > 1 {
+		sink.whole = make([]byte, 0, obj.enc.PlainLen)
+	}
+	if _, err := v.readChunkedTo(ctx, id, obj, &sink); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return sink.whole, nil
+}
+
+// chunkSink collects readChunkedTo's output. A decoded chunk is a fresh
+// slice nothing else holds, so a single-chunk object (whole still nil at
+// its one Write) keeps the decoder's output itself instead of a copy.
+type chunkSink struct{ whole []byte }
+
+func (s *chunkSink) Write(p []byte) (int, error) {
+	if s.whole == nil {
+		s.whole = p
+	} else {
+		s.whole = append(s.whole, p...)
+	}
+	return len(p), nil
 }
 
 // scrubChunked audits and repairs a pipeline-written object chunk by
@@ -261,7 +276,7 @@ func (v *Vault) scrubChunked(ctx context.Context, id string, obj *vaultObject) (
 	// trusting it as a repair source, then rewrite only the damaged
 	// chunks — one stage token, one commit.
 	_, vsp := trace.Child(ctx, "vault.verify")
-	err := obj.chain.VerifyData(whole)
+	err := verifyRepairSource(obj.chain, whole)
 	vsp.End(err)
 	if err != nil {
 		return rep, fmt.Errorf("core: scrub %s: integrity chain rejects recovered data: %w", id, err)

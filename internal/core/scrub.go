@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"securearchive/internal/obs/trace"
+	"securearchive/internal/tstamp"
 )
 
 // Scrubbing: detect missing and rotted shards and rewrite the stripe
@@ -136,6 +137,18 @@ func (v *Vault) ScrubAllContext(ctx context.Context) ([]*ScrubReport, error) {
 	return reports, errors.Join(errs...)
 }
 
+// verifyRepairSource is the evidence-path check every scrub runs before
+// it re-encodes recovered plaintext over the damaged stripe: the data
+// must match the chain's digest AND the commitment must still open
+// (tstamp.Chain.VerifyOpening — the full exponentiation reads skip). A
+// repair rewrites the only copies, so it never rests on the read memo.
+func verifyRepairSource(chain *tstamp.Chain, data []byte) error {
+	if err := chain.VerifyData(data); err != nil {
+		return err
+	}
+	return chain.VerifyOpening()
+}
+
 // scrubObject is the scrub body; callers hold obj.mu in write mode and
 // have checked liveness.
 func (v *Vault) scrubObject(ctx context.Context, id string, obj *vaultObject) (*ScrubReport, error) {
@@ -177,7 +190,7 @@ func (v *Vault) scrubObject(ctx context.Context, id string, obj *vaultObject) (*
 		return rep, fmt.Errorf("core: scrub %s: decode from %d healthy shards: %w", id, len(healthy), err)
 	}
 	_, vsp := trace.Child(ctx, "vault.verify")
-	err = obj.chain.VerifyData(data)
+	err = verifyRepairSource(obj.chain, data)
 	vsp.End(err)
 	if err != nil {
 		return rep, fmt.Errorf("core: scrub %s: integrity chain rejects recovered data: %w", id, err)

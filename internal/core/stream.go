@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -289,10 +288,11 @@ func (v *Vault) disperseStream(ctx context.Context, id string, r io.Reader) ([]c
 // ReadTo retrieves an object into w, streaming chunk by chunk for
 // pipeline-written objects so retrieval is as memory-bounded as ingest.
 // Monolithic and batch-member objects are at most one chunk's worth by
-// construction, so materialising them first costs O(chunk) anyway.
-// Returns the number of plaintext bytes written. The final integrity
-// verification runs after the last chunk: an error return invalidates
-// any bytes already written to w.
+// construction, and one that fits a read-cache entry is bounded by that,
+// so materialising those first costs O(chunk) anyway.
+// Returns the number of plaintext bytes written. The integrity chain is
+// checked before the last chunk is written: an error return invalidates
+// any bytes already written to w, and w never received the whole object.
 func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (int64, error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.get",
 		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()), trace.Str("mode", "stream"))
@@ -327,28 +327,20 @@ func (v *Vault) readTo(ctx context.Context, id string, w io.Writer) (int64, erro
 			return int64(n), nil
 		}
 	}
-	if obj.batch == nil && len(obj.chunks) > 0 {
-		// Small chunked objects are worth caching, but the streaming read
-		// materialises nothing by design — tee into a buffer only when the
-		// whole object fits a cache entry anyway, and insert only after
-		// the chain verified the complete read.
-		if v.cache != nil && int64(obj.enc.PlainLen) <= v.cache.maxEntry {
-			var buf bytes.Buffer
-			buf.Grow(obj.enc.PlainLen)
-			n, err := v.readChunkedTo(ctx, id, obj, io.MultiWriter(w, &buf))
-			if err == nil {
-				v.cache.put(id, epoch, buf.Bytes())
-			}
-			return n, err
-		}
+	// Stream chunk by chunk unless the whole object fits a cache entry:
+	// that one is decoded, verified, handed to the cache, then written.
+	cacheable := v.cache != nil && int64(obj.enc.PlainLen) <= v.cache.maxEntry
+	if obj.batch == nil && len(obj.chunks) > 0 && !cacheable {
 		return v.readChunkedTo(ctx, id, obj, w)
 	}
 	data, err := v.readObject(ctx, id, obj)
 	if err != nil {
 		return 0, err
 	}
-	if v.cache != nil {
-		v.cache.put(id, epoch, data)
+	if cacheable {
+		// data is private to this call and never written after the Write
+		// below, so the cache takes it as is rather than a second copy.
+		v.cache.putOwned(id, epoch, data)
 	}
 	n, err := w.Write(data)
 	if err != nil {
@@ -425,6 +417,20 @@ func (v *Vault) readChunkedTo(ctx context.Context, id string, obj *vaultObject, 
 			return total, fmt.Errorf("core: decode %s chunk %d: %w", id, ci, err)
 		}
 		h.Write(chunkData)
+		if ci == len(obj.chunks)-1 {
+			// Verify before the last chunk is written, not after: a
+			// rejected object must fall short of its announced length,
+			// or an HTTP client with Content-Length satisfied sees success.
+			var digest [sha256.Size]byte
+			h.Sum(digest[:0])
+			_, vsp := trace.Child(ctx, "vault.verify")
+			err := obj.chain.VerifyDigest(digest)
+			vsp.End(err)
+			if err != nil {
+				dsp.End(err)
+				return total, fmt.Errorf("core: integrity chain rejects data for %s: %w", id, err)
+			}
+		}
 		wn, err := w.Write(chunkData)
 		total += int64(wn)
 		if err != nil {
@@ -435,14 +441,6 @@ func (v *Vault) readChunkedTo(ctx context.Context, id string, obj *vaultObject, 
 	dsp.End(nil)
 	observeRate(v.obsm.decodeMBs, int(total), time.Since(decStart))
 	v.obsm.getBytes.Observe(float64(total))
-	var digest [sha256.Size]byte
-	h.Sum(digest[:0])
-	_, vsp := trace.Child(ctx, "vault.verify")
-	err := obj.chain.VerifyDigest(digest)
-	vsp.End(err)
-	if err != nil {
-		return total, fmt.Errorf("core: integrity chain rejects data for %s: %w", id, err)
-	}
 	return total, nil
 }
 

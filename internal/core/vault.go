@@ -196,7 +196,10 @@ func WithIntegrityMode(m tstamp.RefMode) VaultOption {
 	return func(v *Vault) { v.IntegrityMode = m }
 }
 
-// WithGroup sets the commitment group (Test for fast runs).
+// WithGroup overrides the commitment group. Production callers must not
+// pass it: the default (group.Default(), RFC 3526 2048-bit) is the only
+// secure choice. It exists so tests and the paper-figure tools can run
+// the chain on group.Test().
 func WithGroup(g *group.Group) VaultOption {
 	return func(v *Vault) { v.Group = g }
 }
@@ -827,7 +830,9 @@ func (v *Vault) deleteObject(ctx context.Context, id string) error {
 // ExportEvidence serialises an object's timestamp chain for off-archive
 // escrow: integrity evidence is itself archival data and must survive
 // this process. In commitment mode the export contains no digest of the
-// data — it is safe to publish.
+// data — it is safe to publish. Export is on the evidence path: the
+// commitment is re-opened in full first, so evidence whose commitment
+// no longer matches the retained opening is refused, not escrowed.
 func (v *Vault) ExportEvidence(id string) ([]byte, error) {
 	obj := v.lookup(id)
 	if obj == nil {
@@ -841,6 +846,9 @@ func (v *Vault) ExportEvidence(id string) ([]byte, error) {
 	if obj.batch != nil {
 		obj.batch.mu.RLock()
 		defer obj.batch.mu.RUnlock()
+	}
+	if err := obj.chain.VerifyOpening(); err != nil {
+		return nil, fmt.Errorf("core: export evidence for %s: %w", id, err)
 	}
 	return obj.chain.Marshal()
 }

@@ -1,0 +1,67 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"crypto/rand"
+	"fmt"
+	"testing"
+
+	"securearchive/internal/tstamp"
+)
+
+// Vault-level benchmarks on the production configuration (see
+// productionVault): what the integrity chain's reference mode costs a
+// 16 KiB object per Get and per Put, with group.Default(). ROADMAP item
+// 2's target is RefCommitment Get within 10 % of RefHash.
+
+var benchModes = []struct {
+	name string
+	mode tstamp.RefMode
+}{{"RefHash", tstamp.RefHash}, {"RefCommitment", tstamp.RefCommitment}}
+
+func BenchmarkVaultGet(b *testing.B) {
+	data := make([]byte, 16<<10)
+	rand.Read(data)
+	for _, m := range benchModes {
+		b.Run(m.name+"/16KiB", func(b *testing.B) {
+			v := productionVault(b, m.mode)
+			if _, err := v.PutReader(context.Background(), "obj", bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.Get("obj"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkVaultPut(b *testing.B) {
+	data := make([]byte, 16<<10)
+	rand.Read(data)
+	for _, m := range benchModes {
+		b.Run(m.name+"/16KiB", func(b *testing.B) {
+			v := productionVault(b, m.mode)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := fmt.Sprintf("o%d", i)
+				if _, err := v.PutReader(context.Background(), id, bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+				// Keep the mem store flat across b.N; not part of a Put.
+				b.StopTimer()
+				if err := v.Delete(id); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}

@@ -11,8 +11,8 @@ import (
 // outlive processes and machines, so the public portion of a chain has a
 // stable serialised form. The owner-held commitment opening is
 // deliberately NOT serialised here — it is key material, stored and
-// shared by the owner's own means (e.g. a vss sharing); ExportOpening and
-// ImportOpening handle it separately and explicitly.
+// shared by the owner's own means (e.g. a vss sharing). This package has
+// no way to attach an opening to an unmarshalled chain.
 
 // wireLink is the serialised form of one link.
 type wireLink struct {
@@ -58,8 +58,9 @@ func (c *Chain) Marshal() ([]byte, error) {
 }
 
 // Unmarshal reconstructs a chain from its serialised public portion. The
-// result can Verify and Renew; VerifyData in commitment mode additionally
-// needs ImportOpening.
+// result can Verify and Renew. In commitment mode it holds no opening,
+// so VerifyData, VerifyDigest and VerifyOpening return ErrOpeningFailed
+// ("opening not held"); in hash mode VerifyData works as before.
 func Unmarshal(data []byte) (*Chain, error) {
 	var w wireChain
 	if err := json.Unmarshal(data, &w); err != nil {

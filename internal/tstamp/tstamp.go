@@ -22,6 +22,7 @@ package tstamp
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -94,6 +95,13 @@ func (l *Link) hash() [sha256.Size]byte {
 	return out
 }
 
+// committedBytes is how much of the object's SHA-256 digest commitment
+// mode embeds as the Pedersen scalar: 224 bits keeps it below the
+// subgroup order q of every supported group (group.Test() has a 255-bit
+// q), so m mod q loses nothing. Digest bytes 28..31 are covered by the
+// opening memo, not by the commitment.
+const committedBytes = 28
+
 // Chain is a timestamp chain for one object.
 type Chain struct {
 	Mode  RefMode
@@ -102,6 +110,33 @@ type Chain struct {
 	// part of the public chain.
 	Opening *commit.PedersenOpening
 	ped     *commit.Pedersen
+	// memo records that NewFromDigest computed Links[0].Ref from Opening
+	// for digest, so a read can skip recomputing g^M·h^R. It vouches only
+	// for the values bind was hashed over (see binding). Written once at
+	// construction: readers sharing a chain need no synchronisation.
+	memo struct{ digest, bind [sha256.Size]byte }
+}
+
+// memoField bounds Ref and R in binding's stack buffer (4096-bit groups).
+const memoField = 512
+
+// binding hashes len(Ref) ‖ Ref ‖ M (32 bytes) ‖ R as the exported fields
+// hold them now. ok is false for values no construction produces, which
+// sends VerifyDigest to the full opening check.
+func (c *Chain) binding() (sum [sha256.Size]byte, ok bool) {
+	ref, m, r := c.Links[0].Ref, c.Opening.M, c.Opening.R
+	if m == nil || r == nil || m.Sign() < 0 || r.Sign() < 0 ||
+		len(ref) > memoField || m.BitLen() > 256 || r.BitLen() > 8*memoField {
+		return sum, false
+	}
+	var buf [2 + memoField + 32 + memoField]byte
+	binary.BigEndian.PutUint16(buf[:], uint16(len(ref)))
+	n := 2 + copy(buf[2:], ref)
+	m.FillBytes(buf[n : n+32])
+	n += 32
+	end := n + (r.BitLen()+7)/8
+	r.FillBytes(buf[n:end])
+	return sha256.Sum256(buf[:end]), true
 }
 
 // New starts a chain over data at the given epoch, signed with scheme s.
@@ -130,7 +165,7 @@ func NewFromDigest(digest [sha256.Size]byte, mode RefMode, scheme sig.Scheme, ep
 			grp = group.Default()
 		}
 		c.ped = commit.NewPedersen(grp)
-		m := new(big.Int).SetBytes(digest[:28]) // fits any sane group's scalar capacity
+		m := new(big.Int).SetBytes(digest[:committedBytes])
 		pc, op, err := c.ped.Commit(m, rnd)
 		if err != nil {
 			return nil, err
@@ -145,6 +180,12 @@ func NewFromDigest(digest [sha256.Size]byte, mode RefMode, scheme sig.Scheme, ep
 		return nil, err
 	}
 	c.Links = []*Link{link}
+	if mode == RefCommitment {
+		// ref was computed from this opening two statements up; verifying
+		// it here would be the same exponentiation a second time.
+		c.memo.digest = digest
+		c.memo.bind, _ = c.binding()
+	}
 	return c, nil
 }
 
@@ -230,8 +271,8 @@ func (c *Chain) Verify(now int, breaks sig.BreakSchedule) error {
 }
 
 // VerifyData checks that the chain actually vouches for the given data:
-// in hash mode by digest comparison, in commitment mode by verifying the
-// retained opening against the committed scalar.
+// in hash mode by digest comparison, in commitment mode against the
+// retained opening (see VerifyDigest).
 func (c *Chain) VerifyData(data []byte) error {
 	return c.VerifyDigest(sha256.Sum256(data))
 }
@@ -239,14 +280,20 @@ func (c *Chain) VerifyData(data []byte) error {
 // VerifyDigest is VerifyData for callers that hashed the object
 // incrementally (streaming reads): the chain binds the digest, so the
 // check never needs the whole plaintext at once.
+//
+// This is the retrieval-path check. In commitment mode the digest must
+// equal, in all 32 bytes, the one the chain was opened over; then, if
+// commitment and opening are still the values NewFromDigest computed
+// from each other, nothing is left to prove and no exponentiation
+// runs. If any of them was changed through the exported fields, the
+// opening is re-verified in full, exactly as VerifyOpening does.
 func (c *Chain) VerifyDigest(digest [sha256.Size]byte) error {
 	if len(c.Links) == 0 {
 		return ErrEmptyChain
 	}
-	first := c.Links[0]
 	switch c.Mode {
 	case RefHash:
-		if string(digest[:]) != string(first.Ref) {
+		if string(digest[:]) != string(c.Links[0].Ref) {
 			return ErrOpeningFailed
 		}
 		return nil
@@ -254,18 +301,41 @@ func (c *Chain) VerifyDigest(digest [sha256.Size]byte) error {
 		if c.Opening == nil || c.ped == nil {
 			return fmt.Errorf("%w: opening not held", ErrOpeningFailed)
 		}
-		m := new(big.Int).SetBytes(digest[:28])
-		if m.Cmp(c.Opening.M) != 0 {
+		if subtle.ConstantTimeCompare(digest[:], c.memo.digest[:]) != 1 {
 			return ErrOpeningFailed
 		}
-		pc := commit.PedersenCommitmentFromBytes(first.Ref)
-		if err := c.ped.Verify(pc, *c.Opening); err != nil {
-			return fmt.Errorf("%w: %v", ErrOpeningFailed, err)
+		if bind, ok := c.binding(); ok && bind == c.memo.bind {
+			return nil
 		}
-		return nil
+		if c.Opening.M == nil || new(big.Int).SetBytes(digest[:committedBytes]).Cmp(c.Opening.M) != 0 {
+			return ErrOpeningFailed
+		}
+		return c.VerifyOpening()
 	default:
 		return fmt.Errorf("tstamp: unknown ref mode %d", c.Mode)
 	}
+}
+
+// VerifyOpening is the evidence-path check: it recomputes g^M·h^R from
+// the retained opening and compares it with the commitment in the first
+// link, whatever VerifyDigest may have memoised. Renewal audits, scrub
+// repairs and evidence export call it; a read does not. In hash mode
+// there is no opening and it returns nil.
+func (c *Chain) VerifyOpening() error {
+	if len(c.Links) == 0 {
+		return ErrEmptyChain
+	}
+	if c.Mode != RefCommitment {
+		return nil
+	}
+	if c.Opening == nil || c.ped == nil {
+		return fmt.Errorf("%w: opening not held", ErrOpeningFailed)
+	}
+	pc := commit.PedersenCommitmentFromBytes(c.Links[0].Ref)
+	if err := c.ped.Verify(pc, *c.Opening); err != nil {
+		return fmt.Errorf("%w: %v", ErrOpeningFailed, err)
+	}
+	return nil
 }
 
 // Head returns the most recent link.
