@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -346,5 +347,59 @@ func TestGracefulShutdown(t *testing.T) {
 	// New connections are refused after shutdown.
 	if _, err := cl.Usage(context.Background()); err == nil {
 		t.Fatal("request succeeded after shutdown")
+	}
+}
+
+// TestObjectIDLengthCap: ids are capped at 1024 bytes with a 400 before
+// anything is ingested — an unbounded id used to reach the disk store's
+// log, whose records cannot carry one past 64 KiB — and an id at the cap
+// still round-trips.
+func TestObjectIDLengthCap(t *testing.T) {
+	_, c, cl := newService(t, api.Config{})
+	ctx := context.Background()
+	for _, n := range []int{1025, 70000} {
+		_, err := cl.PutBytes(ctx, strings.Repeat("k", n), []byte("body"))
+		if !isStatus(err, http.StatusBadRequest) {
+			t.Fatalf("PUT with a %d-byte id: %v, want 400", n, err)
+		}
+	}
+	if got := c.StoredBytes(); got != 0 {
+		t.Fatalf("refused PUTs left %d bytes stored", got)
+	}
+	id := strings.Repeat("k", 1024)
+	if _, err := cl.PutBytes(ctx, id, []byte("body")); err != nil {
+		t.Fatalf("PUT with a 1024-byte id: %v", err)
+	}
+	if got, err := cl.GetBytes(ctx, id); err != nil || string(got) != "body" {
+		t.Fatalf("GET with a 1024-byte id: %q, %v", got, err)
+	}
+}
+
+// BenchmarkAPIPut16KiB is one small PUT through the whole service on
+// loopback — client, HTTP, tenant accounting, the vault's streamed put
+// with its commitment on the production group, RS 10+4 onto a mem
+// store: the benchmark's ingest_small without the fsync.
+func BenchmarkAPIPut16KiB(b *testing.B) {
+	c := cluster.New(14, nil)
+	defer c.Close()
+	v, err := core.NewVault(c, core.Erasure{K: 10, N: 14})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(api.NewServer(v, api.Config{Registry: obs.NewRegistry()}).Handler())
+	defer srv.Close()
+	cl := client.New(srv.URL)
+	ctx := context.Background()
+	body := pattern(16 << 10)
+	if _, err := cl.PutBytes(ctx, "warm", body); err != nil { // connection, fixed-base tables
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.PutBytes(ctx, "o"+strconv.Itoa(i), body); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

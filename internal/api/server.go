@@ -17,6 +17,7 @@ import (
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
 	"securearchive/internal/sig"
+	"securearchive/internal/store"
 )
 
 // Config shapes a Server.
@@ -263,7 +264,7 @@ func errorStatus(err error) (int, string) {
 		return http.StatusRequestTimeout, CodeCanceled
 	case errors.Is(err, core.ErrDegraded):
 		return http.StatusServiceUnavailable, CodeDegraded
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, store.ErrKeyTooLong):
 		return http.StatusBadRequest, CodeBadRequest
 	default:
 		return http.StatusInternalServerError, CodeInternal
@@ -289,12 +290,20 @@ func writeJSON(w *statusWriter, status int, v any) error {
 	return json.NewEncoder(w).Encode(v)
 }
 
+// maxObjectIDLen caps a client's object id far below what any backend
+// can record (store.ErrKeyTooLong), so the limit a client meets does not
+// depend on the backend or on the tenant prefix.
+const maxObjectIDLen = 1024
+
 // objectID validates the path id and returns the tenant-namespaced
 // storage key.
 func objectID(r *http.Request, tenant string) (string, error) {
 	id := r.PathValue("id")
 	if id == "" {
 		return "", badRequestf("empty object id")
+	}
+	if len(id) > maxObjectIDLen {
+		return "", badRequestf("object id of %d bytes exceeds %d", len(id), maxObjectIDLen)
 	}
 	if strings.Contains(id, "//") || strings.HasPrefix(id, "/") || strings.HasSuffix(id, "/") {
 		return "", badRequestf("malformed object id %q", id)

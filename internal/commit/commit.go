@@ -16,7 +16,6 @@
 package commit
 
 import (
-	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
@@ -185,9 +184,4 @@ func (c PedersenCommitment) Bytes() []byte {
 // PedersenCommitmentFromBytes deserialises a commitment value.
 func PedersenCommitmentFromBytes(b []byte) PedersenCommitment {
 	return PedersenCommitment{C: new(big.Int).SetBytes(b)}
-}
-
-// EqualBytes is a constant-time comparison helper for hash commitments.
-func (c HashCommitment) EqualBytes(b []byte) bool {
-	return len(b) == sha256.Size && bytes.Equal(c.Digest[:], b)
 }

@@ -2,8 +2,10 @@ package commit
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 
 	"securearchive/internal/group"
@@ -160,6 +162,105 @@ func TestVerifyNilSafety(t *testing.T) {
 	p := NewPedersen(group.Test())
 	if err := p.Verify(PedersenCommitment{}, PedersenOpening{}); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatal("nil commitment/opening did not fail cleanly")
+	}
+}
+
+// TestCommitWithMatchesGenericExp pins CommitWith to the textbook
+// formula g^m·h^r mod p computed with big.Int.Exp, on both groups, for
+// digest-sized and full-width m, full-width r, and scalars outside
+// [0, q) — the fixed-base tables under ExpG/ExpH must not change one bit
+// of any commitment.
+func TestCommitWithMatchesGenericExp(t *testing.T) {
+	for _, g := range []*group.Group{group.Test(), group.Default()} {
+		p := NewPedersen(g)
+		rng := mrand.New(mrand.NewSource(int64(g.P.BitLen())))
+		formula := func(m, r *big.Int) *big.Int {
+			c := new(big.Int).Exp(g.G, m, g.P)
+			c.Mul(c, new(big.Int).Exp(g.H, r, g.P))
+			return c.Mod(c, g.P)
+		}
+		var cases [][2]*big.Int
+		for i := 0; i < 24; i++ {
+			d := sha256.Sum256([]byte{byte(i)})
+			m := new(big.Int).SetBytes(d[:28]) // a chain link's 224-bit scalar
+			if i%2 == 1 {
+				m = new(big.Int).Rand(rng, g.Q)
+			}
+			cases = append(cases, [2]*big.Int{m, new(big.Int).Rand(rng, g.Q)})
+		}
+		cases = append(cases,
+			[2]*big.Int{big.NewInt(0), big.NewInt(0)},
+			[2]*big.Int{new(big.Int).Sub(g.Q, big.NewInt(1)), g.Q},
+			[2]*big.Int{big.NewInt(-7), new(big.Int).Add(g.Q, big.NewInt(5))},
+		)
+		for _, c := range cases {
+			if got, want := p.CommitWith(c[0], c[1]).C, formula(c[0], c[1]); got.Cmp(want) != 0 {
+				t.Fatalf("%d-bit group: CommitWith(%v, %v) = %v, want %v", g.P.BitLen(), c[0], c[1], got, want)
+			}
+		}
+	}
+}
+
+// countingReader counts the bytes drawn from a deterministic stream.
+type countingReader struct {
+	rng *mrand.Rand
+	n   int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.n += len(p)
+	return c.rng.Read(p)
+}
+
+// TestCommitDrawsOneFullWidthScalar pins where r comes from: each Commit
+// consumes exactly what one RandScalar consumes from the same stream and
+// opens with exactly that scalar — over all of Z_q, never shortened,
+// never derived from an earlier r.
+func TestCommitDrawsOneFullWidthScalar(t *testing.T) {
+	g := group.Default()
+	p := NewPedersen(g)
+	a := &countingReader{rng: mrand.New(mrand.NewSource(3))}
+	b := &countingReader{rng: mrand.New(mrand.NewSource(3))}
+	seen := map[string]bool{}
+	wide := 0
+	for i := 0; i < 16; i++ {
+		_, op, err := p.Commit(big.NewInt(int64(i)), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := g.RandScalar(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.R.Cmp(want) != 0 || a.n != b.n {
+			t.Fatalf("commit %d: r is not the stream's next RandScalar (read %d bytes, RandScalar read %d)", i, a.n, b.n)
+		}
+		if seen[op.R.String()] {
+			t.Fatalf("commit %d reused an earlier r", i)
+		}
+		seen[op.R.String()] = true
+		if op.R.BitLen() > g.Q.BitLen()-16 {
+			wide++
+		}
+	}
+	if wide < 12 { // a uniform draw falls 16 bits short with probability 2^-16
+		t.Fatalf("only %d of 16 r values are full width: exponents are being shortened", wide)
+	}
+}
+
+// BenchmarkPedersenCommitDefaultGroup is the commitment a production PUT
+// pays: a 224-bit m, a fresh uniform r in Z_q, on the 2048-bit group.
+func BenchmarkPedersenCommitDefaultGroup(b *testing.B) {
+	p := NewPedersen(group.Default())
+	d := sha256.Sum256([]byte("BenchmarkPedersenCommitDefaultGroup"))
+	m := new(big.Int).SetBytes(d[:28])
+	p.CommitWith(m, m) // tables built outside the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := p.Commit(m, rand.Reader); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -183,8 +183,7 @@ func (v *Vault) disperseStream(ctx context.Context, id string, r io.Reader) ([]c
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, err)
 				}
-				buf := make([]byte, cs)
-				n, rerr := io.ReadFull(r, buf)
+				buf, n, rerr := readChunk(r, cs, total == 0) // probe on the first chunk only
 				if n > 0 {
 					h.Write(buf[:n])
 					total += int64(n)
@@ -283,6 +282,32 @@ func (v *Vault) disperseStream(ctx context.Context, id string, r io.Reader) ([]c
 	psp.SetAttrs(trace.Int("chunks", len(metas)), trace.Int64("bytes", total))
 	psp.End(nil)
 	return metas, chain, total, nil
+}
+
+// streamProbe is the size of the buffer a streamed put reads its first
+// bytes into. Most objects are far smaller than a chunk, and a zeroed
+// chunk-sized buffer per put was most of a small put's allocation; an
+// object that fills the probe pays one extra streamProbe-byte copy.
+const streamProbe = 64 << 10
+
+// readChunk reads the next chunk of up to cs bytes from r into a buffer
+// of its own, with io.ReadFull's contract on the count and error. With
+// probe set (the object's first chunk) it reads into a streamProbe-sized
+// buffer first and moves to a cs-sized one only if that fills.
+func readChunk(r io.Reader, cs int, probe bool) ([]byte, int, error) {
+	size := cs
+	if probe && cs > streamProbe {
+		size = streamProbe
+	}
+	buf := make([]byte, size)
+	n, err := io.ReadFull(r, buf)
+	if err != nil || size == cs {
+		return buf, n, err
+	}
+	full := make([]byte, cs)
+	copy(full, buf)
+	m, err := io.ReadFull(r, full[n:])
+	return full, n + m, err
 }
 
 // ReadTo retrieves an object into w, streaming chunk by chunk for

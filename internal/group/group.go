@@ -29,12 +29,16 @@ import (
 // ErrNotInGroup is returned when an element fails subgroup membership.
 var ErrNotInGroup = errors.New("group: element not in prime-order subgroup")
 
-// Group is a prime-order-q subgroup of Z_p^*, p = 2q+1.
+// Group is a prime-order-q subgroup of Z_p^*, p = 2q+1. It carries the
+// lazily built fixed-base tables of its generators, so a Group is used
+// through the pointer its constructor returned and never copied.
 type Group struct {
 	P *big.Int // safe prime modulus
 	Q *big.Int // subgroup order, (P-1)/2
 	G *big.Int // generator of the order-q subgroup
 	H *big.Int // second generator with unknown log_G(H)
+
+	fixedG, fixedH fixedBase
 }
 
 var (
@@ -144,11 +148,11 @@ func (gr *Group) Exp(base, e *big.Int) *big.Int {
 	return new(big.Int).Exp(base, e, gr.P)
 }
 
-// ExpG returns g^e mod p.
-func (gr *Group) ExpG(e *big.Int) *big.Int { return gr.Exp(gr.G, e) }
+// ExpG returns g^e mod p, e any integer (taken mod q).
+func (gr *Group) ExpG(e *big.Int) *big.Int { return gr.expFixed(&gr.fixedG, gr.G, e) }
 
-// ExpH returns h^e mod p.
-func (gr *Group) ExpH(e *big.Int) *big.Int { return gr.Exp(gr.H, e) }
+// ExpH returns h^e mod p, e any integer (taken mod q).
+func (gr *Group) ExpH(e *big.Int) *big.Int { return gr.expFixed(&gr.fixedH, gr.H, e) }
 
 // Mul returns a*b mod p.
 func (gr *Group) Mul(a, b *big.Int) *big.Int {

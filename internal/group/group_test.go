@@ -3,7 +3,11 @@ package group
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"math/big"
+	"math/bits"
+	mrand "math/rand"
+	"sync"
 	"testing"
 )
 
@@ -166,5 +170,156 @@ func BenchmarkExpDefaultGroup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.ExpG(k)
+	}
+}
+
+// oracle is the generic big.Int.Exp the fixed-base tables replaced; it
+// survives only here, as the reference they are compared against.
+func oracle(g *Group, base, e *big.Int) *big.Int { return new(big.Int).Exp(base, e, g.P) }
+
+func checkFixed(t *testing.T, g *Group, e *big.Int) {
+	t.Helper()
+	if got, want := g.ExpG(e), oracle(g, g.G, e); got.Cmp(want) != 0 {
+		t.Fatalf("ExpG(%v) [%d bits] = %v, want %v", e, e.BitLen(), got, want)
+	}
+	if got, want := g.ExpH(e), oracle(g, g.H, e); got.Cmp(want) != 0 {
+		t.Fatalf("ExpH(%v) [%d bits] = %v, want %v", e, e.BitLen(), got, want)
+	}
+}
+
+// TestFixedBaseMatchesGenericExp is the differential: on both groups the
+// comb tables return, bit for bit, what big.Int.Exp returns — for seeded
+// random scalars of every bit-length class (with the short/full table
+// switch at 256 bits straddled) and for the scalars at and outside the
+// ends of [0, q).
+func TestFixedBaseMatchesGenericExp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *Group
+	}{{"test", Test()}, {"default", Default()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			rng := mrand.New(mrand.NewSource(20))
+			qBits := g.Q.BitLen()
+			lengths := []int{1, 2, 63, 64, 65, 223, 224, 225, 254, 255, 256, 257, qBits - 1, qBits}
+			for len(lengths) < 200 {
+				lengths = append(lengths, 1+rng.Intn(qBits))
+			}
+			for _, n := range lengths {
+				if n > qBits {
+					continue
+				}
+				// Exactly n bits: random below 2^(n-1), top bit forced.
+				e := new(big.Int).Rand(rng, new(big.Int).Lsh(one, uint(n-1)))
+				e.SetBit(e, n-1, 1)
+				if e.Cmp(g.Q) >= 0 {
+					e.Sub(g.Q, one)
+				}
+				checkFixed(t, g, e)
+			}
+			for i := 0; i < 32; i++ { // uniform over Z_q, as RandScalar draws r
+				checkFixed(t, g, new(big.Int).Rand(rng, g.Q))
+			}
+			for _, e := range []*big.Int{
+				big.NewInt(0), big.NewInt(1), big.NewInt(2),
+				new(big.Int).Sub(g.Q, one), g.Q, new(big.Int).Add(g.Q, big.NewInt(5)),
+				big.NewInt(-7), new(big.Int).Lsh(g.Q, 3),
+			} {
+				before := new(big.Int).Set(e)
+				checkFixed(t, g, e)
+				if e.Cmp(before) != 0 {
+					t.Fatalf("exponent %v mutated to %v", before, e)
+				}
+			}
+		})
+	}
+}
+
+// TestFixedBaseBuildsOncePerGroup races eight goroutines onto the first
+// ExpH of a group no one has used yet (run under -race): all must get the
+// right element, and the table they share must be one table.
+func TestFixedBaseBuildsOncePerGroup(t *testing.T) {
+	g := fromSafePrime(Test().P)
+	e := new(big.Int).Sub(g.Q, big.NewInt(12345))
+	want := oracle(g, g.H, e)
+	var wg sync.WaitGroup
+	tables := make([]*comb, 8)
+	for i := range tables {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if g.ExpH(e).Cmp(want) != 0 {
+				t.Error("raced ExpH returned a wrong element")
+			}
+			tables[i] = g.fixedH.short
+		}(i)
+	}
+	wg.Wait()
+	for _, c := range tables {
+		if c == nil || c != tables[0] {
+			t.Fatal("goroutines saw different tables: built more than once")
+		}
+	}
+	if g.fixedG.short != nil {
+		t.Fatal("ExpH built g's table")
+	}
+}
+
+// TestFixedBaseTableSize pins the geometry's memory cost: both
+// generators' tables of the production group stay under 1.5 MB.
+func TestFixedBaseTableSize(t *testing.T) {
+	g := Default()
+	g.ExpG(g.Q)
+	g.ExpH(g.Q)
+	total := 0
+	for _, c := range []*comb{g.fixedG.short, g.fixedG.full, g.fixedH.short, g.fixedH.full} {
+		total += len(c.slab) * bits.UintSize / 8
+	}
+	if total > 1500<<10 {
+		t.Fatalf("fixed-base tables hold %d bytes, want <= 1.5 MB", total)
+	}
+}
+
+var benchSink *big.Int
+
+func benchGenericVsFixed(b *testing.B, base func(*Group) *big.Int, fixed func(*Group, *big.Int) *big.Int, e *big.Int) {
+	g := Default()
+	b.Run("generic", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = oracle(g, base(g), e)
+		}
+	})
+	b.Run("fixed", func(b *testing.B) {
+		fixed(g, e) // table built outside the timed region
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink = fixed(g, e)
+		}
+	})
+}
+
+// BenchmarkExpH is the h^r of every commitment: a full-width scalar.
+func BenchmarkExpH(b *testing.B) {
+	r, _ := Default().RandScalar(rand.Reader)
+	benchGenericVsFixed(b, func(g *Group) *big.Int { return g.H }, (*Group).ExpH, r)
+}
+
+// BenchmarkExpG224 is the g^m of a chain commitment: a 224-bit digest
+// prefix as the scalar.
+func BenchmarkExpG224(b *testing.B) {
+	d := sha256.Sum256([]byte("BenchmarkExpG224"))
+	m := new(big.Int).SetBytes(d[:28])
+	benchGenericVsFixed(b, func(g *Group) *big.Int { return g.G }, (*Group).ExpG, m)
+}
+
+// BenchmarkFixedBaseBuild is the one-time cost the first ExpG or ExpH on
+// a group pays: both of one generator's tables.
+func BenchmarkFixedBaseBuild(b *testing.B) {
+	p := Default().P
+	for i := 0; i < b.N; i++ {
+		g := fromSafePrime(p)
+		benchSink = g.ExpH(one)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,6 +48,17 @@ const (
 // multi-MiB shards stay sequential, small enough that a torn tail never
 // strands much space.
 const DefaultMaxSegmentBytes = 64 << 20
+
+// Limits the narrow in-memory shardRef and the WAL framing impose.
+const (
+	// maxSegmentBytes is the largest segment cap Open accepts: index
+	// entries hold segment offsets in 32 bits.
+	maxSegmentBytes = 1 << 32
+	// maxNameLen bounds an object id and a stage token so that a stage
+	// record carrying one of each still fits a WAL frame replay accepts
+	// (walMaxPayload) and each length fits its u16 prefix.
+	maxNameLen = (walMaxPayload - 64) / 2
+)
 
 // Errors.
 var (
@@ -71,6 +83,7 @@ func WithFsync(mode string) Option {
 }
 
 // WithMaxSegmentBytes caps segment files before the writer rolls over.
+// Open refuses a cap above 4 GiB.
 func WithMaxSegmentBytes(n int64) Option {
 	return func(s *Store) {
 		if n > 0 {
@@ -92,6 +105,7 @@ type Store struct {
 	mu    sync.Mutex
 	wal   *appendFile
 	nodes []*diskNode
+	index shardIndex // every node's committed shards; see index.go
 	// dead, once set, fails every subsequent operation: ErrCrashed after
 	// an injected crash point, ErrClosed after Close.
 	dead error
@@ -101,16 +115,16 @@ type Store struct {
 	recovery RecoveryReport
 }
 
-// diskNode is one node's in-memory index over its segment files.
+// diskNode is one node's view of the store: its segment files, its
+// staging area, and (through s.index) its committed shards.
 type diskNode struct {
 	s      *Store
 	id     int
 	dir    string
-	index  map[store.ShardKey]shardRef
 	staged map[store.ShardKey]stagedRef
-	segs   map[uint64]*segFile // open handles, keyed by segment number
-	cur    uint64              // current append segment; 0 = none yet
-	next   uint64              // next segment number to allocate
+	segs   map[uint32]*segFile // open handles, keyed by segment number
+	cur    uint32              // current append segment; 0 = none yet
+	next   uint32              // next segment number to allocate
 }
 
 type stagedRef struct {
@@ -134,10 +148,10 @@ type metaFile struct {
 // discarded, and a torn log or segment tail is truncated away. The
 // replay's findings are available from Recovery().
 func Open(dir string, n int, opts ...Option) (*Store, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("diskstore: need at least one node, got %d", n)
+	if n <= 0 || n > math.MaxUint16 {
+		return nil, fmt.Errorf("diskstore: need 1 to %d nodes, got %d", math.MaxUint16, n)
 	}
-	s := &Store{dir: dir, fsync: FsyncCommit, maxSeg: DefaultMaxSegmentBytes}
+	s := &Store{dir: dir, fsync: FsyncCommit, maxSeg: DefaultMaxSegmentBytes, index: shardIndex{}}
 	for _, o := range opts {
 		o(s)
 	}
@@ -145,6 +159,9 @@ func Open(dir string, n int, opts ...Option) (*Store, error) {
 	case FsyncCommit, FsyncAlways, FsyncNever:
 	default:
 		return nil, fmt.Errorf("diskstore: unknown fsync policy %q", s.fsync)
+	}
+	if s.maxSeg > maxSegmentBytes {
+		return nil, fmt.Errorf("diskstore: segment cap %d above the %d-byte limit", s.maxSeg, int64(maxSegmentBytes))
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -157,9 +174,8 @@ func Open(dir string, n int, opts ...Option) (*Store, error) {
 			s:      s,
 			id:     i,
 			dir:    filepath.Join(dir, fmt.Sprintf("node-%02d", i)),
-			index:  make(map[store.ShardKey]shardRef),
 			staged: make(map[store.ShardKey]stagedRef),
-			segs:   make(map[uint64]*segFile),
+			segs:   make(map[uint32]*segFile),
 			next:   1,
 		}
 		if err := os.MkdirAll(nd.dir, 0o755); err != nil {
@@ -221,7 +237,7 @@ func (nd *diskNode) scanSegments() error {
 		if !strings.HasSuffix(name, ".seg") {
 			continue
 		}
-		var num uint64
+		var num uint32
 		if _, err := fmt.Sscanf(name, "%08d.seg", &num); err != nil {
 			continue
 		}
@@ -232,11 +248,11 @@ func (nd *diskNode) scanSegments() error {
 	return nil
 }
 
-func segName(num uint64) string { return fmt.Sprintf("%08d.seg", num) }
+func segName(num uint32) string { return fmt.Sprintf("%08d.seg", num) }
 
 // seg returns the open handle for a segment, opening it on demand (a
 // reopened store touches old segments lazily).
-func (nd *diskNode) seg(num uint64) (*segFile, error) {
+func (nd *diskNode) seg(num uint32) (*segFile, error) {
 	if sf, ok := nd.segs[num]; ok {
 		return sf, nil
 	}
@@ -250,9 +266,13 @@ func (nd *diskNode) seg(num uint64) (*segFile, error) {
 }
 
 // appendShard writes one shard body into the node's current segment
-// (rolling to a new one at the size cap) and returns its reference.
-// Caller holds s.mu.
-func (nd *diskNode) appendShard(key store.ShardKey, data []byte) (shardRef, error) {
+// (rolling to a new one at the size cap) and returns its reference,
+// stamped with the epoch it will carry once committed. Caller holds s.mu
+// and has passed the key through checkNames.
+func (nd *diskNode) appendShard(key store.ShardKey, data []byte, epoch int) (shardRef, error) {
+	if int64(len(data)) > math.MaxUint32 {
+		return shardRef{}, fmt.Errorf("diskstore: %d-byte shard body exceeds the record format", len(data))
+	}
 	rec := segRecord(key.Object, key.Index, key.Chunk, data)
 	if nd.cur == 0 || func() bool {
 		sf := nd.segs[nd.cur]
@@ -279,7 +299,10 @@ func (nd *diskNode) appendShard(key store.ShardKey, data []byte) (shardRef, erro
 		}
 		sf.dirty = false
 	}
-	return shardRef{seg: nd.cur, off: off, klen: len(key.Object), dlen: len(data)}, nil
+	return shardRef{
+		seg: nd.cur, off: uint32(off), dlen: uint32(len(data)),
+		klen: uint16(len(key.Object)), epoch: int64(epoch),
+	}, nil
 }
 
 // commitPoint makes one durable decision: fsync the segments the record
@@ -367,8 +390,8 @@ func (s *Store) CommitStage(stage string, epoch int) (int, error) {
 		return 0, err
 	}
 	for _, f := range flips {
-		f.ref.epoch = epoch
-		f.nd.index[f.key] = f.ref
+		f.ref.epoch = int64(epoch)
+		s.index.put(f.nd.id, f.key, f.ref, len(s.nodes))
 		delete(f.nd.staged, f.key)
 	}
 	return len(flips), nil
@@ -430,11 +453,26 @@ func (s *Store) closeFiles() {
 		for _, sf := range nd.segs {
 			sf.af.close()
 		}
-		nd.segs = make(map[uint64]*segFile)
+		nd.segs = make(map[uint32]*segFile)
 	}
 }
 
 // --- per-node store.NodeStore implementation -------------------------
+
+// checkNames refuses an object id or stage token the log cannot carry —
+// before a byte is appended anywhere. A record holding a longer one
+// would either lose its length prefix's high bits or overrun the frame
+// size replay accepts, and replay cuts the log at the first frame it
+// rejects: every later commit would be truncated away at the next Open.
+// (Delete needs no check: it writes only for a key that is stored, and a
+// stored key's put record, longer than its delete record, fit.)
+func checkNames(object, stage string) error {
+	if len(object) > maxNameLen || len(stage) > maxNameLen {
+		return fmt.Errorf("%w: object id %d bytes, stage token %d bytes, limit %d",
+			store.ErrKeyTooLong, len(object), len(stage), maxNameLen)
+	}
+	return nil
+}
 
 // Put commits a shard directly: body append, segment fsync, put record,
 // WAL fsync (per policy) — a single-shard commit point — then the index
@@ -446,20 +484,22 @@ func (nd *diskNode) Put(sh store.Shard) error {
 	if s.dead != nil {
 		return s.dead
 	}
-	ref, err := nd.appendShard(sh.Key, sh.Data)
+	if err := checkNames(sh.Key.Object, ""); err != nil {
+		return err
+	}
+	ref, err := nd.appendShard(sh.Key, sh.Data, sh.Epoch)
 	if err != nil {
 		return err
 	}
 	var r recBuf
 	r.u8(walPut)
-	writeRefTo(&r, nd.id, ref, sh.Key.Index, sh.Key.Chunk, sh.Epoch)
+	writeRefTo(&r, nd.id, ref, sh.Key.Index, sh.Key.Chunk)
 	r.str16(sh.Key.Object)
 	sf := nd.segs[ref.seg]
 	if err := s.commitPoint(r.frame(), []*segFile{sf}); err != nil {
 		return err
 	}
-	ref.epoch = sh.Epoch
-	nd.index[sh.Key] = ref
+	s.index.put(nd.id, sh.Key, ref, len(s.nodes))
 	return nil
 }
 
@@ -470,7 +510,7 @@ func (nd *diskNode) Get(key store.ShardKey) (store.Shard, bool, error) {
 	if s.dead != nil {
 		return store.Shard{}, false, s.dead
 	}
-	ref, ok := nd.index[key]
+	ref, ok := s.index.get(nd.id, key)
 	if !ok {
 		return store.Shard{}, false, nil
 	}
@@ -478,7 +518,7 @@ func (nd *diskNode) Get(key store.ShardKey) (store.Shard, bool, error) {
 	if err != nil {
 		return store.Shard{}, false, err
 	}
-	return store.Shard{Key: key, Epoch: ref.epoch, Data: data}, true, nil
+	return store.Shard{Key: key, Epoch: int(ref.epoch), Data: data}, true, nil
 }
 
 // readBody reads one shard's bytes. Caller holds s.mu.
@@ -488,7 +528,7 @@ func (nd *diskNode) readBody(ref shardRef) ([]byte, error) {
 		return nil, err
 	}
 	data := make([]byte, ref.dlen)
-	if _, err := sf.af.f.ReadAt(data, ref.off+int64(segHeaderLen+ref.klen)); err != nil {
+	if _, err := sf.af.f.ReadAt(data, ref.bodyOff()); err != nil {
 		return nil, fmt.Errorf("diskstore: node %d seg %d: %w", nd.id, ref.seg, err)
 	}
 	return data, nil
@@ -506,7 +546,7 @@ func (nd *diskNode) Delete(key store.ShardKey) error {
 	if s.dead != nil {
 		return s.dead
 	}
-	_, committed := nd.index[key]
+	_, committed := s.index.get(nd.id, key)
 	_, parked := nd.staged[key]
 	if !committed && !parked {
 		return nil
@@ -520,7 +560,7 @@ func (nd *diskNode) Delete(key store.ShardKey) error {
 	if err := s.commitPoint(r.frame(), nil); err != nil {
 		return err
 	}
-	delete(nd.index, key)
+	s.index.del(nd.id, key)
 	delete(nd.staged, key)
 	return nil
 }
@@ -535,13 +575,16 @@ func (nd *diskNode) Stage(stage string, sh store.Shard) error {
 	if s.dead != nil {
 		return s.dead
 	}
-	ref, err := nd.appendShard(sh.Key, sh.Data)
+	if err := checkNames(sh.Key.Object, stage); err != nil {
+		return err
+	}
+	ref, err := nd.appendShard(sh.Key, sh.Data, sh.Epoch)
 	if err != nil {
 		return err
 	}
 	var r recBuf
 	r.u8(walStage)
-	writeRefTo(&r, nd.id, ref, sh.Key.Index, sh.Key.Chunk, sh.Epoch)
+	writeRefTo(&r, nd.id, ref, sh.Key.Index, sh.Key.Chunk)
 	r.str16(sh.Key.Object)
 	r.str16(stage)
 	if _, err := s.wal.append(r.frame()); err != nil {
@@ -552,7 +595,6 @@ func (nd *diskNode) Stage(stage string, sh store.Shard) error {
 			return err
 		}
 	}
-	ref.epoch = sh.Epoch
 	nd.staged[sh.Key] = stagedRef{stage: stage, ref: ref}
 	return nil
 }
@@ -576,8 +618,8 @@ func (nd *diskNode) ShardLen(key store.ShardKey) (int, bool) {
 	s := nd.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, ok := nd.index[key]
-	return ref.dlen, ok
+	ref, ok := s.index.get(nd.id, key)
+	return int(ref.dlen), ok
 }
 
 // Corrupt flips one bit of the shard's bytes in place on disk —
@@ -591,15 +633,15 @@ func (nd *diskNode) Corrupt(key store.ShardKey, bit int) bool {
 	if s.dead != nil {
 		return false
 	}
-	ref, ok := nd.index[key]
-	if !ok || ref.dlen == 0 || bit < 0 || bit >= ref.dlen*8 {
+	ref, ok := s.index.get(nd.id, key)
+	if !ok || bit < 0 || bit >= int(ref.dlen)*8 {
 		return false
 	}
 	sf, err := nd.seg(ref.seg)
 	if err != nil {
 		return false
 	}
-	pos := ref.off + int64(segHeaderLen+ref.klen) + int64(bit/8)
+	pos := ref.bodyOff() + int64(bit/8)
 	var b [1]byte
 	if _, err := sf.af.f.ReadAt(b[:], pos); err != nil {
 		return false
@@ -616,13 +658,18 @@ func (nd *diskNode) Snapshot() ([]store.Shard, error) {
 	if s.dead != nil {
 		return nil, s.dead
 	}
-	out := make([]store.Shard, 0, len(nd.index))
-	for key, ref := range nd.index {
+	out := []store.Shard{}
+	var rerr error
+	s.index.each(nd.id, func(key store.ShardKey, ref shardRef) {
 		data, err := nd.readBody(ref)
 		if err != nil {
-			return nil, err
+			rerr = err
+			return
 		}
-		out = append(out, store.Shard{Key: key, Epoch: ref.epoch, Data: data})
+		out = append(out, store.Shard{Key: key, Epoch: int(ref.epoch), Data: data})
+	})
+	if rerr != nil {
+		return nil, rerr
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Key, out[j].Key
@@ -642,9 +689,7 @@ func (nd *diskNode) StoredBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	for _, ref := range nd.index {
-		total += int64(ref.dlen)
-	}
+	s.index.each(nd.id, func(_ store.ShardKey, ref shardRef) { total += int64(ref.dlen) })
 	for _, st := range nd.staged {
 		total += int64(st.ref.dlen)
 	}
@@ -656,11 +701,11 @@ func (nd *diskNode) ObjectBytes(object string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	for key, ref := range nd.index {
+	s.index.each(nd.id, func(key store.ShardKey, ref shardRef) {
 		if key.Object == object {
 			total += int64(ref.dlen)
 		}
-	}
+	})
 	for key, st := range nd.staged {
 		if key.Object == object {
 			total += int64(st.ref.dlen)

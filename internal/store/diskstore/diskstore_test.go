@@ -2,10 +2,14 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"securearchive/internal/store"
 	"securearchive/internal/store/memstore"
@@ -420,5 +424,167 @@ func sortShards(s []store.Shard) {
 			}
 			s[j-1], s[j] = s[j], s[j-1]
 		}
+	}
+}
+
+// TestOversizeNamesRefusedBeforeAnyByte is the regression for the silent
+// log cut: a 70 000-byte object id used to be written with its length
+// truncated to 16 bits inside a frame larger than replay accepts, so the
+// next Open truncated the WAL there and every later acknowledged commit
+// was gone. Every entry point must refuse such an id (or stage token)
+// with nothing appended, and the shard put afterwards must survive a
+// reopen.
+func TestOversizeNamesRefusedBeforeAnyByte(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 2)
+	nd := s.Node(0)
+	if err := nd.Put(store.Shard{Key: key("before", 0, 0), Data: []byte("kept")}); err != nil {
+		t.Fatal(err)
+	}
+	walLen, stored := s.wal.size, nd.StoredBytes()
+	huge := strings.Repeat("k", 70000)
+	edge := strings.Repeat("k", maxNameLen+1)
+	body := []byte("never stored")
+	for name, call := range map[string]func() error{
+		"Put":           func() error { return nd.Put(store.Shard{Key: key(huge, 0, 0), Data: body}) },
+		"Put at limit":  func() error { return nd.Put(store.Shard{Key: key(edge, 0, 0), Data: body}) },
+		"Stage key":     func() error { return nd.Stage("tok", store.Shard{Key: key(huge, 0, 0), Data: body}) },
+		"Stage token":   func() error { return nd.Stage(huge, store.Shard{Key: key("obj", 0, 0), Data: body}) },
+		"Stage at both": func() error { return nd.Stage(edge, store.Shard{Key: key(edge, 0, 0), Data: body}) },
+	} {
+		if err := call(); !errors.Is(err, store.ErrKeyTooLong) {
+			t.Fatalf("%s: err = %v, want ErrKeyTooLong", name, err)
+		}
+		if s.wal.size != walLen || nd.StoredBytes() != stored || nd.StagedCount() != 0 {
+			t.Fatalf("%s: refused call left bytes behind (wal %d→%d, stored %d→%d, staged %d)",
+				name, walLen, s.wal.size, stored, nd.StoredBytes(), nd.StagedCount())
+		}
+	}
+	// Nothing can be stored or staged under such a name, so the calls
+	// that only act on what is there have nothing to write.
+	if err := nd.Delete(key(huge, 0, 0)); err != nil || s.wal.size != walLen {
+		t.Fatalf("Delete of an unstorable key: err=%v wal %d→%d", err, walLen, s.wal.size)
+	}
+	if n, err := s.CommitStage(huge, 1); n != 0 || err != nil || s.wal.size != walLen {
+		t.Fatalf("CommitStage of an unstageable token: n=%d err=%v wal %d→%d", n, err, walLen, s.wal.size)
+	}
+	// The longest names accepted round-trip together through one record.
+	longest := strings.Repeat("k", maxNameLen)
+	if err := nd.Stage(longest, store.Shard{Key: key(longest, 0, 0), Data: []byte("long")}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.CommitStage(longest, 1); n != 1 || err != nil {
+		t.Fatalf("CommitStage(longest): n=%d err=%v", n, err)
+	}
+	if err := nd.Put(store.Shard{Key: key("after", 0, 0), Data: []byte("also kept")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, 2)
+	defer s2.Close()
+	if rep := s2.Recovery(); rep.WALBytesDropped != 0 || rep.InvalidRefs != 0 || rep.Shards != 3 {
+		t.Fatalf("recovery after refused oversize names: %+v", rep)
+	}
+	for obj, want := range map[string]string{"before": "kept", longest: "long", "after": "also kept"} {
+		sh, ok, err := s2.Node(0).Get(key(obj, 0, 0))
+		if err != nil || !ok || string(sh.Data) != want {
+			t.Fatalf("shard %.16q after reopen: ok=%v err=%v data=%q", obj, ok, err, sh.Data)
+		}
+	}
+}
+
+// TestIndexEntryLimits pins the narrowed in-memory index entry and the
+// guards that keep its 32-bit segment offset and 16-bit node number
+// sufficient.
+func TestIndexEntryLimits(t *testing.T) {
+	if ref, entry := unsafe.Sizeof(shardRef{}), unsafe.Sizeof(placed{}); ref != 24 || entry != 32 {
+		t.Fatalf("shardRef is %d bytes and an index entry %d, want 24 and 32", ref, entry)
+	}
+	if _, err := Open(t.TempDir(), 1, WithMaxSegmentBytes(1<<32+1)); err == nil {
+		t.Fatal("segment cap above 4 GiB accepted")
+	}
+	if _, err := Open(t.TempDir(), 1<<16); err == nil {
+		t.Fatal("more nodes than an index entry can number accepted")
+	}
+	s := mustOpen(t, t.TempDir(), 1, WithMaxSegmentBytes(1<<32))
+	s.Close()
+}
+
+// BenchmarkCommitStage14 is the store's share of one small PUT in the
+// benchmark's shape: 14 shards of 1.6 KiB staged one per node, then one
+// commit point (up to 14 segment fsyncs and the WAL fsync).
+func BenchmarkCommitStage14(b *testing.B) {
+	s, err := Open(b.TempDir(), 14, WithFsync(FsyncCommit))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	body := bytes.Repeat([]byte{0xA5}, 1639)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		obj, tok := fmt.Sprintf("bench/obj-%d", i), fmt.Sprintf("vault:bench/obj-%d#%d", i, i)
+		for n := 0; n < 14; n++ {
+			if err := s.Node(n).Stage(tok, store.Shard{Key: key(obj, n, 0), Data: body}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n, err := s.CommitStage(tok, 0); n != 14 || err != nil {
+			b.Fatalf("CommitStage: n=%d err=%v", n, err)
+		}
+	}
+}
+
+// TestReplayCutsLogAtFirstBadFrame feeds the frame-by-frame replay every
+// way a log can end badly. Each tail must be cut at exactly the first
+// frame that is not whole and valid — also when a valid frame follows
+// it — with the three commits before it intact and the log appendable
+// again.
+func TestReplayCutsLogAtFirstBadFrame(t *testing.T) {
+	var good recBuf
+	good.u8(walAbort)
+	good.str16("never-staged")
+	badCRC := good.frame()
+	badCRC[4] ^= 0xFF
+	absurd := binary.LittleEndian.AppendUint32(nil, walMaxPayload+1)
+	for name, tail := range map[string][]byte{
+		"torn header":   {1, 2, 3, 4, 5},
+		"torn payload":  append(binary.LittleEndian.AppendUint32(nil, 100), make([]byte, 4+10)...),
+		"absurd length": append(absurd, make([]byte, 2*walMaxPayload)...),
+		"corrupt frame": append(badCRC, good.frame()...),
+		"clean end":     nil, // nothing appended: a whole log stays whole
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, 1)
+			for i := 0; i < 3; i++ {
+				if err := s.Node(0).Put(store.Shard{Key: key("o", i, 0), Epoch: i, Data: []byte{byte(i)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			whole := s.wal.size
+			s.Close()
+			f, err := os.OpenFile(filepath.Join(dir, "wal"), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write(tail)
+			f.Close()
+			s2 := mustOpen(t, dir, 1)
+			if rep := s2.Recovery(); rep.Shards != 3 || rep.WALBytesDropped != int64(len(tail)) || s2.wal.size != whole {
+				t.Fatalf("recovery %+v, log %d bytes; want 3 shards, %d dropped, log %d bytes", rep, s2.wal.size, len(tail), whole)
+			}
+			if err := s2.Node(0).Put(store.Shard{Key: key("o", 3, 0), Data: []byte{3}}); err != nil {
+				t.Fatal(err)
+			}
+			s2.Close()
+			s3 := mustOpen(t, dir, 1)
+			defer s3.Close()
+			if rep := s3.Recovery(); rep.Shards != 4 || rep.WALBytesDropped != 0 {
+				t.Fatalf("second recovery %+v, want 4 shards and a whole log", rep)
+			}
+		})
 	}
 }

@@ -77,7 +77,9 @@ func (s *Store) replay() error {
 			delete(nd.staged, key)
 			s.recovery.OrphanedStages++
 		}
-		s.recovery.Shards += len(nd.index)
+	}
+	for _, stripe := range s.index {
+		s.recovery.Shards += len(stripe)
 	}
 	return nil
 }
@@ -100,7 +102,6 @@ func (s *Store) applyRecord(payload []byte) {
 			return
 		}
 		key := store.ShardKey{Object: rec.object, Index: rec.index, Chunk: rec.chunk}
-		rec.ref.epoch = rec.epoch
 		nd.staged[key] = stagedRef{stage: rec.stage, ref: rec.ref}
 	case walPut:
 		rec := readShardRecord(r, false)
@@ -114,10 +115,9 @@ func (s *Store) applyRecord(payload []byte) {
 			return
 		}
 		key := store.ShardKey{Object: rec.object, Index: rec.index, Chunk: rec.chunk}
-		rec.ref.epoch = rec.epoch
-		nd.index[key] = rec.ref
+		s.index.put(rec.node, key, rec.ref, len(s.nodes))
 	case walCommit:
-		epoch := int(int64(r.u64()))
+		epoch := int64(r.u64())
 		stage := r.str16()
 		if !r.ok {
 			return
@@ -128,7 +128,7 @@ func (s *Store) applyRecord(payload []byte) {
 					continue
 				}
 				st.ref.epoch = epoch
-				nd.index[key] = st.ref
+				s.index.put(nd.id, key, st.ref, len(s.nodes))
 				delete(nd.staged, key)
 			}
 		}
@@ -153,7 +153,7 @@ func (s *Store) applyRecord(payload []byte) {
 			return
 		}
 		key := store.ShardKey{Object: object, Index: index, Chunk: chunk}
-		delete(s.nodes[node].index, key)
+		s.index.del(node, key)
 		delete(s.nodes[node].staged, key)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 )
 
@@ -176,24 +177,32 @@ func (r *recReader) str16() string {
 	return string(r.take(int(binary.LittleEndian.Uint16(n))))
 }
 
-// shardRef locates one shard's body inside a node's segment files.
+// shardRef locates one shard's body inside a node's segment files. It is
+// the in-memory index entry — one per stored shard, the bulk of what an
+// object keeps resident — so its fields are as narrow as the store's own
+// limits allow (24 bytes): segments end by maxSegmentBytes (4 GiB), the
+// WAL carries dlen as a u32, and object ids end by maxNameLen. The WAL
+// and segment formats stay wider and are unchanged.
 type shardRef struct {
-	seg   uint64 // segment number
-	off   int64  // offset of the record header within the segment
-	klen  int    // object-id length (data begins at off+segHeaderLen+klen)
-	dlen  int    // body length
-	epoch int    // epoch stamped at commit (or put) time
+	seg   uint32 // segment number
+	off   uint32 // offset of the record header within the segment
+	dlen  uint32 // body length
+	klen  uint16 // object-id length (data begins at off+segHeaderLen+klen)
+	epoch int64  // epoch stamped at commit (or put) time
 }
 
+// bodyOff is the segment offset of the shard's data bytes.
+func (ref shardRef) bodyOff() int64 { return int64(ref.off) + segHeaderLen + int64(ref.klen) }
+
 // writeRefTo appends the fixed-width half of a stage/put record.
-func writeRefTo(r *recBuf, node int, ref shardRef, index, chunk, epoch int) {
+func writeRefTo(r *recBuf, node int, ref shardRef, index, chunk int) {
 	r.u32(uint32(node))
-	r.u64(ref.seg)
+	r.u64(uint64(ref.seg))
 	r.u64(uint64(ref.off))
-	r.u32(uint32(ref.dlen))
+	r.u32(ref.dlen)
 	r.u32(uint32(index))
 	r.u32(uint32(chunk))
-	r.u64(uint64(epoch))
+	r.u64(uint64(ref.epoch))
 }
 
 // walShardRecord is the decoded form of a stage/put record.
@@ -201,22 +210,26 @@ type walShardRecord struct {
 	node         int
 	ref          shardRef
 	index, chunk int
-	epoch        int
 	object       string
 	stage        string // empty for walPut
 }
 
+// readShardRecord decodes a stage/put record. A segment number or offset
+// no store within maxSegmentBytes could have written marks it bad.
 func readShardRecord(r *recReader, staged bool) walShardRecord {
 	var rec walShardRecord
 	rec.node = int(r.u32())
-	rec.ref.seg = r.u64()
-	rec.ref.off = int64(r.u64())
-	rec.ref.dlen = int(r.u32())
+	seg, off := r.u64(), r.u64()
+	if seg > math.MaxUint32 || off > math.MaxUint32 {
+		r.ok = false
+	}
+	rec.ref.seg, rec.ref.off = uint32(seg), uint32(off)
+	rec.ref.dlen = r.u32()
 	rec.index = int(r.u32())
 	rec.chunk = int(r.u32())
-	rec.epoch = int(int64(r.u64()))
+	rec.ref.epoch = int64(r.u64())
 	rec.object = r.str16()
-	rec.ref.klen = len(rec.object)
+	rec.ref.klen = uint16(len(rec.object))
 	if staged {
 		rec.stage = r.str16()
 	}
@@ -253,19 +266,19 @@ func segRecord(object string, index, chunk int, data []byte) []byte {
 // given key — the recovery cross-check that a WAL reference points at a
 // fully written record and not into a torn tail.
 func checkSegHeader(f *os.File, fileSize int64, ref shardRef, object string, index, chunk int) error {
-	end := ref.off + int64(segHeaderLen+ref.klen+ref.dlen)
-	if ref.off < 0 || end > fileSize {
+	end := ref.bodyOff() + int64(ref.dlen)
+	if end > fileSize {
 		return fmt.Errorf("diskstore: ref beyond segment end (%d > %d)", end, fileSize)
 	}
-	hdr := make([]byte, segHeaderLen+ref.klen)
-	if _, err := f.ReadAt(hdr, ref.off); err != nil {
+	hdr := make([]byte, segHeaderLen+int(ref.klen))
+	if _, err := f.ReadAt(hdr, int64(ref.off)); err != nil {
 		return err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:4]) != segMagic ||
-		int(binary.LittleEndian.Uint16(hdr[4:6])) != ref.klen ||
+		binary.LittleEndian.Uint16(hdr[4:6]) != ref.klen ||
 		int(binary.LittleEndian.Uint32(hdr[8:12])) != index ||
 		int(binary.LittleEndian.Uint32(hdr[12:16])) != chunk ||
-		int(binary.LittleEndian.Uint32(hdr[16:20])) != ref.dlen ||
+		binary.LittleEndian.Uint32(hdr[16:20]) != ref.dlen ||
 		string(hdr[segHeaderLen:]) != object {
 		return fmt.Errorf("diskstore: segment header mismatch for %s[%d] chunk %d", object, index, chunk)
 	}

@@ -14,6 +14,14 @@
 // disk machinery.
 package store
 
+import "errors"
+
+// ErrKeyTooLong is returned by Put and Stage when a backend
+// cannot record the object id or stage token it was handed (the disk
+// backend's log has length-prefixed, size-bounded records). Nothing has
+// been written when it is returned.
+var ErrKeyTooLong = errors.New("store: object id or stage token too long")
+
 // ShardKey addresses one shard of one object version. Objects written
 // monolithically occupy chunk 0; the vault's pipelined writer splits
 // large objects into fixed-size chunks, each encoded as its own stripe,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/big"
 	mrand "math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -345,6 +346,35 @@ func TestVerifyDigestZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5, func() { verr = c.VerifyOpening() }); n == 0 || verr != nil {
 		t.Fatalf("VerifyOpening: %.0f allocs/op (err %v); the full re-opening cannot be free", n, verr)
+	}
+}
+
+// TestNewFromDigestAllocBytes is the put-side cost gate: opening a chain
+// on the production group allocates under 10 KB. The fixed-base tables
+// leave it near 8 KB; one generic big.Int.Exp alone allocates 12 KB, so a
+// modexp that creeps back onto the write path cannot hide here.
+func TestNewFromDigestAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	digest := sha256.Sum256(doc)
+	open := func() {
+		if _, err := NewFromDigest(digest, RefCommitment, sig.Ed25519, 0, group.Default(), rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open() // builds the tables
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		open()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 10<<10 {
+		t.Fatalf("NewFromDigest allocates %d bytes per call, want < 10 KB", per)
+	} else {
+		t.Logf("NewFromDigest: %d bytes allocated per call", per)
 	}
 }
 
