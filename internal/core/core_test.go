@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"runtime"
 	"testing"
 
 	"securearchive/internal/sec"
@@ -55,6 +56,49 @@ func TestEncodingsToleratesErasures(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("%s: mismatch after erasures", enc.Name())
 		}
+	}
+}
+
+// intactStripe is a 1 MiB RS 10+4 stripe as an unfaulted read sees it:
+// FetchStripe probes in index order, so the ten data shards arrive and
+// the four parity shards are never fetched.
+func intactStripe(tb testing.TB) (Erasure, *Encoded) {
+	tb.Helper()
+	enc := Erasure{N: 14, K: 10}
+	data := make([]byte, 1<<20)
+	rand.Read(data)
+	e, err := enc.Encode(data, rand.Reader)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := enc.K; i < enc.N; i++ {
+		e.Shards[i] = nil
+	}
+	return enc, e
+}
+
+// TestDecodeIntactStripeAllocBytes gates "reads reconstruct data only"
+// in bytes, so it needs no clock: decoding an intact stripe allocates the
+// plaintext and a shard-pointer slice, not the four 105 KB parity shards
+// nobody reads — which would also mean 4 MB of field arithmetic ran.
+func TestDecodeIntactStripeAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	enc, e := intactStripe(t)
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := enc.Decode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := int((after.TotalAlloc - before.TotalAlloc) / calls)
+	t.Logf("Decode of an intact 1 MiB stripe: %d bytes allocated beyond the plaintext", per-e.PlainLen)
+	if per > e.PlainLen+4<<10 {
+		t.Fatalf("Decode allocates %d bytes for a %d-byte object, want at most 4 KiB more: parity is being rebuilt", per, e.PlainLen)
 	}
 }
 

@@ -26,26 +26,30 @@ const Generator = 0x03
 // Order is the number of elements in the field.
 const Order = 256
 
-var (
-	expTable [512]byte // expTable[i] = Generator^i; doubled to avoid mod 255 in Mul
-	logTable [256]byte // logTable[x] = log_Generator(x); logTable[0] is unused
-)
+// expTable[i] = Generator^i, doubled to avoid mod 255 in Mul;
+// logTable[x] = log_Generator(x), logTable[0] unused. They are filled by
+// a variable initialiser, not an init function, so that any other
+// package-level table derived from Mul is ordered after them by the
+// language's dependency analysis (an init function runs after every
+// variable initialiser and would leave such a table all zero).
+var expTable, logTable = buildLogExp()
 
-func init() {
+func buildLogExp() (exp [512]byte, log [256]byte) {
 	x := 1
 	for i := 0; i < 255; i++ {
-		expTable[i] = byte(x)
-		logTable[byte(x)] = byte(i)
+		exp[i] = byte(x)
+		log[byte(x)] = byte(i)
 		// Multiply x by the generator (x+1): x*3 = x*2 ^ x.
 		x <<= 1
 		if x&0x100 != 0 {
 			x ^= Poly
 		}
-		x ^= int(expTable[i])
+		x ^= int(exp[i])
 	}
 	for i := 255; i < 512; i++ {
-		expTable[i] = expTable[i-255]
+		exp[i] = exp[i-255]
 	}
+	return exp, log
 }
 
 // Add returns a + b in GF(2^8). Addition is XOR; it is its own inverse, so

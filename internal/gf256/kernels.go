@@ -1,19 +1,22 @@
 package gf256
 
-// This file holds the table-driven bulk kernels that the coding layers
-// (rs, shamir, packed, lrss, aont via rs) run their hot loops on. The
-// scalar MulSlice/MulSliceAssign in gf256.go are retained unchanged as a
+// This file holds the bulk kernels that the coding layers (rs, shamir,
+// packed, lrss, aont via rs) run their hot loops on. The scalar
+// MulSlice/MulSliceAssign in gf256.go are retained unchanged as a
 // reference oracle; the kernels here are differentially tested against
 // them and exist purely for throughput:
 //
 //   - A full 64 KiB product table (256 rows of 256 bytes) is built once,
 //     lazily, so every coefficient's multiplication table is a pointer
 //     into shared memory — MulTable(c) never allocates.
-//   - The multiply kernels are branch-free per byte: one table load per
-//     byte, no zero checks, with results assembled into 8-byte words so
-//     the destination is read and written one uint64 at a time.
-//   - The XOR path (coefficient 1, Horner accumulation, share refresh)
-//     processes 8-byte words directly.
+//   - The portable multiply kernels (the *Generic functions) are
+//     branch-free per byte: one table load per byte, no zero checks, with
+//     results assembled into 8-byte words so the destination is read and
+//     written one uint64 at a time; their XOR processes 8-byte words.
+//   - On amd64 with AVX2 (kernels_amd64.go) the entry points hand the
+//     leading multiple of 32 bytes to a nibble-table VPSHUFB kernel and
+//     only the tail to the portable one. Everywhere else the portable
+//     kernel does all of it. The choice is made once, from CPUID.
 //
 // All kernels tolerate src == dst exactly aliased (the Horner in-place
 // pattern); partially overlapping slices are not supported, matching the
@@ -65,6 +68,11 @@ func AddSlice(src, dst []byte) {
 }
 
 func addSlice(src, dst []byte) {
+	n := xorVec(src, dst)
+	addSliceGeneric(src[n:], dst[n:])
+}
+
+func addSliceGeneric(src, dst []byte) {
 	i := 0
 	for ; i+16 <= len(src); i += 16 {
 		s := src[i : i+16 : i+16]
@@ -85,6 +93,11 @@ func MulSliceWith(tab *[256]byte, src, dst []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf256: MulSliceWith length mismatch %d != %d", len(dst), len(src)))
 	}
+	n := mulAddVec(tab, src, dst)
+	mulAddGeneric(tab, src[n:], dst[n:])
+}
+
+func mulAddGeneric(tab *[256]byte, src, dst []byte) {
 	i := 0
 	for ; i+16 <= len(src); i += 16 {
 		s := src[i : i+16 : i+16]
@@ -107,6 +120,11 @@ func MulSliceAssignWith(tab *[256]byte, src, dst []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("gf256: MulSliceAssignWith length mismatch %d != %d", len(dst), len(src)))
 	}
+	n := mulAssignVec(tab, src, dst)
+	mulAssignGeneric(tab, src[n:], dst[n:])
+}
+
+func mulAssignGeneric(tab *[256]byte, src, dst []byte) {
 	i := 0
 	for ; i+16 <= len(src); i += 16 {
 		s := src[i : i+16 : i+16]

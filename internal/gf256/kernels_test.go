@@ -153,3 +153,100 @@ func TestKernelLengthMismatchPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestKernelsExhaustiveDifferential runs both implementations of every
+// bulk kernel — the public entry points (AVX2 body plus portable tail
+// where the CPU has it) and the portable kernels called directly, so the
+// fallback is exercised on an AVX2 box too — against the scalar oracle:
+// every coefficient × every length 0–130 and 4095–4097 (straddling the
+// 16-, 32- and 64-byte block edges) × source and destination each
+// misaligned by 0–3 bytes, plus exact src == dst aliasing. The bytes
+// either side of the destination must come back untouched. Under the
+// race detector every 15th coefficient runs (0, 15, … 255).
+func TestKernelsExhaustiveDifferential(t *testing.T) {
+	cstep := 1
+	if raceEnabled {
+		cstep = 15
+	}
+	kernels := []struct {
+		name              string
+		mulAdd, mulAssign func(tab *[256]byte, src, dst []byte)
+		xor               func(src, dst []byte)
+	}{
+		{"entry", MulSliceWith, MulSliceAssignWith, addSlice},
+		{"generic", mulAddGeneric, mulAssignGeneric, addSliceGeneric},
+	}
+	t.Logf("useAVX2 = %v", useAVX2)
+	var lengths []int
+	for n := 0; n <= 130; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 4095, 4096, 4097)
+
+	const maxLen, guard = 4097, 40
+	rng := rand.New(rand.NewSource(4))
+	srcBuf := make([]byte, maxLen+3)
+	base := make([]byte, maxLen)
+	rng.Read(srcBuf)
+	rng.Read(base)
+	fence := bytes.Repeat([]byte{0xA5}, guard+3+maxLen+guard)
+	dstBuf := make([]byte, len(fence))
+	alias := make([]byte, maxLen+3)
+	wantAdd, wantAssign, wantXor := make([]byte, maxLen), make([]byte, maxLen), make([]byte, maxLen)
+	zero := make([]byte, maxLen)
+
+	for _, k := range kernels {
+		// check runs one kernel call on a fenced copy of base.
+		check := func(op string, c, n, so, do int, want []byte, call func(src, dst []byte)) {
+			copy(dstBuf, fence)
+			lo := guard + do
+			dst := dstBuf[lo : lo+n]
+			copy(dst, base)
+			call(srcBuf[so:so+n], dst)
+			if !bytes.Equal(dst, want[:n]) {
+				t.Fatalf("%s/%s c=%d n=%d src+%d dst+%d: diverges from the scalar oracle", k.name, op, c, n, so, do)
+			}
+			if !bytes.Equal(dstBuf[:lo], fence[:lo]) || !bytes.Equal(dstBuf[lo+n:], fence[lo+n:]) {
+				t.Fatalf("%s/%s c=%d n=%d src+%d dst+%d: wrote outside dst", k.name, op, c, n, so, do)
+			}
+		}
+		for c := 0; c < 256; c += cstep {
+			tab := MulTable(byte(c))
+			for _, n := range lengths {
+				for so := 0; so < 4; so++ {
+					src := srcBuf[so : so+n]
+					copy(wantAdd, base[:n])
+					MulSlice(byte(c), src, wantAdd[:n])
+					MulSliceAssign(byte(c), src, wantAssign[:n])
+					for i, s := range src {
+						wantXor[i] = base[i] ^ s
+					}
+					for do := 0; do < 4; do++ {
+						check("mulAdd", c, n, so, do, wantAdd, func(s, d []byte) { k.mulAdd(tab, s, d) })
+						check("mulAssign", c, n, so, do, wantAssign, func(s, d []byte) { k.mulAssign(tab, s, d) })
+						if c == 0 { // XOR takes no coefficient
+							check("xor", c, n, so, do, wantXor, k.xor)
+						}
+					}
+					// Exact aliasing: x = c·x, x ^= c·x = (c^1)·x, x ^= x = 0.
+					a := alias[so : so+n]
+					copy(a, src)
+					k.mulAssign(tab, a, a)
+					if !bytes.Equal(a, wantAssign[:n]) {
+						t.Fatalf("%s/mulAssign aliased c=%d n=%d off=%d diverges", k.name, c, n, so)
+					}
+					copy(a, src)
+					k.mulAdd(tab, a, a)
+					MulSliceAssign(byte(c)^1, src, wantAssign[:n])
+					if !bytes.Equal(a, wantAssign[:n]) {
+						t.Fatalf("%s/mulAdd aliased c=%d n=%d off=%d diverges", k.name, c, n, so)
+					}
+					k.xor(a, a)
+					if !bytes.Equal(a, zero[:n]) {
+						t.Fatalf("%s/xor aliased c=%d n=%d off=%d is not zero", k.name, c, n, so)
+					}
+				}
+			}
+		}
+	}
+}

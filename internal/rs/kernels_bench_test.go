@@ -20,7 +20,7 @@ import (
 func BenchmarkRSEncodeParallel(b *testing.B) {
 	const k, m = 10, 4
 	maxprocs := runtime.GOMAXPROCS(0)
-	for _, payload := range []int{1 << 10, 64 << 10, 1 << 20, 16 << 20} {
+	for _, payload := range []int{1 << 10, 16 << 10, 64 << 10, 1 << 20, 4 << 20, 16 << 20} {
 		scalar, err := New(k, m, WithParallelism(1))
 		if err != nil {
 			b.Fatal(err)

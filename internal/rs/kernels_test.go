@@ -133,3 +133,45 @@ func TestVerifyScratchReuse(t *testing.T) {
 		t.Fatal("Verify accepted corrupted data shard")
 	}
 }
+
+// TestForkedPathsAboveGrain keeps the goroutine-forking paths of
+// EncodeShards and Reconstruct under test wherever chunkGrain is put: the
+// shard size is derived from it, so the sizes above, which were chosen
+// against an earlier grain, cannot silently fall back to the inline path.
+func TestForkedPathsAboveGrain(t *testing.T) {
+	const k, m = 6, 3
+	size := chunkGrain + 13
+	rng := rand.New(rand.NewSource(10))
+	code, err := New(k, m, WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, want := make([][]byte, k+m), make([][]byte, k+m)
+	for i := range shards {
+		shards[i], want[i] = make([]byte, size), make([]byte, size)
+		if i < k {
+			rng.Read(shards[i])
+			copy(want[i], shards[i])
+		}
+	}
+	if err := code.encodeShardsScalar(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := code.EncodeShards(shards); err != nil {
+		t.Fatal(err)
+	}
+	for i := range shards {
+		if !bytes.Equal(shards[i], want[i]) {
+			t.Fatalf("forked encode: shard %d diverges from scalar oracle", i)
+		}
+	}
+	shards[0], shards[2], shards[k+1] = nil, nil, nil
+	if err := code.Reconstruct(shards); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		if !bytes.Equal(shards[i], want[i]) {
+			t.Fatalf("forked reconstruct: data shard %d differs", i)
+		}
+	}
+}

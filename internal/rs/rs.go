@@ -12,11 +12,11 @@
 // counterpart: per McEliece & Sarwate, Shamir secret sharing *is* a
 // non-systematic [n, t] Reed-Solomon code with random high coefficients.
 //
-// The hot paths run on the table-driven gf256 kernels: each Code caches a
+// The hot paths run on the gf256 bulk kernels: each Code caches a
 // multiplication table per generator-matrix coefficient at construction,
-// and Encode/Reconstruct split their work across goroutines by parity
-// row and byte range (see WithParallelism). The §3.2 throughput argument
-// of the paper is measured against exactly this path.
+// and Encode/Reconstruct split large stripes across goroutines by output
+// row and byte range (see WithParallelism and chunkGrain). The §3.2
+// throughput argument of the paper is measured against exactly this path.
 package rs
 
 import (
@@ -36,10 +36,20 @@ const (
 	MaxShards = 255
 )
 
-// chunkGrain is the minimum byte range a worker takes. At kernel speed a
-// grain costs tens of microseconds, comfortably above goroutine overhead;
-// payloads below it are encoded inline.
-const chunkGrain = 64 << 10
+// chunkGrain is the shard size from which encode and reconstruct fork
+// workers, and the minimum byte range a worker takes; below it the work
+// runs inline. Re-measured with the AVX2 kernels on the 2-vCPU box
+// (BenchmarkRSEncodeParallel, 10+4, serial p1 vs forked p2, the grain
+// forced down to 1 KiB in a scratch build so every size forks; ranges
+// over three sessions): a 16 KiB stripe is 3.1 vs 7.1 µs and a 1 MiB
+// stripe (105 KB shards) 154–217 vs 215–247 µs — forking loses; 2 MiB is
+// 391–507 vs 342–420 µs, a wash; 4 MiB 863–1099 vs 513–785 µs (one
+// session 925–960: the second vCPU is not always there), 16 MiB 4.9–5.4
+// vs 2.2–2.5 ms. The crossover sits between 105 and 210 KB shards, so
+// the vault's 1 MiB chunk stripes now encode inline (154–167 µs at this
+// grain, 217–254 at the previous 64 KiB) and stripes from ~1.3 MiB up
+// still fork.
+const chunkGrain = 128 << 10
 
 // Errors returned by this package.
 var (
@@ -105,7 +115,10 @@ func New(data, parity int, opts ...Option) (*Code, error) {
 		}
 	}
 	c := &Code{data: data, parity: parity, gen: gen}
-	c.parityTabs = rowTables(gen, data, n)
+	c.parityTabs = make([][]*[256]byte, parity)
+	for i := range c.parityTabs {
+		c.parityTabs[i] = rowTables(gen.Row(data + i))
+	}
 	for _, o := range opts {
 		o(c)
 	}
@@ -138,19 +151,14 @@ func Cached(data, parity, par int) (*Code, error) {
 }
 
 // rowTables caches a gf256 multiplication table pointer per coefficient
-// of rows [from, to) of m. The pointers alias the shared 64 KiB full
-// table, so this costs one slice of pointers per row.
-func rowTables(m *matrix.Matrix, from, to int) [][]*[256]byte {
-	tabs := make([][]*[256]byte, to-from)
-	for i := from; i < to; i++ {
-		row := m.Row(i)
-		t := make([]*[256]byte, len(row))
-		for j, coeff := range row {
-			t[j] = gf256.MulTable(coeff)
-		}
-		tabs[i-from] = t
+// of one matrix row. The pointers alias the shared 64 KiB full table, so
+// this costs one slice of pointers.
+func rowTables(row []byte) []*[256]byte {
+	t := make([]*[256]byte, len(row))
+	for j, coeff := range row {
+		t[j] = gf256.MulTable(coeff)
 	}
-	return tabs
+	return t
 }
 
 // mulAcc accumulates dst ^= coeff·src with the 0/1 fast paths, using a
@@ -344,16 +352,17 @@ func (c *Code) EncodeInto(data []byte, s *ShardSet) error {
 
 // forRowChunks runs fn(row, lo, hi) over the product of `rows` output
 // rows and byte-range chunks of [0, size), in parallel up to the code's
-// worker bound. Chunk indices are row-major so one worker streams
-// adjacent byte ranges of the same row.
+// worker bound; shards below the grain run inline, row by row. Chunk
+// indices are row-major so one worker streams adjacent byte ranges of
+// the same row.
 func (c *Code) forRowChunks(rows, size int, fn func(row, lo, hi int)) {
-	nchunks := (size + chunkGrain - 1) / chunkGrain
-	if nchunks < 1 {
-		nchunks = 1
+	if size < chunkGrain {
+		for row := 0; row < rows; row++ {
+			fn(row, 0, size)
+		}
+		return
 	}
-	if workers := parallel.Workers(c.par); nchunks > workers {
-		nchunks = workers
-	}
+	nchunks := min((size+chunkGrain-1)/chunkGrain, parallel.Workers(c.par))
 	parallel.For(c.par, rows*nchunks, 1, func(jlo, jhi int) {
 		for j := jlo; j < jhi; j++ {
 			row, ck := j/nchunks, j%nchunks
@@ -393,20 +402,24 @@ func (c *Code) Verify(shards [][]byte) (bool, error) {
 	return true, nil
 }
 
-// Reconstruct fills in missing (nil) shards in place. At least k shards
-// must be present. Present shards are never modified; reconstructed shards
-// are freshly allocated. Recovery of multiple shards runs in parallel by
-// output row and byte range.
+// Reconstruct fills in missing (nil) data shards in place, which is all
+// Join needs. Missing parity shards stay nil: no reader uses them, and a
+// writer that wants the full stripe back (scrub repair) re-encodes it
+// with EncodeShards. At least k shards must be present. Present shards
+// are never modified; reconstructed shards are freshly allocated. With
+// every data shard present — any read the probe wave answered in index
+// order — this does no field arithmetic and allocates nothing. Recovery
+// of multiple shards runs in parallel by output row and byte range.
 func (c *Code) Reconstruct(shards [][]byte) error {
 	if len(shards) != c.TotalShards() {
 		return fmt.Errorf("%w: have %d, want %d", ErrShardCount, len(shards), c.TotalShards())
 	}
-	present := make([]int, 0, c.TotalShards())
-	missing := make([]int, 0, c.TotalShards())
-	size := -1
+	lost, size := 0, -1
 	for i, s := range shards {
 		if s == nil {
-			missing = append(missing, i)
+			if i < c.data {
+				lost++
+			}
 			continue
 		}
 		if size == -1 {
@@ -414,86 +427,50 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 		} else if len(s) != size {
 			return ErrShardSize
 		}
-		present = append(present, i)
 	}
-	if len(missing) == 0 {
+	if lost == 0 {
 		return nil
 	}
-	if len(present) < c.data {
-		return fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(present), c.data)
-	}
 
-	// Select k present rows of the generator, invert, recover data shards.
-	rows := present[:c.data]
-	sub := c.gen.SubMatrix(rows)
-	dec, err := sub.Invert()
+	// Invert the generator rows of the first k present shards; row d of
+	// the inverse rebuilds data shard d from them, and only the rows of
+	// the lost shards are ever applied.
+	rows := make([]int, 0, c.data)
+	inputs := make([][]byte, 0, c.data)
+	for i, s := range shards {
+		if s != nil && len(rows) < c.data {
+			rows = append(rows, i)
+			inputs = append(inputs, s)
+		}
+	}
+	if len(rows) < c.data {
+		return fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(rows), c.data)
+	}
+	dec, err := c.gen.SubMatrix(rows).Invert()
 	if err != nil {
 		// Cannot happen for an MDS generator; report rather than panic.
 		return fmt.Errorf("rs: decode matrix inversion failed: %w", err)
 	}
-	inputs := make([][]byte, c.data)
-	for i, r := range rows {
-		inputs[i] = shards[r]
-	}
-
-	// Only compute the data shards we actually need: missing data shards,
-	// plus all data shards if any parity shard is missing.
-	needAllData := false
-	for _, mi := range missing {
-		if mi >= c.data {
-			needAllData = true
-			break
-		}
-	}
-	dataOut := make([][]byte, c.data)
 	type job struct {
 		out  []byte
 		row  []byte
 		tabs []*[256]byte
-		in   [][]byte
 	}
-	var jobs []job
-	decTabs := rowTables(dec, 0, dec.Rows())
+	jobs := make([]job, 0, lost)
 	for d := 0; d < c.data; d++ {
-		have := shards[d] != nil
-		if have && !needAllData {
-			continue
+		if shards[d] == nil {
+			shards[d] = make([]byte, size)
+			jobs = append(jobs, job{out: shards[d], row: dec.Row(d), tabs: rowTables(dec.Row(d))})
 		}
-		if have {
-			dataOut[d] = shards[d]
-			continue
-		}
-		out := make([]byte, size)
-		dataOut[d] = out
-		shards[d] = out
-		jobs = append(jobs, job{out: out, row: dec.Row(d), tabs: decTabs[d], in: inputs})
 	}
-	runJobs := func(jobs []job) {
-		if len(jobs) == 0 {
-			return
+	c.forRowChunks(len(jobs), size, func(i, lo, hi int) {
+		jb := jobs[i]
+		out := jb.out[lo:hi]
+		mulAssign(jb.row[0], jb.tabs[0], inputs[0][lo:hi], out)
+		for j := 1; j < c.data; j++ {
+			mulAcc(jb.row[j], jb.tabs[j], inputs[j][lo:hi], out)
 		}
-		c.forRowChunks(len(jobs), size, func(i, lo, hi int) {
-			jb := jobs[i]
-			out := jb.out[lo:hi]
-			mulAssign(jb.row[0], jb.tabs[0], jb.in[0][lo:hi], out)
-			for j := 1; j < len(jb.row); j++ {
-				mulAcc(jb.row[j], jb.tabs[j], jb.in[j][lo:hi], out)
-			}
-		})
-	}
-	runJobs(jobs)
-
-	// Recompute any missing parity shards from the (now complete) data.
-	jobs = jobs[:0]
-	for _, mi := range missing {
-		if mi < c.data {
-			continue
-		}
-		out := make([]byte, size)
-		shards[mi] = out
-		jobs = append(jobs, job{out: out, row: c.gen.Row(mi), tabs: c.parityTabs[mi-c.data], in: dataOut})
-	}
-	runJobs(jobs)
+	})
 	return nil
 }
 

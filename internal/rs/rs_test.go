@@ -97,9 +97,28 @@ func TestReconstructAllErasurePatterns(t *testing.T) {
 		if err := c.Reconstruct(shards); err != nil {
 			t.Fatalf("mask %#b: %v", mask, err)
 		}
+		// Data shards come back byte-identical; erased parity stays nil
+		// (Reconstruct is data-only) ...
 		for i := range shards {
+			if want := orig[i]; i < k || mask&(1<<i) == 0 {
+				if !bytes.Equal(shards[i], want) {
+					t.Fatalf("mask %#b: shard %d differs after reconstruct", mask, i)
+				}
+			} else if shards[i] != nil {
+				t.Fatalf("mask %#b: erased parity shard %d was rebuilt", mask, i)
+			}
+		}
+		// ... and re-encoding the recovered data reproduces the original
+		// parity, which is how a repair gets the full stripe back.
+		for i := k; i < n; i++ {
+			shards[i] = make([]byte, len(orig[i]))
+		}
+		if err := c.EncodeShards(shards); err != nil {
+			t.Fatalf("mask %#b: %v", mask, err)
+		}
+		for i := k; i < n; i++ {
 			if !bytes.Equal(shards[i], orig[i]) {
-				t.Fatalf("mask %#b: shard %d differs after reconstruct", mask, i)
+				t.Fatalf("mask %#b: parity shard %d differs after re-encode", mask, i)
 			}
 		}
 		got, err := c.Join(shards, len(data))

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One command for everything a change to this repository must keep green:
-# the tier-1 gate, vet, the race detector on the packages with shared
-# state on the read/write path, a one-iteration smoke of the layer
+# the tier-1 gate, vet (and an offline arm64 cross-vet of the packages
+# with per-platform kernel files), the race detector on the packages with
+# shared state on the read/write path, a one-iteration smoke of the layer
 # benchmarks, and the nested bench/ module — which
 # tier-1 does not build, so without this nothing notices when a change
 # under internal/ breaks the benchmark.
@@ -11,8 +12,11 @@ set -x
 go build ./...
 go test ./...
 go vet ./...
-go test -race ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore
+# The AVX2 kernels are amd64-only; this keeps the stub every other
+# platform builds (internal/gf256/kernels_other.go) from rotting.
+GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
+go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore
 # One iteration of each layer benchmark, so none can rot uncompiled.
-go test -run '^$' -bench 'ExpH|ExpG224|PedersenCommit|APIPut|CommitStage' -benchtime 1x ./internal/...
+go test -run '^$' -bench 'ExpH|ExpG224|PedersenCommit|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact' -benchtime 1x ./internal/...
 go vet -C bench ./...
 go test -C bench ./...
