@@ -14,8 +14,8 @@
 //	archivectl bench -encoding erasure -n 8 -t 4 -workers 1,4,16 -ops 256 [-batch] [-skew 1.1 -cache-bytes 1048576] [-offline 1] [-transient 0.1] [-store disk [-store-dir DIR] [-fsync commit|always|never]]
 //
 // stats and serve run the vault's integrity chain on the library default,
-// the RFC 3526 2048-bit group. bench stays on group.Test() (256-bit,
-// insecure): it regenerates figures that were measured on it.
+// group.Default() (2048-bit p, 256-bit q). bench stays on group.Test()
+// (256-bit p, insecure): it regenerates figures that were measured on it.
 //
 // Encodings: replication, erasure, aes, cascade, entropic, aont, shamir,
 // packed, lrss. After put, delete up to n−min node directories and get

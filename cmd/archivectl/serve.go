@@ -82,7 +82,7 @@ func cmdServe(args []string) {
 		tr.AddExporter(trace.NewJSONL(f))
 	}
 	// No WithGroup: the service runs the integrity chain on NewVault's
-	// default, the RFC 3526 2048-bit group.
+	// default, group.Default() (2048-bit p, 256-bit q).
 	var vopts []core.VaultOption
 	if *cacheBytes > 0 {
 		vopts = append(vopts, core.WithReadCache(*cacheBytes), core.WithCacheTenantShare(*cacheShare))

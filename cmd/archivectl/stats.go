@@ -39,7 +39,7 @@ func cmdStats(args []string) {
 		fmt.Fprintf(os.Stderr, "archivectl: warning: %d offline nodes exceeds the %d the code tolerates; reads will degrade below threshold\n", *offline, *n-min)
 	}
 	c := cluster.New(*n, nil)
-	v, err := core.NewVault(c, enc) // the library default: the RFC 3526 2048-bit group
+	v, err := core.NewVault(c, enc) // the library default: group.Default(), 2048-bit p
 	if err != nil {
 		fatal(err)
 	}

@@ -91,7 +91,8 @@ func main() {
 		fmt.Fprint(flag.CommandLine.Output(), "usage: papereval [flags]\n\n"+
 			"Every vault papereval builds runs the integrity chain on group.Test() (256-bit,\n"+
 			"insecure): the committed paper figures and BENCH_*.json were measured on it and\n"+
-			"must regenerate unchanged. bench/ measures the production 2048-bit group.\n\n")
+			"must regenerate unchanged. bench/ measures the production group (2048-bit p,\n"+
+			"256-bit q).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -26,11 +26,8 @@ import (
 	"securearchive/internal/group"
 )
 
-// Errors returned by this package.
-var (
-	ErrVerifyFailed = errors.New("commit: verification failed")
-	ErrMessageSize  = errors.New("commit: message exceeds scalar capacity")
-)
+// ErrVerifyFailed is returned when an opening does not match a commitment.
+var ErrVerifyFailed = errors.New("commit: verification failed")
 
 const hashTag = "securearchive/commit/sha256 v1"
 
@@ -111,21 +108,10 @@ func (p *Pedersen) Commit(m *big.Int, rnd io.Reader) (PedersenCommitment, Peders
 	return p.CommitWith(m, r), PedersenOpening{M: new(big.Int).Set(m), R: r}, nil
 }
 
-// CommitWith computes the commitment deterministically from (m, r).
+// CommitWith computes the commitment deterministically from (m, r), any
+// integers (taken mod q).
 func (p *Pedersen) CommitWith(m, r *big.Int) PedersenCommitment {
-	mm := new(big.Int).Mod(m, p.G.Q)
-	rr := new(big.Int).Mod(r, p.G.Q)
-	c := p.G.Mul(p.G.ExpG(mm), p.G.ExpH(rr))
-	return PedersenCommitment{C: c}
-}
-
-// CommitBytes commits to a byte message by embedding it as a scalar.
-// The message must fit in the group's scalar capacity.
-func (p *Pedersen) CommitBytes(message []byte, rnd io.Reader) (PedersenCommitment, PedersenOpening, error) {
-	if len(message) > p.G.ScalarCapacity() {
-		return PedersenCommitment{}, PedersenOpening{}, fmt.Errorf("%w: %d > %d", ErrMessageSize, len(message), p.G.ScalarCapacity())
-	}
-	return p.Commit(new(big.Int).SetBytes(message), rnd)
+	return PedersenCommitment{C: p.G.ExpGH(m, r)}
 }
 
 // Verify checks an opening against a commitment.
@@ -138,14 +124,6 @@ func (p *Pedersen) Verify(c PedersenCommitment, op PedersenOpening) error {
 		return ErrVerifyFailed
 	}
 	return nil
-}
-
-// VerifyBytes checks an opening whose message is the byte string message.
-func (p *Pedersen) VerifyBytes(c PedersenCommitment, message []byte, op PedersenOpening) error {
-	if op.M == nil || new(big.Int).SetBytes(message).Cmp(op.M) != 0 {
-		return ErrVerifyFailed
-	}
-	return p.Verify(c, op)
 }
 
 // Add returns the homomorphic sum of two commitments:

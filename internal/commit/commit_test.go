@@ -69,29 +69,6 @@ func TestPedersenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPedersenBytesRoundTrip(t *testing.T) {
-	p := NewPedersen(group.Test())
-	msg := []byte("a 28-byte archival secretXYZ")
-	c, op, err := p.CommitBytes(msg, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.VerifyBytes(c, msg, op); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.VerifyBytes(c, []byte("a 28-byte archival secretXYY"), op); !errors.Is(err, ErrVerifyFailed) {
-		t.Fatal("wrong message accepted")
-	}
-}
-
-func TestPedersenMessageTooLarge(t *testing.T) {
-	p := NewPedersen(group.Test())
-	big := make([]byte, p.G.ScalarCapacity()+1)
-	if _, _, err := p.CommitBytes(big, rand.Reader); !errors.Is(err, ErrMessageSize) {
-		t.Fatalf("oversized message: %v", err)
-	}
-}
-
 func TestPedersenBindingRejectsWrongOpening(t *testing.T) {
 	p := NewPedersen(group.Test())
 	c, op, _ := p.Commit(big.NewInt(42), rand.Reader)
@@ -165,13 +142,40 @@ func TestVerifyNilSafety(t *testing.T) {
 	}
 }
 
+// rfc3526Prime2048 is the RFC 3526 §3 safe prime (the copy in
+// group_test.go is out of this package's reach): its 2047-bit q is wider
+// than the fixed-base comb, so a full-width scalar takes the big.Int.Exp
+// fallback while a digest-sized one beside it walks the table.
+const rfc3526Prime2048 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
+	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
+	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
+	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
+	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
+	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
+	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
+	"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
+	"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
+	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
+	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
+
+// safePrimeGroup is the order-q subgroup of squares mod p = 2q+1, with
+// the squares 4 and 9 as generators.
+func safePrimeGroup(t *testing.T) *group.Group {
+	p, ok := new(big.Int).SetString(rfc3526Prime2048, 16)
+	if !ok {
+		t.Fatal("bad RFC 3526 constant")
+	}
+	q := new(big.Int).Rsh(p, 1)
+	return &group.Group{P: p, Q: q, G: big.NewInt(4), H: big.NewInt(9)}
+}
+
 // TestCommitWithMatchesGenericExp pins CommitWith to the textbook
-// formula g^m·h^r mod p computed with big.Int.Exp, on both groups, for
-// digest-sized and full-width m, full-width r, and scalars outside
-// [0, q) — the fixed-base tables under ExpG/ExpH must not change one bit
-// of any commitment.
+// formula g^m·h^r mod p computed with big.Int.Exp, on both built-in
+// groups and a safe-prime one, for digest-sized and full-width m,
+// full-width r, and scalars outside [0, q) — the one-pass walk of the
+// fixed-base tables must not change one bit of any commitment.
 func TestCommitWithMatchesGenericExp(t *testing.T) {
-	for _, g := range []*group.Group{group.Test(), group.Default()} {
+	for _, g := range []*group.Group{group.Test(), group.Default(), safePrimeGroup(t)} {
 		p := NewPedersen(g)
 		rng := mrand.New(mrand.NewSource(int64(g.P.BitLen())))
 		formula := func(m, r *big.Int) *big.Int {
@@ -195,7 +199,7 @@ func TestCommitWithMatchesGenericExp(t *testing.T) {
 		)
 		for _, c := range cases {
 			if got, want := p.CommitWith(c[0], c[1]).C, formula(c[0], c[1]); got.Cmp(want) != 0 {
-				t.Fatalf("%d-bit group: CommitWith(%v, %v) = %v, want %v", g.P.BitLen(), c[0], c[1], got, want)
+				t.Fatalf("%d/%d-bit group: CommitWith(%v, %v) = %v, want %v", g.P.BitLen(), g.Q.BitLen(), c[0], c[1], got, want)
 			}
 		}
 	}
@@ -249,7 +253,7 @@ func TestCommitDrawsOneFullWidthScalar(t *testing.T) {
 }
 
 // BenchmarkPedersenCommitDefaultGroup is the commitment a production PUT
-// pays: a 224-bit m, a fresh uniform r in Z_q, on the 2048-bit group.
+// pays: a 224-bit m, a fresh uniform r in Z_q, on the 2048/256-bit group.
 func BenchmarkPedersenCommitDefaultGroup(b *testing.B) {
 	p := NewPedersen(group.Default())
 	d := sha256.Sum256([]byte("BenchmarkPedersenCommitDefaultGroup"))

@@ -197,9 +197,9 @@ func WithIntegrityMode(m tstamp.RefMode) VaultOption {
 }
 
 // WithGroup overrides the commitment group. Production callers must not
-// pass it: the default (group.Default(), RFC 3526 2048-bit) is the only
-// secure choice. It exists so tests and the paper-figure tools can run
-// the chain on group.Test().
+// pass it: the default (group.Default(), a 256-bit-order subgroup of a
+// 2048-bit field) is the only secure choice. It exists so tests and the
+// paper-figure tools can run the chain on group.Test().
 func WithGroup(g *group.Group) VaultOption {
 	return func(v *Vault) { v.Group = g }
 }

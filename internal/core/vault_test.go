@@ -176,6 +176,9 @@ func TestVaultExportEvidence(t *testing.T) {
 	if err := chain.Verify(100, nil); err != nil {
 		t.Fatal(err)
 	}
+	if chain.GroupID() != v.Group.ID() {
+		t.Fatalf("exported evidence names group %q, the vault commits on %q", chain.GroupID(), v.Group.ID())
+	}
 	// Commitment mode: the export must not contain the data's digest.
 	d := sha256.Sum256(data)
 	if bytes.Contains(blob, d[:]) {

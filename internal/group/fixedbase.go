@@ -8,30 +8,31 @@ import (
 
 // Fixed-base exponentiation for the two generators (DESIGN.md,
 // "Fixed-base exponentiation"). g and h never change for a Group, so
-// ExpG/ExpH walk a precomputed Lim–Lee comb instead of running a generic
-// square-and-multiply: the exponent is cut into combTeeth rows of
-// blocks×cols bits, each row into blocks column blocks, and the table
-// holds, per block, the product of the base's powers for every subset of
-// rows. One pass down the cols columns then costs cols squarings and at
-// most cols×blocks multiplications. math/big stays the arithmetic kernel;
-// the saving is the multiplication count.
+// ExpG/ExpH/ExpGH walk precomputed Lim–Lee combs instead of running a
+// generic square-and-multiply: the exponent is cut into combTeeth rows of
+// combBlocks×combCols bits, each row into combBlocks column blocks, and
+// the table holds, per block, the product of the base's powers for every
+// subset of rows. One pass down the columns then costs combCols squarings,
+// shared by every base in a product, and at most combCols×combBlocks
+// multiplications per base. math/big stays the arithmetic kernel.
 
 const (
-	combTeeth = 8 // rows; 2^8 table entries per block
+	combTeeth  = 8 // rows; 2^8 table entries per block
+	combBlocks = 2
+	combCols   = 16
 
-	// shortBits is the widest exponent the short comb serves. Digests
-	// embedded as scalars are 224 bits (and the whole of Test()'s Z_q is
-	// 255), where a full-width comb would cost more than it saves.
-	shortBits = 256
+	// combBits is the widest exponent a comb serves: all of Z_q on both
+	// built-in groups (256 and 255 bits), digest scalars (224) included.
+	combBits = combTeeth * combBlocks * combCols
 )
 
-// comb is one table: entry u of block j, words limbs wide, starts at
-// slab[(j<<combTeeth|u)*words] and holds prod over set bits i of u of
-// base^(2^((i*blocks+j)*cols)). One flat slab, not 2^8×blocks *big.Int,
-// so the garbage collector sees a single pointer-free object.
+// comb is one base's table: entry u of block j, words limbs wide, starts
+// at slab[(j<<combTeeth|u)*words] and holds prod over set bits i of u of
+// base^(2^((i*combBlocks+j)*combCols)). One flat slab, not 2^8×combBlocks
+// *big.Int, so the garbage collector sees a single pointer-free object.
 type comb struct {
-	blocks, cols, words int
-	slab                []big.Word
+	words int
+	slab  []big.Word
 }
 
 // modMul is the arithmetic kernel, z = x·y mod p, with its product and
@@ -46,17 +47,15 @@ func (m *modMul) mul(z, x, y *big.Int) {
 	m.quo.QuoRem(&m.prod, m.p, z)
 }
 
-// newComb builds the table for exponents below 2^width from one squaring
-// chain over the base.
-func newComb(base, p *big.Int, width, blocks int) *comb {
-	cols := (width + combTeeth*blocks - 1) / (combTeeth * blocks)
-	c := &comb{blocks: blocks, cols: cols, words: len(p.Bits())}
-	c.slab = make([]big.Word, (blocks<<combTeeth)*c.words)
-	pow := new(big.Int).Set(base) // base^(2^(step*cols)) at each step
+// newComb builds the table from one squaring chain over the base.
+func newComb(base, p *big.Int) *comb {
+	c := &comb{words: len(p.Bits())}
+	c.slab = make([]big.Word, (combBlocks<<combTeeth)*c.words)
+	pow := new(big.Int).Set(base) // base^(2^(step*combCols)) at each step
 	mm := modMul{p: p}
 	var val, ent big.Int
 	for i := 0; i < combTeeth; i++ {
-		for j := 0; j < blocks; j++ {
+		for j := 0; j < combBlocks; j++ {
 			// Entries with bit i as their top bit: the single power,
 			// then that power times every entry over the lower rows.
 			copy(c.entry(j, 1<<i), pow.Bits())
@@ -64,7 +63,7 @@ func newComb(base, p *big.Int, width, blocks int) *comb {
 				mm.mul(&val, pow, ent.SetBits(c.entry(j, u)))
 				copy(c.entry(j, 1<<i|u), val.Bits())
 			}
-			for k := 0; k < cols; k++ {
+			for k := 0; k < combCols; k++ {
 				mm.mul(pow, pow, pow)
 			}
 		}
@@ -77,55 +76,71 @@ func (c *comb) entry(block, u int) []big.Word {
 	return c.slab[off : off+c.words : off+c.words]
 }
 
-// exp returns base^e mod p for 0 <= e < 2^(combTeeth*blocks*cols).
-func (c *comb) exp(e, p *big.Int) *big.Int {
-	ew := e.Bits()
-	rowBits := c.blocks * c.cols
+// combTerm is one factor base^e of a product: the base's table and the
+// limbs of an exponent in [0, 2^combBits).
+type combTerm struct {
+	c *comb
+	e []big.Word
+}
+
+// combProduct returns tail times the product of the terms, mod p: every
+// term's columns are folded into one accumulator, so the squarings are
+// paid once however many bases there are.
+func combProduct(terms []combTerm, tail, p *big.Int) *big.Int {
+	const rowBits = combBlocks * combCols
 	acc := big.NewInt(1)
 	mm := modMul{p: p}
 	var ent big.Int // read-only view of a table entry
-	for k := c.cols - 1; k >= 0; k-- {
+	for k := combCols - 1; k >= 0; k-- {
 		mm.mul(acc, acc, acc)
-		for j := 0; j < c.blocks; j++ {
-			u := 0
-			for i := combTeeth - 1; i >= 0; i-- {
-				pos := uint(i*rowBits + j*c.cols + k)
-				u <<= 1
-				if w := pos / bits.UintSize; w < uint(len(ew)) {
-					u |= int(ew[w]>>(pos%bits.UintSize)) & 1
+		for _, t := range terms {
+			for j := 0; j < combBlocks; j++ {
+				u := 0
+				for i := combTeeth - 1; i >= 0; i-- {
+					pos := uint(i*rowBits + j*combCols + k)
+					u <<= 1
+					if w := pos / bits.UintSize; w < uint(len(t.e)) {
+						u |= int(t.e[w]>>(pos%bits.UintSize)) & 1
+					}
 				}
-			}
-			if u != 0 {
-				mm.mul(acc, acc, ent.SetBits(c.entry(j, u)))
+				if u != 0 {
+					mm.mul(acc, acc, ent.SetBits(t.c.entry(j, u)))
+				}
 			}
 		}
 	}
+	mm.mul(acc, acc, tail)
 	return acc
 }
 
-// fixedBase is the lazily built pair of combs for one generator: short
-// serves exponents up to shortBits, full the rest of Z_q (nil when q
-// itself fits the short comb).
+// fixedBase is the lazily built comb of one generator.
 type fixedBase struct {
-	once        sync.Once
-	short, full *comb
+	once  sync.Once
+	table *comb
 }
 
-func (gr *Group) expFixed(fb *fixedBase, base, e *big.Int) *big.Int {
-	fb.once.Do(func() {
-		fb.short = newComb(base, gr.P, shortBits, 2)
-		if n := gr.Q.BitLen(); n > shortBits {
-			fb.full = newComb(base, gr.P, n, 4)
+// ExpGH returns g^m·h^r mod p — a Pedersen commitment — in one walk of
+// both generators' tables; m and r any integers (taken mod q).
+func (gr *Group) ExpGH(m, r *big.Int) *big.Int {
+	terms := make([]combTerm, 0, 2)
+	wide := one // times what the combs cannot serve
+	for i, e := range [2]*big.Int{m, r} {
+		fb, base := &gr.fixedG, gr.G
+		if i == 1 {
+			fb, base = &gr.fixedH, gr.H
 		}
-	})
-	// Both generators have order q, so any integer exponent may be
-	// reduced into [0, q) first — the value big.Int.Exp yields for
-	// negative and oversize exponents too.
-	if e.Sign() < 0 || e.Cmp(gr.Q) >= 0 {
-		e = new(big.Int).Mod(e, gr.Q)
+		// Both generators have order q, so any integer exponent may be
+		// reduced into [0, q) first — the value big.Int.Exp yields for
+		// negative and oversize exponents too.
+		if e.Sign() < 0 || e.Cmp(gr.Q) >= 0 {
+			e = new(big.Int).Mod(e, gr.Q)
+		}
+		if e.BitLen() > combBits { // only a test-built group has a q this wide
+			wide = gr.Mul(wide, gr.Exp(base, e))
+		} else if e.Sign() != 0 {
+			fb.once.Do(func() { fb.table = newComb(base, gr.P) })
+			terms = append(terms, combTerm{fb.table, e.Bits()})
+		}
 	}
-	if e.BitLen() <= shortBits {
-		return fb.short.exp(e, gr.P)
-	}
-	return fb.full.exp(e, gr.P)
+	return combProduct(terms, wide, gr.P)
 }

@@ -1,40 +1,37 @@
-// Package group provides a prime-order subgroup of Z_p^* (a Schnorr group)
+// Package group provides prime-order subgroups of Z_p^* (Schnorr groups)
 // for the discrete-log-based commitments used by the vss and tstamp
 // packages.
 //
-// A Group exposes the safe prime p = 2q+1, the subgroup order q, and two
-// generators g and h of the order-q subgroup of quadratic residues whose
-// relative discrete logarithm is unknown (h is derived by hashing into the
-// group). Pedersen commitments computed over such a group are perfectly
+// A Group exposes the prime modulus p, the prime subgroup order q | p−1,
+// and two generators g and h of the order-q subgroup whose relative
+// discrete logarithm is unknown (h is derived by hashing into the group).
+// Pedersen commitments computed over such a group are perfectly
 // (information-theoretically) hiding and computationally binding — the
 // property LINCOS exploits to keep timestamped data confidential against
 // unbounded adversaries.
 //
-// Two instances are provided: Default (the 2048-bit MODP group from RFC
-// 3526, whose modulus is a safe prime) for production-sized benchmarks,
-// and Test (a deterministically generated 256-bit group) for fast unit
-// tests. All arithmetic is math/big; this repository is stdlib-only by
-// design.
+// Two instances are provided: Default (a 2048-bit p with a 256-bit q,
+// both derived verifiably from a seed; DESIGN.md "Commitment group") for
+// production, and Test (a deterministically generated 256-bit safe-prime
+// group) for fast unit tests. All arithmetic is math/big; this
+// repository is stdlib-only by design.
 package group
 
 import (
 	"crypto/sha256"
-	"errors"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math/big"
 	"sync"
 )
 
-// ErrNotInGroup is returned when an element fails subgroup membership.
-var ErrNotInGroup = errors.New("group: element not in prime-order subgroup")
-
-// Group is a prime-order-q subgroup of Z_p^*, p = 2q+1. It carries the
+// Group is the subgroup of prime order q | p−1 of Z_p^*. It carries the
 // lazily built fixed-base tables of its generators, so a Group is used
 // through the pointer its constructor returned and never copied.
 type Group struct {
-	P *big.Int // safe prime modulus
-	Q *big.Int // subgroup order, (P-1)/2
+	P *big.Int // prime modulus
+	Q *big.Int // prime subgroup order, q | p−1
 	G *big.Int // generator of the order-q subgroup
 	H *big.Int // second generator with unknown log_G(H)
 
@@ -42,23 +39,33 @@ type Group struct {
 }
 
 var (
-	one = big.NewInt(1)
-	two = big.NewInt(2)
+	zero = new(big.Int)
+	one  = big.NewInt(1)
+	two  = big.NewInt(2)
 )
 
-// rfc3526Prime2048 is the 2048-bit MODP group modulus (RFC 3526 §3),
-// a safe prime: p = 2^2048 - 2^1984 - 1 + 2^64 * ( [2^1918 pi] + 124476 ).
-const rfc3526Prime2048 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
-	"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
-	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
-	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
+// The production parameters, FIPS 186-4 A.1.1.2 in shape with SHA-256 and
+// a domain tag for the seed. With cand(label, c) = hashToInt(defaultSeed ‖
+// label ‖ be32(c)) with its top bit set, q is cand("/q", c) with its low
+// bit set, 256 bits, at the first c that makes it prime (defaultQCounter),
+// and p = X − (X mod 2q) + 1 for X = cand("/p", c), 2048 bits, at the
+// first c that makes it a 2048-bit prime (defaultPCounter).
+// TestDefaultGroupParameters runs both searches and prints the constants.
+const (
+	defaultSeed     = "securearchive/group default 2048/256 v1"
+	defaultQCounter = 2
+	defaultPCounter = 194
+
+	defaultQ = "A151D1CABF36B900E7CDB7E7F0FF2C67EE4E151F90B2D1FE989DBEC2777C8825"
+	defaultP = "C15F7701298348A521AD724438DF4B69348F1875AA2472F758754129B89336D8" +
+		"4A01BA338CDD8EF88757DD93EA9FE9BBED92FCE8350D5C01212A0AF533E49DB5" +
+		"E90074FCC34B2F28F5F35A1B81A64487062BB6264E2ECB604D5413AD9EAC8B3E" +
+		"5319524A6E26F8EE3DED6442C016D816FC0B1687CEC0933FA5966AB0FD1B6E1B" +
+		"75DB02A2D68E44199533FECF36B518ABF3CDAD39537C8867F58E1A2FA80B9F9A" +
+		"9A5E570A8E0896D774CB1D0118563C9EE0592C2F00065B88CB834F478C793B90" +
+		"D86606C9C4329A7110A054EE199ED3F1DC1C260332F638BC647FBB6E9D882D11" +
+		"DFED67F3B1A22710CEFD8EF99D80BAEE257E4F2E95C787F6A003CCC9AB82BFB1"
+)
 
 var (
 	defaultOnce  sync.Once
@@ -67,24 +74,38 @@ var (
 	testGroup    *Group
 )
 
-// Default returns the production group: the RFC 3526 2048-bit safe-prime
-// modulus with g = 4 (a quadratic residue, hence of order q) and h derived
-// by hashing into the group. The same instance is returned on every call.
+// hashToInt expands tag to 256·blocks bits: SHA-256(tag ‖ j) for each
+// j < blocks, concatenated big-endian.
+func hashToInt(tag string, blocks int) *big.Int {
+	buf := make([]byte, 0, blocks*sha256.Size)
+	for j := 0; j < blocks; j++ {
+		d := sha256.Sum256(append([]byte(tag), byte(j)))
+		buf = append(buf, d[:]...)
+	}
+	return new(big.Int).SetBytes(buf)
+}
+
+// Default returns the production group: the p and q above, with g and h
+// the hashes of two domain tags into Z_p raised to the cofactor (p−1)/q —
+// elements of order q whose discrete logarithms, to each other or to
+// anything else, nobody knows. The same instance is returned on every call.
 func Default() *Group {
 	defaultOnce.Do(func() {
-		p, ok := new(big.Int).SetString(rfc3526Prime2048, 16)
-		if !ok {
-			panic("group: bad built-in prime constant")
+		p, _ := new(big.Int).SetString(defaultP, 16)
+		q, _ := new(big.Int).SetString(defaultQ, 16)
+		cofactor := new(big.Int).Div(new(big.Int).Sub(p, one), q)
+		gen := func(tag string) *big.Int {
+			return new(big.Int).Exp(hashToInt(defaultSeed+tag, 8), cofactor, p)
 		}
-		defaultGroup = fromSafePrime(p)
+		defaultGroup = &Group{P: p, Q: q, G: gen("/g"), H: gen("/h")}
 	})
 	return defaultGroup
 }
 
-// Test returns a small (256-bit) group generated deterministically, for
-// unit tests where 2048-bit exponentiations would dominate runtime. Its
-// parameters are far too small for real security. The same instance is
-// returned on every call.
+// Test returns a small (256-bit) safe-prime group, p = 2q+1, generated
+// deterministically, for unit tests where 2048-bit arithmetic would
+// dominate runtime. Its parameters are far too small for real security.
+// The same instance is returned on every call.
 func Test() *Group {
 	testOnce.Do(func() {
 		// Deterministic search: find the first safe prime p = 2q+1 with q
@@ -149,10 +170,10 @@ func (gr *Group) Exp(base, e *big.Int) *big.Int {
 }
 
 // ExpG returns g^e mod p, e any integer (taken mod q).
-func (gr *Group) ExpG(e *big.Int) *big.Int { return gr.expFixed(&gr.fixedG, gr.G, e) }
+func (gr *Group) ExpG(e *big.Int) *big.Int { return gr.ExpGH(e, zero) }
 
 // ExpH returns h^e mod p, e any integer (taken mod q).
-func (gr *Group) ExpH(e *big.Int) *big.Int { return gr.expFixed(&gr.fixedH, gr.H, e) }
+func (gr *Group) ExpH(e *big.Int) *big.Int { return gr.ExpGH(zero, e) }
 
 // Mul returns a*b mod p.
 func (gr *Group) Mul(a, b *big.Int) *big.Int {
@@ -174,6 +195,17 @@ func (gr *Group) Contains(x *big.Int) bool {
 // q's byte length, which is how the vss package embeds bounded secrets.
 func (gr *Group) ReduceScalar(b []byte) *big.Int {
 	return new(big.Int).Mod(new(big.Int).SetBytes(b), gr.Q)
+}
+
+// ID names the group in serialised evidence: the hex of the first 16
+// bytes of SHA-256 over p ‖ q ‖ g ‖ h, each at p's byte length.
+func (gr *Group) ID() string {
+	h := sha256.New()
+	buf := make([]byte, (gr.P.BitLen()+7)/8)
+	for _, x := range []*big.Int{gr.P, gr.Q, gr.G, gr.H} {
+		h.Write(x.FillBytes(buf))
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // ScalarCapacity returns the number of bytes that can be embedded into a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 	mrand "math/rand"
@@ -27,22 +28,97 @@ func TestTestGroupParameters(t *testing.T) {
 	}
 }
 
+// candidate is cand(label, c) of the defaultSeed comment in group.go.
+func candidate(label string, c uint32, blocks int) *big.Int {
+	var be [4]byte
+	binary.BigEndian.PutUint32(be[:], c)
+	x := hashToInt(defaultSeed+label+string(be[:]), blocks)
+	return x.SetBit(x, 256*blocks-1, 1)
+}
+
+// TestDefaultGroupParameters is the proof that the hard-coded constants
+// are what the seed says, and the generator that produced them: it runs
+// both searches from counter 0 (`-v` prints the results in group.go's
+// form), then checks the group Default() serves against them.
 func TestDefaultGroupParameters(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2048-bit primality checks are slow")
+		t.Skip("searches ~200 2048-bit candidates for a prime")
 	}
+	var q *big.Int
+	qc := uint32(0)
+	for ; ; qc++ {
+		q = candidate("/q", qc, 1)
+		if q.SetBit(q, 0, 1).ProbablyPrime(32) {
+			break
+		}
+	}
+	var p *big.Int
+	pc, q2 := uint32(0), new(big.Int).Lsh(q, 1)
+	for ; ; pc++ {
+		x := candidate("/p", pc, 8)
+		c := new(big.Int).Mod(x, q2)
+		p = x.Sub(x, c.Sub(c, one)) // p ≡ 1 mod 2q
+		if p.BitLen() == 2048 && p.ProbablyPrime(32) {
+			break
+		}
+	}
+	t.Logf("defaultQCounter = %d\ndefaultPCounter = %d\ndefaultQ = %X\ndefaultP = %X", qc, pc, q, p)
+	if qc != defaultQCounter || pc != defaultPCounter {
+		t.Fatalf("searches stopped at counters q=%d p=%d, constants say %d and %d", qc, pc, defaultQCounter, defaultPCounter)
+	}
+
 	g := Default()
-	if g.P.BitLen() != 2048 {
-		t.Fatalf("default p is %d bits, want 2048", g.P.BitLen())
+	if g.Q.Cmp(q) != 0 || g.P.Cmp(p) != 0 {
+		t.Fatal("hard-coded p or q is not what the seed derives")
 	}
-	p2 := new(big.Int).Lsh(g.Q, 1)
-	p2.Add(p2, big.NewInt(1))
-	if p2.Cmp(g.P) != 0 {
-		t.Fatal("p != 2q+1")
+	if g.P.BitLen() != 2048 || g.Q.BitLen() != 256 {
+		t.Fatalf("default group is %d/%d bits, want 2048/256", g.P.BitLen(), g.Q.BitLen())
 	}
-	if !g.P.ProbablyPrime(16) || !g.Q.ProbablyPrime(16) {
-		t.Fatal("RFC 3526 modulus failed primality check")
+	pm1 := new(big.Int).Sub(g.P, one)
+	cofactor, rem := new(big.Int).QuoRem(pm1, g.Q, new(big.Int))
+	if rem.Sign() != 0 {
+		t.Fatal("q does not divide p-1")
 	}
+	for _, gen := range []struct {
+		tag string
+		x   *big.Int
+	}{{"/g", g.G}, {"/h", g.H}} {
+		want := new(big.Int).Mod(hashToInt(defaultSeed+gen.tag, 8), g.P)
+		if want.Exp(want, cofactor, g.P); gen.x.Cmp(want) != 0 {
+			t.Fatalf("generator %s is not its tag hashed into the subgroup", gen.tag)
+		}
+		// Order divides the prime q and the element is not 1: order q.
+		if gen.x.Cmp(one) == 0 || !g.Contains(gen.x) {
+			t.Fatalf("generator %s does not have order q", gen.tag)
+		}
+	}
+	if g.G.Cmp(g.H) == 0 {
+		t.Fatal("g == h")
+	}
+}
+
+// rfc3526Prime2048 is the 2048-bit MODP group modulus (RFC 3526 §3), a
+// safe prime and the production modulus before the 2048/256 group. Its q
+// is 2047 bits, wider than the comb: it survives here as the group whose
+// exponents take the big.Int.Exp fallback.
+const rfc3526Prime2048 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
+	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
+	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
+	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
+	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
+	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
+	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
+	"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
+	"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
+	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
+	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
+
+func safePrime2048(t testing.TB) *Group {
+	p, ok := new(big.Int).SetString(rfc3526Prime2048, 16)
+	if !ok {
+		t.Fatal("bad RFC 3526 constant")
+	}
+	return fromSafePrime(p)
 }
 
 func TestGeneratorsHaveOrderQ(t *testing.T) {
@@ -187,22 +263,25 @@ func checkFixed(t *testing.T, g *Group, e *big.Int) {
 	}
 }
 
-// TestFixedBaseMatchesGenericExp is the differential: on both groups the
-// comb tables return, bit for bit, what big.Int.Exp returns — for seeded
-// random scalars of every bit-length class (with the short/full table
-// switch at 256 bits straddled) and for the scalars at and outside the
+// TestFixedBaseMatchesGenericExp is the differential: on both built-in
+// groups, and on a safe-prime 2048-bit group whose q is wider than the
+// comb (so its long exponents take the big.Int.Exp fallback and its short
+// ones the table), ExpG/ExpH return, bit for bit, what big.Int.Exp
+// returns — for seeded random scalars of every bit-length class (with the
+// comb's 256-bit edge straddled) and for the scalars at and outside the
 // ends of [0, q).
 func TestFixedBaseMatchesGenericExp(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		g    *Group
-	}{{"test", Test()}, {"default", Default()}} {
+		name   string
+		g      *Group
+		random int
+	}{{"test", Test(), 200}, {"default", Default(), 200}, {"safeprime", safePrime2048(t), 40}} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
 			rng := mrand.New(mrand.NewSource(20))
 			qBits := g.Q.BitLen()
 			lengths := []int{1, 2, 63, 64, 65, 223, 224, 225, 254, 255, 256, 257, qBits - 1, qBits}
-			for len(lengths) < 200 {
+			for len(lengths) < tc.random {
 				lengths = append(lengths, 1+rng.Intn(qBits))
 			}
 			for _, n := range lengths {
@@ -217,14 +296,10 @@ func TestFixedBaseMatchesGenericExp(t *testing.T) {
 				}
 				checkFixed(t, g, e)
 			}
-			for i := 0; i < 32; i++ { // uniform over Z_q, as RandScalar draws r
+			for i := 0; i < tc.random/6; i++ { // uniform over Z_q, as RandScalar draws r
 				checkFixed(t, g, new(big.Int).Rand(rng, g.Q))
 			}
-			for _, e := range []*big.Int{
-				big.NewInt(0), big.NewInt(1), big.NewInt(2),
-				new(big.Int).Sub(g.Q, one), g.Q, new(big.Int).Add(g.Q, big.NewInt(5)),
-				big.NewInt(-7), new(big.Int).Lsh(g.Q, 3),
-			} {
+			for _, e := range edgeScalars(g) {
 				before := new(big.Int).Set(e)
 				checkFixed(t, g, e)
 				if e.Cmp(before) != 0 {
@@ -232,6 +307,47 @@ func TestFixedBaseMatchesGenericExp(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// edgeScalars are the exponents at and outside the ends of [0, q).
+func edgeScalars(g *Group) []*big.Int {
+	return []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2),
+		new(big.Int).Sub(g.Q, one), g.Q, new(big.Int).Add(g.Q, big.NewInt(5)),
+		big.NewInt(-7), new(big.Int).Lsh(g.Q, 3),
+	}
+}
+
+// TestExpGHMatchesGenericExp is the differential for the multi-term walk:
+// g^m·h^r from one pass over both tables equals the two big.Int.Exp
+// results multiplied — for terms of unequal length (a 224-bit digest
+// scalar beside a full-width r, and the reverse), for every pair of edge
+// scalars, and on the safe-prime group where one term walks the comb
+// while the other falls back.
+func TestExpGHMatchesGenericExp(t *testing.T) {
+	for _, g := range []*Group{Test(), Default(), safePrime2048(t)} {
+		rng := mrand.New(mrand.NewSource(22))
+		check := func(m, r *big.Int) {
+			t.Helper()
+			want := g.Mul(oracle(g, g.G, m), oracle(g, g.H, r))
+			if got := g.ExpGH(m, r); got.Cmp(want) != 0 {
+				t.Fatalf("%d-bit q: ExpGH(%v, %v) = %v, want %v", g.Q.BitLen(), m, r, got, want)
+			}
+		}
+		for i := 0; i < 24; i++ {
+			short := new(big.Int).Rand(rng, new(big.Int).Lsh(one, uint(1+rng.Intn(224))))
+			full := new(big.Int).Rand(rng, g.Q)
+			check(short, full)
+			check(full, short)
+			check(full, new(big.Int).Rand(rng, g.Q))
+		}
+		edges := edgeScalars(g)
+		for _, m := range edges {
+			for _, r := range edges {
+				check(m, r)
+			}
+		}
 	}
 }
 
@@ -251,7 +367,7 @@ func TestFixedBaseBuildsOncePerGroup(t *testing.T) {
 			if g.ExpH(e).Cmp(want) != 0 {
 				t.Error("raced ExpH returned a wrong element")
 			}
-			tables[i] = g.fixedH.short
+			tables[i] = g.fixedH.table
 		}(i)
 	}
 	wg.Wait()
@@ -260,23 +376,23 @@ func TestFixedBaseBuildsOncePerGroup(t *testing.T) {
 			t.Fatal("goroutines saw different tables: built more than once")
 		}
 	}
-	if g.fixedG.short != nil {
+	if g.fixedG.table != nil {
 		t.Fatal("ExpH built g's table")
 	}
 }
 
-// TestFixedBaseTableSize pins the geometry's memory cost: both
-// generators' tables of the production group stay under 1.5 MB.
+// TestFixedBaseTableSize pins the geometry's memory cost: the two
+// generators' tables of the production group, one comb each, stay under
+// 300 KB (256 KB of entries).
 func TestFixedBaseTableSize(t *testing.T) {
 	g := Default()
-	g.ExpG(g.Q)
-	g.ExpH(g.Q)
+	g.ExpGH(g.Q, g.Q)
 	total := 0
-	for _, c := range []*comb{g.fixedG.short, g.fixedG.full, g.fixedH.short, g.fixedH.full} {
+	for _, c := range []*comb{g.fixedG.table, g.fixedH.table} {
 		total += len(c.slab) * bits.UintSize / 8
 	}
-	if total > 1500<<10 {
-		t.Fatalf("fixed-base tables hold %d bytes, want <= 1.5 MB", total)
+	if total > 300<<10 {
+		t.Fatalf("fixed-base tables hold %d bytes, want <= 300 KB", total)
 	}
 }
 
@@ -300,7 +416,7 @@ func benchGenericVsFixed(b *testing.B, base func(*Group) *big.Int, fixed func(*G
 	})
 }
 
-// BenchmarkExpH is the h^r of every commitment: a full-width scalar.
+// BenchmarkExpH is the h^r of every commitment: a scalar uniform over Z_q.
 func BenchmarkExpH(b *testing.B) {
 	r, _ := Default().RandScalar(rand.Reader)
 	benchGenericVsFixed(b, func(g *Group) *big.Int { return g.H }, (*Group).ExpH, r)
@@ -315,11 +431,11 @@ func BenchmarkExpG224(b *testing.B) {
 }
 
 // BenchmarkFixedBaseBuild is the one-time cost the first ExpG or ExpH on
-// a group pays: both of one generator's tables.
+// a group pays: one generator's table.
 func BenchmarkFixedBaseBuild(b *testing.B) {
-	p := Default().P
+	d := Default()
 	for i := 0; i < b.N; i++ {
-		g := fromSafePrime(p)
+		g := &Group{P: d.P, Q: d.Q, G: d.G, H: d.H}
 		benchSink = g.ExpH(one)
 	}
 }

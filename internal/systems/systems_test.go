@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"strings"
 	"testing"
 
 	"securearchive/internal/cluster"
@@ -288,6 +289,29 @@ func TestHasDPSSRejectsBulkData(t *testing.T) {
 	h, _ := NewHasDPSS(c, 6, 3, group.Test())
 	if _, err := h.Store("big", make([]byte, 1000), rand.Reader); err == nil {
 		t.Fatal("bulk data accepted by key-management system")
+	}
+}
+
+// TestHasDPSSDefaultGroupCapacity pins what a nil group means for secret
+// size: the production group's q is 256 bits, so a key of up to 31 bytes
+// round-trips and a 32-byte one is refused with the capacity named.
+func TestHasDPSSDefaultGroupCapacity(t *testing.T) {
+	c := cluster.New(8, nil)
+	h, err := NewHasDPSS(c, 6, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := bytes.Repeat([]byte{0xA5}, 31)
+	ref, err := h.Store("k31", key, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := h.Retrieve(ref); err != nil || !bytes.Equal(got, key) {
+		t.Fatalf("31-byte key did not round-trip: %v", err)
+	}
+	_, err = h.Store("k32", make([]byte, 32), rand.Reader)
+	if err == nil || !strings.Contains(err.Error(), "1..31 bytes") {
+		t.Fatalf("32-byte key on the default group: %v, want a refusal naming the 31-byte capacity", err)
 	}
 }
 

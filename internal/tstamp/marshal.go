@@ -28,11 +28,13 @@ type wireLink struct {
 type wireChain struct {
 	Version int        `json:"version"`
 	Mode    RefMode    `json:"mode"`
+	Group   string     `json:"group,omitempty"` // Chain.GroupID; version 2
 	Links   []wireLink `json:"links"`
 }
 
-// wireVersion is the serialisation format version.
-const wireVersion = 1
+// wireVersion is the serialisation format version written. Version 1 had
+// no group field (RFC 3526-era chains); its public part still verifies.
+const wireVersion = 2
 
 // ErrBadEncoding reports a malformed serialised chain.
 var ErrBadEncoding = fmt.Errorf("tstamp: malformed chain encoding")
@@ -42,7 +44,7 @@ func (c *Chain) Marshal() ([]byte, error) {
 	if len(c.Links) == 0 {
 		return nil, ErrEmptyChain
 	}
-	w := wireChain{Version: wireVersion, Mode: c.Mode}
+	w := wireChain{Version: wireVersion, Mode: c.Mode, Group: c.GroupID()}
 	for _, l := range c.Links {
 		w.Links = append(w.Links, wireLink{
 			Epoch:    l.Epoch,
@@ -66,13 +68,13 @@ func Unmarshal(data []byte) (*Chain, error) {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
 	}
-	if w.Version != wireVersion {
+	if w.Version != 1 && w.Version != wireVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadEncoding, w.Version)
 	}
 	if len(w.Links) == 0 {
 		return nil, ErrEmptyChain
 	}
-	c := &Chain{Mode: w.Mode}
+	c := &Chain{Mode: w.Mode, groupID: w.Group}
 	for i, wl := range w.Links {
 		if len(wl.PrevHash) != 32 {
 			return nil, fmt.Errorf("%w: link %d prev hash", ErrBadEncoding, i)

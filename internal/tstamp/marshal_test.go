@@ -2,9 +2,11 @@ package tstamp
 
 import (
 	"crypto/rand"
+	"encoding/json"
 	"errors"
 	"testing"
 
+	"securearchive/internal/group"
 	"securearchive/internal/sig"
 )
 
@@ -80,6 +82,107 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Unmarshal([]byte(`{"version":1,"links":[{"prev_hash":"AAE="}]}`)); !errors.Is(err, ErrBadEncoding) {
 		t.Fatalf("short hash: %v", err)
+	}
+}
+
+// TestMarshalNamesCommitmentGroup pins wire version 2: commitment-mode
+// evidence carries the ID of the group its commitment is over, through a
+// round trip and a renewal by the party that holds only the public part;
+// hash-mode evidence carries none.
+func TestMarshalNamesCommitmentGroup(t *testing.T) {
+	c, err := New(doc, RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := c.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w wireChain
+	if err := json.Unmarshal(blob, &w); err != nil {
+		t.Fatal(err)
+	}
+	if w.Version != 2 || w.Group != group.Test().ID() || len(w.Group) != 32 {
+		t.Fatalf("marshalled version %d group %q, want 2 and %q", w.Version, w.Group, group.Test().ID())
+	}
+	rt, err := Unmarshal(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The mismatch a verifier must be able to see: evidence committed on
+	// one group is not evidence on the production group.
+	if rt.GroupID() != group.Test().ID() || rt.GroupID() == group.Default().ID() {
+		t.Fatalf("unmarshalled chain names group %q", rt.GroupID())
+	}
+	if err := rt.Renew(sig.ECDSAP256, 5, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	blob2, err := rt.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt2, err := Unmarshal(blob2); err != nil || rt2.GroupID() != group.Test().ID() || rt2.Len() != 2 {
+		t.Fatalf("group lost across renew and re-marshal: %v", err)
+	}
+
+	hblob, err := newHashChain(t).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hw wireChain
+	if err := json.Unmarshal(hblob, &hw); err != nil || hw.Group != "" {
+		t.Fatalf("hash-mode evidence names group %q (%v)", hw.Group, err)
+	}
+}
+
+// TestUnmarshalVersion1 pins backward compatibility: evidence written
+// before the group field (version 1, no field) still unmarshals, and its
+// public part verifies and renews as before; it names no group.
+func TestUnmarshalVersion1(t *testing.T) {
+	c, err := New(doc, RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Renew(sig.ECDSAP256, 10, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := c.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &w); err != nil {
+		t.Fatal(err)
+	}
+	w["version"] = json.RawMessage("1")
+	delete(w, "group")
+	v1, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := Unmarshal(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.GroupID() != "" || rt.Mode != RefCommitment || rt.Len() != 2 {
+		t.Fatalf("version 1 chain: group %q mode %d len %d", rt.GroupID(), rt.Mode, rt.Len())
+	}
+	if err := rt.Verify(100, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Verify(100, sig.BreakSchedule{sig.Ed25519: 5}); !errors.Is(err, ErrLateRenewal) {
+		t.Fatalf("version 1 chain lost break semantics: %v", err)
+	}
+	if err := rt.Renew(sig.Ed25519, 20, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	// Renewed and marshalled again it still names no group, and still reads.
+	blob2, err := rt.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt2, err := Unmarshal(blob2); err != nil || rt2.GroupID() != "" || rt2.Len() != 3 {
+		t.Fatalf("version 1 chain after renew and re-marshal: %v", err)
 	}
 }
 

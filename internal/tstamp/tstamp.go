@@ -110,6 +110,7 @@ type Chain struct {
 	// part of the public chain.
 	Opening *commit.PedersenOpening
 	ped     *commit.Pedersen
+	groupID string // GroupID of an unmarshalled chain, which has no ped
 	// memo records that NewFromDigest computed Links[0].Ref from Opening
 	// for digest, so a read can skip recomputing g^M·h^R. It vouches only
 	// for the values bind was hashed over (see binding). Written once at
@@ -336,6 +337,15 @@ func (c *Chain) VerifyOpening() error {
 		return fmt.Errorf("%w: %v", ErrOpeningFailed, err)
 	}
 	return nil
+}
+
+// GroupID names the Pedersen group (group.ID) of a commitment-mode chain;
+// it is empty in hash mode and on a chain unmarshalled from version 1.
+func (c *Chain) GroupID() string {
+	if c.ped != nil {
+		return c.ped.G.ID()
+	}
+	return c.groupID
 }
 
 // Head returns the most recent link.

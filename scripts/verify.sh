@@ -11,12 +11,15 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 set -x
 go build ./...
 go test ./...
+# The only proof that group.Default()'s hard-coded p and q are what the
+# committed seed derives; named so that no -short habit can skip it.
+go test -count=1 -run 'TestDefaultGroupParameters' ./internal/group
 go vet ./...
 # The AVX2 kernels are amd64-only; this keeps the stub every other
 # platform builds (internal/gf256/kernels_other.go) from rotting.
 GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
 go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore
 # One iteration of each layer benchmark, so none can rot uncompiled.
-go test -run '^$' -bench 'ExpH|ExpG224|PedersenCommit|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact' -benchtime 1x ./internal/...
+go test -run '^$' -bench 'ExpH|ExpG224|FixedBaseBuild|PedersenCommit|VaultPut|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact' -benchtime 1x ./internal/...
 go vet -C bench ./...
 go test -C bench ./...
