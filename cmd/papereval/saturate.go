@@ -471,7 +471,7 @@ func runDiskSweep(root string, totalOps, objBytes int) *diskSection {
 // small enough that every 16 KiB object streams through the chunked
 // pipeline as several chunks, so the sweep exercises (and its
 // stream_peak_bytes evidences) the memory-bounded transfer path rather
-// than the monolithic fallback.
+// than a one-chunk object.
 const netChunkBytes = 4 << 10
 
 // runNetSweep measures the service tax: the closed-loop driver issuing

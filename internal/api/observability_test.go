@@ -253,6 +253,35 @@ func TestMetricsLabeledFamilies(t *testing.T) {
 	}
 }
 
+// A served vault's dashboards must not read zero: one PUT and one GET
+// through the api land once each in the per-encoding latency families,
+// and the PUT's encode feeds the encode-rate histogram.
+func TestServedOpsFeedEncodingMetrics(t *testing.T) {
+	cl, _, reg, _ := newObsService(t, api.Config{})
+	ctx := context.Background()
+	if _, err := cl.Put(ctx, "obj", bytes.NewReader(pattern(2*testChunk))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.GetBytes(ctx, "obj"); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for _, family := range []string{"vault.put.ns", "vault.get.ns"} {
+		var count int64
+		for _, se := range snap.LabeledHistograms[family].Series {
+			if len(se.Labels) == 1 && se.Labels[0] == "erasure_coding" {
+				count = se.Count
+			}
+		}
+		if count != 1 {
+			t.Errorf("%s{encoding=erasure_coding} count = %d, want 1", family, count)
+		}
+	}
+	if h := snap.Histograms["encode.erasure_coding.mbps"]; h.Count == 0 {
+		t.Errorf("encode.erasure_coding.mbps is empty after a PUT: %+v", h)
+	}
+}
+
 // Acceptance: /slo reports per-tenant compliance and error-budget burn
 // fed by real traffic through the api server.
 func TestSLOEndToEnd(t *testing.T) {

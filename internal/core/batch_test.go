@@ -178,6 +178,72 @@ func TestBatchRenewSharesRenewsWholeBlob(t *testing.T) {
 	}
 }
 
+// TestBatchBlobSpansChunks: a blob larger than the chunk size is written
+// like any object, as several chunk stripes. Every member round-trips,
+// scrub through one member repairs rot in chunk 1, renewal rewrites
+// every chunk, and releasing the last member frees every chunk's shards.
+func TestBatchBlobSpansChunks(t *testing.T) {
+	v, c := chunkedTestVault(t, SecretSharing{T: 4, N: 8}, 256)
+	want := flushMembers(t, v, 6) // 1155 payload bytes: a 5-chunk blob
+	bs := v.lookup("m0").batch
+	if len(bs.chunks) < 2 {
+		t.Fatalf("blob of %d bytes stored as %d chunk(s) at chunk size 256", bs.plainLen, len(bs.chunks))
+	}
+	readAll := func(when string) {
+		t.Helper()
+		for id, data := range want {
+			got, err := v.Get(id)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s: member %s: %v", when, id, err)
+			}
+		}
+	}
+	readAll("after flush")
+
+	c.Put(3, cluster.ShardKey{Object: bs.id, Index: 3, Chunk: 1}, []byte("rot"))
+	rep, err := v.Scrub("m2")
+	if err != nil || !rep.Repaired || len(rep.Corrupt) != 1 || rep.Corrupt[0] != 3 {
+		t.Fatalf("scrub of rot in chunk 1: rep=%+v err=%v", rep, err)
+	}
+	if rep, err := v.Scrub("m4"); err != nil || !rep.Clean() {
+		t.Fatalf("batchmate scrub after repair: rep=%+v err=%v", rep, err)
+	}
+	readAll("after repair")
+
+	shard0 := func(ci int) []byte {
+		sh, err := c.Get(0, cluster.ShardKey{Object: bs.id, Index: 0, Chunk: ci})
+		if err != nil {
+			t.Fatalf("chunk %d: %v", ci, err)
+		}
+		return sh.Data
+	}
+	before := make([][]byte, len(bs.chunks))
+	for ci := range before {
+		before[ci] = shard0(ci)
+	}
+	if err := v.RenewShares("m1"); err != nil {
+		t.Fatal(err)
+	}
+	for ci := range before {
+		if bytes.Equal(before[ci], shard0(ci)) {
+			t.Fatalf("chunk %d unchanged after renewal", ci)
+		}
+	}
+	readAll("after renewal")
+
+	for id := range want {
+		if err := v.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.StoredBytes(); got != 0 {
+		t.Fatalf("empty multi-chunk batch left %d bytes on nodes", got)
+	}
+	if got := c.StagedCount(); got != 0 {
+		t.Fatalf("%d shards left in staging", got)
+	}
+}
+
 // TestBatchMemberIntegrityOps exercises the chain surface members share:
 // renewal through one member is visible through its batchmates, and
 // evidence exports work.

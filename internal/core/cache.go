@@ -21,16 +21,17 @@ import (
 //     at all (lazy, lock-free invalidation; stale entries age out of the
 //     LRU like any other cold data).
 //  2. Explicit invalidation under the object write lock. Every mutator
-//     (Put, PutReader, RenewShares, Delete, Scrub, and their chunked and
-//     batch-member variants) calls invalidate(id) while holding the
+//     (PutReader, RenewShares, Delete, Scrub, batch flushes) calls
+//     invalidate(id) while holding the
 //     object's write lock. Reads insert while holding the read lock with
 //     the epoch captured before the fetch, so an insert is serialised
 //     strictly before any later mutation's invalidate — the classic
 //     read-old / write-new / insert-stale interleaving cannot happen.
 //  3. Immutable entries. A cached slice is never written again after
-//     insert; put stores a private copy (putOwned: a slice its caller
-//     gave up) and Get hands the caller a copy, so neither caller
-//     mutations nor eviction can corrupt a concurrent reader.
+//     insert; the entry is a private copy or a slice its caller gave up,
+//     and every read writes it out through io.Writer (Get's buffer
+//     copies), so neither caller mutations nor eviction can corrupt a
+//     concurrent reader.
 //
 // Within the byte budget the cache is a segmented LRU (probationary +
 // protected) with a TinyLFU-style frequency sketch as admission filter:
@@ -177,10 +178,10 @@ func newReadCache(maxBytes int64, share float64) *readCache {
 
 // get returns the cached plaintext for id if an entry exists at exactly
 // the given epoch. The returned slice is the cache's immutable copy —
-// callers must not write to it (Vault.Get copies, ReadTo writes it
-// straight out). Every lookup, hit or miss, feeds the frequency sketch:
-// admission decisions are about access history, not residency. The fast
-// path performs zero heap allocations.
+// callers must not write to it (ReadTo writes it straight out). Every
+// lookup, hit or miss, feeds the frequency sketch: admission decisions
+// are about access history, not residency. The fast path performs zero
+// heap allocations.
 func (rc *readCache) get(id string, epoch int) ([]byte, bool) {
 	h := cacheHash(id)
 	rc.mu.Lock()
@@ -218,21 +219,17 @@ func (rc *readCache) get(id string, epoch int) ([]byte, bool) {
 	return data, true
 }
 
-// put inserts a private copy of data under id at the given epoch,
-// applying the owner share, the admission filter, and segmented-LRU
-// eviction. An existing entry for id (any epoch) is replaced — the
-// caller just read this plaintext at this epoch, which is strictly
-// fresher information.
+// put inserts a private copy of data under id at the given epoch.
 func (rc *readCache) put(id string, epoch int, data []byte) {
 	rc.insert(id, epoch, data, false)
 }
 
-// putOwned is put for a caller that gives data up: the slice itself
-// becomes the entry (no copy), so it must never be written again.
-func (rc *readCache) putOwned(id string, epoch int, data []byte) {
-	rc.insert(id, epoch, data, true)
-}
-
+// insert adds data under id at the given epoch, applying the owner
+// share, the admission filter, and segmented-LRU eviction. An existing
+// entry for id (any epoch) is replaced — the caller just read this
+// plaintext at this epoch, which is strictly fresher information. With
+// owned the caller gives data up: the slice itself becomes the entry (no
+// copy), so it must never be written again; otherwise the cache copies.
 func (rc *readCache) insert(id string, epoch int, data []byte, owned bool) {
 	size := int64(len(data))
 	if size == 0 || size > rc.maxEntry {

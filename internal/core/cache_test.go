@@ -335,10 +335,13 @@ func TestVaultCacheHitAndMutatorInvalidation(t *testing.T) {
 	if s.Hits != 0 || s.Entries != 1 {
 		t.Fatalf("after fill: %+v", s)
 	}
+	// The miss result is the caller's too: the entry the fill just
+	// handed the cache must not be the slice Get returned.
+	got[0] ^= 0xff
 
 	got2, err := v.Get("t/obj") // hit
 	if err != nil || !bytes.Equal(got2, data) {
-		t.Fatalf("cached get: %v", err)
+		t.Fatalf("cached get after mutating the miss result: %v", err)
 	}
 	if s := v.CacheStats(); s.Hits != 1 {
 		t.Fatalf("expected a hit: %+v", s)

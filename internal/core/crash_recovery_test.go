@@ -9,11 +9,14 @@ package core
 //   - zero orphaned stages after replay,
 //   - no mixed-epoch stripes and no partial stripes (an interrupted
 //     multi-shard commit lands entirely or not at all),
+//   - the victim's stripes — every chunk, every batch member — are all
+//     or nothing: zero bytes or exactly what the op commits,
 //   - after re-driving the one legitimately partial operation (delete,
 //     which is per-key), StoredBytes returns exactly to baseline.
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"securearchive/internal/cluster"
@@ -25,8 +28,15 @@ import (
 func TestCrashRecoveryMatrix(t *testing.T) {
 	const nodes = 4
 	keepData := bytes.Repeat([]byte("K"), 100)
-	smallData := bytes.Repeat([]byte("V"), 100) // monolithic (< chunk size)
+	smallData := bytes.Repeat([]byte("V"), 100) // one chunk (< chunk size)
 	bigData := bytes.Repeat([]byte("W"), 900)   // chunked at chunkSize 256
+	// Two 150-byte members pack into a 333-byte blob: two chunks at 256.
+	putBatched := func(v *Vault) error {
+		return v.putBatch(context.Background(), []*pendingPut{
+			{id: "victim", data: bytes.Repeat([]byte("B"), 150)},
+			{id: "victim2", data: bytes.Repeat([]byte("C"), 150)},
+		})
+	}
 	points := []struct {
 		name string
 		cp   diskstore.CrashPoint
@@ -40,11 +50,30 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		victim []byte // nil: the op creates the victim itself
 		isDel  bool
 		run    func(v *Vault) error
+		key    string // cluster object id holding the victim's stripes
 	}{
-		{"put", nil, false, func(v *Vault) error { return v.Put("victim", smallData) }},
-		{"put-chunked", nil, false, func(v *Vault) error { return v.Put("victim", bigData) }},
-		{"renew", smallData, false, func(v *Vault) error { return v.RenewShares("victim") }},
-		{"delete", bigData, true, func(v *Vault) error { return v.Delete("victim") }},
+		{"put", nil, false, func(v *Vault) error { return v.Put("victim", smallData) }, "victim"},
+		{"put-chunked", nil, false, func(v *Vault) error { return v.Put("victim", bigData) }, "victim"},
+		{"put-batched", nil, false, putBatched, batchIDPrefix + "1"},
+		{"renew", smallData, false, func(v *Vault) error { return v.RenewShares("victim") }, "victim"},
+		{"renew-chunked", bigData, false, func(v *Vault) error { return v.RenewShares("victim") }, "victim"},
+		{"delete", bigData, true, func(v *Vault) error { return v.Delete("victim") }, "victim"},
+	}
+	setup := func(t *testing.T, c *cluster.Cluster, victim []byte) *Vault {
+		t.Helper()
+		v, err := NewVault(c, Erasure{K: 2, N: nodes}, WithGroup(group.Test()), WithChunkSize(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Put("keep", keepData); err != nil {
+			t.Fatal(err)
+		}
+		if victim != nil {
+			if err := v.Put("victim", victim); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return v
 	}
 
 	for _, op := range ops {
@@ -52,25 +81,20 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			t.Run(op.name+"/"+pt.name, func(t *testing.T) {
 				dir := t.TempDir()
 				cfg := store.Config{Backend: store.BackendDisk, Dir: dir}
+				// What the victim's stripes hold once the op commits: the
+				// same op on a memory cluster (RS is deterministic).
+				mem := cluster.New(nodes, nil)
+				if err := op.run(setup(t, mem, op.victim)); err != nil {
+					t.Fatal(err)
+				}
+				full := mem.ObjectBytes(op.key)
+
 				c, err := cluster.Open(nodes, nil, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				v, err := NewVault(c, Erasure{K: 2, N: nodes},
-					WithGroup(group.Test()), WithChunkSize(256))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := v.Put("keep", keepData); err != nil {
-					t.Fatal(err)
-				}
-				if op.victim != nil {
-					if err := v.Put("victim", op.victim); err != nil {
-						t.Fatal(err)
-					}
-				}
+				v := setup(t, c, op.victim)
 				keepBytes := c.ObjectBytes("keep")
-				preVictim := c.ObjectBytes("victim")
 
 				ds := c.Store().(*diskstore.Store)
 				ds.SetCrashPoint(pt.cp)
@@ -129,12 +153,12 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 							t.Errorf("partial stripe %s chunk %d: on %d/%d nodes", sk.obj, sk.chunk, n, nodes)
 						}
 					}
-					// The victim is all-or-nothing: the full pre-op bytes
-					// (rolled back, or the renewed same-size rewrite) or the
-					// full committed write — never a fraction.
-					vb := c2.ObjectBytes("victim")
-					if vb != 0 && preVictim != 0 && vb != preVictim {
-						t.Errorf("victim bytes = %d, want 0 or %d", vb, preVictim)
+					// The victim is all-or-nothing: nothing (a rolled-back
+					// put), or every chunk of the committed write — for a
+					// renewal, the pre-op and renewed stripes are the same
+					// size — never a fraction.
+					if vb := c2.ObjectBytes(op.key); vb != 0 && vb != full {
+						t.Errorf("victim bytes = %d, want 0 or %d", vb, full)
 					}
 				}
 				if kb := c2.ObjectBytes("keep"); kb != keepBytes {
@@ -146,12 +170,12 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				// cluster must be back to exactly the keep-only baseline.
 				for ch := 0; ch < 8; ch++ {
 					for i := 0; i < nodes; i++ {
-						if err := c2.Delete(i, cluster.ShardKey{Object: "victim", Index: i, Chunk: ch}); err != nil {
+						if err := c2.Delete(i, cluster.ShardKey{Object: op.key, Index: i, Chunk: ch}); err != nil {
 							t.Fatalf("re-driven delete: %v", err)
 						}
 					}
 				}
-				if vb := c2.ObjectBytes("victim"); vb != 0 {
+				if vb := c2.ObjectBytes(op.key); vb != 0 {
 					t.Errorf("victim bytes after re-driven delete = %d", vb)
 				}
 				if got := c2.StoredBytes(); got != keepBytes {

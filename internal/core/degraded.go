@@ -66,18 +66,15 @@ type vaultMetrics struct {
 	readInsufficient *obs.Counter
 	scrubRepairs     *obs.Counter
 
-	// Pipelined chunked writes (pipeline.go): objects written through the
-	// chunked path, chunks pushed through encode→stage, and the combined
-	// encode+stage rate the pipeline achieved.
-	pipelinePuts   *obs.Counter
+	// The writer (pipeline.go): chunks pushed through encode→stage, and
+	// the combined encode+stage rate the pipeline achieved.
 	pipelineChunks *obs.Counter
 	pipelineMBs    *obs.Histogram
 
-	// Streaming ingest (stream.go): reader-fed puts, and the in-flight /
-	// high-water plaintext bytes buffered between the reader and the
-	// staged cluster writes — the gauge that proves a multi-GiB upload
-	// stays O(chunk), not O(object), in RAM.
-	streamPuts     *obs.Counter
+	// Streaming ingest (stream.go): the in-flight / high-water plaintext
+	// bytes buffered between the reader and the staged cluster writes —
+	// the gauge that proves a multi-GiB upload stays O(chunk), not
+	// O(object), in RAM.
 	streamBuffered *obs.Gauge
 	streamPeak     *obs.Gauge
 
@@ -119,10 +116,8 @@ func newVaultMetrics(reg *obs.Registry, encName string) *vaultMetrics {
 		readDegraded:     reg.Counter("vault.read.degraded"),
 		readInsufficient: reg.Counter("vault.read.insufficient"),
 		scrubRepairs:     reg.Counter("vault.scrub.repairs"),
-		pipelinePuts:     reg.Counter("vault.pipeline.puts"),
 		pipelineChunks:   reg.Counter("vault.pipeline.chunks"),
 		pipelineMBs:      reg.Histogram("vault.pipeline.mbps", obs.RateBuckets()),
-		streamPuts:       reg.Counter("vault.stream.puts"),
 		streamBuffered:   reg.Gauge("vault.stream.buffered_bytes"),
 		streamPeak:       reg.Gauge("vault.stream.peak_buffered_bytes"),
 		batchPuts:        reg.Counter("vault.batch.puts"),

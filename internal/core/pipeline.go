@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
+	"sync/atomic"
 	"time"
 
 	"securearchive/internal/cluster"
@@ -13,26 +15,73 @@ import (
 	"securearchive/internal/tstamp"
 )
 
-// Pipelined chunked writes: objects larger than the vault's chunk size
-// are split into fixed-size chunks, each encoded as its own stripe, with
+// One object layout: every object, and every batch blob, is a list of
+// chunk stripes under one cluster object id. The writer below splits its
+// input into chunkSize chunks, each encoded as its own stripe, with
 // encoding and staging overlapped as a bounded two-stage pipeline
 // (RapidRAID's shape: hide encode latency behind dispersal instead of
-// encode-all-then-disperse-all). Atomicity is unchanged from the
-// monolithic path — every chunk's shards stage under ONE token and the
-// whole object commits as a single key swap, so a failure at any chunk
-// aborts the stage and leaves no committed shards behind.
+// encode-all-then-disperse-all). Every chunk's shards stage under ONE
+// token and the whole list commits as a single key swap, so a failure at
+// any chunk aborts the stage and leaves no committed shards behind. An
+// object no larger than a chunk is simply a one-chunk list.
 
 // pipelineDepth bounds in-flight encoded chunks between the encode and
 // stage stages: depth 2 is enough to keep both stages busy while capping
 // buffered memory at two chunks' worth of shards.
 const pipelineDepth = 2
 
-// chunkMeta is one chunk's client-side encoding state: the Encoded
-// metadata (shards stripped — those live on nodes) plus per-shard
-// digests for degraded reads and scrubbing.
+// chunkTailFloor is the smallest tail chunk the writer will emit: a
+// remainder below it folds into the previous chunk instead (the last
+// chunk then runs up to chunkSize+chunkTailFloor−1 bytes). Some
+// encodings reject tiny payloads outright — entropic encryption's OTP
+// key floor is 16 bytes — and a near-empty stripe wastes a full round
+// of staging anyway.
+const chunkTailFloor = 64
+
+// layout is the client-side state of one list of chunk stripes. A batch
+// member's own layout carries only its length and (an alias of) its
+// blob's chain; its bytes live in the blob's layout.
+type layout struct {
+	// id is the cluster object id the shards are stored under: the
+	// object's own id, or its batch blob's.
+	id     string
+	chunks []chunkMeta
+	// plainLen is the plaintext length the chain covers.
+	plainLen int
+	chain    *tstamp.Chain
+}
+
+// chunkMeta is one chunk stripe's client-side state: its Encoded
+// metadata (Shards nil — those live on nodes) plus per-shard digests,
+// which degraded reads use to discard rotted shards and Scrub uses to
+// localise damage. len(digests) is the width the stripe was actually
+// written with: the vault's Encoding is a mutable field, so the width
+// the current encoding would produce says nothing about stored keys.
 type chunkMeta struct {
-	enc     *Encoded
+	enc     Encoded
 	digests [][sha256.Size]byte
+}
+
+func newChunkMeta(enc *Encoded) chunkMeta {
+	cm := chunkMeta{enc: *enc, digests: ShardDigests(enc.Shards)}
+	cm.enc.Shards = nil
+	return cm
+}
+
+// stripe is the chunk's Encoded with shards fetched back from the nodes.
+func (cm *chunkMeta) stripe(shards [][]byte) *Encoded {
+	enc := cm.enc
+	enc.Shards = shards
+	return &enc
+}
+
+// width is how many shard indexes the widest stripe of l occupies.
+func (l *layout) width() int {
+	w := 0
+	for i := range l.chunks {
+		w = max(w, len(l.chunks[i].digests))
+	}
+	return w
 }
 
 // encodedChunk is the pipeline's unit of flow from encode to stage.
@@ -41,105 +90,131 @@ type encodedChunk struct {
 	enc *Encoded
 }
 
-// chunkTailFloor is the smallest tail chunk the splitter will emit: a
-// remainder below it folds into the previous chunk instead (the last
-// chunk then runs up to chunkSize+chunkTailFloor−1 bytes). Some
-// encodings reject tiny payloads outright — entropic encryption's OTP
-// key floor is 16 bytes — and a near-empty stripe wastes a full round
-// of staging anyway.
-const chunkTailFloor = 64
-
-// numChunks returns how many chunks cover dataLen bytes: dataLen/chunkSize
-// full chunks, plus one more only when the remainder clears the tail
-// floor. The last chunk absorbs any sub-floor remainder.
-func numChunks(dataLen, chunkSize int) int {
-	chunks := dataLen / chunkSize
-	if chunks == 0 || dataLen%chunkSize >= chunkTailFloor {
-		chunks++
-	}
-	return chunks
+// staged is a write whose shards sit under an open stage token; commit
+// finishes it.
+type staged struct {
+	id, token string
+	chunks    []chunkMeta
+	digest    [sha256.Size]byte
+	n         int64
+	span      trace.Span // cluster.stage, ended by commit
 }
 
-// putChunked is the pipelined write body; the caller has already checked
-// for an existing id. Registry reservation and rollback mirror put.
-func (v *Vault) putChunked(ctx context.Context, id string, data []byte) error {
-	st := v.stripe(id)
-	chain, err := tstamp.New(data, v.IntegrityMode, sig.Ed25519, v.Cluster.Epoch(), v.Group, v.rnd)
+// write is the one writer: r's plaintext becomes l's chunk list, staged
+// and committed as one key swap. A layout without a chain — a new object
+// or blob — gets one opened over r's digest before the commit, so a
+// chain failure still aborts cleanly; a renewal keeps its own. Callers
+// hold the lock guarding l; on error l is unchanged and the cluster keeps
+// whatever l had.
+func (v *Vault) write(ctx context.Context, l *layout, r io.Reader) error {
+	s, err := v.stageStripes(ctx, l.id, r)
 	if err != nil {
 		return err
 	}
-	v.obsm.putBytes.Observe(float64(len(data)))
-
-	obj := &vaultObject{}
-	obj.mu.Lock()
-	st.mu.Lock()
-	if _, ok := st.objects[id]; ok {
-		st.mu.Unlock()
-		obj.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrExists, id)
+	chain := l.chain
+	if chain == nil {
+		chain, err = tstamp.NewFromDigest(s.digest, v.IntegrityMode, sig.Ed25519, v.Cluster.Epoch(), v.Group, v.rnd)
 	}
-	st.objects[id] = obj
-	st.mu.Unlock()
-
-	metas, err := v.disperseChunked(ctx, id, data)
-	if err != nil {
-		st.mu.Lock()
-		delete(st.objects, id)
-		st.mu.Unlock()
-		obj.mu.Unlock()
+	if err := v.commit(s, err); err != nil {
 		return err
 	}
-	// The object-level Encoded carries only whole-object facts (scheme,
-	// plaintext length, used by StorageCost and listings); per-chunk
-	// secrets and digests live in chunks.
-	obj.enc = &Encoded{Scheme: metas[0].enc.Scheme, PlainLen: len(data)}
-	obj.chunks = metas
-	obj.width = len(metas[0].digests)
-	obj.chain = chain
-	obj.live.Store(true)
-	v.cacheInvalidate(id) // defensive, as in put
-	obj.mu.Unlock()
-	v.obsm.pipelinePuts.Inc()
+	l.chain, l.plainLen = chain, int(s.n)
+	v.replaceChunks(l, s.chunks)
 	return nil
 }
 
-// disperseChunked encodes data chunk by chunk and stages each chunk's
-// shards as soon as it is encoded, overlapping the two stages through a
-// bounded pipeline; one stage token covers every chunk and commits once.
-// Callers hold the object's write lock. On error the stage is aborted
-// and the cluster keeps whatever encoding it had (none for a fresh Put,
-// the old one for renew/scrub rewrites).
-func (v *Vault) disperseChunked(ctx context.Context, id string, data []byte) ([]chunkMeta, error) {
+// stageStripes runs the reader-fed encode→stage pipeline under a fresh
+// token for id. The producer reads chunkSize-byte chunks with one chunk
+// of lookahead so a sub-floor tail folds into the previous chunk, hashes
+// the plaintext as it passes, and encodes; the consumer stages each
+// chunk. On error the stage is already aborted.
+func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*staged, error) {
 	cs := v.chunkSize
-	chunks := numChunks(len(data), cs)
-	stage := v.newStageToken(id)
-	pctx, psp := trace.Child(ctx, "vault.pipeline",
-		trace.Str("object", id), trace.Int("chunks", chunks), trace.Int("bytes", len(data)))
+	sctx, sp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
+	s := &staged{id: id, token: v.newStageToken(id), span: sp}
 	start := time.Now()
-	metas := make([]chunkMeta, chunks)
+	h := sha256.New()
+
+	// inFlight tracks this write's share of the vault-wide buffered-bytes
+	// gauge: bytes add as they are read, subtract as their chunk stages
+	// (or is dropped by a failing pipeline). The deferred release zeroes
+	// whatever an error path left accounted, so the gauge never leaks.
+	var inFlight atomic.Int64
+	track := func(n int64) {
+		inFlight.Add(n)
+		v.streamBufAdd(n)
+	}
+	defer func() { v.streamBufAdd(-inFlight.Swap(0)) }()
+
 	err := parallel.Pipeline(pipelineDepth,
 		func(emit func(encodedChunk) bool) error {
-			for i := 0; i < chunks; i++ {
+			var pending []byte // lookahead: last full chunk, unemitted
+			idx := 0
+			emitChunk := func(data []byte) (bool, error) {
 				// Cancellation checkpoint between chunk encodes: a
-				// disconnected client must not keep burning CPU on the
-				// remaining chunks of an object nobody will commit.
+				// disconnected client must not keep burning CPU on chunks
+				// nobody will commit.
 				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("core: encode %s chunk %d: %w", id, i, err)
+					return false, fmt.Errorf("core: encode %s chunk %d: %w", id, idx, err)
 				}
-				lo := i * cs
-				hi := min(lo+cs, len(data))
-				if i == chunks-1 {
-					hi = len(data) // the last chunk absorbs a sub-floor tail
-				}
-				enc, err := v.Encoding.Encode(data[lo:hi], v.rnd)
+				_, esp := trace.Child(ctx, "vault.encode", trace.Int("chunk", idx), trace.Int("bytes", len(data)))
+				encStart := time.Now()
+				enc, err := v.Encoding.Encode(data, v.rnd)
+				esp.End(err)
 				if err != nil {
-					return fmt.Errorf("core: encode %s chunk %d: %w", id, i, err)
+					return false, fmt.Errorf("core: encode %s chunk %d: %w", id, idx, err)
 				}
-				if !emit(encodedChunk{idx: i, enc: enc}) {
-					return nil // consumer failed; its error wins
-				}
+				observeRate(v.obsm.encodeMBs, len(data), time.Since(encStart))
+				ok := emit(encodedChunk{idx: idx, enc: enc})
+				idx++
+				return ok, nil
 			}
-			return nil
+			for {
+				if err := ctx.Err(); err != nil {
+					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, err)
+				}
+				buf, n, rerr := readChunk(r, cs, s.n == 0) // probe on the first chunk only
+				if n > 0 {
+					h.Write(buf[:n])
+					s.n += int64(n)
+					track(int64(n))
+				}
+				if rerr == nil {
+					// A full chunk landed, so the previous one cannot be the
+					// tail — emit it and hold this one back instead.
+					if pending != nil {
+						if ok, err := emitChunk(pending); err != nil || !ok {
+							return err // !ok: consumer failed, its error wins
+						}
+					}
+					pending = buf
+					continue
+				}
+				if rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
+					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, rerr)
+				}
+				tail := buf[:n]
+				switch {
+				case n == 0:
+					// Clean EOF on a chunk boundary. An empty reader still
+					// encodes the empty slice so the encoding's own empty-data
+					// rejection surfaces.
+					if pending == nil {
+						pending = tail
+					}
+				case pending != nil && n < chunkTailFloor:
+					pending = append(pending, tail...) // fold sub-floor tail
+				default:
+					if pending != nil {
+						if ok, err := emitChunk(pending); err != nil || !ok {
+							return err
+						}
+					}
+					pending = tail
+				}
+				_, err := emitChunk(pending)
+				return err
+			}
 		},
 		func(c encodedChunk) error {
 			// Mirror checkpoint on the staging side: RetryTransientCtx
@@ -148,185 +223,117 @@ func (v *Vault) disperseChunked(ctx context.Context, id string, data []byte) ([]
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: stage %s chunk %d: %w", id, c.idx, err)
 			}
-			if err := v.stageShards(pctx, stage, id, c.idx, c.enc.Shards); err != nil {
+			if err := v.stageShards(sctx, s.token, id, c.idx, c.enc.Shards); err != nil {
 				return err
 			}
-			metas[c.idx] = chunkMeta{
-				enc: &Encoded{
-					Scheme:       c.enc.Scheme,
-					PlainLen:     c.enc.PlainLen,
-					ClientSecret: c.enc.ClientSecret,
-					PublicMeta:   c.enc.PublicMeta,
-				},
-				digests: ShardDigests(c.enc.Shards),
-			}
+			s.chunks = append(s.chunks, newChunkMeta(c.enc))
+			track(-int64(c.enc.PlainLen))
 			v.obsm.pipelineChunks.Inc()
 			return nil
 		},
-		nil,
+		func(c encodedChunk) { track(-int64(c.enc.PlainLen)) },
 	)
 	if err != nil {
-		v.Cluster.AbortStage(stage)
-		psp.Event("stage.aborted")
-		psp.End(err)
-		return nil, err
+		return nil, v.commit(s, err)
 	}
-	n, err := v.Cluster.CommitStage(stage)
-	if err != nil {
-		v.Cluster.AbortStage(stage)
-		psp.Event("stage.aborted")
-		psp.End(err)
-		return nil, fmt.Errorf("core: commit %s: %w", id, err)
-	}
-	observeRate(v.obsm.pipelineMBs, len(data), time.Since(start))
-	psp.Event("stage.committed", trace.Int("shards", n))
-	psp.End(nil)
-	return metas, nil
+	h.Sum(s.digest[:0])
+	observeRate(v.obsm.pipelineMBs, int(s.n), time.Since(start))
+	sp.SetAttrs(trace.Int("chunks", len(s.chunks)), trace.Int64("bytes", s.n))
+	return s, nil
 }
 
-// readChunked is the degraded read body for pipeline-written objects;
-// callers hold obj.mu and have checked liveness. It is readChunkedTo
-// (stream.go) into memory: each chunk is an independent k-of-n stripe
-// read validated against its own digests, and the integrity chain
-// verifies the whole exactly as it was written.
-func (v *Vault) readChunked(ctx context.Context, id string, obj *vaultObject) ([]byte, error) {
-	var sink chunkSink
-	if len(obj.chunks) > 1 {
-		sink.whole = make([]byte, 0, obj.enc.PlainLen)
+// commit finishes a staged write: with err nil it commits the token as
+// one key swap; otherwise — or when the commit itself does not land (I/O
+// failure, crash) — it aborts, and a crashed disk store discards the
+// orphaned stage at its next Open. It returns the write's error.
+func (v *Vault) commit(s *staged, err error) error {
+	if err == nil {
+		var n int
+		if n, err = v.Cluster.CommitStage(s.token); err == nil {
+			s.span.Event("stage.committed", trace.Int("shards", n))
+			s.span.End(nil)
+			return nil
+		}
+		err = fmt.Errorf("core: commit %s: %w", s.id, err)
 	}
-	if _, err := v.readChunkedTo(ctx, id, obj, &sink); err != nil {
-		return nil, err
-	}
-	return sink.whole, nil
+	v.Cluster.AbortStage(s.token)
+	s.span.Event("stage.aborted")
+	s.span.End(err)
+	return err
 }
 
-// chunkSink collects readChunkedTo's output. A decoded chunk is a fresh
-// slice nothing else holds, so a single-chunk object (whole still nil at
-// its one Write) keeps the decoder's output itself instead of a copy.
-type chunkSink struct{ whole []byte }
-
-func (s *chunkSink) Write(p []byte) (int, error) {
-	if s.whole == nil {
-		s.whole = p
-	} else {
-		s.whole = append(s.whole, p...)
-	}
-	return len(p), nil
+// newStageToken mints a stage token unique across concurrent dispersals.
+func (v *Vault) newStageToken(id string) string {
+	return fmt.Sprintf("vault:%s#%d", id, v.stageSeq.Add(1))
 }
 
-// scrubChunked audits and repairs a pipeline-written object chunk by
-// chunk. The report aggregates per-node health across chunks (a node is
-// Corrupt if any of its chunk shards rotted, Missing if any is absent,
-// Healthy otherwise); repairs re-encode only the damaged chunks and
-// stage them under one token so the repair commits atomically.
-func (v *Vault) scrubChunked(ctx context.Context, id string, obj *vaultObject) (*ScrubReport, error) {
-	n, _ := v.Encoding.Shards()
-	rep := &ScrubReport{Object: id}
-	nodeMissing := make([]bool, n)
-	nodeCorrupt := make([]bool, n)
-	chunkData := make([][]byte, len(obj.chunks))
-	var damaged []int
-	whole := make([]byte, 0, obj.enc.PlainLen)
-	for ci := range obj.chunks {
-		cm := &obj.chunks[ci]
-		res := v.Cluster.FetchChunkStripeCtx(ctx, id, ci, n, n, v.retry, nil)
-		if res.Canceled != nil {
-			return rep, fmt.Errorf("core: scrub %s chunk %d: %w", id, ci, res.Canceled)
+// stageShards stages one chunk's shards under an open stage token,
+// retrying transient faults per the vault's policy. The caller owns the
+// token's lifecycle: commit after every chunk is staged, abort on any
+// error — that single commit is what keeps multi-chunk and multi-member
+// writes atomic.
+func (v *Vault) stageShards(ctx context.Context, stage, id string, chunk int, shards [][]byte) error {
+	for i, sh := range shards {
+		if sh == nil {
+			continue
 		}
-		shards := res.Shards
-		healthy, missing, corrupt := CheckShards(shards, cm.digests)
-		for _, i := range missing {
-			nodeMissing[i] = true
-		}
-		for _, i := range corrupt {
-			nodeCorrupt[i] = true
-			shards[i] = nil
-		}
-		if len(missing)+len(corrupt) > 0 {
-			damaged = append(damaged, ci)
-		}
-		data, err := v.Encoding.Decode(&Encoded{
-			Scheme:       cm.enc.Scheme,
-			PlainLen:     cm.enc.PlainLen,
-			Shards:       shards,
-			ClientSecret: cm.enc.ClientSecret,
-			PublicMeta:   cm.enc.PublicMeta,
+		i, sh := i, sh
+		err := cluster.RetryTransientCtx(ctx, v.retry, func() error {
+			return v.Cluster.PutStagedCtx(ctx, i, stage, cluster.ShardKey{Object: id, Index: i, Chunk: chunk}, sh)
 		})
 		if err != nil {
-			return rep, fmt.Errorf("core: scrub %s chunk %d: decode from %d healthy shards: %w", id, ci, len(healthy), err)
-		}
-		chunkData[ci] = data
-		whole = append(whole, data...)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case nodeCorrupt[i]:
-			rep.Corrupt = append(rep.Corrupt, i)
-		case nodeMissing[i]:
-			rep.Missing = append(rep.Missing, i)
-		default:
-			rep.Healthy = append(rep.Healthy, i)
+			return fmt.Errorf("core: disperse %s chunk %d shard %d: %w", id, chunk, i, err)
 		}
 	}
-	if rep.Clean() {
-		v.clearDirty(id)
-		return rep, nil
-	}
-	// Confirm the recovered whole against the integrity chain before
-	// trusting it as a repair source, then rewrite only the damaged
-	// chunks — one stage token, one commit.
-	_, vsp := trace.Child(ctx, "vault.verify")
-	err := verifyRepairSource(obj.chain, whole)
-	vsp.End(err)
-	if err != nil {
-		return rep, fmt.Errorf("core: scrub %s: integrity chain rejects recovered data: %w", id, err)
-	}
-	stage := v.newStageToken(id)
-	newMetas := make(map[int]chunkMeta, len(damaged))
-	for _, ci := range damaged {
-		enc, err := v.Encoding.Encode(chunkData[ci], v.rnd)
-		if err != nil {
-			v.Cluster.AbortStage(stage)
-			return rep, fmt.Errorf("core: scrub %s: re-encode chunk %d: %w", id, ci, err)
+	return nil
+}
+
+// replaceChunks installs a committed rewrite's chunk list in l and
+// deletes every shard the old list held that the new one does not — a
+// stripe the rewrite narrowed (the encoding was reconfigured) or a chunk
+// it dropped. With nil it deletes everything: that is Delete. Shard
+// removal is a metadata operation that always succeeds, and absent keys
+// are no-ops.
+func (v *Vault) replaceChunks(l *layout, chunks []chunkMeta) {
+	for ci := range l.chunks {
+		keep := 0
+		if ci < len(chunks) {
+			keep = len(chunks[ci].digests)
 		}
-		if err := v.stageShards(ctx, stage, id, ci, enc.Shards); err != nil {
-			v.Cluster.AbortStage(stage)
-			return rep, fmt.Errorf("core: scrub %s: rewrite rolled back: %w", id, err)
-		}
-		newMetas[ci] = chunkMeta{
-			enc: &Encoded{
-				Scheme:       enc.Scheme,
-				PlainLen:     enc.PlainLen,
-				ClientSecret: enc.ClientSecret,
-				PublicMeta:   enc.PublicMeta,
-			},
-			digests: ShardDigests(enc.Shards),
+		for i := keep; i < len(l.chunks[ci].digests); i++ {
+			v.Cluster.Delete(i, cluster.ShardKey{Object: l.id, Index: i, Chunk: ci})
 		}
 	}
-	if _, err := v.Cluster.CommitStage(stage); err != nil {
-		v.Cluster.AbortStage(stage)
-		return rep, fmt.Errorf("core: scrub %s: rewrite rolled back: %w", id, err)
+	l.chunks = chunks
+}
+
+// streamProbe is the size of the buffer a streamed put reads its first
+// bytes into. Most objects are far smaller than a chunk, and a zeroed
+// chunk-sized buffer per put was most of a small put's allocation; an
+// object that fills the probe pays one extra streamProbe-byte copy.
+const streamProbe = 64 << 10
+
+// readChunk reads the next chunk of up to cs bytes from r into a buffer
+// of its own, with io.ReadFull's contract on the count and error. A
+// source that knows what is left (bytes.Reader: Put, a batch blob, a
+// renewal) gets a buffer one byte over it, so the read also sees EOF.
+// Otherwise, with probe set (the object's first chunk), it reads into a
+// streamProbe-sized buffer first and moves to a cs-sized one only if
+// that fills.
+func readChunk(r io.Reader, cs int, probe bool) ([]byte, int, error) {
+	size := cs
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = min(cs, l.Len()+1)
+	} else if probe && cs > streamProbe {
+		size = streamProbe
 	}
-	v.cacheInvalidate(id) // stripe rewritten; see the scrubObject note
-	for ci, cm := range newMetas {
-		obj.chunks[ci] = cm
-		// A partial rewrite can narrow only its own chunks; widen the
-		// recorded width if the repair encoding grew, and clear the strays
-		// its chunks no longer occupy.
-		w := len(cm.digests)
-		if w > obj.width {
-			obj.width = w
-		} else if w < obj.width {
-			for i := w; i < obj.width; i++ {
-				v.Cluster.Delete(i, cluster.ShardKey{Object: id, Index: i, Chunk: ci})
-			}
-		}
+	buf := make([]byte, size)
+	n, err := io.ReadFull(r, buf)
+	if err != nil || size == cs {
+		return buf, n, err
 	}
-	rep.Repaired = true
-	v.obsm.scrubRepairs.Inc()
-	trace.FromContext(ctx).Event("scrub.repaired",
-		trace.Int("missing", len(rep.Missing)), trace.Int("corrupt", len(rep.Corrupt)),
-		trace.Int("chunks", len(damaged)))
-	v.clearDirty(id)
-	return rep, nil
+	full := make([]byte, cs)
+	copy(full, buf)
+	m, err := io.ReadFull(r, full[n:])
+	return full, n + m, err
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"sync"
 
 	"securearchive/internal/cluster"
@@ -18,10 +17,10 @@ import (
 //
 // Lifetime discipline matters more than speed here:
 //
-//   - Every fetch goroutine runs while the consumer still holds the
-//     object's read lock (readChunkedTo defers stop() before the lock is
-//     released), so prefetchers can read obj.chunks without their own
-//     locking and never outlive the object state they were built over.
+//   - Every fetch goroutine runs while the consumer still holds the lock
+//     guarding the layout (readStripes defers stop() before the lock is
+//     released), so prefetchers can read its chunks without their own
+//     locking and never outlive the state they were built over.
 //   - Each result channel is buffered, so a fetch goroutine can always
 //     deliver and exit — an abandoned prefetch never leaks a goroutine.
 //   - stop() cancels the prefetch context and waits for every in-flight
@@ -54,8 +53,7 @@ type prefetcher struct {
 	v      *Vault
 	ctx    context.Context
 	cancel context.CancelFunc
-	id     string
-	obj    *vaultObject
+	l      *layout
 	n, min int
 
 	window     int
@@ -66,21 +64,19 @@ type prefetcher struct {
 	wg         sync.WaitGroup
 }
 
-// newPrefetcher builds the look-ahead driver for one read of obj's
-// chunks. The caller must hold obj.mu (read side) until stop returns.
-func (v *Vault) newPrefetcher(ctx context.Context, id string, obj *vaultObject) *prefetcher {
-	n, min := v.Encoding.Shards()
+// newPrefetcher builds the look-ahead driver for one read of l's
+// chunks. The caller must hold the lock guarding l until stop returns.
+func (v *Vault) newPrefetcher(ctx context.Context, l *layout, n, min int) *prefetcher {
 	pctx, cancel := context.WithCancel(ctx)
 	return &prefetcher{
 		v:       v,
 		ctx:     pctx,
 		cancel:  cancel,
-		id:      id,
-		obj:     obj,
+		l:       l,
 		n:       n,
 		min:     min,
 		window:  v.prefetchWindow,
-		results: make([]chan *cluster.StripeResult, len(obj.chunks)),
+		results: make([]chan *cluster.StripeResult, len(l.chunks)),
 	}
 }
 
@@ -94,13 +90,10 @@ func (pf *prefetcher) launch(ci int) {
 	if ci > pf.consumed {
 		pf.issued++
 	}
-	cm := &pf.obj.chunks[ci]
 	pf.wg.Add(1)
 	go func() {
 		defer pf.wg.Done()
-		ch <- pf.v.Cluster.FetchChunkStripeCtx(pf.ctx, pf.id, ci, pf.n, pf.min, pf.v.retry, func(i int, data []byte) bool {
-			return i < len(cm.digests) && sha256.Sum256(data) == cm.digests[i]
-		})
+		ch <- pf.v.fetchChunk(pf.ctx, pf.l, ci, pf.n, pf.min)
 	}()
 }
 
@@ -122,7 +115,7 @@ func (pf *prefetcher) next(ci int) *cluster.StripeResult {
 // exit, then reports how many issued look-aheads were consumed vs
 // wasted (fetched or aborted for a consumer that never arrived —
 // early-error or cancelled reads). Safe to call more than once is not
-// needed; readChunkedTo defers exactly one call.
+// needed; readStripes defers exactly one call.
 func (pf *prefetcher) stop() (issued, wasted int64) {
 	pf.cancel()
 	pf.wg.Wait()

@@ -63,12 +63,12 @@ type ScrubReport struct {
 // Clean reports whether the stripe needed no repair.
 func (r *ScrubReport) Clean() bool { return len(r.Missing) == 0 && len(r.Corrupt) == 0 }
 
-// Scrub audits one object's stripe: it fetches every shard (retrying
+// Scrub audits one object's stripes: it fetches every shard (retrying
 // transient faults), classifies each against the object's digests, and —
 // when damage is found — decodes from the healthy shards, verifies the
-// plaintext against the integrity chain, re-encodes with fresh
-// randomness and rewrites the whole stripe through the same
-// stage-then-commit path Put and RenewShares use. The report describes
+// plaintext against the integrity chain, re-encodes the damaged chunks
+// with fresh randomness and rewrites them through stage-then-commit, as
+// Put and RenewShares write. The report describes
 // the stripe as found; an error means the damage exceeded the encoding's
 // redundancy (or a node needed for the rewrite is down), in which case
 // the cluster is left exactly as it was.
@@ -89,16 +89,17 @@ func (v *Vault) ScrubContext(ctx context.Context, id string) (*ScrubReport, erro
 }
 
 func (v *Vault) scrub(ctx context.Context, id string) (*ScrubReport, error) {
-	obj := v.lookup(id)
-	if obj == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	obj, err := v.acquire(ctx, id, true)
+	if err != nil {
+		return nil, err
 	}
-	v.lockWait(trace.FromContext(ctx), obj.mu.Lock)
 	defer obj.mu.Unlock()
-	if !obj.live.Load() {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return v.scrubObject(ctx, id, obj)
+	// A batch member's audit and repair operate on the whole blob (one
+	// member's damage IS the batch's damage); batchmates scrubbed
+	// afterwards find it clean.
+	l, unlock := obj.stripes(true)
+	defer unlock()
+	return v.scrubStripes(ctx, id, l)
 }
 
 // ScrubAll scrubs every object (in id order), returning one report per
@@ -137,88 +138,113 @@ func (v *Vault) ScrubAllContext(ctx context.Context) ([]*ScrubReport, error) {
 	return reports, errors.Join(errs...)
 }
 
-// verifyRepairSource is the evidence-path check every scrub runs before
-// it re-encodes recovered plaintext over the damaged stripe: the data
-// must match the chain's digest AND the commitment must still open
+// verifyRepairSource is the evidence-path check a scrub runs before it
+// re-encodes recovered plaintext over the damaged stripes: its digest
+// must match the chain's AND the commitment must still open
 // (tstamp.Chain.VerifyOpening — the full exponentiation reads skip). A
 // repair rewrites the only copies, so it never rests on the read memo.
-func verifyRepairSource(chain *tstamp.Chain, data []byte) error {
-	if err := chain.VerifyData(data); err != nil {
+func verifyRepairSource(chain *tstamp.Chain, digest [sha256.Size]byte) error {
+	if err := chain.VerifyDigest(digest); err != nil {
 		return err
 	}
 	return chain.VerifyOpening()
 }
 
-// scrubObject is the scrub body; callers hold obj.mu in write mode and
-// have checked liveness.
-func (v *Vault) scrubObject(ctx context.Context, id string, obj *vaultObject) (*ScrubReport, error) {
-	if obj.batch != nil {
-		return v.scrubBatchMember(ctx, id, obj)
-	}
-	if len(obj.chunks) > 0 {
-		return v.scrubChunked(ctx, id, obj)
-	}
+// scrubStripes is the one scrub: it audits l chunk by chunk, id naming
+// the object it runs for; callers hold the lock guarding l (write side)
+// and have checked liveness. The report aggregates per-node health
+// across chunks (a node is Corrupt if any of its chunk shards rotted,
+// Missing if any is absent, Healthy otherwise). A repair decodes every
+// chunk from its healthy shards, confirms the whole against the chain,
+// then re-encodes only the damaged chunks and stages them under one
+// token, so it commits atomically.
+func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubReport, error) {
 	n, _ := v.Encoding.Shards()
-	res := v.Cluster.FetchStripeCtx(ctx, id, n, n, v.retry, nil)
-	if res.Canceled != nil {
-		return nil, fmt.Errorf("core: scrub %s: %w", id, res.Canceled)
+	rep := &ScrubReport{Object: id}
+	nodeMissing := make([]bool, n)
+	nodeCorrupt := make([]bool, n)
+	stripes := make([][][]byte, len(l.chunks))
+	damaged := make([]bool, len(l.chunks))
+	for ci := range l.chunks {
+		res := v.Cluster.FetchChunkStripeCtx(ctx, l.id, ci, n, n, v.retry, nil)
+		if res.Canceled != nil {
+			return rep, fmt.Errorf("core: scrub %s chunk %d: %w", id, ci, res.Canceled)
+		}
+		_, missing, corrupt := CheckShards(res.Shards, l.chunks[ci].digests)
+		for _, i := range missing {
+			nodeMissing[i] = true
+		}
+		for _, i := range corrupt {
+			nodeCorrupt[i] = true
+			res.Shards[i] = nil
+		}
+		stripes[ci] = res.Shards
+		damaged[ci] = len(missing)+len(corrupt) > 0
 	}
-	shards := res.Shards
-	healthy, missing, corrupt := CheckShards(shards, obj.digests)
-	rep := &ScrubReport{Object: id, Healthy: healthy, Missing: missing, Corrupt: corrupt}
+	for i := 0; i < n; i++ {
+		switch {
+		case nodeCorrupt[i]:
+			rep.Corrupt = append(rep.Corrupt, i)
+		case nodeMissing[i]:
+			rep.Missing = append(rep.Missing, i)
+		default:
+			rep.Healthy = append(rep.Healthy, i)
+		}
+	}
 	if rep.Clean() {
 		// A clean stripe clears any read-time dirty mark: whatever a
 		// degraded read discarded has since healed or been rewritten.
 		v.clearDirty(id)
 		return rep, nil
 	}
-	// Decode from the healthy shards only, then confirm end to end
-	// against the integrity chain before trusting the repair source.
-	for _, i := range corrupt {
-		shards[i] = nil
+	h := sha256.New()
+	plain := make([][]byte, len(l.chunks))
+	for ci := range l.chunks {
+		p, err := v.Encoding.Decode(l.chunks[ci].stripe(stripes[ci]))
+		if err != nil {
+			return rep, fmt.Errorf("core: scrub %s chunk %d: decode from healthy shards: %w", id, ci, err)
+		}
+		h.Write(p)
+		if damaged[ci] {
+			plain[ci] = p
+		}
 	}
-	_, dsp := trace.Child(ctx, "vault.decode", trace.Int("shards", len(healthy)))
-	data, err := v.Encoding.Decode(&Encoded{
-		Scheme:       obj.enc.Scheme,
-		PlainLen:     obj.enc.PlainLen,
-		Shards:       shards,
-		ClientSecret: obj.enc.ClientSecret,
-		PublicMeta:   obj.enc.PublicMeta,
-	})
-	dsp.End(err)
-	if err != nil {
-		return rep, fmt.Errorf("core: scrub %s: decode from %d healthy shards: %w", id, len(healthy), err)
-	}
+	var digest [sha256.Size]byte
+	h.Sum(digest[:0])
 	_, vsp := trace.Child(ctx, "vault.verify")
-	err = verifyRepairSource(obj.chain, data)
+	err := verifyRepairSource(l.chain, digest)
 	vsp.End(err)
 	if err != nil {
 		return rep, fmt.Errorf("core: scrub %s: integrity chain rejects recovered data: %w", id, err)
 	}
-	_, esp := trace.Child(ctx, "vault.encode", trace.Int("bytes", len(data)))
-	enc, err := v.Encoding.Encode(data, v.rnd)
-	esp.End(err)
-	if err != nil {
-		return rep, fmt.Errorf("core: scrub %s: re-encode: %w", id, err)
+	sctx, ssp := trace.Child(ctx, "cluster.stage", trace.Str("object", l.id))
+	s := &staged{id: l.id, token: v.newStageToken(l.id), span: ssp}
+	chunks := append([]chunkMeta(nil), l.chunks...)
+	for ci, p := range plain {
+		if p == nil {
+			continue
+		}
+		enc, err := v.Encoding.Encode(p, v.rnd)
+		if err == nil {
+			err = v.stageShards(sctx, s.token, l.id, ci, enc.Shards)
+		}
+		if err != nil {
+			err = fmt.Errorf("core: scrub %s: rewrite of chunk %d rolled back: %w", id, ci, err)
+			return rep, v.commit(s, err)
+		}
+		chunks[ci] = newChunkMeta(enc)
 	}
-	if err := v.disperse(ctx, id, enc); err != nil {
+	if err := v.commit(s, nil); err != nil {
 		return rep, fmt.Errorf("core: scrub %s: rewrite rolled back: %w", id, err)
 	}
 	// The repair rewrote the stripe; the cached plaintext is still
 	// byte-identical, but dropping it keeps the mutator rule — every
 	// stripe rewrite invalidates — unconditional and easy to audit.
 	v.cacheInvalidate(id)
-	obj.enc.ClientSecret = enc.ClientSecret
-	obj.enc.PublicMeta = enc.PublicMeta
-	obj.enc.PlainLen = enc.PlainLen
-	obj.digests = ShardDigests(enc.Shards)
-	oldWidth := obj.width
-	obj.width = len(enc.Shards)
-	v.cleanupStrayShards(id, oldWidth, 1, obj.width, 1)
+	v.replaceChunks(l, chunks)
 	rep.Repaired = true
 	v.obsm.scrubRepairs.Inc()
-	sp := trace.FromContext(ctx)
-	sp.Event("scrub.repaired",
+	trace.FromContext(ctx).Event("scrub.repaired",
 		trace.Int("missing", len(rep.Missing)), trace.Int("corrupt", len(rep.Corrupt)))
 	v.clearDirty(id)
 	return rep, nil

@@ -5,30 +5,26 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"securearchive/internal/cluster"
 	"securearchive/internal/obs/trace"
-	"securearchive/internal/parallel"
-	"securearchive/internal/sig"
-	"securearchive/internal/tstamp"
 )
 
 // Streaming ingest and retrieval: PutReader feeds an io.Reader through
-// the same chunked encode→stage pipeline putChunked uses, reading one
-// chunk at a time, so an object of any size passes through the vault
-// holding O(chunkSize) plaintext in memory — never the whole object.
-// The integrity chain binds the object's SHA-256 digest, computed
+// the chunked encode→stage writer (pipeline.go), reading one chunk at a
+// time, so an object of any size passes through the vault holding
+// O(chunkSize) plaintext in memory — never the whole object. The
+// integrity chain binds the object's SHA-256 digest, computed
 // incrementally as chunks stream past (tstamp.NewFromDigest), and the
-// whole multi-chunk write still commits under ONE stage token: a
-// failure at any chunk aborts the stage and leaves nothing behind.
+// whole multi-chunk write still commits under ONE stage token: a failure
+// at any chunk aborts the stage and leaves nothing behind. Put is
+// PutReader over the slice.
 //
 // ReadTo is the mirror: chunks decode and flow to an io.Writer as they
 // arrive, with the digest accumulated incrementally and checked against
-// the chain after the last chunk. Note the streaming trade-off: bytes
-// reach the writer before the final verify runs, so a non-nil error —
-// even after a partial write — invalidates everything written.
+// the chain before the last chunk is written. Get is ReadTo into a
+// buffer the caller owns.
 
 // streamBufAdd adjusts the in-flight plaintext byte count (read from
 // the client but not yet staged on the cluster) and maintains the
@@ -60,14 +56,15 @@ func (v *Vault) StreamPeakBuffered() int64 { return v.streamPeak.Load() }
 // PutReader archives the reader's content under id without ever
 // materialising it: chunks are read, encoded, and staged as a bounded
 // pipeline, and the integrity chain is opened from the incrementally
-// computed digest. Returns the number of plaintext bytes consumed.
-// With chunking disabled (WithChunkSize <= 0) there is no streaming
-// frame to work in, so the reader is drained and the monolithic path
-// used.
+// computed digest. Returns the number of plaintext bytes consumed. The
+// write becomes a "vault.put" span with each chunk's encode and the
+// staging attributed below it.
 func (v *Vault) PutReader(ctx context.Context, id string, r io.Reader) (int64, error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.put",
-		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()), trace.Str("mode", "stream"))
+		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
+	start := time.Now()
 	n, err := v.putReader(ctx, id, r)
+	v.obsm.putNsByEnc.Observe(float64(time.Since(start).Nanoseconds()))
 	if err == nil {
 		sp.SetAttrs(trace.Int64("bytes", n))
 	}
@@ -76,253 +73,43 @@ func (v *Vault) PutReader(ctx context.Context, id string, r io.Reader) (int64, e
 }
 
 func (v *Vault) putReader(ctx context.Context, id string, r io.Reader) (int64, error) {
-	if v.chunkSize <= 0 {
-		data, err := io.ReadAll(r)
-		if err != nil {
-			return 0, fmt.Errorf("core: put %s: read: %w", id, err)
-		}
-		return int64(len(data)), v.put(ctx, id, data)
-	}
-	st := v.stripe(id)
-	st.mu.RLock()
-	_, exists := st.objects[id]
-	st.mu.RUnlock()
-	if exists {
-		return 0, fmt.Errorf("%w: %s", ErrExists, id)
-	}
-
-	// Reserve the id exactly as put/putChunked do: a non-live entry with
-	// its writer lock held, rolled back if the dispersal fails.
-	obj := &vaultObject{}
-	obj.mu.Lock()
-	st.mu.Lock()
-	if _, ok := st.objects[id]; ok {
-		st.mu.Unlock()
-		obj.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s", ErrExists, id)
-	}
-	st.objects[id] = obj
-	st.mu.Unlock()
-
-	metas, chain, total, err := v.disperseStream(ctx, id, r)
+	obj, err := v.reserve(id)
 	if err != nil {
-		st.mu.Lock()
-		delete(st.objects, id)
-		st.mu.Unlock()
-		obj.mu.Unlock()
 		return 0, err
 	}
-	obj.enc = &Encoded{Scheme: metas[0].enc.Scheme, PlainLen: int(total)}
-	obj.chunks = metas
-	obj.width = len(metas[0].digests)
-	obj.chain = chain
+	defer obj.mu.Unlock()
+	obj.id = id
+	if err := v.write(ctx, &obj.layout, r); err != nil {
+		v.unregister(id)
+		return 0, err
+	}
 	obj.live.Store(true)
-	v.cacheInvalidate(id) // defensive, as in put
-	obj.mu.Unlock()
-	v.obsm.putBytes.Observe(float64(total))
-	v.obsm.pipelinePuts.Inc()
-	v.obsm.streamPuts.Inc()
-	return total, nil
+	// Defensive invalidation while the write lock is still held: a fresh
+	// id cannot have an entry unless it was deleted and re-put, in which
+	// case Delete already dropped it — but the hook costs one map probe
+	// and keeps "every mutator invalidates" unconditional.
+	v.cacheInvalidate(id)
+	v.obsm.putBytes.Observe(float64(obj.plainLen))
+	return int64(obj.plainLen), nil
 }
 
-// disperseStream runs the reader-fed encode→stage pipeline. The
-// producer reads chunkSize-byte chunks with one chunk of lookahead so
-// the tail can fold per numChunks semantics (a sub-floor remainder
-// joins the previous chunk rather than becoming a runt stripe), hashes
-// the plaintext incrementally, and encodes; the consumer stages each
-// chunk under the shared token. The chain is opened from the digest
-// BEFORE the commit so a chain failure still aborts cleanly. Callers
-// hold the object's write lock.
-func (v *Vault) disperseStream(ctx context.Context, id string, r io.Reader) ([]chunkMeta, *tstamp.Chain, int64, error) {
-	cs := v.chunkSize
-	stage := v.newStageToken(id)
-	pctx, psp := trace.Child(ctx, "vault.pipeline",
-		trace.Str("object", id), trace.Str("mode", "stream"))
-	// The staging side gets its own cluster.stage span — the same shape
-	// the monolithic disperse has — so a cross-boundary trace shows the
-	// cluster work as one child regardless of which write path ran. It
-	// covers first-stage through commit/abort (staging interleaves with
-	// encoding, so that is its true extent).
-	sctx, ssp := trace.Child(pctx, "cluster.stage", trace.Str("object", id))
-	start := time.Now()
-	h := sha256.New()
-	var total int64
-	var metas []chunkMeta
-
-	// inFlight tracks this put's share of the vault-wide buffered-bytes
-	// gauge: bytes add as they are read, subtract as their chunk stages
-	// (or is dropped by a failing pipeline). The deferred release zeroes
-	// whatever an error path left accounted, so the gauge never leaks.
-	var inFlight atomic.Int64
-	track := func(n int64) {
-		inFlight.Add(n)
-		v.streamBufAdd(n)
-	}
-	defer func() { v.streamBufAdd(-inFlight.Swap(0)) }()
-
-	err := parallel.Pipeline(pipelineDepth,
-		func(emit func(encodedChunk) bool) error {
-			var pending []byte // lookahead: last full chunk, unemitted
-			idx := 0
-			emitChunk := func(data []byte) (bool, error) {
-				// Cancellation checkpoint between chunk encodes: a
-				// disconnected client must not keep burning CPU on chunks
-				// nobody will commit.
-				if err := ctx.Err(); err != nil {
-					return false, fmt.Errorf("core: encode %s chunk %d: %w", id, idx, err)
-				}
-				enc, err := v.Encoding.Encode(data, v.rnd)
-				if err != nil {
-					return false, fmt.Errorf("core: encode %s chunk %d: %w", id, idx, err)
-				}
-				ok := emit(encodedChunk{idx: idx, enc: enc})
-				idx++
-				return ok, nil
-			}
-			for {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, err)
-				}
-				buf, n, rerr := readChunk(r, cs, total == 0) // probe on the first chunk only
-				if n > 0 {
-					h.Write(buf[:n])
-					total += int64(n)
-					track(int64(n))
-				}
-				if rerr == nil {
-					// A full chunk landed, so the previous one cannot be the
-					// tail — emit it and hold this one back instead.
-					if pending != nil {
-						if ok, err := emitChunk(pending); err != nil || !ok {
-							return err // !ok: consumer failed, its error wins
-						}
-					}
-					pending = buf
-					continue
-				}
-				if rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
-					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, rerr)
-				}
-				tail := buf[:n]
-				switch {
-				case n == 0:
-					// Clean EOF on a chunk boundary. An empty reader still
-					// encodes the empty slice so the encoding's own empty-data
-					// rejection surfaces, matching Put(nil).
-					if pending == nil {
-						pending = tail
-					}
-				case pending != nil && n < chunkTailFloor:
-					pending = append(pending, tail...) // fold sub-floor tail
-				default:
-					if pending != nil {
-						if ok, err := emitChunk(pending); err != nil || !ok {
-							return err
-						}
-					}
-					pending = tail
-				}
-				_, err := emitChunk(pending)
-				return err
-			}
-		},
-		func(c encodedChunk) error {
-			// Mirror checkpoint on the staging side: RetryTransientCtx
-			// inside stageShards aborts an in-flight backoff, this stops
-			// the next chunk's staging from starting at all.
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("core: stage %s chunk %d: %w", id, c.idx, err)
-			}
-			if err := v.stageShards(sctx, stage, id, c.idx, c.enc.Shards); err != nil {
-				return err
-			}
-			metas = append(metas, chunkMeta{
-				enc: &Encoded{
-					Scheme:       c.enc.Scheme,
-					PlainLen:     c.enc.PlainLen,
-					ClientSecret: c.enc.ClientSecret,
-					PublicMeta:   c.enc.PublicMeta,
-				},
-				digests: ShardDigests(c.enc.Shards),
-			})
-			track(-int64(c.enc.PlainLen))
-			v.obsm.pipelineChunks.Inc()
-			return nil
-		},
-		func(c encodedChunk) { track(-int64(c.enc.PlainLen)) },
-	)
-	if err != nil {
-		v.Cluster.AbortStage(stage)
-		ssp.Event("stage.aborted")
-		ssp.End(err)
-		psp.End(err)
-		return nil, nil, 0, err
-	}
-	var digest [sha256.Size]byte
-	h.Sum(digest[:0])
-	chain, err := tstamp.NewFromDigest(digest, v.IntegrityMode, sig.Ed25519, v.Cluster.Epoch(), v.Group, v.rnd)
-	if err != nil {
-		v.Cluster.AbortStage(stage)
-		ssp.Event("stage.aborted")
-		ssp.End(err)
-		psp.End(err)
-		return nil, nil, 0, err
-	}
-	n, err := v.Cluster.CommitStage(stage)
-	if err != nil {
-		v.Cluster.AbortStage(stage)
-		ssp.Event("stage.aborted")
-		ssp.End(err)
-		psp.End(err)
-		return nil, nil, 0, fmt.Errorf("core: commit %s: %w", id, err)
-	}
-	observeRate(v.obsm.pipelineMBs, int(total), time.Since(start))
-	ssp.Event("stage.committed", trace.Int("shards", n))
-	ssp.End(nil)
-	psp.SetAttrs(trace.Int("chunks", len(metas)), trace.Int64("bytes", total))
-	psp.End(nil)
-	return metas, chain, total, nil
-}
-
-// streamProbe is the size of the buffer a streamed put reads its first
-// bytes into. Most objects are far smaller than a chunk, and a zeroed
-// chunk-sized buffer per put was most of a small put's allocation; an
-// object that fills the probe pays one extra streamProbe-byte copy.
-const streamProbe = 64 << 10
-
-// readChunk reads the next chunk of up to cs bytes from r into a buffer
-// of its own, with io.ReadFull's contract on the count and error. With
-// probe set (the object's first chunk) it reads into a streamProbe-sized
-// buffer first and moves to a cs-sized one only if that fills.
-func readChunk(r io.Reader, cs int, probe bool) ([]byte, int, error) {
-	size := cs
-	if probe && cs > streamProbe {
-		size = streamProbe
-	}
-	buf := make([]byte, size)
-	n, err := io.ReadFull(r, buf)
-	if err != nil || size == cs {
-		return buf, n, err
-	}
-	full := make([]byte, cs)
-	copy(full, buf)
-	m, err := io.ReadFull(r, full[n:])
-	return full, n + m, err
-}
-
-// ReadTo retrieves an object into w, streaming chunk by chunk for
-// pipeline-written objects so retrieval is as memory-bounded as ingest.
-// Monolithic and batch-member objects are at most one chunk's worth by
-// construction, and one that fits a read-cache entry is bounded by that,
-// so materialising those first costs O(chunk) anyway.
-// Returns the number of plaintext bytes written. The integrity chain is
-// checked before the last chunk is written: an error return invalidates
-// any bytes already written to w, and w never received the whole object.
+// ReadTo retrieves an object into w, chunk by chunk, so retrieval is as
+// memory-bounded as ingest; an object that fits a read-cache entry is
+// bounded by that, so it is decoded whole, handed to the cache, then
+// written. Returns the number of plaintext bytes written. The integrity
+// chain is checked before the last chunk is written: an error return
+// invalidates any bytes already written to w, and w never received the
+// whole object. The read becomes a "vault.get" span over the stripe
+// fetches (per-node probes with typed failure events), decode, and
+// verify — the breakdown a degraded read needs to explain its latency.
 func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (int64, error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.get",
-		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()), trace.Str("mode", "stream"))
+		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
+	start := time.Now()
 	n, err := v.readTo(ctx, id, w)
+	v.obsm.getNsByEnc.Observe(float64(time.Since(start).Nanoseconds()))
 	if err == nil {
+		v.obsm.getBytes.Observe(float64(n))
 		sp.SetAttrs(trace.Int64("bytes", n))
 	}
 	sp.End(err)
@@ -330,43 +117,42 @@ func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (int64, erro
 }
 
 func (v *Vault) readTo(ctx context.Context, id string, w io.Writer) (int64, error) {
-	obj := v.lookup(id)
-	if obj == nil {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
+	obj, err := v.acquire(ctx, id, false)
+	if err != nil {
+		return 0, err
 	}
-	v.lockWait(trace.FromContext(ctx), obj.mu.RLock)
 	defer obj.mu.RUnlock()
-	if !obj.live.Load() {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	// Cache probe for every shape (monolithic, batch member, chunked): a
-	// hit streams the immutable cached copy straight to w with no fetch,
-	// no decode, and no extra allocation. Epoch capture mirrors get().
+	// The epoch is captured before the cache probe AND before the stripe
+	// fetch: an entry inserted below is reachable only while the cluster
+	// is still in the epoch the read began in, so an AdvanceEpoch racing
+	// this read can only make the insert unreachable — never stale.
 	epoch := v.Cluster.Epoch()
 	if v.cache != nil {
 		if cached, ok := v.cacheGet(ctx, id, epoch); ok {
-			n, err := w.Write(cached)
-			if err != nil {
-				return int64(n), fmt.Errorf("core: get %s: write: %w", id, err)
-			}
-			return int64(n), nil
+			return writeOut(w, id, cached)
 		}
 	}
-	// Stream chunk by chunk unless the whole object fits a cache entry:
-	// that one is decoded, verified, handed to the cache, then written.
-	cacheable := v.cache != nil && int64(obj.enc.PlainLen) <= v.cache.maxEntry
-	if obj.batch == nil && len(obj.chunks) > 0 && !cacheable {
-		return v.readChunkedTo(ctx, id, obj, w)
+	cacheable := v.cache != nil && int64(obj.plainLen) <= v.cache.maxEntry
+	if obj.batch == nil && !cacheable {
+		return v.readStripes(ctx, id, &obj.layout, w)
 	}
-	data, err := v.readObject(ctx, id, obj)
+	data, err := v.readWhole(ctx, id, obj)
 	if err != nil {
 		return 0, err
 	}
 	if cacheable {
-		// data is private to this call and never written after the Write
-		// below, so the cache takes it as is rather than a second copy.
-		v.cache.putOwned(id, epoch, data)
+		// Insert under the still-held read lock: any later mutation of
+		// this object must take the write lock first, and its
+		// invalidate(id) then runs strictly after this insert. An
+		// object's plaintext is private to this call and only read after
+		// this, so the cache takes it as is; a member's is a view into
+		// the blob, which the cache must not pin.
+		v.cache.insert(id, epoch, data, obj.batch == nil)
 	}
+	return writeOut(w, id, data)
+}
+
+func writeOut(w io.Writer, id string, data []byte) (int64, error) {
 	n, err := w.Write(data)
 	if err != nil {
 		return int64(n), fmt.Errorf("core: get %s: write: %w", id, err)
@@ -374,42 +160,85 @@ func (v *Vault) readTo(ctx context.Context, id string, w io.Writer) (int64, erro
 	return int64(n), nil
 }
 
-// readChunkedTo is the degraded read body for pipeline-written objects,
-// streaming each decoded chunk to w as it clears its stripe; callers
-// hold obj.mu and have checked liveness. Each chunk is an independent
-// k-of-n stripe read validated against its own digests; the integrity
+// readWhole reads obj's plaintext into memory: its own chunk list, or a
+// batch member's slice of the blob, checked against the member's digest.
+// The result is private to the call; a member's is a view into the blob.
+// Callers hold obj.mu and have checked liveness.
+func (v *Vault) readWhole(ctx context.Context, id string, obj *vaultObject) ([]byte, error) {
+	l, unlock := obj.stripes(false)
+	defer unlock()
+	var sink chunkSink
+	if _, err := v.readStripes(ctx, id, l, &sink); err != nil {
+		return nil, err
+	}
+	if obj.batch == nil {
+		return sink.whole, nil
+	}
+	m := &obj.batch.members[obj.batchIndex]
+	if m.off+m.n > len(sink.whole) {
+		return nil, fmt.Errorf("core: batch %s blob truncated for member %s", l.id, id)
+	}
+	data := sink.whole[m.off : m.off+m.n]
+	if sha256.Sum256(data) != m.digest {
+		return nil, fmt.Errorf("core: batch member %s digest mismatch", id)
+	}
+	return data, nil
+}
+
+// chunkSink collects a read in memory: Get's caller-owned result, and
+// the buffer a cache fill, a batch member or a renewal reads into. Write
+// copies, as io.Writer requires — a cache hit writes the cache's own
+// entry. readStripes instead hands it each decoded chunk, a fresh slice
+// nothing else holds, and an empty sink keeps that as is: a one-chunk
+// object is never copied.
+type chunkSink struct{ whole []byte }
+
+func (s *chunkSink) Write(p []byte) (int, error) {
+	s.whole = append(s.whole, p...)
+	return len(p), nil
+}
+
+// readStripes is the one reader: the degraded k-of-n read of l's chunk
+// stripes, streaming each decoded chunk to w as it clears; callers hold
+// the lock guarding l and have checked liveness, and id names the object
+// the read is for. Each chunk's fetch fans out the decoder's minimum plus
+// speculative probes, retries transient faults with bounded backoff,
+// discards shards whose digest no longer matches (bit rot, tampering)
+// and pulls from further nodes instead, stopping as soon as the minimum
+// is in hand. A read that had to discard still succeeds but queues id
+// for ScrubAll — routing around bit rot must trigger a repair, not hide
+// the damage; one that cannot reach the minimum returns *DegradedError
+// (errors.Is ErrDegraded) carrying got/want and the per-node causes. The
 // chain verifies the digest of the whole, accumulated incrementally, so
-// the reassembled object never needs to exist in memory. readChunked
-// (pipeline.go) is this with a buffer for callers that want bytes.
-func (v *Vault) readChunkedTo(ctx context.Context, id string, obj *vaultObject, w io.Writer) (int64, error) {
+// the reassembled object never needs to exist in memory.
+func (v *Vault) readStripes(ctx context.Context, id string, l *layout, w io.Writer) (int64, error) {
 	sp := trace.FromContext(ctx)
 	n, min := v.Encoding.Shards()
-	h := sha256.New()
-	var total int64
-	dctx, dsp := trace.Child(ctx, "vault.decode", trace.Int("chunks", len(obj.chunks)))
-	decStart := time.Now()
+	sink, _ := w.(*chunkSink)
+	if sink != nil && sink.whole == nil && len(l.chunks) > 1 {
+		sink.whole = make([]byte, 0, l.plainLen)
+	}
 	// Prefetch overlaps the next window of stripe fetches with this
 	// chunk's decode/digest/write; the deferred stop runs before the
-	// caller releases obj.mu, so look-ahead goroutines never outlive the
-	// object state they read (see prefetch.go).
+	// caller releases its lock, so look-ahead goroutines never outlive the
+	// layout they read (see prefetch.go).
 	var pf *prefetcher
-	if v.prefetchWindow > 0 && len(obj.chunks) > 1 {
-		pf = v.newPrefetcher(dctx, id, obj)
+	if v.prefetchWindow > 0 && len(l.chunks) > 1 {
+		pf = v.newPrefetcher(ctx, l, n, min)
 		defer func() {
 			issued, wasted := pf.stop()
 			v.obsm.prefetchIssued.Add(issued)
 			v.obsm.prefetchWasted.Add(wasted)
 		}()
 	}
-	for ci := range obj.chunks {
-		cm := &obj.chunks[ci]
+	h := sha256.New()
+	var total int64
+	for ci := range l.chunks {
 		var res *cluster.StripeResult
 		if pf != nil {
 			res = pf.next(ci)
 		} else {
-			res = v.Cluster.FetchChunkStripeCtx(dctx, id, ci, n, min, v.retry, func(i int, data []byte) bool {
-				return i < len(cm.digests) && sha256.Sum256(data) == cm.digests[i]
-			})
+			res = v.fetchChunk(ctx, l, ci, n, min)
 		}
 		if len(res.Discarded) > 0 {
 			v.obsm.readDiscarded.Add(int64(len(res.Discarded)))
@@ -417,56 +246,63 @@ func (v *Vault) readChunkedTo(ctx context.Context, id string, obj *vaultObject, 
 			sp.Event("read.dirty", trace.Int("chunk", ci), trace.Int("discarded", len(res.Discarded)))
 		}
 		if res.Canceled != nil {
-			dsp.End(res.Canceled)
+			// The caller went away mid-read: this is cancellation, not a
+			// degraded stripe — surface the context error so errors.Is
+			// (err, context.Canceled) holds for the abandoning client.
 			return total, fmt.Errorf("core: get %s chunk %d: %w", id, ci, res.Canceled)
 		}
 		if res.Fetched < min {
 			v.obsm.readInsufficient.Inc()
 			sp.Event("read.insufficient",
 				trace.Int("chunk", ci), trace.Int("got", res.Fetched), trace.Int("want", min))
-			dsp.End(ErrDegraded)
 			return total, &DegradedError{Object: id, Got: res.Fetched, Want: min, Failures: res.Failures}
 		}
 		if res.Degraded() {
 			v.obsm.readDegraded.Inc()
 		}
-		chunkData, err := v.Encoding.Decode(&Encoded{
-			Scheme:       cm.enc.Scheme,
-			PlainLen:     cm.enc.PlainLen,
-			Shards:       res.Shards,
-			ClientSecret: cm.enc.ClientSecret,
-			PublicMeta:   cm.enc.PublicMeta,
-		})
+		_, dsp := trace.Child(ctx, "vault.decode", trace.Int("chunk", ci), trace.Int("shards", res.Fetched))
+		decStart := time.Now()
+		p, err := v.Encoding.Decode(l.chunks[ci].stripe(res.Shards))
+		dsp.End(err)
 		if err != nil {
-			dsp.End(err)
 			return total, fmt.Errorf("core: decode %s chunk %d: %w", id, ci, err)
 		}
-		h.Write(chunkData)
-		if ci == len(obj.chunks)-1 {
+		observeRate(v.obsm.decodeMBs, len(p), time.Since(decStart))
+		h.Write(p)
+		if ci == len(l.chunks)-1 {
 			// Verify before the last chunk is written, not after: a
 			// rejected object must fall short of its announced length,
 			// or an HTTP client with Content-Length satisfied sees success.
 			var digest [sha256.Size]byte
 			h.Sum(digest[:0])
 			_, vsp := trace.Child(ctx, "vault.verify")
-			err := obj.chain.VerifyDigest(digest)
+			err := l.chain.VerifyDigest(digest)
 			vsp.End(err)
 			if err != nil {
-				dsp.End(err)
 				return total, fmt.Errorf("core: integrity chain rejects data for %s: %w", id, err)
 			}
 		}
-		wn, err := w.Write(chunkData)
+		wn := len(p)
+		if sink != nil && sink.whole == nil {
+			sink.whole = p
+		} else {
+			wn, err = w.Write(p)
+		}
 		total += int64(wn)
 		if err != nil {
-			dsp.End(err)
 			return total, fmt.Errorf("core: get %s chunk %d: write: %w", id, ci, err)
 		}
 	}
-	dsp.End(nil)
-	observeRate(v.obsm.decodeMBs, int(total), time.Since(decStart))
-	v.obsm.getBytes.Observe(float64(total))
 	return total, nil
+}
+
+// fetchChunk is the k-of-n stripe fetch of l's chunk ci, validating each
+// shard against the chunk's digests.
+func (v *Vault) fetchChunk(ctx context.Context, l *layout, ci, n, min int) *cluster.StripeResult {
+	digests := l.chunks[ci].digests
+	return v.Cluster.FetchChunkStripeCtx(ctx, l.id, ci, n, min, v.retry, func(i int, data []byte) bool {
+		return i < len(digests) && sha256.Sum256(data) == digests[i]
+	})
 }
 
 // ObjectInfo is the client-visible metadata for one archived object —
@@ -478,8 +314,8 @@ type ObjectInfo struct {
 	PlainLen int64
 	// Scheme names the encoding that produced the stored shards.
 	Scheme string
-	// Chunks is the number of chunk stripes (1 for monolithic and
-	// batch-member objects).
+	// Chunks is the number of chunk stripes the object's bytes live in
+	// (for a batch member, its blob's).
 	Chunks int
 	// Width is the stripe width actually occupied on the cluster.
 	Width int
@@ -489,30 +325,21 @@ type ObjectInfo struct {
 
 // Stat reports an object's metadata from the vault's client-side state.
 func (v *Vault) Stat(id string) (*ObjectInfo, error) {
-	obj := v.lookup(id)
-	if obj == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	obj, err := v.acquire(context.Background(), id, false)
+	if err != nil {
+		return nil, err
 	}
-	obj.mu.RLock()
 	defer obj.mu.RUnlock()
-	if !obj.live.Load() {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if obj.batch != nil {
-		// Members share one chain; lock against a batchmate's renewal.
-		obj.batch.mu.RLock()
-		defer obj.batch.mu.RUnlock()
-	}
-	info := &ObjectInfo{
+	// Members share one chain; the batch lock orders this against a
+	// batchmate's renewal.
+	l, unlock := obj.stripes(false)
+	defer unlock()
+	return &ObjectInfo{
 		ID:       id,
-		PlainLen: int64(obj.enc.PlainLen),
-		Scheme:   obj.enc.Scheme,
-		Chunks:   1,
-		Width:    obj.width,
+		PlainLen: int64(obj.plainLen),
+		Scheme:   l.chunks[0].enc.Scheme,
+		Chunks:   len(l.chunks),
+		Width:    l.width(),
 		ChainLen: obj.chain.Len(),
-	}
-	if len(obj.chunks) > 0 {
-		info.Chunks = len(obj.chunks)
-	}
-	return info, nil
+	}, nil
 }

@@ -110,7 +110,7 @@ func TestPutReaderRoundTrip(t *testing.T) {
 }
 
 // TestReadToSlicePutObjects: ReadTo must serve objects written through
-// the slice paths (monolithic and chunked) — the read side is one
+// the slice path, in one chunk and in several — the read side is one
 // implementation, not a parallel streaming-only store.
 func TestReadToSlicePutObjects(t *testing.T) {
 	const chunk = 2048
@@ -119,7 +119,7 @@ func TestReadToSlicePutObjects(t *testing.T) {
 		cs   int
 		size int
 	}{
-		{"mono", 0, 4096},
+		{"mono", 4096, 4096},
 		{"chunked", chunk, 3*chunk + 17},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,7 +205,7 @@ func TestPutReaderMemoryBounded(t *testing.T) {
 }
 
 // stripeTable is an object's stored shape: plaintext length and shard
-// digests per chunk stripe (a monolithic object is one stripe).
+// digests per chunk stripe.
 type stripeTable struct {
 	lens    []int
 	digests [][][32]byte
@@ -216,9 +216,6 @@ func stripeTableOf(t *testing.T, v *Vault, id string) stripeTable {
 	obj := v.lookup(id)
 	if obj == nil {
 		t.Fatalf("%s: not stored", id)
-	}
-	if len(obj.chunks) == 0 {
-		return stripeTable{lens: []int{obj.enc.PlainLen}, digests: [][][32]byte{obj.digests}}
 	}
 	var st stripeTable
 	for _, cm := range obj.chunks {

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -25,9 +25,9 @@ import (
 // low for realistic worker counts while the array stays cache-resident.
 const stripeCount = 64
 
-// DefaultChunkSize is the pipelined writer's chunk size: objects larger
-// than this are split into fixed-size chunks that flow through
-// encode→stage as a bounded pipeline (see pipeline.go). 1 MiB keeps each
+// DefaultChunkSize is the writer's chunk size: objects are split into
+// fixed-size chunks that flow through encode→stage as a bounded pipeline
+// (see pipeline.go). 1 MiB keeps each
 // chunk's stripe well above the coding kernels' parallel grain while
 // bounding the pipeline's in-flight memory to a few chunks.
 const DefaultChunkSize = 1 << 20
@@ -54,9 +54,8 @@ type Vault struct {
 	// retry bounds per-node retries on transient cluster faults.
 	retry cluster.RetryPolicy
 
-	// chunkSize bounds how much of an object a single encode works on;
-	// larger objects take the pipelined chunked write path. <= 0 disables
-	// chunking (every object encodes monolithically).
+	// chunkSize bounds how much of an object a single encode works on:
+	// every object is a list of chunkSize stripes (pipeline.go).
 	chunkSize int
 
 	// stripes shard the object registry (and the dirty queue) by
@@ -66,8 +65,8 @@ type Vault struct {
 	// encode). Lock order: a goroutine may acquire a stripe mutex while
 	// holding an object mutex (dirty marking, registry removal), but must
 	// never block on a contended object mutex while holding any stripe
-	// mutex — Put's reservation locks only a freshly created object that
-	// no other goroutine can reach yet.
+	// mutex — reserve locks only a freshly created object that no other
+	// goroutine can reach yet.
 	stripes [stripeCount]vaultStripe
 
 	// sweepMu serialises cross-object sweeps (ScrubAll today; an
@@ -135,28 +134,30 @@ type vaultObject struct {
 	// the object lock.
 	live atomic.Bool
 
-	enc   *Encoded
-	chain *tstamp.Chain
-	// width is the stripe width actually written — how many shard indexes
-	// this object's live stripes occupy on the cluster, recorded at Put
-	// and updated on renewal/scrub rewrites. Delete must remove exactly
-	// these keys: the vault's Encoding is a mutable field, so recomputing
-	// the width from the *current* encoding at delete time would strand
-	// shards whenever the configuration changed between write and delete.
-	width int
-	// digests are per-shard SHA-256 digests of the current encoding,
-	// kept client-side: degraded reads use them to discard rotted shards
-	// and probe further nodes, and Scrub uses them to localise damage.
-	digests [][sha256.Size]byte
-	// chunks holds per-chunk encoding state for objects written through
-	// the pipelined chunked path (len > chunkSize); nil for monolithic
-	// objects. See pipeline.go.
-	chunks []chunkMeta
-	// batch points at the shared stripe state when this object is a
-	// member of a batched small-object write; nil otherwise. See batch.go.
+	// layout is the object's chunk stripes and chain; see pipeline.go.
+	layout
+	// batch points at the shared blob state when this object is a member
+	// of a batched small-object write; nil otherwise. See batch.go.
 	batch *batchState
 	// batchIndex is this member's position in batch.members.
 	batchIndex int
+}
+
+// stripes returns the layout holding obj's bytes: its own, or for a
+// batch member the blob's, with the batch lock taken (the write side
+// when excl). The returned func releases it. Callers hold obj.mu.
+func (obj *vaultObject) stripes(excl bool) (*layout, func()) {
+	bs := obj.batch
+	switch {
+	case bs == nil:
+		return &obj.layout, func() {}
+	case excl:
+		bs.mu.Lock()
+		return &bs.layout, bs.mu.Unlock
+	default:
+		bs.mu.RLock()
+		return &bs.layout, bs.mu.RUnlock
+	}
 }
 
 // stripeIndex hashes an object id onto its lock stripe (FNV-1a).
@@ -180,6 +181,53 @@ func (v *Vault) lookup(id string) *vaultObject {
 	obj := st.objects[id]
 	st.mu.RUnlock()
 	return obj
+}
+
+// acquire looks id up and takes its lock — the write side when excl —
+// recording the wait; an absent or non-live entry is ErrNotFound, with
+// nothing held.
+func (v *Vault) acquire(ctx context.Context, id string, excl bool) (*vaultObject, error) {
+	if obj := v.lookup(id); obj != nil {
+		lock, unlock := obj.mu.RLock, obj.mu.RUnlock
+		if excl {
+			lock, unlock = obj.mu.Lock, obj.mu.Unlock
+		}
+		v.lockWait(trace.FromContext(ctx), lock)
+		if obj.live.Load() {
+			return obj, nil
+		}
+		unlock()
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+}
+
+// reserve inserts a non-live registry entry for id with its write lock
+// held, so duplicate writes fail fast while concurrent readers that find
+// the entry block until the write commits (then read it) or aborts (then
+// see ErrNotFound). The stripe mutex covers only the map insert; locking
+// the fresh object cannot block.
+func (v *Vault) reserve(id string) (*vaultObject, error) {
+	obj := &vaultObject{}
+	obj.mu.Lock()
+	st := v.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, ok := st.objects[id]; ok {
+		obj.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s", ErrExists, id)
+	}
+	st.objects[id] = obj
+	return obj, nil
+}
+
+// unregister drops id's registry entry and any scrub mark: a reservation
+// whose write rolled back, or a deleted object.
+func (v *Vault) unregister(id string) {
+	st := v.stripe(id)
+	st.mu.Lock()
+	delete(st.objects, id)
+	delete(st.dirty, id)
+	st.mu.Unlock()
 }
 
 // Errors returned by Vault.
@@ -233,13 +281,17 @@ func WithRetryPolicy(p cluster.RetryPolicy) VaultOption {
 	return func(v *Vault) { v.retry = p }
 }
 
-// WithChunkSize sets the pipelined writer's chunk size
-// (DefaultChunkSize otherwise): objects larger than n bytes are split
+// WithChunkSize sets the writer's chunk size (DefaultChunkSize
+// otherwise; n <= 0 keeps it): objects larger than n bytes are split
 // into n-byte chunks whose encode and staging overlap as a bounded
-// pipeline, instead of encode-all-then-disperse-all. n <= 0 disables
-// chunking. Tests use small n to exercise multi-chunk objects cheaply.
+// pipeline, instead of encode-all-then-disperse-all. Tests use small n
+// to exercise multi-chunk objects cheaply.
 func WithChunkSize(n int) VaultOption {
-	return func(v *Vault) { v.chunkSize = n }
+	return func(v *Vault) {
+		if n > 0 {
+			v.chunkSize = n
+		}
+	}
 }
 
 // WithParallelism bounds the goroutines each encode/decode may use, when
@@ -314,99 +366,15 @@ func (v *Vault) lockWait(sp trace.Span, lock func()) {
 }
 
 // Put archives data under id: encode, disperse one shard per node, and
-// open an integrity chain.
+// open an integrity chain. It is PutReader over the slice.
 func (v *Vault) Put(id string, data []byte) error {
 	return v.PutContext(context.Background(), id, data)
 }
 
-// PutContext is Put rooted in (or joined to) a trace: the whole write
-// becomes a "vault.put" span with encode, staging, and retry backoff
-// attributed below it. With tracing disabled it records exactly the flat
-// vault.put.ok/.err histograms Put always has.
+// PutContext is Put rooted in (or joined to) a trace; see PutReader.
 func (v *Vault) PutContext(ctx context.Context, id string, data []byte) error {
-	ctx, sp := v.tracer.Start(ctx, "vault.put",
-		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()), trace.Int("bytes", len(data)))
-	start := time.Now()
-	err := v.put(ctx, id, data)
-	v.obsm.putNsByEnc.Observe(float64(time.Since(start).Nanoseconds()))
-	sp.End(err)
+	_, err := v.PutReader(ctx, id, bytes.NewReader(data))
 	return err
-}
-
-func (v *Vault) put(ctx context.Context, id string, data []byte) error {
-	st := v.stripe(id)
-	// Cheap early check; racing Puts of the same id are caught again at
-	// reservation time below.
-	st.mu.RLock()
-	_, exists := st.objects[id]
-	st.mu.RUnlock()
-	if exists {
-		return fmt.Errorf("%w: %s", ErrExists, id)
-	}
-	if v.chunkSize > 0 && len(data) > v.chunkSize {
-		return v.putChunked(ctx, id, data)
-	}
-	// The CPU-heavy work — encoding and chain construction — runs outside
-	// every lock so that concurrent Puts overlap even within a stripe.
-	_, esp := trace.Child(ctx, "vault.encode", trace.Int("bytes", len(data)))
-	encStart := time.Now()
-	enc, err := v.Encoding.Encode(data, v.rnd)
-	esp.End(err)
-	if err != nil {
-		return err
-	}
-	observeRate(v.obsm.encodeMBs, len(data), time.Since(encStart))
-	v.obsm.putBytes.Observe(float64(len(data)))
-	chain, err := tstamp.New(data, v.IntegrityMode, sig.Ed25519, v.Cluster.Epoch(), v.Group, v.rnd)
-	if err != nil {
-		return err
-	}
-
-	// Reserve the id: insert a non-live entry with its writer lock held,
-	// so duplicate Puts fail fast while concurrent Gets that find the
-	// entry block until the dispersal commits (then read it) or aborts
-	// (then see ErrNotFound). The stripe mutex covers only the map
-	// insert; locking the fresh object cannot block.
-	obj := &vaultObject{}
-	obj.mu.Lock()
-	st.mu.Lock()
-	if _, ok := st.objects[id]; ok {
-		st.mu.Unlock()
-		obj.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrExists, id)
-	}
-	st.objects[id] = obj
-	st.mu.Unlock()
-
-	// Stage-then-commit outside the stripe lock: a multi-shard write that
-	// fails partway aborts its stage and leaves no committed shards
-	// behind — no orphans inflating StoredBytes, no registered entry.
-	if err := v.disperse(ctx, id, enc); err != nil {
-		st.mu.Lock()
-		delete(st.objects, id)
-		st.mu.Unlock()
-		obj.mu.Unlock()
-		return err
-	}
-	// The vault keeps client-side secrets and the chain; shards live on
-	// nodes only.
-	obj.enc = &Encoded{
-		Scheme:       enc.Scheme,
-		PlainLen:     enc.PlainLen,
-		ClientSecret: enc.ClientSecret,
-		PublicMeta:   enc.PublicMeta,
-	}
-	obj.chain = chain
-	obj.digests = ShardDigests(enc.Shards)
-	obj.width = len(enc.Shards)
-	obj.live.Store(true)
-	// Defensive invalidation while the write lock is still held: a fresh
-	// id cannot have an entry unless it was deleted and re-put, in which
-	// case Delete already dropped it — but the hook costs one map probe
-	// and keeps "every mutator invalidates" unconditional.
-	v.cacheInvalidate(id)
-	obj.mu.Unlock()
-	return nil
 }
 
 // cacheInvalidate drops id's read-cache entry (no-op without a cache).
@@ -418,133 +386,19 @@ func (v *Vault) cacheInvalidate(id string) {
 	}
 }
 
-// disperse writes one encoding's shards to the cluster atomically: every
-// shard is staged under a fresh stage token (retrying transient faults
-// per the vault's policy), then the whole set commits as a single key
-// swap. Any staging error aborts the stage, so the cluster never holds a
-// mix of old and new shards for the object. Callers hold the object's
-// write lock (never a stripe lock): concurrent dispersals of distinct
-// objects overlap fully, and the atomic stageSeq keeps their tokens
-// distinct.
-func (v *Vault) disperse(ctx context.Context, id string, enc *Encoded) error {
-	stage := v.newStageToken(id)
-	ctx, ssp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
-	if err := v.stageShards(ctx, stage, id, 0, enc.Shards); err != nil {
-		v.Cluster.AbortStage(stage)
-		ssp.Event("stage.aborted")
-		ssp.End(err)
-		return err
-	}
-	n, err := v.Cluster.CommitStage(stage)
-	if err != nil {
-		// The commit did not land (I/O failure, crash). Best-effort abort
-		// releases whatever the backend still holds parked; on a crashed
-		// disk store recovery discards the orphaned stage at the next Open.
-		v.Cluster.AbortStage(stage)
-		ssp.Event("stage.aborted")
-		ssp.End(err)
-		return fmt.Errorf("core: commit %s: %w", id, err)
-	}
-	ssp.Event("stage.committed", trace.Int("shards", n))
-	ssp.End(nil)
-	return nil
-}
-
-// cleanupStrayShards removes shards a rewrite left behind when it
-// narrowed the stripe (the encoding was reconfigured between writes) or
-// shortened the chunk list. Old keys beyond the new shape are deleted;
-// absent keys are no-ops, so over-approximating is safe.
-func (v *Vault) cleanupStrayShards(id string, oldWidth, oldChunks, newWidth, newChunks int) {
-	for ci := 0; ci < oldChunks; ci++ {
-		lo := 0
-		if ci < newChunks {
-			lo = newWidth
-		}
-		for i := lo; i < oldWidth; i++ {
-			v.Cluster.Delete(i, cluster.ShardKey{Object: id, Index: i, Chunk: ci})
-		}
-	}
-}
-
-// newStageToken mints a stage token unique across concurrent dispersals.
-func (v *Vault) newStageToken(id string) string {
-	return fmt.Sprintf("vault:%s#%d", id, v.stageSeq.Add(1))
-}
-
-// stageShards stages one chunk's shards under an open stage token,
-// retrying transient faults per the vault's policy. The caller owns the
-// token's lifecycle: commit after every chunk is staged, abort on any
-// error — that single commit is what keeps multi-chunk and multi-member
-// writes atomic.
-func (v *Vault) stageShards(ctx context.Context, stage, id string, chunk int, shards [][]byte) error {
-	for i, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		i, sh := i, sh
-		err := cluster.RetryTransientCtx(ctx, v.retry, func() error {
-			return v.Cluster.PutStagedCtx(ctx, i, stage, cluster.ShardKey{Object: id, Index: i, Chunk: chunk}, sh)
-		})
-		if err != nil {
-			return fmt.Errorf("core: disperse %s chunk %d shard %d: %w", id, chunk, i, err)
-		}
-	}
-	return nil
-}
-
 // Get retrieves and integrity-checks an object.
 func (v *Vault) Get(id string) ([]byte, error) {
 	return v.GetContext(context.Background(), id)
 }
 
-// GetContext is Get rooted in (or joined to) a trace: the read becomes a
-// "vault.get" span over the stripe fetch (per-node probes with typed
-// failure events), decode, and verify stages — the breakdown a degraded
-// read needs to explain where its latency went. With tracing disabled it
-// records exactly the flat vault.get.ok/.err histograms Get always has.
+// GetContext is Get rooted in (or joined to) a trace: ReadTo into a
+// buffer the caller owns — never an alias of a cache entry.
 func (v *Vault) GetContext(ctx context.Context, id string) ([]byte, error) {
-	ctx, sp := v.tracer.Start(ctx, "vault.get",
-		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
-	start := time.Now()
-	data, err := v.get(ctx, id)
-	v.obsm.getNsByEnc.Observe(float64(time.Since(start).Nanoseconds()))
-	if err == nil {
-		sp.SetAttrs(trace.Int("bytes", len(data)))
+	var sink chunkSink
+	if _, err := v.ReadTo(ctx, id, &sink); err != nil {
+		return nil, err
 	}
-	sp.End(err)
-	return data, err
-}
-
-func (v *Vault) get(ctx context.Context, id string) ([]byte, error) {
-	obj := v.lookup(id)
-	if obj == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	v.lockWait(trace.FromContext(ctx), obj.mu.RLock)
-	defer obj.mu.RUnlock()
-	if !obj.live.Load() {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	// The epoch is captured before the cache probe AND before the stripe
-	// fetch: an entry inserted below is reachable only while the cluster
-	// is still in the epoch the read began in, so an AdvanceEpoch racing
-	// this read can only make the insert unreachable — never stale.
-	epoch := v.Cluster.Epoch()
-	if v.cache != nil {
-		if cached, ok := v.cacheGet(ctx, id, epoch); ok {
-			// Callers own Get's result; hand out a copy so writes to it
-			// cannot corrupt the immutable cached entry.
-			return append([]byte(nil), cached...), nil
-		}
-	}
-	data, err := v.readObject(ctx, id, obj)
-	if err == nil && v.cache != nil {
-		// Insert under the still-held read lock: any later mutation of
-		// this object must take the write lock first, and its
-		// invalidate(id) then runs strictly after this insert.
-		v.cache.put(id, epoch, data)
-	}
-	return data, err
+	return sink.whole, nil
 }
 
 // cacheGet probes the read cache, recording hit/miss metrics and the
@@ -559,77 +413,8 @@ func (v *Vault) cacheGet(ctx context.Context, id string, epoch int) ([]byte, boo
 	}
 	v.obsm.cacheHit.Inc()
 	v.obsm.cacheHitNs.Observe(float64(time.Since(start).Nanoseconds()))
-	v.obsm.getBytes.Observe(float64(len(cached)))
 	trace.FromContext(ctx).Event("cache.hit", trace.Int("bytes", len(cached)))
 	return cached, true
-}
-
-// readObject is the degraded k-of-n read body; callers hold obj.mu (read
-// or write) and have checked liveness. The stripe fetch fans out the
-// decoder's minimum plus speculative probes, retries transient faults
-// with bounded backoff, discards shards whose digest no longer matches
-// (bit rot, tampering) and pulls from further nodes instead, stopping as
-// soon as the minimum is in hand.
-//
-// A read that had to discard rotted shards still succeeds, but queues
-// the object for ScrubAll (see DirtyObjects) — routing around bit rot
-// must trigger a repair, not hide the damage. A read that cannot reach
-// the encoding's minimum returns *DegradedError (errors.Is ErrDegraded)
-// carrying got/want and the per-node causes, never a raw decode error.
-func (v *Vault) readObject(ctx context.Context, id string, obj *vaultObject) ([]byte, error) {
-	if obj.batch != nil {
-		return v.readBatchMember(ctx, id, obj)
-	}
-	if len(obj.chunks) > 0 {
-		return v.readChunked(ctx, id, obj)
-	}
-	sp := trace.FromContext(ctx)
-	n, min := v.Encoding.Shards()
-	res := v.Cluster.FetchStripeCtx(ctx, id, n, min, v.retry, func(i int, data []byte) bool {
-		return i < len(obj.digests) && sha256.Sum256(data) == obj.digests[i]
-	})
-	if len(res.Discarded) > 0 {
-		v.obsm.readDiscarded.Add(int64(len(res.Discarded)))
-		v.markDirty(id)
-		sp.Event("read.dirty", trace.Int("discarded", len(res.Discarded)))
-	}
-	if res.Canceled != nil {
-		// The caller went away mid-read: this is cancellation, not a
-		// degraded stripe — surface the context error so errors.Is
-		// (err, context.Canceled) holds for the abandoning client.
-		return nil, fmt.Errorf("core: get %s: %w", id, res.Canceled)
-	}
-	if res.Fetched < min {
-		v.obsm.readInsufficient.Inc()
-		sp.Event("read.insufficient", trace.Int("got", res.Fetched), trace.Int("want", min))
-		return nil, &DegradedError{Object: id, Got: res.Fetched, Want: min, Failures: res.Failures}
-	}
-	if res.Degraded() {
-		v.obsm.readDegraded.Inc()
-	}
-	enc := &Encoded{
-		Scheme:       obj.enc.Scheme,
-		PlainLen:     obj.enc.PlainLen,
-		Shards:       res.Shards,
-		ClientSecret: obj.enc.ClientSecret,
-		PublicMeta:   obj.enc.PublicMeta,
-	}
-	_, dsp := trace.Child(ctx, "vault.decode", trace.Int("shards", res.Fetched))
-	decStart := time.Now()
-	data, err := v.Encoding.Decode(enc)
-	dsp.End(err)
-	if err != nil {
-		return nil, err
-	}
-	observeRate(v.obsm.decodeMBs, len(data), time.Since(decStart))
-	v.obsm.getBytes.Observe(float64(len(data)))
-	_, vsp := trace.Child(ctx, "vault.verify")
-	err = obj.chain.VerifyData(data)
-	vsp.End(err)
-	if err != nil {
-		return nil, fmt.Errorf("core: integrity chain rejects data for %s: %w", id, err)
-	}
-	return data, nil
 }
 
 // markDirty queues an object for the next ScrubAll after a read had to
@@ -670,32 +455,29 @@ func (v *Vault) DirtyObjects() []string {
 // RenewIntegrity appends a fresh signature (rotating schemes) to the
 // object's timestamp chain.
 func (v *Vault) RenewIntegrity(id string, scheme sig.Scheme) error {
-	obj := v.lookup(id)
-	if obj == nil {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
+	obj, err := v.acquire(context.Background(), id, true)
+	if err != nil {
+		return err
 	}
-	obj.mu.Lock()
 	defer obj.mu.Unlock()
-	if !obj.live.Load() {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if obj.batch != nil {
-		// Batch members share one chain; serialise against batchmates.
-		obj.batch.mu.Lock()
-		defer obj.batch.mu.Unlock()
-	}
+	// Batch members share one chain; serialise against batchmates.
+	_, unlock := obj.stripes(true)
+	defer unlock()
 	return obj.chain.Renew(scheme, v.Cluster.Epoch(), v.rnd)
 }
 
 // RenewShares re-encodes the object with fresh randomness and rewrites
-// every shard — the generic renewal that works for any encoding (at full
-// re-encode cost; sharing-specific systems do better, see pss). The whole
-// read-reencode-rewrite sequence holds the object's write lock: a
-// concurrent Get of the same object must never observe a half-rewritten
-// shard set, while operations on other objects proceed untouched. The
-// rewrite itself is stage-then-commit: a node failing mid-renewal aborts
-// the stage and the cluster keeps the old encoding intact, so the object
-// never ends up with mixed-epoch shards under a stale ClientSecret.
+// every chunk stripe — the generic renewal that works for any encoding
+// (at full re-encode cost; sharing-specific systems do better, see pss).
+// A batch member renews its whole blob, every batchmate in the same
+// stroke. The whole read-reencode-rewrite sequence holds the object's
+// write lock: a concurrent Get of the same object must never observe a
+// half-rewritten shard set, while operations on other objects proceed
+// untouched. The rewrite itself is stage-then-commit: a node failing
+// mid-renewal aborts the stage and the cluster keeps the old encoding
+// intact, so the object never ends up with mixed-epoch shards under a
+// stale ClientSecret. The chain is kept: the plaintext it binds is
+// unchanged.
 func (v *Vault) RenewShares(id string) error {
 	return v.RenewSharesContext(context.Background(), id)
 }
@@ -712,61 +494,31 @@ func (v *Vault) RenewSharesContext(ctx context.Context, id string) error {
 }
 
 func (v *Vault) renewShares(ctx context.Context, id string) error {
-	obj := v.lookup(id)
-	if obj == nil {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
+	obj, err := v.acquire(ctx, id, true)
+	if err != nil {
+		return err
 	}
-	v.lockWait(trace.FromContext(ctx), obj.mu.Lock)
 	defer obj.mu.Unlock()
-	if !obj.live.Load() {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
 	// The rewrite changes the shard set (and, across an epoch boundary,
 	// the epoch a fresh read would record); drop the cached plaintext
 	// before dispersal so no entry from the pre-renewal stripe survives
-	// the write lock.
+	// the write lock. A member's batchmates keep theirs: their bytes are
+	// untouched by construction, and only this member's lock is held.
 	v.cacheInvalidate(id)
-	if obj.batch != nil {
-		return v.renewBatchMember(ctx, id, obj)
-	}
-	data, err := v.readObject(ctx, id, obj)
-	if err != nil {
+	l, unlock := obj.stripes(true)
+	defer unlock()
+	var sink chunkSink
+	if _, err := v.readStripes(ctx, id, l, &sink); err != nil {
 		return err
 	}
-	if len(obj.chunks) > 0 {
-		// Chunked objects renew through the same pipelined encode→stage
-		// path Put used; the single commit keeps the rewrite atomic.
-		metas, err := v.disperseChunked(ctx, id, data)
-		if err != nil {
-			return fmt.Errorf("core: renewal of %s rolled back: %w", id, err)
-		}
-		oldWidth, oldChunks := obj.width, len(obj.chunks)
-		obj.chunks = metas
-		obj.width = len(metas[0].digests)
-		v.cleanupStrayShards(id, oldWidth, oldChunks, obj.width, len(metas))
-		return nil
-	}
-	_, esp := trace.Child(ctx, "vault.encode", trace.Int("bytes", len(data)))
-	enc, err := v.Encoding.Encode(data, v.rnd)
-	esp.End(err)
-	if err != nil {
-		return err
-	}
-	if err := v.disperse(ctx, id, enc); err != nil {
+	if err := v.write(ctx, l, bytes.NewReader(sink.whole)); err != nil {
 		return fmt.Errorf("core: renewal of %s rolled back: %w", id, err)
 	}
-	obj.enc.ClientSecret = enc.ClientSecret
-	obj.enc.PublicMeta = enc.PublicMeta
-	obj.enc.PlainLen = enc.PlainLen
-	obj.digests = ShardDigests(enc.Shards)
-	oldWidth := obj.width
-	obj.width = len(enc.Shards)
-	v.cleanupStrayShards(id, oldWidth, 1, obj.width, 1)
 	return nil
 }
 
 // Delete removes an object: liveness drops first (so concurrent Gets
-// and Scrubs see ErrNotFound), then every node drops its shard, and the
+// and Scrubs see ErrNotFound), then every node drops its shards, and the
 // registry entry goes last — while shards are still being removed the
 // id stays reserved, so a racing re-Put of the same id cannot commit a
 // fresh stripe that this delete would then eat. Shard removal is a
@@ -787,43 +539,19 @@ func (v *Vault) DeleteContext(ctx context.Context, id string) error {
 }
 
 func (v *Vault) deleteObject(ctx context.Context, id string) error {
-	obj := v.lookup(id)
-	if obj == nil {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
+	obj, err := v.acquire(ctx, id, true)
+	if err != nil {
+		return err
 	}
-	v.lockWait(trace.FromContext(ctx), obj.mu.Lock)
 	defer obj.mu.Unlock()
-	if !obj.live.Load() {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
 	obj.live.Store(false)
 	v.cacheInvalidate(id)
 	if obj.batch != nil {
-		v.releaseBatchMember(id, obj)
+		v.releaseBatchMember(obj)
 	} else {
-		// Delete the stripe actually written (obj.width), not whatever the
-		// vault's current encoding would produce — the two diverge when
-		// Encoding is reconfigured after the Put, and the wider stale value
-		// would be strand-free only by luck.
-		n := obj.width
-		if n == 0 {
-			n, _ = v.Encoding.Shards() // pre-width entry (defensive)
-		}
-		chunks := len(obj.chunks)
-		if chunks == 0 {
-			chunks = 1
-		}
-		for c := 0; c < chunks; c++ {
-			for i := 0; i < n; i++ {
-				v.Cluster.Delete(i, cluster.ShardKey{Object: id, Index: i, Chunk: c})
-			}
-		}
+		v.replaceChunks(&obj.layout, nil)
 	}
-	st := v.stripe(id)
-	st.mu.Lock()
-	delete(st.objects, id)
-	delete(st.dirty, id)
-	st.mu.Unlock()
+	v.unregister(id)
 	return nil
 }
 
@@ -834,19 +562,13 @@ func (v *Vault) deleteObject(ctx context.Context, id string) error {
 // commitment is re-opened in full first, so evidence whose commitment
 // no longer matches the retained opening is refused, not escrowed.
 func (v *Vault) ExportEvidence(id string) ([]byte, error) {
-	obj := v.lookup(id)
-	if obj == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	obj, err := v.acquire(context.Background(), id, false)
+	if err != nil {
+		return nil, err
 	}
-	obj.mu.RLock()
 	defer obj.mu.RUnlock()
-	if !obj.live.Load() {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if obj.batch != nil {
-		obj.batch.mu.RLock()
-		defer obj.batch.mu.RUnlock()
-	}
+	_, unlock := obj.stripes(false)
+	defer unlock()
 	if err := obj.chain.VerifyOpening(); err != nil {
 		return nil, fmt.Errorf("core: export evidence for %s: %w", id, err)
 	}
@@ -855,41 +577,28 @@ func (v *Vault) ExportEvidence(id string) ([]byte, error) {
 
 // Chain exposes an object's timestamp chain.
 func (v *Vault) Chain(id string) *tstamp.Chain {
-	obj := v.lookup(id)
-	if obj == nil {
+	obj, err := v.acquire(context.Background(), id, false)
+	if err != nil {
 		return nil
 	}
-	obj.mu.RLock()
 	defer obj.mu.RUnlock()
-	if !obj.live.Load() {
-		return nil
-	}
 	return obj.chain
 }
 
 // StorageCost measures the object's at-rest overhead from the cluster.
+// Batch members share one stripe and report the blob's ratio.
 func (v *Vault) StorageCost(id string) float64 {
-	obj := v.lookup(id)
-	if obj == nil {
+	obj, err := v.acquire(context.Background(), id, false)
+	if err != nil {
 		return 0
 	}
-	obj.mu.RLock()
 	defer obj.mu.RUnlock()
-	if !obj.live.Load() || obj.enc.PlainLen == 0 {
+	l, unlock := obj.stripes(false)
+	defer unlock()
+	if l.plainLen == 0 {
 		return 0
 	}
-	if obj.batch != nil {
-		// Members share one stripe; report the blob's overhead ratio, the
-		// same for every batchmate.
-		bs := obj.batch
-		bs.mu.RLock()
-		defer bs.mu.RUnlock()
-		if bs.blobLen == 0 {
-			return 0
-		}
-		return float64(v.Cluster.ObjectBytes(bs.id)) / float64(bs.blobLen)
-	}
-	return float64(v.Cluster.ObjectBytes(id)) / float64(obj.enc.PlainLen)
+	return float64(v.Cluster.ObjectBytes(l.id)) / float64(l.plainLen)
 }
 
 // Objects lists stored object ids (unordered). Entries still dispersing

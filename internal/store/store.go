@@ -22,11 +22,11 @@ import "errors"
 // been written when it is returned.
 var ErrKeyTooLong = errors.New("store: object id or stage token too long")
 
-// ShardKey addresses one shard of one object version. Objects written
-// monolithically occupy chunk 0; the vault's pipelined writer splits
-// large objects into fixed-size chunks, each encoded as its own stripe,
-// so a shard is addressed by (object, chunk, index). The zero Chunk
-// keeps every pre-chunking key (and persisted test fixture) valid.
+// ShardKey addresses one shard of one object version. The vault's
+// writer splits objects into fixed-size chunks, each encoded as its own
+// stripe, so a shard is addressed by (object, chunk, index); an object
+// no larger than a chunk occupies chunk 0 only. The zero Chunk keeps
+// every pre-chunking key (and persisted test fixture) valid.
 type ShardKey struct {
 	Object string // object identifier
 	Index  int    // shard index within the chunk's encoding

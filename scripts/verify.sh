@@ -20,6 +20,6 @@ go vet ./...
 GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
 go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore
 # One iteration of each layer benchmark, so none can rot uncompiled.
-go test -run '^$' -bench 'ExpH|ExpG224|FixedBaseBuild|PedersenCommit|VaultPut|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact' -benchtime 1x ./internal/...
+go test -run '^$' -bench 'ExpH|ExpG224|FixedBaseBuild|PedersenCommit|VaultPut|VaultGet|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact' -benchtime 1x ./internal/...
 go vet -C bench ./...
 go test -C bench ./...
