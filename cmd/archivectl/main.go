@@ -11,11 +11,9 @@
 //	archivectl scrub -manifest ./store/secret.pdf.manifest.json [-repair]
 //	archivectl stats -encoding erasure -n 8 -t 4 -objects 32 [-offline 2] [-transient 0.2]
 //	archivectl serve -encoding erasure -n 8 -t 4 [-offline 2] [-transient 0.2] [-addr 127.0.0.1:8080] [-cache-bytes 67108864]
-//	archivectl bench -encoding erasure -n 8 -t 4 -workers 1,4,16 -ops 256 [-batch] [-skew 1.1 -cache-bytes 1048576] [-offline 1] [-transient 0.1] [-store disk [-store-dir DIR] [-fsync commit|always|never]]
 //
 // stats and serve run the vault's integrity chain on the library default,
-// group.Default() (2048-bit p, 256-bit q). bench stays on group.Test()
-// (256-bit p, insecure): it regenerates figures that were measured on it.
+// group.Default() (2048-bit p, 256-bit q).
 //
 // Encodings: replication, erasure, aes, cascade, entropic, aont, shamir,
 // packed, lrss. After put, delete up to n−min node directories and get
@@ -68,16 +66,14 @@ func main() {
 		cmdStats(os.Args[2:])
 	case "serve":
 		cmdServe(os.Args[2:])
-	case "bench":
-		cmdBench(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: archivectl put|get|info|scrub|stats|serve|bench [flags]")
-	fmt.Fprintln(os.Stderr, "  stats and serve use the production 2048-bit commitment group; bench uses group.Test() (see bench -h)")
+	fmt.Fprintln(os.Stderr, "usage: archivectl put|get|info|scrub|stats|serve [flags]")
+	fmt.Fprintln(os.Stderr, "  stats and serve use the production 2048-bit commitment group")
 	os.Exit(2)
 }
 

@@ -5,47 +5,15 @@
 // re-encryption arithmetic — printing paper-stated values next to
 // measured ones.
 //
-// Every vault it builds runs the integrity chain on group.Test()
-// (256-bit, insecure): the committed figures were measured on it and
-// must regenerate unchanged; bench/ measures the production group.
+// Table 1's HasDPSS and LINCOS rows commit on group.Test() (256-bit,
+// insecure), so the table regenerates unchanged; bench/ measures the
+// production group.
 //
 // Usage:
 //
-//	papereval [-figure1] [-table1] [-reencrypt] [-renewal] [-advantage] [-kernels] [-obs] [-saturate] [-saturate-read] [-all]
+//	papereval [-figure1] [-table1] [-reencrypt] [-renewal] [-advantage] [-all] [-obj KiB]
 //
-// -kernels measures the GF(256) kernel and Reed-Solomon pipeline
-// throughput on the local machine and re-derives the §3.2 campaign
-// arithmetic from it, writing the results to -bench-out.
-//
-// -obs drives an instrumented vault workload, derives the vault's read
-// bandwidth purely from the obs metrics registry, and re-derives the
-// §3.2 campaign arithmetic from that measured bandwidth, writing the
-// results (including the full metrics snapshot) to -obs-out.
-//
-// -saturate runs the closed-loop saturation sweep: every encoding under
-// W = 1, 4, 16, 64 concurrent workers issuing a put/get/scrub mix,
-// reporting throughput and obs-derived latency percentiles to
-// -saturate-out. With -saturate-faults each encoding is additionally
-// measured with a fault plan active (degraded-mode curves). With
-// -saturate-small the report also gains a small_object section: the
-// 4 KiB batched-vs-unbatched sweep that measures the group-commit
-// write batcher's amortisation win.
-//
-// -saturate-store selects the storage backend the sweeps run against:
-// mem (default, map-backed) or disk (WAL + segment files, every commit
-// fsynced). With -saturate-disk the report additionally gains a disk
-// section — the same encoding swept against both backends so the fsync
-// penalty is measured honestly rather than inferred.
-//
-// -saturate-net adds a network section: the same closed-loop driver
-// pointed at a live archive service (internal/api) over loopback HTTP,
-// with streaming uploads and downloads crossing the wire — the full
-// service-stack tax measured against the in-process curves.
-//
-// -saturate-read adds a read_cache section: a pure-Get zipfian sweep
-// (skews 1.1/1.5/2.0) run twice — with and without the decoded-object
-// read cache — so the hot-set hit ratio and the cached/uncached
-// throughput multiple are measured rather than asserted.
+// With no selection flag it runs everything.
 package main
 
 import (
@@ -70,72 +38,34 @@ func main() {
 	reencrypt := flag.Bool("reencrypt", false, "regenerate the §3.2 re-encryption table")
 	renewal := flag.Bool("renewal", false, "price proactive renewal campaigns (§3.2)")
 	adv := flag.Bool("advantage", false, "measure Definition 2.1/2.2 distinguishing advantages")
-	kernels := flag.Bool("kernels", false, "measure GF(256)/RS kernel throughput and re-derive §3.2 from it")
-	benchOut := flag.String("bench-out", "BENCH_kernels.json", "output path for -kernels results")
-	obsBench := flag.Bool("obs", false, "measure vault read bandwidth via the obs registry and re-derive §3.2 from it")
-	obsOut := flag.String("obs-out", "BENCH_obs.json", "output path for -obs results")
-	saturate := flag.Bool("saturate", false, "run the closed-loop saturation sweep (every encoding x W=1,4,16,64)")
-	satOut := flag.String("saturate-out", "BENCH_saturate.json", "output path for -saturate results")
-	satEnc := flag.String("saturate-enc", "", "comma-separated encoding-name filter for -saturate (substring match)")
-	satFaults := flag.Bool("saturate-faults", false, "also run each -saturate encoding with a fault plan active (degraded-mode curves)")
-	satOps := flag.Int("saturate-ops", 192, "total operations per -saturate cell")
-	satObjKiB := flag.Int("saturate-obj", 16, "object size in KiB for -saturate")
-	satSmall := flag.Bool("saturate-small", false, "run the 4 KiB batched-vs-unbatched small-object sweep (small_object section of -saturate-out)")
-	satStore := flag.String("saturate-store", "mem", "storage backend for the -saturate sweeps (mem|disk)")
-	satDisk := flag.Bool("saturate-disk", false, "run the fsync-backed mem-vs-disk sweep (disk section of -saturate-out)")
-	satNet := flag.Bool("saturate-net", false, "run the loopback HTTP service sweep (network section of -saturate-out)")
-	satRead := flag.Bool("saturate-read", false, "run the zipfian cached-vs-uncached read sweep (read_cache section of -saturate-out)")
 	all := flag.Bool("all", false, "run everything")
 	objKiB := flag.Int("obj", 256, "object size in KiB for measurements")
 	flag.Usage = func() {
 		fmt.Fprint(flag.CommandLine.Output(), "usage: papereval [flags]\n\n"+
-			"Every vault papereval builds runs the integrity chain on group.Test() (256-bit,\n"+
-			"insecure): the committed paper figures and BENCH_*.json were measured on it and\n"+
-			"must regenerate unchanged. bench/ measures the production group (2048-bit p,\n"+
+			"Table 1's HasDPSS and LINCOS rows commit on group.Test() (256-bit, insecure) so\n"+
+			"the table regenerates unchanged. bench/ measures the production group (2048-bit p,\n"+
 			"256-bit q).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	if !*figure1 && !*table1 && !*reencrypt && !*renewal && !*adv && !*kernels && !*obsBench && !*saturate && !*satSmall && !*satDisk && !*satNet && !*satRead {
+	if !*figure1 && !*table1 && !*reencrypt && !*renewal && !*adv {
 		*all = true
 	}
-	ran := false
 	if *all || *figure1 {
 		runFigure1(*objKiB)
-		ran = true
 	}
 	if *all || *table1 {
 		runTable1(*objKiB)
-		ran = true
 	}
 	if *all || *reencrypt {
 		runReencrypt()
-		ran = true
 	}
 	if *all || *renewal {
 		runRenewal()
-		ran = true
 	}
 	if *all || *adv {
 		runAdvantage()
-		ran = true
-	}
-	if *kernels {
-		runKernels(*benchOut)
-		ran = true
-	}
-	if *obsBench {
-		runObs(*obsOut, *objKiB)
-		ran = true
-	}
-	if *saturate || *satSmall || *satDisk || *satNet || *satRead {
-		runSaturate(*satOut, *satEnc, *satStore, *satFaults, *satOps, *satObjKiB, *saturate, *satSmall, *satDisk, *satNet, *satRead)
-		ran = true
-	}
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
 	}
 }
 

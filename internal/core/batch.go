@@ -26,18 +26,10 @@ import (
 // operations on the same batch serialise at the batch lock while members
 // of different batches stay fully independent.
 
-// Batch defaults; see the corresponding Batcher options.
 const (
 	// DefaultBatchMaxMembers caps how many members one flush packs into a
-	// single blob stripe.
+	// single blob stripe; WithBatchMaxMembers overrides it.
 	DefaultBatchMaxMembers = 64
-	// DefaultBatchMaxAge bounds how long an enqueued put may wait before a
-	// flush starts. The batcher drains eagerly — a new flush begins the
-	// moment the previous one finishes, and a lone put flushes immediately
-	// rather than lingering for company — so observed waits (the
-	// vault.batch.wait_ns histogram) stay far below this bound unless
-	// staging itself stalls on retries.
-	DefaultBatchMaxAge = 2 * time.Millisecond
 	// DefaultBatchBypassBytes routes large puts around the batcher: above
 	// this size the fixed per-put costs no longer dominate and batching
 	// only adds blob-decode overhead to every member read.
@@ -79,22 +71,19 @@ type batchMember struct {
 
 // Batcher packs small Puts into shared blob stripes using group commit:
 // the first put to arrive while no flush is running becomes the leader,
-// takes everything pending (up to MaxMembers), and flushes it as one
+// takes everything pending (up to maxMembers), and flushes it as one
 // blob; puts arriving during that flush wait and are taken — all of them
-// — by the next leader the moment the current flush finishes. The
-// thresholds are upper bounds, not timers: nothing ever waits out a
-// quiet period, so a lone put costs one flush of one member.
+// — by the next leader the moment the current flush finishes. There is
+// no timer: nothing ever waits out a quiet period, so a lone put costs
+// one flush of one member.
 //
 // A Batcher is safe for concurrent use; Put blocks until the member's
 // batch has committed (or failed). Ids must still be unique vault-wide —
 // a duplicate fails that member with ErrExists without failing its
 // batchmates.
 type Batcher struct {
-	v *Vault
-
-	maxMembers  int
-	maxAge      time.Duration
-	bypassBytes int
+	v          *Vault
+	maxMembers int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -127,35 +116,9 @@ func WithBatchMaxMembers(n int) BatcherOption {
 	}
 }
 
-// WithBatchMaxAge sets the enqueue-to-flush-start bound
-// (DefaultBatchMaxAge otherwise); see the constant's note on how the
-// eager drain keeps actual waits far below it.
-func WithBatchMaxAge(d time.Duration) BatcherOption {
-	return func(b *Batcher) {
-		if d > 0 {
-			b.maxAge = d
-		}
-	}
-}
-
-// WithBatchBypassBytes sets the size above which Put routes directly to
-// the vault's plain write path (DefaultBatchBypassBytes otherwise).
-func WithBatchBypassBytes(n int) BatcherOption {
-	return func(b *Batcher) {
-		if n > 0 {
-			b.bypassBytes = n
-		}
-	}
-}
-
 // NewBatcher builds a small-object write batcher over the vault.
 func (v *Vault) NewBatcher(opts ...BatcherOption) *Batcher {
-	b := &Batcher{
-		v:           v,
-		maxMembers:  DefaultBatchMaxMembers,
-		maxAge:      DefaultBatchMaxAge,
-		bypassBytes: DefaultBatchBypassBytes,
-	}
+	b := &Batcher{v: v, maxMembers: DefaultBatchMaxMembers}
 	b.cond = sync.NewCond(&b.mu)
 	for _, o := range opts {
 		o(b)
@@ -173,7 +136,7 @@ func (b *Batcher) Close() error {
 }
 
 // Put archives data under id through the batcher, blocking until the
-// member's batch commits. Data larger than the bypass threshold goes
+// member's batch commits. Data larger than DefaultBatchBypassBytes goes
 // straight to Vault.Put.
 func (b *Batcher) Put(id string, data []byte) error {
 	return b.PutContext(context.Background(), id, data)
@@ -182,7 +145,7 @@ func (b *Batcher) Put(id string, data []byte) error {
 // PutContext is Put with the flush (if this goroutine ends up leading
 // one) rooted in the caller's trace.
 func (b *Batcher) PutContext(ctx context.Context, id string, data []byte) error {
-	if len(data) > b.bypassBytes {
+	if len(data) > DefaultBatchBypassBytes {
 		return b.v.PutContext(ctx, id, data)
 	}
 	p := &pendingPut{id: id, data: append([]byte(nil), data...), enq: time.Now()}

@@ -354,7 +354,7 @@ func (rc *readCache) removeLocked(e *cacheEntry) {
 
 // CacheStats is a point-in-time view of the read cache, surfaced by
 // Vault.CacheStats for the API layer's per-tenant accounting and the
-// saturation driver's hit-ratio reporting.
+// benchmark's hit ratio.
 type CacheStats struct {
 	// Bytes and MaxBytes are current residency vs the configured budget.
 	Bytes, MaxBytes int64

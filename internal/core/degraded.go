@@ -89,8 +89,7 @@ type vaultMetrics struct {
 	// Read cache & prefetch (cache.go, prefetch.go): the vault.cache.*
 	// families are labeled by encoding so hit ratios compare across
 	// deployments; the bytes gauge tracks residency against the budget
-	// and the hit histogram is the served-from-memory latency the
-	// saturation sweep reports p99 over.
+	// and the hit histogram is the served-from-memory latency.
 	cacheHit       *obs.Counter
 	cacheMiss      *obs.Counter
 	cacheEvict     *obs.Counter

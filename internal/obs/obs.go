@@ -4,8 +4,7 @@
 // operations. The survivable-storage systems the paper surveys (PASIS,
 // POTSHARDS) treat read-path telemetry as the basis for repair
 // scheduling; here the same counters back the degraded-read bug fixes,
-// the attacksim availability tables, and papereval's measured §3.2
-// re-derivation (BENCH_obs.json).
+// the attacksim availability tables, and archivectl stats and serve.
 //
 // Naming convention: metric names are dotted lowercase paths of the form
 // "layer.op.outcome" — e.g. cluster.get.ok, cluster.fetch.discarded,

@@ -43,7 +43,7 @@ type LabeledHistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time export of a registry, ready for JSON
-// (expvar-style dumps, archivectl stats, BENCH_obs.json). Map keys
+// (expvar-style dumps, archivectl stats). Map keys
 // marshal sorted and labeled series are pre-sorted by label values, so
 // output is stable across runs. Schema securearchive/obs/v2 adds the
 // labeled_* sections; everything v1 consumers read is unchanged.
@@ -135,8 +135,8 @@ func snapHistogram(h *Histogram) HistogramSnapshot {
 }
 
 // Series looks up one labeled-counter series by family name and label
-// values; ok is false when the family or series is absent. Consumers
-// like papereval use it to read breakdowns out of an exported snapshot.
+// values; ok is false when the family or series is absent. Tests use it
+// to read breakdowns out of an exported snapshot.
 func (s *Snapshot) Series(family string, labels ...string) (int64, bool) {
 	fs, ok := s.LabeledCounters[family]
 	if !ok {

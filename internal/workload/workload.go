@@ -1,5 +1,6 @@
 // Package workload generates synthetic archival workloads for the
-// benchmark harness: object-size mixes and ingest/read traces modelled on
+// root-level workload benchmarks (workload_bench_test.go): object-size
+// mixes and ingest/read traces modelled on
 // the archival-storage characterisation literature the paper cites (the
 // CERN EOS analysis, HPSS profiling) — a heavy-tailed size distribution
 // dominated by large sequential objects, write-once read-rarely access,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One command for everything a change to this repository must keep green:
 # the tier-1 gate, vet (and an offline arm64 cross-vet of the packages
-# with per-platform kernel files), the race detector on the packages with
+# with per-platform kernel files), one run of papereval (the paper's
+# figures and tables), the race detector on the packages with
 # shared state on the read/write path, a one-iteration smoke of the layer
 # benchmarks, and the nested bench/ module — which
 # tier-1 does not build, so without this nothing notices when a change
@@ -15,6 +16,9 @@ go test ./...
 # committed seed derives; named so that no -short habit can skip it.
 go test -count=1 -run 'TestDefaultGroupParameters' ./internal/group
 go vet ./...
+# The paper's scoreboard: regenerate it and require Figure 1's orderings.
+# grep without -q reads to the end, so the pipe never breaks early.
+go run ./cmd/papereval | grep -F "shape check: all of the paper's qualitative orderings hold"
 # The AVX2 kernels are amd64-only; this keeps the stub every other
 # platform builds (internal/gf256/kernels_other.go) from rotting.
 GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
