@@ -39,11 +39,11 @@ func (s *Store) SetCrashPoint(p CrashPoint) {
 
 // dieMidAppend writes the first half of the segment record, makes the
 // torn bytes durable, and crashes. Caller holds s.mu.
-func (s *Store) dieMidAppend(sf *segFile, rec []byte) error {
+func (s *Store) dieMidAppend(af *appendFile, rec []byte) error {
 	half := rec[:len(rec)/2]
 	if len(half) > 0 {
-		if _, err := sf.af.append(half); err == nil {
-			sf.af.sync()
+		if _, err := af.append(half); err == nil {
+			af.sync()
 		}
 	}
 	return s.crashNow()
@@ -76,8 +76,8 @@ func (s *Store) dieAfterWALSync() error {
 func (s *Store) crashNow() error {
 	s.wal.truncate(s.wal.synced)
 	for _, nd := range s.nodes {
-		for _, sf := range nd.segs {
-			sf.af.truncate(sf.af.synced)
+		for _, af := range nd.segs {
+			af.truncate(af.synced)
 		}
 	}
 	s.closeFiles()

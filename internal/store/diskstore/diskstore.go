@@ -14,13 +14,22 @@
 //	node-00/00000001.seg — node 0's segment files, numbered, append-only
 //	...
 //
-// Fsync policy (store.Config.Fsync): "commit" (default) fsyncs touched
-// segments before each commit-point record (commit, put, delete) and
-// then the WAL — one ordered pair of fsyncs per durable decision;
-// "always" additionally syncs every segment append and stage record;
-// "never" skips fsync entirely (still recovers from process kill, not
-// from power loss). Stage and abort records are never individually
-// fsynced even under "commit": a lost stage is exactly an aborted one.
+// Fsync policy (store.Config.Fsync): "commit" (default) fsyncs the
+// segments a commit-point record (commit, put, delete) references, in
+// parallel, before the record is appended, and then the WAL — one
+// ordered pair of fsync steps per durable decision; "always"
+// additionally syncs every stage's segment append and record; "never"
+// skips fsync entirely (still recovers from process kill, not from
+// power loss). Stage and abort records are never individually fsynced
+// even under "commit": a lost stage is exactly an aborted one. A file
+// needs an fsync while its synced watermark is below its size, so one
+// fsync covers every stage appended before it, whoever staged them.
+// A failed fsync kills the store: the kernel may already have dropped
+// the pages it could not write, so no later fsync could vouch for them.
+//
+// Locking: commitMu serialises the commit points (CommitStage, Put,
+// Delete) and Close; mu guards the maps, sizes, watermarks and appends,
+// and is never held across an fsync. Lock order is commitMu, then mu.
 package diskstore
 
 import (
@@ -67,6 +76,8 @@ var (
 	ErrCrashed = errors.New("diskstore: store crashed")
 	// ErrClosed is returned by operations on a Close()d store.
 	ErrClosed = errors.New("diskstore: store closed")
+
+	errStageCommitting = errors.New("diskstore: stage token is committing")
 )
 
 // Option configures Open.
@@ -92,22 +103,32 @@ func WithMaxSegmentBytes(n int64) Option {
 	}
 }
 
-// Store implements store.Store over segments + WAL. One mutex guards the
-// whole store: every operation is a handful of map touches plus file
-// I/O against a single shared log, so finer locking would only
-// re-serialise on the WAL anyway. (The cluster's concurrency lives above
-// this — encoding, probing, retry — not in the at-rest byte store.)
+// Store implements store.Store over segments + WAL. A commit point runs
+// under commitMu and takes mu only around its bookkeeping: collect the
+// shards and the sizes to make durable, fsync the segments (mu
+// released), append the record, fsync the WAL (mu released), flip the
+// index. So a Get, a Stage or a byte count waits for a commit point's
+// map work, never for its fsyncs. Commit points stay serial: each one's
+// record must follow the fsyncs of the bodies it references.
 type Store struct {
 	dir    string
 	fsync  string
 	maxSeg int64
 
-	mu    sync.Mutex
-	wal   *appendFile
-	nodes []*diskNode
-	index shardIndex // every node's committed shards; see index.go
+	commitMu sync.Mutex
+	mu       sync.Mutex
+	wal      *appendFile
+	nodes    []*diskNode
+	index    shardIndex // every node's committed shards; see index.go
+	// committing is the token of the CommitStage in flight, if any
+	// (valid while inCommit). Stage refuses it: a shard staged after the
+	// commit collected its fsync targets would be covered by the commit
+	// record without having been fsynced.
+	committing string
+	inCommit   bool
 	// dead, once set, fails every subsequent operation: ErrCrashed after
-	// an injected crash point, ErrClosed after Close.
+	// an injected crash point, ErrClosed after Close, the wrapped error
+	// after a failed fsync.
 	dead error
 	// crash is the armed injection point; see crash.go.
 	crash CrashPoint
@@ -122,19 +143,14 @@ type diskNode struct {
 	id     int
 	dir    string
 	staged map[store.ShardKey]stagedRef
-	segs   map[uint32]*segFile // open handles, keyed by segment number
-	cur    uint32              // current append segment; 0 = none yet
-	next   uint32              // next segment number to allocate
+	segs   map[uint32]*appendFile // open handles, keyed by segment number
+	cur    uint32                 // current append segment; 0 = none yet
+	next   uint32                 // next segment number to allocate
 }
 
 type stagedRef struct {
 	stage string
 	ref   shardRef
-}
-
-type segFile struct {
-	af    *appendFile
-	dirty bool // has appends not yet fsynced
 }
 
 type metaFile struct {
@@ -175,7 +191,7 @@ func Open(dir string, n int, opts ...Option) (*Store, error) {
 			id:     i,
 			dir:    filepath.Join(dir, fmt.Sprintf("node-%02d", i)),
 			staged: make(map[store.ShardKey]stagedRef),
-			segs:   make(map[uint32]*segFile),
+			segs:   make(map[uint32]*appendFile),
 			next:   1,
 		}
 		if err := os.MkdirAll(nd.dir, 0o755); err != nil {
@@ -252,17 +268,16 @@ func segName(num uint32) string { return fmt.Sprintf("%08d.seg", num) }
 
 // seg returns the open handle for a segment, opening it on demand (a
 // reopened store touches old segments lazily).
-func (nd *diskNode) seg(num uint32) (*segFile, error) {
-	if sf, ok := nd.segs[num]; ok {
-		return sf, nil
+func (nd *diskNode) seg(num uint32) (*appendFile, error) {
+	if af, ok := nd.segs[num]; ok {
+		return af, nil
 	}
 	af, err := openAppend(filepath.Join(nd.dir, segName(num)))
 	if err != nil {
 		return nil, err
 	}
-	sf := &segFile{af: af}
-	nd.segs[num] = sf
-	return sf, nil
+	nd.segs[num] = af
+	return af, nil
 }
 
 // appendShard writes one shard body into the node's current segment
@@ -275,29 +290,22 @@ func (nd *diskNode) appendShard(key store.ShardKey, data []byte, epoch int) (sha
 	}
 	rec := segRecord(key.Object, key.Index, key.Chunk, data)
 	if nd.cur == 0 || func() bool {
-		sf := nd.segs[nd.cur]
-		return sf != nil && sf.af.size > 0 && sf.af.size+int64(len(rec)) > nd.s.maxSeg
+		af := nd.segs[nd.cur]
+		return af != nil && af.size > 0 && af.size+int64(len(rec)) > nd.s.maxSeg
 	}() {
 		nd.cur = nd.next
 		nd.next++
 	}
-	sf, err := nd.seg(nd.cur)
+	af, err := nd.seg(nd.cur)
 	if err != nil {
 		return shardRef{}, err
 	}
 	if nd.s.crash == CrashMidSegmentAppend {
-		return shardRef{}, nd.s.dieMidAppend(sf, rec)
+		return shardRef{}, nd.s.dieMidAppend(af, rec)
 	}
-	off, err := sf.af.append(rec)
+	off, err := af.append(rec)
 	if err != nil {
 		return shardRef{}, err
-	}
-	sf.dirty = true
-	if nd.s.fsync == FsyncAlways {
-		if err := sf.af.sync(); err != nil {
-			return shardRef{}, err
-		}
-		sf.dirty = false
 	}
 	return shardRef{
 		seg: nd.cur, off: uint32(off), dlen: uint32(len(data)),
@@ -305,21 +313,46 @@ func (nd *diskNode) appendShard(key store.ShardKey, data []byte, epoch int) (sha
 	}, nil
 }
 
-// commitPoint makes one durable decision: fsync the segments the record
-// references, append the record to the WAL, fsync the WAL. Under
-// FsyncNever both fsyncs are skipped. Caller holds s.mu and applies the
-// in-memory flip only after commitPoint returns nil.
-func (s *Store) commitPoint(rec []byte, segs []*segFile) error {
-	if s.fsync != FsyncNever {
-		for _, sf := range segs {
-			if sf.dirty {
-				if err := sf.af.sync(); err != nil {
-					return err
-				}
-				sf.dirty = false
-			}
-		}
+// syncUnlocked fsyncs the targets in parallel with s.mu released, then
+// raises each file's watermark to the size the target captured. Caller
+// holds s.mu; it is held again on return, and the store may have died
+// meanwhile. A failed fsync poisons the store. Under FsyncNever it does
+// nothing.
+func (s *Store) syncUnlocked(ts []syncTarget) error {
+	if s.fsync == FsyncNever || len(ts) == 0 {
+		return nil
 	}
+	s.mu.Unlock()
+	err := syncParallel(ts)
+	s.mu.Lock()
+	if err != nil {
+		return s.poison(err)
+	}
+	if s.dead != nil {
+		return s.dead
+	}
+	for _, t := range ts {
+		t.af.synced = max(t.af.synced, t.size)
+	}
+	return nil
+}
+
+// poison records a failed fsync. After one the kernel may have marked
+// the unwritten pages clean, so a retry could "succeed" over lost data:
+// the store fails the operation and every later one instead. Caller
+// holds s.mu.
+func (s *Store) poison(err error) error {
+	if s.dead == nil {
+		s.dead = fmt.Errorf("diskstore: fsync failed, store unusable: %w", err)
+	}
+	return s.dead
+}
+
+// commitPoint makes one durable decision once the segments rec
+// references are durable: append rec to the WAL, then fsync the WAL with
+// s.mu released. Caller holds s.commitMu and s.mu, and applies the
+// in-memory flip only after commitPoint returns nil.
+func (s *Store) commitPoint(rec []byte) error {
 	if s.crash == CrashBeforeWALSync {
 		return s.dieBeforeWALSync(rec)
 	}
@@ -329,12 +362,7 @@ func (s *Store) commitPoint(rec []byte, segs []*segFile) error {
 	if s.crash == CrashAfterWALSync {
 		return s.dieAfterWALSync()
 	}
-	if s.fsync != FsyncNever {
-		if err := s.wal.sync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.syncUnlocked(addTarget(nil, s.wal))
 }
 
 // Nodes returns the node count.
@@ -351,11 +379,18 @@ func (s *Store) Recovery() RecoveryReport {
 }
 
 // CommitStage promotes every shard staged under the token across all
-// nodes: touched segments are fsynced, then one commit record carrying
-// the epoch is appended and fsynced — the commit point — and only then
-// does the in-memory index flip. An error means the stripe did not
-// commit (after ErrCrashed, Open decides from what the log retained).
+// nodes: the segments holding them are fsynced in parallel, then one
+// commit record carrying the epoch is appended and fsynced — the commit
+// point — and only then does the in-memory index flip. Stages under the
+// token are refused while it runs. The record covers exactly the shards
+// still staged with the collected reference when it is appended (an
+// AbortStage, or a Stage of the key under another token, may have
+// dropped some during the segment fsyncs), which is what replay promotes
+// for it too. An error means the stripe did not commit (after
+// ErrCrashed, Open decides from what the log retained).
 func (s *Store) CommitStage(stage string, epoch int) (int, error) {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead != nil {
@@ -367,34 +402,50 @@ func (s *Store) CommitStage(stage string, epoch int) (int, error) {
 		ref shardRef
 	}
 	var flips []flip
-	var dirty []*segFile
+	var segs []syncTarget
 	for _, nd := range s.nodes {
 		for key, st := range nd.staged {
 			if st.stage != stage {
 				continue
 			}
 			flips = append(flips, flip{nd, key, st.ref})
-			if sf, ok := nd.segs[st.ref.seg]; ok && sf.dirty {
-				dirty = append(dirty, sf)
-			}
+			segs = addTarget(segs, nd.segs[st.ref.seg])
 		}
 	}
 	if len(flips) == 0 {
+		return 0, nil
+	}
+	s.committing, s.inCommit = stage, true
+	defer func() { s.inCommit = false }()
+	if err := s.syncUnlocked(segs); err != nil {
+		return 0, err
+	}
+	kept := flips[:0]
+	for _, f := range flips {
+		if f.nd.staged[f.key] == (stagedRef{stage, f.ref}) {
+			kept = append(kept, f)
+		}
+	}
+	if len(kept) == 0 {
 		return 0, nil
 	}
 	var r recBuf
 	r.u8(walCommit)
 	r.u64(uint64(epoch))
 	r.str16(stage)
-	if err := s.commitPoint(r.frame(), dirty); err != nil {
+	if err := s.commitPoint(r.frame()); err != nil {
 		return 0, err
 	}
-	for _, f := range flips {
+	for _, f := range kept {
+		// An AbortStage or a restage during the WAL fsync came after the
+		// record: the shard commits, and a newer stage stays parked.
+		if f.nd.staged[f.key] == (stagedRef{stage, f.ref}) {
+			delete(f.nd.staged, f.key)
+		}
 		f.ref.epoch = int64(epoch)
 		s.index.put(f.nd.id, f.key, f.ref, len(s.nodes))
-		delete(f.nd.staged, f.key)
 	}
-	return len(flips), nil
+	return len(kept), nil
 }
 
 // AbortStage drops every shard staged under the token. The abort record
@@ -428,15 +479,19 @@ func (s *Store) AbortStage(stage string) (int, error) {
 	return dropped, nil
 }
 
-// Close releases every file handle. The store must not be used after.
+// Close waits for a commit point in flight, then releases every file
+// handle. The store must not be used after. Closing a store a failed
+// fsync killed returns that failure.
 func (s *Store) Close() error {
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead != nil {
-		return nil // crashed or already closed; handles are gone
+	if s.dead == ErrClosed || s.dead == ErrCrashed {
+		return nil // handles are gone
 	}
-	var err error
-	if s.fsync != FsyncNever {
+	err := s.dead
+	if err == nil && s.fsync != FsyncNever {
 		err = s.wal.sync()
 	}
 	s.closeFiles()
@@ -450,10 +505,10 @@ func (s *Store) closeFiles() {
 		s.wal.close()
 	}
 	for _, nd := range s.nodes {
-		for _, sf := range nd.segs {
-			sf.af.close()
+		for _, af := range nd.segs {
+			af.close()
 		}
-		nd.segs = make(map[uint32]*segFile)
+		nd.segs = make(map[uint32]*appendFile)
 	}
 }
 
@@ -479,6 +534,8 @@ func checkNames(object, stage string) error {
 // flip.
 func (nd *diskNode) Put(sh store.Shard) error {
 	s := nd.s
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead != nil {
@@ -491,12 +548,14 @@ func (nd *diskNode) Put(sh store.Shard) error {
 	if err != nil {
 		return err
 	}
+	if err := s.syncUnlocked(addTarget(nil, nd.segs[ref.seg])); err != nil {
+		return err
+	}
 	var r recBuf
 	r.u8(walPut)
 	writeRefTo(&r, nd.id, ref, sh.Key.Index, sh.Key.Chunk)
 	r.str16(sh.Key.Object)
-	sf := nd.segs[ref.seg]
-	if err := s.commitPoint(r.frame(), []*segFile{sf}); err != nil {
+	if err := s.commitPoint(r.frame()); err != nil {
 		return err
 	}
 	s.index.put(nd.id, sh.Key, ref, len(s.nodes))
@@ -523,12 +582,12 @@ func (nd *diskNode) Get(key store.ShardKey) (store.Shard, bool, error) {
 
 // readBody reads one shard's bytes. Caller holds s.mu.
 func (nd *diskNode) readBody(ref shardRef) ([]byte, error) {
-	sf, err := nd.seg(ref.seg)
+	af, err := nd.seg(ref.seg)
 	if err != nil {
 		return nil, err
 	}
 	data := make([]byte, ref.dlen)
-	if _, err := sf.af.f.ReadAt(data, ref.bodyOff()); err != nil {
+	if _, err := af.f.ReadAt(data, ref.bodyOff()); err != nil {
 		return nil, fmt.Errorf("diskstore: node %d seg %d: %w", nd.id, ref.seg, err)
 	}
 	return data, nil
@@ -541,13 +600,15 @@ func (nd *diskNode) readBody(ref shardRef) ([]byte, error) {
 // space reclaim is a compaction concern, not a correctness one.
 func (nd *diskNode) Delete(key store.ShardKey) error {
 	s := nd.s
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead != nil {
 		return s.dead
 	}
 	_, committed := s.index.get(nd.id, key)
-	_, parked := nd.staged[key]
+	st, parked := nd.staged[key]
 	if !committed && !parked {
 		return nil
 	}
@@ -557,17 +618,22 @@ func (nd *diskNode) Delete(key store.ShardKey) error {
 	r.u32(uint32(key.Index))
 	r.u32(uint32(key.Chunk))
 	r.str16(key.Object)
-	if err := s.commitPoint(r.frame(), nil); err != nil {
+	if err := s.commitPoint(r.frame()); err != nil {
 		return err
 	}
 	s.index.del(nd.id, key)
-	delete(nd.staged, key)
+	// A stage of the key during the WAL fsync came after the record and
+	// survives it, in memory as in replay.
+	if cur, ok := nd.staged[key]; parked && ok && cur == st {
+		delete(nd.staged, key)
+	}
 	return nil
 }
 
 // Stage parks a shard under the token: body append plus a stage record,
 // neither individually fsynced under the default policy — durability
-// comes at the commit point, which fsyncs in the right order.
+// comes at the commit point, which fsyncs in the right order. A token
+// whose CommitStage is in flight is refused.
 func (nd *diskNode) Stage(stage string, sh store.Shard) error {
 	s := nd.s
 	s.mu.Lock()
@@ -577,6 +643,9 @@ func (nd *diskNode) Stage(stage string, sh store.Shard) error {
 	}
 	if err := checkNames(sh.Key.Object, stage); err != nil {
 		return err
+	}
+	if s.inCommit && s.committing == stage {
+		return fmt.Errorf("%w: %q", errStageCommitting, stage)
 	}
 	ref, err := nd.appendShard(sh.Key, sh.Data, sh.Epoch)
 	if err != nil {
@@ -590,12 +659,10 @@ func (nd *diskNode) Stage(stage string, sh store.Shard) error {
 	if _, err := s.wal.append(r.frame()); err != nil {
 		return err
 	}
-	if s.fsync == FsyncAlways {
-		if err := s.wal.sync(); err != nil {
-			return err
-		}
-	}
 	nd.staged[sh.Key] = stagedRef{stage: stage, ref: ref}
+	if s.fsync == FsyncAlways {
+		return s.syncUnlocked(addTarget(addTarget(nil, nd.segs[ref.seg]), s.wal))
+	}
 	return nil
 }
 
@@ -637,17 +704,17 @@ func (nd *diskNode) Corrupt(key store.ShardKey, bit int) bool {
 	if !ok || bit < 0 || bit >= int(ref.dlen)*8 {
 		return false
 	}
-	sf, err := nd.seg(ref.seg)
+	af, err := nd.seg(ref.seg)
 	if err != nil {
 		return false
 	}
 	pos := ref.bodyOff() + int64(bit/8)
 	var b [1]byte
-	if _, err := sf.af.f.ReadAt(b[:], pos); err != nil {
+	if _, err := af.f.ReadAt(b[:], pos); err != nil {
 		return false
 	}
 	b[0] ^= 1 << (bit % 8)
-	_, err = sf.af.f.WriteAt(b[:], pos)
+	_, err = af.f.WriteAt(b[:], pos)
 	return err == nil
 }
 

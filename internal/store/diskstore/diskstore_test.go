@@ -8,7 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"securearchive/internal/store"
@@ -512,29 +515,60 @@ func TestIndexEntryLimits(t *testing.T) {
 	s.Close()
 }
 
-// BenchmarkCommitStage14 is the store's share of one small PUT in the
-// benchmark's shape: 14 shards of 1.6 KiB staged one per node, then one
-// commit point (up to 14 segment fsyncs and the WAL fsync).
+// commitStripe14 stages 14 shards of 1.6 KiB one per node under a
+// token of its own and commits them: the store's share of one small PUT
+// in the benchmark's shape.
+func commitStripe14(s *Store, i int64) error {
+	body := bytes.Repeat([]byte{0xA5}, 1639)
+	obj, tok := fmt.Sprintf("bench/obj-%d", i), fmt.Sprintf("vault:bench/obj-%d#%d", i, i)
+	for n := 0; n < 14; n++ {
+		if err := s.Node(n).Stage(tok, store.Shard{Key: key(obj, n, 0), Data: body}); err != nil {
+			return err
+		}
+	}
+	if n, err := s.CommitStage(tok, 0); n != 14 || err != nil {
+		return fmt.Errorf("CommitStage: n=%d err=%v", n, err)
+	}
+	return nil
+}
+
+// BenchmarkCommitStage14 is one client's small PUTs: each commit point
+// fsyncs up to 14 segments, in parallel, then the WAL.
 func BenchmarkCommitStage14(b *testing.B) {
 	s, err := Open(b.TempDir(), 14, WithFsync(FsyncCommit))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	body := bytes.Repeat([]byte{0xA5}, 1639)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		obj, tok := fmt.Sprintf("bench/obj-%d", i), fmt.Sprintf("vault:bench/obj-%d#%d", i, i)
-		for n := 0; n < 14; n++ {
-			if err := s.Node(n).Stage(tok, store.Shard{Key: key(obj, n, 0), Data: body}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if n, err := s.CommitStage(tok, 0); n != 14 || err != nil {
-			b.Fatalf("CommitStage: n=%d err=%v", n, err)
+		if err := commitStripe14(s, int64(i)); err != nil {
+			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCommitStage14Parallel is the same PUTs from GOMAXPROCS
+// clients at once, each under its own tokens: commit points queue behind
+// one another, stages run beside them.
+func BenchmarkCommitStage14Parallel(b *testing.B) {
+	s, err := Open(b.TempDir(), 14, WithFsync(FsyncCommit))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	var seq atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := commitStripe14(s, seq.Add(1)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // TestReplayCutsLogAtFirstBadFrame feeds the frame-by-frame replay every
@@ -585,6 +619,343 @@ func TestReplayCutsLogAtFirstBadFrame(t *testing.T) {
 			if rep := s3.Recovery(); rep.Shards != 4 || rep.WALBytesDropped != 0 {
 				t.Fatalf("second recovery %+v, want 4 shards and a whole log", rep)
 			}
+		})
+	}
+}
+
+// syncGuard bounds how long a test waits for an operation that a held
+// fsync must not block. It is not a measurement: such an operation
+// finishes within milliseconds, and one serialised behind the held
+// fsync never does, so the guard only turns a deadlock into a failure.
+const syncGuard = 10 * time.Second
+
+// holdSyncs swaps the fsync seam so that every fsync of a file whose
+// name ends in suffix (".seg" or "wal") blocks until release is called;
+// held is closed when the first one arrives. Other fsyncs pass through.
+// At cleanup it releases, closes s (which waits out a commit point in
+// flight) and restores the seam.
+func holdSyncs(t *testing.T, s *Store, suffix string) (held <-chan struct{}, release func()) {
+	arrived, gate := make(chan struct{}), make(chan struct{})
+	var arrive, open sync.Once
+	release = func() { open.Do(func() { close(gate) }) }
+	orig := syncFile
+	syncFile = func(f *os.File) error {
+		if strings.HasSuffix(f.Name(), suffix) {
+			arrive.Do(func() { close(arrived) })
+			<-gate
+		}
+		return orig(f)
+	}
+	t.Cleanup(func() {
+		release()
+		s.Close()
+		syncFile = orig
+	})
+	return arrived, release
+}
+
+// await returns the next value from c, failing the test if none arrives
+// within syncGuard.
+func await[T any](t *testing.T, c <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-c:
+		return v
+	case <-time.After(syncGuard):
+		t.Fatalf("%s: still blocked after %v", what, syncGuard)
+	}
+	var zero T
+	return zero
+}
+
+type commitResult struct {
+	n   int
+	err error
+}
+
+func commitAsync(s *Store, tok string, epoch int) <-chan commitResult {
+	c := make(chan commitResult, 1)
+	go func() {
+		n, err := s.CommitStage(tok, epoch)
+		c <- commitResult{n, err}
+	}()
+	return c
+}
+
+// checkStripe fails unless obj's shard on each node is committed with
+// the data and epoch given (want[i]) or absent (!want[i]).
+func checkStripe(t *testing.T, s *Store, when, obj string, data []byte, epoch int, want ...bool) {
+	t.Helper()
+	for i, w := range want {
+		sh, ok, err := s.Node(i).Get(key(obj, i, 0))
+		if err != nil || ok != w || (ok && (sh.Epoch != epoch || !bytes.Equal(sh.Data, data))) {
+			t.Fatalf("%s: %s on node %d = %+v ok=%v err=%v, want present=%v at epoch %d", when, obj, i, sh, ok, err, w, epoch)
+		}
+	}
+}
+
+// TestHeldCommitFsyncBlocksNoOtherOp: while a commit point's segment
+// fsync is held, a Get of a committed key, a Stage under another token
+// and a byte count all finish. Any of them waiting on the commit's fsync
+// fails it after syncGuard, on one core as on many.
+func TestHeldCommitFsyncBlocksNoOtherOp(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 3)
+	if err := s.Node(0).Put(store.Shard{Key: key("c", 0, 0), Epoch: 1, Data: []byte("committed")}); err != nil {
+		t.Fatal(err)
+	}
+	stageStripe(t, s, "v", "t1", []byte("victim"))
+	held, release := holdSyncs(t, s, ".seg")
+	done := commitAsync(s, "t1", 2)
+	await(t, held, "the commit's segment fsync")
+	others := make(chan error, 1)
+	go func() {
+		sh, ok, err := s.Node(0).Get(key("c", 0, 0))
+		if err == nil && (!ok || string(sh.Data) != "committed") {
+			err = fmt.Errorf("Get = %+v ok=%v", sh, ok)
+		}
+		if err == nil {
+			err = s.Node(1).Stage("t2", store.Shard{Key: key("w", 1, 0), Data: []byte("other")})
+		}
+		if got := s.Node(0).StoredBytes(); err == nil && got != int64(len("committed")+len("victim")) {
+			err = fmt.Errorf("StoredBytes = %d", got)
+		}
+		others <- err
+	}()
+	if err := await(t, others, "Get, Stage and StoredBytes beside a held commit fsync"); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if r := await(t, done, "CommitStage"); r.n != 3 || r.err != nil {
+		t.Fatalf("CommitStage = %d, %v", r.n, r.err)
+	}
+	checkStripe(t, s, "after release", "v", []byte("victim"), 2, true, true, true)
+}
+
+// TestCommitPointsStaySerial: a second CommitStage issued while the
+// first one's segment fsync is held finishes only after the release,
+// and each stripe commits with its own epoch, in memory and on replay.
+func TestCommitPointsStaySerial(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 3)
+	stageStripe(t, s, "a", "t1", []byte("first"))
+	stageStripe(t, s, "b", "t2", []byte("second"))
+	held, release := holdSyncs(t, s, ".seg")
+	first := commitAsync(s, "t1", 1)
+	await(t, held, "the first commit's segment fsync")
+	second := commitAsync(s, "t2", 2)
+	select {
+	case r := <-second:
+		t.Fatalf("second CommitStage returned (%d, %v) while the first one's fsync was held", r.n, r.err)
+	default:
+	}
+	release()
+	for name, c := range map[string]<-chan commitResult{"first": first, "second": second} {
+		if r := await(t, c, name+" CommitStage"); r.n != 3 || r.err != nil {
+			t.Fatalf("%s CommitStage = %d, %v", name, r.n, r.err)
+		}
+	}
+	checkStripe(t, s, "in memory", "a", []byte("first"), 1, true, true, true)
+	checkStripe(t, s, "in memory", "b", []byte("second"), 2, true, true, true)
+	s.Close()
+	s2 := mustOpen(t, dir, 3)
+	defer s2.Close()
+	checkStripe(t, s2, "after replay", "a", []byte("first"), 1, true, true, true)
+	checkStripe(t, s2, "after replay", "b", []byte("second"), 2, true, true, true)
+}
+
+// TestCloseDuringHeldCommitFsync: Close issued while a commit's segment
+// fsync is held waits for that commit point, returns cleanly, and the
+// directory reopens with the stripe committed and no orphans.
+func TestCloseDuringHeldCommitFsync(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 3)
+	stageStripe(t, s, "v", "t1", []byte("kept"))
+	held, release := holdSyncs(t, s, ".seg")
+	done := commitAsync(s, "t1", 4)
+	await(t, held, "the commit's segment fsync")
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	release()
+	if r := await(t, done, "CommitStage"); r.n != 3 || r.err != nil {
+		t.Fatalf("CommitStage = %d, %v", r.n, r.err)
+	}
+	if err := await(t, closed, "Close"); err != nil {
+		t.Fatalf("Close = %v", err)
+	}
+	s2 := mustOpen(t, dir, 3)
+	defer s2.Close()
+	if rep := s2.Recovery(); rep.OrphanedStages != 0 || rep.InvalidRefs != 0 || rep.Shards != 3 {
+		t.Fatalf("recovery = %+v, want 3 shards and no orphans", rep)
+	}
+	checkStripe(t, s2, "after reopen", "v", []byte("kept"), 4, true, true, true)
+}
+
+// TestStageRefusedWhileItsTokenCommits: a shard staged under a token
+// after its CommitStage collected what to fsync would be named by the
+// commit record without having been fsynced, so Stage refuses it.
+func TestStageRefusedWhileItsTokenCommits(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 3)
+	stageStripe(t, s, "v", "t1", []byte("victim"))
+	held, release := holdSyncs(t, s, ".seg")
+	done := commitAsync(s, "t1", 1)
+	await(t, held, "the commit's segment fsync")
+	if err := s.Node(0).Stage("t1", store.Shard{Key: key("late", 0, 0), Data: []byte("late")}); !errors.Is(err, errStageCommitting) {
+		t.Fatalf("Stage under the committing token = %v, want errStageCommitting", err)
+	}
+	release()
+	if r := await(t, done, "CommitStage"); r.n != 3 || r.err != nil {
+		t.Fatalf("CommitStage = %d, %v", r.n, r.err)
+	}
+	if _, ok, _ := s.Node(0).Get(key("late", 0, 0)); ok || s.Node(0).StagedCount() != 0 {
+		t.Fatalf("refused shard left behind: visible=%v staged=%d", ok, s.Node(0).StagedCount())
+	}
+	// The token is free again once its commit point is over.
+	if err := s.Node(0).Stage("t1", store.Shard{Key: key("late", 0, 0), Data: []byte("late")}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRacingStageOpsAgreeWithReplay: an AbortStage of the committing
+// token, or a Stage of one of its keys under another token, lands while
+// the commit point's segment fsync or its WAL fsync is held. Before the
+// commit record it removes shards from the commit; after it, it does
+// not. Either way memory must hold exactly what replay rebuilds.
+func TestRacingStageOpsAgreeWithReplay(t *testing.T) {
+	for _, tc := range []struct {
+		op, hold  string
+		n         int    // shards CommitStage reports committed
+		committed []bool // per node, after the commit
+		parked    int    // shards left staged (under t2), orphans at replay
+	}{
+		{"abort", ".seg", 0, []bool{false, false, false}, 0},
+		{"abort", "wal", 3, []bool{true, true, true}, 0},
+		{"restage", ".seg", 2, []bool{false, true, true}, 1},
+		{"restage", "wal", 3, []bool{true, true, true}, 1},
+	} {
+		t.Run(tc.op+" during "+tc.hold+" fsync", func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, 3)
+			stageStripe(t, s, "v", "t1", []byte("victim"))
+			held, release := holdSyncs(t, s, tc.hold)
+			done := commitAsync(s, "t1", 3)
+			await(t, held, "the commit's fsync")
+			switch tc.op {
+			case "abort":
+				if n, err := s.AbortStage("t1"); n != 3 || err != nil {
+					t.Fatalf("AbortStage = %d, %v", n, err)
+				}
+			case "restage":
+				if err := s.Node(0).Stage("t2", store.Shard{Key: key("v", 0, 0), Data: []byte("newer")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			release()
+			if r := await(t, done, "CommitStage"); r.n != tc.n || r.err != nil {
+				t.Fatalf("CommitStage = %d, %v; want %d", r.n, r.err, tc.n)
+			}
+			checkStripe(t, s, "in memory", "v", []byte("victim"), 3, tc.committed...)
+			if got := s.Node(0).StagedCount(); got != tc.parked {
+				t.Fatalf("node 0 StagedCount = %d, want %d", got, tc.parked)
+			}
+			s.Close()
+			s2 := mustOpen(t, dir, 3)
+			defer s2.Close()
+			checkStripe(t, s2, "after replay", "v", []byte("victim"), 3, tc.committed...)
+			if rep := s2.Recovery(); rep.OrphanedStages != tc.parked || rep.InvalidRefs != 0 {
+				t.Fatalf("recovery = %+v, want %d orphans", rep, tc.parked)
+			}
+		})
+	}
+}
+
+// TestFailedFsyncPoisonsTheStore: a segment or WAL fsync that fails
+// fails its commit and every later operation, even once fsync works
+// again — nothing retries an fsync whose pages the kernel may have
+// dropped.
+func TestFailedFsyncPoisonsTheStore(t *testing.T) {
+	injected := errors.New("injected EIO")
+	orig := syncFile
+	t.Cleanup(func() { syncFile = orig })
+	for _, suffix := range []string{".seg", "wal"} {
+		t.Run(suffix, func(t *testing.T) {
+			s := mustOpen(t, t.TempDir(), 3)
+			if err := s.Node(0).Put(store.Shard{Key: key("c", 0, 0), Data: []byte("before")}); err != nil {
+				t.Fatal(err)
+			}
+			stageStripe(t, s, "v", "t1", []byte("victim"))
+			syncFile = func(f *os.File) error {
+				if strings.HasSuffix(f.Name(), suffix) {
+					return injected
+				}
+				return orig(f)
+			}
+			if _, err := s.CommitStage("t1", 1); !errors.Is(err, injected) {
+				t.Fatalf("CommitStage = %v, want the injected fsync failure", err)
+			}
+			syncFile = orig
+			for _, c := range []struct {
+				name string
+				call func() error
+			}{
+				{"Get", func() error { _, _, err := s.Node(0).Get(key("c", 0, 0)); return err }},
+				{"Put", func() error { return s.Node(1).Put(store.Shard{Key: key("p", 1, 0), Data: []byte("x")}) }},
+				{"Stage", func() error { return s.Node(1).Stage("t2", store.Shard{Key: key("q", 1, 0), Data: []byte("x")}) }},
+				{"CommitStage", func() error { _, err := s.CommitStage("t1", 2); return err }},
+				{"Delete", func() error { return s.Node(0).Delete(key("c", 0, 0)) }},
+				{"Close", s.Close},
+			} {
+				if err := c.call(); !errors.Is(err, injected) {
+					t.Fatalf("%s after a failed fsync = %v, want the injected failure", c.name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestCrashWithBystanderInFlight is the crash matrix's two commit-point
+// cells with a second token staged while the victim's segment fsync is
+// held. After reopen the victim is wholly absent (crash before the WAL
+// sync) or wholly present (after it), earlier commits are intact, and
+// the bystander is gone: its stage records reached the log, but its
+// bodies were appended after the sizes the fsync vouched for, so the
+// simulated power cut drops them and replay discards the records as
+// invalid references.
+func TestCrashWithBystanderInFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cp        CrashPoint
+		committed bool
+		orphans   int
+	}{
+		{"CrashBeforeWALSync", CrashBeforeWALSync, false, 3},
+		{"CrashAfterWALSync", CrashAfterWALSync, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, 3)
+			stageStripe(t, s, "base", "t0", []byte("baseline"))
+			if _, err := s.CommitStage("t0", 1); err != nil {
+				t.Fatal(err)
+			}
+			stageStripe(t, s, "victim", "t1", []byte("victim"))
+			s.SetCrashPoint(tc.cp)
+			held, release := holdSyncs(t, s, ".seg")
+			done := commitAsync(s, "t1", 2)
+			await(t, held, "the victim's segment fsync")
+			stageStripe(t, s, "bystander", "t2", []byte("bystander"))
+			release()
+			if r := await(t, done, "CommitStage"); !errors.Is(r.err, ErrCrashed) {
+				t.Fatalf("CommitStage = %d, %v; want ErrCrashed", r.n, r.err)
+			}
+			s2 := mustOpen(t, dir, 3)
+			defer s2.Close()
+			if rep := s2.Recovery(); rep.OrphanedStages != tc.orphans || rep.InvalidRefs != 3 {
+				t.Fatalf("recovery = %+v, want %d orphans and the bystander's 3 invalid refs", rep, tc.orphans)
+			}
+			all := []bool{tc.committed, tc.committed, tc.committed}
+			checkStripe(t, s2, "after reopen", "victim", []byte("victim"), 2, all...)
+			checkStripe(t, s2, "after reopen", "bystander", nil, 0, false, false, false)
+			checkStripe(t, s2, "after reopen", "base", []byte("baseline"), 1, true, true, true)
 		})
 	}
 }

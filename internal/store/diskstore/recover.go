@@ -18,8 +18,10 @@ type RecoveryReport struct {
 	// token never reached a commit record.
 	OrphanedStages int
 	// InvalidRefs counts WAL records dropped because their segment
-	// reference failed validation (bytes torn or missing — possible only
-	// under the "never" fsync policy or outside crash simulation).
+	// reference failed validation (bytes torn or missing). A committed
+	// record's bodies were fsynced first, so only the "never" policy or
+	// damage outside the protocol leaves one invalid; a stage record can
+	// be, when a later WAL fsync made it durable but not its body.
 	InvalidRefs int
 	// Shards is the number of committed shards indexed after replay.
 	Shards int
@@ -161,9 +163,9 @@ func (s *Store) applyRecord(payload []byte) {
 // validRef cross-checks a replayed reference against the segment bytes
 // it claims to describe.
 func (nd *diskNode) validRef(rec walShardRecord) bool {
-	sf, err := nd.seg(rec.ref.seg)
+	af, err := nd.seg(rec.ref.seg)
 	if err != nil {
 		return false
 	}
-	return checkSegHeader(sf.af.f, sf.af.size, rec.ref, rec.object, rec.index, rec.chunk) == nil
+	return checkSegHeader(af.f, af.size, rec.ref, rec.object, rec.index, rec.chunk) == nil
 }

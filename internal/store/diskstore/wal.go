@@ -2,10 +2,12 @@ package diskstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
+	"sync"
 )
 
 // The write-ahead log is the store's source of truth: segment files hold
@@ -80,16 +82,62 @@ func (a *appendFile) append(b []byte) (int64, error) {
 	return off, nil
 }
 
+// syncFile is every fsync the store issues. It is a variable only so
+// that tests can hold or fail an fsync; nothing else assigns it.
+var syncFile = (*os.File).Sync
+
 // sync fsyncs and advances the durable watermark.
 func (a *appendFile) sync() error {
 	if a.synced == a.size {
 		return nil
 	}
-	if err := a.f.Sync(); err != nil {
+	if err := syncFile(a.f); err != nil {
 		return err
 	}
 	a.synced = a.size
 	return nil
+}
+
+// syncTarget is a file to fsync and the size it had when the target was
+// taken: the prefix the fsync is sure to cover, whatever is appended
+// while it runs.
+type syncTarget struct {
+	af   *appendFile
+	size int64
+}
+
+// addTarget lists af at its current size unless it has nothing unsynced
+// or is listed already.
+func addTarget(ts []syncTarget, af *appendFile) []syncTarget {
+	if af.synced >= af.size {
+		return ts
+	}
+	for _, t := range ts {
+		if t.af == af {
+			return ts
+		}
+	}
+	return append(ts, syncTarget{af, af.size})
+}
+
+// syncParallel fsyncs every target's file, one goroutine per file, and
+// returns once all have finished. It touches no watermark, so it may
+// run without the lock that guards them.
+func syncParallel(ts []syncTarget) error {
+	if len(ts) == 1 {
+		return syncFile(ts[0].af.f)
+	}
+	errs := make([]error, len(ts))
+	var wg sync.WaitGroup
+	wg.Add(len(ts))
+	for i, t := range ts {
+		go func() {
+			defer wg.Done()
+			errs[i] = syncFile(t.af.f)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // truncate cuts the file to n bytes (crash simulation and torn-tail

@@ -137,10 +137,13 @@ type Config struct {
 	// node plus the shared WAL). Required for BackendDisk.
 	Dir string
 	// Fsync is the disk backend's durability policy: "commit" (the
-	// default — data is fsynced before each commit record, the commit
-	// record's fsync is the commit point), "always" (every append
-	// synced) or "never" (benchmark mode: no durability across power
-	// loss, though the log still recovers from process kill).
+	// default — the segment files a commit record references are
+	// fsynced, in parallel, before it is appended, and the record's
+	// fsync is the commit point), "always" (every stage's append and
+	// record synced too) or "never" (benchmark mode: no durability
+	// across power loss, though the log still recovers from process
+	// kill). Under the first two, a failed fsync fails that operation
+	// and every later one: nothing retries it.
 	Fsync string
 	// MaxSegmentBytes caps each append-only segment file before the
 	// writer rolls to a new one; 0 selects the disk backend's default.
