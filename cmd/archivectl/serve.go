@@ -16,7 +16,6 @@ import (
 	"securearchive/internal/api"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/monitor"
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
 )
@@ -26,9 +25,9 @@ import (
 const shutdownGrace = 10 * time.Second
 
 // cmdServe runs the archive service: the full /v1 object API (streaming
-// put/get, delete, scrub, renew — see internal/api) plus the monitoring
-// plane (/metrics, /snapshot, /traces, /healthz, /debug/pprof) on one
-// listener, over an in-memory vault. Optionally it seeds objects,
+// put/get, delete, scrub, renew — see internal/api) plus its operations
+// plane (/metrics, /snapshot, /traces, /slo, /healthz, /debug/pprof) on
+// one listener, over an in-memory vault. Optionally it seeds objects,
 // installs a fault plan, and keeps issuing background reads so the
 // monitoring endpoints show a live system.
 //
@@ -55,8 +54,8 @@ func cmdServe(args []string) {
 	corrupt := fs.Float64("corrupt", 0, "per-read bit-rot probability")
 	interval := fs.Duration("interval", 250*time.Millisecond, "delay between background reads (0 = no background load)")
 	journal := fs.String("journal", "", "append completed traces to this JSONL file")
-	maxDegraded := fs.Float64("max-degraded-rate", monitor.DefaultMaxDegradedRate, "healthz: max degraded/failed read fraction")
-	maxBacklog := fs.Int("max-scrub-backlog", monitor.DefaultMaxScrubBacklog, "healthz: max dirty objects awaiting scrub")
+	maxDegraded := fs.Float64("max-degraded-rate", api.DefaultMaxDegradedRate, "healthz: max degraded/failed read fraction")
+	maxBacklog := fs.Int("max-scrub-backlog", api.DefaultMaxScrubBacklog, "healthz: max dirty objects awaiting scrub")
 	duration := fs.Duration("duration", 0, "exit after this long (0 = serve until killed)")
 	rate := fs.Float64("rate", 0, "per-tenant request rate limit in ops/sec (0 = unlimited)")
 	burst := fs.Float64("burst", 0, "rate limiter burst (default: max(1, rate))")
@@ -109,27 +108,15 @@ func cmdServe(args []string) {
 		}})
 	}
 
-	mon := &monitor.Server{
-		Vault:    v,
-		Cluster:  c,
-		Registry: obs.Default(),
-		Tracer:   tr,
-		Thresholds: monitor.Thresholds{
-			MaxScrubBacklog: *maxBacklog,
-			MaxDegradedRate: *maxDegraded,
-		},
-	}
+	// The server, the vault and the cluster share obs.Default() and the
+	// default tracer. /healthz judges the degraded-read rate over a
+	// sliding window (also sampled on the ticker below), so health
+	// recovers once an incident slides out of view.
 	svc := api.NewServer(v, api.Config{
 		DefaultQuota: api.Quota{MaxBytes: *quotaBytes, MaxObjects: *quotaObjects},
 		Rate:         api.RateConfig{OpsPerSec: *rate, Burst: *burst},
-		Monitor:      mon,
+		Health:       api.Thresholds{MaxScrubBacklog: *maxBacklog, MaxDegradedRate: *maxDegraded},
 	})
-	// The monitor serves the api server's per-tenant SLO table at /slo,
-	// and /healthz judges the degraded-read rate over a sliding window
-	// (sampled below) instead of lifetime counters, so health recovers
-	// once an incident slides out of view.
-	mon.SLO = svc.SLOTable()
-	mon.EnableWindowedHealth(0, 0)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -142,7 +129,18 @@ func cmdServe(args []string) {
 	// the metrics and traces moving so the endpoints show a live system,
 	// not a frozen seed.
 	stop := make(chan struct{})
-	mon.StartHealthSampler(stop, 0)
+	go func() {
+		t := time.NewTicker(obs.DefaultSLOInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case now := <-t.C:
+				svc.SampleHealth(now)
+			}
+		}
+	}()
 	if *interval > 0 && *objects > 0 {
 		go func() {
 			i := 0

@@ -286,10 +286,7 @@ func runFaults(epochs int, seed int64, transient float64, offline int, corrupt f
 	// table reads the counters back, so `archivectl stats`-style snapshots
 	// of the same run agree with what is printed here.
 	reg := obs.Default()
-	retryBase := reg.Counter("cluster.retry.attempts").Load()
-	discardBase := reg.Counter("cluster.fetch.discarded").Load()
-	degradedBase := reg.Counter("cluster.fetch.degraded").Load()
-	shortBase := reg.Counter("cluster.fetch.short").Load()
+	base := reg.Snapshot()
 	outcome := func(name, kind string) *obs.Counter {
 		return reg.Counter("faults." + name + ".read." + kind)
 	}
@@ -318,11 +315,10 @@ func runFaults(epochs int, seed int64, transient float64, offline int, corrupt f
 			sys[name].Name(), ok, epochs, bad, failed, 100*float64(ok)/float64(epochs))
 	}
 	w.Flush()
-	fmt.Printf("read-path telemetry: %d transient retries, %d shards discarded by validation, %d degraded stripe reads, %d short of threshold\n",
-		reg.Counter("cluster.retry.attempts").Load()-retryBase,
-		reg.Counter("cluster.fetch.discarded").Load()-discardBase,
-		reg.Counter("cluster.fetch.degraded").Load()-degradedBase,
-		reg.Counter("cluster.fetch.short").Load()-shortBase)
+	end := reg.Snapshot()
+	moved := func(family string) int64 { return end.Sum(family) - base.Sum(family) }
+	fmt.Printf("read-path telemetry: %d transient faults retried, %d shards discarded by validation, %d degraded stripe reads, %d short of threshold\n",
+		moved("cluster.retry"), moved("cluster.discard"), moved("cluster.fetch.degraded"), moved("cluster.fetch.short"))
 	fmt.Println()
 }
 

@@ -111,14 +111,15 @@ func main() {
 	// Epilogue: the whole story is visible in the metrics registry the
 	// vault and cluster recorded into along the way — retries, discarded
 	// shards with per-node attribution, degraded reads, scrub repairs.
+	// A per-node family's total is the sum of its series.
 	snap := obs.Default().Snapshot()
 	fmt.Println("\n--- telemetry of the run (obs.Default().Snapshot()) ---")
+	for _, name := range []string{"cluster.retry", "cluster.probe", "cluster.discard"} {
+		fmt.Printf("%-32s %d\n", name+"{node=*}", snap.Sum(name))
+	}
 	for _, name := range []string{
-		"cluster.retry.attempts",
-		"cluster.fetch.probes",
+		`cluster.discard{node="05"}`,
 		"cluster.fetch.degraded",
-		"cluster.fetch.discarded",
-		"cluster.fetch.discarded.node05",
 		"cluster.stage.abort",
 		"cluster.stage.commit",
 		"vault.read.discarded",

@@ -49,7 +49,7 @@ func TestGetChainFailureReachesTheClient(t *testing.T) {
 				// Corrupt the object's commitment inside the vault.
 				ref := v.Chain(api.DefaultTenant + "/doc").Links[0].Ref
 				ref[0] ^= 1
-				errsBefore := reg.Snapshot().Counters["api.get.errors"]
+				errsBefore := reg.Snapshot().Histograms["api.get.err"].Count
 
 				if got, err := cl.GetBytes(ctx, "doc"); !errors.Is(err, io.ErrUnexpectedEOF) {
 					t.Fatalf("client.GetBytes = %d bytes, %v; want io.ErrUnexpectedEOF", len(got), err)
@@ -72,8 +72,8 @@ func TestGetChainFailureReachesTheClient(t *testing.T) {
 					t.Fatal("the bytes that were sent are not a prefix of the object")
 				}
 
-				if got := reg.Snapshot().Counters["api.get.errors"] - errsBefore; got != 2 {
-					t.Fatalf("api.get.errors moved by %d, want 2", got)
+				if got := reg.Snapshot().Histograms["api.get.err"].Count - errsBefore; got != 2 {
+					t.Fatalf("api.get.err moved by %d, want 2", got)
 				}
 				if st := v.CacheStats(); st != nil && (st.Entries != 0 || st.Bytes != 0) {
 					t.Fatalf("rejected object entered the read cache: %+v", st)

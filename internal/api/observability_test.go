@@ -16,47 +16,51 @@ import (
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
 	"securearchive/internal/group"
-	"securearchive/internal/monitor"
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
 )
 
-// newObsService wires every layer to ONE registry and ONE tracer — the
-// production shape archivectl serve uses — so the tests below can watch
-// a request cross client → HTTP → api → vault → cluster and come out as
-// a single joined trace with labeled metrics on every level.
-func newObsService(t *testing.T, cfg api.Config) (*client.Client, *api.Server, *obs.Registry, *trace.Tracer) {
+// plane is one service wired to ONE registry and ONE tracer (enabled) —
+// the production shape archivectl serve uses — so the tests below can
+// watch a request cross client → HTTP → api → vault → cluster and come
+// out as a single joined trace with labelled series on every level, and
+// can read the server's operations plane.
+type plane struct {
+	srv *api.Server
+	v   *core.Vault
+	c   *cluster.Cluster
+	reg *obs.Registry
+	tr  *trace.Tracer
+	url string
+}
+
+func newPlane(t *testing.T, cfg api.Config) *plane {
 	t.Helper()
-	reg := obs.NewRegistry()
-	tr := trace.New(reg)
-	tr.SetEnabled(true)
-	c := cluster.New(8, nil)
-	c.UseRegistry(reg)
-	t.Cleanup(func() { c.Close() })
-	v, err := core.NewVault(c, core.Erasure{K: 4, N: 8},
+	p := &plane{reg: obs.NewRegistry(), c: cluster.New(8, nil)}
+	p.tr = trace.New(p.reg)
+	p.tr.SetEnabled(true)
+	p.c.UseRegistry(p.reg)
+	t.Cleanup(func() { p.c.Close() })
+	var err error
+	p.v, err = core.NewVault(p.c, core.Erasure{K: 4, N: 8},
 		core.WithGroup(group.Test()), core.WithChunkSize(testChunk),
-		core.WithRegistry(reg), core.WithTracer(tr))
+		core.WithRegistry(p.reg), core.WithTracer(p.tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Registry = reg
-	cfg.Tracer = tr
-	as := api.NewServer(v, cfg)
-	srv := httptest.NewServer(as.Handler())
-	t.Cleanup(srv.Close)
-	cl := client.New(srv.URL)
-	cl.Tracer = tr
-	return cl, as, reg, tr
+	cfg.Registry = p.reg
+	cfg.Tracer = p.tr
+	p.srv = api.NewServer(p.v, cfg)
+	hs := httptest.NewServer(p.srv.Handler())
+	t.Cleanup(hs.Close)
+	p.url = hs.URL
+	return p
 }
 
-// monitorGet serves a monitor bound to the same registry/tracer/SLO
-// table and fetches one path from it.
-func monitorGet(t *testing.T, reg *obs.Registry, tr *trace.Tracer, slo *obs.SLOTable, path string) (int, string) {
+// get fetches one path from the server and returns status and body.
+func (p *plane) get(t *testing.T, path string) (int, string) {
 	t.Helper()
-	ms := &monitor.Server{Registry: reg, Tracer: tr, SLO: slo}
-	srv := httptest.NewServer(ms.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + path)
+	resp, err := http.Get(p.url + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +72,22 @@ func monitorGet(t *testing.T, reg *obs.Registry, tr *trace.Tracer, slo *obs.SLOT
 	return resp.StatusCode, string(body)
 }
 
+// newObsService is newPlane plus a client that shares its tracer.
+func newObsService(t *testing.T, cfg api.Config) (*client.Client, *plane) {
+	t.Helper()
+	p := newPlane(t, cfg)
+	cl := client.New(p.url)
+	cl.Tracer = p.tr
+	return cl, p
+}
+
 // Acceptance: a traced client PUT produces ONE joined trace — the
 // client span, the api span it became on the far side of the HTTP
 // boundary, and the vault/cluster work under it — visible in the
 // /traces?format=text timeline.
 func TestCrossBoundaryTraceJoins(t *testing.T) {
-	cl, _, reg, tr := newObsService(t, api.Config{})
+	cl, p := newObsService(t, api.Config{})
+	tr := p.tr
 	cl.Tenant = "acme"
 	if _, err := cl.Put(context.Background(), "obj", bytes.NewReader(pattern(testChunk/2))); err != nil {
 		t.Fatal(err)
@@ -132,8 +146,8 @@ func TestCrossBoundaryTraceJoins(t *testing.T) {
 		id = sp.Parent
 	}
 
-	// And the monitor's text timeline shows the whole joined tree.
-	code, text := monitorGet(t, reg, tr, nil, "/traces?n=8&format=text")
+	// And the server's text timeline shows the whole joined tree.
+	code, text := p.get(t, "/traces?n=8&format=text")
 	if code != 200 {
 		t.Fatalf("/traces = %d", code)
 	}
@@ -148,7 +162,8 @@ func TestCrossBoundaryTraceJoins(t *testing.T) {
 // hand still gets a server-rooted trace joined to its IDs, and the
 // response echoes the server's trace identity.
 func TestTraceparentHeaderJoins(t *testing.T) {
-	cl, _, _, tr := newObsService(t, api.Config{})
+	cl, p := newObsService(t, api.Config{})
+	tr := p.tr
 
 	req, err := http.NewRequest("GET", cl.BaseURL+"/v1/usage", nil)
 	if err != nil {
@@ -190,7 +205,8 @@ func TestTraceparentHeaderJoins(t *testing.T) {
 // so a support ticket can quote one string and an operator can pull the
 // exact trace.
 func TestClientErrorCarriesTraceID(t *testing.T) {
-	cl, _, _, tr := newObsService(t, api.Config{})
+	cl, p := newObsService(t, api.Config{})
+	tr := p.tr
 	_, err := cl.GetBytes(context.Background(), "does/not/exist")
 	if err == nil {
 		t.Fatal("expected 404")
@@ -217,10 +233,10 @@ func TestClientErrorCarriesTraceID(t *testing.T) {
 	}
 }
 
-// Acceptance: /metrics exposes the three labeled families — per-tenant
-// api requests, per-node cluster probes, per-encoding vault latency.
+// Acceptance: /metrics exposes the three labelled dimensions — per-tenant
+// api latency, per-node cluster probes, per-encoding vault cache counts.
 func TestMetricsLabeledFamilies(t *testing.T) {
-	cl, _, reg, tr := newObsService(t, api.Config{})
+	cl, p := newObsService(t, api.Config{})
 	ctx := context.Background()
 	for _, tenant := range []string{"acme", "umbrella"} {
 		cl.Tenant = tenant
@@ -231,33 +247,34 @@ func TestMetricsLabeledFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	code, body := monitorGet(t, reg, tr, nil, "/metrics")
+	code, body := p.get(t, "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
 	for _, want := range []string{
-		`api_requests_total{tenant="acme"} 2`,
-		`api_requests_total{tenant="umbrella"} 2`,
+		`api_ok_count{tenant="acme"} 2`,
+		`api_ok_count{tenant="umbrella"} 2`,
+		`api_ok{tenant="acme",quantile="0.5"}`,
 		`cluster_probe_total{node="00"}`,
-		`vault_put_ns{encoding="erasure_coding",quantile=`,
+		`vault_cache_miss_total{encoding="erasure_coding"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
 	}
 
-	// Snapshot view: per-tenant series are addressable.
-	snap := reg.Snapshot()
-	if v, ok := snap.Series("api.requests", "acme"); !ok || v != 2 {
-		t.Fatalf("api.requests{acme} = %d ok=%v", v, ok)
+	// Snapshot view: per-tenant series are addressable by series name.
+	snap := p.reg.Snapshot()
+	if h := snap.Histograms[`api.ok{tenant="acme"}`]; h.Count != 2 {
+		t.Fatalf(`api.ok{tenant="acme"} count = %d, want 2`, h.Count)
 	}
 }
 
 // A served vault's dashboards must not read zero: one PUT and one GET
-// through the api land once each in the per-encoding latency families,
-// and the PUT's encode feeds the encode-rate histogram.
+// through the api land once each in the vault's operation records, and
+// their encode and decode feed the per-encoding rate histograms.
 func TestServedOpsFeedEncodingMetrics(t *testing.T) {
-	cl, _, reg, _ := newObsService(t, api.Config{})
+	cl, p := newObsService(t, api.Config{})
 	ctx := context.Background()
 	if _, err := cl.Put(ctx, "obj", bytes.NewReader(pattern(2*testChunk))); err != nil {
 		t.Fatal(err)
@@ -265,27 +282,23 @@ func TestServedOpsFeedEncodingMetrics(t *testing.T) {
 	if _, err := cl.GetBytes(ctx, "obj"); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	for _, family := range []string{"vault.put.ns", "vault.get.ns"} {
-		var count int64
-		for _, se := range snap.LabeledHistograms[family].Series {
-			if len(se.Labels) == 1 && se.Labels[0] == "erasure_coding" {
-				count = se.Count
-			}
-		}
-		if count != 1 {
-			t.Errorf("%s{encoding=erasure_coding} count = %d, want 1", family, count)
+	snap := p.reg.Snapshot()
+	for _, op := range []string{"vault.put.ok", "vault.get.ok", "api.put.ok", "api.get.ok"} {
+		if got := snap.Histograms[op].Count; got != 1 {
+			t.Errorf("%s count = %d, want 1", op, got)
 		}
 	}
-	if h := snap.Histograms["encode.erasure_coding.mbps"]; h.Count == 0 {
-		t.Errorf("encode.erasure_coding.mbps is empty after a PUT: %+v", h)
+	for _, rate := range []string{"encode.erasure_coding.mbps", "decode.erasure_coding.mbps"} {
+		if h := snap.Histograms[rate]; h.Count == 0 {
+			t.Errorf("%s is empty after a PUT and a GET: %+v", rate, h)
+		}
 	}
 }
 
 // Acceptance: /slo reports per-tenant compliance and error-budget burn
 // fed by real traffic through the api server.
 func TestSLOEndToEnd(t *testing.T) {
-	cl, as, reg, tr := newObsService(t, api.Config{})
+	cl, p := newObsService(t, api.Config{})
 	ctx := context.Background()
 	cl.Tenant = "acme"
 	if _, err := cl.Put(ctx, "obj", bytes.NewReader(pattern(256))); err != nil {
@@ -298,7 +311,7 @@ func TestSLOEndToEnd(t *testing.T) {
 		t.Fatal("expected 404")
 	}
 
-	code, body := monitorGet(t, reg, tr, as.SLOTable(), "/slo")
+	code, body := p.get(t, "/slo")
 	if code != 200 {
 		t.Fatalf("/slo = %d:\n%s", code, body)
 	}

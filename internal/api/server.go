@@ -13,7 +13,6 @@ import (
 
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/monitor"
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
 	"securearchive/internal/sig"
@@ -29,20 +28,19 @@ type Config struct {
 	Quotas map[string]Quota
 	// Rate is the per-tenant token bucket; zero disables limiting.
 	Rate RateConfig
-	// Registry receives the api.* instruments (obs.Default() when nil).
+	// Registry receives the api.* series and is the registry /metrics,
+	// /snapshot and /healthz read (obs.Default() when nil). Point the
+	// vault and cluster at the same one.
 	Registry *obs.Registry
 	// Tracer roots a span per request — joining the caller's trace when
 	// the request carries a W3C traceparent header — and stamps the
-	// trace ID onto every response (trace.Default() when nil).
+	// trace ID onto every response. The span is the request's one
+	// record, api.<op>.{ok,err}, so when nil it is trace.Default() over
+	// the default registry and a private tracer over any other.
 	Tracer *trace.Tracer
-	// SLOs is the per-tenant SLO table the request path feeds; when nil
-	// the server builds one from obs.DefaultSLOSpecs. Serve it at /slo
-	// via monitor.Server.SLO.
-	SLOs *obs.SLOTable
-	// Monitor, when set, is mounted on the same handler: /metrics,
-	// /snapshot, /traces, /slo, /healthz and /debug/pprof ride alongside
-	// the /v1 archive routes so one listener serves both planes.
-	Monitor *monitor.Server
+	// Health bounds what /healthz tolerates; zero fields take the
+	// defaults.
+	Health Thresholds
 }
 
 // Server serves a Vault over HTTP. Routes:
@@ -56,6 +54,9 @@ type Config struct {
 //	GET    /v1/objects                 list tenant's objects
 //	GET    /v1/usage                   tenant quota consumption
 //
+// and, on the same listener, the operations plane (plane.go): /metrics,
+// /snapshot, /traces, /slo, /healthz and /debug/pprof/.
+//
 // Every request is namespaced by the X-Archive-Tenant header (default
 // "default"): object ids are stored as "<tenant>/<id>", so tenants
 // cannot see or collide with each other's objects. Handlers run on the
@@ -66,10 +67,15 @@ type Server struct {
 	vault   *core.Vault
 	quotas  *quotaTable
 	limiter *limiterTable
-	mon     *monitor.Server
-	m       *metrics
+	reg     *obs.Registry
 	tracer  *trace.Tracer
 	slos    *obs.SLOTable
+	health  *health
+
+	// rateLimited counts 429s. tenantOK/tenantErr are each admitted
+	// request's latency under its tenant: the api.{ok,err}{tenant} pair.
+	rateLimited         *obs.Counter
+	tenantOK, tenantErr *obs.Family[*obs.Histogram]
 }
 
 // NewServer builds a Server over v.
@@ -79,27 +85,26 @@ func NewServer(v *core.Vault, cfg Config) *Server {
 		reg = obs.Default()
 	}
 	tr := cfg.Tracer
-	if tr == nil {
+	switch {
+	case tr != nil:
+	case reg == obs.Default():
 		tr = trace.Default()
-	}
-	slos := cfg.SLOs
-	if slos == nil {
-		slos = obs.NewSLOTable(obs.DefaultSLOSpecs()...)
+	default:
+		tr = trace.New(reg)
 	}
 	return &Server{
-		vault:   v,
-		quotas:  newQuotaTable(cfg.DefaultQuota, cfg.Quotas),
-		limiter: newLimiterTable(cfg.Rate),
-		mon:     cfg.Monitor,
-		m:       newMetrics(reg),
-		tracer:  tr,
-		slos:    slos,
+		vault:       v,
+		quotas:      newQuotaTable(cfg.DefaultQuota, cfg.Quotas),
+		limiter:     newLimiterTable(cfg.Rate),
+		reg:         reg,
+		tracer:      tr,
+		slos:        obs.NewSLOTable(obs.DefaultSLOSpecs()...),
+		health:      newHealth(reg, cfg.Health),
+		rateLimited: reg.Counter("api.rate_limited"),
+		tenantOK:    reg.LabeledHistogram("api.ok", obs.LatencyBuckets(), "tenant"),
+		tenantErr:   reg.LabeledHistogram("api.err", obs.LatencyBuckets(), "tenant"),
 	}
 }
-
-// SLOTable returns the per-tenant SLO table the request path feeds —
-// hand it to monitor.Server.SLO to serve /slo.
-func (s *Server) SLOTable() *obs.SLOTable { return s.slos }
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler {
@@ -112,9 +117,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/renew/{id...}", s.route("renew", s.handleRenew))
 	mux.HandleFunc("GET /v1/objects", s.route("list", s.handleList))
 	mux.HandleFunc("GET /v1/usage", s.route("usage", s.handleUsage))
-	if s.mon != nil {
-		mux.Handle("/", s.mon.Handler())
-	}
+	s.mountPlane(mux)
 	return mux
 }
 
@@ -136,28 +139,20 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// route wraps a handler with the service plumbing: tenant resolution,
-// per-request span (joining the caller's trace when the request carries
-// a traceparent header, and stamping the trace ID onto the response),
-// token-bucket admission (429 + Retry-After on refusal), flat and
+// route wraps a handler with the service plumbing: the request span
+// (joining the caller's trace when the request carries a traceparent
+// header, and stamping the trace ID onto the response), tenant
+// resolution, token-bucket admission (429 + Retry-After on refusal),
 // per-tenant instrumentation, SLO accounting, and error-to-status
-// mapping.
+// mapping. The span starts first, so every request — a refused tenant
+// too — lands in api.<op>.{ok,err}.
 func (s *Server) route(op string, h func(w *statusWriter, r *http.Request, tenant string) error) http.HandlerFunc {
-	om := s.m.ops[op]
 	spanName := "api." + op
 	return func(w http.ResponseWriter, r *http.Request) {
-		om.reqs.Inc()
 		tenant := r.Header.Get(TenantHeader)
 		if tenant == "" {
 			tenant = DefaultTenant
 		}
-		if !validTenant(tenant) {
-			om.errs.Inc()
-			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("invalid tenant %q", tenant))
-			return
-		}
-		s.m.reqsByTenant.With(tenant).Inc()
-
 		// Root the request span — joined to the caller's trace when a
 		// well-formed traceparent arrived — and announce the trace ID on
 		// the response before any body bytes commit the headers.
@@ -175,50 +170,53 @@ func (s *Server) route(op string, h func(w *statusWriter, r *http.Request, tenan
 			w.Header().Set(trace.TraceparentHeader, trace.FormatTraceparent(tid, sp.SpanID()))
 		}
 		r = r.WithContext(ctx)
+		if !validTenant(tenant) {
+			err := badRequestf("invalid tenant %q", tenant)
+			sp.End(err)
+			writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+			return
+		}
 
-		if ok, wait := s.limiter.allow(tenant, time.Now()); !ok {
-			s.m.rateLimited.Inc()
-			om.errs.Inc()
-			s.m.errsByTenant.With(tenant).Inc()
-			s.feedSLO(tenant, op, http.StatusTooManyRequests, 0, nil)
+		start := time.Now()
+		var err error
+		if ok, wait := s.limiter.allow(tenant, start); !ok {
+			s.rateLimited.Inc()
 			secs := int(wait/time.Second) + 1
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			err := fmt.Errorf("api: tenant %q rate limited, retry in %v", tenant, wait.Round(time.Millisecond))
+			err = fmt.Errorf("api: tenant %q rate limited, retry in %v", tenant, wait.Round(time.Millisecond))
 			sp.Event("ratelimit.rejected", trace.Int64("retry_after_s", int64(secs)))
-			sp.End(err)
+			s.finish(sp, tenant, op, start, http.StatusTooManyRequests, err)
 			writeError(w, http.StatusTooManyRequests, CodeRateLimited,
 				fmt.Sprintf("tenant %q rate limited, retry in %v", tenant, wait.Round(time.Millisecond)))
 			return
 		}
-		s.m.inFlight.Add(1)
-		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
-		err := h(sw, r, tenant)
-		lat := time.Since(start)
-		om.latNs.Observe(float64(lat.Nanoseconds()))
-		s.m.latByTenant.With(tenant).Observe(float64(lat.Nanoseconds()))
-		s.m.inFlight.Add(-1)
-		status := http.StatusOK
+		err = h(sw, r, tenant)
+		status, machine := http.StatusOK, ""
 		if err != nil {
-			status, _ = errorStatus(err)
+			status, machine = errorStatus(err)
 		}
-		s.feedSLO(tenant, op, status, lat, err)
-		sp.End(err)
-		if err != nil {
-			om.errs.Inc()
-			s.m.errsByTenant.With(tenant).Inc()
-			code, machine := errorStatus(err)
-			if code == http.StatusRequestEntityTooLarge || code == http.StatusInsufficientStorage {
-				s.m.quotaDenied.Inc()
-			}
-			if !sw.wrote {
-				writeError(w, code, machine, err.Error())
-			}
-			// Headers already sent (streaming GET failed mid-body): the
-			// short body against the announced Content-Length is the
-			// client's corruption signal; nothing more we can say here.
+		s.finish(sp, tenant, op, start, status, err)
+		if err != nil && !sw.wrote {
+			writeError(w, status, machine, err.Error())
 		}
+		// Headers already sent (streaming GET failed mid-body): the short
+		// body against the announced Content-Length is the client's
+		// corruption signal; nothing more we can say here.
 	}
+}
+
+// finish records one admitted request: its tenant's latency pair, its
+// SLOs, and the end of its span.
+func (s *Server) finish(sp trace.Span, tenant, op string, start time.Time, status int, err error) {
+	lat := time.Since(start)
+	fam := s.tenantOK
+	if err != nil {
+		fam = s.tenantErr
+	}
+	fam.With(tenant).Observe(float64(lat.Nanoseconds()))
+	s.feedSLO(tenant, op, status, lat, err)
+	sp.End(err)
 }
 
 // feedSLO records one finished request into the tenant's sliding-window
@@ -228,9 +226,6 @@ func (s *Server) route(op string, h func(w *statusWriter, r *http.Request, tenan
 // (core.ErrDegraded) as bad.
 func (s *Server) feedSLO(tenant, op string, status int, lat time.Duration, err error) {
 	row := s.slos.Row(tenant)
-	if row == nil {
-		return
-	}
 	if slo := row["availability"]; slo != nil {
 		slo.Record(status < 500)
 	}
@@ -284,7 +279,7 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	json.NewEncoder(w).Encode(errorBody{Code: code, Message: msg})
 }
 
-func writeJSON(w *statusWriter, status int, v any) error {
+func writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	return json.NewEncoder(w).Encode(v)
@@ -339,7 +334,6 @@ func (s *Server) handlePut(w *statusWriter, r *http.Request, tenant string) erro
 	if err != nil {
 		return err
 	}
-	s.m.bytesIn.Add(n)
 	return writeJSON(w, http.StatusCreated, PutResult{ID: strings.TrimPrefix(key, tenant+"/"), Bytes: n})
 }
 
@@ -354,9 +348,7 @@ func (s *Server) handleGet(w *statusWriter, r *http.Request, tenant string) erro
 	}
 	setStatHeaders(w, info)
 	w.WriteHeader(http.StatusOK)
-	n, err := s.vault.ReadTo(r.Context(), key, w)
-	s.m.bytesOut.Add(n)
-	if err != nil {
+	if _, err := s.vault.ReadTo(r.Context(), key, w); err != nil {
 		return fmt.Errorf("api: stream %s: %w", key, err)
 	}
 	return nil

@@ -19,7 +19,7 @@ const TenantHeader = "X-Archive-Tenant"
 const DefaultTenant = "default"
 
 // TraceHeader carries the server-side trace ID on every traced
-// response, so a failed request is greppable in the monitor's /traces
+// response, so a failed request is greppable in the server's /traces
 // output. The server also echoes a standard W3C traceparent header.
 const TraceHeader = "X-Archive-Trace"
 
@@ -92,7 +92,7 @@ type Error struct {
 	Message string
 	// TraceID is the server-side trace ID from the response's
 	// X-Archive-Trace header ("" when the server was not tracing); it
-	// makes a failed request greppable in the monitor's /traces output.
+	// makes a failed request greppable in the server's /traces output.
 	TraceID string
 }
 

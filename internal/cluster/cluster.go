@@ -226,15 +226,8 @@ func (c *Cluster) Put(nodeID int, key ShardKey, data []byte) error {
 func (c *Cluster) PutCtx(ctx context.Context, nodeID int, key ShardKey, data []byte) error {
 	start := time.Now()
 	err := c.put(ctx, nodeID, key, data)
-	m := c.metrics
-	m.putNs.Observe(float64(time.Since(start).Nanoseconds()))
-	if err != nil {
-		m.putErr.Inc()
-		return err
-	}
-	m.putOK.Inc()
-	m.bytesIn.Add(int64(len(data)))
-	return nil
+	c.metrics.put.observe(start, err)
+	return err
 }
 
 func (c *Cluster) put(ctx context.Context, nodeID int, key ShardKey, data []byte) error {
@@ -269,15 +262,8 @@ func (c *Cluster) Get(nodeID int, key ShardKey) (Shard, error) {
 func (c *Cluster) GetCtx(ctx context.Context, nodeID int, key ShardKey) (Shard, error) {
 	start := time.Now()
 	sh, err := c.get(ctx, nodeID, key)
-	m := c.metrics
-	m.getNs.Observe(float64(time.Since(start).Nanoseconds()))
-	if err != nil {
-		m.getErr.Inc()
-		return Shard{}, err
-	}
-	m.getOK.Inc()
-	m.bytesOut.Add(int64(len(sh.Data)))
-	return sh, nil
+	c.metrics.get.observe(start, err)
+	return sh, err
 }
 
 func (c *Cluster) get(ctx context.Context, nodeID int, key ShardKey) (Shard, error) {
@@ -316,14 +302,8 @@ func (c *Cluster) get(ctx context.Context, nodeID int, key ShardKey) (Shard, err
 func (c *Cluster) Delete(nodeID int, key ShardKey) error {
 	start := time.Now()
 	err := c.deleteShard(nodeID, key)
-	m := c.metrics
-	m.deleteNs.Observe(float64(time.Since(start).Nanoseconds()))
-	if err != nil {
-		m.deleteErr.Inc()
-		return err
-	}
-	m.deleteOK.Inc()
-	return nil
+	c.metrics.del.observe(start, err)
+	return err
 }
 
 func (c *Cluster) deleteShard(nodeID int, key ShardKey) error {

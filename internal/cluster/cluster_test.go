@@ -209,9 +209,9 @@ func TestDeleteClearsStaged(t *testing.T) {
 	}
 }
 
-// TestDeleteObservability pins Delete into the metrics surface: it gets
-// the same ok/err counters and latency histogram as every other
-// data-path operation.
+// TestDeleteObservability pins Delete into the metrics surface: like
+// every other data-path operation it is recorded once, as the
+// cluster.delete.{ok,err} latency histogram pair.
 func TestDeleteObservability(t *testing.T) {
 	c := New(2, nil)
 	reg := obs.NewRegistry()
@@ -224,13 +224,18 @@ func TestDeleteObservability(t *testing.T) {
 	if err := c.Delete(9, key); err == nil {
 		t.Fatal("delete on bogus node succeeded")
 	}
-	if got := reg.Counter("cluster.delete.ok").Load(); got != 1 {
-		t.Fatalf("cluster.delete.ok = %d, want 1", got)
+	snap := reg.Snapshot()
+	if got := snap.Histograms["cluster.delete.ok"].Count; got != 1 {
+		t.Fatalf("cluster.delete.ok count = %d, want 1", got)
 	}
-	if got := reg.Counter("cluster.delete.err").Load(); got != 1 {
-		t.Fatalf("cluster.delete.err = %d, want 1", got)
+	if got := snap.Histograms["cluster.delete.err"].Count; got != 1 {
+		t.Fatalf("cluster.delete.err count = %d, want 1", got)
 	}
-	if got := reg.Histogram("cluster.delete.ns", obs.LatencyBuckets()).Count(); got != 2 {
-		t.Fatalf("cluster.delete.ns count = %d, want 2", got)
+	// The put is on record too, and no counter shadows either pair.
+	if got := snap.Histograms["cluster.put.ok"].Count; got != 1 {
+		t.Fatalf("cluster.put.ok count = %d, want 1", got)
+	}
+	if _, ok := snap.Counters["cluster.delete.ok"]; ok {
+		t.Fatal("cluster.delete.ok is still shadowed by a counter")
 	}
 }

@@ -2,76 +2,66 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"securearchive/internal/obs"
 )
 
-// Metrics: every data-path operation on the cluster is counted and
-// timed through the obs registry — per-op outcomes, bytes moved, staged
-// writes, stripe-read probes and the validation discards that the
-// degraded read routes around. The metrics are resolved once (at New or
-// UseRegistry) so the hot path pays only atomic adds.
+// Metrics: every data-path operation on the cluster is recorded once, as
+// its latency histogram pair (cluster.{put,get,delete,staged}.{ok,err});
+// stage commits and aborts and the stripe reads that degraded or fell
+// short are event counters; and probes, validation discards and
+// transient retries are attributed per node. The metrics are resolved
+// once (at New or UseRegistry) so the hot path pays only atomic adds.
+
+// opHists is one operation's record: a latency histogram per outcome.
+type opHists struct{ ok, err *obs.Histogram }
+
+func newOpHists(reg *obs.Registry, name string) opHists {
+	return opHists{
+		ok:  reg.Histogram(name+".ok", obs.LatencyBuckets()),
+		err: reg.Histogram(name+".err", obs.LatencyBuckets()),
+	}
+}
+
+// observe records one operation that began at start and ended with err.
+func (h opHists) observe(start time.Time, err error) {
+	d := float64(time.Since(start).Nanoseconds())
+	if err != nil {
+		h.err.Observe(d)
+	} else {
+		h.ok.Observe(d)
+	}
+}
 
 type clusterMetrics struct {
-	reg *obs.Registry
+	put, get, del, staged opHists
+	commits, aborts       *obs.Counter
 
-	putOK, putErr       *obs.Counter
-	getOK, getErr       *obs.Counter
-	stagedOK, stagedErr *obs.Counter
-	deleteOK, deleteErr *obs.Counter
-	commits, aborts     *obs.Counter
-	bytesIn, bytesOut   *obs.Counter
-
-	// Stripe-read telemetry (FetchStripe).
-	probes    *obs.Counter // node fetches launched
-	discards  *obs.Counter // shards dropped by the caller's validator
-	degraded  *obs.Counter // stripe reads that routed around ≥1 failure
-	full      *obs.Counter // stripe reads with no failures at all
-	short     *obs.Counter // stripe reads that ended below want
-	discardBy []*obs.Counter
+	// Stripe reads (FetchChunkStripeCtx) that routed around at least one
+	// failure, and those that ended below the decoder's minimum.
+	degraded, short *obs.Counter
 
 	// Per-node dimension, pre-resolved into dense arrays so the stripe
 	// fan-out pays one atomic add per touch: probes launched, shards
-	// discarded, and transient-retry attempts keyed by {node}. The
-	// legacy cluster.fetch.discarded.nodeNN suffix counters above stay —
-	// the fault-injection example and older dashboards read them.
+	// discarded by the caller's validator, and transient results, keyed
+	// by {node}. Totals are the family sums.
 	probeAt   []*obs.Counter
 	discardAt []*obs.Counter
 	retryAt   []*obs.Counter
-
-	putNs, getNs, deleteNs, fetchNs *obs.Histogram
 }
 
 func newClusterMetrics(reg *obs.Registry, nodes int) *clusterMetrics {
 	m := &clusterMetrics{
-		reg:       reg,
-		putOK:     reg.Counter("cluster.put.ok"),
-		putErr:    reg.Counter("cluster.put.err"),
-		getOK:     reg.Counter("cluster.get.ok"),
-		getErr:    reg.Counter("cluster.get.err"),
-		stagedOK:  reg.Counter("cluster.staged.ok"),
-		stagedErr: reg.Counter("cluster.staged.err"),
-		deleteOK:  reg.Counter("cluster.delete.ok"),
-		deleteErr: reg.Counter("cluster.delete.err"),
-		commits:   reg.Counter("cluster.stage.commit"),
-		aborts:    reg.Counter("cluster.stage.abort"),
-		bytesIn:   reg.Counter("cluster.bytes.in"),
-		bytesOut:  reg.Counter("cluster.bytes.out"),
-		probes:    reg.Counter("cluster.fetch.probes"),
-		discards:  reg.Counter("cluster.fetch.discarded"),
-		degraded:  reg.Counter("cluster.fetch.degraded"),
-		full:      reg.Counter("cluster.fetch.full"),
-		short:     reg.Counter("cluster.fetch.short"),
-		putNs:     reg.Histogram("cluster.put.ns", obs.LatencyBuckets()),
-		getNs:     reg.Histogram("cluster.get.ns", obs.LatencyBuckets()),
-		deleteNs:  reg.Histogram("cluster.delete.ns", obs.LatencyBuckets()),
-		fetchNs:   reg.Histogram("cluster.fetch.ns", obs.LatencyBuckets()),
+		put:      newOpHists(reg, "cluster.put"),
+		get:      newOpHists(reg, "cluster.get"),
+		del:      newOpHists(reg, "cluster.delete"),
+		staged:   newOpHists(reg, "cluster.staged"),
+		commits:  reg.Counter("cluster.stage.commit"),
+		aborts:   reg.Counter("cluster.stage.abort"),
+		degraded: reg.Counter("cluster.fetch.degraded"),
+		short:    reg.Counter("cluster.fetch.short"),
 	}
-	m.discardBy = make([]*obs.Counter, nodes)
-	for i := range m.discardBy {
-		m.discardBy[i] = reg.Counter(fmt.Sprintf("cluster.fetch.discarded.node%02d", i))
-	}
-
 	probeFam := reg.LabeledCounter("cluster.probe", "node")
 	discardFam := reg.LabeledCounter("cluster.discard", "node")
 	retryFam := reg.LabeledCounter("cluster.retry", "node")
@@ -92,29 +82,10 @@ func newClusterMetrics(reg *obs.Registry, nodes int) *clusterMetrics {
 	return m
 }
 
-// probedAt attributes one fetch probe to a node.
-func (m *clusterMetrics) probedAt(node int) {
-	m.probes.Inc()
-	if node >= 0 && node < len(m.probeAt) {
-		m.probeAt[node].Inc()
-	}
-}
-
-// discardedAt attributes one validation discard to a node.
-func (m *clusterMetrics) discardedAt(node int) {
-	m.discards.Inc()
-	if node >= 0 && node < len(m.discardBy) {
-		m.discardBy[node].Inc()
-	}
-	if node >= 0 && node < len(m.discardAt) {
-		m.discardAt[node].Inc()
-	}
-}
-
-// retriedAt attributes one transient-retry attempt to a node.
-func (m *clusterMetrics) retriedAt(node int) {
-	if node >= 0 && node < len(m.retryAt) {
-		m.retryAt[node].Inc()
+// at attributes one event to a node of a per-node family.
+func at(fam []*obs.Counter, node int) {
+	if node >= 0 && node < len(fam) {
+		fam[node].Inc()
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
 )
 
@@ -50,24 +49,6 @@ func (p RetryPolicy) normalize() RetryPolicy {
 	return p
 }
 
-// Retry telemetry lands in the default registry regardless of which
-// registry a cluster uses: RetryTransient is a package-level helper with
-// no cluster in scope. Resolved lazily so merely importing the package
-// creates no metrics.
-var (
-	retryOnce      sync.Once
-	retryAttempts  *obs.Counter
-	retryBackoffNs *obs.Counter
-)
-
-func retryMetrics() (*obs.Counter, *obs.Counter) {
-	retryOnce.Do(func() {
-		retryAttempts = obs.Default().Counter("cluster.retry.attempts")
-		retryBackoffNs = obs.Default().Counter("cluster.retry.backoff_ns")
-	})
-	return retryAttempts, retryBackoffNs
-}
-
 // ErrRetryAborted wraps a context error that cut a retry loop short:
 // errors.Is(err, ErrRetryAborted) distinguishes "the caller gave up"
 // from "the retries ran out", while errors.Is(err, context.Canceled) /
@@ -82,9 +63,10 @@ func retryAbort(ctx context.Context) error {
 
 // RetryTransient runs op, retrying with bounded exponential backoff for
 // as long as it returns ErrTransient. Any other outcome — success,
-// ErrNodeDown, ErrNoSuchShard — is final and returned immediately. Every
-// re-attempt bumps cluster.retry.attempts and every sleep adds to
-// cluster.retry.backoff_ns in the default registry.
+// ErrNodeDown, ErrNoSuchShard — is final and returned immediately. It
+// records no metrics — it has no cluster in scope; the cluster's own
+// retrying calls (GetRetryCtx, PutStagedRetryCtx) count every transient
+// result on cluster.retry{node} in the cluster's registry.
 func RetryTransient(pol RetryPolicy, op func() error) error {
 	return RetryTransientCtx(context.Background(), pol, op)
 }
@@ -100,7 +82,6 @@ func RetryTransient(pol RetryPolicy, op func() error) error {
 func RetryTransientCtx(ctx context.Context, pol RetryPolicy, op func() error) error {
 	pol = pol.normalize()
 	delay := pol.BaseDelay
-	attempts, backoff := retryMetrics()
 	sp := trace.FromContext(ctx)
 	var err error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
@@ -111,8 +92,6 @@ func RetryTransientCtx(ctx context.Context, pol RetryPolicy, op func() error) er
 			return err
 		}
 		if attempt < pol.MaxAttempts-1 {
-			attempts.Inc()
-			backoff.Add(delay.Nanoseconds())
 			sp.Event("backoff.slept",
 				trace.Int("attempt", attempt+1), trace.Int64("delay_ns", delay.Nanoseconds()))
 			t := time.NewTimer(delay)
@@ -142,18 +121,25 @@ func (c *Cluster) GetRetry(nodeID int, key ShardKey, pol RetryPolicy) (Shard, er
 // short when the caller goes away.
 func (c *Cluster) GetRetryCtx(ctx context.Context, nodeID int, key ShardKey, pol RetryPolicy) (Shard, error) {
 	var sh Shard
-	err := RetryTransientCtx(ctx, pol, func() error {
-		var e error
-		sh, e = c.GetCtx(ctx, nodeID, key)
-		if errors.Is(e, ErrTransient) {
-			// Per-node retry attribution: every transient result this
-			// node produced, whether or not the policy has budget to try
-			// again, lands on cluster.retry{node}.
-			c.metrics.retriedAt(nodeID)
-		}
-		return e
+	err := c.retryAt(ctx, nodeID, pol, func() (err error) {
+		sh, err = c.GetCtx(ctx, nodeID, key)
+		return err
 	})
 	return sh, err
+}
+
+// retryAt is RetryTransientCtx for one node's operation, with per-node
+// attribution: every transient result the node produced, whether or not
+// the policy has budget to try again, lands on cluster.retry{node} in
+// this cluster's registry.
+func (c *Cluster) retryAt(ctx context.Context, nodeID int, pol RetryPolicy, op func() error) error {
+	return RetryTransientCtx(ctx, pol, func() error {
+		err := op()
+		if errors.Is(err, ErrTransient) {
+			at(c.metrics.retryAt, nodeID)
+		}
+		return err
+	})
 }
 
 // NodeFailure records why one node contributed nothing to a stripe read.
@@ -264,7 +250,6 @@ func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk,
 	}
 	fctx, fsp := trace.Child(ctx, "cluster.fetch",
 		trace.Str("object", object), trace.Int("chunk", chunk), trace.Int("n", n), trace.Int("want", want))
-	start := time.Now()
 	m := c.metrics
 	probes := want + 2
 	if probes > n {
@@ -297,13 +282,13 @@ func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk,
 				i := next
 				next++
 				mu.Unlock()
-				m.probedAt(i)
+				at(m.probeAt, i)
 				pctx, psp := trace.Child(fctx, "cluster.probe",
 					trace.Int("node", i), trace.Int("shard", i))
 				sh, err := c.GetRetryCtx(pctx, i, ShardKey{Object: object, Index: i, Chunk: chunk}, pol)
 				if err == nil && valid != nil && !valid(i, sh.Data) {
 					err = fmt.Errorf("%w: node %d %s[%d]", ErrShardInvalid, i, object, i)
-					m.discardedAt(i)
+					at(m.discardAt, i)
 				}
 				switch {
 				case err == nil:
@@ -339,7 +324,6 @@ func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk,
 	}
 	sort.Ints(res.Discarded)
 	sort.Slice(res.Failures, func(a, b int) bool { return res.Failures[a].Node < res.Failures[b].Node })
-	m.fetchNs.Observe(float64(time.Since(start).Nanoseconds()))
 	fsp.SetAttrs(trace.Int("fetched", res.Fetched), trace.Int("discarded", len(res.Discarded)))
 	switch {
 	case res.Canceled != nil:
@@ -349,8 +333,6 @@ func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk,
 		fsp.Event("stripe.short", trace.Int("got", res.Fetched), trace.Int("want", want))
 	case res.Degraded():
 		m.degraded.Inc()
-	default:
-		m.full.Inc()
 	}
 	fsp.End(res.Canceled)
 	return res

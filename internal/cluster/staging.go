@@ -32,15 +32,17 @@ func (c *Cluster) PutStaged(nodeID int, stage string, key ShardKey, data []byte)
 func (c *Cluster) PutStagedCtx(ctx context.Context, nodeID int, stage string, key ShardKey, data []byte) error {
 	start := time.Now()
 	err := c.putStaged(ctx, nodeID, stage, key, data)
-	m := c.metrics
-	m.putNs.Observe(float64(time.Since(start).Nanoseconds()))
-	if err != nil {
-		m.stagedErr.Inc()
-		return err
-	}
-	m.stagedOK.Inc()
-	m.bytesIn.Add(int64(len(data)))
-	return nil
+	c.metrics.staged.observe(start, err)
+	return err
+}
+
+// PutStagedRetryCtx is PutStagedCtx retried on transient faults per pol,
+// with each transient result attributed to cluster.retry{node}; see
+// GetRetryCtx.
+func (c *Cluster) PutStagedRetryCtx(ctx context.Context, nodeID int, stage string, key ShardKey, data []byte, pol RetryPolicy) error {
+	return c.retryAt(ctx, nodeID, pol, func() error {
+		return c.PutStagedCtx(ctx, nodeID, stage, key, data)
+	})
 }
 
 func (c *Cluster) putStaged(ctx context.Context, nodeID int, stage string, key ShardKey, data []byte) error {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"securearchive/internal/obs/trace"
 )
@@ -98,7 +97,6 @@ type Batcher struct {
 type pendingPut struct {
 	id   string
 	data []byte
-	enq  time.Time
 	done bool
 	err  error
 }
@@ -148,7 +146,7 @@ func (b *Batcher) PutContext(ctx context.Context, id string, data []byte) error 
 	if len(data) > DefaultBatchBypassBytes {
 		return b.v.PutContext(ctx, id, data)
 	}
-	p := &pendingPut{id: id, data: append([]byte(nil), data...), enq: time.Now()}
+	p := &pendingPut{id: id, data: append([]byte(nil), data...)}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -162,7 +160,6 @@ func (b *Batcher) PutContext(ctx context.Context, id string, data []byte) error 
 		if p.done {
 			err := p.err
 			b.mu.Unlock()
-			b.v.obsm.batchWaitNs.Observe(float64(time.Since(p.enq).Nanoseconds()))
 			return err
 		}
 		// Leader: take up to maxMembers from the front of the queue and
@@ -275,11 +272,8 @@ func (v *Vault) flushBatch(ctx context.Context, batch []*pendingPut) error {
 		obj.batchIndex = i
 		obj.live.Store(true)
 		v.cacheInvalidate(p.id) // defensive, as in PutReader
-		v.obsm.putBytes.Observe(float64(len(p.data)))
 	}
-	v.obsm.batchPuts.Add(int64(len(members)))
 	v.obsm.batchFlushes.Inc()
-	v.obsm.batchMembers.Observe(float64(len(members)))
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 	mrand "math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"securearchive/internal/cluster"
 	"securearchive/internal/sig"
@@ -27,7 +26,7 @@ func flushMembers(t *testing.T, v *Vault, n int) map[string][]byte {
 		data := make([]byte, 100+i*37)
 		rand.Read(data)
 		id := fmt.Sprintf("m%d", i)
-		batch[i] = &pendingPut{id: id, data: data, enq: time.Now()}
+		batch[i] = &pendingPut{id: id, data: data}
 		want[id] = data
 	}
 	if err := v.putBatch(context.Background(), batch); err != nil {

@@ -141,14 +141,12 @@ type readCache struct {
 	owners    map[string]int64
 	sketch    freqSketch
 
-	// Lifetime tallies; hits/misses are recorded by the vault at the
-	// probe site (Vault.cacheGet owns the hit-latency clock), while
-	// evictions and admission rejects happen inside put, so the vault
-	// hands the cache its pre-resolved instruments instead. All four
-	// instrument pointers may be nil (unit tests build bare caches).
+	// Lifetime tallies; the vault records hits/misses at the probe site
+	// (Vault.cacheGet), while evictions and admission rejects happen
+	// inside insert, so the vault hands the cache its pre-resolved
+	// counters instead. Both may be nil (unit tests build bare caches).
 	hits, misses, evictions, rejects int64
 	evictC, rejectC                  *obs.Counter
-	bytesG                           *obs.Gauge
 }
 
 // newReadCache sizes a cache. maxBytes must be > 0; share is clamped to
@@ -279,9 +277,6 @@ func (rc *readCache) insert(id string, epoch int, data []byte, owned bool) {
 	rc.probation.pushFront(e)
 	rc.bytes += size
 	rc.owners[owner] += size
-	if rc.bytesG != nil {
-		rc.bytesG.Set(rc.bytes)
-	}
 }
 
 // evictLocked removes a victim to make room, tallying the eviction.
@@ -299,9 +294,6 @@ func (rc *readCache) rejectLocked() {
 	if rc.rejectC != nil {
 		rc.rejectC.Inc()
 	}
-	if rc.bytesG != nil {
-		rc.bytesG.Set(rc.bytes)
-	}
 }
 
 // invalidate removes id's entry (if any). Mutators call it under the
@@ -310,9 +302,6 @@ func (rc *readCache) invalidate(id string) {
 	rc.mu.Lock()
 	if e := rc.entries[id]; e != nil {
 		rc.removeLocked(e)
-		if rc.bytesG != nil {
-			rc.bytesG.Set(rc.bytes)
-		}
 	}
 	rc.mu.Unlock()
 }

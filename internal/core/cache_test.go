@@ -397,15 +397,56 @@ func TestVaultCacheHitAndMutatorInvalidation(t *testing.T) {
 		t.Fatalf("re-put served stale bytes: %v", err)
 	}
 
-	// The labelled vault.cache.{hit,miss} series count what CacheStats
-	// counts, under the vault's encoding label.
-	s = v.CacheStats()
+	checkCacheSeries(t, v)
+}
+
+// checkCacheSeries requires the labelled vault.cache.* series to count
+// exactly what CacheStats counts, under the vault's encoding label.
+func checkCacheSeries(t *testing.T, v *Vault) {
+	t.Helper()
+	s := v.CacheStats()
 	snap := v.obsReg.Snapshot()
-	for family, want := range map[string]int64{"vault.cache.hit": s.Hits, "vault.cache.miss": s.Misses} {
-		if got, ok := snap.Series(family, "erasure_coding"); !ok || got != want {
-			t.Errorf("%s{encoding=erasure_coding} = %d (present %v), CacheStats says %d", family, got, ok, want)
+	for family, want := range map[string]int64{
+		"vault.cache.hit":          s.Hits,
+		"vault.cache.miss":         s.Misses,
+		"vault.cache.evict":        s.Evictions,
+		"vault.cache.admit_reject": s.AdmitRejects,
+	} {
+		series := family + `{encoding="erasure_coding"}`
+		if got, ok := snap.Counters[series]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), CacheStats says %d", series, got, ok, want)
 		}
 	}
+}
+
+// TestVaultCacheEvictionSeries overfills a small cache so that the
+// eviction and admission-reject series move, and checks them against
+// CacheStats too.
+func TestVaultCacheEvictionSeries(t *testing.T) {
+	// One owner per object, so no tenant share binds: every eviction and
+	// refusal is the global budget's TinyLFU admission at work.
+	v := newCachedVault(t, cluster.New(8, nil), 8<<10) // 8 entries of 1 KiB
+	read := func(from, to, rounds int) {
+		for r := 0; r < rounds; r++ {
+			for i := from; i < to; i++ {
+				if _, err := v.Get(fmt.Sprintf("o%02d/obj", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for i := 0; i < 16; i++ {
+		if err := v.Put(fmt.Sprintf("o%02d/obj", i), fill(fmt.Sprint(i), 1<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(0, 16, 1) // the first half fills the cache; a one-off second half is refused
+	read(8, 16, 1) // seen twice, the second half now wins admission and evicts
+
+	if s := v.CacheStats(); s.Evictions == 0 || s.AdmitRejects == 0 {
+		t.Fatalf("16 KiB of reads through an 8 KiB cache neither evicted nor refused: %+v", s)
+	}
+	checkCacheSeries(t, v)
 }
 
 // TestVaultCacheSkewedReadReplay reads a preloaded, fully cacheable set
@@ -437,12 +478,7 @@ func TestVaultCacheSkewedReadReplay(t *testing.T) {
 		if s.Hits == 0 {
 			t.Fatalf("run %d: skewed reads over a fully-cacheable set produced no hits", run)
 		}
-		snap := v.obsReg.Snapshot()
-		for family, want := range map[string]int64{"vault.cache.hit": s.Hits, "vault.cache.miss": s.Misses} {
-			if got, ok := snap.Series(family, "erasure_coding"); !ok || got != want {
-				t.Errorf("run %d: %s{encoding=erasure_coding} = %d (present %v), CacheStats says %d", run, family, got, ok, want)
-			}
-		}
+		checkCacheSeries(t, v)
 		if run == 0 {
 			first = s
 		} else if s.Hits != first.Hits || s.Misses != first.Misses {
@@ -548,7 +584,7 @@ func TestVaultWithoutCacheUnchanged(t *testing.T) {
 // TestPrefetchCancel pins the prefetch window's cancellation contract: a
 // context cancelled mid-read aborts cleanly (context error surfaced, no
 // goroutine leak — the -race run would catch one touching freed state)
-// and wasted look-aheads are tallied.
+// and the full read still works afterwards.
 func TestPrefetchCancel(t *testing.T) {
 	c := cluster.New(8, nil)
 	reg := obs.NewRegistry()

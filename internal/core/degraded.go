@@ -42,95 +42,45 @@ func (e *DegradedError) Error() string {
 func (e *DegradedError) Unwrap() error { return ErrDegraded }
 
 // vaultMetrics pre-resolves the vault's instruments so the Put/Get hot
-// paths pay only atomic updates. Op latencies go through reg.Span
-// (vault.put.ok / vault.put.err and friends); encode/decode throughput
-// is recorded per operation in MB/s.
+// paths pay only atomic updates. Each vault operation's one record is
+// its span's vault.<op>.{ok,err} latency pair (see Vault.tracer); what
+// is here are sizes, encode/decode throughput in MB/s, and event counts.
 type vaultMetrics struct {
-	reg *obs.Registry
+	getBytes             *obs.Histogram
+	encodeMBs, decodeMBs *obs.Histogram
 
-	putBytes, getBytes *obs.Histogram
-	encodeMBs          *obs.Histogram
-	decodeMBs          *obs.Histogram
-	// Encoding-labeled op latency: the vault.put.ns / vault.get.ns
-	// families keyed by {encoding}, pre-resolved to this vault's series
-	// so comparing replication vs erasure deployments is one query. The
-	// flat vault.put.ok/.err histograms (fed by the tracer bridge) stay.
-	putNsByEnc *obs.Histogram
-	getNsByEnc *obs.Histogram
-	// lockWaitNs records time spent blocked acquiring an object's lock —
-	// near-zero when traffic spreads across objects (the striped design's
-	// point), visible when workers pile onto one id.
-	lockWaitNs       *obs.Histogram
+	// Reads that discarded rotted shards, routed around a failure, or
+	// fell below the decode threshold — the /healthz degraded-read rate
+	// — and the stripes a scrub rebuilt.
 	readDiscarded    *obs.Counter
 	readDegraded     *obs.Counter
 	readInsufficient *obs.Counter
 	scrubRepairs     *obs.Counter
 
-	// The writer (pipeline.go): chunks pushed through encode→stage, and
-	// the combined encode+stage rate the pipeline achieved.
-	pipelineChunks *obs.Counter
-	pipelineMBs    *obs.Histogram
-
-	// Streaming ingest (stream.go): the in-flight / high-water plaintext
-	// bytes buffered between the reader and the staged cluster writes —
-	// the gauge that proves a multi-GiB upload stays O(chunk), not
-	// O(object), in RAM.
-	streamBuffered *obs.Gauge
-	streamPeak     *obs.Gauge
-
-	// Batched small-object writes (batch.go): member puts admitted,
-	// flushes performed, members per flush, and how long a member waited
-	// from enqueue to commit.
-	batchPuts    *obs.Counter
+	// Batched small-object writes (batch.go): flushes performed.
 	batchFlushes *obs.Counter
-	batchMembers *obs.Histogram
-	batchWaitNs  *obs.Histogram
 
-	// Read cache & prefetch (cache.go, prefetch.go): the vault.cache.*
-	// families are labeled by encoding so hit ratios compare across
-	// deployments; the bytes gauge tracks residency against the budget
-	// and the hit histogram is the served-from-memory latency.
-	cacheHit       *obs.Counter
-	cacheMiss      *obs.Counter
-	cacheEvict     *obs.Counter
-	cacheReject    *obs.Counter
-	cacheBytes     *obs.Gauge
-	cacheHitNs     *obs.Histogram
-	prefetchIssued *obs.Counter
-	prefetchWasted *obs.Counter
+	// Read cache (cache.go): the vault.cache.* families are labelled by
+	// encoding so hit ratios compare across deployments; each counts
+	// exactly what the matching CacheStats tally does.
+	cacheHit, cacheMiss, cacheEvict, cacheReject *obs.Counter
 }
 
 func newVaultMetrics(reg *obs.Registry, encName string) *vaultMetrics {
 	slug := strings.ReplaceAll(strings.ToLower(encName), " ", "_")
 	return &vaultMetrics{
-		reg:              reg,
-		putBytes:         reg.Histogram("vault.put.bytes", obs.SizeBuckets()),
 		getBytes:         reg.Histogram("vault.get.bytes", obs.SizeBuckets()),
 		encodeMBs:        reg.Histogram("encode."+slug+".mbps", obs.RateBuckets()),
 		decodeMBs:        reg.Histogram("decode."+slug+".mbps", obs.RateBuckets()),
-		putNsByEnc:       reg.LabeledHistogram("vault.put.ns", obs.LatencyBuckets(), "encoding").With(slug),
-		getNsByEnc:       reg.LabeledHistogram("vault.get.ns", obs.LatencyBuckets(), "encoding").With(slug),
-		lockWaitNs:       reg.Histogram("vault.lock.wait_ns", obs.LatencyBuckets()),
 		readDiscarded:    reg.Counter("vault.read.discarded"),
 		readDegraded:     reg.Counter("vault.read.degraded"),
 		readInsufficient: reg.Counter("vault.read.insufficient"),
 		scrubRepairs:     reg.Counter("vault.scrub.repairs"),
-		pipelineChunks:   reg.Counter("vault.pipeline.chunks"),
-		pipelineMBs:      reg.Histogram("vault.pipeline.mbps", obs.RateBuckets()),
-		streamBuffered:   reg.Gauge("vault.stream.buffered_bytes"),
-		streamPeak:       reg.Gauge("vault.stream.peak_buffered_bytes"),
-		batchPuts:        reg.Counter("vault.batch.puts"),
 		batchFlushes:     reg.Counter("vault.batch.flushes"),
-		batchMembers:     reg.Histogram("vault.batch.members", []float64{1, 2, 4, 8, 16, 32, 64, 128}),
-		batchWaitNs:      reg.Histogram("vault.batch.wait_ns", obs.LatencyBuckets()),
 		cacheHit:         reg.LabeledCounter("vault.cache.hit", "encoding").With(slug),
 		cacheMiss:        reg.LabeledCounter("vault.cache.miss", "encoding").With(slug),
 		cacheEvict:       reg.LabeledCounter("vault.cache.evict", "encoding").With(slug),
 		cacheReject:      reg.LabeledCounter("vault.cache.admit_reject", "encoding").With(slug),
-		cacheBytes:       reg.Gauge("vault.cache.bytes"),
-		cacheHitNs:       reg.LabeledHistogram("vault.cache.hit.ns", obs.LatencyBuckets(), "encoding").With(slug),
-		prefetchIssued:   reg.LabeledCounter("vault.cache.prefetch.issued", "encoding").With(slug),
-		prefetchWasted:   reg.LabeledCounter("vault.cache.prefetch.wasted", "encoding").With(slug),
 	}
 }
 
@@ -150,11 +100,12 @@ func WithRegistry(reg *obs.Registry) VaultOption {
 	return func(v *Vault) { v.obsReg = reg }
 }
 
-// WithTracer points the vault's hierarchical tracing at tr instead of
-// the tracer NewVault would otherwise pick (trace.Default() with the
-// default registry, a private tracer with an isolated one). Pass a
-// tracer whose registry matches WithRegistry so the span-duration
-// histograms land next to the rest of the vault's metrics.
+// WithTracer points the vault's operation timing and hierarchical
+// tracing at tr instead of the tracer NewVault would otherwise pick
+// (trace.Default() with the default registry, a private tracer with an
+// isolated one). Pass a tracer whose registry matches WithRegistry so
+// the operations' latency histograms land next to the rest of the
+// vault's metrics.
 func WithTracer(tr *trace.Tracer) VaultOption {
 	return func(v *Vault) { v.tracer = tr }
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"securearchive/internal/cluster"
 	"securearchive/internal/group"
@@ -91,10 +92,7 @@ func TestVaultRotDiscardQueuesScrub(t *testing.T) {
 	if n := reg.Counter("vault.read.discarded").Load(); n < 1 {
 		t.Fatalf("vault.read.discarded = %d, want >= 1", n)
 	}
-	if n := reg.Counter("cluster.fetch.discarded").Load(); n < 1 {
-		t.Fatalf("cluster.fetch.discarded = %d, want >= 1", n)
-	}
-	if n := reg.Counter("cluster.fetch.discarded.node02").Load(); n < 1 {
+	if n := reg.Snapshot().Counters[`cluster.discard{node="02"}`]; n < 1 {
 		t.Fatalf("per-node discard attribution missing: %d", n)
 	}
 
@@ -121,8 +119,8 @@ func TestVaultRotDiscardQueuesScrub(t *testing.T) {
 }
 
 // Metrics acceptance: an instrumented put/get round trip under transient
-// faults shows up in the snapshot — op counters, size histograms, and
-// retry counters (which land in the default registry).
+// faults shows up in the snapshot — each operation once as its latency
+// pair, stage commits, probes, and the read size histogram.
 func TestVaultMetricsSnapshot(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := cluster.New(8, nil)
@@ -131,9 +129,6 @@ func TestVaultMetricsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retryBase := obs.Default().Counter("cluster.retry.attempts").Load()
-	backoffBase := obs.Default().Counter("cluster.retry.backoff_ns").Load()
-
 	if err := v.Put("m", []byte("measured object")); err != nil {
 		t.Fatal(err)
 	}
@@ -146,27 +141,77 @@ func TestVaultMetricsSnapshot(t *testing.T) {
 	c.SetFaultPlan(nil)
 
 	snap := reg.Snapshot()
-	if snap.Counters["cluster.staged.ok"] == 0 {
-		t.Fatal("cluster.staged.ok not counted")
+	if got := snap.Histograms["cluster.staged.ok"].Count; got != 8 {
+		t.Fatalf("cluster.staged.ok count = %d, want 8 (one per shard)", got)
 	}
-	if snap.Counters["cluster.stage.commit"] == 0 {
-		t.Fatal("cluster.stage.commit not counted")
+	if snap.Counters["cluster.stage.commit"] != 1 {
+		t.Fatalf("cluster.stage.commit = %d, want 1", snap.Counters["cluster.stage.commit"])
 	}
-	if snap.Counters["cluster.fetch.probes"] == 0 {
-		t.Fatal("cluster.fetch.probes not counted")
+	if snap.Sum("cluster.probe") == 0 {
+		t.Fatal("cluster.probe{node} not counted")
+	}
+	if snap.Histograms["cluster.get.ok"].Count == 0 || snap.Histograms["cluster.get.err"].Count == 0 {
+		t.Fatalf("cluster.get pair under transients: ok %+v err %+v",
+			snap.Histograms["cluster.get.ok"], snap.Histograms["cluster.get.err"])
 	}
 	h, ok := snap.Histograms["vault.get.bytes"]
 	if !ok || h.Count != 8 || h.Sum != 8*float64(len("measured object")) {
 		t.Fatalf("vault.get.bytes histogram wrong: %+v", h)
 	}
-	if _, ok := snap.Histograms["vault.put.ok"]; !ok {
-		t.Fatal("vault.put span did not record")
+	if got := snap.Histograms["vault.put.ok"].Count; got != 1 {
+		t.Fatalf("vault.put.ok count = %d, want 1", got)
+	}
+	if got := snap.Histograms["vault.get.ok"].Count; got != 8 {
+		t.Fatalf("vault.get.ok count = %d, want 8", got)
 	}
 	// 8 reads at p=0.4 transients with seeded determinism must retry.
-	if d := obs.Default().Counter("cluster.retry.attempts").Load() - retryBase; d < 1 {
-		t.Fatalf("cluster.retry.attempts delta = %d, want >= 1", d)
+	if snap.Sum("cluster.retry") < 1 {
+		t.Fatal("cluster.retry{node} did not move under transients")
 	}
-	if d := obs.Default().Counter("cluster.retry.backoff_ns").Load() - backoffBase; d < 1 {
-		t.Fatalf("cluster.retry.backoff_ns delta = %d, want >= 1", d)
+}
+
+// Regression: retries used to be counted in obs.Default() whatever
+// registry the cluster used, and a staged write's retries reached no
+// per-node series at all. Both the write and the read path must land on
+// the cluster's own cluster.retry{node} and leave the process-wide
+// registry alone.
+func TestRetriesLandOnTheClustersRegistry(t *testing.T) {
+	before := obs.Default().Snapshot()
+	reg := obs.NewRegistry()
+	c := cluster.New(8, nil)
+	c.UseRegistry(reg)
+	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithGroup(group.Test()), WithRegistry(reg),
+		WithRetryPolicy(cluster.RetryPolicy{MaxAttempts: 32, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetFaultPlan(&cluster.FaultPlan{Seed: 3, Default: cluster.NodeFaults{TransientProb: 0.5}})
+	if err := v.Put("r", []byte("retried on the way in and on the way out")); err != nil {
+		t.Fatal(err)
+	}
+	afterPut := reg.Snapshot().Sum("cluster.retry")
+	if afterPut == 0 {
+		t.Fatal("a staged put under 50% transients left cluster.retry{node} at 0")
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := v.Get("r"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reg.Snapshot().Sum("cluster.retry") == afterPut {
+		t.Fatal("gets under 50% transients did not move cluster.retry{node}")
+	}
+	// cluster.New resolves its series in obs.Default() before UseRegistry
+	// moves it; they may appear there, at zero, but nothing may count.
+	after := obs.Default().Snapshot()
+	for name, v := range after.Counters {
+		if v != before.Counters[name] {
+			t.Errorf("obs.Default() %s moved %d → %d", name, before.Counters[name], v)
+		}
+	}
+	for name, h := range after.Histograms {
+		if h.Count != before.Histograms[name].Count {
+			t.Errorf("obs.Default() %s moved %d → %d", name, before.Histograms[name].Count, h.Count)
+		}
 	}
 }

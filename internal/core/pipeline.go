@@ -132,7 +132,6 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 	cs := v.chunkSize
 	sctx, sp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
 	s := &staged{id: id, token: v.newStageToken(id), span: sp}
-	start := time.Now()
 	h := sha256.New()
 
 	// inFlight tracks this write's share of the vault-wide buffered-bytes
@@ -217,7 +216,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 			}
 		},
 		func(c encodedChunk) error {
-			// Mirror checkpoint on the staging side: RetryTransientCtx
+			// Mirror checkpoint on the staging side: the retry loop
 			// inside stageShards aborts an in-flight backoff, this stops
 			// the next chunk's staging from starting at all.
 			if err := ctx.Err(); err != nil {
@@ -228,7 +227,6 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 			}
 			s.chunks = append(s.chunks, newChunkMeta(c.enc))
 			track(-int64(c.enc.PlainLen))
-			v.obsm.pipelineChunks.Inc()
 			return nil
 		},
 		func(c encodedChunk) { track(-int64(c.enc.PlainLen)) },
@@ -237,7 +235,6 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 		return nil, v.commit(s, err)
 	}
 	h.Sum(s.digest[:0])
-	observeRate(v.obsm.pipelineMBs, int(s.n), time.Since(start))
 	sp.SetAttrs(trace.Int("chunks", len(s.chunks)), trace.Int64("bytes", s.n))
 	return s, nil
 }
@@ -268,7 +265,8 @@ func (v *Vault) newStageToken(id string) string {
 }
 
 // stageShards stages one chunk's shards under an open stage token,
-// retrying transient faults per the vault's policy. The caller owns the
+// retrying transient faults per the vault's policy (each transient lands
+// on the cluster's cluster.retry{node}). The caller owns the
 // token's lifecycle: commit after every chunk is staged, abort on any
 // error — that single commit is what keeps multi-chunk and multi-member
 // writes atomic.
@@ -277,10 +275,7 @@ func (v *Vault) stageShards(ctx context.Context, stage, id string, chunk int, sh
 		if sh == nil {
 			continue
 		}
-		i, sh := i, sh
-		err := cluster.RetryTransientCtx(ctx, v.retry, func() error {
-			return v.Cluster.PutStagedCtx(ctx, i, stage, cluster.ShardKey{Object: id, Index: i, Chunk: chunk}, sh)
-		})
+		err := v.Cluster.PutStagedRetryCtx(ctx, i, stage, cluster.ShardKey{Object: id, Index: i, Chunk: chunk}, sh, v.retry)
 		if err != nil {
 			return fmt.Errorf("core: disperse %s chunk %d shard %d: %w", id, chunk, i, err)
 		}

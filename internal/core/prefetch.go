@@ -60,7 +60,6 @@ type prefetcher struct {
 	results    []chan *cluster.StripeResult
 	nextLaunch int
 	consumed   int
-	issued     int64 // fetches launched ahead of the consumer's cursor
 	wg         sync.WaitGroup
 }
 
@@ -87,9 +86,6 @@ func (pf *prefetcher) launch(ci int) {
 	}
 	ch := make(chan *cluster.StripeResult, 1)
 	pf.results[ci] = ch
-	if ci > pf.consumed {
-		pf.issued++
-	}
 	pf.wg.Add(1)
 	go func() {
 		defer pf.wg.Done()
@@ -111,19 +107,10 @@ func (pf *prefetcher) next(ci int) *cluster.StripeResult {
 	return <-pf.results[ci]
 }
 
-// stop cancels outstanding fetches and waits for every goroutine to
-// exit, then reports how many issued look-aheads were consumed vs
-// wasted (fetched or aborted for a consumer that never arrived —
-// early-error or cancelled reads). Safe to call more than once is not
-// needed; readStripes defers exactly one call.
-func (pf *prefetcher) stop() (issued, wasted int64) {
+// stop cancels outstanding fetches — look-aheads for a consumer that
+// will never arrive (early-error or cancelled reads) — and waits for
+// every goroutine to exit. readStripes defers exactly one call.
+func (pf *prefetcher) stop() {
 	pf.cancel()
 	pf.wg.Wait()
-	issued = pf.issued
-	for i := pf.consumed + 1; i < len(pf.results); i++ {
-		if pf.results[i] != nil {
-			wasted++
-		}
-	}
-	return issued, wasted
 }

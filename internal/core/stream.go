@@ -28,19 +28,13 @@ import (
 
 // streamBufAdd adjusts the in-flight plaintext byte count (read from
 // the client but not yet staged on the cluster) and maintains the
-// lifetime high-water mark. Both mirror into the vault.stream.* gauges;
-// the peak is the memory-boundedness evidence the streaming tests (and
-// the API layer's multi-GiB claim) rest on.
+// lifetime high-water mark — the memory-boundedness evidence the
+// streaming tests (and the API layer's multi-GiB claim) rest on.
 func (v *Vault) streamBufAdd(n int64) {
 	cur := v.streamBuffered.Add(n)
-	v.obsm.streamBuffered.Set(cur)
 	for {
 		peak := v.streamPeak.Load()
-		if cur <= peak {
-			return
-		}
-		if v.streamPeak.CompareAndSwap(peak, cur) {
-			v.obsm.streamPeak.Set(cur)
+		if cur <= peak || v.streamPeak.CompareAndSwap(peak, cur) {
 			return
 		}
 	}
@@ -62,9 +56,7 @@ func (v *Vault) StreamPeakBuffered() int64 { return v.streamPeak.Load() }
 func (v *Vault) PutReader(ctx context.Context, id string, r io.Reader) (int64, error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.put",
 		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
-	start := time.Now()
 	n, err := v.putReader(ctx, id, r)
-	v.obsm.putNsByEnc.Observe(float64(time.Since(start).Nanoseconds()))
 	if err == nil {
 		sp.SetAttrs(trace.Int64("bytes", n))
 	}
@@ -89,7 +81,6 @@ func (v *Vault) putReader(ctx context.Context, id string, r io.Reader) (int64, e
 	// case Delete already dropped it — but the hook costs one map probe
 	// and keeps "every mutator invalidates" unconditional.
 	v.cacheInvalidate(id)
-	v.obsm.putBytes.Observe(float64(obj.plainLen))
 	return int64(obj.plainLen), nil
 }
 
@@ -105,9 +96,7 @@ func (v *Vault) putReader(ctx context.Context, id string, r io.Reader) (int64, e
 func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (int64, error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.get",
 		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
-	start := time.Now()
 	n, err := v.readTo(ctx, id, w)
-	v.obsm.getNsByEnc.Observe(float64(time.Since(start).Nanoseconds()))
 	if err == nil {
 		v.obsm.getBytes.Observe(float64(n))
 		sp.SetAttrs(trace.Int64("bytes", n))
@@ -225,11 +214,7 @@ func (v *Vault) readStripes(ctx context.Context, id string, l *layout, w io.Writ
 	var pf *prefetcher
 	if v.prefetchWindow > 0 && len(l.chunks) > 1 {
 		pf = v.newPrefetcher(ctx, l, n, min)
-		defer func() {
-			issued, wasted := pf.stop()
-			v.obsm.prefetchIssued.Add(issued)
-			v.obsm.prefetchWasted.Add(wasted)
-		}()
+		defer pf.stop()
 	}
 	h := sha256.New()
 	var total int64

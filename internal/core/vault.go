@@ -102,10 +102,9 @@ type Vault struct {
 	prefetchWindow int
 
 	// obsReg/obsm are the metrics registry and pre-resolved instruments;
-	// see degraded.go. tracer roots one hierarchical trace per vault op
-	// (Put/Get/Renew/Scrub/Delete) and bridges span durations into
-	// obsReg's histograms; disabled (the default), it degrades to exactly
-	// the flat Span timing.
+	// see degraded.go. tracer times every vault op (Put/Get/Renew/Scrub/
+	// Delete) into obsReg's vault.<op>.{ok,err} histograms and, enabled,
+	// roots one hierarchical trace per op.
 	obsReg *obs.Registry
 	obsm   *vaultMetrics
 	tracer *trace.Tracer
@@ -337,7 +336,6 @@ func NewVault(c *cluster.Cluster, enc Encoding, opts ...VaultOption) (*Vault, er
 		v.cache = newReadCache(v.cacheBytes, v.cacheShare)
 		v.cache.evictC = v.obsm.cacheEvict
 		v.cache.rejectC = v.obsm.cacheReject
-		v.cache.bytesG = v.obsm.cacheBytes
 	}
 	if v.tracer == nil {
 		if v.obsReg == obs.Default() {
@@ -351,16 +349,18 @@ func NewVault(c *cluster.Cluster, enc Encoding, opts ...VaultOption) (*Vault, er
 	return v, nil
 }
 
-// lockWait acquires lock() and records the time spent blocked on it in
-// the vault.lock.wait_ns histogram — the contention attribution for the
-// striped design: near-zero when traffic spreads across objects, visible
+// lockWait acquires lock() and, on a recording span, attributes a wait
+// of a millisecond or more to it — the contention attribution for the
+// striped design: invisible when traffic spreads across objects, visible
 // when workers pile onto one id.
 func (v *Vault) lockWait(sp trace.Span, lock func()) {
+	if !sp.Recording() {
+		lock()
+		return
+	}
 	start := time.Now()
 	lock()
-	w := time.Since(start)
-	v.obsm.lockWaitNs.Observe(float64(w.Nanoseconds()))
-	if w >= time.Millisecond {
+	if w := time.Since(start); w >= time.Millisecond {
 		sp.SetAttrs(trace.Int64("lock_wait_ns", w.Nanoseconds()))
 	}
 }
@@ -401,18 +401,15 @@ func (v *Vault) GetContext(ctx context.Context, id string) ([]byte, error) {
 	return sink.whole, nil
 }
 
-// cacheGet probes the read cache, recording hit/miss metrics and the
-// hit-latency histogram. The returned slice is the cache's immutable
-// copy.
+// cacheGet probes the read cache, recording the hit or miss. The
+// returned slice is the cache's immutable copy.
 func (v *Vault) cacheGet(ctx context.Context, id string, epoch int) ([]byte, bool) {
-	start := time.Now()
 	cached, ok := v.cache.get(id, epoch)
 	if !ok {
 		v.obsm.cacheMiss.Inc()
 		return nil, false
 	}
 	v.obsm.cacheHit.Inc()
-	v.obsm.cacheHitNs.Observe(float64(time.Since(start).Nanoseconds()))
 	trace.FromContext(ctx).Event("cache.hit", trace.Int("bytes", len(cached)))
 	return cached, true
 }

@@ -57,36 +57,27 @@ func (h *Histogram) Mean() float64 {
 // the bucket holding the target rank. Values in the overflow bucket
 // report the last bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 {
+	return quantile(h.bounds, h.count.Load(), q, func(i int) int64 { return h.counts[i].Load() })
+}
+
+// quantile is the interpolation behind Histogram.Quantile and
+// Window.QuantileAt: count(i) is bucket i's tally out of total, and a
+// rank past the last bound reports the last bound.
+func quantile(bounds []float64, total int64, q float64, count func(i int) int64) float64 {
+	if total == 0 || len(bounds) == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	lo := 0.0
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if i == len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		hi := h.bounds[i]
+	rank := min(max(q, 0), 1) * float64(total)
+	cum, lo := 0.0, 0.0
+	for i, hi := range bounds {
+		c := float64(count(i))
 		if c > 0 && cum+c >= rank {
-			frac := (rank - cum) / c
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
+			return lo + (hi-lo)*max((rank-cum)/c, 0)
 		}
 		cum += c
 		lo = hi
 	}
-	return h.bounds[len(h.bounds)-1]
+	return bounds[len(bounds)-1]
 }
 
 // boundsEqual reports whether two bucket ladders are the same. The

@@ -1,20 +1,18 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Dimensional metrics: the paper's archival failures are attributable —
-// a node rotting, a tenant hammering the service, an encoding paying for
-// its verification — so the registry's flat "one name, one number" model
-// (PR 3) is extended here with labeled families. A LabeledCounter/
-// LabeledGauge/LabeledHistogram is declared once with a FIXED label
-// schema ({tenant}, {node}, {encoding}); each distinct label value gets
-// its own series, resolved through an atomic-pointer copy-on-write map so
-// the hot path is one lock-free map hit and zero allocations after a
-// series' first touch (enforced by TestLabeledCounterZeroAllocs).
+// Every metric is a Family: a name, at most one label key, and one series
+// per label value. A plain metric is the family with no key and its one
+// series under the empty value. Attribution — a node rotting, a tenant
+// hammering the service, an encoding paying for its verification — is a
+// keyed family ({node}, {tenant}, {encoding}). Series resolve through an
+// atomic-pointer copy-on-write map, so the hot path is one lock-free map
+// hit and zero allocations after a series' first touch (enforced by
+// TestLabeledCounterZeroAllocs).
 //
 // Cardinality is bounded: a family holds at most maxSeries distinct
 // series (DefaultMaxSeries unless raised with SetMaxSeries). Once full,
@@ -32,109 +30,79 @@ const OverflowValue = "_overflow"
 // with SetMaxSeries.
 const DefaultMaxSeries = 64
 
-// labeledSeries pairs one series with the label values that key it.
-type labeledSeries[S any] struct {
-	labels []string
-	s      S
-}
+// Family is one named metric: every series of one kind (*Counter,
+// *Gauge or *Histogram) under a fixed label key. The live map is behind
+// an atomic pointer: readers load and index it with no lock; inserts
+// copy-on-write under mu.
+type Family[S any] struct {
+	reg    *Registry
+	name   string
+	key    string    // "" for a plain metric
+	bounds []float64 // histogram families only
+	mk     func([]float64) S
 
-// family is the label→series table behind the three Labeled types. The
-// live map is behind an atomic pointer: readers load and index it with
-// no lock; inserts copy-on-write under mu.
-type family[S any] struct {
-	name string
-	keys []string
-	mk   func() S
-
-	// overflowed is the registry-wide obs.labels.overflow counter;
-	// overflowHit records whether THIS family ever overflowed (so the
-	// overflow series only appears in snapshots once it means something).
-	overflowed  *Counter
+	// overflowHit records whether this family ever overflowed, so the
+	// overflow series only appears in snapshots once it means something.
 	overflowHit atomic.Bool
 	overflow    S
 
 	mu        sync.Mutex
 	maxSeries int
-	series    atomic.Pointer[map[string]*labeledSeries[S]]
+	series    atomic.Pointer[map[string]S]
 }
 
-func newFamily[S any](name string, keys []string, overflowed *Counter, mk func() S) *family[S] {
-	f := &family[S]{
-		name:       name,
-		keys:       append([]string(nil), keys...),
-		mk:         mk,
-		overflowed: overflowed,
-		overflow:   mk(),
-		maxSeries:  DefaultMaxSeries,
+func newFamily[S any](r *Registry, name, key string, bounds []float64, mk func([]float64) S) *Family[S] {
+	b := append([]float64(nil), bounds...)
+	f := &Family[S]{
+		reg:       r,
+		name:      name,
+		key:       key,
+		bounds:    b,
+		mk:        mk,
+		overflow:  mk(b),
+		maxSeries: DefaultMaxSeries,
 	}
-	empty := make(map[string]*labeledSeries[S])
+	empty := make(map[string]S)
 	f.series.Store(&empty)
 	return f
 }
 
-// get1 resolves the single-label fast path: a lock-free map hit, no
-// allocation once the series exists.
-func (f *family[S]) get1(value string) S {
-	m := f.series.Load()
-	if e, ok := (*m)[value]; ok {
-		return e.s
+// With returns the series for one label value (the empty value for a
+// plain metric). Steady state is lock-free and allocation-free.
+func (f *Family[S]) With(value string) S {
+	if s, ok := (*f.series.Load())[value]; ok {
+		return s
 	}
-	return f.miss(value, []string{value})
-}
-
-// getN resolves an arbitrary-arity label set. The composite key is built
-// in a stack buffer so steady-state lookups stay allocation-free too.
-func (f *family[S]) getN(values []string) S {
-	if len(values) != len(f.keys) {
-		panic("obs: " + f.name + ": label value count does not match the family's schema")
-	}
-	if len(values) == 1 {
-		return f.get1(values[0])
-	}
-	var arr [128]byte
-	buf := arr[:0]
-	for i, v := range values {
-		if i > 0 {
-			buf = append(buf, 0x1f) // unit separator; not a legal rune in our label values
-		}
-		buf = append(buf, v...)
-	}
-	m := f.series.Load()
-	if e, ok := (*m)[string(buf)]; ok { // compiler elides the conversion alloc for map access
-		return e.s
-	}
-	return f.miss(string(buf), values)
+	return f.miss(value)
 }
 
 // miss is the cold path: insert a new series (copy-on-write) or, past
 // the cardinality bound, route to the overflow series.
-func (f *family[S]) miss(key string, values []string) S {
+func (f *Family[S]) miss(value string) S {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	m := *f.series.Load()
-	if e, ok := m[key]; ok {
-		return e.s
+	if s, ok := m[value]; ok {
+		return s
 	}
 	if len(m) >= f.maxSeries {
 		f.overflowHit.Store(true)
-		if f.overflowed != nil {
-			f.overflowed.Inc()
-		}
+		f.reg.Counter("obs.labels.overflow").Inc()
 		return f.overflow
 	}
-	next := make(map[string]*labeledSeries[S], len(m)+1)
+	next := make(map[string]S, len(m)+1)
 	for k, v := range m {
 		next[k] = v
 	}
-	e := &labeledSeries[S]{labels: append([]string(nil), values...), s: f.mk()}
-	next[key] = e
+	s := f.mk(f.bounds)
+	next[value] = s
 	f.series.Store(&next)
-	return e.s
+	return s
 }
 
-// setMaxSeries raises (or lowers, affecting only future inserts) the
+// SetMaxSeries raises (or lowers, affecting only future inserts) the
 // family's cardinality bound. Call before traffic flows.
-func (f *family[S]) setMaxSeries(n int) {
+func (f *Family[S]) SetMaxSeries(n int) {
 	if n < 1 {
 		return
 	}
@@ -143,212 +111,13 @@ func (f *family[S]) setMaxSeries(n int) {
 	f.mu.Unlock()
 }
 
-// each visits every live series sorted by label values, then — if the
-// family ever overflowed — the overflow series under OverflowValue.
-func (f *family[S]) each(fn func(labels []string, s S)) {
-	m := *f.series.Load()
-	entries := make([]*labeledSeries[S], 0, len(m))
-	for _, e := range m {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].labels, entries[j].labels
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	for _, e := range entries {
-		fn(e.labels, e.s)
+// each visits every live series by its rendered name (see seriesName),
+// then — if the family ever overflowed — the overflow series.
+func (f *Family[S]) each(fn func(series string, s S)) {
+	for v, s := range *f.series.Load() {
+		fn(seriesName(f.name, f.key, v), s)
 	}
 	if f.overflowHit.Load() {
-		over := make([]string, len(f.keys))
-		for i := range over {
-			over[i] = OverflowValue
-		}
-		fn(over, f.overflow)
+		fn(seriesName(f.name, f.key, OverflowValue), f.overflow)
 	}
-}
-
-// LabeledCounter is a counter family keyed by a fixed label schema.
-type LabeledCounter struct {
-	f *family[*Counter]
-}
-
-// Name returns the family name.
-func (lc *LabeledCounter) Name() string { return lc.f.name }
-
-// Keys returns the label schema declared at creation.
-func (lc *LabeledCounter) Keys() []string { return append([]string(nil), lc.f.keys...) }
-
-// With returns the series for one label value (single-label families).
-// Steady state is lock-free and allocation-free.
-func (lc *LabeledCounter) With(value string) *Counter { return lc.f.get1(value) }
-
-// WithValues returns the series for a full label-value tuple; the count
-// must match the schema.
-func (lc *LabeledCounter) WithValues(values ...string) *Counter { return lc.f.getN(values) }
-
-// SetMaxSeries raises the family's cardinality bound (DefaultMaxSeries
-// otherwise). Call before traffic flows.
-func (lc *LabeledCounter) SetMaxSeries(n int) { lc.f.setMaxSeries(n) }
-
-// Each visits every series (sorted by label values; overflow last).
-func (lc *LabeledCounter) Each(fn func(labels []string, c *Counter)) { lc.f.each(fn) }
-
-// LabeledGauge is a gauge family keyed by a fixed label schema.
-type LabeledGauge struct {
-	f *family[*Gauge]
-}
-
-// Name returns the family name.
-func (lg *LabeledGauge) Name() string { return lg.f.name }
-
-// Keys returns the label schema declared at creation.
-func (lg *LabeledGauge) Keys() []string { return append([]string(nil), lg.f.keys...) }
-
-// With returns the series for one label value (single-label families).
-func (lg *LabeledGauge) With(value string) *Gauge { return lg.f.get1(value) }
-
-// WithValues returns the series for a full label-value tuple.
-func (lg *LabeledGauge) WithValues(values ...string) *Gauge { return lg.f.getN(values) }
-
-// SetMaxSeries raises the family's cardinality bound.
-func (lg *LabeledGauge) SetMaxSeries(n int) { lg.f.setMaxSeries(n) }
-
-// Each visits every series (sorted by label values; overflow last).
-func (lg *LabeledGauge) Each(fn func(labels []string, g *Gauge)) { lg.f.each(fn) }
-
-// LabeledHistogram is a histogram family keyed by a fixed label schema;
-// every series shares the bounds declared at creation.
-type LabeledHistogram struct {
-	f      *family[*Histogram]
-	bounds []float64
-}
-
-// Name returns the family name.
-func (lh *LabeledHistogram) Name() string { return lh.f.name }
-
-// Keys returns the label schema declared at creation.
-func (lh *LabeledHistogram) Keys() []string { return append([]string(nil), lh.f.keys...) }
-
-// With returns the series for one label value (single-label families).
-func (lh *LabeledHistogram) With(value string) *Histogram { return lh.f.get1(value) }
-
-// WithValues returns the series for a full label-value tuple.
-func (lh *LabeledHistogram) WithValues(values ...string) *Histogram { return lh.f.getN(values) }
-
-// SetMaxSeries raises the family's cardinality bound.
-func (lh *LabeledHistogram) SetMaxSeries(n int) { lh.f.setMaxSeries(n) }
-
-// Each visits every series (sorted by label values; overflow last).
-func (lh *LabeledHistogram) Each(fn func(labels []string, h *Histogram)) { lh.f.each(fn) }
-
-// keysEqual reports whether two label schemas match exactly.
-func keysEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// LabeledCounter returns the named counter family, creating it with the
-// given label schema on first use. Like Histogram bounds, a family's
-// schema is fixed at creation: a later caller passing DIFFERENT keys
-// still gets the existing family, and the mismatch bumps
-// obs.labels.schema_conflict.
-func (r *Registry) LabeledCounter(name string, keys ...string) *LabeledCounter {
-	r.mu.RLock()
-	lc, ok := r.labeledCounters[name]
-	r.mu.RUnlock()
-	if ok {
-		r.noteKeysConflict(lc.f.keys, keys)
-		return lc
-	}
-	overflowed := r.Counter("obs.labels.overflow")
-	r.mu.Lock()
-	if lc, ok = r.labeledCounters[name]; !ok {
-		lc = &LabeledCounter{f: newFamily(name, keys, overflowed, func() *Counter { return &Counter{} })}
-		r.labeledCounters[name] = lc
-		r.mu.Unlock()
-		return lc
-	}
-	r.mu.Unlock()
-	r.noteKeysConflict(lc.f.keys, keys)
-	return lc
-}
-
-// LabeledGauge returns the named gauge family, creating it with the
-// given label schema on first use (schema fixed at creation; see
-// LabeledCounter).
-func (r *Registry) LabeledGauge(name string, keys ...string) *LabeledGauge {
-	r.mu.RLock()
-	lg, ok := r.labeledGauges[name]
-	r.mu.RUnlock()
-	if ok {
-		r.noteKeysConflict(lg.f.keys, keys)
-		return lg
-	}
-	overflowed := r.Counter("obs.labels.overflow")
-	r.mu.Lock()
-	if lg, ok = r.labeledGauges[name]; !ok {
-		lg = &LabeledGauge{f: newFamily(name, keys, overflowed, func() *Gauge { return &Gauge{} })}
-		r.labeledGauges[name] = lg
-		r.mu.Unlock()
-		return lg
-	}
-	r.mu.Unlock()
-	r.noteKeysConflict(lg.f.keys, keys)
-	return lg
-}
-
-// LabeledHistogram returns the named histogram family, creating it with
-// the given bucket bounds and label schema on first use. Every series
-// shares the family's bounds; later callers passing different bounds or
-// keys get the existing family plus a conflict count (see Histogram and
-// LabeledCounter for the two contracts).
-func (r *Registry) LabeledHistogram(name string, bounds []float64, keys ...string) *LabeledHistogram {
-	r.mu.RLock()
-	lh, ok := r.labeledHists[name]
-	r.mu.RUnlock()
-	if ok {
-		r.noteKeysConflict(lh.f.keys, keys)
-		r.noteLabeledBoundsConflict(lh, bounds)
-		return lh
-	}
-	overflowed := r.Counter("obs.labels.overflow")
-	r.mu.Lock()
-	if lh, ok = r.labeledHists[name]; !ok {
-		b := append([]float64(nil), bounds...)
-		lh = &LabeledHistogram{bounds: b}
-		lh.f = newFamily(name, keys, overflowed, func() *Histogram { return newHistogram(b) })
-		r.labeledHists[name] = lh
-		r.mu.Unlock()
-		return lh
-	}
-	r.mu.Unlock()
-	r.noteKeysConflict(lh.f.keys, keys)
-	r.noteLabeledBoundsConflict(lh, bounds)
-	return lh
-}
-
-func (r *Registry) noteKeysConflict(have, got []string) {
-	if len(got) == 0 || keysEqual(have, got) {
-		return
-	}
-	r.Counter("obs.labels.schema_conflict").Inc()
-}
-
-func (r *Registry) noteLabeledBoundsConflict(lh *LabeledHistogram, bounds []float64) {
-	if len(bounds) == 0 || boundsEqual(lh.bounds, bounds) {
-		return
-	}
-	r.Counter("obs.hist.bounds_conflict").Inc()
 }

@@ -29,25 +29,6 @@ func TestLabeledCounterBasics(t *testing.T) {
 	}
 }
 
-func TestLabeledMultiKey(t *testing.T) {
-	r := NewRegistry()
-	lc := r.LabeledCounter("cluster.xfer", "node", "dir")
-	lc.WithValues("03", "tx").Add(7)
-	lc.WithValues("03", "rx").Add(2)
-	if got := lc.WithValues("03", "tx").Load(); got != 7 {
-		t.Fatalf("tx = %d, want 7", got)
-	}
-	if got := lc.WithValues("03", "rx").Load(); got != 2 {
-		t.Fatalf("rx = %d, want 2", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("arity mismatch did not panic")
-		}
-	}()
-	lc.WithValues("03")
-}
-
 func TestLabeledSchemaConflict(t *testing.T) {
 	r := NewRegistry()
 	r.LabeledCounter("api.requests", "tenant")
@@ -72,21 +53,13 @@ func TestLabeledOverflow(t *testing.T) {
 		t.Fatalf("obs.labels.overflow = %d, want 2", got)
 	}
 
-	var labels [][]string
-	var values []int64
-	lc.Each(func(l []string, c *Counter) {
-		labels = append(labels, append([]string(nil), l...))
-		values = append(values, c.Load())
-	})
-	if len(labels) != 5 {
-		t.Fatalf("series count = %d, want 5 (4 live + overflow)", len(labels))
+	values := map[string]int64{}
+	lc.each(func(name string, c *Counter) { values[name] = c.Load() })
+	if len(values) != 5 {
+		t.Fatalf("series count = %d, want 5 (4 live + overflow)", len(values))
 	}
-	last := labels[len(labels)-1]
-	if last[0] != OverflowValue {
-		t.Fatalf("last series = %v, want overflow", last)
-	}
-	if values[len(values)-1] != 10 {
-		t.Fatalf("overflow series = %d, want 10", values[len(values)-1])
+	if got := values[`api.requests{tenant="_overflow"}`]; got != 10 {
+		t.Fatalf("overflow series = %d, want 10 (series %v)", got, values)
 	}
 	// Existing series still resolve normally after overflow.
 	if lc.With("t0").Load() != 1 {
@@ -107,10 +80,15 @@ func TestLabeledHistogramAndGauge(t *testing.T) {
 		t.Fatalf("p50 = %g, want ~1e6", p50)
 	}
 
-	lg := r.LabeledGauge("api.inflight", "tenant")
-	lg.With("acme").Add(2)
-	lg.With("acme").Add(-1)
-	if got := lg.With("acme").Load(); got != 1 {
+	// A plain gauge is the one series of a key-less family: the same
+	// pointer under the empty label value, rendered under the bare name.
+	g := r.Gauge("vault.cache.bytes")
+	g.Add(2)
+	g.Add(-1)
+	if g != family(r, r.gauges, "vault.cache.bytes", "", nil, newGauge).With("") {
+		t.Fatal("plain gauge is not its family's zero-label series")
+	}
+	if got := r.Snapshot().Gauges["vault.cache.bytes"]; got != 1 {
 		t.Fatalf("gauge = %d, want 1", got)
 	}
 }
@@ -153,15 +131,15 @@ func TestLabeledConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	var total int64
-	lc.Each(func(_ []string, c *Counter) { total += c.Load() })
+	lc.each(func(_ string, c *Counter) { total += c.Load() })
 	if total != goroutines*perG {
 		t.Fatalf("total = %d, want %d", total, goroutines*perG)
 	}
 }
 
-// TestLabeledCounterZeroAllocs is the hot-path gate the issue demands:
-// after a series' first touch, With+Inc must not allocate. The verify
-// skill runs this by name.
+// TestLabeledCounterZeroAllocs is the hot-path gate: after a series'
+// first touch, With+Inc must not allocate, and neither may a plain
+// counter's lookup. The verify skill runs this by name.
 func TestLabeledCounterZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the alloc gate")
@@ -173,6 +151,12 @@ func TestLabeledCounterZeroAllocs(t *testing.T) {
 		lc.With("acme").Inc()
 	}); n != 0 {
 		t.Fatalf("labeled counter hot path allocates %v/op, want 0", n)
+	}
+	r.Counter("vault.read.degraded").Inc()
+	if n := testing.AllocsPerRun(1000, func() {
+		r.Counter("vault.read.degraded").Inc()
+	}); n != 0 {
+		t.Fatalf("plain counter lookup allocates %v/op, want 0", n)
 	}
 
 	lh := r.LabeledHistogram("vault.put.ns", LatencyBuckets(), "encoding")

@@ -1,30 +1,31 @@
 // Package obs is the framework's observability layer: a dependency-free
-// metrics registry (atomic counters, gauges, and fixed-bucket histograms
-// with p50/p95/p99 estimation) plus a lightweight span hook for timing
-// operations. The survivable-storage systems the paper surveys (PASIS,
+// metrics registry of atomic counters, gauges, and fixed-bucket
+// histograms with p50/p95/p99 estimation, plus the sliding windows and
+// SLO tables that judge a server by its recent past. Operations are
+// timed by internal/obs/trace, whose spans land here as latency
+// histograms. The survivable-storage systems the paper surveys (PASIS,
 // POTSHARDS) treat read-path telemetry as the basis for repair
-// scheduling; here the same counters back the degraded-read bug fixes,
-// the attacksim availability tables, and archivectl stats and serve.
+// scheduling; here the same series back the degraded-read checks, the
+// attacksim availability tables, and archivectl stats and serve.
 //
-// Naming convention: metric names are dotted lowercase paths of the form
-// "layer.op.outcome" — e.g. cluster.get.ok, cluster.fetch.discarded,
-// vault.put.err. Per-node attribution appends a node suffix
-// (cluster.fetch.discarded.node03). Latency histograms observe
-// nanoseconds and carry a ".ns" or span ".ok"/".err" suffix; size
-// histograms observe bytes; throughput histograms observe MB/s.
+// Naming convention: metric names are dotted lowercase paths,
+// "layer.op" for an operation and "layer.thing.event" for an event
+// count. A timed operation is recorded exactly once, as the latency
+// histogram pair "<op>.ok"/"<op>.err" (nanoseconds); its count is the
+// outcome count, so no counter shadows it. Size histograms observe
+// bytes and throughput histograms MB/s. Attribution to a node, tenant
+// or encoding is a label, never a name suffix: cluster.discard{node="05"}.
 //
-// Everything is safe for concurrent use. Counters and histograms are
-// plain atomics with no locks on the observation path; the registry's
-// map is only locked on first resolution of a name, so hot paths that
-// pre-resolve their metrics (the cluster and vault do) pay a few atomic
-// adds per operation. Spans allocate nothing when the registry is
-// disabled.
+// Everything is safe for concurrent use. Observations are plain atomics;
+// a series lookup is one lock-free map read, so hot paths that
+// pre-resolve their series (the cluster and vault do) pay a few atomic
+// adds per operation.
 package obs
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -55,32 +56,23 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// Registry holds named metrics. The zero value is not usable; call
-// NewRegistry (or use Default).
+// Registry holds named metric families, one collection per kind. A plain
+// metric is the one series of a family with no label key. The zero value
+// is not usable; call NewRegistry (or use Default).
 type Registry struct {
-	enabled atomic.Bool
-
-	mu              sync.RWMutex
-	counters        map[string]*Counter
-	gauges          map[string]*Gauge
-	hists           map[string]*Histogram
-	labeledCounters map[string]*LabeledCounter
-	labeledGauges   map[string]*LabeledGauge
-	labeledHists    map[string]*LabeledHistogram
+	mu       sync.RWMutex
+	counters map[string]*Family[*Counter]
+	gauges   map[string]*Family[*Gauge]
+	hists    map[string]*Family[*Histogram]
 }
 
-// NewRegistry creates an empty, enabled registry.
+// NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
-		counters:        make(map[string]*Counter),
-		gauges:          make(map[string]*Gauge),
-		hists:           make(map[string]*Histogram),
-		labeledCounters: make(map[string]*LabeledCounter),
-		labeledGauges:   make(map[string]*LabeledGauge),
-		labeledHists:    make(map[string]*LabeledHistogram),
+	return &Registry{
+		counters: make(map[string]*Family[*Counter]),
+		gauges:   make(map[string]*Family[*Gauge]),
+		hists:    make(map[string]*Family[*Histogram]),
 	}
-	r.enabled.Store(true)
-	return r
 }
 
 var defaultRegistry = NewRegistry()
@@ -89,48 +81,17 @@ var defaultRegistry = NewRegistry()
 // resolve their metrics from it unless explicitly pointed elsewhere.
 func Default() *Registry { return defaultRegistry }
 
-// SetEnabled flips span timing on or off. Counters and histograms keep
-// recording regardless (they are cheap atomics); disabling only turns
-// Span into a no-op so fully untimed runs cost nothing.
-func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// Enabled reports whether span timing is on.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
+func newCounter([]float64) *Counter { return &Counter{} }
+func newGauge([]float64) *Gauge     { return &Gauge{} }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return family(r, r.counters, name, "", nil, newCounter).With("")
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return family(r, r.gauges, name, "", nil, newGauge).With("")
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -145,64 +106,45 @@ func (r *Registry) Gauge(name string) *Gauge {
 // empty) bounds never conflicts — it is the "look up, don't care about
 // bucketing" form.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+	return r.LabeledHistogram(name, bounds, "").With("")
+}
+
+// LabeledCounter returns the named counter family keyed by one label,
+// creating it on first use. Like histogram bounds, a family's key is
+// fixed at creation: a later caller passing a DIFFERENT key still gets
+// the existing family, and the mismatch bumps obs.labels.schema_conflict.
+func (r *Registry) LabeledCounter(name, key string) *Family[*Counter] {
+	return family(r, r.counters, name, key, nil, newCounter)
+}
+
+// LabeledHistogram returns the named histogram family keyed by one label;
+// every series shares the bounds declared at creation (see Histogram and
+// LabeledCounter for the two conflict contracts).
+func (r *Registry) LabeledHistogram(name string, bounds []float64, key string) *Family[*Histogram] {
+	return family(r, r.hists, name, key, bounds, newHistogram)
+}
+
+// family resolves name in one of the registry's collections, creating
+// the family on first use and counting key or bounds conflicts after.
+func family[S any](r *Registry, m map[string]*Family[S], name, key string, bounds []float64, mk func([]float64) S) *Family[S] {
 	r.mu.RLock()
-	h, ok := r.hists[name]
+	f, ok := m[name]
 	r.mu.RUnlock()
-	if ok {
-		r.noteBoundsConflict(h, bounds)
-		return h
-	}
-	r.mu.Lock()
-	if h, ok = r.hists[name]; !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-		r.mu.Unlock()
-		return h
-	}
-	r.mu.Unlock()
-	// Raced with another creator: check against what actually won.
-	r.noteBoundsConflict(h, bounds)
-	return h
-}
-
-// noteBoundsConflict records a Histogram call whose bounds disagree with
-// the histogram that already exists. Called without r.mu held (Counter
-// takes the lock itself).
-func (r *Registry) noteBoundsConflict(h *Histogram, bounds []float64) {
-	if len(bounds) == 0 || boundsEqual(h.bounds, bounds) {
-		return
-	}
-	r.Counter("obs.hist.bounds_conflict").Inc()
-}
-
-// nopSpanEnd is the shared no-op returned while the registry is
-// disabled, so hot paths pay neither a closure allocation nor a clock
-// read.
-var nopSpanEnd = func(error) {}
-
-// Span starts a timed span. The returned func records the elapsed time
-// into the "<name>.ok" or "<name>.err" latency histogram depending on
-// the error it is handed:
-//
-//	end := reg.Span("vault.put")
-//	err := doPut()
-//	end(err)
-//
-// When the registry is disabled, Span returns a shared no-op and
-// allocates nothing.
-func (r *Registry) Span(name string) func(err error) {
-	if !r.enabled.Load() {
-		return nopSpanEnd
-	}
-	start := time.Now()
-	return func(err error) {
-		d := float64(time.Since(start).Nanoseconds())
-		suffix := ".ok"
-		if err != nil {
-			suffix = ".err"
+	if !ok {
+		r.mu.Lock()
+		if f, ok = m[name]; !ok {
+			f = newFamily(r, name, key, bounds, mk)
+			m[name] = f
 		}
-		r.Histogram(name+suffix, LatencyBuckets()).Observe(d)
+		r.mu.Unlock()
 	}
+	if ok && f.key != key {
+		r.Counter("obs.labels.schema_conflict").Inc()
+	}
+	if ok && len(bounds) > 0 && !boundsEqual(f.bounds, bounds) {
+		r.Counter("obs.hist.bounds_conflict").Inc()
+	}
+	return f
 }
 
 // Reset zeroes every metric in place. Pointers handed out earlier stay
@@ -218,22 +160,30 @@ func (r *Registry) Span(name string) func(err error) {
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
+	for _, f := range r.counters {
+		f.each(func(_ string, c *Counter) { c.v.Store(0) })
 	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
+	for _, f := range r.gauges {
+		f.each(func(_ string, g *Gauge) { g.v.Store(0) })
 	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-	for _, lc := range r.labeledCounters {
-		lc.f.each(func(_ []string, c *Counter) { c.v.Store(0) })
-	}
-	for _, lg := range r.labeledGauges {
-		lg.f.each(func(_ []string, g *Gauge) { g.v.Store(0) })
-	}
-	for _, lh := range r.labeledHists {
-		lh.f.each(func(_ []string, h *Histogram) { h.reset() })
+	for _, f := range r.hists {
+		f.each(func(_ string, h *Histogram) { h.reset() })
 	}
 }
+
+// seriesName renders one series' identity: the family name for a plain
+// metric, name{key="value"} for a labelled one. It is the series' key in
+// a Snapshot and, with the name sanitised, its Prometheus name.
+func seriesName(name, key, value string) string {
+	if key == "" {
+		return name
+	}
+	return name + "{" + key + `="` + escapeLabelValue(value) + `"}`
+}
+
+// escapeLabelValue applies the exposition-format escaping rules for
+// quoted label values — backslash, double-quote, and newline — since
+// tenant names are caller-controlled.
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -62,28 +61,6 @@ func TestHistogramEmpty(t *testing.T) {
 	h := r.Histogram("empty", LatencyBuckets())
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestSpan(t *testing.T) {
-	r := NewRegistry()
-	end := r.Span("op")
-	end(nil)
-	endErr := r.Span("op")
-	endErr(errors.New("boom"))
-	snap := r.Snapshot()
-	if snap.Histograms["op.ok"].Count != 1 {
-		t.Fatalf("op.ok count = %d, want 1", snap.Histograms["op.ok"].Count)
-	}
-	if snap.Histograms["op.err"].Count != 1 {
-		t.Fatalf("op.err count = %d, want 1", snap.Histograms["op.err"].Count)
-	}
-
-	// Disabled: Span is the shared no-op and records nothing.
-	r.SetEnabled(false)
-	r.Span("op")(nil)
-	if got := r.Snapshot().Histograms["op.ok"].Count; got != 1 {
-		t.Fatalf("disabled span recorded: count = %d", got)
 	}
 }
 
@@ -165,8 +142,6 @@ func TestConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				r.Counter("c").Inc()
 				r.Histogram("h", LatencyBuckets()).Observe(float64(i))
-				end := r.Span("s")
-				end(nil)
 			}
 		}()
 	}

@@ -7,140 +7,62 @@ import (
 )
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4), which is what the monitor's /metrics endpoint
-// serves. Counters and gauges map directly; histograms are exported as
-// summaries — pre-computed p50/p95/p99 quantiles plus _sum and _count —
-// because the registry estimates quantiles at snapshot time rather than
-// shipping raw buckets. Dotted metric names become underscore-separated
-// (vault.get.ok → vault_get_ok); output is sorted by name so scrapes
-// diff cleanly.
-//
-// Labeled families render with a label set per series
-// (api_requests_total{tenant="acme"} 42); label VALUES pass through a
-// backslash escaper (\\, \", \n) per the exposition grammar, since tenant
-// names are caller-controlled. Labeled counters gain the conventional
-// _total suffix — flat counters keep their bare names so pre-existing
-// dashboards don't move.
+// format (version 0.0.4), which is what the /metrics endpoint serves.
+// Every counter is named <name>_total; gauges map directly; histograms
+// are exported as summaries — pre-computed p50/p95/p99 quantiles plus
+// _sum and _count — because the registry estimates quantiles at snapshot
+// time rather than shipping raw buckets. Dotted metric names become
+// underscore-separated (vault.get.ok → vault_get_ok), a labelled series
+// keeps its label block (cluster_probe_total{node="00"} 42), and output
+// is sorted by series so scrapes diff cleanly.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
+	var b strings.Builder
+	last := ""
+	// series splits a series name into its Prometheus name and label
+	// block, writing the family's TYPE line before its first series.
+	series := func(name, kind string) (string, string) {
+		fam, labels, found := strings.Cut(name, "{")
+		if found {
+			labels = "{" + labels
+		}
+		pn := promName(fam)
+		if kind == "counter" {
+			pn += "_total"
+		}
+		if pn != last {
+			fmt.Fprintf(&b, "# TYPE %s %s\n", pn, kind)
+			last = pn
+		}
+		return pn, labels
+	}
 	for _, name := range sortedKeys(s.Counters) {
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[name]); err != nil {
-			return err
-		}
+		pn, labels := series(name, "counter")
+		fmt.Fprintf(&b, "%s%s %d\n", pn, labels, s.Counters[name])
 	}
-
-	for _, name := range sortedKeys(s.LabeledCounters) {
-		fs := s.LabeledCounters[name]
-		pn := promName(name) + "_total"
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", pn); err != nil {
-			return err
-		}
-		for _, se := range fs.Series {
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", pn, promLabels(fs.Keys, se.Labels, ""), se.Value); err != nil {
-				return err
-			}
-		}
-	}
-
 	for _, name := range sortedKeys(s.Gauges) {
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[name]); err != nil {
-			return err
-		}
+		pn, labels := series(name, "gauge")
+		fmt.Fprintf(&b, "%s%s %d\n", pn, labels, s.Gauges[name])
 	}
-
-	for _, name := range sortedKeys(s.LabeledGauges) {
-		fs := s.LabeledGauges[name]
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", pn); err != nil {
-			return err
-		}
-		for _, se := range fs.Series {
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", pn, promLabels(fs.Keys, se.Labels, ""), se.Value); err != nil {
-				return err
-			}
-		}
-	}
-
 	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
-		pn := promName(name)
-		_, err := fmt.Fprintf(w,
-			"# TYPE %s summary\n%s{quantile=\"0.5\"} %g\n%s{quantile=\"0.95\"} %g\n%s{quantile=\"0.99\"} %g\n%s_sum %g\n%s_count %d\n",
-			pn, pn, h.P50, pn, h.P95, pn, h.P99, pn, h.Sum, pn, h.Count)
-		if err != nil {
-			return err
-		}
+		pn, labels := series(name, "summary")
+		fmt.Fprintf(&b, "%s%s %g\n%s%s %g\n%s%s %g\n%s_sum%s %g\n%s_count%s %d\n",
+			pn, withLabel(labels, `quantile="0.5"`), h.P50,
+			pn, withLabel(labels, `quantile="0.95"`), h.P95,
+			pn, withLabel(labels, `quantile="0.99"`), h.P99,
+			pn, labels, h.Sum, pn, labels, h.Count)
 	}
-
-	for _, name := range sortedKeys(s.LabeledHistograms) {
-		fs := s.LabeledHistograms[name]
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", pn); err != nil {
-			return err
-		}
-		for _, se := range fs.Series {
-			_, err := fmt.Fprintf(w,
-				"%s%s %g\n%s%s %g\n%s%s %g\n%s_sum%s %g\n%s_count%s %d\n",
-				pn, promLabels(fs.Keys, se.Labels, `quantile="0.5"`), se.P50,
-				pn, promLabels(fs.Keys, se.Labels, `quantile="0.95"`), se.P95,
-				pn, promLabels(fs.Keys, se.Labels, `quantile="0.99"`), se.P99,
-				pn, promLabels(fs.Keys, se.Labels, ""), se.Sum,
-				pn, promLabels(fs.Keys, se.Labels, ""), se.Count)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-// promLabels renders a {k="v",...} label set. extra, when non-empty, is
-// a pre-rendered pair (the summary quantile) appended after the family's
-// own labels.
-func promLabels(keys, values []string, extra string) string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(promName(k))
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(values[i]))
-		b.WriteByte('"')
+// withLabel appends one pre-rendered k="v" pair to a label block ("" or
+// {...}).
+func withLabel(block, pair string) string {
+	if block == "" {
+		return "{" + pair + "}"
 	}
-	if extra != "" {
-		if len(keys) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(extra)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// escapeLabelValue applies the exposition-format escaping rules for
-// quoted label values: backslash, double-quote, and newline.
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	b.Grow(len(v) + 4)
-	for i := 0; i < len(v); i++ {
-		switch v[i] {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(v[i])
-		}
-	}
-	return b.String()
+	return block[:len(block)-1] + "," + pair + "}"
 }
 
 // promName maps a dotted registry name onto the Prometheus grammar

@@ -21,8 +21,8 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE vault_get_degraded counter",
-		"vault_get_degraded 3",
+		"# TYPE vault_get_degraded_total counter",
+		"vault_get_degraded_total 3",
 		"# TYPE cluster_nodes_up gauge",
 		"cluster_nodes_up 12",
 		"# TYPE vault_get_ok summary",
@@ -121,8 +121,7 @@ func TestWritePrometheusLabeled(t *testing.T) {
 	lc := r.LabeledCounter("api.requests", "tenant")
 	lc.With("acme").Add(42)
 	lc.With("umbrella").Add(7)
-	lg := r.LabeledGauge("api.inflight", "tenant")
-	lg.With("acme").Set(3)
+	r.Gauge("api.inflight").Set(3)
 	lh := r.LabeledHistogram("vault.put.ns", LatencyBuckets(), "encoding")
 	for i := 0; i < 10; i++ {
 		lh.With("erasure").Observe(2e6)
@@ -137,7 +136,8 @@ func TestWritePrometheusLabeled(t *testing.T) {
 		"# TYPE api_requests_total counter",
 		`api_requests_total{tenant="acme"} 42`,
 		`api_requests_total{tenant="umbrella"} 7`,
-		`api_inflight{tenant="acme"} 3`,
+		"# TYPE api_inflight gauge",
+		"api_inflight 3",
 		"# TYPE vault_put_ns summary",
 		`vault_put_ns{encoding="erasure",quantile="0.5"}`,
 		`vault_put_ns{encoding="erasure",quantile="0.99"}`,
@@ -194,7 +194,7 @@ func TestWritePrometheusOverflowSeries(t *testing.T) {
 	if !strings.Contains(out, `api_requests_total{tenant="_overflow"} 8`) {
 		t.Fatalf("overflow series missing or wrong:\n%s", out)
 	}
-	if !strings.Contains(out, "obs_labels_overflow 2") {
+	if !strings.Contains(out, "obs_labels_overflow_total 2") {
 		t.Fatalf("obs.labels.overflow counter missing:\n%s", out)
 	}
 	checkPromGrammar(t, out)
@@ -205,6 +205,7 @@ func TestSnapshotLabeledStable(t *testing.T) {
 	lc := r.LabeledCounter("cluster.probe", "node")
 	lc.With("00").Add(5)
 	lc.With("01").Add(3)
+	r.Counter("cluster.probe.unrelated").Add(100)
 	lh := r.LabeledHistogram("vault.put.ns", LatencyBuckets(), "encoding")
 	lh.With("erasure").Observe(1e6)
 
@@ -212,22 +213,16 @@ func TestSnapshotLabeledStable(t *testing.T) {
 	if s.Schema != SchemaVersion {
 		t.Fatalf("schema = %q, want %q", s.Schema, SchemaVersion)
 	}
-	fam, ok := s.LabeledCounters["cluster.probe"]
-	if !ok {
-		t.Fatal("cluster.probe family missing from snapshot")
+	if got := s.Counters[`cluster.probe{node="00"}`]; got != 5 {
+		t.Fatalf(`cluster.probe{node="00"} = %d, want 5 (counters %v)`, got, s.Counters)
 	}
-	if len(fam.Keys) != 1 || fam.Keys[0] != "node" {
-		t.Fatalf("keys = %v", fam.Keys)
+	// Sum adds a labelled family's series and nothing that merely shares
+	// its prefix.
+	if got := s.Sum("cluster.probe"); got != 8 {
+		t.Fatalf("Sum(cluster.probe) = %d, want 8", got)
 	}
-	if len(fam.Series) != 2 || fam.Series[0].Labels[0] != "00" || fam.Series[0].Value != 5 {
-		t.Fatalf("series = %+v", fam.Series)
-	}
-	if v, ok := s.Series("cluster.probe", "01"); !ok || v != 3 {
-		t.Fatalf("Series lookup = %d,%v", v, ok)
-	}
-	hfam := s.LabeledHistograms["vault.put.ns"]
-	if len(hfam.Series) != 1 || hfam.Series[0].Count != 1 {
-		t.Fatalf("hist series = %+v", hfam.Series)
+	if h := s.Histograms[`vault.put.ns{encoding="erasure"}`]; h.Count != 1 {
+		t.Fatalf("hist series = %+v", h)
 	}
 	// Two identical registries produce byte-identical JSON.
 	if string(s.JSON()) != string(r.Snapshot().JSON()) {

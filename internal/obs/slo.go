@@ -16,7 +16,7 @@ import (
 //
 // so burn 1.0 means "failing at exactly the rate the objective allows",
 // burn 10 means the budget is being consumed 10× too fast, and burn 0
-// means a clean window. The /slo monitor endpoint serializes an
+// means a clean window. The api server's /slo endpoint serializes an
 // SLOTable's Report; papereval and the paper's long-horizon audit
 // argument (PROPYLA-style re-protection) consume the same numbers.
 
@@ -70,9 +70,6 @@ func newSLO(spec SLOSpec) *SLO {
 	}
 	return s
 }
-
-// Spec returns the declaration this SLO tracks.
-func (s *SLO) Spec() SLOSpec { return s.spec }
 
 // RecordAt counts one event at time now.
 func (s *SLO) RecordAt(now time.Time, good bool) {
@@ -144,26 +141,21 @@ func (s *SLO) StatusAt(now time.Time) SLOStatus {
 	return st
 }
 
-// Status evaluates the SLO over its current window.
-func (s *SLO) Status() SLOStatus { return s.StatusAt(time.Now()) }
-
 // SLOTable holds per-subject (per-tenant) instances of a fixed spec
-// list. Subjects are bounded like labeled-metric families: past
-// maxSubjects, unseen subjects share one OverflowValue row.
+// list. Subjects are bounded like labelled metric families: past
+// DefaultMaxSeries, unseen subjects share one OverflowValue row.
 type SLOTable struct {
 	specs []SLOSpec
 
-	mu          sync.Mutex
-	maxSubjects int
-	subjects    map[string]map[string]*SLO // subject → spec name → SLO
+	mu       sync.Mutex
+	subjects map[string]map[string]*SLO // subject → spec name → SLO
 }
 
 // NewSLOTable declares a table tracking the given specs per subject.
 func NewSLOTable(specs ...SLOSpec) *SLOTable {
 	return &SLOTable{
-		specs:       append([]SLOSpec(nil), specs...),
-		maxSubjects: DefaultMaxSeries,
-		subjects:    make(map[string]map[string]*SLO),
+		specs:    append([]SLOSpec(nil), specs...),
+		subjects: make(map[string]map[string]*SLO),
 	}
 }
 
@@ -177,55 +169,31 @@ func DefaultSLOSpecs() []SLOSpec {
 	}
 }
 
-// SetMaxSubjects bounds the number of distinct subjects tracked.
-func (t *SLOTable) SetMaxSubjects(n int) {
-	if n < 1 {
-		return
-	}
-	t.mu.Lock()
-	t.maxSubjects = n
-	t.mu.Unlock()
-}
-
-// Specs returns the table's spec list.
-func (t *SLOTable) Specs() []SLOSpec { return append([]SLOSpec(nil), t.specs...) }
-
 // SLO returns the instance for (subject, spec name), creating the
 // subject's row on first use; nil if the spec name is not declared.
-// Past the subject bound, unseen subjects share the OverflowValue row.
-func (t *SLOTable) SLO(subject, name string) *SLO {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row, ok := t.subjects[subject]
-	if !ok {
-		if len(t.subjects) >= t.maxSubjects {
-			subject = OverflowValue
-			row = t.subjects[subject]
-		}
-		if row == nil {
-			row = make(map[string]*SLO, len(t.specs))
-			for _, spec := range t.specs {
-				row[spec.Name] = newSLO(spec)
-			}
-			t.subjects[subject] = row
-		}
-	}
-	return row[name]
-}
+func (t *SLOTable) SLO(subject, name string) *SLO { return t.Row(subject)[name] }
 
-// Row returns every SLO for one subject (creating the row), keyed by
-// spec name. Useful for callers that feed several SLOs per event.
+// Row returns every SLO for one subject keyed by spec name, creating the
+// row on first use — one lock per request for callers that feed several
+// SLOs per event. Past the subject bound, unseen subjects share the
+// OverflowValue row.
 func (t *SLOTable) Row(subject string) map[string]*SLO {
-	if len(t.specs) == 0 {
-		return nil
-	}
-	t.SLO(subject, t.specs[0].Name) // ensure the row exists
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row, ok := t.subjects[subject]
-	if !ok {
-		row = t.subjects[OverflowValue]
+	if row, ok := t.subjects[subject]; ok {
+		return row
 	}
+	if len(t.subjects) >= DefaultMaxSeries {
+		subject = OverflowValue
+		if row, ok := t.subjects[subject]; ok {
+			return row
+		}
+	}
+	row := make(map[string]*SLO, len(t.specs))
+	for _, spec := range t.specs {
+		row[spec.Name] = newSLO(spec)
+	}
+	t.subjects[subject] = row
 	return row
 }
 

@@ -22,22 +22,11 @@ func hotPath(tr *Tracer, ctx context.Context) {
 	sp.End(nil)
 }
 
-// TestDisabledSpanZeroAllocs is the enforcement behind the "disabled
-// tracing costs nothing" contract: with tracing off and the registry's
-// span timing off, the whole span shape of a Get allocates nothing.
-func TestDisabledSpanZeroAllocs(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.SetEnabled(false)
-	tr := New(reg) // tracing disabled by default
-	ctx := context.Background()
-	if allocs := testing.AllocsPerRun(1000, func() { hotPath(tr, ctx) }); allocs != 0 {
-		t.Fatalf("disabled trace path allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestFlatModeZeroAllocsWarm: tracing off but flat histogram timing on
-// (the default production configuration). After the first op resolves
-// the histogram pair, steady state allocates nothing either.
+// TestFlatModeZeroAllocsWarm is the enforcement behind the "disabled
+// tracing costs nothing but its histograms" contract: tracing off (the
+// default production configuration), after the first op resolves each
+// name's histogram pair, the whole span shape of a Get allocates
+// nothing.
 func TestFlatModeZeroAllocsWarm(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := New(reg)
@@ -48,26 +37,11 @@ func TestFlatModeZeroAllocsWarm(t *testing.T) {
 	}
 }
 
-// BenchmarkSpanDisabled is the -benchmem witness for the same contract:
-//
-//	go test -bench BenchmarkSpanDisabled -benchmem ./internal/obs/trace/
-//
-// must report 0 B/op, 0 allocs/op.
-func BenchmarkSpanDisabled(b *testing.B) {
-	reg := obs.NewRegistry()
-	reg.SetEnabled(false)
-	tr := New(reg)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hotPath(tr, ctx)
-	}
-}
-
 // BenchmarkSpanFlat measures the default production configuration:
 // tracing off, flat histograms on (two clock reads + atomic adds per
-// span; 0 allocs/op once warm).
+// root span; 0 allocs/op once warm). It is the -benchmem witness:
+//
+//	go test -run '^$' -bench 'SpanFlat|SpanEnabled' -benchmem ./internal/obs/trace/
 func BenchmarkSpanFlat(b *testing.B) {
 	reg := obs.NewRegistry()
 	tr := New(reg)
@@ -83,7 +57,7 @@ func BenchmarkSpanFlat(b *testing.B) {
 // BenchmarkSpanEnabled prices full tracing for the same span shape.
 func BenchmarkSpanEnabled(b *testing.B) {
 	reg := obs.NewRegistry()
-	tr := New(reg, WithRingSize(8))
+	tr := New(reg)
 	tr.SetEnabled(true)
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -3,9 +3,9 @@ package trace
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"securearchive/internal/obs"
 )
@@ -175,33 +175,40 @@ func findSpan(t *Trace, name string) *SpanRecord {
 
 func TestTailRetention(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := New(reg, WithRingSize(2), WithTailRetention(2, time.Hour))
+	tr := New(reg)
 	tr.SetEnabled(true)
 
 	mk := func(name string, err error) {
 		_, s := tr.Start(context.Background(), name)
 		s.End(err)
 	}
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			mk(fmt.Sprintf("ok.%d", i), nil)
+		}
+	}
 
-	mk("bad.1", errors.New("boom")) // will be evicted from ring → tail
-	mk("ok.1", nil)
-	mk("ok.2", nil) // evicts bad.1 (interesting → tail)
-	mk("ok.3", nil) // evicts ok.1 (boring → counted)
+	mk("bad.0", errors.New("boom")) // will be evicted from ring → tail
+	fill(DefaultRingSize)           // evicts bad.0 (interesting → tail)
+	mk("ok.last", nil)              // evicts ok.0 (boring → counted)
 
 	tail := tr.Tail(0)
-	if len(tail) != 1 || tail[0].Root != "bad.1" {
-		t.Fatalf("tail = %+v, want [bad.1]", tail)
+	if len(tail) != 1 || tail[0].Root != "bad.0" {
+		t.Fatalf("tail = %+v, want [bad.0]", tail)
 	}
 	if got := reg.Counter("obs.trace.evicted").Load(); got != 1 {
 		t.Fatalf("obs.trace.evicted = %d, want 1 (only the boring trace)", got)
 	}
 
 	// Fill the tail past its cap: displaced interesting traces count too.
-	mk("bad.2", errors.New("boom"))
-	mk("bad.3", errors.New("boom"))
-	mk("ok.4", nil)
-	mk("ok.5", nil) // by now bad.2 and bad.3 have been pushed to tail
-	if got := len(tr.Tail(0)); got != 2 {
-		t.Fatalf("tail len = %d, want 2 (bounded)", got)
+	for i := 1; i <= DefaultTailSize+1; i++ {
+		mk(fmt.Sprintf("bad.%d", i), errors.New("boom"))
+	}
+	fill(DefaultRingSize) // pushes every bad trace to the tail
+	if got := len(tr.Tail(0)); got != DefaultTailSize {
+		t.Fatalf("tail len = %d, want %d (bounded)", got, DefaultTailSize)
+	}
+	if got := tr.Tail(1)[0].Root; got != fmt.Sprintf("bad.%d", DefaultTailSize+1) {
+		t.Fatalf("newest tail trace = %q", got)
 	}
 }

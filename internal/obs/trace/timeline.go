@@ -7,7 +7,7 @@ import (
 )
 
 // Timeline renders a completed trace as an indented per-span timeline —
-// what the monitor's /traces endpoint serves and the fault-injection
+// what the api server's /traces endpoint serves and the fault-injection
 // example prints for its slowest request:
 //
 //	trace 7c0f4e9b12aa3301 vault.get 2.31ms (9 spans)

@@ -8,20 +8,19 @@
 // internal/obs answers "how is the archive doing in aggregate", a trace
 // answers "where did THIS degraded Get spend its time".
 //
-// Completed traces land in a bounded in-memory ring (for the monitor's
-// /traces endpoint and post-hoc inspection) and stream to any registered
-// Exporter (a JSONL journal file, an in-memory collector for tests).
-// Memory is bounded per trace too: spans and events beyond fixed caps
-// are counted in Trace.Dropped rather than accumulated.
+// A Tracer is the one way to time an operation. Every span that ends
+// observes its duration into the "<name>.ok" or "<name>.err" latency
+// histogram of the tracer's registry — the operation's one record. With
+// tracing disabled (the default) Tracer.Start is flat mode: the
+// histogram only, no span tree, context untouched, and zero allocations
+// once the name's histogram pair is resolved (see
+// TestFlatModeZeroAllocsWarm and BenchmarkSpanFlat).
 //
-// The flat obs.Registry.Span histograms keep filling unchanged: every
-// span that ends observes its duration into the "<name>.ok" or
-// "<name>.err" latency histogram of the tracer's registry, and when
-// tracing is disabled Tracer.Start degrades to exactly the old flat
-// timing (histogram only, no span tree, context untouched). When both
-// tracing and the registry's span timing are off, starting and ending a
-// span allocates nothing and never reads the clock — the disabled hot
-// path is free (see BenchmarkSpanDisabled).
+// Enabled, completed traces land in a bounded in-memory ring (for the
+// api server's /traces endpoint and post-hoc inspection) and stream to
+// any registered Exporter (a JSONL journal file, an in-memory collector
+// for tests). Memory is bounded per trace too: spans and events beyond
+// fixed caps are counted in Trace.Dropped rather than accumulated.
 //
 // Concurrency: a Span value must be Ended exactly once and its
 // SetAttrs/Event methods called from one goroutine at a time, but
@@ -50,12 +49,12 @@ const (
 )
 
 // DefaultRingSize is how many completed traces a tracer retains for
-// Recent unless configured otherwise.
+// Recent.
 const DefaultRingSize = 64
 
-// Tail-retention defaults: how many "interesting" traces (any span
-// erred, or the trace ran slower than the threshold) survive eviction
-// from the main ring, and what counts as slow.
+// Tail retention: how many "interesting" traces (any span erred, or the
+// trace ran slower than the threshold) survive eviction from the main
+// ring, and what counts as slow.
 const (
 	DefaultTailSize          = 16
 	DefaultSlowTraceDuration = 100 * time.Millisecond
@@ -79,7 +78,6 @@ type Tracer struct {
 	// exporter list. It is taken once per completed trace, not per span.
 	rmu       sync.Mutex
 	ring      []*Trace
-	ringCap   int
 	pos       int
 	completed uint64
 	exporters []Exporter
@@ -90,59 +88,22 @@ type Tracer struct {
 	// degraded read an operator needs to see. Boring evictions (and
 	// interesting ones falling off the tail itself) bump evicted.
 	tail    []*Trace
-	tailCap int
 	tailPos int
-	slowNs  int64
 	evicted *obs.Counter
 }
 
 type histPair struct{ ok, err *obs.Histogram }
 
-// Option configures New.
-type Option func(*Tracer)
-
-// WithRingSize bounds the completed-trace ring (DefaultRingSize
-// otherwise; n < 1 keeps the default).
-func WithRingSize(n int) Option {
-	return func(t *Tracer) {
-		if n >= 1 {
-			t.ringCap = n
-		}
-	}
-}
-
-// WithTailRetention sizes the tail ring and sets the slow-trace
-// threshold (defaults DefaultTailSize / DefaultSlowTraceDuration; n < 1
-// or slow <= 0 keep the respective default).
-func WithTailRetention(n int, slow time.Duration) Option {
-	return func(t *Tracer) {
-		if n >= 1 {
-			t.tailCap = n
-		}
-		if slow > 0 {
-			t.slowNs = slow.Nanoseconds()
-		}
-	}
-}
-
 // New creates a tracer bridging span durations into reg's latency
 // histograms. Tracing itself starts disabled: until SetEnabled(true),
-// Start records flat histograms only, exactly like obs.Registry.Span.
-func New(reg *obs.Registry, opts ...Option) *Tracer {
+// Start records flat histograms only.
+func New(reg *obs.Registry) *Tracer {
 	t := &Tracer{
 		reg:     reg,
 		hists:   make(map[string]*histPair),
-		ringCap: DefaultRingSize,
-		tailCap: DefaultTailSize,
-		slowNs:  DefaultSlowTraceDuration.Nanoseconds(),
-	}
-	if reg != nil {
-		t.evicted = reg.Counter("obs.trace.evicted")
+		evicted: reg.Counter("obs.trace.evicted"),
 	}
 	t.idState.Store(uint64(time.Now().UnixNano()))
-	for _, o := range opts {
-		o(t)
-	}
 	return t
 }
 
@@ -153,8 +114,7 @@ var defaultTracer = New(obs.Default())
 func Default() *Tracer { return defaultTracer }
 
 // SetEnabled flips span-tree recording. Disabled, Start degrades to the
-// flat histogram timing (or to a free no-op when the registry's span
-// timing is also off).
+// flat histogram timing.
 func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 
 // Enabled reports whether span trees are being recorded.
@@ -189,8 +149,8 @@ func (t *Tracer) Recent(n int) []*Trace {
 	out := make([]*Trace, 0, total)
 	for i := 0; i < total; i++ {
 		idx := i
-		if total == t.ringCap {
-			idx = (t.pos + i) % t.ringCap
+		if total == DefaultRingSize {
+			idx = (t.pos + i) % DefaultRingSize
 		}
 		out = append(out, t.ring[idx])
 	}
@@ -303,10 +263,7 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 		return parent.child(ctx, name, attrs)
 	}
 	if !t.enabled.Load() {
-		if t.reg != nil && t.reg.Enabled() {
-			return ctx, Span{tr: t, name: name, start: time.Now()} // flat mode
-		}
-		return ctx, Span{}
+		return ctx, Span{tr: t, name: name, start: time.Now()} // flat mode
 	}
 	a := &active{t: t, id: t.newTraceID(), root: 1}
 	a.next.Store(1)
@@ -409,9 +366,9 @@ func (s Span) Event(name string, attrs ...Attr) {
 }
 
 // End completes the span: the duration lands in the registry's
-// "<name>.ok"/"<name>.err" histogram (the PR-3 flat metrics, unchanged),
-// the record joins its trace, and — when this is the root — the trace
-// seals, enters the ring, and goes to the exporters. Children should
+// "<name>.ok"/"<name>.err" histogram, the record joins its trace, and —
+// when this is the root — the trace seals, enters the ring, and goes to
+// the exporters. Children should
 // end before their root; a straggler that ends after its root is
 // silently dropped from the sealed trace.
 func (s Span) End(err error) {
@@ -480,12 +437,12 @@ func (t *Tracer) complete(tr *Trace) {
 		}
 	}
 	if !merged {
-		if len(t.ring) < t.ringCap {
+		if len(t.ring) < DefaultRingSize {
 			t.ring = append(t.ring, tr)
 		} else {
 			t.retainOrEvict(t.ring[t.pos])
 			t.ring[t.pos] = tr
-			t.pos = (t.pos + 1) % t.ringCap
+			t.pos = (t.pos + 1) % DefaultRingSize
 		}
 	}
 	t.completed++
@@ -504,19 +461,17 @@ func (t *Tracer) retainOrEvict(old *Trace) {
 	if old == nil {
 		return
 	}
-	if t.tailCap > 0 && old.Interesting(t.slowNs) {
-		if len(t.tail) < t.tailCap {
+	if old.Interesting(DefaultSlowTraceDuration.Nanoseconds()) {
+		if len(t.tail) < DefaultTailSize {
 			t.tail = append(t.tail, old)
 			return
 		}
 		displaced := t.tail[t.tailPos]
 		t.tail[t.tailPos] = old
-		t.tailPos = (t.tailPos + 1) % t.tailCap
+		t.tailPos = (t.tailPos + 1) % DefaultTailSize
 		old = displaced
 	}
-	if t.evicted != nil {
-		t.evicted.Inc()
-	}
+	t.evicted.Inc()
 }
 
 // Tail returns up to n tail-retained traces (all when n <= 0), oldest
@@ -531,8 +486,8 @@ func (t *Tracer) Tail(n int) []*Trace {
 	out := make([]*Trace, 0, total)
 	for i := 0; i < total; i++ {
 		idx := i
-		if total == t.tailCap {
-			idx = (t.tailPos + i) % t.tailCap
+		if total == DefaultTailSize {
+			idx = (t.tailPos + i) % DefaultTailSize
 		}
 		out = append(out, t.tail[idx])
 	}
@@ -576,13 +531,10 @@ func mergeTraces(a, b *Trace) *Trace {
 	return m
 }
 
-// observeSpan bridges a span duration into the flat registry: the same
-// "<name>.ok"/"<name>.err" histograms obs.Registry.Span fills, resolved
-// once per name and cached.
+// observeSpan records a span duration as the operation's one record:
+// the "<name>.ok"/"<name>.err" histogram pair, resolved once per name and
+// cached.
 func (t *Tracer) observeSpan(name string, d time.Duration, err error) {
-	if t.reg == nil || !t.reg.Enabled() {
-		return
-	}
 	t.hmu.RLock()
 	p, ok := t.hists[name]
 	t.hmu.RUnlock()

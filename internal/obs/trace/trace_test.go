@@ -87,8 +87,8 @@ func TestHistogramBridge(t *testing.T) {
 }
 
 func TestFlatModeWhenDisabled(t *testing.T) {
-	reg := obs.NewRegistry() // span timing enabled by default
-	tr := New(reg)           // tracing disabled by default
+	reg := obs.NewRegistry()
+	tr := New(reg) // tracing disabled by default
 	mem := &Mem{}
 	tr.AddExporter(mem)
 	ctx, sp := tr.Start(context.Background(), "vault.get")
@@ -99,21 +99,13 @@ func TestFlatModeWhenDisabled(t *testing.T) {
 		t.Fatal("flat-mode span leaked into the context")
 	}
 	sp.End(nil)
-	// The flat histograms keep filling (the PR-3 contract)…
+	// The operation's histogram still fills…
 	if got := reg.Snapshot().Histograms["vault.get.ok"].Count; got != 1 {
 		t.Fatalf("flat histogram count = %d, want 1", got)
 	}
 	// …but no trace is recorded.
 	if n := len(mem.Traces()); n != 0 {
 		t.Fatalf("disabled tracer completed %d traces", n)
-	}
-
-	// With the registry's span timing also off, End records nothing.
-	reg.SetEnabled(false)
-	_, sp2 := tr.Start(context.Background(), "vault.get")
-	sp2.End(nil)
-	if got := reg.Snapshot().Histograms["vault.get.ok"].Count; got != 1 {
-		t.Fatalf("fully disabled span still recorded: count = %d", got)
 	}
 }
 
@@ -134,27 +126,28 @@ func TestChildJoinsAmbientTraceEvenWhenTracerDisabled(t *testing.T) {
 
 func TestRingBounds(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := New(reg, WithRingSize(4))
+	tr := New(reg)
 	tr.SetEnabled(true)
-	for i := 0; i < 10; i++ {
+	const total = DefaultRingSize + 6
+	for i := 0; i < total; i++ {
 		_, sp := tr.Start(context.Background(), fmt.Sprintf("op%d", i))
 		sp.End(nil)
 	}
 	recent := tr.Recent(0)
-	if len(recent) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(recent))
+	if len(recent) != DefaultRingSize {
+		t.Fatalf("ring holds %d, want %d", len(recent), DefaultRingSize)
 	}
-	// Oldest-first: op6..op9 survive.
+	// Oldest-first: the first six fell off.
 	for i, tc := range recent {
 		if want := fmt.Sprintf("op%d", 6+i); tc.Root != want {
 			t.Fatalf("recent[%d] = %q, want %q", i, tc.Root, want)
 		}
 	}
-	if got := tr.Recent(2); len(got) != 2 || got[1].Root != "op9" {
+	if got := tr.Recent(2); len(got) != 2 || got[1].Root != fmt.Sprintf("op%d", total-1) {
 		t.Fatalf("Recent(2) = %+v", got)
 	}
-	if tr.Completed() != 10 {
-		t.Fatalf("completed = %d, want 10", tr.Completed())
+	if tr.Completed() != total {
+		t.Fatalf("completed = %d, want %d", tr.Completed(), total)
 	}
 }
 

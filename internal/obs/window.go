@@ -16,9 +16,8 @@ import (
 //
 // Buckets are keyed by epoch (wall time ÷ interval) and lazily recycled
 // when an observation or read finds them stale; there is no background
-// goroutine to leak. Each method has a *At(time.Time) variant taking an
-// explicit clock so tests can drive the window deterministically;
-// production callers use the clockless forms.
+// goroutine to leak. Every method takes the clock explicitly, so tests
+// drive a window deterministically and callers decide what "now" is.
 //
 // Unlike Counter/Histogram, Window takes a mutex per observation — it
 // backs health checks and SLOs (tens of ops per request), not per-shard
@@ -36,13 +35,12 @@ type Window struct {
 type wbucket struct {
 	epoch  int64 // unixnano / interval; 0 means never used
 	count  int64
-	sum    float64
 	counts []int64 // len(bounds)+1, allocated only when bounds are set
 }
 
 // NewWindow builds a sliding window of buckets×interval. bounds, when
-// non-nil, enables Observe/Quantile with fixed histogram buckets (same
-// semantics as Histogram); pass nil for a pure event-rate window.
+// non-nil, enables ObserveAt/QuantileAt with fixed histogram buckets
+// (same semantics as Histogram); pass nil for a pure event-count window.
 func NewWindow(buckets int, interval time.Duration, bounds []float64) *Window {
 	if buckets < 1 {
 		buckets = 1
@@ -76,7 +74,6 @@ func (w *Window) bucketAt(now time.Time) *wbucket {
 	if b.epoch != epoch {
 		b.epoch = epoch
 		b.count = 0
-		b.sum = 0
 		for i := range b.counts {
 			b.counts[i] = 0
 		}
@@ -84,7 +81,7 @@ func (w *Window) bucketAt(now time.Time) *wbucket {
 	return b
 }
 
-// Add records n events at time now.
+// AddAt records n events at time now.
 func (w *Window) AddAt(now time.Time, n int64) {
 	w.mu.Lock()
 	b := w.bucketAt(now)
@@ -92,18 +89,11 @@ func (w *Window) AddAt(now time.Time, n int64) {
 	w.mu.Unlock()
 }
 
-// Add records n events now.
-func (w *Window) Add(n int64) { w.AddAt(time.Now(), n) }
-
-// Inc records one event now.
-func (w *Window) Inc() { w.AddAt(time.Now(), 1) }
-
 // ObserveAt records one value at time now (requires bounds).
 func (w *Window) ObserveAt(now time.Time, v float64) {
 	w.mu.Lock()
 	b := w.bucketAt(now)
 	b.count++
-	b.sum += v
 	if len(w.bounds) > 0 {
 		i := 0
 		for i < len(w.bounds) && v > w.bounds[i] {
@@ -113,9 +103,6 @@ func (w *Window) ObserveAt(now time.Time, v float64) {
 	}
 	w.mu.Unlock()
 }
-
-// Observe records one value now (requires bounds).
-func (w *Window) Observe(v float64) { w.ObserveAt(time.Now(), v) }
 
 // live visits every bucket still inside the window ending at now.
 // Callers hold w.mu.
@@ -139,46 +126,6 @@ func (w *Window) CountAt(now time.Time) int64 {
 	return n
 }
 
-// Count returns the number of events currently in the window.
-func (w *Window) Count() int64 { return w.CountAt(time.Now()) }
-
-// RateAt returns events per second over the window ending at now.
-func (w *Window) RateAt(now time.Time) float64 {
-	return float64(w.CountAt(now)) / w.Span().Seconds()
-}
-
-// Rate returns events per second over the current window.
-func (w *Window) Rate() float64 { return w.RateAt(time.Now()) }
-
-// SumAt returns the sum of observed values in the window ending at now.
-func (w *Window) SumAt(now time.Time) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var s float64
-	w.live(now, func(b *wbucket) { s += b.sum })
-	return s
-}
-
-// Sum returns the sum of observed values currently in the window.
-func (w *Window) Sum() float64 { return w.SumAt(time.Now()) }
-
-// MeanAt returns the mean observed value in the window ending at now,
-// or 0 with no observations.
-func (w *Window) MeanAt(now time.Time) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var n int64
-	var s float64
-	w.live(now, func(b *wbucket) { n += b.count; s += b.sum })
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-// Mean returns the mean observed value in the current window.
-func (w *Window) Mean() float64 { return w.MeanAt(time.Now()) }
-
 // QuantileAt estimates the q-quantile of values observed in the window
 // ending at now, interpolating within the winning bucket exactly as
 // Histogram.Quantile does. Returns 0 with no bounds or no observations.
@@ -196,51 +143,5 @@ func (w *Window) QuantileAt(now time.Time, q float64) float64 {
 		total += b.count
 	})
 	w.mu.Unlock()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	lo := 0.0
-	for i, ci := range merged {
-		if i == len(w.bounds) {
-			return w.bounds[len(w.bounds)-1]
-		}
-		c := float64(ci)
-		hi := w.bounds[i]
-		if c > 0 && cum+c >= rank {
-			frac := (rank - cum) / c
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-		lo = hi
-	}
-	return w.bounds[len(w.bounds)-1]
-}
-
-// Quantile estimates the q-quantile over the current window.
-func (w *Window) Quantile(q float64) float64 { return w.QuantileAt(time.Now(), q) }
-
-// Reset clears every bucket.
-func (w *Window) Reset() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := range w.buckets {
-		b := &w.buckets[i]
-		b.epoch = 0
-		b.count = 0
-		b.sum = 0
-		for j := range b.counts {
-			b.counts[j] = 0
-		}
-	}
+	return quantile(w.bounds, total, q, func(i int) int64 { return merged[i] })
 }

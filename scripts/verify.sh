@@ -22,11 +22,11 @@ go run ./cmd/papereval | grep -F "shape check: all of the paper's qualitative or
 # The AVX2 kernels are amd64-only; this keeps the stub every other
 # platform builds (internal/gf256/kernels_other.go) from rotting.
 GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
-go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore
+go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore ./internal/obs/... ./internal/cluster
 # The store's held-fsync and crash-with-bystander tests, repeated on one
 # core, where an interleaving that only a second CPU hides would show.
 GOMAXPROCS=1 go test -count=20 -run 'HeldCommitFsync|CommitPointsStaySerial|CloseDuringHeldCommitFsync|StageRefusedWhileItsTokenCommits|RacingStageOpsAgreeWithReplay|FailedFsyncPoisonsTheStore|CrashWithBystanderInFlight' ./internal/store/diskstore
 # One iteration of each layer benchmark, so none can rot uncompiled.
-go test -run '^$' -bench 'ExpH|ExpG224|FixedBaseBuild|PedersenCommit|VaultPut|VaultGet|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact' -benchtime 1x ./internal/...
+go test -run '^$' -bench 'ExpH|ExpG224|FixedBaseBuild|PedersenCommit|VaultPut|VaultGet|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact|SpanFlat|SpanEnabled' -benchtime 1x ./internal/...
 go vet -C bench ./...
 go test -C bench ./...
