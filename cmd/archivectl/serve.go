@@ -94,7 +94,7 @@ func cmdServe(args []string) {
 	payload := make([]byte, *size)
 	for i := 0; i < *objects; i++ {
 		rng.Read(payload)
-		if err := v.Put(fmt.Sprintf("seed/obj-%04d", i), payload); err != nil {
+		if err := v.Put(context.Background(), fmt.Sprintf("seed/obj-%04d", i), payload); err != nil {
 			fatal(fmt.Errorf("seed obj-%04d: %w", i, err))
 		}
 	}
@@ -152,7 +152,7 @@ func cmdServe(args []string) {
 				}
 				id := fmt.Sprintf("seed/obj-%04d", i%*objects)
 				i++
-				if _, err := v.Get(id); err != nil && !errors.Is(err, core.ErrDegraded) {
+				if _, err := v.Get(context.Background(), id); err != nil && !errors.Is(err, core.ErrDegraded) {
 					fmt.Fprintf(os.Stderr, "archivectl: read %s: %v\n", id, err)
 				}
 			}

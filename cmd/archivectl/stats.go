@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -43,11 +44,12 @@ func cmdStats(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(*seed))
 	payload := make([]byte, *size)
 	for i := 0; i < *objects; i++ {
 		rng.Read(payload)
-		if err := v.Put(fmt.Sprintf("obj-%04d", i), payload); err != nil {
+		if err := v.Put(ctx, fmt.Sprintf("obj-%04d", i), payload); err != nil {
 			fatal(fmt.Errorf("put obj-%04d: %w", i, err))
 		}
 	}
@@ -59,7 +61,7 @@ func cmdStats(args []string) {
 	}
 	degraded := 0
 	for i := 0; i < *objects; i++ {
-		if _, err := v.Get(fmt.Sprintf("obj-%04d", i)); err != nil {
+		if _, err := v.Get(ctx, fmt.Sprintf("obj-%04d", i)); err != nil {
 			if !errors.Is(err, core.ErrDegraded) {
 				fatal(fmt.Errorf("get obj-%04d: %w", i, err))
 			}

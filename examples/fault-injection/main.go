@@ -11,6 +11,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +23,7 @@ import (
 
 func main() {
 	const n, t = 8, 4
+	ctx := context.Background()
 	c := cluster.New(n, nil)
 	// Hierarchical tracing on: every vault op below records a span tree
 	// (probes, retries, decode, verify), and the epilogue prints the
@@ -33,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	data := []byte("census microdata, embargoed 72 years — readable in 2096")
-	if err := v.Put("census", data); err != nil {
+	if err := v.Put(ctx, "census", data); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stored %d bytes as %d Shamir shares (any %d reconstruct)\n\n", len(data), n, t)
@@ -55,7 +57,7 @@ func main() {
 		}
 	}
 	c.SetFaultPlan(plan)
-	got, err := v.Get("census")
+	got, err := v.Get(ctx, "census")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,11 +69,11 @@ func main() {
 	// staged writes cannot all land, so the whole renewal rolls back.
 	fmt.Println("--- act 2: share renewal attempted while nodes are down ---")
 	before := c.ObjectBytes("census")
-	if err := v.RenewShares("census"); err != nil {
+	if err := v.RenewShares(ctx, "census"); err != nil {
 		fmt.Printf("renewal refused: %v\n", err)
 	}
 	fmt.Printf("rolled back: stored bytes %d → %d, staged leftovers: %d\n", before, c.ObjectBytes("census"), c.StagedCount())
-	if got, err := v.Get("census"); err != nil || !bytes.Equal(got, data) {
+	if got, err := v.Get(ctx, "census"); err != nil || !bytes.Equal(got, data) {
 		log.Fatalf("old stripe damaged by failed renewal: %v", err)
 	}
 	fmt.Print("old shares untouched — Get still returns the original\n\n")
@@ -84,26 +86,26 @@ func main() {
 	c.SetFaultPlan(&cluster.FaultPlan{Seed: 7, Nodes: map[int]cluster.NodeFaults{
 		5: {CorruptProb: 1.0},
 	}})
-	_, _ = c.Get(5, cluster.ShardKey{Object: "census", Index: 5}) // one rotted read makes the rot persistent
+	_, _ = c.GetCtx(ctx, 5, cluster.ShardKey{Object: "census", Index: 5}) // one rotted read makes the rot persistent
 	c.SetFaultPlan(nil)
-	rep, err := v.Scrub("census")
+	rep, err := v.Scrub(ctx, "census")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("scrub: healthy=%v missing=%v corrupt=%v repaired=%v\n", rep.Healthy, rep.Missing, rep.Corrupt, rep.Repaired)
-	rep, err = v.Scrub("census")
+	rep, err = v.Scrub(ctx, "census")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("re-scrub: clean=%v — ", rep.Clean())
-	if got, err := v.Get("census"); err == nil && bytes.Equal(got, data) {
+	if got, err := v.Get(ctx, "census"); err == nil && bytes.Equal(got, data) {
 		fmt.Println("full health restored")
 	} else {
 		log.Fatalf("repair failed: %v", err)
 	}
 
 	// Renewal works again now that every node is back.
-	if err := v.RenewShares("census"); err != nil {
+	if err := v.RenewShares(ctx, "census"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("renewal succeeds on the healed cluster")

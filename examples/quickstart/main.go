@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// An 8-node cluster spread across six regions.
 	c := cluster.New(8, nil)
 	fmt.Println("cluster regions:", c.Regions())
@@ -45,7 +47,7 @@ func main() {
 	}
 
 	document := []byte("CENSUS 2026 — individual records, sealed for 100 years")
-	if err := vault.Put("census-2026", document); err != nil {
+	if err := vault.Put(ctx, "census-2026", document); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("archived %q: %.1fx storage cost\n", "census-2026", vault.StorageCost("census-2026"))
@@ -60,7 +62,7 @@ func main() {
 
 	// The mobile adversary forces periodic share refresh too.
 	if rec.NeedsProactiveRenewal {
-		if err := vault.RenewShares("census-2026"); err != nil {
+		if err := vault.RenewShares(ctx, "census-2026"); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("shares proactively re-randomised")
@@ -70,7 +72,7 @@ func main() {
 	c.SetOnline(2, false)
 	c.SetOnline(5, false)
 
-	got, err := vault.Get("census-2026")
+	got, err := vault.Get(ctx, "census-2026")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package securearchive_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
@@ -144,14 +145,14 @@ func TestVaultLifecycleAllEncodings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := v.Put("obj", data); err != nil {
+			if err := v.Put(context.Background(), "obj", data); err != nil {
 				t.Fatal(err)
 			}
 			c.AdvanceEpoch()
 			if err := v.RenewIntegrity("obj", sig.ECDSAP256); err != nil {
 				t.Fatal(err)
 			}
-			if err := v.RenewShares("obj"); err != nil {
+			if err := v.RenewShares(context.Background(), "obj"); err != nil {
 				t.Fatal(err)
 			}
 			// Knock out exactly the tolerated number of nodes.
@@ -159,7 +160,7 @@ func TestVaultLifecycleAllEncodings(t *testing.T) {
 			for i := min; i < n; i++ {
 				c.SetOnline(i, false)
 			}
-			got, err := v.Get("obj")
+			got, err := v.Get(context.Background(), "obj")
 			if err != nil {
 				t.Fatal(err)
 			}

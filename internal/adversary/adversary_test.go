@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -12,11 +13,17 @@ import (
 // seedCluster stores one object's shards, one per node.
 func seedCluster(n int) *cluster.Cluster {
 	c := cluster.New(n, nil)
-	for i := 0; i < n; i++ {
-		key := cluster.ShardKey{Object: "obj", Index: i}
-		_ = c.Put(i, key, []byte(fmt.Sprintf("shard-%d", i)))
-	}
+	writeStripe(c, func(i int) string { return fmt.Sprintf("shard-%d", i) })
 	return c
+}
+
+// writeStripe writes object "obj" across every node, shard i on node i,
+// staged and committed as one stripe.
+func writeStripe(c *cluster.Cluster, shard func(i int) string) {
+	for i := 0; i < c.Size(); i++ {
+		_ = c.PutStagedCtx(context.Background(), i, "w", cluster.ShardKey{Object: "obj", Index: i}, []byte(shard(i)))
+	}
+	c.CommitStage("w")
 }
 
 func TestBudgetEnforcedPerEpoch(t *testing.T) {
@@ -80,19 +87,12 @@ func TestHarvestRecordsEpochs(t *testing.T) {
 // same-epoch count stays below the any-epoch count.
 func TestSameEpochVsAnyEpochAccounting(t *testing.T) {
 	c := cluster.New(4, nil)
-	put := func(idx int, v string) {
-		_ = c.Put(idx, cluster.ShardKey{Object: "obj", Index: idx}, []byte(v))
-	}
-	for i := 0; i < 4; i++ {
-		put(i, "v0")
-	}
+	writeStripe(c, func(int) string { return "v0" })
 	m := NewMobile(1, 9)
 	m.Corrupt(c, 0) // harvest shard 0 (write epoch 0)
 	c.AdvanceEpoch()
 	// Victim renews: rewrites all shards at epoch 1.
-	for i := 0; i < 4; i++ {
-		put(i, "v1")
-	}
+	writeStripe(c, func(int) string { return "v1" })
 	m.Corrupt(c, 1) // harvest shard 1 (write epoch 1)
 	c.AdvanceEpoch()
 	m.Corrupt(c, 2) // harvest shard 2 (write epoch 1)

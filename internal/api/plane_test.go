@@ -24,10 +24,10 @@ import (
 
 func TestMetricsEndpoint(t *testing.T) {
 	p := newPlane(t, api.Config{})
-	if err := p.v.Put("obj", []byte("metrics smoke")); err != nil {
+	if err := p.v.Put(context.Background(), "obj", []byte("metrics smoke")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.v.Get("obj"); err != nil {
+	if _, err := p.v.Get(context.Background(), "obj"); err != nil {
 		t.Fatal(err)
 	}
 	code, body := p.get(t, "/metrics")
@@ -49,7 +49,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestSnapshotEndpoint(t *testing.T) {
 	p := newPlane(t, api.Config{})
-	if err := p.v.Put("obj", []byte("snapshot smoke")); err != nil {
+	if err := p.v.Put(context.Background(), "obj", []byte("snapshot smoke")); err != nil {
 		t.Fatal(err)
 	}
 	code, body := p.get(t, "/snapshot")
@@ -67,10 +67,10 @@ func TestSnapshotEndpoint(t *testing.T) {
 
 func TestTracesEndpoint(t *testing.T) {
 	p := newPlane(t, api.Config{})
-	if err := p.v.Put("obj", []byte("trace smoke")); err != nil {
+	if err := p.v.Put(context.Background(), "obj", []byte("trace smoke")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.v.Get("obj"); err != nil {
+	if _, err := p.v.Get(context.Background(), "obj"); err != nil {
 		t.Fatal(err)
 	}
 	code, body := p.get(t, "/traces?n=2")
@@ -136,10 +136,10 @@ func healthz(t *testing.T, p *plane) (int, api.Health) {
 
 func TestHealthzHealthy(t *testing.T) {
 	p := newPlane(t, api.Config{})
-	if err := p.v.Put("obj", []byte("healthy")); err != nil {
+	if err := p.v.Put(context.Background(), "obj", []byte("healthy")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.v.Get("obj"); err != nil {
+	if _, err := p.v.Get(context.Background(), "obj"); err != nil {
 		t.Fatal(err)
 	}
 	if code, h := healthz(t, p); code != 200 || !h.Healthy || len(h.Checks) != 2 {
@@ -151,7 +151,7 @@ func TestHealthzHealthy(t *testing.T) {
 // /healthz turns non-200 and names the failing check.
 func TestHealthzDegradedRateTrips(t *testing.T) {
 	p := newPlane(t, api.Config{Health: api.Thresholds{MaxDegradedRate: 0.25}})
-	if err := p.v.Put("obj", []byte("degraded reads trip the health check")); err != nil {
+	if err := p.v.Put(context.Background(), "obj", []byte("degraded reads trip the health check")); err != nil {
 		t.Fatal(err)
 	}
 	// Take half the stripe offline: every read is degraded (rate 1.0).
@@ -159,7 +159,7 @@ func TestHealthzDegradedRateTrips(t *testing.T) {
 		p.c.SetOnline(i, false)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := p.v.Get("obj"); err != nil {
+		if _, err := p.v.Get(context.Background(), "obj"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestHealthzScrubBacklogTrips(t *testing.T) {
 	p := newPlane(t, api.Config{Health: api.Thresholds{MaxScrubBacklog: 1, MaxDegradedRate: 1.0}})
 	ids := []string{"a", "b", "c"}
 	for _, id := range ids {
-		if err := p.v.Put(id, []byte("backlog grows: "+id)); err != nil {
+		if err := p.v.Put(context.Background(), id, []byte("backlog grows: "+id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,13 +193,13 @@ func TestHealthzScrubBacklogTrips(t *testing.T) {
 		2: {CorruptProb: 1.0},
 	}})
 	for _, id := range ids {
-		if _, err := p.c.Get(2, cluster.ShardKey{Object: id, Index: 2}); err != nil {
+		if _, err := p.c.GetCtx(context.Background(), 2, cluster.ShardKey{Object: id, Index: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.c.SetFaultPlan(nil)
 	for _, id := range ids {
-		if _, err := p.v.Get(id); err != nil && !errors.Is(err, core.ErrDegraded) {
+		if _, err := p.v.Get(context.Background(), id); err != nil && !errors.Is(err, core.ErrDegraded) {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestHealthzScrubBacklogTrips(t *testing.T) {
 		t.Fatalf("backlogged vault reports %d: %+v", code, h)
 	}
 	// Scrubbing clears the backlog and health recovers.
-	if _, err := p.v.ScrubAll(); err != nil {
+	if _, err := p.v.ScrubAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if code, h := healthz(t, p); code != 200 {
@@ -225,7 +225,7 @@ func TestHealthzScrubBacklogTrips(t *testing.T) {
 // window slides past it.
 func TestHealthzWindowedTripAndRecover(t *testing.T) {
 	p := newPlane(t, api.Config{Health: api.Thresholds{MaxDegradedRate: 0.25}})
-	if err := p.v.Put("obj", []byte("trip and recover")); err != nil {
+	if err := p.v.Put(context.Background(), "obj", []byte("trip and recover")); err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Unix(1_700_000_000, 0)
@@ -236,7 +236,7 @@ func TestHealthzWindowedTripAndRecover(t *testing.T) {
 		p.c.SetOnline(i, false)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := p.v.Get("obj"); err != nil {
+		if _, err := p.v.Get(context.Background(), "obj"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestHealthzWindowedTripAndRecover(t *testing.T) {
 	}
 	later := t0.Add(obs.DefaultSLOInterval*obs.DefaultSLOBuckets + 20*time.Second)
 	for i := 0; i < 4; i++ {
-		if _, err := p.v.Get("obj"); err != nil {
+		if _, err := p.v.Get(context.Background(), "obj"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,10 +284,10 @@ func TestHealthSampleAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race for the alloc gate")
 	}
 	p := newPlane(t, api.Config{})
-	if err := p.v.Put("obj", []byte("sampled")); err != nil {
+	if err := p.v.Put(context.Background(), "obj", []byte("sampled")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.v.Get("obj"); err != nil {
+	if _, err := p.v.Get(context.Background(), "obj"); err != nil {
 		t.Fatal(err)
 	}
 	now := time.Unix(1_700_000_000, 0)
@@ -472,15 +472,13 @@ counter vault.cache.miss{encoding="erasure_coding"}          # checkCacheSeries,
 counter vault.cache.evict{encoding="erasure_coding"}         # TestVaultCacheEvictionSeries
 counter vault.cache.admit_reject{encoding="erasure_coding"}  # TestVaultCacheEvictionSeries
 
-histogram cluster.put.ok        # TestDeleteObservability
-histogram cluster.put.err       # TestDeleteObservability (its pair)
 histogram cluster.get.ok        # TestVaultMetricsSnapshot
 histogram cluster.get.err       # TestVaultMetricsSnapshot
-histogram cluster.staged.ok     # TestVaultMetricsSnapshot
+histogram cluster.staged.ok     # TestVaultMetricsSnapshot, TestDeleteObservability
 histogram cluster.staged.err    # TestVaultMetricsSnapshot (its pair)
 histogram cluster.delete.ok     # TestDeleteObservability
 histogram cluster.delete.err    # TestDeleteObservability
-counter cluster.stage.commit    # TestVaultMetricsSnapshot, examples/fault-injection
+counter cluster.stage.commit    # TestVaultMetricsSnapshot, TestDeleteObservability, examples/fault-injection
 counter cluster.stage.abort     # examples/fault-injection
 counter cluster.fetch.degraded  # attacksim, examples/fault-injection
 counter cluster.fetch.short     # attacksim

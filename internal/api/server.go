@@ -62,7 +62,7 @@ type Config struct {
 // cannot see or collide with each other's objects. Handlers run on the
 // request context — a client that disconnects mid-transfer cancels the
 // vault operation, which aborts staged writes and in-flight retry
-// backoffs (see internal/cluster's RetryTransientCtx).
+// backoffs (see internal/cluster's retryTransient).
 type Server struct {
 	vault   *core.Vault
 	quotas  *quotaTable
@@ -402,7 +402,7 @@ func (s *Server) handleScrub(w *statusWriter, r *http.Request, tenant string) er
 	if err != nil {
 		return err
 	}
-	rep, err := s.vault.ScrubContext(r.Context(), key)
+	rep, err := s.vault.Scrub(r.Context(), key)
 	if err != nil {
 		return err
 	}
@@ -425,7 +425,7 @@ func (s *Server) handleRenew(w *statusWriter, r *http.Request, tenant string) er
 	switch mode {
 	case "shares", "":
 		res.Mode = "shares"
-		if err := s.vault.RenewSharesContext(r.Context(), key); err != nil {
+		if err := s.vault.RenewShares(r.Context(), key); err != nil {
 			return err
 		}
 	case "integrity":

@@ -8,9 +8,9 @@ import (
 )
 
 // TestRetryTransientCtxAbortsBackoff is the regression test for the
-// sleep-through-cancellation bug: RetryTransientCtx used to time.Sleep
-// its backoff delay unconditionally, so an abandoned request kept the
-// goroutine parked for the full schedule. The fixed loop selects on the
+// sleep-through-cancellation bug: the retry loop (retryTransient) used
+// to time.Sleep its backoff delay unconditionally, so an abandoned
+// request kept the goroutine parked for the full schedule. The fixed loop selects on the
 // context and must return promptly, wrapping the context error so both
 // errors.Is(err, ErrRetryAborted) and errors.Is(err, context.Canceled)
 // hold.
@@ -21,7 +21,7 @@ func TestRetryTransientCtxAbortsBackoff(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		done <- RetryTransientCtx(ctx, pol, func() error {
+		done <- retryTransient(ctx, pol, func() error {
 			attempts++
 			return ErrTransient
 		})
@@ -32,7 +32,7 @@ func TestRetryTransientCtxAbortsBackoff(t *testing.T) {
 	select {
 	case err = <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("RetryTransientCtx still sleeping 5s after cancel (backoff ignores ctx)")
+		t.Fatal("retryTransient still sleeping 5s after cancel (backoff ignores ctx)")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("retry returned after %v; want prompt abort", elapsed)
@@ -54,7 +54,7 @@ func TestRetryTransientCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := RetryTransientCtx(ctx, DefaultRetry, func() error {
+	err := retryTransient(ctx, DefaultRetry, func() error {
 		ran = true
 		return nil
 	})
@@ -79,7 +79,7 @@ func TestFaultLatencyAbortsOnCancel(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		done <- c.PutCtx(ctx, 0, key, []byte("shard"))
+		done <- c.PutStagedCtx(ctx, 0, "w", key, []byte("shard"))
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
@@ -87,10 +87,10 @@ func TestFaultLatencyAbortsOnCancel(t *testing.T) {
 	select {
 	case err = <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("PutCtx still blocked in injected latency 5s after cancel")
+		t.Fatal("PutStagedCtx still blocked in injected latency 5s after cancel")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("PutCtx returned after %v; want prompt abort", elapsed)
+		t.Fatalf("PutStagedCtx returned after %v; want prompt abort", elapsed)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v; want errors.Is context.Canceled", err)
@@ -107,7 +107,7 @@ func TestFetchStripeCtxCancelSetsCanceled(t *testing.T) {
 	c := New(8, nil)
 	defer c.Close()
 	for i := 0; i < 8; i++ {
-		if err := c.Put(i, ShardKey{Object: "obj", Index: i}, []byte{byte(i)}); err != nil {
+		if err := put(c, i, ShardKey{Object: "obj", Index: i}, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +115,7 @@ func TestFetchStripeCtxCancelSetsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	resCh := make(chan *StripeResult, 1)
 	go func() {
-		resCh <- c.FetchStripeCtx(ctx, "obj", 8, 4, DefaultRetry, nil)
+		resCh <- c.FetchChunkStripeCtx(ctx, "obj", 0, 8, 4, DefaultRetry, nil)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
@@ -123,7 +123,7 @@ func TestFetchStripeCtxCancelSetsCanceled(t *testing.T) {
 	select {
 	case res = <-resCh:
 	case <-time.After(5 * time.Second):
-		t.Fatal("FetchStripeCtx still probing 5s after cancel")
+		t.Fatal("FetchChunkStripeCtx still probing 5s after cancel")
 	}
 	if res.Canceled == nil {
 		t.Fatalf("res.Canceled = nil after canceled fetch (fetched %d)", res.Fetched)

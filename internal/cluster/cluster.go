@@ -40,7 +40,7 @@ var (
 	ErrNoSuchShard  = errors.New("cluster: shard not found")
 	ErrDuplicateKey = errors.New("cluster: shard already present")
 	// ErrTransient is a retryable fault (timeout, throttle) injected by
-	// the cluster's FaultPlan; see RetryTransient.
+	// the cluster's FaultPlan; see GetRetryCtx and PutStagedRetryCtx.
 	ErrTransient = errors.New("cluster: transient I/O error")
 )
 
@@ -109,7 +109,7 @@ type Cluster struct {
 // across all nodes so far. Safe to call concurrently with traffic.
 func (c *Cluster) TotalBytesMoved() int64 { return c.bytesMoved.Load() }
 
-// Puts returns the number of shard writes (committed and staged) so far.
+// Puts returns the number of shards staged so far.
 func (c *Cluster) Puts() int { return int(c.puts.Load()) }
 
 // Gets returns the number of shard reads so far.
@@ -215,58 +215,11 @@ func (c *Cluster) SetOnline(id int, online bool) error {
 	return nil
 }
 
-// Put stores a shard on a node at the current epoch, replacing any
-// previous version of the same key.
-func (c *Cluster) Put(nodeID int, key ShardKey, data []byte) error {
-	return c.PutCtx(context.Background(), nodeID, key, data)
-}
-
-// PutCtx is Put with cancellation through the fault plan's injected
-// latency: a cancelled caller stops waiting on a slow node immediately.
-func (c *Cluster) PutCtx(ctx context.Context, nodeID int, key ShardKey, data []byte) error {
-	start := time.Now()
-	err := c.put(ctx, nodeID, key, data)
-	c.metrics.put.observe(start, err)
-	return err
-}
-
-func (c *Cluster) put(ctx context.Context, nodeID int, key ShardKey, data []byte) error {
-	n, err := c.Node(nodeID)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.Online {
-		return fmt.Errorf("%w: node %d", ErrNodeDown, nodeID)
-	}
-	if err := c.injectFault(ctx, n, false, key); err != nil {
-		return err
-	}
-	if err := n.st.Put(Shard{Key: key, Epoch: c.Epoch(), Data: data}); err != nil {
-		return err
-	}
-	c.bytesMoved.Add(int64(len(data)))
-	c.puts.Add(1)
-	n.bytesIn.Add(int64(len(data)))
-	return nil
-}
-
-// Get fetches a shard from a node.
-func (c *Cluster) Get(nodeID int, key ShardKey) (Shard, error) {
-	return c.GetCtx(context.Background(), nodeID, key)
-}
-
-// GetCtx is Get with cancellation through the fault plan's injected
-// latency: a cancelled caller stops waiting on a slow node immediately.
-func (c *Cluster) GetCtx(ctx context.Context, nodeID int, key ShardKey) (Shard, error) {
-	start := time.Now()
-	sh, err := c.get(ctx, nodeID, key)
-	c.metrics.get.observe(start, err)
-	return sh, err
-}
-
-func (c *Cluster) get(ctx context.Context, nodeID int, key ShardKey) (Shard, error) {
+// GetCtx fetches a committed shard from a node. The fault plan's
+// injected latency selects on ctx: a cancelled caller stops waiting on a
+// slow node immediately.
+func (c *Cluster) GetCtx(ctx context.Context, nodeID int, key ShardKey) (sh Shard, err error) {
+	defer c.metrics.get.observe(time.Now(), &err)
 	n, err := c.Node(nodeID)
 	if err != nil {
 		return Shard{}, err
@@ -294,19 +247,13 @@ func (c *Cluster) get(ctx context.Context, nodeID int, key ShardKey) (Shard, err
 
 // Delete removes a shard from a node — both the committed version and
 // any entry still parked in the staging area, so a deleted object can
-// never leak staged bytes or block a later re-Put of the same key with
+// never leak staged bytes or block a later re-stage of the same key with
 // ErrDuplicateKey. Absence is not an error. Like CommitStage, delete is
 // metadata-only with respect to the fault plan: no bytes move, so
 // neither transient faults nor offline windows apply (the disk backend
 // can still surface real I/O errors).
-func (c *Cluster) Delete(nodeID int, key ShardKey) error {
-	start := time.Now()
-	err := c.deleteShard(nodeID, key)
-	c.metrics.del.observe(start, err)
-	return err
-}
-
-func (c *Cluster) deleteShard(nodeID int, key ShardKey) error {
+func (c *Cluster) Delete(nodeID int, key ShardKey) (err error) {
+	defer c.metrics.del.observe(time.Now(), &err)
 	n, err := c.Node(nodeID)
 	if err != nil {
 		return err

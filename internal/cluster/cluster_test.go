@@ -2,20 +2,33 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"securearchive/internal/obs"
 )
 
+// put makes data the live shard at key on node the one way the cluster
+// offers: staged under a token of its own, then committed.
+func put(c *Cluster, node int, key ShardKey, data []byte) error {
+	stage := fmt.Sprintf("test:%d:%v", node, key)
+	if err := c.PutStagedCtx(context.Background(), node, stage, key, data); err != nil {
+		return err
+	}
+	_, err := c.CommitStage(stage)
+	return err
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	c := New(4, nil)
 	key := ShardKey{Object: "obj1", Index: 2}
 	data := []byte("shard payload")
-	if err := c.Put(1, key, data); err != nil {
+	if err := put(c, 1, key, data); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := c.Get(1, key)
+	sh, err := c.GetCtx(context.Background(), 1, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,17 +42,17 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissingShard(t *testing.T) {
 	c := New(2, nil)
-	if _, err := c.Get(0, ShardKey{Object: "nope", Index: 0}); !errors.Is(err, ErrNoSuchShard) {
+	if _, err := c.GetCtx(context.Background(), 0, ShardKey{Object: "nope", Index: 0}); !errors.Is(err, ErrNoSuchShard) {
 		t.Fatalf("missing shard: %v", err)
 	}
 }
 
 func TestNodeBounds(t *testing.T) {
 	c := New(2, nil)
-	if err := c.Put(5, ShardKey{}, nil); !errors.Is(err, ErrNoSuchNode) {
+	if err := put(c, 5, ShardKey{}, nil); !errors.Is(err, ErrNoSuchNode) {
 		t.Fatalf("bad node put: %v", err)
 	}
-	if _, err := c.Get(-1, ShardKey{}); !errors.Is(err, ErrNoSuchNode) {
+	if _, err := c.GetCtx(context.Background(), -1, ShardKey{}); !errors.Is(err, ErrNoSuchNode) {
 		t.Fatalf("bad node get: %v", err)
 	}
 }
@@ -47,22 +60,22 @@ func TestNodeBounds(t *testing.T) {
 func TestOfflineNode(t *testing.T) {
 	c := New(3, nil)
 	key := ShardKey{Object: "o", Index: 0}
-	if err := c.Put(0, key, []byte("x")); err != nil {
+	if err := put(c, 0, key, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SetOnline(0, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(0, key); !errors.Is(err, ErrNodeDown) {
+	if _, err := c.GetCtx(context.Background(), 0, key); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("offline get: %v", err)
 	}
-	if err := c.Put(0, key, []byte("y")); !errors.Is(err, ErrNodeDown) {
+	if err := put(c, 0, key, []byte("y")); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("offline put: %v", err)
 	}
 	if err := c.SetOnline(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(0, key); err != nil {
+	if _, err := c.GetCtx(context.Background(), 0, key); err != nil {
 		t.Fatalf("restored get: %v", err)
 	}
 }
@@ -70,12 +83,12 @@ func TestOfflineNode(t *testing.T) {
 func TestEpochStamping(t *testing.T) {
 	c := New(2, nil)
 	key := ShardKey{Object: "o", Index: 0}
-	c.Put(0, key, []byte("v0"))
+	put(c, 0, key, []byte("v0"))
 	c.AdvanceEpoch()
 	c.AdvanceEpoch()
-	c.Put(1, key, []byte("v2"))
-	s0, _ := c.Get(0, key)
-	s1, _ := c.Get(1, key)
+	put(c, 1, key, []byte("v2"))
+	s0, _ := c.GetCtx(context.Background(), 0, key)
+	s1, _ := c.GetCtx(context.Background(), 1, key)
 	if s0.Epoch != 0 || s1.Epoch != 2 {
 		t.Fatalf("epochs %d/%d, want 0/2", s0.Epoch, s1.Epoch)
 	}
@@ -87,10 +100,10 @@ func TestEpochStamping(t *testing.T) {
 func TestPutReplacesAndRestamps(t *testing.T) {
 	c := New(1, nil)
 	key := ShardKey{Object: "o", Index: 0}
-	c.Put(0, key, []byte("old"))
+	put(c, 0, key, []byte("old"))
 	c.AdvanceEpoch()
-	c.Put(0, key, []byte("new"))
-	sh, _ := c.Get(0, key)
+	put(c, 0, key, []byte("new"))
+	sh, _ := c.GetCtx(context.Background(), 0, key)
 	if string(sh.Data) != "new" || sh.Epoch != 1 {
 		t.Fatalf("replace failed: %q at epoch %d", sh.Data, sh.Epoch)
 	}
@@ -98,8 +111,8 @@ func TestPutReplacesAndRestamps(t *testing.T) {
 
 func TestSnapshotIsCopy(t *testing.T) {
 	c := New(1, nil)
-	c.Put(0, ShardKey{Object: "a", Index: 0}, []byte("aaa"))
-	c.Put(0, ShardKey{Object: "b", Index: 1}, []byte("bbb"))
+	put(c, 0, ShardKey{Object: "a", Index: 0}, []byte("aaa"))
+	put(c, 0, ShardKey{Object: "b", Index: 1}, []byte("bbb"))
 	snap, err := c.Snapshot(0)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +125,7 @@ func TestSnapshotIsCopy(t *testing.T) {
 		t.Fatal("snapshot not sorted")
 	}
 	snap[0].Data[0] = 'X'
-	sh, _ := c.Get(0, ShardKey{Object: "a", Index: 0})
+	sh, _ := c.GetCtx(context.Background(), 0, ShardKey{Object: "a", Index: 0})
 	if sh.Data[0] == 'X' {
 		t.Fatal("snapshot aliases node storage")
 	}
@@ -120,9 +133,9 @@ func TestSnapshotIsCopy(t *testing.T) {
 
 func TestAccounting(t *testing.T) {
 	c := New(2, nil)
-	c.Put(0, ShardKey{Object: "o", Index: 0}, make([]byte, 100))
-	c.Put(1, ShardKey{Object: "o", Index: 1}, make([]byte, 100))
-	c.Get(0, ShardKey{Object: "o", Index: 0})
+	put(c, 0, ShardKey{Object: "o", Index: 0}, make([]byte, 100))
+	put(c, 1, ShardKey{Object: "o", Index: 1}, make([]byte, 100))
+	c.GetCtx(context.Background(), 0, ShardKey{Object: "o", Index: 0})
 	if c.StoredBytes() != 200 {
 		t.Fatalf("stored %d, want 200", c.StoredBytes())
 	}
@@ -147,11 +160,11 @@ func TestAccounting(t *testing.T) {
 func TestDelete(t *testing.T) {
 	c := New(1, nil)
 	key := ShardKey{Object: "o", Index: 0}
-	c.Put(0, key, []byte("x"))
+	put(c, 0, key, []byte("x"))
 	if err := c.Delete(0, key); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(0, key); !errors.Is(err, ErrNoSuchShard) {
+	if _, err := c.GetCtx(context.Background(), 0, key); !errors.Is(err, ErrNoSuchShard) {
 		t.Fatalf("shard survived delete: %v", err)
 	}
 	if err := c.Delete(0, key); err != nil {
@@ -179,12 +192,12 @@ func TestRegions(t *testing.T) {
 func TestDeleteClearsStaged(t *testing.T) {
 	c := New(1, nil)
 	key := ShardKey{Object: "o", Index: 0}
-	if err := c.Put(0, key, []byte("committed")); err != nil {
+	if err := put(c, 0, key, []byte("committed")); err != nil {
 		t.Fatal(err)
 	}
 	// A writer stages a rewrite, then the object is deleted mid-flight
 	// (the writer never commits — its stage token dies with it).
-	if err := c.PutStaged(0, "doomed-writer", key, []byte("staged")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "doomed-writer", key, []byte("staged")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Delete(0, key); err != nil {
@@ -197,13 +210,13 @@ func TestDeleteClearsStaged(t *testing.T) {
 		t.Fatalf("StoredBytes after delete = %d, want 0", b)
 	}
 	// Re-archiving the same id must not hit ErrDuplicateKey.
-	if err := c.PutStaged(0, "fresh-writer", key, []byte("reborn")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "fresh-writer", key, []byte("reborn")); err != nil {
 		t.Fatalf("re-put after delete: %v", err)
 	}
 	if n, err := c.CommitStage("fresh-writer"); err != nil || n != 1 {
 		t.Fatalf("commit after delete = %d, %v", n, err)
 	}
-	sh, err := c.Get(0, key)
+	sh, err := c.GetCtx(context.Background(), 0, key)
 	if err != nil || !bytes.Equal(sh.Data, []byte("reborn")) {
 		t.Fatalf("re-put shard: %v %q", err, sh.Data)
 	}
@@ -217,7 +230,7 @@ func TestDeleteObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	c.UseRegistry(reg)
 	key := ShardKey{Object: "o", Index: 0}
-	c.Put(0, key, []byte("x"))
+	put(c, 0, key, []byte("x"))
 	if err := c.Delete(0, key); err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +244,13 @@ func TestDeleteObservability(t *testing.T) {
 	if got := snap.Histograms["cluster.delete.err"].Count; got != 1 {
 		t.Fatalf("cluster.delete.err count = %d, want 1", got)
 	}
-	// The put is on record too, and no counter shadows either pair.
-	if got := snap.Histograms["cluster.put.ok"].Count; got != 1 {
-		t.Fatalf("cluster.put.ok count = %d, want 1", got)
+	// The write is on record too, as its staged shard and its commit, and
+	// no counter shadows either pair.
+	if got := snap.Histograms["cluster.staged.ok"].Count; got != 1 {
+		t.Fatalf("cluster.staged.ok count = %d, want 1", got)
+	}
+	if got := snap.Counters["cluster.stage.commit"]; got != 1 {
+		t.Fatalf("cluster.stage.commit = %d, want 1", got)
 	}
 	if _, ok := snap.Counters["cluster.delete.ok"]; ok {
 		t.Fatal("cluster.delete.ok is still shadowed by a counter")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -28,13 +29,13 @@ func TestDiskBackendRoundTrip(t *testing.T) {
 		t.Fatalf("Backend() = %q", c.Backend())
 	}
 	key := ShardKey{Object: "obj", Index: 1}
-	if err := c.Put(1, key, []byte("payload")); err != nil {
+	if err := put(c, 1, key, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceEpoch()
 	for i := 0; i < 3; i++ {
 		k := ShardKey{Object: "striped", Index: i}
-		if err := c.PutStaged(i, "w", k, []byte{byte(i)}); err != nil {
+		if err := c.PutStagedCtx(context.Background(), i, "w", k, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,12 +51,12 @@ func TestDiskBackendRoundTrip(t *testing.T) {
 
 	c2 := diskCluster(t, 3, dir)
 	defer c2.Close()
-	sh, err := c2.Get(1, key)
+	sh, err := c2.GetCtx(context.Background(), 1, key)
 	if err != nil || !bytes.Equal(sh.Data, []byte("payload")) || sh.Epoch != 0 {
 		t.Fatalf("reopened get = %+v, %v", sh, err)
 	}
 	for i := 0; i < 3; i++ {
-		sh, err := c2.Get(i, ShardKey{Object: "striped", Index: i})
+		sh, err := c2.GetCtx(context.Background(), i, ShardKey{Object: "striped", Index: i})
 		if err != nil || sh.Epoch != 1 {
 			t.Fatalf("striped[%d] after reopen = %+v, %v", i, sh, err)
 		}
@@ -73,11 +74,11 @@ func TestDiskBackendBitRot(t *testing.T) {
 	defer c.Close()
 	key := ShardKey{Object: "r", Index: 0}
 	orig := []byte("pristine")
-	if err := c.Put(0, key, orig); err != nil {
+	if err := put(c, 0, key, orig); err != nil {
 		t.Fatal(err)
 	}
 	c.SetFaultPlan(&FaultPlan{Seed: 1, Default: NodeFaults{CorruptProb: 1}})
-	sh, err := c.Get(0, key)
+	sh, err := c.GetCtx(context.Background(), 0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestDiskBackendBitRot(t *testing.T) {
 		t.Fatal("CorruptProb=1 read returned pristine data")
 	}
 	c.SetFaultPlan(nil)
-	sh2, err := c.Get(0, key)
+	sh2, err := c.GetCtx(context.Background(), 0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +119,10 @@ func TestDiskDeleteClearsStaged(t *testing.T) {
 	dir := t.TempDir()
 	c := diskCluster(t, 1, dir)
 	key := ShardKey{Object: "o", Index: 0}
-	if err := c.Put(0, key, []byte("committed")); err != nil {
+	if err := put(c, 0, key, []byte("committed")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutStaged(0, "doomed", key, []byte("staged")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "doomed", key, []byte("staged")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Delete(0, key); err != nil {
@@ -130,7 +131,7 @@ func TestDiskDeleteClearsStaged(t *testing.T) {
 	if n, b := c.StagedCount(), c.StoredBytes(); n != 0 || b != 0 {
 		t.Fatalf("after delete: staged=%d bytes=%d", n, b)
 	}
-	if err := c.PutStaged(0, "fresh", key, []byte("reborn")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "fresh", key, []byte("reborn")); err != nil {
 		t.Fatalf("re-put after delete: %v", err)
 	}
 	if _, err := c.CommitStage("fresh"); err != nil {
@@ -139,7 +140,7 @@ func TestDiskDeleteClearsStaged(t *testing.T) {
 	c.Close()
 	c2 := diskCluster(t, 1, dir)
 	defer c2.Close()
-	sh, err := c2.Get(0, key)
+	sh, err := c2.GetCtx(context.Background(), 0, key)
 	if err != nil || !bytes.Equal(sh.Data, []byte("reborn")) {
 		t.Fatalf("after reopen: %v %q", err, sh.Data)
 	}
@@ -150,7 +151,7 @@ func TestDiskDeleteClearsStaged(t *testing.T) {
 // backend is where the (int, error) contract earns its keep).
 func TestDiskCommitErrorSurfaces(t *testing.T) {
 	c := diskCluster(t, 1, t.TempDir())
-	if err := c.PutStaged(0, "w", ShardKey{Object: "x", Index: 0}, []byte("d")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "w", ShardKey{Object: "x", Index: 0}, []byte("d")); err != nil {
 		t.Fatal(err)
 	}
 	c.Close() // dead store: every subsequent backend op errors
@@ -173,7 +174,7 @@ func TestDiskSnapshotSorted(t *testing.T) {
 		{Object: "a", Index: 0, Chunk: 0},
 	}
 	for _, k := range keys {
-		if err := c.Put(0, k, []byte("d")); err != nil {
+		if err := put(c, 0, k, []byte("d")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,14 +8,17 @@ import (
 
 // Fault injection: a FaultPlan makes the cluster behave like the archives
 // the paper argues about — nodes that throttle, drop requests, rot bits,
-// and disappear for whole epochs. The plan is deterministic from its
-// Seed: each node carries an independent splitmix64 stream advanced once
-// per probability draw under the node lock, so a fixed sequence of
-// operations against a fixed plan always observes the same faults
-// (concurrent callers may interleave node sequences differently, but each
-// node's own draw sequence depends only on the operations that reach it).
+// and disappear for whole epochs. Each node carries its own splitmix64
+// stream, seeded from the plan's Seed and the node ID and advanced once
+// per probability draw under the node lock. What replays is each node's
+// draw sequence given the operations that reach that node: the same
+// operations against one node under the same plan see the same faults.
+// A seeded campaign as a whole does not replay exactly. A stripe read
+// (FetchChunkStripeCtx) runs want+2 probe goroutines, and which of them
+// wins decides by timing whether a further node is probed at all, so
+// the set of nodes that consume a draw varies from run to run.
 //
-// Faults apply to the data path only (Put, PutStaged, Get). CommitStage,
+// Faults apply to the data path only (PutStagedCtx, GetCtx). CommitStage,
 // AbortStage and Delete are metadata operations the plan never touches:
 // the bytes have already moved by the time they run (the disk backend
 // can still surface its own real I/O errors from them).
@@ -63,7 +66,7 @@ type FaultPlan struct {
 
 // SetFaultPlan installs (or, with nil, clears) the fault plan. Each
 // node's random stream is re-seeded from plan.Seed and the node ID, so
-// re-installing the same plan replays the same faults.
+// re-installing the same plan restarts every node's draw sequence.
 func (c *Cluster) SetFaultPlan(p *FaultPlan) {
 	for _, n := range c.nodes {
 		n.mu.Lock()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,11 +12,11 @@ import (
 func TestFaultPlanTransientDeterministic(t *testing.T) {
 	run := func() []bool {
 		c := New(1, nil)
-		c.Put(0, ShardKey{Object: "o", Index: 0}, []byte("x"))
+		put(c, 0, ShardKey{Object: "o", Index: 0}, []byte("x"))
 		c.SetFaultPlan(&FaultPlan{Seed: 7, Default: NodeFaults{TransientProb: 0.5}})
 		outcomes := make([]bool, 64)
 		for i := range outcomes {
-			_, err := c.Get(0, ShardKey{Object: "o", Index: 0})
+			_, err := c.GetCtx(context.Background(), 0, ShardKey{Object: "o", Index: 0})
 			outcomes[i] = err == nil
 			if err != nil && !errors.Is(err, ErrTransient) {
 				t.Fatalf("unexpected fault class: %v", err)
@@ -41,28 +42,28 @@ func TestFaultPlanTransientDeterministic(t *testing.T) {
 func TestFaultPlanOfflineWindow(t *testing.T) {
 	c := New(2, nil)
 	key := ShardKey{Object: "o", Index: 0}
-	c.Put(0, key, []byte("x"))
+	put(c, 0, key, []byte("x"))
 	c.SetFaultPlan(&FaultPlan{
 		Seed:  1,
 		Nodes: map[int]NodeFaults{0: {Offline: []Window{{From: 1, To: 3}}}},
 	})
-	if _, err := c.Get(0, key); err != nil {
+	if _, err := c.GetCtx(context.Background(), 0, key); err != nil {
 		t.Fatalf("epoch 0 outside window: %v", err)
 	}
 	c.AdvanceEpoch()
-	if _, err := c.Get(0, key); !errors.Is(err, ErrNodeDown) {
+	if _, err := c.GetCtx(context.Background(), 0, key); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("epoch 1 inside window: %v", err)
 	}
-	if err := c.Put(0, key, []byte("y")); !errors.Is(err, ErrNodeDown) {
+	if err := put(c, 0, key, []byte("y")); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("put inside window: %v", err)
 	}
 	// Node 1 has no entry and the Default is zero: unaffected.
-	if err := c.Put(1, key, []byte("z")); err != nil {
+	if err := put(c, 1, key, []byte("z")); err != nil {
 		t.Fatalf("unplanned node faulted: %v", err)
 	}
 	c.AdvanceEpoch()
 	c.AdvanceEpoch()
-	if _, err := c.Get(0, key); err != nil {
+	if _, err := c.GetCtx(context.Background(), 0, key); err != nil {
 		t.Fatalf("epoch 3 past window: %v", err)
 	}
 }
@@ -70,17 +71,17 @@ func TestFaultPlanOfflineWindow(t *testing.T) {
 func TestFaultPlanFlakyWindow(t *testing.T) {
 	c := New(1, nil)
 	key := ShardKey{Object: "o", Index: 0}
-	c.Put(0, key, []byte("x"))
+	put(c, 0, key, []byte("x"))
 	c.SetFaultPlan(&FaultPlan{Seed: 3, Default: NodeFaults{
 		TransientProb: 0,
 		FlakyProb:     1.0,
 		Flaky:         []Window{{From: 1, To: 2}},
 	}})
-	if _, err := c.Get(0, key); err != nil {
+	if _, err := c.GetCtx(context.Background(), 0, key); err != nil {
 		t.Fatalf("outside flaky window: %v", err)
 	}
 	c.AdvanceEpoch()
-	if _, err := c.Get(0, key); !errors.Is(err, ErrTransient) {
+	if _, err := c.GetCtx(context.Background(), 0, key); !errors.Is(err, ErrTransient) {
 		t.Fatalf("inside flaky window: %v", err)
 	}
 }
@@ -89,9 +90,9 @@ func TestFaultPlanCorruptionIsPersistent(t *testing.T) {
 	c := New(1, nil)
 	key := ShardKey{Object: "o", Index: 0}
 	orig := []byte("pristine shard payload")
-	c.Put(0, key, orig)
+	put(c, 0, key, orig)
 	c.SetFaultPlan(&FaultPlan{Seed: 9, Default: NodeFaults{CorruptProb: 1.0}})
-	sh, err := c.Get(0, key)
+	sh, err := c.GetCtx(context.Background(), 0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFaultPlanCorruptionIsPersistent(t *testing.T) {
 	}
 	// Bit rot is at-rest damage: clearing the plan still serves rot.
 	c.SetFaultPlan(nil)
-	sh2, err := c.Get(0, key)
+	sh2, err := c.GetCtx(context.Background(), 0, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,23 +115,23 @@ func TestStagedCommitAndAbort(t *testing.T) {
 	key0 := ShardKey{Object: "o", Index: 0}
 	key1 := ShardKey{Object: "o", Index: 1}
 	base := c.StoredBytes()
-	if err := c.PutStaged(0, "s1", key0, []byte("aaaa")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "s1", key0, []byte("aaaa")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PutStaged(1, "s1", key1, []byte("bbbb")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 1, "s1", key1, []byte("bbbb")); err != nil {
 		t.Fatal(err)
 	}
 	// Staged bytes occupy space but are invisible to Get.
 	if c.StoredBytes() != base+8 {
 		t.Fatalf("staged bytes not counted: %d", c.StoredBytes())
 	}
-	if _, err := c.Get(0, key0); !errors.Is(err, ErrNoSuchShard) {
+	if _, err := c.GetCtx(context.Background(), 0, key0); !errors.Is(err, ErrNoSuchShard) {
 		t.Fatalf("staged shard visible to Get: %v", err)
 	}
 	if n, _ := c.CommitStage("s1"); n != 2 {
 		t.Fatalf("committed %d, want 2", n)
 	}
-	sh, err := c.Get(0, key0)
+	sh, err := c.GetCtx(context.Background(), 0, key0)
 	if err != nil || string(sh.Data) != "aaaa" {
 		t.Fatalf("committed shard: %q %v", sh.Data, err)
 	}
@@ -140,7 +141,7 @@ func TestStagedCommitAndAbort(t *testing.T) {
 
 	// Abort path: bytes return to the committed baseline.
 	base = c.StoredBytes()
-	if err := c.PutStaged(0, "s2", key0, []byte("cccccccc")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "s2", key0, []byte("cccccccc")); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := c.AbortStage("s2"); n != 1 {
@@ -149,7 +150,7 @@ func TestStagedCommitAndAbort(t *testing.T) {
 	if c.StoredBytes() != base {
 		t.Fatalf("abort left %d bytes, want %d", c.StoredBytes(), base)
 	}
-	sh, _ = c.Get(0, key0)
+	sh, _ = c.GetCtx(context.Background(), 0, key0)
 	if string(sh.Data) != "aaaa" {
 		t.Fatal("abort damaged the live shard")
 	}
@@ -158,26 +159,26 @@ func TestStagedCommitAndAbort(t *testing.T) {
 func TestStagedForeignStageRefused(t *testing.T) {
 	c := New(1, nil)
 	key := ShardKey{Object: "o", Index: 0}
-	if err := c.PutStaged(0, "writer-a", key, []byte("a")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "writer-a", key, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	// Same stage re-staging is an idempotent retry.
-	if err := c.PutStaged(0, "writer-a", key, []byte("a2")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "writer-a", key, []byte("a2")); err != nil {
 		t.Fatalf("idempotent re-stage: %v", err)
 	}
 	// A different writer must not steal the key.
-	if err := c.PutStaged(0, "writer-b", key, []byte("b")); !errors.Is(err, ErrDuplicateKey) {
+	if err := c.PutStagedCtx(context.Background(), 0, "writer-b", key, []byte("b")); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("foreign stage: %v", err)
 	}
 	c.AbortStage("writer-a")
-	if err := c.PutStaged(0, "writer-b", key, []byte("b")); err != nil {
+	if err := c.PutStagedCtx(context.Background(), 0, "writer-b", key, []byte("b")); err != nil {
 		t.Fatalf("stage free after abort: %v", err)
 	}
 }
 
 func TestRetryTransientEventuallySucceeds(t *testing.T) {
 	fails := 2
-	err := RetryTransient(RetryPolicy{MaxAttempts: 4}, func() error {
+	err := retryTransient(context.Background(), RetryPolicy{MaxAttempts: 4}, func() error {
 		if fails > 0 {
 			fails--
 			return fmt.Errorf("wrapped: %w", ErrTransient)
@@ -189,7 +190,7 @@ func TestRetryTransientEventuallySucceeds(t *testing.T) {
 	}
 	// Non-transient errors are final.
 	calls := 0
-	err = RetryTransient(RetryPolicy{MaxAttempts: 4}, func() error {
+	err = retryTransient(context.Background(), RetryPolicy{MaxAttempts: 4}, func() error {
 		calls++
 		return ErrNodeDown
 	})
@@ -197,7 +198,7 @@ func TestRetryTransientEventuallySucceeds(t *testing.T) {
 		t.Fatalf("hard error retried: %v after %d calls", err, calls)
 	}
 	// Exhaustion surfaces the transient error.
-	err = RetryTransient(RetryPolicy{MaxAttempts: 2}, func() error { return ErrTransient })
+	err = retryTransient(context.Background(), RetryPolicy{MaxAttempts: 2}, func() error { return ErrTransient })
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("exhausted retry: %v", err)
 	}
@@ -206,13 +207,13 @@ func TestRetryTransientEventuallySucceeds(t *testing.T) {
 func TestFetchStripeDegraded(t *testing.T) {
 	c := New(8, nil)
 	for i := 0; i < 8; i++ {
-		c.Put(i, ShardKey{Object: "o", Index: i}, []byte{byte(i)})
+		put(c, i, ShardKey{Object: "o", Index: i}, []byte{byte(i)})
 	}
 	// Half the stripe offline: a 4-of-8 read must still complete.
 	for _, id := range []int{0, 2, 4, 6} {
 		c.SetOnline(id, false)
 	}
-	res := c.FetchStripe("o", 8, 4, DefaultRetry, nil)
+	res := c.FetchChunkStripeCtx(context.Background(), "o", 0, 8, 4, DefaultRetry, nil)
 	if res.Fetched < 4 {
 		t.Fatalf("degraded read got %d/4", res.Fetched)
 	}
@@ -229,7 +230,7 @@ func TestFetchStripeDegraded(t *testing.T) {
 		c.SetOnline(id, true)
 	}
 	rejected := map[int]bool{1: true, 3: true}
-	res = c.FetchStripe("o", 8, 4, DefaultRetry, func(i int, _ []byte) bool { return !rejected[i] })
+	res = c.FetchChunkStripeCtx(context.Background(), "o", 0, 8, 4, DefaultRetry, func(i int, _ []byte) bool { return !rejected[i] })
 	if res.Fetched < 4 {
 		t.Fatalf("validator fallback got %d/4", res.Fetched)
 	}
@@ -244,10 +245,10 @@ func TestFetchStripeDegraded(t *testing.T) {
 func TestFetchStripeUnderTransients(t *testing.T) {
 	c := New(6, nil)
 	for i := 0; i < 6; i++ {
-		c.Put(i, ShardKey{Object: "o", Index: i}, []byte{byte(i)})
+		put(c, i, ShardKey{Object: "o", Index: i}, []byte{byte(i)})
 	}
 	c.SetFaultPlan(&FaultPlan{Seed: 11, Default: NodeFaults{TransientProb: 0.4}})
-	res := c.FetchStripe("o", 6, 3, DefaultRetry, nil)
+	res := c.FetchChunkStripeCtx(context.Background(), "o", 0, 6, 3, DefaultRetry, nil)
 	if res.Fetched < 3 {
 		t.Fatalf("retrying stripe read got %d/3 under 40%% transients", res.Fetched)
 	}
@@ -282,8 +283,8 @@ func TestMeteringConcurrentWithTraffic(t *testing.T) {
 			defer writers.Done()
 			key := ShardKey{Object: "o", Index: w}
 			for i := 0; i < 200; i++ {
-				c.Put(w, key, []byte("payload"))
-				c.Get(w, key)
+				put(c, w, key, []byte("payload"))
+				c.GetCtx(context.Background(), w, key)
 			}
 		}(w)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Metrics: every data-path operation on the cluster is recorded once, as
-// its latency histogram pair (cluster.{put,get,delete,staged}.{ok,err});
+// its latency histogram pair (cluster.{get,delete,staged}.{ok,err});
 // stage commits and aborts and the stripe reads that degraded or fell
 // short are event counters; and probes, validation discards and
 // transient retries are attributed per node. The metrics are resolved
@@ -24,10 +24,11 @@ func newOpHists(reg *obs.Registry, name string) opHists {
 	}
 }
 
-// observe records one operation that began at start and ended with err.
-func (h opHists) observe(start time.Time, err error) {
+// observe records one operation that began at start and ended with
+// *err; the pointer lets a deferred call read the named result.
+func (h opHists) observe(start time.Time, err *error) {
 	d := float64(time.Since(start).Nanoseconds())
-	if err != nil {
+	if *err != nil {
 		h.err.Observe(d)
 	} else {
 		h.ok.Observe(d)
@@ -35,8 +36,8 @@ func (h opHists) observe(start time.Time, err error) {
 }
 
 type clusterMetrics struct {
-	put, get, del, staged opHists
-	commits, aborts       *obs.Counter
+	get, del, staged opHists
+	commits, aborts  *obs.Counter
 
 	// Stripe reads (FetchChunkStripeCtx) that routed around at least one
 	// failure, and those that ended below the decoder's minimum.
@@ -53,7 +54,6 @@ type clusterMetrics struct {
 
 func newClusterMetrics(reg *obs.Registry, nodes int) *clusterMetrics {
 	m := &clusterMetrics{
-		put:      newOpHists(reg, "cluster.put"),
 		get:      newOpHists(reg, "cluster.get"),
 		del:      newOpHists(reg, "cluster.delete"),
 		staged:   newOpHists(reg, "cluster.staged"),

@@ -61,25 +61,17 @@ func retryAbort(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrRetryAborted, context.Cause(ctx))
 }
 
-// RetryTransient runs op, retrying with bounded exponential backoff for
+// retryTransient runs op, retrying with bounded exponential backoff for
 // as long as it returns ErrTransient. Any other outcome — success,
-// ErrNodeDown, ErrNoSuchShard — is final and returned immediately. It
-// records no metrics — it has no cluster in scope; the cluster's own
-// retrying calls (GetRetryCtx, PutStagedRetryCtx) count every transient
-// result on cluster.retry{node} in the cluster's registry.
-func RetryTransient(pol RetryPolicy, op func() error) error {
-	return RetryTransientCtx(context.Background(), pol, op)
-}
-
-// RetryTransientCtx is RetryTransient with cancellation and trace
-// attribution: every backoff sleep selects on ctx.Done(), so a caller
-// that disconnects mid-backoff gets ErrRetryAborted (wrapping ctx's
-// error) promptly instead of sleeping out the whole schedule. When the
-// context carries a recording span, each sleep is recorded on it as a
-// "backoff.slept" event (attempt number and delay) — the retry loop's
-// time becomes visible in the trace timeline instead of vanishing into
-// the parent span's duration.
-func RetryTransientCtx(ctx context.Context, pol RetryPolicy, op func() error) error {
+// ErrNodeDown, ErrNoSuchShard — is final and returned immediately. Every
+// backoff sleep selects on ctx.Done(), so a caller that disconnects
+// mid-backoff gets ErrRetryAborted (wrapping ctx's error) promptly
+// instead of sleeping out the whole schedule. When the context carries a
+// recording span, each sleep is recorded on it as a "backoff.slept" event
+// (attempt number and delay) — the retry loop's time becomes visible in
+// the trace timeline instead of vanishing into the parent span's
+// duration. It records no metrics; retryAt wraps it for that.
+func retryTransient(ctx context.Context, pol RetryPolicy, op func() error) error {
 	pol = pol.normalize()
 	delay := pol.BaseDelay
 	sp := trace.FromContext(ctx)
@@ -110,15 +102,10 @@ func RetryTransientCtx(ctx context.Context, pol RetryPolicy, op func() error) er
 	return err
 }
 
-// GetRetry is Get with RetryTransient around it.
-func (c *Cluster) GetRetry(nodeID int, key ShardKey, pol RetryPolicy) (Shard, error) {
-	return c.GetRetryCtx(context.Background(), nodeID, key, pol)
-}
-
-// GetRetryCtx is GetRetry with backoff sleeps attributed to the
-// context's span and aborted by its cancellation; see RetryTransientCtx.
-// The underlying fetch is GetCtx, so injected node latency is also cut
-// short when the caller goes away.
+// GetRetryCtx is GetCtx retried on transient faults per pol, with
+// backoff sleeps attributed to the context's span and aborted by its
+// cancellation; see retryTransient. The underlying fetch is GetCtx, so
+// injected node latency is also cut short when the caller goes away.
 func (c *Cluster) GetRetryCtx(ctx context.Context, nodeID int, key ShardKey, pol RetryPolicy) (Shard, error) {
 	var sh Shard
 	err := c.retryAt(ctx, nodeID, pol, func() (err error) {
@@ -128,12 +115,12 @@ func (c *Cluster) GetRetryCtx(ctx context.Context, nodeID int, key ShardKey, pol
 	return sh, err
 }
 
-// retryAt is RetryTransientCtx for one node's operation, with per-node
+// retryAt is retryTransient for one node's operation, with per-node
 // attribution: every transient result the node produced, whether or not
 // the policy has budget to try again, lands on cluster.retry{node} in
 // this cluster's registry.
 func (c *Cluster) retryAt(ctx context.Context, nodeID int, pol RetryPolicy, op func() error) error {
-	return RetryTransientCtx(ctx, pol, func() error {
+	return retryTransient(ctx, pol, func() error {
 		err := op()
 		if errors.Is(err, ErrTransient) {
 			at(c.metrics.retryAt, nodeID)
@@ -208,38 +195,28 @@ func (r *StripeResult) FailureSummary() string {
 	return strings.Join(parts, ", ")
 }
 
-// FetchStripe performs a degraded k-of-n stripe read of object across
-// nodes [0, n): shard i is fetched from node i (the one-shard-per-
-// provider placement). It fans out want plus up to two speculative
-// probes, retries each per pol, and pulls from the remaining nodes as
-// probes fail, stopping once want shards are in hand. valid, when
-// non-nil, vets each fetched shard (digest or commitment check); a shard
-// that fails vetting is discarded, attributed to its node, and another
-// node is tried. want outside (0, n] means the full stripe.
+// FetchChunkStripeCtx performs a degraded k-of-n read of one chunk
+// stripe of object across nodes [0, n): shard i of the chunk's stripe is
+// fetched from node i (the one-shard-per-provider placement). Chunk 0 is
+// the whole stripe of an unchunked write. It fans out want plus up to two
+// speculative probes, retries each per pol, and pulls from the remaining
+// nodes as probes fail, stopping once want shards are in hand. valid,
+// when non-nil, vets each fetched shard (digest or commitment check); a
+// shard that fails vetting is discarded, attributed to its node, and
+// another node is tried. want outside (0, n] means the full stripe.
 //
 // The result records exactly what happened: which shards arrived
 // (indexed by node), how many, which were discarded by validation, and
 // the per-node cause of every miss. Callers deciding whether to decode
 // MUST compare result.Fetched against their threshold.
-func (c *Cluster) FetchStripe(object string, n, want int, pol RetryPolicy, valid func(index int, data []byte) bool) *StripeResult {
-	return c.FetchStripeCtx(context.Background(), object, n, want, pol, valid)
-}
-
-// FetchStripeCtx is FetchStripe joined into the context's trace (when
-// one is ambient — the cluster never roots traces itself). The whole
-// read becomes a "cluster.fetch" span; every probe attempt is a
-// "cluster.probe" child carrying node/shard attributes, its terminal
-// cause as a typed event (node.down, node.transient, shard.missing,
-// shard.discarded), and — via RetryTransientCtx — each backoff sleep it
-// paid. Probe spans are created on the fan-out goroutines; the tracer is
-// built for exactly this (sibling spans on concurrent goroutines).
-func (c *Cluster) FetchStripeCtx(ctx context.Context, object string, n, want int, pol RetryPolicy, valid func(index int, data []byte) bool) *StripeResult {
-	return c.FetchChunkStripeCtx(ctx, object, 0, n, want, pol, valid)
-}
-
-// FetchChunkStripeCtx is FetchStripeCtx addressing one chunk of a
-// pipeline-written object: shard i of the chunk's stripe is fetched from
-// node i. Chunk 0 is the whole-object stripe for unchunked writes.
+//
+// The read joins the context's trace (when one is ambient — the cluster
+// never roots traces itself) as a "cluster.fetch" span; every probe
+// attempt is a "cluster.probe" child carrying node/shard attributes, its
+// terminal cause as a typed event (node.down, node.transient,
+// shard.missing, shard.discarded), and each backoff sleep it paid. Probe
+// spans are created on the fan-out goroutines; the tracer is built for
+// exactly this (sibling spans on concurrent goroutines).
 func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk, n, want int, pol RetryPolicy, valid func(index int, data []byte) bool) *StripeResult {
 	res := &StripeResult{}
 	if n <= 0 {

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Staged writes: the cluster-side half of the vault's stage-then-commit
-// protocol. A writer stages every shard of an object version under a
+// Staged writes: the cluster's one write path. A writer — the vault, or
+// a Table 1 system — stages every shard of an object version under a
 // stage token, then either commits the whole set or aborts, dropping the
 // staged bytes. Commit atomicity is the backend's contract (one key swap
 // under locks in memory; one fsynced WAL record on disk — see
@@ -15,37 +15,16 @@ import (
 // a partial stripe behind: the live shard set always holds exactly one
 // encoding of each object.
 
-// PutStaged writes a shard into the node's staging area under the stage
-// token. It moves real bytes — the same fault plan, availability check
-// and traffic metering as Put apply — but the shard stays invisible to
-// Get until CommitStage. Re-staging the same key under the same token
-// overwrites (so transient-error retries are idempotent); staging a key
-// already held by a different token returns ErrDuplicateKey, refusing to
-// commit over a foreign stage.
-func (c *Cluster) PutStaged(nodeID int, stage string, key ShardKey, data []byte) error {
-	return c.PutStagedCtx(context.Background(), nodeID, stage, key, data)
-}
-
-// PutStagedCtx is PutStaged with cancellation through the fault plan's
-// injected latency — the variant the vault's staged dispersal uses so a
-// cancelled writer stops paying per-node latency mid-stripe.
-func (c *Cluster) PutStagedCtx(ctx context.Context, nodeID int, stage string, key ShardKey, data []byte) error {
-	start := time.Now()
-	err := c.putStaged(ctx, nodeID, stage, key, data)
-	c.metrics.staged.observe(start, err)
-	return err
-}
-
-// PutStagedRetryCtx is PutStagedCtx retried on transient faults per pol,
-// with each transient result attributed to cluster.retry{node}; see
-// GetRetryCtx.
-func (c *Cluster) PutStagedRetryCtx(ctx context.Context, nodeID int, stage string, key ShardKey, data []byte, pol RetryPolicy) error {
-	return c.retryAt(ctx, nodeID, pol, func() error {
-		return c.PutStagedCtx(ctx, nodeID, stage, key, data)
-	})
-}
-
-func (c *Cluster) putStaged(ctx context.Context, nodeID int, stage string, key ShardKey, data []byte) error {
+// PutStagedCtx writes a shard into the node's staging area under the
+// stage token. It moves real bytes — the fault plan, availability check
+// and traffic metering apply, and the fault plan's injected latency
+// selects on ctx — but the shard stays invisible to GetCtx until
+// CommitStage, the only way a shard becomes live. Re-staging the same key
+// under the same token overwrites (so transient-error retries are
+// idempotent); staging a key already held by a different token returns
+// ErrDuplicateKey, refusing to commit over a foreign stage.
+func (c *Cluster) PutStagedCtx(ctx context.Context, nodeID int, stage string, key ShardKey, data []byte) (err error) {
+	defer c.metrics.staged.observe(time.Now(), &err)
 	n, err := c.Node(nodeID)
 	if err != nil {
 		return err
@@ -68,6 +47,15 @@ func (c *Cluster) putStaged(ctx context.Context, nodeID int, stage string, key S
 	c.puts.Add(1)
 	n.bytesIn.Add(int64(len(data)))
 	return nil
+}
+
+// PutStagedRetryCtx is PutStagedCtx retried on transient faults per pol,
+// with each transient result attributed to cluster.retry{node}; see
+// GetRetryCtx.
+func (c *Cluster) PutStagedRetryCtx(ctx context.Context, nodeID int, stage string, key ShardKey, data []byte, pol RetryPolicy) error {
+	return c.retryAt(ctx, nodeID, pol, func() error {
+		return c.PutStagedCtx(ctx, nodeID, stage, key, data)
+	})
 }
 
 // CommitStage atomically promotes every shard staged under the token

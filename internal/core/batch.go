@@ -134,17 +134,12 @@ func (b *Batcher) Close() error {
 }
 
 // Put archives data under id through the batcher, blocking until the
-// member's batch commits. Data larger than DefaultBatchBypassBytes goes
-// straight to Vault.Put.
-func (b *Batcher) Put(id string, data []byte) error {
-	return b.PutContext(context.Background(), id, data)
-}
-
-// PutContext is Put with the flush (if this goroutine ends up leading
-// one) rooted in the caller's trace.
-func (b *Batcher) PutContext(ctx context.Context, id string, data []byte) error {
+// member's batch commits; the flush, if this goroutine ends up leading
+// one, is rooted in the caller's trace. Data larger than
+// DefaultBatchBypassBytes goes straight to Vault.Put.
+func (b *Batcher) Put(ctx context.Context, id string, data []byte) error {
 	if len(data) > DefaultBatchBypassBytes {
-		return b.v.PutContext(ctx, id, data)
+		return b.v.Put(ctx, id, data)
 	}
 	p := &pendingPut{id: id, data: append([]byte(nil), data...)}
 	b.mu.Lock()
@@ -202,23 +197,19 @@ func (b *Batcher) PutContext(ctx context.Context, id string, data []byte) error 
 	}
 }
 
-// putBatch flushes one taken batch as a single blob stripe. Members whose
-// id already exists get ErrExists individually (set on their pendingPut)
-// without failing the batch; the returned error applies to every admitted
-// member and means the whole flush rolled back.
-func (v *Vault) putBatch(ctx context.Context, batch []*pendingPut) error {
-	var bytes int
+// putBatch flushes one taken batch as a single blob stripe, as one
+// "vault.batch.flush" span. Members whose id already exists get ErrExists
+// individually (set on their pendingPut) without failing the batch; the
+// returned error applies to every admitted member and means the whole
+// flush rolled back.
+func (v *Vault) putBatch(ctx context.Context, batch []*pendingPut) (err error) {
+	var size int
 	for _, p := range batch {
-		bytes += len(p.data)
+		size += len(p.data)
 	}
 	ctx, sp := v.tracer.Start(ctx, "vault.batch.flush",
-		trace.Int("members", len(batch)), trace.Int("bytes", bytes))
-	err := v.flushBatch(ctx, batch)
-	sp.End(err)
-	return err
-}
-
-func (v *Vault) flushBatch(ctx context.Context, batch []*pendingPut) error {
+		trace.Int("members", len(batch)), trace.Int("bytes", size))
+	defer func() { sp.End(err) }()
 	// Reserve a registry entry per member, exactly as PutReader does,
 	// failing duplicates individually. The entries stay non-live, their
 	// locks held, until the blob commits.

@@ -47,7 +47,7 @@ func TestBatchMembersRoundTrip(t *testing.T) {
 		t.Fatalf("objects = %d, want 8", got)
 	}
 	for id, data := range want {
-		got, err := v.Get(id)
+		got, err := v.Get(context.Background(), id)
 		if err != nil {
 			t.Fatalf("get %s: %v", id, err)
 		}
@@ -62,7 +62,7 @@ func TestBatchMembersRoundTrip(t *testing.T) {
 
 func TestBatchDuplicateFailsOnlyThatMember(t *testing.T) {
 	v, _ := testVault(t, Erasure{K: 4, N: 8})
-	if err := v.Put("taken", []byte("already here")); err != nil {
+	if err := v.Put(context.Background(), "taken", []byte("already here")); err != nil {
 		t.Fatal(err)
 	}
 	batch := []*pendingPut{
@@ -81,11 +81,11 @@ func TestBatchDuplicateFailsOnlyThatMember(t *testing.T) {
 			t.Fatalf("duplicate member: got %v, want ErrExists", p.err)
 		}
 	}
-	got, err := v.Get("taken")
+	got, err := v.Get(context.Background(), "taken")
 	if err != nil || !bytes.Equal(got, []byte("already here")) {
 		t.Fatalf("original clobbered: %v", err)
 	}
-	if got, err := v.Get("fresh"); err != nil || !bytes.Equal(got, []byte("new member")) {
+	if got, err := v.Get(context.Background(), "fresh"); err != nil || !bytes.Equal(got, []byte("new member")) {
 		t.Fatalf("fresh member: %v", err)
 	}
 }
@@ -96,15 +96,15 @@ func TestBatchDuplicateFailsOnlyThatMember(t *testing.T) {
 func TestBatchDeleteFreesStripeWhenEmpty(t *testing.T) {
 	v, c := testVault(t, Erasure{K: 4, N: 8})
 	want := flushMembers(t, v, 4)
-	if err := v.Delete("m0"); err != nil {
+	if err := v.DeleteContext(context.Background(), "m0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Get("m0"); !errors.Is(err, ErrNotFound) {
+	if _, err := v.Get(context.Background(), "m0"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted member still readable: %v", err)
 	}
 	// Surviving members read fine from the un-compacted blob.
 	for _, id := range []string{"m1", "m2", "m3"} {
-		got, err := v.Get(id)
+		got, err := v.Get(context.Background(), id)
 		if err != nil || !bytes.Equal(got, want[id]) {
 			t.Fatalf("survivor %s after delete: %v", id, err)
 		}
@@ -113,7 +113,7 @@ func TestBatchDeleteFreesStripeWhenEmpty(t *testing.T) {
 		t.Fatal("blob stripe freed while members remain")
 	}
 	for _, id := range []string{"m1", "m2", "m3"} {
-		if err := v.Delete(id); err != nil {
+		if err := v.DeleteContext(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,15 +130,15 @@ func TestBatchScrubRepairsBlobStripe(t *testing.T) {
 	want := flushMembers(t, v, 3)
 	// The blob's cluster id is internal; reach it through member 0.
 	bs := v.lookup("m0").batch
-	c.Put(3, cluster.ShardKey{Object: bs.id, Index: 3}, []byte("rot"))
-	rep, err := v.Scrub("m0")
+	overwrite(c, 3, cluster.ShardKey{Object: bs.id, Index: 3}, []byte("rot"))
+	rep, err := v.Scrub(context.Background(), "m0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Repaired || len(rep.Corrupt) != 1 || rep.Corrupt[0] != 3 {
 		t.Fatalf("repair report: repaired=%v corrupt=%v", rep.Repaired, rep.Corrupt)
 	}
-	rep2, err := v.Scrub("m1")
+	rep2, err := v.Scrub(context.Background(), "m1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestBatchScrubRepairsBlobStripe(t *testing.T) {
 		t.Fatal("batchmate scrub found damage after repair")
 	}
 	for id, data := range want {
-		got, err := v.Get(id)
+		got, err := v.Get(context.Background(), id)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("member %s after repair: %v", id, err)
 		}
@@ -161,16 +161,16 @@ func TestBatchRenewSharesRenewsWholeBlob(t *testing.T) {
 	v, c := testVault(t, SecretSharing{T: 4, N: 8})
 	want := flushMembers(t, v, 3)
 	bs := v.lookup("m1").batch
-	before, _ := c.Get(0, cluster.ShardKey{Object: bs.id, Index: 0})
-	if err := v.RenewShares("m1"); err != nil {
+	before, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: bs.id, Index: 0})
+	if err := v.RenewShares(context.Background(), "m1"); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := c.Get(0, cluster.ShardKey{Object: bs.id, Index: 0})
+	after, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: bs.id, Index: 0})
 	if bytes.Equal(before.Data, after.Data) {
 		t.Fatal("blob shard unchanged after renewal")
 	}
 	for id, data := range want {
-		got, err := v.Get(id)
+		got, err := v.Get(context.Background(), id)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("member %s after renewal: %v", id, err)
 		}
@@ -191,7 +191,7 @@ func TestBatchBlobSpansChunks(t *testing.T) {
 	readAll := func(when string) {
 		t.Helper()
 		for id, data := range want {
-			got, err := v.Get(id)
+			got, err := v.Get(context.Background(), id)
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("%s: member %s: %v", when, id, err)
 			}
@@ -199,18 +199,18 @@ func TestBatchBlobSpansChunks(t *testing.T) {
 	}
 	readAll("after flush")
 
-	c.Put(3, cluster.ShardKey{Object: bs.id, Index: 3, Chunk: 1}, []byte("rot"))
-	rep, err := v.Scrub("m2")
+	overwrite(c, 3, cluster.ShardKey{Object: bs.id, Index: 3, Chunk: 1}, []byte("rot"))
+	rep, err := v.Scrub(context.Background(), "m2")
 	if err != nil || !rep.Repaired || len(rep.Corrupt) != 1 || rep.Corrupt[0] != 3 {
 		t.Fatalf("scrub of rot in chunk 1: rep=%+v err=%v", rep, err)
 	}
-	if rep, err := v.Scrub("m4"); err != nil || !rep.Clean() {
+	if rep, err := v.Scrub(context.Background(), "m4"); err != nil || !rep.Clean() {
 		t.Fatalf("batchmate scrub after repair: rep=%+v err=%v", rep, err)
 	}
 	readAll("after repair")
 
 	shard0 := func(ci int) []byte {
-		sh, err := c.Get(0, cluster.ShardKey{Object: bs.id, Index: 0, Chunk: ci})
+		sh, err := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: bs.id, Index: 0, Chunk: ci})
 		if err != nil {
 			t.Fatalf("chunk %d: %v", ci, err)
 		}
@@ -220,7 +220,7 @@ func TestBatchBlobSpansChunks(t *testing.T) {
 	for ci := range before {
 		before[ci] = shard0(ci)
 	}
-	if err := v.RenewShares("m1"); err != nil {
+	if err := v.RenewShares(context.Background(), "m1"); err != nil {
 		t.Fatal(err)
 	}
 	for ci := range before {
@@ -231,7 +231,7 @@ func TestBatchBlobSpansChunks(t *testing.T) {
 	readAll("after renewal")
 
 	for id := range want {
-		if err := v.Delete(id); err != nil {
+		if err := v.DeleteContext(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,13 +272,13 @@ func TestBatchDegradedMemberRead(t *testing.T) {
 		c.SetOnline(n, false)
 	}
 	for id, data := range want {
-		got, err := v.Get(id)
+		got, err := v.Get(context.Background(), id)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("degraded get %s: %v", id, err)
 		}
 	}
 	c.SetOnline(1, false)
-	if _, err := v.Get("m0"); !errors.Is(err, ErrDegraded) {
+	if _, err := v.Get(context.Background(), "m0"); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("starved member read: got %v, want ErrDegraded", err)
 	}
 }
@@ -287,21 +287,21 @@ func TestBatcherBasics(t *testing.T) {
 	v, _ := testVault(t, Erasure{K: 4, N: 8})
 	b := v.NewBatcher()
 	data := []byte("small object through the batcher")
-	if err := b.Put("one", data); err != nil {
+	if err := b.Put(context.Background(), "one", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Get("one")
+	got, err := v.Get(context.Background(), "one")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip: %v", err)
 	}
-	if err := b.Put("one", data); !errors.Is(err, ErrExists) {
+	if err := b.Put(context.Background(), "one", data); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate: got %v, want ErrExists", err)
 	}
 	// Above the bypass threshold the put routes around the batcher: the
 	// object stores under its own id, not inside a blob.
 	big := make([]byte, DefaultBatchBypassBytes+1)
 	rand.Read(big)
-	if err := b.Put("big", big); err != nil {
+	if err := b.Put(context.Background(), "big", big); err != nil {
 		t.Fatal(err)
 	}
 	if v.lookup("big").batch != nil {
@@ -310,7 +310,7 @@ func TestBatcherBasics(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put("late", data); !errors.Is(err, ErrBatcherClosed) {
+	if err := b.Put(context.Background(), "late", data); !errors.Is(err, ErrBatcherClosed) {
 		t.Fatalf("post-close put: got %v, want ErrBatcherClosed", err)
 	}
 }
@@ -336,11 +336,11 @@ func TestBatcherConcurrentHammer(t *testing.T) {
 				id := fmt.Sprintf("w%d-o%d", w, i)
 				data := make([]byte, 64+rng.Intn(2048))
 				rng.Read(data)
-				if err := b.Put(id, data); err != nil {
+				if err := b.Put(context.Background(), id, data); err != nil {
 					errs <- fmt.Errorf("put %s: %w", id, err)
 					return
 				}
-				got, err := v.Get(id)
+				got, err := v.Get(context.Background(), id)
 				if err != nil {
 					errs <- fmt.Errorf("get %s: %w", id, err)
 					return
@@ -350,7 +350,7 @@ func TestBatcherConcurrentHammer(t *testing.T) {
 					return
 				}
 				if i%3 == 2 {
-					if err := v.Delete(id); err != nil {
+					if err := v.DeleteContext(context.Background(), id); err != nil {
 						errs <- fmt.Errorf("delete %s: %w", id, err)
 					}
 				}
@@ -385,7 +385,7 @@ func TestBatcherScrubAllUnderTraffic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
 				id := fmt.Sprintf("s%d-%d", w, i)
-				if err := b.Put(id, []byte(id)); err != nil {
+				if err := b.Put(context.Background(), id, []byte(id)); err != nil {
 					errs <- err
 					return
 				}
@@ -396,7 +396,7 @@ func TestBatcherScrubAllUnderTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if _, err := v.ScrubAll(); err != nil {
+			if _, err := v.ScrubAll(context.Background()); err != nil {
 				errs <- err
 				return
 			}
@@ -407,7 +407,7 @@ func TestBatcherScrubAllUnderTraffic(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if _, err := v.ScrubAll(); err != nil {
+	if _, err := v.ScrubAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

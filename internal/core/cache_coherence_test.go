@@ -64,7 +64,7 @@ func (d *diffPair) sameErr(op string, e1, e2 error) {
 
 func (d *diffPair) put(id string, data []byte) {
 	d.t.Helper()
-	d.sameErr("put "+id, d.cached.Put(id, data), d.plain.Put(id, data))
+	d.sameErr("put "+id, d.cached.Put(context.Background(), id, data), d.plain.Put(context.Background(), id, data))
 }
 
 func (d *diffPair) putReader(id string, data []byte) {
@@ -78,7 +78,7 @@ func (d *diffPair) putBatched(id string, data []byte) {
 	d.t.Helper()
 	b1 := d.cached.NewBatcher()
 	b2 := d.plain.NewBatcher()
-	d.sameErr("batch put "+id, b1.Put(id, data), b2.Put(id, data))
+	d.sameErr("batch put "+id, b1.Put(context.Background(), id, data), b2.Put(context.Background(), id, data))
 	b1.Close()
 	b2.Close()
 }
@@ -87,8 +87,8 @@ func (d *diffPair) putBatched(id string, data []byte) {
 // succeed with exactly those bytes, when nil both must fail alike.
 func (d *diffPair) get(id string, want []byte) {
 	d.t.Helper()
-	g1, e1 := d.cached.Get(id)
-	g2, e2 := d.plain.Get(id)
+	g1, e1 := d.cached.Get(context.Background(), id)
+	g2, e2 := d.plain.Get(context.Background(), id)
 	d.sameErr("get "+id, e1, e2)
 	if !bytes.Equal(g1, g2) {
 		d.t.Fatalf("get %s: cached and uncached bytes diverge (%d vs %d bytes)", id, len(g1), len(g2))
@@ -121,19 +121,19 @@ func (d *diffPair) readTo(id string, want []byte) {
 
 func (d *diffPair) renew(id string) {
 	d.t.Helper()
-	d.sameErr("renew "+id, d.cached.RenewShares(id), d.plain.RenewShares(id))
+	d.sameErr("renew "+id, d.cached.RenewShares(context.Background(), id), d.plain.RenewShares(context.Background(), id))
 }
 
 func (d *diffPair) scrub(id string) {
 	d.t.Helper()
-	_, e1 := d.cached.Scrub(id)
-	_, e2 := d.plain.Scrub(id)
+	_, e1 := d.cached.Scrub(context.Background(), id)
+	_, e2 := d.plain.Scrub(context.Background(), id)
 	d.sameErr("scrub "+id, e1, e2)
 }
 
 func (d *diffPair) del(id string) {
 	d.t.Helper()
-	d.sameErr("delete "+id, d.cached.Delete(id), d.plain.Delete(id))
+	d.sameErr("delete "+id, d.cached.DeleteContext(context.Background(), id), d.plain.DeleteContext(context.Background(), id))
 }
 
 func (d *diffPair) advanceEpoch() {
@@ -337,7 +337,7 @@ func TestCachePropertyInterleavings(t *testing.T) {
 				// monolithic and the chunked read path flow through the
 				// cache during the run.
 				data := fill(fmt.Sprintf("%s#%d", id, gen[id]), 300+rng.Intn(1200))
-				err := v.Put(id, data)
+				err := v.Put(context.Background(), id, data)
 				if _, exists := model[id]; exists {
 					if !errors.Is(err, ErrExists) {
 						t.Fatalf("op %d: put existing %s: err=%v, want ErrExists", op, id, err)
@@ -349,7 +349,7 @@ func TestCachePropertyInterleavings(t *testing.T) {
 					model[id] = data
 				}
 			case 2, 3: // Get
-				got, err := v.Get(id)
+				got, err := v.Get(context.Background(), id)
 				if want, ok := model[id]; ok {
 					if err != nil {
 						t.Fatalf("op %d: get %s: %v", op, id, err)
@@ -374,7 +374,7 @@ func TestCachePropertyInterleavings(t *testing.T) {
 					t.Fatalf("op %d: readTo deleted %s: err=%v, want ErrNotFound", op, id, err)
 				}
 			case 5: // Delete
-				err := v.Delete(id)
+				err := v.DeleteContext(context.Background(), id)
 				if _, ok := model[id]; ok {
 					if err != nil {
 						t.Fatalf("op %d: delete %s: %v", op, id, err)
@@ -384,7 +384,7 @@ func TestCachePropertyInterleavings(t *testing.T) {
 					t.Fatalf("op %d: delete absent %s: err=%v, want ErrNotFound", op, id, err)
 				}
 			case 6: // RenewShares — content survives, cached generation must not
-				err := v.RenewShares(id)
+				err := v.RenewShares(context.Background(), id)
 				if _, ok := model[id]; ok {
 					if err != nil {
 						t.Fatalf("op %d: renew %s: %v", op, id, err)
@@ -395,7 +395,7 @@ func TestCachePropertyInterleavings(t *testing.T) {
 			default: // AdvanceEpoch, occasionally a scrub
 				c.AdvanceEpoch()
 				if rng.Intn(4) == 0 {
-					if _, err := v.Scrub(id); err != nil && !errors.Is(err, ErrNotFound) {
+					if _, err := v.Scrub(context.Background(), id); err != nil && !errors.Is(err, ErrNotFound) {
 						t.Fatalf("op %d: scrub %s: %v", op, id, err)
 					}
 				}
@@ -406,7 +406,7 @@ func TestCachePropertyInterleavings(t *testing.T) {
 		// twice (second read cache-served).
 		for id, want := range model {
 			for i := 0; i < 2; i++ {
-				got, err := v.Get(id)
+				got, err := v.Get(context.Background(), id)
 				if err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("final get %s (pass %d): err=%v", id, i, err)
 				}
@@ -505,20 +505,20 @@ func hammerCacheCoherence(t *testing.T, c *cluster.Cluster) {
 			rng := mrand.New(mrand.NewSource(int64(i) + 1))
 			id := ids[i]
 			for ver := 1; ver <= writerOps; ver++ {
-				if err := v.Put(id, cachePayload(id, ver)); err == nil {
+				if err := v.Put(context.Background(), id, cachePayload(id, ver)); err == nil {
 					casMax(&highest[i], int64(ver))
 				}
 				switch rng.Intn(3) {
 				case 0:
-					_ = v.RenewShares(id)
+					_ = v.RenewShares(context.Background(), id)
 				case 1:
-					_, _ = v.Scrub(id)
+					_, _ = v.Scrub(context.Background(), id)
 				}
 				// Writer also reads through the cache mid-cycle.
 				if rng.Intn(2) == 0 {
-					_, _ = v.Get(id)
+					_, _ = v.Get(context.Background(), id)
 				}
-				if err := v.Delete(id); err != nil && !errors.Is(err, ErrNotFound) {
+				if err := v.DeleteContext(context.Background(), id); err != nil && !errors.Is(err, ErrNotFound) {
 					fails <- fmt.Errorf("delete %s: %w", id, err)
 				}
 			}
@@ -544,7 +544,7 @@ func hammerCacheCoherence(t *testing.T, c *cluster.Cluster) {
 					_, err = v.ReadTo(context.Background(), id, &buf)
 					got = buf.Bytes()
 				} else {
-					got, err = v.Get(id)
+					got, err = v.Get(context.Background(), id)
 				}
 				switch {
 				case err == nil:
@@ -576,7 +576,7 @@ func hammerCacheCoherence(t *testing.T, c *cluster.Cluster) {
 		for op := 0; op < epochOps; op++ {
 			c.AdvanceEpoch()
 			if rng.Intn(2) == 0 {
-				_, _ = v.Get(ids[rng.Intn(idCount)])
+				_, _ = v.Get(context.Background(), ids[rng.Intn(idCount)])
 			}
 		}
 	}()
@@ -592,7 +592,7 @@ func hammerCacheCoherence(t *testing.T, c *cluster.Cluster) {
 		t.Errorf("%d orphaned staged shards after hammer", n)
 	}
 	for _, id := range v.Objects() {
-		got, err := v.Get(id)
+		got, err := v.Get(context.Background(), id)
 		if err != nil {
 			if errors.Is(err, ErrDegraded) {
 				continue
@@ -606,7 +606,7 @@ func hammerCacheCoherence(t *testing.T, c *cluster.Cluster) {
 		}
 	}
 	for _, id := range v.Objects() {
-		if err := v.Delete(id); err != nil {
+		if err := v.DeleteContext(context.Background(), id); err != nil {
 			t.Errorf("final delete %s: %v", id, err)
 		}
 	}

@@ -324,11 +324,11 @@ func TestVaultCacheHitAndMutatorInvalidation(t *testing.T) {
 	c := cluster.New(8, nil)
 	v := newCachedVault(t, c, 1<<20)
 	data := fill("obj", 2048)
-	if err := v.Put("t/obj", data); err != nil {
+	if err := v.Put(context.Background(), "t/obj", data); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := v.Get("t/obj") // miss → fill
+	got, err := v.Get(context.Background(), "t/obj") // miss → fill
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("first get: %v", err)
 	}
@@ -340,7 +340,7 @@ func TestVaultCacheHitAndMutatorInvalidation(t *testing.T) {
 	// handed the cache must not be the slice Get returned.
 	got[0] ^= 0xff
 
-	got2, err := v.Get("t/obj") // hit
+	got2, err := v.Get(context.Background(), "t/obj") // hit
 	if err != nil || !bytes.Equal(got2, data) {
 		t.Fatalf("cached get after mutating the miss result: %v", err)
 	}
@@ -350,7 +350,7 @@ func TestVaultCacheHitAndMutatorInvalidation(t *testing.T) {
 	// The hit returns a caller-owned copy: mutating it must not corrupt
 	// the cache.
 	got2[0] ^= 0xff
-	got3, _ := v.Get("t/obj")
+	got3, _ := v.Get(context.Background(), "t/obj")
 	if !bytes.Equal(got3, data) {
 		t.Fatal("caller mutation leaked into the cache")
 	}
@@ -358,7 +358,7 @@ func TestVaultCacheHitAndMutatorInvalidation(t *testing.T) {
 	// AdvanceEpoch makes the entry unreachable (lazy invalidation)…
 	c.AdvanceEpoch()
 	hits := v.CacheStats().Hits
-	got4, err := v.Get("t/obj")
+	got4, err := v.Get(context.Background(), "t/obj")
 	if err != nil || !bytes.Equal(got4, data) {
 		t.Fatalf("post-epoch get: %v", err)
 	}
@@ -366,7 +366,7 @@ func TestVaultCacheHitAndMutatorInvalidation(t *testing.T) {
 		t.Fatal("stale-epoch entry served after AdvanceEpoch")
 	}
 	// …and the re-read re-cached at the new epoch.
-	if _, err := v.Get("t/obj"); err != nil {
+	if _, err := v.Get(context.Background(), "t/obj"); err != nil {
 		t.Fatal(err)
 	}
 	if s := v.CacheStats(); s.Hits != hits+1 {
@@ -374,26 +374,26 @@ func TestVaultCacheHitAndMutatorInvalidation(t *testing.T) {
 	}
 
 	// RenewShares invalidates; the next read still returns the plaintext.
-	if err := v.RenewShares("t/obj"); err != nil {
+	if err := v.RenewShares(context.Background(), "t/obj"); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := v.Get("t/obj"); err != nil || !bytes.Equal(got, data) {
+	if got, err := v.Get(context.Background(), "t/obj"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("post-renew get: %v", err)
 	}
 
 	// Delete invalidates: a re-put under the same id must serve the NEW
 	// bytes, never the cached old ones.
-	if err := v.Delete("t/obj"); err != nil {
+	if err := v.DeleteContext(context.Background(), "t/obj"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Get("t/obj"); err == nil {
+	if _, err := v.Get(context.Background(), "t/obj"); err == nil {
 		t.Fatal("deleted object served (stale cache)")
 	}
 	data2 := fill("obj-v2", 2048)
-	if err := v.Put("t/obj", data2); err != nil {
+	if err := v.Put(context.Background(), "t/obj", data2); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := v.Get("t/obj"); err != nil || !bytes.Equal(got, data2) {
+	if got, err := v.Get(context.Background(), "t/obj"); err != nil || !bytes.Equal(got, data2) {
 		t.Fatalf("re-put served stale bytes: %v", err)
 	}
 
@@ -429,14 +429,14 @@ func TestVaultCacheEvictionSeries(t *testing.T) {
 	read := func(from, to, rounds int) {
 		for r := 0; r < rounds; r++ {
 			for i := from; i < to; i++ {
-				if _, err := v.Get(fmt.Sprintf("o%02d/obj", i)); err != nil {
+				if _, err := v.Get(context.Background(), fmt.Sprintf("o%02d/obj", i)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
 	for i := 0; i < 16; i++ {
-		if err := v.Put(fmt.Sprintf("o%02d/obj", i), fill(fmt.Sprint(i), 1<<10)); err != nil {
+		if err := v.Put(context.Background(), fmt.Sprintf("o%02d/obj", i), fill(fmt.Sprint(i), 1<<10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -459,14 +459,14 @@ func TestVaultCacheSkewedReadReplay(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		v := newCachedVault(t, cluster.New(8, nil), 1<<20)
 		for i := 0; i < objects; i++ {
-			if err := v.Put(fmt.Sprintf("t/obj-%02d", i), fill(fmt.Sprint(i), 2<<10)); err != nil {
+			if err := v.Put(context.Background(), fmt.Sprintf("t/obj-%02d", i), fill(fmt.Sprint(i), 2<<10)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		z := rand.NewZipf(rand.New(rand.NewSource(21)), 1.2, 1, objects-1)
 		for i := 0; i < gets; i++ {
 			k := z.Uint64()
-			got, err := v.Get(fmt.Sprintf("t/obj-%02d", k))
+			got, err := v.Get(context.Background(), fmt.Sprintf("t/obj-%02d", k))
 			if err != nil || !bytes.Equal(got, fill(fmt.Sprint(k), 2<<10)) {
 				t.Fatalf("run %d get %d (obj %d): %v", run, i, k, err)
 			}
@@ -491,7 +491,7 @@ func TestVaultCacheChunkedReadTo(t *testing.T) {
 	c := cluster.New(8, nil)
 	v := newCachedVault(t, c, 1<<20, WithChunkSize(512))
 	data := fill("chunky", 2500) // 4 chunk stripes
-	if err := v.Put("t/chunky", data); err != nil {
+	if err := v.Put(context.Background(), "t/chunky", data); err != nil {
 		t.Fatal(err)
 	}
 	var first bytes.Buffer
@@ -515,7 +515,7 @@ func TestVaultCacheChunkedReadTo(t *testing.T) {
 		t.Fatalf("second ReadTo missed: %+v", s)
 	}
 	// Get on the same chunked object is served from the same entry.
-	got, err := v.Get("t/chunky")
+	got, err := v.Get(context.Background(), "t/chunky")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("cached chunked get: %v", err)
 	}
@@ -530,20 +530,20 @@ func TestVaultCacheBatchMembers(t *testing.T) {
 	b := v.NewBatcher()
 	defer b.Close()
 	d1, d2 := fill("m1", 300), fill("m2", 300)
-	if err := b.Put("t/m1", d1); err != nil {
+	if err := b.Put(context.Background(), "t/m1", d1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put("t/m2", d2); err != nil {
+	if err := b.Put(context.Background(), "t/m2", d2); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		id   string
 		want []byte
 	}{{"t/m1", d1}, {"t/m2", d2}} {
-		if got, err := v.Get(tc.id); err != nil || !bytes.Equal(got, tc.want) {
+		if got, err := v.Get(context.Background(), tc.id); err != nil || !bytes.Equal(got, tc.want) {
 			t.Fatalf("fill get %s: %v", tc.id, err)
 		}
-		if got, err := v.Get(tc.id); err != nil || !bytes.Equal(got, tc.want) {
+		if got, err := v.Get(context.Background(), tc.id); err != nil || !bytes.Equal(got, tc.want) {
 			t.Fatalf("cached get %s: %v", tc.id, err)
 		}
 	}
@@ -551,13 +551,13 @@ func TestVaultCacheBatchMembers(t *testing.T) {
 		t.Fatalf("batch member hits: %+v", s)
 	}
 	// Deleting one member must not disturb the other's cached bytes.
-	if err := v.Delete("t/m1"); err != nil {
+	if err := v.DeleteContext(context.Background(), "t/m1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Get("t/m1"); err == nil {
+	if _, err := v.Get(context.Background(), "t/m1"); err == nil {
 		t.Fatal("deleted member served")
 	}
-	if got, err := v.Get("t/m2"); err != nil || !bytes.Equal(got, d2) {
+	if got, err := v.Get(context.Background(), "t/m2"); err != nil || !bytes.Equal(got, d2) {
 		t.Fatalf("surviving member after batchmate delete: %v", err)
 	}
 }
@@ -573,10 +573,10 @@ func TestVaultWithoutCacheUnchanged(t *testing.T) {
 		t.Fatal("cache present without WithReadCache")
 	}
 	data := fill("x", 512)
-	if err := v.Put("x", data); err != nil {
+	if err := v.Put(context.Background(), "x", data); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := v.Get("x"); err != nil || !bytes.Equal(got, data) {
+	if got, err := v.Get(context.Background(), "x"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("uncached get: %v", err)
 	}
 }
@@ -594,7 +594,7 @@ func TestPrefetchCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := fill("scan", 4000) // ~15 chunk stripes
-	if err := v.Put("scan", data); err != nil {
+	if err := v.Put(context.Background(), "scan", data); err != nil {
 		t.Fatal(err)
 	}
 	// A writer that cancels the read after the first chunk lands.
@@ -606,7 +606,7 @@ func TestPrefetchCancel(t *testing.T) {
 		t.Fatal("cancelled read succeeded")
 	}
 	// The full read still works afterwards — nothing was left torn.
-	got, err := v.Get("scan")
+	got, err := v.Get(context.Background(), "scan")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after cancelled prefetch: %v", err)
 	}

@@ -65,7 +65,7 @@ func TestPutChunkedCancelMidWrite(t *testing.T) {
 	data := randBytes(t, 8*1024) // 8 chunks x 8 shards, each shard write 20ms
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- v.PutContext(ctx, "victim", data) }()
+	go func() { done <- v.Put(ctx, "victim", data) }()
 	time.Sleep(50 * time.Millisecond) // a few shards in, most of the object to go
 	cancel()
 	err := await(t, "chunked put", done)
@@ -78,12 +78,12 @@ func TestPutChunkedCancelMidWrite(t *testing.T) {
 	if got := c.StoredBytes(); got != 0 {
 		t.Fatalf("StoredBytes = %d after aborted put; want 0 (orphaned staged shards)", got)
 	}
-	if _, err := v.Get("victim"); !errors.Is(err, ErrNotFound) {
+	if _, err := v.Get(context.Background(), "victim"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after aborted put = %v; want ErrNotFound", err)
 	}
 	// The id must be reusable: the reservation rolled back with the stage.
 	c.SetFaultPlan(nil)
-	if err := v.Put("victim", data); err != nil {
+	if err := v.Put(context.Background(), "victim", data); err != nil {
 		t.Fatalf("re-put after aborted put: %v", err)
 	}
 }
@@ -97,7 +97,7 @@ func TestPutBatchedCancel(t *testing.T) {
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- b.PutContext(ctx, "member", randBytes(t, 512)) }()
+	go func() { done <- b.Put(ctx, "member", randBytes(t, 512)) }()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 	err := await(t, "batched put", done)
@@ -119,7 +119,7 @@ func TestPutBatchedCancel(t *testing.T) {
 func TestGetCancelMidDegraded(t *testing.T) {
 	v, c := slowVault(t, 1024, 0)
 	data := randBytes(t, 4*1024)
-	if err := v.Put("obj", data); err != nil {
+	if err := v.Put(context.Background(), "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	// Heavy transients + per-probe latency: the read will retry/backoff.
@@ -129,7 +129,7 @@ func TestGetCancelMidDegraded(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := v.GetContext(ctx, "obj")
+		_, err := v.Get(ctx, "obj")
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -147,7 +147,7 @@ func TestGetCancelMidDegraded(t *testing.T) {
 	}
 	// The object is intact: a clean read succeeds once faults clear.
 	c.SetFaultPlan(nil)
-	got, err := v.Get("obj")
+	got, err := v.Get(context.Background(), "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("post-cancel clean read: err=%v equal=%v", err, bytes.Equal(got, data))
 	}
@@ -159,14 +159,14 @@ func TestGetCancelMidDegraded(t *testing.T) {
 func TestRenewCancelRollsBack(t *testing.T) {
 	v, c := slowVault(t, 1024, 0)
 	data := randBytes(t, 4*1024)
-	if err := v.Put("obj", data); err != nil {
+	if err := v.Put(context.Background(), "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	baseline := c.StoredBytes()
 	c.SetFaultPlan(&cluster.FaultPlan{Seed: 1, Default: cluster.NodeFaults{Latency: 15 * time.Millisecond}})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- v.RenewSharesContext(ctx, "obj") }()
+	go func() { done <- v.RenewShares(ctx, "obj") }()
 	time.Sleep(120 * time.Millisecond) // read-back done, rewrite staging
 	cancel()
 	err := await(t, "renewal", done)
@@ -180,7 +180,7 @@ func TestRenewCancelRollsBack(t *testing.T) {
 	if got := c.StoredBytes(); got != baseline {
 		t.Fatalf("StoredBytes = %d after aborted renewal; want baseline %d", got, baseline)
 	}
-	got, err := v.Get("obj")
+	got, err := v.Get(context.Background(), "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after aborted renewal: err=%v equal=%v", err, bytes.Equal(got, data))
 	}
@@ -191,7 +191,7 @@ func TestRenewCancelRollsBack(t *testing.T) {
 func TestScrubCancel(t *testing.T) {
 	v, c := slowVault(t, 1024, 0)
 	data := randBytes(t, 4*1024)
-	if err := v.Put("obj", data); err != nil {
+	if err := v.Put(context.Background(), "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	baseline := c.StoredBytes()
@@ -199,7 +199,7 @@ func TestScrubCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := v.ScrubContext(ctx, "obj")
+		_, err := v.Scrub(ctx, "obj")
 		done <- err
 	}()
 	time.Sleep(40 * time.Millisecond)

@@ -60,8 +60,8 @@ func TestEncodingsToleratesErasures(t *testing.T) {
 }
 
 // intactStripe is a 1 MiB RS 10+4 stripe as an unfaulted read sees it:
-// FetchStripe probes in index order, so the ten data shards arrive and
-// the four parity shards are never fetched.
+// FetchChunkStripeCtx probes in index order, so the ten data shards
+// arrive and the four parity shards are never fetched.
 func intactStripe(tb testing.TB) (Erasure, *Encoded) {
 	tb.Helper()
 	enc := Erasure{N: 14, K: 10}

@@ -52,12 +52,12 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		run    func(v *Vault) error
 		key    string // cluster object id holding the victim's stripes
 	}{
-		{"put", nil, false, func(v *Vault) error { return v.Put("victim", smallData) }, "victim"},
-		{"put-chunked", nil, false, func(v *Vault) error { return v.Put("victim", bigData) }, "victim"},
+		{"put", nil, false, func(v *Vault) error { return v.Put(context.Background(), "victim", smallData) }, "victim"},
+		{"put-chunked", nil, false, func(v *Vault) error { return v.Put(context.Background(), "victim", bigData) }, "victim"},
 		{"put-batched", nil, false, putBatched, batchIDPrefix + "1"},
-		{"renew", smallData, false, func(v *Vault) error { return v.RenewShares("victim") }, "victim"},
-		{"renew-chunked", bigData, false, func(v *Vault) error { return v.RenewShares("victim") }, "victim"},
-		{"delete", bigData, true, func(v *Vault) error { return v.Delete("victim") }, "victim"},
+		{"renew", smallData, false, func(v *Vault) error { return v.RenewShares(context.Background(), "victim") }, "victim"},
+		{"renew-chunked", bigData, false, func(v *Vault) error { return v.RenewShares(context.Background(), "victim") }, "victim"},
+		{"delete", bigData, true, func(v *Vault) error { return v.DeleteContext(context.Background(), "victim") }, "victim"},
 	}
 	setup := func(t *testing.T, c *cluster.Cluster, victim []byte) *Vault {
 		t.Helper()
@@ -65,11 +65,11 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := v.Put("keep", keepData); err != nil {
+		if err := v.Put(context.Background(), "keep", keepData); err != nil {
 			t.Fatal(err)
 		}
 		if victim != nil {
-			if err := v.Put("victim", victim); err != nil {
+			if err := v.Put(context.Background(), "victim", victim); err != nil {
 				t.Fatal(err)
 			}
 		}

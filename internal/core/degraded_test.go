@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -27,14 +28,14 @@ func TestVaultGetDegradedBelowThreshold(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v, c := testVault(t, tc.enc)
 			data := []byte("below threshold the read must fail loudly")
-			if err := v.Put("r", data); err != nil {
+			if err := v.Put(context.Background(), "r", data); err != nil {
 				t.Fatal(err)
 			}
 			n, min := tc.enc.Shards()
 			for i := 0; i < n-min+1; i++ {
 				c.SetOnline(i, false)
 			}
-			_, err := v.Get("r")
+			_, err := v.Get(context.Background(), "r")
 			if !errors.Is(err, ErrDegraded) {
 				t.Fatalf("get with %d nodes down: %v, want ErrDegraded", n-min+1, err)
 			}
@@ -51,7 +52,7 @@ func TestVaultGetDegradedBelowThreshold(t *testing.T) {
 			}
 			// One node back above the threshold: the read recovers.
 			c.SetOnline(0, true)
-			got, err := v.Get("r")
+			got, err := v.Get(context.Background(), "r")
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("get at exact threshold: %v", err)
 			}
@@ -70,19 +71,19 @@ func TestVaultRotDiscardQueuesScrub(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("rot routed around must still get repaired")
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
 	// Rot node 2's shard deterministically: one read with p=1.
 	c.SetFaultPlan(&cluster.FaultPlan{Seed: 5, Nodes: map[int]cluster.NodeFaults{
 		2: {CorruptProb: 1.0},
 	}})
-	if _, err := c.Get(2, cluster.ShardKey{Object: "r", Index: 2}); err != nil {
+	if _, err := c.GetCtx(context.Background(), 2, cluster.ShardKey{Object: "r", Index: 2}); err != nil {
 		t.Fatal(err)
 	}
 	c.SetFaultPlan(nil)
 
-	got, err := v.Get("r")
+	got, err := v.Get(context.Background(), "r")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("get with rotted shard: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestVaultRotDiscardQueuesScrub(t *testing.T) {
 	}
 
 	// ScrubAll repairs the rot and drains the dirty queue.
-	reports, err := v.ScrubAll()
+	reports, err := v.ScrubAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +130,12 @@ func TestVaultMetricsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Put("m", []byte("measured object")); err != nil {
+	if err := v.Put(context.Background(), "m", []byte("measured object")); err != nil {
 		t.Fatal(err)
 	}
 	c.SetFaultPlan(&cluster.FaultPlan{Seed: 11, Default: cluster.NodeFaults{TransientProb: 0.4}})
 	for i := 0; i < 8; i++ {
-		if _, err := v.Get("m"); err != nil {
+		if _, err := v.Get(context.Background(), "m"); err != nil {
 			t.Fatalf("get %d under transients: %v", i, err)
 		}
 	}
@@ -186,7 +187,7 @@ func TestRetriesLandOnTheClustersRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetFaultPlan(&cluster.FaultPlan{Seed: 3, Default: cluster.NodeFaults{TransientProb: 0.5}})
-	if err := v.Put("r", []byte("retried on the way in and on the way out")); err != nil {
+	if err := v.Put(context.Background(), "r", []byte("retried on the way in and on the way out")); err != nil {
 		t.Fatal(err)
 	}
 	afterPut := reg.Snapshot().Sum("cluster.retry")
@@ -194,7 +195,7 @@ func TestRetriesLandOnTheClustersRegistry(t *testing.T) {
 		t.Fatal("a staged put under 50% transients left cluster.retry{node} at 0")
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := v.Get("r"); err != nil {
+		if _, err := v.Get(context.Background(), "r"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,14 +41,14 @@ func auditLayouts() []auditLayout {
 	return []auditLayout{
 		{"monolithic", func(t *testing.T, v *Vault) ([]byte, string, int) {
 			data := payload(auditChunk / 2)
-			if err := v.Put("obj", data); err != nil {
+			if err := v.Put(context.Background(), "obj", data); err != nil {
 				t.Fatal(err)
 			}
 			return data, "obj", 0
 		}},
 		{"chunked", func(t *testing.T, v *Vault) ([]byte, string, int) {
 			data := payload(3*auditChunk + 100)
-			if err := v.Put("obj", data); err != nil {
+			if err := v.Put(context.Background(), "obj", data); err != nil {
 				t.Fatal(err)
 			}
 			return data, "obj", 2
@@ -75,7 +75,7 @@ func auditLayouts() []auditLayout {
 
 // readBoth reads the object through Get and through ReadTo.
 func readBoth(v *Vault, id string) (got []byte, streamed bytes.Buffer, err error) {
-	got, err = v.Get(id)
+	got, err = v.Get(context.Background(), id)
 	if _, serr := v.ReadTo(context.Background(), id, &streamed); err == nil {
 		err = serr
 	}
@@ -101,7 +101,7 @@ func TestAuditPaths(t *testing.T) {
 				}
 				want, stripeID, chunk := lay.write(t, v)
 				rot := func() {
-					c.Put(3, cluster.ShardKey{Object: stripeID, Index: 3, Chunk: chunk}, []byte("rot"))
+					overwrite(c, 3, cluster.ShardKey{Object: stripeID, Index: 3, Chunk: chunk}, []byte("rot"))
 				}
 				healthy := func(when string) {
 					t.Helper()
@@ -110,7 +110,7 @@ func TestAuditPaths(t *testing.T) {
 						t.Fatalf("%s: read: %v", when, err)
 					}
 					rot()
-					rep, err := v.Scrub("obj")
+					rep, err := v.Scrub(context.Background(), "obj")
 					if err != nil || !rep.Repaired {
 						t.Fatalf("%s: scrub: repaired=%v err=%v", when, rep != nil && rep.Repaired, err)
 					}
@@ -142,7 +142,7 @@ func TestAuditPaths(t *testing.T) {
 				}
 				rot()
 				before := c.StoredBytes()
-				rep, err := v.Scrub("obj")
+				rep, err := v.Scrub(context.Background(), "obj")
 				if !errors.Is(err, tstamp.ErrOpeningFailed) || !strings.Contains(err.Error(), "integrity chain rejects recovered") {
 					t.Fatalf("scrub over a corrupt commitment: %v", err)
 				}
@@ -169,7 +169,7 @@ func TestReadToWithholdsLastChunk(t *testing.T) {
 	v, _ := chunkedTestVault(t, Erasure{K: 4, N: 8}, auditChunk)
 	data := make([]byte, 3*auditChunk+100)
 	rand.Read(data)
-	if err := v.Put("obj", data); err != nil {
+	if err := v.Put(context.Background(), "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	v.Chain("obj").Links[0].Ref[0] ^= 1
@@ -199,8 +199,8 @@ func TestReadToCacheTakesOwnership(t *testing.T) {
 	for _, lay := range auditLayouts() {
 		t.Run(lay.name, func(t *testing.T) {
 			want, _, _ := lay.write(t, v)
-			defer v.Delete("obj")
-			defer v.Delete("mate")
+			defer v.DeleteContext(context.Background(), "obj")
+			defer v.DeleteContext(context.Background(), "mate")
 			for pass, wantHits := range []int64{0, 1} {
 				before := v.CacheStats().Hits
 				var w bytes.Buffer
@@ -216,7 +216,7 @@ func TestReadToCacheTakesOwnership(t *testing.T) {
 					w.Bytes()[i] = 0
 				}
 			}
-			got, err := v.Get("obj")
+			got, err := v.Get(context.Background(), "obj")
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("hit after scribble: %v", err)
 			}
@@ -252,7 +252,7 @@ func TestGetAllocsCommitmentNearHash(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(50, func() {
-			if _, err := v.Get("obj"); err != nil {
+			if _, err := v.Get(context.Background(), "obj"); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -278,7 +278,7 @@ func TestHammerReadsDuringRenewAndScrub(t *testing.T) {
 	}
 	data := make([]byte, 2*auditChunk+17)
 	rand.Read(data)
-	if err := v.Put("obj", data); err != nil {
+	if err := v.Put(context.Background(), "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 150
@@ -297,7 +297,7 @@ func TestHammerReadsDuringRenewAndScrub(t *testing.T) {
 	}
 	for g := 0; g < 3; g++ {
 		run(func(int) error {
-			got, err := v.Get("obj")
+			got, err := v.Get(context.Background(), "obj")
 			if err == nil && !bytes.Equal(got, data) {
 				err = errors.New("Get returned wrong bytes")
 			}
@@ -322,8 +322,8 @@ func TestHammerReadsDuringRenewAndScrub(t *testing.T) {
 	run(func(i int) error {
 		// Rot a shard so the scrub has something to repair (and so takes
 		// the evidence path); readers route around it meanwhile.
-		c.Put(i%8, cluster.ShardKey{Object: "obj", Index: i % 8, Chunk: i % 2}, []byte("rot"))
-		_, err := v.Scrub("obj")
+		overwrite(c, i%8, cluster.ShardKey{Object: "obj", Index: i % 8, Chunk: i % 2}, []byte("rot"))
+		_, err := v.Scrub(context.Background(), "obj")
 		return err
 	})
 	wg.Wait()

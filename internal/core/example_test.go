@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,12 +31,12 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := vault.Put("deed", []byte("the land grant of 2026")); err != nil {
+	if err := vault.Put(context.Background(), "deed", []byte("the land grant of 2026")); err != nil {
 		log.Fatal(err)
 	}
 	c.SetOnline(1, false)
 	c.SetOnline(6, false)
-	got, err := vault.Get("deed")
+	got, err := vault.Get(context.Background(), "deed")
 	if err != nil {
 		log.Fatal(err)
 	}

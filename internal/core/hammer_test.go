@@ -15,6 +15,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -93,9 +94,9 @@ func hammerOverlappingIDs(t *testing.T, c *cluster.Cluster) {
 					// Puts race each other and deletes: success, ErrExists
 					// and transient-exhausted dispersal errors are all
 					// legitimate outcomes.
-					_ = v.Put(id, payloads[id])
+					_ = v.Put(context.Background(), id, payloads[id])
 				case 1:
-					got, err := v.Get(id)
+					got, err := v.Get(context.Background(), id)
 					switch {
 					case err == nil:
 						if !bytes.Equal(got, payloads[id]) {
@@ -107,7 +108,7 @@ func hammerOverlappingIDs(t *testing.T, c *cluster.Cluster) {
 						fails <- fmt.Errorf("get %s: %w", id, err)
 					}
 				case 2:
-					if _, err := v.Scrub(id); err != nil &&
+					if _, err := v.Scrub(context.Background(), id); err != nil &&
 						!errors.Is(err, ErrNotFound) && !errors.Is(err, ErrDegraded) {
 						// Transient exhaustion during the audit fetch or the
 						// staged rewrite is fair game; anything else is not.
@@ -117,9 +118,9 @@ func hammerOverlappingIDs(t *testing.T, c *cluster.Cluster) {
 						}
 					}
 				case 3:
-					_ = v.RenewShares(id)
+					_ = v.RenewShares(context.Background(), id)
 				case 4:
-					_ = v.Delete(id)
+					_ = v.DeleteContext(context.Background(), id)
 				default:
 					c.AdvanceEpoch()
 				}
@@ -159,7 +160,7 @@ func hammerOverlappingIDs(t *testing.T, c *cluster.Cluster) {
 		}
 	}
 	for _, id := range survivors {
-		got, err := v.Get(id)
+		got, err := v.Get(context.Background(), id)
 		if err != nil {
 			if errors.Is(err, ErrDegraded) {
 				continue // fault-plan attrition, not a locking bug
@@ -175,7 +176,7 @@ func hammerOverlappingIDs(t *testing.T, c *cluster.Cluster) {
 	// Invariant 3: delete everything and the cluster is back to baseline
 	// — no leaked shards from failed or aborted writes.
 	for _, id := range survivors {
-		if err := v.Delete(id); err != nil {
+		if err := v.DeleteContext(context.Background(), id); err != nil {
 			t.Errorf("final delete %s: %v", id, err)
 		}
 	}
@@ -217,21 +218,21 @@ func hammerDistinctIDsWithDeletes(t *testing.T, c *cluster.Cluster) {
 			for i := 0; i < perWorker; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
 				data := bytes.Repeat([]byte{byte(w), byte(i)}, 300)
-				if err := v.Put(id, data); err != nil {
+				if err := v.Put(context.Background(), id, data); err != nil {
 					fails <- fmt.Errorf("put %s: %w", id, err)
 					continue
 				}
-				if got, err := v.Get(id); err != nil || !bytes.Equal(got, data) {
+				if got, err := v.Get(context.Background(), id); err != nil || !bytes.Equal(got, data) {
 					fails <- fmt.Errorf("get %s: %v", id, err)
 				}
-				if _, err := v.Scrub(id); err != nil {
+				if _, err := v.Scrub(context.Background(), id); err != nil {
 					fails <- fmt.Errorf("scrub %s: %w", id, err)
 				}
-				if err := v.RenewShares(id); err != nil {
+				if err := v.RenewShares(context.Background(), id); err != nil {
 					fails <- fmt.Errorf("renew %s: %w", id, err)
 				}
 				if i%2 == 0 {
-					if err := v.Delete(id); err != nil {
+					if err := v.DeleteContext(context.Background(), id); err != nil {
 						fails <- fmt.Errorf("delete %s: %w", id, err)
 					}
 				}
@@ -251,7 +252,7 @@ func hammerDistinctIDsWithDeletes(t *testing.T, c *cluster.Cluster) {
 		t.Errorf("objects = %d, want %d", got, want)
 	}
 	for _, id := range v.Objects() {
-		if err := v.Delete(id); err != nil {
+		if err := v.DeleteContext(context.Background(), id); err != nil {
 			t.Errorf("final delete %s: %v", id, err)
 		}
 	}

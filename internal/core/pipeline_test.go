@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -52,20 +53,20 @@ func TestChunkedMatchesMonolithic(t *testing.T) {
 				data := make([]byte, size)
 				rand.Read(data)
 				id := fmt.Sprintf("obj-%d", size)
-				if err := chunked.Put(id, data); err != nil {
+				if err := chunked.Put(context.Background(), id, data); err != nil {
 					t.Fatalf("chunked put %d bytes: %v", size, err)
 				}
-				if err := mono.Put(id, data); err != nil {
+				if err := mono.Put(context.Background(), id, data); err != nil {
 					t.Fatalf("one-chunk put %d bytes: %v", size, err)
 				}
-				got, err := chunked.Get(id)
+				got, err := chunked.Get(context.Background(), id)
 				if err != nil {
 					t.Fatalf("chunked get %d bytes: %v", size, err)
 				}
 				if !bytes.Equal(got, data) {
 					t.Fatalf("chunked round trip mismatch at %d bytes", size)
 				}
-				mgot, err := mono.Get(id)
+				mgot, err := mono.Get(context.Background(), id)
 				if err != nil {
 					t.Fatalf("one-chunk get %d bytes: %v", size, err)
 				}
@@ -77,7 +78,7 @@ func TestChunkedMatchesMonolithic(t *testing.T) {
 				// cluster. (chunk+1 folds its 1-byte tail into chunk 0 and
 				// stays a single stripe by design.)
 				if size > chunk && numChunks(size, chunk) > 1 {
-					if _, err := cc.Get(0, cluster.ShardKey{Object: id, Index: 0, Chunk: 1}); err != nil {
+					if _, err := cc.GetCtx(context.Background(), 0, cluster.ShardKey{Object: id, Index: 0, Chunk: 1}); err != nil {
 						t.Fatalf("size %d left no chunk-1 shard: %v", size, err)
 					}
 				}
@@ -97,7 +98,7 @@ func TestChunkedPutAbortsAtomically(t *testing.T) {
 	c.SetOnline(7, false)
 	data := make([]byte, 3*2048+5)
 	rand.Read(data)
-	if err := v.Put("doomed", data); err == nil {
+	if err := v.Put(context.Background(), "doomed", data); err == nil {
 		t.Fatal("put succeeded with a required node down")
 	}
 	if got := c.StoredBytes(); got != 0 {
@@ -106,15 +107,15 @@ func TestChunkedPutAbortsAtomically(t *testing.T) {
 	if got := c.StagedCount(); got != 0 {
 		t.Fatalf("aborted put left %d staged shards", got)
 	}
-	if _, err := v.Get("doomed"); !errors.Is(err, ErrNotFound) {
+	if _, err := v.Get(context.Background(), "doomed"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("aborted put left a registry entry: %v", err)
 	}
 	// The id is reusable once the node returns.
 	c.SetOnline(7, true)
-	if err := v.Put("doomed", data); err != nil {
+	if err := v.Put(context.Background(), "doomed", data); err != nil {
 		t.Fatalf("re-put after abort: %v", err)
 	}
-	got, err := v.Get("doomed")
+	got, err := v.Get(context.Background(), "doomed")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip after recovery: %v", err)
 	}
@@ -126,13 +127,13 @@ func TestChunkedDegradedRead(t *testing.T) {
 	v, c := chunkedTestVault(t, Erasure{K: 4, N: 8}, 2048)
 	data := make([]byte, 5*2048+333)
 	rand.Read(data)
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 4, 6, 7} { // 4 of 8 down, k=4 remain
 		c.SetOnline(n, false)
 	}
-	got, err := v.Get("r")
+	got, err := v.Get(context.Background(), "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestChunkedDegradedRead(t *testing.T) {
 	}
 	// One more loss starves some chunk below k: typed degraded error.
 	c.SetOnline(0, false)
-	if _, err := v.Get("r"); !errors.Is(err, ErrDegraded) {
+	if _, err := v.Get(context.Background(), "r"); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("starved read: got %v, want ErrDegraded", err)
 	}
 }
@@ -152,13 +153,13 @@ func TestChunkedScrubRepairs(t *testing.T) {
 	v, c := chunkedTestVault(t, Erasure{K: 4, N: 8}, 2048)
 	data := make([]byte, 4*2048)
 	rand.Read(data)
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
 	// Rot chunk 0 on node 2 and chunk 3 on node 5.
-	c.Put(2, cluster.ShardKey{Object: "r", Index: 2, Chunk: 0}, []byte("rotrotrot"))
-	c.Put(5, cluster.ShardKey{Object: "r", Index: 5, Chunk: 3}, []byte("bitflip"))
-	rep, err := v.Scrub("r")
+	overwrite(c, 2, cluster.ShardKey{Object: "r", Index: 2, Chunk: 0}, []byte("rotrotrot"))
+	overwrite(c, 5, cluster.ShardKey{Object: "r", Index: 5, Chunk: 3}, []byte("bitflip"))
+	rep, err := v.Scrub(context.Background(), "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +169,14 @@ func TestChunkedScrubRepairs(t *testing.T) {
 	if len(rep.Corrupt) != 2 {
 		t.Fatalf("corrupt nodes %v, want [2 5]", rep.Corrupt)
 	}
-	rep2, err := v.Scrub("r")
+	rep2, err := v.Scrub(context.Background(), "r")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep2.Clean() {
 		t.Fatalf("second scrub still dirty: missing=%v corrupt=%v", rep2.Missing, rep2.Corrupt)
 	}
-	got, err := v.Get("r")
+	got, err := v.Get(context.Background(), "r")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip after repair: %v", err)
 	}
@@ -187,18 +188,18 @@ func TestChunkedRenewShares(t *testing.T) {
 	v, c := chunkedTestVault(t, SecretSharing{T: 4, N: 8}, 2048)
 	data := make([]byte, 2*2048+100)
 	rand.Read(data)
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := c.Get(0, cluster.ShardKey{Object: "r", Index: 0, Chunk: 1})
-	if err := v.RenewShares("r"); err != nil {
+	before, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "r", Index: 0, Chunk: 1})
+	if err := v.RenewShares(context.Background(), "r"); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := c.Get(0, cluster.ShardKey{Object: "r", Index: 0, Chunk: 1})
+	after, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "r", Index: 0, Chunk: 1})
 	if bytes.Equal(before.Data, after.Data) {
 		t.Fatal("chunk shard unchanged after renewal")
 	}
-	got, err := v.Get("r")
+	got, err := v.Get(context.Background(), "r")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("data lost in renewal: %v", err)
 	}
@@ -209,19 +210,19 @@ func TestChunkedDelete(t *testing.T) {
 	v, c := chunkedTestVault(t, Erasure{K: 4, N: 8}, 2048)
 	data := make([]byte, 3*2048)
 	rand.Read(data)
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
 	if c.StoredBytes() == 0 {
 		t.Fatal("nothing stored")
 	}
-	if err := v.Delete("r"); err != nil {
+	if err := v.DeleteContext(context.Background(), "r"); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.StoredBytes(); got != 0 {
 		t.Fatalf("delete left %d bytes on nodes", got)
 	}
-	if _, err := v.Get("r"); !errors.Is(err, ErrNotFound) {
+	if _, err := v.Get(context.Background(), "r"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted object still readable: %v", err)
 	}
 }

@@ -10,6 +10,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -129,11 +130,11 @@ func TestPropertyVaultConcurrentDistinctIDs(t *testing.T) {
 					for i := 0; i < perWorker; i++ {
 						id := fmt.Sprintf("w%d-obj%d", w, i)
 						data := []byte(fmt.Sprintf("payload %s %d", id, i))
-						if err := v.Put(id, data); err != nil {
+						if err := v.Put(context.Background(), id, data); err != nil {
 							errs <- fmt.Errorf("put %s: %w", id, err)
 							return
 						}
-						got, err := v.Get(id)
+						got, err := v.Get(context.Background(), id)
 						if err != nil {
 							errs <- fmt.Errorf("get %s: %w", id, err)
 							return
@@ -171,7 +172,7 @@ func TestPropertyVaultConcurrentSameID(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := v.Put("contended", data)
+			err := v.Put(context.Background(), "contended", data)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -186,7 +187,7 @@ func TestPropertyVaultConcurrentSameID(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := v.Get("contended")
+			got, err := v.Get(context.Background(), "contended")
 			if err == nil && !bytes.Equal(got, data) {
 				mu.Lock()
 				torn++
@@ -202,7 +203,7 @@ func TestPropertyVaultConcurrentSameID(t *testing.T) {
 	if wins != 1 || exists != workers-1 || torn != 0 {
 		t.Fatalf("wins=%d exists=%d anomalies=%d, want 1/%d/0", wins, exists, torn, workers-1)
 	}
-	got, err := v.Get("contended")
+	got, err := v.Get(context.Background(), "contended")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("final get: %v", err)
 	}

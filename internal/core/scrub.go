@@ -71,24 +71,14 @@ func (r *ScrubReport) Clean() bool { return len(r.Missing) == 0 && len(r.Corrupt
 // Put and RenewShares write. The report describes
 // the stripe as found; an error means the damage exceeded the encoding's
 // redundancy (or a node needed for the rewrite is down), in which case
-// the cluster is left exactly as it was.
-func (v *Vault) Scrub(id string) (*ScrubReport, error) {
-	return v.ScrubContext(context.Background(), id)
-}
-
-// ScrubContext is Scrub rooted in (or joined to) a trace: the audit
-// fetch, the repair decode/verify, and the staged rewrite nest under one
-// "vault.scrub" span, with a "scrub.repaired" event when the stripe was
-// rewritten. The scrub holds only the object's write lock, so scrubs and
-// traffic on other objects proceed concurrently.
-func (v *Vault) ScrubContext(ctx context.Context, id string) (*ScrubReport, error) {
+// the cluster is left exactly as it was. The audit fetch, the repair
+// decode/verify, and the staged rewrite nest under one "vault.scrub"
+// span, with a "scrub.repaired" event when the stripe was rewritten. The
+// scrub holds only the object's write lock, so scrubs and traffic on
+// other objects proceed concurrently.
+func (v *Vault) Scrub(ctx context.Context, id string) (rep *ScrubReport, err error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.scrub", trace.Str("object", id))
-	rep, err := v.scrub(ctx, id)
-	sp.End(err)
-	return rep, err
-}
-
-func (v *Vault) scrub(ctx context.Context, id string) (*ScrubReport, error) {
+	defer func() { sp.End(err) }()
 	obj, err := v.acquire(ctx, id, true)
 	if err != nil {
 		return nil, err
@@ -102,19 +92,14 @@ func (v *Vault) scrub(ctx context.Context, id string) (*ScrubReport, error) {
 	return v.scrubStripes(ctx, id, l)
 }
 
-// ScrubAll scrubs every object (in id order), returning one report per
-// object and the joined errors of the failures.
-func (v *Vault) ScrubAll() ([]*ScrubReport, error) {
-	return v.ScrubAllContext(context.Background())
-}
-
-// ScrubAllContext is ScrubAll with each object's scrub rooted in (or
-// joined to) its own "vault.scrub" trace. The sweep holds the vault's
-// sweep lock (serialising concurrent sweeps against each other) and
-// takes each object's lock in turn — never more than one at a time, so
-// per-object traffic interleaves with the sweep. Objects deleted after
-// the sweep snapshot are skipped silently.
-func (v *Vault) ScrubAllContext(ctx context.Context) ([]*ScrubReport, error) {
+// ScrubAll scrubs every object (in id order), each rooted in (or joined
+// to) its own "vault.scrub" trace, returning one report per object and
+// the joined errors of the failures. The sweep holds the vault's sweep
+// lock (serialising concurrent sweeps against each other) and takes each
+// object's lock in turn — never more than one at a time, so per-object
+// traffic interleaves with the sweep. Objects deleted after the sweep
+// snapshot are skipped silently.
+func (v *Vault) ScrubAll(ctx context.Context) ([]*ScrubReport, error) {
 	v.sweepMu.Lock()
 	defer v.sweepMu.Unlock()
 	ids := v.Objects()
@@ -122,9 +107,7 @@ func (v *Vault) ScrubAllContext(ctx context.Context) ([]*ScrubReport, error) {
 	var reports []*ScrubReport
 	var errs []error
 	for _, id := range ids {
-		sctx, sp := v.tracer.Start(ctx, "vault.scrub", trace.Str("object", id))
-		rep, err := v.scrub(sctx, id)
-		sp.End(err)
+		rep, err := v.Scrub(ctx, id)
 		if errors.Is(err, ErrNotFound) {
 			continue // deleted since the snapshot
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -83,7 +84,7 @@ func TestBatcherGroupCommitFlushCount(t *testing.T) {
 	errs := make(chan error, members)
 	put := func(i int) {
 		want[i] = fill(fmt.Sprintf("member-%d", i), 300+i)
-		go func() { errs <- b.Put(fmt.Sprintf("m%02d", i), want[i]) }()
+		go func() { errs <- b.Put(context.Background(), fmt.Sprintf("m%02d", i), want[i]) }()
 	}
 	put(0)
 	<-held
@@ -111,7 +112,7 @@ func TestBatcherGroupCommitFlushCount(t *testing.T) {
 	}
 	for i, data := range want {
 		id := fmt.Sprintf("m%02d", i)
-		if got, err := v.Get(id); err != nil || !bytes.Equal(got, data) {
+		if got, err := v.Get(context.Background(), id); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("member %s: read back wrong bytes (err %v)", id, err)
 		}
 	}
@@ -151,16 +152,16 @@ func TestDistinctPutsOverlap(t *testing.T) {
 
 	dataA, dataB := fill("a", 2048), fill("b", 2048)
 	errA := make(chan error, 1)
-	go func() { errA <- v.Put("a", dataA) }()
+	go func() { errA <- v.Put(context.Background(), "a", dataA) }()
 	<-aHeld
-	if err := v.Put("b", dataB); err != nil {
+	if err := v.Put(context.Background(), "b", dataB); err != nil {
 		t.Fatalf("put b: %v", err)
 	}
 	if err := <-errA; err != nil {
 		t.Fatalf("put a: %v", err)
 	}
 	for id, data := range map[string][]byte{"a": dataA, "b": dataB} {
-		if got, err := v.Get(id); err != nil || !bytes.Equal(got, data) {
+		if got, err := v.Get(context.Background(), id); err != nil || !bytes.Equal(got, data) {
 			t.Errorf("%s: read back wrong bytes (err %v)", id, err)
 		}
 	}

@@ -53,18 +53,15 @@ func (v *Vault) StreamPeakBuffered() int64 { return v.streamPeak.Load() }
 // computed digest. Returns the number of plaintext bytes consumed. The
 // write becomes a "vault.put" span with each chunk's encode and the
 // staging attributed below it.
-func (v *Vault) PutReader(ctx context.Context, id string, r io.Reader) (int64, error) {
+func (v *Vault) PutReader(ctx context.Context, id string, r io.Reader) (n int64, err error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.put",
 		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
-	n, err := v.putReader(ctx, id, r)
-	if err == nil {
-		sp.SetAttrs(trace.Int64("bytes", n))
-	}
-	sp.End(err)
-	return n, err
-}
-
-func (v *Vault) putReader(ctx context.Context, id string, r io.Reader) (int64, error) {
+	defer func() {
+		if err == nil {
+			sp.SetAttrs(trace.Int64("bytes", n))
+		}
+		sp.End(err)
+	}()
 	obj, err := v.reserve(id)
 	if err != nil {
 		return 0, err
@@ -93,19 +90,16 @@ func (v *Vault) putReader(ctx context.Context, id string, r io.Reader) (int64, e
 // whole object. The read becomes a "vault.get" span over the stripe
 // fetches (per-node probes with typed failure events), decode, and
 // verify — the breakdown a degraded read needs to explain its latency.
-func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (int64, error) {
+func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (n int64, err error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.get",
 		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
-	n, err := v.readTo(ctx, id, w)
-	if err == nil {
-		v.obsm.getBytes.Observe(float64(n))
-		sp.SetAttrs(trace.Int64("bytes", n))
-	}
-	sp.End(err)
-	return n, err
-}
-
-func (v *Vault) readTo(ctx context.Context, id string, w io.Writer) (int64, error) {
+	defer func() {
+		if err == nil {
+			v.obsm.getBytes.Observe(float64(n))
+			sp.SetAttrs(trace.Int64("bytes", n))
+		}
+		sp.End(err)
+	}()
 	obj, err := v.acquire(ctx, id, false)
 	if err != nil {
 		return 0, err

@@ -79,7 +79,7 @@ func TestPutReaderRoundTrip(t *testing.T) {
 			t.Fatalf("PutReader(%d) reported %d bytes", size, n)
 		}
 		// Slice read path must see the streamed object.
-		got, err := v.Get(id)
+		got, err := v.Get(context.Background(), id)
 		if err != nil {
 			t.Fatalf("Get(%d): %v", size, err)
 		}
@@ -125,7 +125,7 @@ func TestReadToSlicePutObjects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v, _ := chunkedTestVault(t, Erasure{K: 4, N: 8}, tc.cs)
 			want := iotaBytes(tc.size)
-			if err := v.Put("obj", want); err != nil {
+			if err := v.Put(context.Background(), "obj", want); err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
@@ -198,7 +198,7 @@ func TestPutReaderMemoryBounded(t *testing.T) {
 			peak, size, limit)
 	}
 	// And the full object must still round-trip.
-	got, err := v.Get("big")
+	got, err := v.Get(context.Background(), "big")
 	if err != nil || !bytes.Equal(got, iotaBytes(size)) {
 		t.Fatalf("round-trip after memory-bound put: err=%v", err)
 	}
@@ -244,7 +244,7 @@ func TestPutReaderProbeBoundaries(t *testing.T) {
 	for _, size := range sizes {
 		want := iotaBytes(size)
 		refID := fmt.Sprintf("slice-%d", size)
-		refErr := v.Put(refID, want)
+		refErr := v.Put(context.Background(), refID, want)
 		for _, step := range []int{1, 0} { // 0: as much as the buffer takes
 			id := fmt.Sprintf("stream-%d-step%d", size, step)
 			n, err := v.PutReader(context.Background(), id, &iotaReader{n: size, step: step})
@@ -264,7 +264,7 @@ func TestPutReaderProbeBoundaries(t *testing.T) {
 			if err := v.Chain(id).VerifyData(want); err != nil {
 				t.Fatalf("size %d step %d: chain: %v", size, step, err)
 			}
-			got, err := v.Get(id)
+			got, err := v.Get(context.Background(), id)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("size %d step %d: Get: %v (equal %v)", size, step, err, bytes.Equal(got, want))
 			}

@@ -51,7 +51,7 @@ func TestDegradedGetTrace(t *testing.T) {
 	enc := Erasure{K: 4, N: 8}
 	v, c, _, mem := tracedVault(t, enc)
 	data := []byte("trace the degraded read end to end")
-	if err := v.Put("obj", data); err != nil {
+	if err := v.Put(context.Background(), "obj", data); err != nil {
 		t.Fatal(err)
 	}
 	n, min := enc.Shards()
@@ -59,7 +59,7 @@ func TestDegradedGetTrace(t *testing.T) {
 	for i := 0; i < down; i++ {
 		c.SetOnline(i, false)
 	}
-	got, err := v.GetContext(context.Background(), "obj")
+	got, err := v.Get(context.Background(), "obj")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("degraded get: %v", err)
 	}
@@ -136,14 +136,14 @@ func TestDegradedGetTrace(t *testing.T) {
 func TestInsufficientGetTrace(t *testing.T) {
 	enc := Erasure{K: 4, N: 8}
 	v, c, _, mem := tracedVault(t, enc)
-	if err := v.Put("obj", []byte("short stripe")); err != nil {
+	if err := v.Put(context.Background(), "obj", []byte("short stripe")); err != nil {
 		t.Fatal(err)
 	}
 	n, min := enc.Shards()
 	for i := 0; i < n-min+1; i++ {
 		c.SetOnline(i, false)
 	}
-	if _, err := v.GetContext(context.Background(), "obj"); !errors.Is(err, ErrDegraded) {
+	if _, err := v.Get(context.Background(), "obj"); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("get = %v, want ErrDegraded", err)
 	}
 	tc := lastTrace(t, mem, "vault.get")
@@ -162,17 +162,17 @@ func TestInsufficientGetTrace(t *testing.T) {
 func TestRotDiscardTrace(t *testing.T) {
 	enc := Erasure{K: 4, N: 8}
 	v, c, _, mem := tracedVault(t, enc)
-	if err := v.Put("obj", []byte("rot is routed around but recorded")); err != nil {
+	if err := v.Put(context.Background(), "obj", []byte("rot is routed around but recorded")); err != nil {
 		t.Fatal(err)
 	}
 	c.SetFaultPlan(&cluster.FaultPlan{Seed: 5, Nodes: map[int]cluster.NodeFaults{
 		2: {CorruptProb: 1.0},
 	}})
-	if _, err := c.Get(2, cluster.ShardKey{Object: "obj", Index: 2}); err != nil {
+	if _, err := c.GetCtx(context.Background(), 2, cluster.ShardKey{Object: "obj", Index: 2}); err != nil {
 		t.Fatal(err)
 	}
 	c.SetFaultPlan(nil)
-	if _, err := v.GetContext(context.Background(), "obj"); err != nil {
+	if _, err := v.Get(context.Background(), "obj"); err != nil {
 		t.Fatal(err)
 	}
 	tc := lastTrace(t, mem, "vault.get")
@@ -187,7 +187,7 @@ func TestRotDiscardTrace(t *testing.T) {
 func TestScrubTraceAndJournalRoundTrip(t *testing.T) {
 	enc := Erasure{K: 4, N: 8}
 	v, c, tr, mem := tracedVault(t, enc)
-	if err := v.Put("obj", []byte("scrub repairs and the journal remembers")); err != nil {
+	if err := v.Put(context.Background(), "obj", []byte("scrub repairs and the journal remembers")); err != nil {
 		t.Fatal(err)
 	}
 	// Attach the journal after the Put: it captures only the scrub.
@@ -197,7 +197,7 @@ func TestScrubTraceAndJournalRoundTrip(t *testing.T) {
 	if err := c.Delete(3, cluster.ShardKey{Object: "obj", Index: 3}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := v.ScrubContext(context.Background(), "obj")
+	rep, err := v.Scrub(context.Background(), "obj")
 	if err != nil || !rep.Repaired {
 		t.Fatalf("scrub: rep=%+v err=%v", rep, err)
 	}
@@ -225,7 +225,7 @@ func TestScrubTraceAndJournalRoundTrip(t *testing.T) {
 func TestPutTrace(t *testing.T) {
 	enc := Erasure{K: 4, N: 8}
 	v, _, _, mem := tracedVault(t, enc)
-	if err := v.PutContext(context.Background(), "obj", []byte("writes trace too")); err != nil {
+	if err := v.Put(context.Background(), "obj", []byte("writes trace too")); err != nil {
 		t.Fatal(err)
 	}
 	tc := lastTrace(t, mem, "vault.put")

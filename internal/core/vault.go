@@ -367,12 +367,7 @@ func (v *Vault) lockWait(sp trace.Span, lock func()) {
 
 // Put archives data under id: encode, disperse one shard per node, and
 // open an integrity chain. It is PutReader over the slice.
-func (v *Vault) Put(id string, data []byte) error {
-	return v.PutContext(context.Background(), id, data)
-}
-
-// PutContext is Put rooted in (or joined to) a trace; see PutReader.
-func (v *Vault) PutContext(ctx context.Context, id string, data []byte) error {
+func (v *Vault) Put(ctx context.Context, id string, data []byte) error {
 	_, err := v.PutReader(ctx, id, bytes.NewReader(data))
 	return err
 }
@@ -386,14 +381,9 @@ func (v *Vault) cacheInvalidate(id string) {
 	}
 }
 
-// Get retrieves and integrity-checks an object.
-func (v *Vault) Get(id string) ([]byte, error) {
-	return v.GetContext(context.Background(), id)
-}
-
-// GetContext is Get rooted in (or joined to) a trace: ReadTo into a
-// buffer the caller owns — never an alias of a cache entry.
-func (v *Vault) GetContext(ctx context.Context, id string) ([]byte, error) {
+// Get retrieves and integrity-checks an object: ReadTo into a buffer the
+// caller owns — never an alias of a cache entry.
+func (v *Vault) Get(ctx context.Context, id string) ([]byte, error) {
 	var sink chunkSink
 	if _, err := v.ReadTo(ctx, id, &sink); err != nil {
 		return nil, err
@@ -474,23 +464,12 @@ func (v *Vault) RenewIntegrity(id string, scheme sig.Scheme) error {
 // mid-renewal aborts the stage and the cluster keeps the old encoding
 // intact, so the object never ends up with mixed-epoch shards under a
 // stale ClientSecret. The chain is kept: the plaintext it binds is
-// unchanged.
-func (v *Vault) RenewShares(id string) error {
-	return v.RenewSharesContext(context.Background(), id)
-}
-
-// RenewSharesContext is RenewShares rooted in (or joined to) a trace:
-// the read-back, re-encode, and staged rewrite all nest under one
-// "vault.renew" span.
-func (v *Vault) RenewSharesContext(ctx context.Context, id string) error {
+// unchanged. The read-back, re-encode, and staged rewrite all nest under
+// one "vault.renew" span.
+func (v *Vault) RenewShares(ctx context.Context, id string) (err error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.renew",
 		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
-	err := v.renewShares(ctx, id)
-	sp.End(err)
-	return err
-}
-
-func (v *Vault) renewShares(ctx context.Context, id string) error {
+	defer func() { sp.End(err) }()
 	obj, err := v.acquire(ctx, id, true)
 	if err != nil {
 		return err
@@ -514,28 +493,17 @@ func (v *Vault) renewShares(ctx context.Context, id string) error {
 	return nil
 }
 
-// Delete removes an object: liveness drops first (so concurrent Gets
-// and Scrubs see ErrNotFound), then every node drops its shards, and the
-// registry entry goes last — while shards are still being removed the
-// id stays reserved, so a racing re-Put of the same id cannot commit a
-// fresh stripe that this delete would then eat. Shard removal is a
-// metadata operation that always succeeds, mirroring how CommitStage
-// treats already-moved bytes.
-func (v *Vault) Delete(id string) error {
-	return v.DeleteContext(context.Background(), id)
-}
-
-// DeleteContext is Delete rooted in (or joined to) a trace as one
-// "vault.delete" span.
-func (v *Vault) DeleteContext(ctx context.Context, id string) error {
+// DeleteContext removes an object as one "vault.delete" span: liveness
+// drops first (so concurrent Gets and Scrubs see ErrNotFound), then every
+// node drops its shards, and the registry entry goes last — while shards
+// are still being removed the id stays reserved, so a racing re-Put of
+// the same id cannot commit a fresh stripe that this delete would then
+// eat. Shard removal is a metadata operation that always succeeds,
+// mirroring how CommitStage treats already-moved bytes.
+func (v *Vault) DeleteContext(ctx context.Context, id string) (err error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.delete",
 		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
-	err := v.deleteObject(ctx, id)
-	sp.End(err)
-	return err
-}
-
-func (v *Vault) deleteObject(ctx context.Context, id string) error {
+	defer func() { sp.End(err) }()
 	obj, err := v.acquire(ctx, id, true)
 	if err != nil {
 		return err

@@ -35,7 +35,7 @@ func BenchmarkVaultGet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := v.Get("obj"); err != nil {
+				if _, err := v.Get(context.Background(), "obj"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -59,7 +59,7 @@ func BenchmarkVaultPut(b *testing.B) {
 				}
 				// Keep the mem store flat across b.N; not part of a Put.
 				b.StopTimer()
-				if err := v.Delete(id); err != nil {
+				if err := v.DeleteContext(context.Background(), id); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

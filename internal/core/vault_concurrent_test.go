@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"fmt"
 	"sync"
@@ -25,7 +26,7 @@ func TestVaultConcurrentPutGet(t *testing.T) {
 	}
 	shared := make([]byte, 4096)
 	rand.Read(shared)
-	if err := v.Put("shared", shared); err != nil {
+	if err := v.Put(context.Background(), "shared", shared); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,16 +41,16 @@ func TestVaultConcurrentPutGet(t *testing.T) {
 			id := fmt.Sprintf("obj-%d", w)
 			data := make([]byte, 2048+w*17)
 			rand.Read(data)
-			if err := v.Put(id, data); err != nil {
+			if err := v.Put(context.Background(), id, data); err != nil {
 				errs <- fmt.Errorf("%s: put: %w", id, err)
 				return
 			}
 			// Duplicate Put must fail without corrupting state.
-			if err := v.Put(id, data); err == nil {
+			if err := v.Put(context.Background(), id, data); err == nil {
 				errs <- fmt.Errorf("%s: duplicate put accepted", id)
 				return
 			}
-			got, err := v.Get(id)
+			got, err := v.Get(context.Background(), id)
 			if err != nil {
 				errs <- fmt.Errorf("%s: get: %w", id, err)
 				return
@@ -58,7 +59,7 @@ func TestVaultConcurrentPutGet(t *testing.T) {
 				errs <- fmt.Errorf("%s: roundtrip mismatch", id)
 				return
 			}
-			if err := v.RenewShares(id); err != nil {
+			if err := v.RenewShares(context.Background(), id); err != nil {
 				errs <- fmt.Errorf("%s: renew shares: %w", id, err)
 				return
 			}
@@ -68,7 +69,7 @@ func TestVaultConcurrentPutGet(t *testing.T) {
 			}
 			// Concurrent reads of the shared object while others write.
 			for r := 0; r < 3; r++ {
-				got, err := v.Get("shared")
+				got, err := v.Get(context.Background(), "shared")
 				if err != nil {
 					errs <- fmt.Errorf("shared get: %w", err)
 					return
@@ -90,7 +91,7 @@ func TestVaultConcurrentPutGet(t *testing.T) {
 	}
 	for w := 0; w < workers; w++ {
 		id := fmt.Sprintf("obj-%d", w)
-		if _, err := v.Get(id); err != nil {
+		if _, err := v.Get(context.Background(), id); err != nil {
 			t.Fatalf("%s unreadable after concurrent phase: %v", id, err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -23,13 +24,13 @@ func TestVaultRenewSharesPartialFailureRollsBack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v, c := testVault(t, tc.enc)
 			data := []byte("must survive a failed renewal intact")
-			if err := v.Put("r", data); err != nil {
+			if err := v.Put(context.Background(), "r", data); err != nil {
 				t.Fatal(err)
 			}
 			baseline := c.ObjectBytes("r")
 			c.AdvanceEpoch() // a renewal now would stamp epoch 1
 			c.SetOnline(5, false)
-			if err := v.RenewShares("r"); err == nil {
+			if err := v.RenewShares(context.Background(), "r"); err == nil {
 				t.Fatal("renewal with a dead node succeeded")
 			}
 			// No orphaned or staged bytes, no mixed epochs.
@@ -41,7 +42,7 @@ func TestVaultRenewSharesPartialFailureRollsBack(t *testing.T) {
 			}
 			c.SetOnline(5, true)
 			for i := 0; i < 8; i++ {
-				sh, err := c.Get(i, cluster.ShardKey{Object: "r", Index: i})
+				sh, err := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "r", Index: i})
 				if err != nil {
 					t.Fatalf("shard %d lost: %v", i, err)
 				}
@@ -49,15 +50,15 @@ func TestVaultRenewSharesPartialFailureRollsBack(t *testing.T) {
 					t.Fatalf("shard %d at epoch %d: stripe mixes encodings", i, sh.Epoch)
 				}
 			}
-			got, err := v.Get("r")
+			got, err := v.Get(context.Background(), "r")
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("data lost after failed renewal: %v", err)
 			}
 			// And the vault is still renewable once the node returns.
-			if err := v.RenewShares("r"); err != nil {
+			if err := v.RenewShares(context.Background(), "r"); err != nil {
 				t.Fatalf("renewal after recovery: %v", err)
 			}
-			got, err = v.Get("r")
+			got, err = v.Get(context.Background(), "r")
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("data lost after recovered renewal: %v", err)
 			}
@@ -70,12 +71,12 @@ func TestVaultRenewSharesPartialFailureRollsBack(t *testing.T) {
 // not exist.
 func TestVaultPutFailureLeavesNoOrphans(t *testing.T) {
 	v, c := testVault(t, SecretSharing{T: 4, N: 8})
-	if err := v.Put("keep", []byte("pre-existing object")); err != nil {
+	if err := v.Put(context.Background(), "keep", []byte("pre-existing object")); err != nil {
 		t.Fatal(err)
 	}
 	baseline := c.StoredBytes()
 	c.SetOnline(6, false)
-	err := v.Put("doomed", []byte("this write must leave no trace"))
+	err := v.Put(context.Background(), "doomed", []byte("this write must leave no trace"))
 	if !errors.Is(err, cluster.ErrNodeDown) {
 		t.Fatalf("put with dead node: %v", err)
 	}
@@ -88,12 +89,12 @@ func TestVaultPutFailureLeavesNoOrphans(t *testing.T) {
 	if c.StagedCount() != 0 {
 		t.Fatal("failed put leaked a stage")
 	}
-	if _, err := v.Get("doomed"); !errors.Is(err, ErrNotFound) {
+	if _, err := v.Get(context.Background(), "doomed"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("phantom object: %v", err)
 	}
 	// The id is reusable once the cluster heals.
 	c.SetOnline(6, true)
-	if err := v.Put("doomed", []byte("second attempt lands")); err != nil {
+	if err := v.Put(context.Background(), "doomed", []byte("second attempt lands")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,7 +114,7 @@ func TestVaultDegradedReadAndScrubUnderFaultPlan(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v, c := testVault(t, tc.enc)
 			data := []byte("degraded reads keep the archive readable")
-			if err := v.Put("r", data); err != nil {
+			if err := v.Put(context.Background(), "r", data); err != nil {
 				t.Fatal(err)
 			}
 			n, min := tc.enc.Shards()
@@ -130,28 +131,28 @@ func TestVaultDegradedReadAndScrubUnderFaultPlan(t *testing.T) {
 				c.Delete(i, cluster.ShardKey{Object: "r", Index: i})
 			}
 			c.SetFaultPlan(plan)
-			got, err := v.Get("r")
+			got, err := v.Get(context.Background(), "r")
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("degraded get with %d/%d nodes: %v", min, n, err)
 			}
 			// Scrub cannot rewrite while nodes are down; it must fail
 			// without touching the stripe.
-			if rep, err := v.Scrub("r"); err == nil {
+			if rep, err := v.Scrub(context.Background(), "r"); err == nil {
 				t.Fatalf("scrub repaired with nodes offline: %+v", rep)
 			}
-			if got, err := v.Get("r"); err != nil || !bytes.Equal(got, data) {
+			if got, err := v.Get(context.Background(), "r"); err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("failed scrub damaged the stripe: %v", err)
 			}
 			// Nodes return: scrub restores full health.
 			c.SetFaultPlan(nil)
-			rep, err := v.Scrub("r")
+			rep, err := v.Scrub(context.Background(), "r")
 			if err != nil {
 				t.Fatalf("scrub after recovery: %v", err)
 			}
 			if !rep.Repaired || len(rep.Missing) != n-min {
 				t.Fatalf("scrub report %+v, want %d missing repaired", rep, n-min)
 			}
-			rep, err = v.Scrub("r")
+			rep, err = v.Scrub(context.Background(), "r")
 			if err != nil || !rep.Clean() {
 				t.Fatalf("stripe not at full health after repair: %+v %v", rep, err)
 			}
@@ -164,29 +165,29 @@ func TestVaultDegradedReadAndScrubUnderFaultPlan(t *testing.T) {
 func TestVaultScrubRepairsBitRot(t *testing.T) {
 	v, c := testVault(t, Erasure{K: 4, N: 8})
 	data := []byte("one flipped bit should never cost an archive an object")
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
 	// Rot node 2's shard deterministically: one read with p=1.
 	c.SetFaultPlan(&cluster.FaultPlan{Seed: 5, Nodes: map[int]cluster.NodeFaults{
 		2: {CorruptProb: 1.0},
 	}})
-	if _, err := c.Get(2, cluster.ShardKey{Object: "r", Index: 2}); err != nil {
+	if _, err := c.GetCtx(context.Background(), 2, cluster.ShardKey{Object: "r", Index: 2}); err != nil {
 		t.Fatal(err)
 	}
 	c.SetFaultPlan(nil)
-	got, err := v.Get("r")
+	got, err := v.Get(context.Background(), "r")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("get with rotted shard: %v", err)
 	}
-	rep, err := v.Scrub("r")
+	rep, err := v.Scrub(context.Background(), "r")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Corrupt) != 1 || rep.Corrupt[0] != 2 || !rep.Repaired {
 		t.Fatalf("scrub misdiagnosed rot: %+v", rep)
 	}
-	rep, _ = v.Scrub("r")
+	rep, _ = v.Scrub(context.Background(), "r")
 	if !rep.Clean() {
 		t.Fatalf("rot survived repair: %+v", rep)
 	}
@@ -196,12 +197,12 @@ func TestVaultScrubRepairsBitRot(t *testing.T) {
 func TestVaultScrubAll(t *testing.T) {
 	v, c := testVault(t, SecretSharing{T: 4, N: 8})
 	for _, id := range []string{"a", "b", "c"} {
-		if err := v.Put(id, []byte("object "+id)); err != nil {
+		if err := v.Put(context.Background(), id, []byte("object "+id)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Delete(3, cluster.ShardKey{Object: "b", Index: 3})
-	reports, err := v.ScrubAll()
+	reports, err := v.ScrubAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestVaultScrubAll(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"a", "b", "c"} {
-		got, err := v.Get(id)
+		got, err := v.Get(context.Background(), id)
 		if err != nil || !bytes.Equal(got, []byte("object "+id)) {
 			t.Fatalf("%s after sweep: %v", id, err)
 		}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"securearchive/internal/cluster"
@@ -12,6 +14,16 @@ import (
 	"securearchive/internal/sig"
 	"securearchive/internal/tstamp"
 )
+
+// overwrite replaces the live shard at key on node with data — bit rot
+// or a tampering provider — by staging and committing it under a token
+// of its own.
+func overwrite(c *cluster.Cluster, node int, key cluster.ShardKey, data []byte) {
+	stage := fmt.Sprintf("tamper:%d:%v", node, key)
+	if c.PutStagedCtx(context.Background(), node, stage, key, data) == nil {
+		c.CommitStage(stage)
+	}
+}
 
 func testVault(t *testing.T, enc Encoding) (*Vault, *cluster.Cluster) {
 	t.Helper()
@@ -26,10 +38,10 @@ func testVault(t *testing.T, enc Encoding) (*Vault, *cluster.Cluster) {
 func TestVaultPutGet(t *testing.T) {
 	v, _ := testVault(t, SecretSharing{T: 4, N: 8})
 	data := []byte("a record in the vault")
-	if err := v.Put("rec1", data); err != nil {
+	if err := v.Put(context.Background(), "rec1", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Get("rec1")
+	got, err := v.Get(context.Background(), "rec1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +55,13 @@ func TestVaultPutGet(t *testing.T) {
 
 func TestVaultDuplicateAndMissing(t *testing.T) {
 	v, _ := testVault(t, SecretSharing{T: 4, N: 8})
-	if err := v.Put("x", []byte("1")); err != nil {
+	if err := v.Put(context.Background(), "x", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Put("x", []byte("2")); !errors.Is(err, ErrExists) {
+	if err := v.Put(context.Background(), "x", []byte("2")); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate put: %v", err)
 	}
-	if _, err := v.Get("nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := v.Get(context.Background(), "nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing get: %v", err)
 	}
 }
@@ -57,13 +69,13 @@ func TestVaultDuplicateAndMissing(t *testing.T) {
 func TestVaultSurvivesNodeFailures(t *testing.T) {
 	v, c := testVault(t, SecretSharing{T: 4, N: 8})
 	data := []byte("resilient record")
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{0, 3, 5, 7} { // 4 of 8 down, t=4 remain
 		c.SetOnline(n, false)
 	}
-	got, err := v.Get("r")
+	got, err := v.Get(context.Background(), "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,21 +89,21 @@ func TestVaultIntegrityChainRejectsTamperedCluster(t *testing.T) {
 	// tampering when every replica is modified identically.
 	v, c := testVault(t, Replication{N: 8})
 	data := []byte("tamper-evident")
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
 	evil := []byte("tampered!!!!!!")
 	for i := 0; i < 8; i++ {
-		c.Put(i, cluster.ShardKey{Object: "r", Index: i}, evil)
+		overwrite(c, i, cluster.ShardKey{Object: "r", Index: i}, evil)
 	}
-	if _, err := v.Get("r"); err == nil {
+	if _, err := v.Get(context.Background(), "r"); err == nil {
 		t.Fatal("tampered replicas accepted")
 	}
 }
 
 func TestVaultRenewIntegrityRotation(t *testing.T) {
 	v, _ := testVault(t, SecretSharing{T: 4, N: 8})
-	if err := v.Put("r", []byte("rotate me")); err != nil {
+	if err := v.Put(context.Background(), "r", []byte("rotate me")); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.RenewIntegrity("r", sig.ECDSAP256); err != nil {
@@ -112,18 +124,18 @@ func TestVaultRenewIntegrityRotation(t *testing.T) {
 func TestVaultRenewShares(t *testing.T) {
 	v, c := testVault(t, SecretSharing{T: 4, N: 8})
 	data := []byte("refresh my shards")
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := c.Get(0, cluster.ShardKey{Object: "r", Index: 0})
-	if err := v.RenewShares("r"); err != nil {
+	before, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "r", Index: 0})
+	if err := v.RenewShares(context.Background(), "r"); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := c.Get(0, cluster.ShardKey{Object: "r", Index: 0})
+	after, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "r", Index: 0})
 	if bytes.Equal(before.Data, after.Data) {
 		t.Fatal("shard unchanged after renewal")
 	}
-	got, err := v.Get("r")
+	got, err := v.Get(context.Background(), "r")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("data lost in renewal: %v", err)
 	}
@@ -137,10 +149,10 @@ func TestVaultHashIntegrityMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := []byte("hash-chained record")
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Get("r")
+	got, err := v.Get(context.Background(), "r")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("hash-mode round trip: %v", err)
 	}
@@ -156,7 +168,7 @@ func TestVaultTooSmallCluster(t *testing.T) {
 func TestVaultExportEvidence(t *testing.T) {
 	v, _ := testVault(t, SecretSharing{T: 4, N: 8})
 	data := []byte("evidence must outlive the process")
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.RenewIntegrity("r", sig.ECDSAP256); err != nil {
@@ -193,7 +205,7 @@ func TestVaultStorageCost(t *testing.T) {
 	v, _ := testVault(t, SecretSharing{T: 4, N: 8})
 	data := make([]byte, 4096)
 	rand.Read(data)
-	if err := v.Put("r", data); err != nil {
+	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
 	if oh := v.StorageCost("r"); oh < 7.9 || oh > 8.1 {

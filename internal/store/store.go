@@ -55,7 +55,9 @@ type Shard struct {
 // later re-Put of the same key.
 type NodeStore interface {
 	// Put commits a shard directly, replacing any previous version of
-	// the key. The shard's Epoch is stored as given.
+	// the key. The shard's Epoch is stored as given. The cluster never
+	// calls it (Stage then CommitStage is its one write path); it stays
+	// while the benchmark's store decorator implements it.
 	Put(sh Shard) error
 	// Get returns the committed shard for the key. The second result is
 	// false when the key is absent; the error reports storage failures

@@ -91,7 +91,7 @@ func (s *CloudAES) Retrieve(ref *Ref) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
 	}
-	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.Code.TotalShards(), s.Code.DataShards())
+	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.Code.TotalShards(), s.Code.DataShards(), nil)
 	if err != nil {
 		return nil, err
 	}

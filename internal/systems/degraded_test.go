@@ -1,6 +1,7 @@
 package systems
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"strings"
@@ -25,9 +26,9 @@ func TestInsufficientShardsErrorText(t *testing.T) {
 	}
 	// Node 2 serves bytes that fail the commitment check; 3 and 4 are
 	// down. Two verified shares remain — one short of the threshold.
-	sh, _ := c.Get(2, cluster.ShardKey{Object: "obj", Index: 2})
+	sh, _ := c.GetCtx(context.Background(), 2, cluster.ShardKey{Object: "obj", Index: 2})
 	sh.Data[0] ^= 0xFF
-	c.Put(2, cluster.ShardKey{Object: "obj", Index: 2}, sh.Data)
+	overwrite(t, c, 2, cluster.ShardKey{Object: "obj", Index: 2}, sh.Data)
 	c.SetOnline(3, false)
 	c.SetOnline(4, false)
 

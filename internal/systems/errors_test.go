@@ -2,6 +2,7 @@ package systems
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"errors"
 	"testing"
@@ -95,9 +96,9 @@ func TestLINCOSIntegrityRejectsClusterTamper(t *testing.T) {
 	// the polynomial; corrupt three shards arbitrarily and let Shamir's
 	// surplus consistency or the commitment chain catch the result.
 	for i := 0; i < 3; i++ {
-		sh, _ := c.Get(i, cluster.ShardKey{Object: "obj", Index: i})
+		sh, _ := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "obj", Index: i})
 		sh.Data[0] ^= 0xFF
-		c.Put(i, cluster.ShardKey{Object: "obj", Index: i}, sh.Data)
+		overwrite(t, c, i, cluster.ShardKey{Object: "obj", Index: i}, sh.Data)
 	}
 	got, err := lin.Retrieve(ref)
 	if err == nil && bytes.Equal(got, payload) {
@@ -190,11 +191,11 @@ func TestHasDPSSStaleShareRejectedAtRetrieve(t *testing.T) {
 	ref, _ := h.Store("k", key, rand.Reader)
 	// Keep node 0's pre-renewal shard and put it back afterwards: the
 	// VSS check must reject it and route around.
-	old, _ := c.Get(0, cluster.ShardKey{Object: "k", Index: 0})
+	old, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "k", Index: 0})
 	if err := h.Renew(ref, rand.Reader); err != nil {
 		t.Fatal(err)
 	}
-	c.Put(0, cluster.ShardKey{Object: "k", Index: 0}, old.Data)
+	overwrite(t, c, 0, cluster.ShardKey{Object: "k", Index: 0}, old.Data)
 	got, err := h.Retrieve(ref)
 	if err != nil {
 		t.Fatal(err)

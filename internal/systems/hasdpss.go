@@ -1,6 +1,7 @@
 package systems
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -114,16 +115,32 @@ func (s *HasDPSS) Store(object string, data []byte, rnd io.Reader) (*Ref, error)
 	if err != nil {
 		return nil, err
 	}
-	for i, sh := range cm.Shares {
-		payload := encodeScalarShare(sh.S, sh.Blind)
-		if err := s.Cluster.Put(i, cluster.ShardKey{Object: object, Index: i}, payload); err != nil {
-			return nil, err
-		}
+	if err := s.putCommittee(object, cm); err != nil {
+		return nil, err
 	}
 	s.committees[object] = cm
 	s.secretLen[object] = len(data)
 	s.appendLedger("store " + object)
 	return &Ref{System: s.Name(), Object: object, PlainLen: len(data)}, nil
+}
+
+// putCommittee writes cm's shares as one stripe, share i to node i.
+func (s *HasDPSS) putCommittee(object string, cm *pss.ScalarCommittee) error {
+	shards := make([][]byte, len(cm.Shares))
+	for i, sh := range cm.Shares {
+		shards[i] = encodeScalarShare(sh.S, sh.Blind)
+	}
+	return putShards(s.Cluster, object, shards)
+}
+
+// cloneCommittee copies cm deeply enough for Renew and Redistribute, which
+// replace (never mutate) its commitments and scalars but write into its
+// Shares slice: a protocol round runs on the copy, and the live committee
+// changes only once the copy's shares are committed.
+func cloneCommittee(cm *pss.ScalarCommittee) *pss.ScalarCommittee {
+	next := *cm
+	next.Shares = append([]vss.Share(nil), cm.Shares...)
+	return &next
 }
 
 // encodeScalarShare serialises (S, Blind) with length framing.
@@ -166,7 +183,7 @@ func (s *HasDPSS) Retrieve(ref *Ref) ([]byte, error) {
 	}
 	shares := make([]vss.Share, 0, cm.T)
 	for i := 0; i < cm.N && len(shares) < cm.T; i++ {
-		sh, err := s.Cluster.GetRetry(i, cluster.ShardKey{Object: ref.Object, Index: i}, cluster.DefaultRetry)
+		sh, err := s.Cluster.GetRetryCtx(context.TODO(), i, cluster.ShardKey{Object: ref.Object, Index: i}, cluster.DefaultRetry)
 		if err != nil {
 			continue
 		}
@@ -196,30 +213,30 @@ func (s *HasDPSS) Retrieve(ref *Ref) ([]byte, error) {
 	return out, nil
 }
 
-// Renew implements Archive: the verified scalar-PSS renewal, with node
-// state and ledger updated.
+// Renew implements Archive: the verified scalar-PSS renewal, run on a
+// copy of the committee whose shares are committed before the copy
+// replaces it and the ledger records the round.
 func (s *HasDPSS) Renew(ref *Ref, rnd io.Reader) error {
 	cm, ok := s.committees[ref.Object]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
 	}
-	if err := cm.Renew(rnd); err != nil {
+	next := cloneCommittee(cm)
+	if err := next.Renew(rnd); err != nil {
 		return err
 	}
-	for i, sh := range cm.Shares {
-		payload := encodeScalarShare(sh.S, sh.Blind)
-		if err := s.Cluster.Put(i, cluster.ShardKey{Object: ref.Object, Index: i}, payload); err != nil {
-			return err
-		}
+	if err := s.putCommittee(ref.Object, next); err != nil {
+		return err
 	}
+	s.committees[ref.Object] = next
 	s.appendLedger("renew " + ref.Object)
 	return nil
 }
 
 // Resize runs verifiable redistribution to change one object's committee
-// shape (the "dynamic" in HasDPSS): shards are rewritten for the new
-// committee, shards of departed members are deleted, and the operation
-// is chained into the audit ledger.
+// shape (the "dynamic" in HasDPSS): the new committee's shards are
+// committed as one stripe, the operation is chained into the audit
+// ledger, and then the shards of departed members are deleted.
 func (s *HasDPSS) Resize(ref *Ref, nNew, tNew int, rnd io.Reader) error {
 	cm, ok := s.committees[ref.Object]
 	if !ok {
@@ -228,24 +245,20 @@ func (s *HasDPSS) Resize(ref *Ref, nNew, tNew int, rnd io.Reader) error {
 	if nNew > s.Cluster.Size() {
 		return fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, nNew)
 	}
-	oldN := cm.N
-	cm2, err := cm.Redistribute(nNew, tNew, rnd)
+	next, err := cloneCommittee(cm).Redistribute(nNew, tNew, rnd)
 	if err != nil {
 		return err
 	}
-	for i, sh := range cm2.Shares {
-		payload := encodeScalarShare(sh.S, sh.Blind)
-		if err := s.Cluster.Put(i, cluster.ShardKey{Object: ref.Object, Index: i}, payload); err != nil {
-			return err
-		}
+	if err := s.putCommittee(ref.Object, next); err != nil {
+		return err
 	}
-	for i := nNew; i < oldN; i++ {
+	s.committees[ref.Object] = next
+	s.appendLedger(fmt.Sprintf("resize %s to (%d,%d)", ref.Object, tNew, nNew))
+	for i := nNew; i < cm.N; i++ {
 		if err := s.Cluster.Delete(i, cluster.ShardKey{Object: ref.Object, Index: i}); err != nil {
 			return err
 		}
 	}
-	s.committees[ref.Object] = cm2
-	s.appendLedger(fmt.Sprintf("resize %s to (%d,%d)", ref.Object, tNew, nNew))
 	return nil
 }
 

@@ -141,30 +141,27 @@ func (s *LINCOS) Store(object string, data []byte, rnd io.Reader) (*Ref, error) 
 	if err != nil {
 		return nil, err
 	}
+	shards := make([][]byte, s.N)
 	for i, sh := range shares {
 		// Transit: OTP-encrypt on the wire; the receiving node decrypts
-		// with its pad copy. The simulation performs both ends.
+		// with its pad copy. The simulation performs both ends: the pads
+		// package zeroes consumed key, so the node is handed the
+		// plaintext share directly — the wire bytes, the ciphertext's
+		// body, are provably independent of it.
 		pad, err := s.padFor(i, len(sh.Payload))
 		if err != nil {
 			return nil, err
 		}
-		ct, err := pad.Encrypt(sh.Payload)
-		if err != nil {
+		if _, err := pad.Encrypt(sh.Payload); err != nil {
 			return nil, fmt.Errorf("systems: link %d pad: %w", i, err)
 		}
-		wire := make([]byte, len(ct.Body))
-		copy(wire, ct.Body)
-		// Receiver side: identical pad material; simulation reverses XOR
-		// using the sender's consumed interval. (The pads package zeroes
-		// consumed key, so we reconstruct the plaintext share directly —
-		// the wire bytes are ct.Body, provably independent of it.)
-		_ = wire
-		if err := s.Cluster.Put(i, cluster.ShardKey{Object: object, Index: i}, sh.Payload); err != nil {
-			return nil, err
-		}
+		shards[i] = sh.Payload
 	}
 	chain, err := tstamp.New(data, tstamp.RefCommitment, sig.Ed25519, s.Cluster.Epoch(), s.Group, rnd)
 	if err != nil {
+		return nil, err
+	}
+	if err := putShards(s.Cluster, object, shards); err != nil {
 		return nil, err
 	}
 	s.chains[object] = chain
@@ -173,17 +170,7 @@ func (s *LINCOS) Store(object string, data []byte, rnd io.Reader) (*Ref, error) 
 
 // Retrieve implements Archive, verifying the timestamp chain's opening.
 func (s *LINCOS) Retrieve(ref *Ref) ([]byte, error) {
-	shards := getShards(s.Cluster, ref.Object, s.N)
-	shares := make([]shamir.Share, 0, s.T)
-	for i, d := range shards {
-		if d == nil {
-			continue
-		}
-		shares = append(shares, shamir.Share{X: byte(i + 1), Threshold: byte(s.T), Payload: d})
-		if len(shares) == s.T {
-			break
-		}
-	}
+	shares := sharesOf(getShards(s.Cluster, ref.Object, s.N), s.T, s.T)
 	if len(shares) < s.T {
 		return nil, fmt.Errorf("%w: %d/%d shares reachable", ErrRetrieval, len(shares), s.T)
 	}
@@ -199,30 +186,20 @@ func (s *LINCOS) Retrieve(ref *Ref) ([]byte, error) {
 	return data, nil
 }
 
-// Renew implements Archive: Herzberg share refresh plus a timestamp-chain
-// renewal rotated across signature schemes.
+// Renew implements Archive: Herzberg share refresh, written back as one
+// stripe, then a timestamp-chain renewal rotated across signature
+// schemes.
 func (s *LINCOS) Renew(ref *Ref, rnd io.Reader) error {
-	zero := make([]byte, ref.PlainLen)
-	deal, err := shamir.Split(zero, s.N, s.T, rnd)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < s.N; i++ {
-		key := cluster.ShardKey{Object: ref.Object, Index: i}
-		sh, err := s.Cluster.Get(i, key)
-		if err != nil {
-			return fmt.Errorf("systems: renewal fetch node %d: %w", i, err)
-		}
-		for k := range sh.Data {
-			sh.Data[k] ^= deal[i].Payload[k]
-		}
-		if err := s.Cluster.Put(i, key, sh.Data); err != nil {
-			return err
-		}
-	}
 	chain, ok := s.chains[ref.Object]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
+	}
+	shards, err := refreshShares(s.Cluster, ref.Object, s.N, s.T, ref.PlainLen, rnd, nil)
+	if err != nil {
+		return err
+	}
+	if err := putShards(s.Cluster, ref.Object, shards); err != nil {
+		return err
 	}
 	// Rotate away from the launch scheme (Ed25519) and never back: a
 	// scheme nearing its end of life must not reappear later in the chain.

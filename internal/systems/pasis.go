@@ -135,7 +135,7 @@ func (p *PASIS) Retrieve(ref *Ref) ([]byte, error) {
 	case PASISReplication:
 		// One good replica suffices; the degraded read retries flaky
 		// providers before falling back to the next.
-		shards, err := getShardsDegraded(p.Cluster, ref.Object, p.N, 1)
+		shards, err := getShardsDegraded(p.Cluster, ref.Object, p.N, 1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +146,7 @@ func (p *PASIS) Retrieve(ref *Ref) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("%w: no replica reachable", ErrRetrieval)
 	case PASISErasure:
-		shards, err := getShardsDegraded(p.Cluster, ref.Object, p.code.TotalShards(), p.code.DataShards())
+		shards, err := getShardsDegraded(p.Cluster, ref.Object, p.code.TotalShards(), p.code.DataShards(), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -57,24 +57,11 @@ func (s *POTSHARDS) Store(object string, data []byte, rnd io.Reader) (*Ref, erro
 // Retrieve implements Archive: any t online providers suffice, and the
 // degraded read stops probing once it has them.
 func (s *POTSHARDS) Retrieve(ref *Ref) ([]byte, error) {
-	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.N, s.T)
+	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.N, s.T, nil)
 	if err != nil {
 		return nil, err
 	}
-	shares := make([]shamir.Share, 0, s.T)
-	for i, data := range shards {
-		if data == nil {
-			continue
-		}
-		shares = append(shares, shamir.Share{X: byte(i + 1), Threshold: byte(s.T), Payload: data})
-		if len(shares) == s.T {
-			break
-		}
-	}
-	if len(shares) < s.T {
-		return nil, fmt.Errorf("%w: %d/%d shares reachable", ErrRetrieval, len(shares), s.T)
-	}
-	out, err := shamir.Combine(shares)
+	out, err := shamir.Combine(sharesOf(shards, s.T, s.T))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
 	}
@@ -88,14 +75,7 @@ func (s *POTSHARDS) Retrieve(ref *Ref) ([]byte, error) {
 // n ≥ t + 2·maxErrors reachable providers.
 func (s *POTSHARDS) RetrieveRobust(ref *Ref, maxErrors int) ([]byte, error) {
 	shards := getShards(s.Cluster, ref.Object, s.N)
-	shares := make([]shamir.Share, 0, s.N)
-	for i, data := range shards {
-		if data == nil {
-			continue
-		}
-		shares = append(shares, shamir.Share{X: byte(i + 1), Threshold: byte(s.T), Payload: data})
-	}
-	out, err := shamir.CombineRobust(shares, maxErrors)
+	out, err := shamir.CombineRobust(sharesOf(shards, s.T, s.N), maxErrors)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
 	}

@@ -2,6 +2,7 @@ package systems
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"testing"
 
@@ -64,9 +65,9 @@ func TestVSRRepairSkipsCorruptHelpers(t *testing.T) {
 	vsr, _ := NewVSRArchive(c, 6, 3)
 	ref, _ := vsr.Store("obj", payload, rand.Reader)
 	// Corrupt helper 0's shard; repair of node 5 must route around it.
-	sh, _ := c.Get(0, cluster.ShardKey{Object: "obj", Index: 0})
+	sh, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "obj", Index: 0})
 	sh.Data[0] ^= 0xFF
-	c.Put(0, cluster.ShardKey{Object: "obj", Index: 0}, sh.Data)
+	overwrite(t, c, 0, cluster.ShardKey{Object: "obj", Index: 0}, sh.Data)
 	if err := vsr.Repair(ref, 5, rand.Reader); err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestPOTSHARDSRobustRetrieve(t *testing.T) {
 	}
 	// Two providers go malicious.
 	for _, i := range []int{1, 4} {
-		sh, _ := c.Get(i, cluster.ShardKey{Object: "obj", Index: i})
+		sh, _ := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "obj", Index: i})
 		for j := range sh.Data {
 			sh.Data[j] ^= byte(j + 17)
 		}
-		c.Put(i, cluster.ShardKey{Object: "obj", Index: i}, sh.Data)
+		overwrite(t, c, i, cluster.ShardKey{Object: "obj", Index: i}, sh.Data)
 	}
 	got, err := pot.RetrieveRobust(ref, 2)
 	if err != nil {
@@ -147,7 +148,7 @@ func TestHasDPSSResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 3; i < 7; i++ {
-		if _, err := c.Get(i, cluster.ShardKey{Object: "k", Index: i}); err == nil {
+		if _, err := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "k", Index: i}); err == nil {
 			t.Fatalf("departed member %d still holds a shard", i)
 		}
 	}

@@ -18,12 +18,22 @@
 // given the mobile adversary's harvest and the cryptanalytic break clock,
 // what does the attacker actually recover? Experiments E2 and E4 run on
 // these implementations.
+//
+// Every write is atomic, as the vault's are: a Store, Renew, Resize or
+// Repair stages the whole new stripe under one stage token unique to the
+// write and commits it as one key swap, aborting on any failure. The
+// client-side state a write changes (keys, layers, commitments,
+// committees, ledgers, traffic meters) changes only after the commit
+// lands, so a write that fails — one node down is enough — leaves the
+// cluster's bytes and the object exactly as they were.
 package systems
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"securearchive/internal/adversary"
 	"securearchive/internal/cluster"
@@ -87,21 +97,38 @@ func StorageCost(c *cluster.Cluster, ref *Ref) float64 {
 
 // --- shared shard-placement helpers ---
 
-// putShards writes shards round-robin, shard i to node i (the paper's
-// one-shard-per-independent-provider placement).
-func putShards(c *cluster.Cluster, object string, shards [][]byte) error {
+// stageSeq uniquifies the stage tokens of concurrent writes.
+var stageSeq atomic.Int64
+
+// putShards writes a stripe, shard i to node i (the paper's
+// one-shard-per-independent-provider placement; nil shards are skipped),
+// atomically: every shard is staged under one token unique to the write,
+// then the token commits, and any failure aborts it, so the live stripe
+// is either wholly the old one or wholly the new. Staging is not retried:
+// a transient fault fails the write.
+func putShards(c *cluster.Cluster, object string, shards [][]byte) (err error) {
 	if len(shards) > c.Size() {
 		return fmt.Errorf("%w: %d shards for %d nodes", ErrTooFewNodes, len(shards), c.Size())
 	}
+	stage := fmt.Sprintf("systems:%s#%d", object, stageSeq.Add(1))
+	defer func() {
+		if err != nil {
+			// The write's error is the one to report; an abort that fails
+			// too leaves an orphaned stage, which a disk store drops at its
+			// next Open.
+			_, _ = c.AbortStage(stage)
+		}
+	}()
 	for i, sh := range shards {
 		if sh == nil {
 			continue
 		}
-		if err := c.Put(i, cluster.ShardKey{Object: object, Index: i}, sh); err != nil {
+		if err := c.PutStagedCtx(context.TODO(), i, stage, cluster.ShardKey{Object: object, Index: i}, sh); err != nil {
 			return err
 		}
 	}
-	return nil
+	_, err = c.CommitStage(stage)
+	return err
 }
 
 // getShards fetches the full stripe (nil for unavailable shards),
@@ -109,7 +136,7 @@ func putShards(c *cluster.Cluster, object string, shards [][]byte) error {
 // best-effort read: callers that tolerate holes (robust decoders,
 // breach analysis) take whatever arrived.
 func getShards(c *cluster.Cluster, object string, total int) [][]byte {
-	return c.FetchStripe(object, total, total, cluster.DefaultRetry, nil).Shards
+	return c.FetchChunkStripeCtx(context.TODO(), object, 0, total, total, cluster.DefaultRetry, nil).Shards
 }
 
 // getShardsDegraded is the PASIS/POTSHARDS-style k-of-n read shared by
@@ -119,12 +146,39 @@ func getShards(c *cluster.Cluster, object string, total int) [][]byte {
 // shards arrive the error reports the shortfall and the per-node causes
 // ("insufficient shards: got 2, want 3 (node 4: corrupt, node 5:
 // down)") — callers must not feed the partial stripe to a decoder.
-func getShardsDegraded(c *cluster.Cluster, object string, total, want int) ([][]byte, error) {
-	res := c.FetchStripe(object, total, want, cluster.DefaultRetry, nil)
+// valid, when non-nil, vets each shard as it arrives; a shard that fails
+// is discarded and another node tried.
+func getShardsDegraded(c *cluster.Cluster, object string, total, want int, valid func(i int, data []byte) bool) ([][]byte, error) {
+	res := c.FetchChunkStripeCtx(context.TODO(), object, 0, total, want, cluster.DefaultRetry, valid)
 	if res.Fetched < want {
 		return res.Shards, insufficientShards(res, want)
 	}
 	return res.Shards, nil
+}
+
+// refreshShares is the Herzberg share refresh VSR and LINCOS renew with:
+// it reads all n shares of object (each vetted by valid when non-nil)
+// and adds a fresh (t, n) sharing of zero, so the returned stripe holds
+// the same secret on a new polynomial. It writes nothing; the caller
+// commits the whole stripe with putShards.
+func refreshShares(c *cluster.Cluster, object string, n, t, plainLen int, rnd io.Reader, valid func(i int, data []byte) bool) ([][]byte, error) {
+	deal, err := shamir.Split(make([]byte, plainLen), n, t, rnd)
+	if err != nil {
+		return nil, err
+	}
+	shards, err := getShardsDegraded(c, object, n, n, valid)
+	if err != nil {
+		return nil, fmt.Errorf("systems: renewal read: %w", err)
+	}
+	for i, sh := range shards {
+		if len(sh) != plainLen {
+			return nil, fmt.Errorf("systems: renewal read: share %d is %d bytes, want %d", i, len(sh), plainLen)
+		}
+		for k := range sh {
+			sh[k] ^= deal[i].Payload[k]
+		}
+	}
+	return shards, nil
 }
 
 // insufficientShards wraps ErrRetrieval with got/want and per-node
@@ -134,6 +188,19 @@ func insufficientShards(res *cluster.StripeResult, want int) error {
 		return fmt.Errorf("%w: insufficient shards: got %d, want %d (%s)", ErrRetrieval, res.Fetched, want, s)
 	}
 	return fmt.Errorf("%w: insufficient shards: got %d, want %d", ErrRetrieval, res.Fetched, want)
+}
+
+// sharesOf turns a fetched Shamir stripe (shard i is the share at
+// x = i+1; nil = not fetched) into at most limit shares of a threshold-t
+// sharing, in node order.
+func sharesOf(shards [][]byte, t, limit int) []shamir.Share {
+	var out []shamir.Share
+	for i, data := range shards {
+		if data != nil && len(out) < limit {
+			out = append(out, shamir.Share{X: byte(i + 1), Threshold: byte(t), Payload: data})
+		}
+	}
+	return out
 }
 
 // harvestedShamir assembles shamir.Shares from the adversary's harvest of

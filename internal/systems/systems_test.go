@@ -2,8 +2,10 @@ package systems
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -70,6 +72,19 @@ func allSystems(t *testing.T) (map[string]Archive, *cluster.Cluster) {
 	out["hasdpss"] = has
 
 	return out, c
+}
+
+// overwrite replaces the live shard at key on node with data — a
+// provider tampering with what it holds — by staging and committing it.
+func overwrite(t *testing.T, c *cluster.Cluster, node int, key cluster.ShardKey, data []byte) {
+	t.Helper()
+	stage := fmt.Sprintf("tamper:%d:%v", node, key)
+	if err := c.PutStagedCtx(context.Background(), node, stage, key, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CommitStage(stage); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func dataFor(name string) []byte {
@@ -250,9 +265,9 @@ func TestVSRVerifiedRetrievalSkipsCorruptProvider(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 0 returns garbage.
-	sh, _ := c.Get(0, cluster.ShardKey{Object: "obj", Index: 0})
+	sh, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "obj", Index: 0})
 	sh.Data[0] ^= 0xFF
-	c.Put(0, cluster.ShardKey{Object: "obj", Index: 0}, sh.Data)
+	overwrite(t, c, 0, cluster.ShardKey{Object: "obj", Index: 0}, sh.Data)
 	got, err := vsr.Retrieve(ref)
 	if err != nil {
 		t.Fatal(err)

@@ -72,69 +72,56 @@ func (s *VSRArchive) Retrieve(ref *Ref) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
 	}
-	res := s.Cluster.FetchStripe(ref.Object, s.N, s.T, cluster.DefaultRetry,
-		func(i int, data []byte) bool { return sha256.Sum256(data) == comms[i] })
-	if res.Fetched < s.T {
-		return nil, insufficientShards(res, s.T)
+	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.N, s.T, committed(comms))
+	if err != nil {
+		return nil, err
 	}
-	shares := make([]shamir.Share, 0, s.T)
-	for i, data := range res.Shards {
-		if data == nil {
-			continue
-		}
-		shares = append(shares, shamir.Share{X: byte(i + 1), Threshold: byte(s.T), Payload: data})
-		if len(shares) == s.T {
-			break
-		}
-	}
-	out, err := shamir.Combine(shares)
+	out, err := shamir.Combine(sharesOf(shards, s.T, s.T))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
 	}
 	return out, nil
 }
 
+// committed vets fetched share i against its published commitment.
+func committed(comms [][sha256.Size]byte) func(i int, data []byte) bool {
+	return func(i int, data []byte) bool { return sha256.Sum256(data) == comms[i] }
+}
+
 // Renew implements Archive: a Herzberg zero-sharing refresh executed
 // against the stored shards — no reconstruction, no plaintext exposure.
-// Every node's share is re-randomised and its commitment republished;
-// the cluster epoch-stamps the rewritten shards, which is what defeats
+// Every node's share is read and verified, re-randomised and written
+// back as one stripe, and only then are the commitments republished; the
+// cluster epoch-stamps the rewritten shards, which is what defeats
 // cross-epoch harvest mixing.
 func (s *VSRArchive) Renew(ref *Ref, rnd io.Reader) error {
 	comms, ok := s.commitments[ref.Object]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
 	}
-	zero := make([]byte, ref.PlainLen)
-	deal, err := shamir.Split(zero, s.N, s.T, rnd)
+	shards, err := refreshShares(s.Cluster, ref.Object, s.N, s.T, ref.PlainLen, rnd, committed(comms))
 	if err != nil {
 		return err
 	}
-	for i := 0; i < s.N; i++ {
-		key := cluster.ShardKey{Object: ref.Object, Index: i}
-		sh, err := s.Cluster.Get(i, key)
-		if err != nil {
-			return fmt.Errorf("systems: renewal fetch node %d: %w", i, err)
-		}
-		for k := range sh.Data {
-			sh.Data[k] ^= deal[i].Payload[k]
-		}
-		if err := s.Cluster.Put(i, key, sh.Data); err != nil {
-			return err
-		}
-		comms[i] = sha256.Sum256(sh.Data)
-		s.RenewTraffic += int64(len(sh.Data)) + sha256.Size
+	if err := putShards(s.Cluster, ref.Object, shards); err != nil {
+		return err
+	}
+	for i, sh := range shards {
+		comms[i] = sha256.Sum256(sh)
+		s.RenewTraffic += int64(len(sh)) + sha256.Size
 	}
 	// All-to-all dealing traffic of a real (non-simulated) execution.
 	s.RenewTraffic += int64(s.N*(s.N-1)) * int64(ref.PlainLen)
 	return nil
 }
 
-// Repair rebuilds a lost or corrupted provider's share from t healthy
+// Repair rebuilds a lost or corrupted provider's share from t verified
 // providers and re-publishes its commitment. (The deployed protocol
 // blinds the helpers' contributions — see pss.RecoverShare for the
 // blinded variant; at the system layer the observable effect is
 // identical: the provider ends up with a share consistent with the
-// current polynomial.)
+// current polynomial.) The rebuilt share is written like any stripe,
+// staged and committed, before its commitment changes.
 func (s *VSRArchive) Repair(ref *Ref, lost int, rnd io.Reader) error {
 	comms, ok := s.commitments[ref.Object]
 	if !ok {
@@ -143,28 +130,17 @@ func (s *VSRArchive) Repair(ref *Ref, lost int, rnd io.Reader) error {
 	if lost < 0 || lost >= s.N {
 		return fmt.Errorf("systems: no provider %d", lost)
 	}
-	helpers := make([]shamir.Share, 0, s.T)
-	for i := 0; i < s.N && len(helpers) < s.T; i++ {
-		if i == lost {
-			continue
-		}
-		sh, err := s.Cluster.Get(i, cluster.ShardKey{Object: ref.Object, Index: i})
-		if err != nil {
-			continue
-		}
-		if sha256.Sum256(sh.Data) != comms[i] {
-			continue
-		}
-		helpers = append(helpers, shamir.Share{X: byte(i + 1), Threshold: byte(s.T), Payload: sh.Data})
+	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.N, s.T, committed(comms))
+	if err != nil {
+		return err
 	}
-	if len(helpers) < s.T {
-		return fmt.Errorf("%w: %d/%d verified helpers", ErrRetrieval, len(helpers), s.T)
-	}
-	payload, err := shamir.CombineAt(helpers, byte(lost+1))
+	payload, err := shamir.CombineAt(sharesOf(shards, s.T, s.T), byte(lost+1))
 	if err != nil {
 		return fmt.Errorf("systems: repair interpolation: %w", err)
 	}
-	if err := s.Cluster.Put(lost, cluster.ShardKey{Object: ref.Object, Index: lost}, payload); err != nil {
+	stripe := make([][]byte, lost+1)
+	stripe[lost] = payload
+	if err := putShards(s.Cluster, ref.Object, stripe); err != nil {
 		return err
 	}
 	comms[lost] = sha256.Sum256(payload)

@@ -4,7 +4,7 @@
 # with per-platform kernel files), one run of papereval (the paper's
 # figures and tables), the race detector on the packages with
 # shared state on the read/write path, a one-iteration smoke of the layer
-# benchmarks, and the nested bench/ module — which
+# and experiment benchmarks, and the nested bench/ module — which
 # tier-1 does not build, so without this nothing notices when a change
 # under internal/ breaks the benchmark.
 set -euo pipefail
@@ -28,5 +28,8 @@ go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit 
 GOMAXPROCS=1 go test -count=20 -run 'HeldCommitFsync|CommitPointsStaySerial|CloseDuringHeldCommitFsync|StageRefusedWhileItsTokenCommits|RacingStageOpsAgreeWithReplay|FailedFsyncPoisonsTheStore|CrashWithBystanderInFlight' ./internal/store/diskstore
 # One iteration of each layer benchmark, so none can rot uncompiled.
 go test -run '^$' -bench 'ExpH|ExpG224|FixedBaseBuild|PedersenCommit|VaultPut|VaultGet|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact|SpanFlat|SpanEnabled' -benchtime 1x ./internal/...
+# The root package's experiment benchmarks (E2/E4/E5/E6/E11) are the only
+# ones that drive the Table 1 systems' store and renew paths.
+go test -run '^$' -bench 'Table1|HNDL|ProactiveRenewal|RenewalComm|PASISSweep' -benchtime 1x .
 go vet -C bench ./...
 go test -C bench ./...
