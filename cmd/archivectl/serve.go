@@ -72,13 +72,15 @@ func cmdServe(args []string) {
 	c := cluster.New(*n, nil)
 	tr := trace.Default()
 	tr.SetEnabled(true)
+	var jf *os.File
+	var jl *trace.JSONL
 	if *journal != "" {
-		f, err := os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		jf, err = os.OpenFile(*journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		tr.AddExporter(trace.NewJSONL(f))
+		jl = trace.NewJSONL(jf)
+		tr.AddExporter(jl)
 	}
 	// No WithGroup: the service runs the integrity chain on NewVault's
 	// default, group.Default() (2048-bit p, 256-bit q).
@@ -202,4 +204,15 @@ func cmdServe(args []string) {
 		fatal(err)
 	}
 	<-done
+	// The journal drops every trace after its first failed write rather
+	// than stall the data path; a run whose journal lost traces fails.
+	if jl != nil {
+		err := jl.Err()
+		if cerr := jf.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fatal(fmt.Errorf("journal %s: %w", *journal, err))
+		}
+	}
 }

@@ -118,16 +118,18 @@ func TestCenturySimulation(t *testing.T) {
 	if err := chain.Verify(100, breaks.Signatures); err != nil {
 		t.Fatalf("century chain invalid: %v", err)
 	}
-	// The adversary visited every node many times over, and holds
+	// The adversary harvested every shard many times over, and holds
 	// nothing usable.
-	if adv.NodesVisited() != 8 {
-		t.Fatalf("adversary visited %d/8 nodes", adv.NodesVisited())
+	if got := adv.MaxAnyEpochShards("century"); got != 6 {
+		t.Fatalf("adversary holds %d/6 shard indices", got)
 	}
 	if res := archive.Breach(adv, ref, breaks, 100); res.Violated {
 		t.Fatalf("archive breached at year 100: %s", res.Reason)
 	}
-	if best := adv.MaxSameEpochShards("century"); best >= 3 {
-		t.Fatalf("adversary accumulated %d same-epoch shares", best)
+	for epoch, byIdx := range adv.DistinctShards("century") {
+		if len(byIdx) >= 3 {
+			t.Fatalf("adversary accumulated %d shares written in epoch %d", len(byIdx), epoch)
+		}
 	}
 }
 

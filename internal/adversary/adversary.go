@@ -53,18 +53,6 @@ func (b Breaks) HashBrokenAt(e int) bool {
 	return b.HashBroken > 0 && e >= b.HashBroken
 }
 
-// AllCiphersBrokenAt reports whether every registered cascade cipher has
-// fallen by epoch e — the "all computational confidentiality is gone"
-// doomsday the paper's long-term analysis must survive.
-func (b Breaks) AllCiphersBrokenAt(e int) bool {
-	for _, s := range cascade.Schemes() {
-		if !b.CipherBrokenAt(s, e) {
-			return false
-		}
-	}
-	return true
-}
-
 // HarvestedShard is a shard in the adversary's vault, tagged with the
 // epoch it was exfiltrated and the epoch the shard version was written.
 type HarvestedShard struct {
@@ -87,8 +75,6 @@ type Mobile struct {
 
 	// vault holds everything ever harvested, keyed by object.
 	vault map[string][]HarvestedShard
-	// visited counts node corruptions, for coverage stats.
-	visited map[int]int
 	// lastEpoch guards the per-epoch budget.
 	lastEpoch  int
 	usedBudget int
@@ -98,10 +84,9 @@ type Mobile struct {
 // budget and deterministic randomness seed.
 func NewMobile(budget int, seed int64) *Mobile {
 	return &Mobile{
-		Budget:  budget,
-		rng:     rand.New(rand.NewSource(seed)),
-		vault:   make(map[string][]HarvestedShard),
-		visited: make(map[int]int),
+		Budget: budget,
+		rng:    rand.New(rand.NewSource(seed)),
+		vault:  make(map[string][]HarvestedShard),
 	}
 }
 
@@ -124,7 +109,6 @@ func (m *Mobile) Corrupt(c *cluster.Cluster, nodeID int) bool {
 		return false
 	}
 	m.usedBudget++
-	m.visited[nodeID]++
 	for _, sh := range shards {
 		m.vault[sh.Key.Object] = append(m.vault[sh.Key.Object], HarvestedShard{Shard: sh, HarvestEpoch: epoch})
 	}
@@ -193,18 +177,6 @@ func (m *Mobile) DistinctShards(object string) map[int]map[int][]byte {
 	return out
 }
 
-// MaxSameEpochShards returns the largest number of distinct shard indices
-// the adversary holds from any single write epoch of the object.
-func (m *Mobile) MaxSameEpochShards(object string) int {
-	best := 0
-	for _, byIdx := range m.DistinctShards(object) {
-		if len(byIdx) > best {
-			best = len(byIdx)
-		}
-	}
-	return best
-}
-
 // MaxAnyEpochShards returns the number of distinct shard indices held
 // across ALL epochs — what the adversary can combine when the victim
 // never renews.
@@ -216,23 +188,4 @@ func (m *Mobile) MaxAnyEpochShards(object string) int {
 		seen[h.Shard.Key.Index] = true
 	}
 	return len(seen)
-}
-
-// NodesVisited returns how many distinct nodes have ever been corrupted.
-func (m *Mobile) NodesVisited() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.visited)
-}
-
-// VaultObjects lists the objects with at least one harvested shard.
-func (m *Mobile) VaultObjects() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.vault))
-	for o := range m.vault {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -52,15 +52,17 @@ func TestCorruptRandomRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestMobileEventuallyVisitsAllNodes: node i holds shard i, so the
+// distinct shards harvested count the nodes visited.
 func TestMobileEventuallyVisitsAllNodes(t *testing.T) {
 	c := seedCluster(8)
 	m := NewMobile(2, 7)
-	for epoch := 0; epoch < 50 && m.NodesVisited() < 8; epoch++ {
+	for epoch := 0; epoch < 50 && m.MaxAnyEpochShards("obj") < 8; epoch++ {
 		m.CorruptRandom(c)
 		c.AdvanceEpoch()
 	}
-	if m.NodesVisited() != 8 {
-		t.Fatalf("visited %d/8 nodes after 50 epochs", m.NodesVisited())
+	if got := m.MaxAnyEpochShards("obj"); got != 8 {
+		t.Fatalf("visited %d/8 nodes after 50 epochs", got)
 	}
 }
 
@@ -77,8 +79,8 @@ func TestHarvestRecordsEpochs(t *testing.T) {
 	if h[0].HarvestEpoch != 0 || h[1].HarvestEpoch != 1 {
 		t.Fatalf("harvest epochs %d,%d", h[0].HarvestEpoch, h[1].HarvestEpoch)
 	}
-	if len(m.VaultObjects()) != 1 || m.VaultObjects()[0] != "obj" {
-		t.Fatalf("vault objects %v", m.VaultObjects())
+	if len(m.vault) != 1 || len(m.Harvest("other")) != 0 {
+		t.Fatalf("vault holds %d objects, want only obj", len(m.vault))
 	}
 }
 
@@ -99,9 +101,6 @@ func TestSameEpochVsAnyEpochAccounting(t *testing.T) {
 
 	if got := m.MaxAnyEpochShards("obj"); got != 3 {
 		t.Fatalf("any-epoch shards %d, want 3", got)
-	}
-	if got := m.MaxSameEpochShards("obj"); got != 2 {
-		t.Fatalf("same-epoch shards %d, want 2 (shards 1,2 at write epoch 1)", got)
 	}
 	d := m.DistinctShards("obj")
 	if len(d[0]) != 1 || len(d[1]) != 2 {
@@ -135,23 +134,22 @@ func TestBreaksSchedule(t *testing.T) {
 	if b.HashBrokenAt(29) || !b.HashBrokenAt(30) {
 		t.Fatal("hash break epoch wrong")
 	}
-	if b.AllCiphersBrokenAt(1000) {
-		t.Fatal("all ciphers reported broken with only one scheduled")
-	}
 	all := Breaks{Ciphers: map[cascade.Scheme]int{
 		cascade.AES256CTR: 1, cascade.ChaCha20: 2, cascade.SHA256CTR: 3,
 	}}
-	if !all.AllCiphersBrokenAt(3) {
-		t.Fatal("all ciphers broken not detected")
+	for _, s := range cascade.Schemes() {
+		if !all.CipherBrokenAt(s, 3) {
+			t.Fatalf("%s not broken by epoch 3", s)
+		}
 	}
-	if all.AllCiphersBrokenAt(2) {
-		t.Fatal("all-broken claimed too early")
+	if all.CipherBrokenAt(cascade.SHA256CTR, 2) {
+		t.Fatal("SHA256CTR broken before its epoch")
 	}
 }
 
 func TestZeroBreaksBreakNothing(t *testing.T) {
 	var b Breaks
-	if b.CipherBrokenAt(cascade.AES256CTR, 1<<30) || b.HashBrokenAt(1<<30) || b.AllCiphersBrokenAt(1<<30) {
+	if b.CipherBrokenAt(cascade.AES256CTR, 1<<30) || b.HashBrokenAt(1<<30) {
 		t.Fatal("zero Breaks broke something")
 	}
 }

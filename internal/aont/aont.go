@@ -205,16 +205,3 @@ func (s *Scheme) Decode(shards [][]byte, pkgLen, plainLen int) ([]byte, error) {
 	}
 	return Inverse(&Package{Data: pkg, PlainLen: plainLen})
 }
-
-// StorageOverhead returns stored bytes per data byte: n/k plus the
-// amortised key/canary constant. For archive-sized objects this tends to
-// n/k — the same as plain erasure coding, which is AONT-RS's selling
-// point in Figure 1.
-func (s *Scheme) StorageOverhead(dataLen int) float64 {
-	if dataLen <= 0 {
-		return 0
-	}
-	padded := ((dataLen/BlockSize)+2)*BlockSize + KeySize
-	shard := s.Code.ShardSize(padded)
-	return float64(shard*s.Code.TotalShards()) / float64(dataLen)
-}

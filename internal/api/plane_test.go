@@ -328,9 +328,6 @@ func seriesNames(reg *obs.Registry) []string {
 	for name := range s.Counters {
 		out = append(out, "counter "+name)
 	}
-	for name := range s.Gauges {
-		out = append(out, "gauge "+name)
-	}
 	for name := range s.Histograms {
 		out = append(out, "histogram "+name)
 	}

@@ -170,13 +170,3 @@ func Exchange(p Params, seed int64) (*Result, error) {
 		Secure:            secure,
 	}, nil
 }
-
-// MaxSecureKeyBytes returns the largest key the parameters support in
-// expectation: (1−α)·k minus the amplification margin, floored at 0.
-func MaxSecureKeyBytes(p Params) int {
-	exp := int(float64(p.SampleBytes)*(1-p.AdversaryFraction)) - amplificationMarginBytes
-	if exp < 0 {
-		return 0
-	}
-	return exp
-}

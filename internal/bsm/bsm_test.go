@@ -103,15 +103,32 @@ func TestParamValidation(t *testing.T) {
 	}
 }
 
+// TestMaxSecureKeyBytes: the largest key a run can claim secure is its
+// fresh entropy minus the amplification margin. The key length draws no
+// randomness, so one seed measures the same fresh entropy at every size.
 func TestMaxSecureKeyBytes(t *testing.T) {
 	p := Params{StreamBytes: 1000, SampleBytes: 100, AdversaryFraction: 0.5, KeyBytes: 1}
-	// (1-0.5)*100 - 8 = 42
-	if got := MaxSecureKeyBytes(p); got != 42 {
-		t.Fatalf("MaxSecureKeyBytes = %d, want 42", got)
+	res, err := Exchange(p, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.AdversaryFraction = 0.99
-	if got := MaxSecureKeyBytes(p); got != 0 {
-		t.Fatalf("collapsed budget = %d, want 0", got)
+	max := res.FreshEntropyBytes - amplificationMarginBytes
+	if max < 30 || max > 55 {
+		t.Fatalf("fresh entropy %d at α=0.5 of 100 samples", res.FreshEntropyBytes)
+	}
+	for _, c := range []struct {
+		key    int
+		secure bool
+	}{{max, true}, {max + 1, false}} {
+		p.KeyBytes = c.key
+		if res, _ := Exchange(p, 5); res.Secure != c.secure {
+			t.Fatalf("%d-byte key secure=%v, want %v (fresh %d)", c.key, res.Secure, c.secure, res.FreshEntropyBytes)
+		}
+	}
+	// α=0.99: Eve knows nearly every sample and no key survives.
+	p.AdversaryFraction, p.KeyBytes = 0.99, 1
+	if res, _ := Exchange(p, 5); res.Secure {
+		t.Fatalf("collapsed budget still secure: fresh %d", res.FreshEntropyBytes)
 	}
 }
 

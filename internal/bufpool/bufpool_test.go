@@ -17,13 +17,13 @@ func TestGetSizes(t *testing.T) {
 
 func TestClassFor(t *testing.T) {
 	cases := map[int]int{
-		1:           0,
-		512:         0,
-		513:         1,
-		1024:        1,
-		8 << 20:     numClasses - 1,
-		8<<20 + 1:   -1,
-		1 << 30:     -1,
+		1:         0,
+		512:       0,
+		513:       1,
+		1024:      1,
+		8 << 20:   numClasses - 1,
+		8<<20 + 1: -1,
+		1 << 30:   -1,
 	}
 	for n, want := range cases {
 		if got := classFor(n); got != want {

@@ -175,16 +175,3 @@ func (e *Envelope) SecureAgainst(broken map[Scheme]bool) bool {
 	}
 	return false
 }
-
-// Overhead returns stored bytes per plaintext byte. Stream-cipher layers
-// add only nonces, so the cascade stays in Figure 1's low-cost band.
-func (e *Envelope) Overhead() float64 {
-	if len(e.Body) == 0 {
-		return 0
-	}
-	meta := 0
-	for _, l := range e.Layers {
-		meta += len(l.Nonce) + len(l.Scheme)
-	}
-	return float64(len(e.Body)+meta) / float64(len(e.Body))
-}

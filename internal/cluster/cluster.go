@@ -67,19 +67,7 @@ type Node struct {
 	// faults and faultState drive fault injection; see fault.go.
 	faults     *NodeFaults
 	faultState uint64
-	// bytesIn/bytesOut meter all traffic through this node; atomics so
-	// monitoring can read them lock-free while traffic flows.
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
 }
-
-// BytesIn returns the bytes written to this node so far. Safe to call
-// concurrently with traffic.
-func (n *Node) BytesIn() int64 { return n.bytesIn.Load() }
-
-// BytesOut returns the bytes read from this node so far. Safe to call
-// concurrently with traffic.
-func (n *Node) BytesOut() int64 { return n.bytesOut.Load() }
 
 // Cluster is a set of nodes sharing an epoch clock. The epoch and the
 // traffic counters are atomics: the data path touches only the node
@@ -91,7 +79,6 @@ func (n *Node) BytesOut() int64 { return n.bytesOut.Load() }
 type Cluster struct {
 	nodes   []*Node
 	backend store.Store
-	name    string // backend name for reports: store.BackendMem/BackendDisk
 	epoch   atomic.Int64
 
 	// bytesMoved/puts/gets sum every shard transfer in either direction;
@@ -130,10 +117,7 @@ func NewWithStore(bk store.Store, regions []string) *Cluster {
 	if len(regions) == 0 {
 		regions = DefaultRegions
 	}
-	c := &Cluster{backend: bk, name: store.BackendMem}
-	if _, ok := bk.(*diskstore.Store); ok {
-		c.name = store.BackendDisk
-	}
+	c := &Cluster{backend: bk}
 	for i := 0; i < bk.Nodes(); i++ {
 		c.nodes = append(c.nodes, &Node{
 			ID:     i,
@@ -175,9 +159,6 @@ func Open(n int, regions []string, cfg store.Config) (*Cluster, error) {
 	}
 	return NewWithStore(bk, regions), nil
 }
-
-// Backend returns the backend name ("mem" or "disk") for reports.
-func (c *Cluster) Backend() string { return c.name }
 
 // Store exposes the underlying backend (tests reach crash injection and
 // recovery reports through a type assertion on this).
@@ -239,7 +220,6 @@ func (c *Cluster) GetCtx(ctx context.Context, nodeID int, key ShardKey) (sh Shar
 	if !ok {
 		return Shard{}, fmt.Errorf("%w: node %d %v", ErrNoSuchShard, nodeID, key)
 	}
-	n.bytesOut.Add(int64(len(sh.Data)))
 	c.bytesMoved.Add(int64(len(sh.Data)))
 	c.gets.Add(1)
 	return sh, nil

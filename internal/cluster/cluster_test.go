@@ -151,10 +151,6 @@ func TestAccounting(t *testing.T) {
 	if c.Puts() != 2 || c.Gets() != 1 {
 		t.Fatalf("ops %d/%d, want 2/1", c.Puts(), c.Gets())
 	}
-	n, _ := c.Node(0)
-	if n.BytesIn() != 100 || n.BytesOut() != 100 {
-		t.Fatalf("node accounting %d/%d", n.BytesIn(), n.BytesOut())
-	}
 }
 
 func TestDelete(t *testing.T) {

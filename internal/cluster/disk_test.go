@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"securearchive/internal/store"
+	"securearchive/internal/store/diskstore"
+	"securearchive/internal/store/memstore"
 )
 
 // diskCluster opens a disk-backed cluster rooted in a test temp dir.
@@ -25,8 +27,8 @@ func diskCluster(t *testing.T, n int, dir string) *Cluster {
 func TestDiskBackendRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := diskCluster(t, 3, dir)
-	if c.Backend() != store.BackendDisk {
-		t.Fatalf("Backend() = %q", c.Backend())
+	if _, ok := c.Store().(*diskstore.Store); !ok {
+		t.Fatalf("Store() = %T, want the disk backend", c.Store())
 	}
 	key := ShardKey{Object: "obj", Index: 1}
 	if err := put(c, 1, key, []byte("payload")); err != nil {
@@ -106,8 +108,8 @@ func TestOpenStoreConfig(t *testing.T) {
 	if err != nil || bk.Nodes() != 2 {
 		t.Fatalf("default backend: %v", err)
 	}
-	if c := NewWithStore(bk, nil); c.Backend() != store.BackendMem {
-		t.Fatalf("Backend() = %q", c.Backend())
+	if _, ok := bk.(*memstore.Store); !ok {
+		t.Fatalf("default backend = %T, want memory", bk)
 	}
 }
 

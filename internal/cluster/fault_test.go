@@ -255,7 +255,7 @@ func TestFetchStripeUnderTransients(t *testing.T) {
 }
 
 // TestMeteringConcurrentWithTraffic is the -race regression for the
-// BytesIn/BytesOut data race: metering reads race freely with traffic.
+// metering data race: metering reads race freely with traffic.
 func TestMeteringConcurrentWithTraffic(t *testing.T) {
 	c := New(4, nil)
 	var writers sync.WaitGroup
@@ -269,11 +269,8 @@ func TestMeteringConcurrentWithTraffic(t *testing.T) {
 				return
 			default:
 			}
-			for i := 0; i < 4; i++ {
-				n, _ := c.Node(i)
-				_ = n.BytesIn()
-				_ = n.BytesOut()
-			}
+			_ = c.TotalBytesMoved()
+			_ = c.Puts() + c.Gets()
 			_ = c.StoredBytes()
 		}
 	}()
@@ -291,10 +288,8 @@ func TestMeteringConcurrentWithTraffic(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	<-monitorDone
-	for i := 0; i < 4; i++ {
-		n, _ := c.Node(i)
-		if n.BytesIn() != 200*7 || n.BytesOut() != 200*7 {
-			t.Fatalf("node %d metering %d/%d", i, n.BytesIn(), n.BytesOut())
-		}
+	// 4 writers × 200 rounds, each staging and reading 7 bytes.
+	if got := c.TotalBytesMoved(); got != 4*200*7*2 {
+		t.Fatalf("metered %d bytes moved, want %d", got, 4*200*7*2)
 	}
 }

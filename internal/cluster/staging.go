@@ -45,7 +45,6 @@ func (c *Cluster) PutStagedCtx(ctx context.Context, nodeID int, stage string, ke
 	}
 	c.bytesMoved.Add(int64(len(data)))
 	c.puts.Add(1)
-	n.bytesIn.Add(int64(len(data)))
 	return nil
 }
 

@@ -126,31 +126,6 @@ func (p *Pedersen) Verify(c PedersenCommitment, op PedersenOpening) error {
 	return nil
 }
 
-// Add returns the homomorphic sum of two commitments:
-// Commit(m1, r1) · Commit(m2, r2) = Commit(m1+m2, r1+r2). This additive
-// homomorphism is what makes Pedersen commitments compose with linear
-// secret sharing in Pedersen VSS.
-func (p *Pedersen) Add(a, b PedersenCommitment) PedersenCommitment {
-	return PedersenCommitment{C: p.G.Mul(a.C, b.C)}
-}
-
-// AddOpenings combines two openings to match Add of their commitments.
-func (p *Pedersen) AddOpenings(a, b PedersenOpening) PedersenOpening {
-	m := new(big.Int).Add(a.M, b.M)
-	m.Mod(m, p.G.Q)
-	r := new(big.Int).Add(a.R, b.R)
-	r.Mod(r, p.G.Q)
-	return PedersenOpening{M: m, R: r}
-}
-
-// Equal reports whether two commitments are identical.
-func (c PedersenCommitment) Equal(o PedersenCommitment) bool {
-	if c.C == nil || o.C == nil {
-		return c.C == o.C
-	}
-	return c.C.Cmp(o.C) == 0
-}
-
 // Bytes serialises the commitment value.
 func (c PedersenCommitment) Bytes() []byte {
 	if c.C == nil {

@@ -232,7 +232,7 @@ func TestDifferentialCachedVsUncached(t *testing.T) {
 					mk := func(c *cluster.Cluster, cacheBytes int64) *Vault {
 						opts := []VaultOption{
 							WithGroup(group.Test()),
-							WithRand(mrand.New(mrand.NewSource(seed))),
+							VaultOption(func(v *Vault) { v.rnd = mrand.New(mrand.NewSource(seed)) }),
 							WithChunkSize(512),
 							WithRegistry(obs.NewRegistry()),
 						}

@@ -589,7 +589,7 @@ func TestPrefetchCancel(t *testing.T) {
 	c := cluster.New(8, nil)
 	reg := obs.NewRegistry()
 	enc := Erasure{K: 4, N: 8}
-	v, err := NewVault(c, enc, WithGroup(group.Test()), WithRegistry(reg), WithChunkSize(256), WithPrefetchWindow(3))
+	v, err := NewVault(c, enc, WithGroup(group.Test()), WithRegistry(reg), WithChunkSize(256), VaultOption(func(v *Vault) { v.prefetchWindow = 3 }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,9 @@ func TestRetriesLandOnTheClustersRegistry(t *testing.T) {
 	c := cluster.New(8, nil)
 	c.UseRegistry(reg)
 	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithGroup(group.Test()), WithRegistry(reg),
-		WithRetryPolicy(cluster.RetryPolicy{MaxAttempts: 32, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}))
+		VaultOption(func(v *Vault) {
+			v.retry = cluster.RetryPolicy{MaxAttempts: 32, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

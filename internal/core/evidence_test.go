@@ -229,7 +229,7 @@ func TestReadToCacheTakesOwnership(t *testing.T) {
 // the miss path.
 func productionVault(tb testing.TB, mode tstamp.RefMode) *Vault {
 	tb.Helper()
-	v, err := NewVault(cluster.New(14, nil), Erasure{K: 10, N: 14}, WithIntegrityMode(mode))
+	v, err := NewVault(cluster.New(14, nil), Erasure{K: 10, N: 14}, VaultOption(func(v *Vault) { v.IntegrityMode = mode }))
 	if err != nil {
 		tb.Fatal(err)
 	}

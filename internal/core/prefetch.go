@@ -38,13 +38,6 @@ import (
 // holds one stripe's shards).
 const DefaultPrefetchWindow = 2
 
-// WithPrefetchWindow sets how many chunk-stripe fetches a chunked read
-// keeps in flight ahead of decode (DefaultPrefetchWindow otherwise).
-// n <= 0 disables prefetch: chunks fetch strictly one at a time.
-func WithPrefetchWindow(n int) VaultOption {
-	return func(v *Vault) { v.prefetchWindow = n }
-}
-
 // prefetcher drives one chunked read's look-ahead. It is used by a
 // single consumer goroutine; the mutable cursors (nextLaunch, consumed)
 // are consumer-private, and the fetch goroutines communicate only

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -209,14 +210,14 @@ func TestScrubTraceAndJournalRoundTrip(t *testing.T) {
 		t.Fatalf("scrub events missing:\n%s", trace.Timeline(tc))
 	}
 
-	back, err := trace.ReadJSONL(bytes.NewReader(journal.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The journal was attached after the Put, so it holds only the scrub
-	// trace — and it must match what the in-memory exporter saw.
-	if len(back) != 1 || back[0].ID != tc.ID || len(back[0].Spans) != len(tc.Spans) {
-		t.Fatalf("journal round trip diverged: %d traces", len(back))
+	// trace — one line, matching what the in-memory exporter saw.
+	var back trace.Trace
+	if err := json.Unmarshal(journal.Bytes(), &back); err != nil {
+		t.Fatalf("journal is not one trace: %v\n%s", err, journal.Bytes())
+	}
+	if back.ID != tc.ID || len(back.Spans) != len(tc.Spans) {
+		t.Fatalf("journal round trip diverged: %v/%d spans, want %v/%d", back.ID, len(back.Spans), tc.ID, len(tc.Spans))
 	}
 }
 

@@ -84,7 +84,7 @@ type Vault struct {
 	// plaintext bytes (read from the client but not yet staged on the
 	// cluster) and the high-water mark across the vault's lifetime —
 	// the evidence that streaming ingest is O(chunk), not O(object).
-	// Mirrored into the vault.stream.* gauges; see stream.go.
+	// Read by StreamPeakBuffered; see stream.go.
 	streamBuffered atomic.Int64
 	streamPeak     atomic.Int64
 
@@ -238,22 +238,12 @@ var (
 // VaultOption configures NewVault.
 type VaultOption func(*Vault)
 
-// WithIntegrityMode selects the timestamp-chain reference mode.
-func WithIntegrityMode(m tstamp.RefMode) VaultOption {
-	return func(v *Vault) { v.IntegrityMode = m }
-}
-
 // WithGroup overrides the commitment group. Production callers must not
 // pass it: the default (group.Default(), a 256-bit-order subgroup of a
 // 2048-bit field) is the only secure choice. It exists so tests and the
 // paper-figure tools can run the chain on group.Test().
 func WithGroup(g *group.Group) VaultOption {
 	return func(v *Vault) { v.Group = g }
-}
-
-// WithRand injects the randomness source (tests).
-func WithRand(r io.Reader) VaultOption {
-	return func(v *Vault) { v.rnd = r }
 }
 
 // WithReadCache enables the decoded-object read cache with a byte
@@ -272,12 +262,6 @@ func WithReadCache(n int64) VaultOption {
 // tenant's hot set.
 func WithCacheTenantShare(frac float64) VaultOption {
 	return func(v *Vault) { v.cacheShare = frac }
-}
-
-// WithRetryPolicy bounds the vault's per-node retries on transient
-// cluster faults (cluster.DefaultRetry otherwise).
-func WithRetryPolicy(p cluster.RetryPolicy) VaultOption {
-	return func(v *Vault) { v.retry = p }
 }
 
 // WithChunkSize sets the writer's chunk size (DefaultChunkSize

@@ -144,7 +144,7 @@ func TestVaultRenewShares(t *testing.T) {
 func TestVaultHashIntegrityMode(t *testing.T) {
 	c := cluster.New(8, nil)
 	v, err := NewVault(c, TraditionalEncryption{K: 4, N: 8},
-		WithIntegrityMode(tstamp.RefHash), WithGroup(group.Test()))
+		VaultOption(func(v *Vault) { v.IntegrityMode = tstamp.RefHash }), WithGroup(group.Test()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 
-	"securearchive/internal/media"
 	"securearchive/internal/pss"
 )
 
@@ -135,21 +134,6 @@ func RenewalCampaign(totalBytes, objBytes float64, n int, interNodeBytesPerDay f
 	perObject := float64(pss.RenewalTraffic(n, int(objBytes)))
 	days := objects * perObject / interNodeBytesPerDay
 	return days / DaysPerMonth, nil
-}
-
-// MigrationMonths prices a media-generation migration (§4's motivation
-// for long-lived media): writing totalBytes onto `units` parallel
-// writers of the target medium, in months. Migration is write-bound —
-// archival media write slower than they read — and, like re-encryption,
-// must be planned in years at scale. Glass and DNA buy their millennia
-// of durability with write rates that make INITIAL ingestion the
-// bottleneck instead of periodic migration.
-func MigrationMonths(totalBytes float64, target media.Medium, units int) (float64, error) {
-	if totalBytes <= 0 || units < 1 || target.WriteBandwidth <= 0 {
-		return 0, fmt.Errorf("%w: bytes=%v units=%d", ErrBadParams, totalBytes, units)
-	}
-	perDay := target.WriteBandwidth * SecondsPerDay * float64(units)
-	return totalBytes / perDay / DaysPerMonth, nil
 }
 
 // Row is one line of the E3 report.

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-
-	"securearchive/internal/media"
 )
 
 func approx(got, want, tol float64) bool {
@@ -140,38 +138,6 @@ func TestRenewalCampaignValidation(t *testing.T) {
 	}
 	if _, err := RenewalCampaign(1, 1, 1, 1); !errors.Is(err, ErrBadParams) {
 		t.Fatalf("n=1: %v", err)
-	}
-}
-
-func TestMigrationMonths(t *testing.T) {
-	tape, err := media.Get("tape")
-	if err != nil {
-		t.Fatal(err)
-	}
-	glass, _ := media.Get("glass")
-	// 1 PB onto 10 tape writers at 300 MB/s: 1e15/(3e8*86400*10) ≈ 3.86
-	// days ≈ 0.127 months.
-	mo, err := MigrationMonths(1e15, tape, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(mo, 1e15/(300e6*86400*10)/DaysPerMonth, 1e-9) {
-		t.Fatalf("tape migration = %v months", mo)
-	}
-	// Glass writes at 5 MB/s: the same petabyte takes ~60x longer than
-	// tape per writer — durability is bought with write throughput.
-	gm, err := MigrationMonths(1e15, glass, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gm < mo*50 {
-		t.Fatalf("glass (%v mo) should be ≫ tape (%v mo)", gm, mo)
-	}
-	if _, err := MigrationMonths(0, tape, 1); !errors.Is(err, ErrBadParams) {
-		t.Fatalf("zero bytes: %v", err)
-	}
-	if _, err := MigrationMonths(1, tape, 0); !errors.Is(err, ErrBadParams) {
-		t.Fatalf("zero units: %v", err)
 	}
 }
 

@@ -118,13 +118,3 @@ func xorPad(dst, src, key, seed []byte) {
 		dst[i] = src[i] ^ acc
 	}
 }
-
-// StorageOverhead returns stored bytes per message byte for an archive
-// holding ciphertext plus key: (L + keyLen)/L — strictly below the 2×
-// of OTP and approaching 1× as the assumed min-entropy rises.
-func StorageOverhead(msgLen, keyLen int) float64 {
-	if msgLen <= 0 {
-		return 0
-	}
-	return float64(msgLen+keyLen) / float64(msgLen)
-}

@@ -6,7 +6,8 @@
 // this field: Shamir shares are byte-parallel polynomial evaluations, and
 // Reed-Solomon codewords are matrix products over it.
 //
-// Multiplication and inversion are table-driven (log/exp tables built at
+// Addition (and subtraction) is XOR. Multiplication and inversion are
+// table-driven (log/exp tables built at
 // package initialisation), which makes them constant-time with respect to
 // the *values* involved apart from the zero check; this is the standard
 // trade-off taken by storage-system implementations where throughput
@@ -52,10 +53,6 @@ func buildLogExp() (exp [512]byte, log [256]byte) {
 	return exp, log
 }
 
-// Add returns a + b in GF(2^8). Addition is XOR; it is its own inverse, so
-// Add also computes subtraction.
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -91,34 +88,6 @@ func Exp(e int) byte {
 		e += 255
 	}
 	return expTable[e]
-}
-
-// Log returns the discrete logarithm of a to the base Generator.
-// It panics if a is zero.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf256: log of zero")
-	}
-	return int(logTable[a])
-}
-
-// Pow returns a raised to the power e. Pow(0, 0) == 1 by convention, and
-// Pow(0, e) == 0 for e > 0. Negative exponents invert: Pow(a, -1) == Inv(a).
-func Pow(a byte, e int) byte {
-	if a == 0 {
-		if e == 0 {
-			return 1
-		}
-		if e < 0 {
-			panic("gf256: negative power of zero")
-		}
-		return 0
-	}
-	le := (int(logTable[a]) * (e % 255)) % 255
-	if le < 0 {
-		le += 255
-	}
-	return expTable[le]
 }
 
 // MulSlice computes dst[i] ^= c * src[i] for all i. It is the inner loop of
@@ -180,32 +149,6 @@ func EvalPoly(coeffs []byte, x byte) byte {
 	acc := coeffs[len(coeffs)-1]
 	for i := len(coeffs) - 2; i >= 0; i-- {
 		acc = Mul(acc, x) ^ coeffs[i]
-	}
-	return acc
-}
-
-// Interpolate returns the value at x of the unique polynomial of degree
-// < len(xs) passing through the points (xs[i], ys[i]), computed by Lagrange
-// interpolation. The xs must be distinct; it panics otherwise. This is the
-// core of Shamir reconstruction (x = 0 recovers the secret).
-func Interpolate(xs, ys []byte, x byte) byte {
-	if len(xs) != len(ys) {
-		panic("gf256: Interpolate point count mismatch")
-	}
-	var acc byte
-	for i := range xs {
-		num, den := byte(1), byte(1)
-		for j := range xs {
-			if i == j {
-				continue
-			}
-			if xs[i] == xs[j] {
-				panic("gf256: Interpolate duplicate x coordinate")
-			}
-			num = Mul(num, x^xs[j])
-			den = Mul(den, xs[i]^xs[j])
-		}
-		acc ^= Mul(ys[i], Div(num, den))
 	}
 	return acc
 }

@@ -5,12 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestAddIsXOR(t *testing.T) {
-	if Add(0x53, 0xCA) != 0x53^0xCA {
-		t.Fatalf("Add(0x53, 0xCA) = %#x, want %#x", Add(0x53, 0xCA), 0x53^0xCA)
-	}
-}
-
 func TestMulKnownVectors(t *testing.T) {
 	// Vectors from FIPS-197 (AES uses the same field).
 	cases := []struct{ a, b, want byte }{
@@ -44,7 +38,7 @@ func TestMulAssociative(t *testing.T) {
 
 func TestDistributive(t *testing.T) {
 	if err := quick.Check(func(a, b, c byte) bool {
-		return Mul(a, Add(b, c)) == Add(Mul(a, b), Mul(a, c))
+		return Mul(a, b^c) == Mul(a, b)^Mul(a, c)
 	}, nil); err != nil {
 		t.Error(err)
 	}
@@ -90,10 +84,24 @@ func TestDivMulRoundTrip(t *testing.T) {
 
 func TestExpLogRoundTrip(t *testing.T) {
 	for a := 1; a < 256; a++ {
-		if Exp(Log(byte(a))) != byte(a) {
-			t.Fatalf("Exp(Log(%#x)) != %#x", a, a)
+		if Exp(int(logTable[a])) != byte(a) {
+			t.Fatalf("Exp(log(%#x)) != %#x", a, a)
 		}
 	}
+}
+
+// pow returns a^e through the log/exp tables Mul, Div and Inv read, so
+// the Pow tests below check those tables against known powers and
+// against repeated multiplication. pow(0, 0) == 1 by convention, and
+// negative exponents invert.
+func pow(a byte, e int) byte {
+	if a == 0 {
+		if e == 0 {
+			return 1
+		}
+		return 0
+	}
+	return Exp(int(logTable[a]) * (e % 255))
 }
 
 func TestGeneratorHasFullOrder(t *testing.T) {
@@ -125,14 +133,14 @@ func TestPow(t *testing.T) {
 		{0x03, 255, 1},
 	}
 	for _, c := range cases {
-		if got := Pow(c.a, c.e); got != c.want {
-			t.Errorf("Pow(%#x, %d) = %#x, want %#x", c.a, c.e, got, c.want)
+		if got := pow(c.a, c.e); got != c.want {
+			t.Errorf("pow(%#x, %d) = %#x, want %#x", c.a, c.e, got, c.want)
 		}
 	}
 	// Negative exponent inverts.
 	for a := 1; a < 256; a++ {
-		if Pow(byte(a), -1) != Inv(byte(a)) {
-			t.Fatalf("Pow(%#x, -1) != Inv", a)
+		if pow(byte(a), -1) != Inv(byte(a)) {
+			t.Fatalf("pow(%#x, -1) != Inv", a)
 		}
 	}
 }
@@ -141,8 +149,8 @@ func TestPowMatchesRepeatedMul(t *testing.T) {
 	for a := 0; a < 256; a += 7 {
 		acc := byte(1)
 		for e := 0; e < 20; e++ {
-			if got := Pow(byte(a), e); got != acc {
-				t.Fatalf("Pow(%#x, %d) = %#x, want %#x", a, e, got, acc)
+			if got := pow(byte(a), e); got != acc {
+				t.Fatalf("pow(%#x, %d) = %#x, want %#x", a, e, got, acc)
 			}
 			acc = Mul(acc, byte(a))
 		}
@@ -213,7 +221,7 @@ func TestEvalPoly(t *testing.T) {
 	// f(x) = 5 + 3x + 7x^2
 	coeffs := []byte{5, 3, 7}
 	for _, x := range []byte{0, 1, 2, 100, 255} {
-		want := Add(Add(5, Mul(3, x)), Mul(7, Mul(x, x)))
+		want := 5 ^ Mul(3, x) ^ Mul(7, Mul(x, x))
 		if got := EvalPoly(coeffs, x); got != want {
 			t.Errorf("EvalPoly at %#x = %#x, want %#x", x, got, want)
 		}
@@ -226,6 +234,16 @@ func TestEvalPoly(t *testing.T) {
 	}
 }
 
+// interpolate evaluates at x the polynomial through (xs[i], ys[i]) by
+// the Lagrange coefficients shamir and pss reconstruct with.
+func interpolate(xs, ys []byte, x byte) byte {
+	var acc byte
+	for i, l := range LagrangeCoeffs(xs, x) {
+		acc ^= Mul(l, ys[i])
+	}
+	return acc
+}
+
 func TestInterpolateRecoversPolynomial(t *testing.T) {
 	coeffs := []byte{0xAB, 0x13, 0x99, 0x42} // degree 3
 	xs := []byte{1, 2, 3, 4}
@@ -234,13 +252,13 @@ func TestInterpolateRecoversPolynomial(t *testing.T) {
 		ys[i] = EvalPoly(coeffs, x)
 	}
 	// Interpolating at 0 recovers the constant term (the Shamir secret).
-	if got := Interpolate(xs, ys, 0); got != 0xAB {
-		t.Fatalf("Interpolate at 0 = %#x, want 0xAB", got)
+	if got := interpolate(xs, ys, 0); got != 0xAB {
+		t.Fatalf("interpolate at 0 = %#x, want 0xAB", got)
 	}
 	// And at any other point it agrees with the polynomial.
 	for _, at := range []byte{5, 77, 200} {
-		if got, want := Interpolate(xs, ys, at), EvalPoly(coeffs, at); got != want {
-			t.Fatalf("Interpolate at %#x = %#x, want %#x", at, got, want)
+		if got, want := interpolate(xs, ys, at), EvalPoly(coeffs, at); got != want {
+			t.Fatalf("interpolate at %#x = %#x, want %#x", at, got, want)
 		}
 	}
 }
@@ -251,7 +269,7 @@ func TestInterpolateDuplicateXPanics(t *testing.T) {
 			t.Fatal("duplicate x did not panic")
 		}
 	}()
-	Interpolate([]byte{1, 1}, []byte{2, 3}, 0)
+	LagrangeCoeffs([]byte{1, 1}, 0)
 }
 
 func TestLagrangeCoeffsMatchInterpolate(t *testing.T) {
@@ -275,9 +293,9 @@ func TestLagrangeCoeffsMatchInterpolate(t *testing.T) {
 	for k := 0; k < len(xs); k++ {
 		var sum byte
 		for i := range xs {
-			sum ^= Mul(lc[i], Pow(xs[i], k))
+			sum ^= Mul(lc[i], pow(xs[i], k))
 		}
-		if sum != Pow(at, k) {
+		if sum != pow(at, k) {
 			t.Fatalf("basis property failed for k=%d", k)
 		}
 	}

@@ -189,14 +189,6 @@ func (gr *Group) Contains(x *big.Int) bool {
 	return new(big.Int).Exp(x, gr.Q, gr.P).Cmp(one) == 0
 }
 
-// ReduceScalar maps arbitrary bytes to a scalar in Z_q. Used to embed
-// secrets and message digests into the exponent field. The reduction is
-// not uniform for inputs near q but is injective for inputs shorter than
-// q's byte length, which is how the vss package embeds bounded secrets.
-func (gr *Group) ReduceScalar(b []byte) *big.Int {
-	return new(big.Int).Mod(new(big.Int).SetBytes(b), gr.Q)
-}
-
 // ID names the group in serialised evidence: the hex of the first 16
 // bytes of SHA-256 over p ‖ q ‖ g ‖ h, each at p's byte length.
 func (gr *Group) ID() string {

@@ -1,9 +1,8 @@
 // Package matrix implements dense matrices over GF(2^8).
 //
-// It provides exactly the linear algebra the erasure-coding and
-// secret-sharing layers need: construction of Vandermonde and Cauchy
-// matrices, Gauss-Jordan inversion, multiplication, and the derivation of
-// systematic generator matrices. Matrices are small (dimensions are node
+// It provides exactly the linear algebra the Reed-Solomon layer needs:
+// Cauchy parity matrices, row selection and Gauss-Jordan inversion.
+// Matrices are small (dimensions are node
 // counts, typically < 64), so clarity is preferred over blocking or SIMD;
 // the per-byte throughput-critical loops live in package gf256.
 package matrix
@@ -33,41 +32,11 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, copying the data. All rows must
-// have equal, non-zero length.
-func FromRows(rows [][]byte) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("matrix: FromRows with empty input")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic("matrix: FromRows with ragged rows")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Identity returns the n-by-n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Vandermonde returns the rows-by-cols matrix with entry (i, j) equal to
-// xs[i]^j. The xs must be distinct for the matrix to have full rank.
-func Vandermonde(xs []byte, cols int) *Matrix {
-	m := New(len(xs), cols)
-	for i, x := range xs {
-		v := byte(1)
-		for j := 0; j < cols; j++ {
-			m.Set(i, j, v)
-			v = gf256.Mul(v, x)
-		}
 	}
 	return m
 }
@@ -90,12 +59,6 @@ func Cauchy(xs, ys []byte) *Matrix {
 	return m
 }
 
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the entry at (r, c).
 func (m *Matrix) At(r, c int) byte { return m.data[r*m.cols+c] }
 
@@ -112,19 +75,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Equal reports whether two matrices have identical shape and entries.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.rows != o.rows || m.cols != o.cols {
-		return false
-	}
-	for i := range m.data {
-		if m.data[i] != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the matrix in hex, one row per line.
 func (m *Matrix) String() string {
 	s := ""
@@ -138,65 +88,6 @@ func (m *Matrix) String() string {
 		s += "\n"
 	}
 	return s
-}
-
-// Mul returns the matrix product m * o. It panics on dimension mismatch.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.cols != o.rows {
-		panic(fmt.Sprintf("matrix: Mul dimension mismatch %dx%d * %dx%d", m.rows, m.cols, o.rows, o.cols))
-	}
-	out := New(m.rows, o.cols)
-	for r := 0; r < m.rows; r++ {
-		mrow := m.Row(r)
-		orow := out.Row(r)
-		for k := 0; k < m.cols; k++ {
-			gf256.MulSliceTable(mrow[k], o.Row(k), orow)
-		}
-	}
-	return out
-}
-
-// MulVec multiplies the matrix by a column vector given as a slice and
-// returns the resulting vector. It panics if len(v) != Cols().
-func (m *Matrix) MulVec(v []byte) []byte {
-	if len(v) != m.cols {
-		panic("matrix: MulVec dimension mismatch")
-	}
-	out := make([]byte, m.rows)
-	for r := 0; r < m.rows; r++ {
-		row := m.Row(r)
-		var acc byte
-		for c, rv := range row {
-			acc ^= gf256.Mul(rv, v[c])
-		}
-		out[r] = acc
-	}
-	return out
-}
-
-// MulBlocks multiplies the matrix by a block vector: blocks[c] is a byte
-// slice (all the same length), and the result's r-th block is
-// Σ_c m[r][c] · blocks[c]. This is how a generator matrix is applied to
-// data shards. It panics if len(blocks) != Cols() or block lengths differ.
-func (m *Matrix) MulBlocks(blocks [][]byte) [][]byte {
-	if len(blocks) != m.cols {
-		panic("matrix: MulBlocks dimension mismatch")
-	}
-	blen := len(blocks[0])
-	for _, b := range blocks {
-		if len(b) != blen {
-			panic("matrix: MulBlocks ragged blocks")
-		}
-	}
-	out := make([][]byte, m.rows)
-	for r := 0; r < m.rows; r++ {
-		out[r] = make([]byte, blen)
-		row := m.Row(r)
-		for c, coeff := range row {
-			gf256.MulSliceTable(coeff, blocks[c], out[r])
-		}
-	}
-	return out
 }
 
 // SubMatrix returns the matrix consisting of the given rows (in order).
@@ -269,26 +160,4 @@ func swapRows(m *Matrix, i, j int) {
 func scaleRow(m *Matrix, r int, c byte) {
 	row := m.Row(r)
 	gf256.MulSliceAssignTable(c, row, row)
-}
-
-// Systematic converts a full-rank rows-by-cols generator matrix
-// (rows >= cols) into systematic form: the first cols rows become the
-// identity, so the first cols codewords equal the data shards. It does so
-// by right-multiplying with the inverse of the top square block; the code
-// (row space) is preserved. Returns ErrSingular if the top block is not
-// invertible.
-func (m *Matrix) Systematic() (*Matrix, error) {
-	if m.rows < m.cols {
-		return nil, fmt.Errorf("matrix: Systematic needs rows >= cols, have %dx%d", m.rows, m.cols)
-	}
-	topRows := make([]int, m.cols)
-	for i := range topRows {
-		topRows[i] = i
-	}
-	top := m.SubMatrix(topRows)
-	topInv, err := top.Invert()
-	if err != nil {
-		return nil, err
-	}
-	return m.Mul(topInv), nil
 }

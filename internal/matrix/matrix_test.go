@@ -8,6 +8,46 @@ import (
 	"securearchive/internal/gf256"
 )
 
+// fromRows, vandermonde, mul and equal are the reference constructions
+// and product the tests check Identity, Invert and Cauchy against.
+func fromRows(rows [][]byte) *Matrix {
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+func vandermonde(xs []byte, cols int) *Matrix {
+	m := New(len(xs), cols)
+	for i, x := range xs {
+		v := byte(1)
+		for j := 0; j < cols; j++ {
+			m.Set(i, j, v)
+			v = gf256.Mul(v, x)
+		}
+	}
+	return m
+}
+
+func mul(a, b *Matrix) *Matrix {
+	out := New(a.rows, b.cols)
+	for r := 0; r < a.rows; r++ {
+		for c := 0; c < b.cols; c++ {
+			var acc byte
+			for k := 0; k < a.cols; k++ {
+				acc ^= gf256.Mul(a.At(r, k), b.At(k, c))
+			}
+			out.Set(r, c, acc)
+		}
+	}
+	return out
+}
+
+func equal(a, b *Matrix) bool {
+	return a.rows == b.rows && a.cols == b.cols && string(a.data) == string(b.data)
+}
+
 func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	m := New(rows, cols)
 	for r := 0; r < rows; r++ {
@@ -21,31 +61,12 @@ func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 func TestIdentityMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := randMatrix(rng, 5, 5)
-	if !Identity(5).Mul(m).Equal(m) {
+	if !equal(mul(Identity(5), m), m) {
 		t.Fatal("I * M != M")
 	}
-	if !m.Mul(Identity(5)).Equal(m) {
+	if !equal(mul(m, Identity(5)), m) {
 		t.Fatal("M * I != M")
 	}
-}
-
-func TestMulAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randMatrix(rng, 3, 4)
-	b := randMatrix(rng, 4, 5)
-	c := randMatrix(rng, 5, 2)
-	if !a.Mul(b).Mul(c).Equal(a.Mul(b.Mul(c))) {
-		t.Fatal("(AB)C != A(BC)")
-	}
-}
-
-func TestMulDimensionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on dimension mismatch")
-		}
-	}()
-	New(2, 3).Mul(New(2, 3))
 }
 
 func TestInvertRoundTrip(t *testing.T) {
@@ -60,10 +81,10 @@ func TestInvertRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !m.Mul(inv).Equal(Identity(n)) {
+			if !equal(mul(m, inv), Identity(n)) {
 				t.Fatalf("M * M^-1 != I for n=%d", n)
 			}
-			if !inv.Mul(m).Equal(Identity(n)) {
+			if !equal(mul(inv, m), Identity(n)) {
 				t.Fatalf("M^-1 * M != I for n=%d", n)
 			}
 		}
@@ -71,7 +92,7 @@ func TestInvertRoundTrip(t *testing.T) {
 }
 
 func TestInvertSingular(t *testing.T) {
-	m := FromRows([][]byte{
+	m := fromRows([][]byte{
 		{1, 2},
 		{2, 4}, // 2 * row 0 in GF(256): 2*1=2, 2*2=4
 	})
@@ -92,17 +113,13 @@ func TestInvertNonSquare(t *testing.T) {
 
 func TestVandermondeFullRank(t *testing.T) {
 	xs := []byte{1, 2, 3, 4, 5}
-	v := Vandermonde(xs, 5)
-	if _, err := v.Invert(); err != nil {
+	v := vandermonde(xs, 5)
+	inv, err := v.Invert()
+	if err != nil {
 		t.Fatalf("square Vandermonde with distinct xs must be invertible: %v", err)
 	}
-	// Entry check: (i, j) = xs[i]^j.
-	for i, x := range xs {
-		for j := 0; j < 5; j++ {
-			if v.At(i, j) != gf256.Pow(x, j) {
-				t.Fatalf("Vandermonde entry (%d,%d) wrong", i, j)
-			}
-		}
+	if !equal(mul(v, inv), Identity(5)) {
+		t.Fatal("V * V^-1 != I")
 	}
 }
 
@@ -115,7 +132,7 @@ func TestCauchyEverySquareSubmatrixInvertible(t *testing.T) {
 		for r1 := r0 + 1; r1 < 4; r1++ {
 			for c0 := 0; c0 < 4; c0++ {
 				for c1 := c0 + 1; c1 < 4; c1++ {
-					sub := FromRows([][]byte{
+					sub := fromRows([][]byte{
 						{m.At(r0, c0), m.At(r0, c1)},
 						{m.At(r1, c0), m.At(r1, c1)},
 					})
@@ -137,95 +154,16 @@ func TestCauchyOverlapPanics(t *testing.T) {
 	Cauchy([]byte{1, 2}, []byte{2, 3})
 }
 
-func TestMulVecMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := randMatrix(rng, 4, 6)
-	v := make([]byte, 6)
-	rng.Read(v)
-	got := m.MulVec(v)
-	// Compare against Mul with a 6x1 matrix.
-	col := New(6, 1)
-	for i, b := range v {
-		col.Set(i, 0, b)
-	}
-	want := m.Mul(col)
-	for i := range got {
-		if got[i] != want.At(i, 0) {
-			t.Fatalf("MulVec mismatch at %d", i)
-		}
-	}
-}
-
-func TestMulBlocks(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := randMatrix(rng, 3, 2)
-	blocks := [][]byte{make([]byte, 16), make([]byte, 16)}
-	rng.Read(blocks[0])
-	rng.Read(blocks[1])
-	out := m.MulBlocks(blocks)
-	if len(out) != 3 {
-		t.Fatalf("MulBlocks returned %d blocks, want 3", len(out))
-	}
-	// Check byte-by-byte against MulVec over columns.
-	for pos := 0; pos < 16; pos++ {
-		v := []byte{blocks[0][pos], blocks[1][pos]}
-		want := m.MulVec(v)
-		for r := 0; r < 3; r++ {
-			if out[r][pos] != want[r] {
-				t.Fatalf("MulBlocks mismatch at block %d pos %d", r, pos)
-			}
-		}
-	}
-}
-
-func TestSystematic(t *testing.T) {
-	xs := []byte{1, 2, 3, 4, 5, 6}
-	g := Vandermonde(xs, 4)
-	sys, err := g.Systematic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Top 4x4 block must be the identity.
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			want := byte(0)
-			if r == c {
-				want = 1
-			}
-			if sys.At(r, c) != want {
-				t.Fatalf("systematic top block not identity at (%d,%d)", r, c)
-			}
-		}
-	}
-	// Any 4 rows of the systematic matrix must still be invertible
-	// (MDS property preserved by right-multiplication).
-	rowSets := [][]int{{0, 1, 2, 3}, {2, 3, 4, 5}, {0, 2, 4, 5}, {1, 3, 4, 5}}
-	for _, rs := range rowSets {
-		if _, err := sys.SubMatrix(rs).Invert(); err != nil {
-			t.Fatalf("systematic rows %v singular: %v", rs, err)
-		}
-	}
-}
-
 func TestSubMatrix(t *testing.T) {
-	m := FromRows([][]byte{{1, 2}, {3, 4}, {5, 6}})
+	m := fromRows([][]byte{{1, 2}, {3, 4}, {5, 6}})
 	s := m.SubMatrix([]int{2, 0})
 	if s.At(0, 0) != 5 || s.At(0, 1) != 6 || s.At(1, 0) != 1 || s.At(1, 1) != 2 {
 		t.Fatal("SubMatrix selected wrong rows")
 	}
 }
 
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for ragged rows")
-		}
-	}()
-	FromRows([][]byte{{1, 2}, {3}})
-}
-
 func TestStringFormat(t *testing.T) {
-	m := FromRows([][]byte{{0x0A, 0xFF}})
+	m := fromRows([][]byte{{0x0A, 0xFF}})
 	if m.String() != "0a ff\n" {
 		t.Fatalf("String() = %q", m.String())
 	}
@@ -236,28 +174,11 @@ func BenchmarkInvert16(b *testing.B) {
 	for i := range xs {
 		xs[i] = byte(i + 1)
 	}
-	m := Vandermonde(xs, 16)
+	m := vandermonde(xs, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Invert(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMulBlocks(b *testing.B) {
-	xs := make([]byte, 12)
-	for i := range xs {
-		xs[i] = byte(i + 1)
-	}
-	m := Vandermonde(xs, 8)
-	blocks := make([][]byte, 8)
-	for i := range blocks {
-		blocks[i] = make([]byte, 4096)
-	}
-	b.SetBytes(8 * 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulBlocks(blocks)
 	}
 }

@@ -99,14 +99,6 @@ func boundsEqual(a, b []float64) bool {
 	return true
 }
 
-func (h *Histogram) reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
 // ladder125 builds a 1-2-5 ladder from lo through hi inclusive.
 func ladder125(lo, hi float64) []float64 {
 	var out []float64

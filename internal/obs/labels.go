@@ -30,8 +30,8 @@ const OverflowValue = "_overflow"
 // with SetMaxSeries.
 const DefaultMaxSeries = 64
 
-// Family is one named metric: every series of one kind (*Counter,
-// *Gauge or *Histogram) under a fixed label key. The live map is behind
+// Family is one named metric: every series of one kind (*Counter or
+// *Histogram) under a fixed label key. The live map is behind
 // an atomic pointer: readers load and index it with no lock; inserts
 // copy-on-write under mu.
 type Family[S any] struct {

@@ -67,7 +67,7 @@ func TestLabeledOverflow(t *testing.T) {
 	}
 }
 
-func TestLabeledHistogramAndGauge(t *testing.T) {
+func TestLabeledHistogramAndPlainSeries(t *testing.T) {
 	r := NewRegistry()
 	lh := r.LabeledHistogram("vault.put.ns", LatencyBuckets(), "encoding")
 	for i := 0; i < 100; i++ {
@@ -80,38 +80,15 @@ func TestLabeledHistogramAndGauge(t *testing.T) {
 		t.Fatalf("p50 = %g, want ~1e6", p50)
 	}
 
-	// A plain gauge is the one series of a key-less family: the same
+	// A plain counter is the one series of a key-less family: the same
 	// pointer under the empty label value, rendered under the bare name.
-	g := r.Gauge("vault.cache.bytes")
-	g.Add(2)
-	g.Add(-1)
-	if g != family(r, r.gauges, "vault.cache.bytes", "", nil, newGauge).With("") {
-		t.Fatal("plain gauge is not its family's zero-label series")
+	c := r.Counter("vault.cache.evictions")
+	c.Add(2)
+	if c != family(r, r.counters, "vault.cache.evictions", "", nil, newCounter).With("") {
+		t.Fatal("plain counter is not its family's zero-label series")
 	}
-	if got := r.Snapshot().Gauges["vault.cache.bytes"]; got != 1 {
-		t.Fatalf("gauge = %d, want 1", got)
-	}
-}
-
-func TestLabeledReset(t *testing.T) {
-	r := NewRegistry()
-	lc := r.LabeledCounter("api.requests", "tenant")
-	series := lc.With("acme")
-	series.Add(9)
-	lh := r.LabeledHistogram("vault.put.ns", LatencyBuckets(), "encoding")
-	lh.With("erasure").Observe(5e6)
-
-	r.Reset()
-	if got := series.Load(); got != 0 {
-		t.Fatalf("counter after reset = %d, want 0", got)
-	}
-	if got := lh.With("erasure").Count(); got != 0 {
-		t.Fatalf("hist count after reset = %d, want 0", got)
-	}
-	// The pre-reset pointer still observes into the zeroed series.
-	series.Inc()
-	if got := lc.With("acme").Load(); got != 1 {
-		t.Fatal("pre-reset series pointer detached from family")
+	if got := r.Snapshot().Counters["vault.cache.evictions"]; got != 2 {
+		t.Fatalf("counter = %d, want 2", got)
 	}
 }
 

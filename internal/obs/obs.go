@@ -1,7 +1,7 @@
 // Package obs is the framework's observability layer: a dependency-free
-// metrics registry of atomic counters, gauges, and fixed-bucket
-// histograms with p50/p95/p99 estimation, plus the sliding windows and
-// SLO tables that judge a server by its recent past. Operations are
+// metrics registry of atomic counters and fixed-bucket histograms with
+// p50/p95/p99 estimation, plus the sliding windows and SLO tables that
+// judge a server by its recent past. Operations are
 // timed by internal/obs/trace, whose spans land here as latency
 // histograms. The survivable-storage systems the paper surveys (PASIS,
 // POTSHARDS) treat read-path telemetry as the basis for repair
@@ -42,27 +42,12 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is an atomic value that can move in both directions.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // Registry holds named metric families, one collection per kind. A plain
 // metric is the one series of a family with no label key. The zero value
 // is not usable; call NewRegistry (or use Default).
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Family[*Counter]
-	gauges   map[string]*Family[*Gauge]
 	hists    map[string]*Family[*Histogram]
 }
 
@@ -70,7 +55,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Family[*Counter]),
-		gauges:   make(map[string]*Family[*Gauge]),
 		hists:    make(map[string]*Family[*Histogram]),
 	}
 }
@@ -82,16 +66,10 @@ var defaultRegistry = NewRegistry()
 func Default() *Registry { return defaultRegistry }
 
 func newCounter([]float64) *Counter { return &Counter{} }
-func newGauge([]float64) *Gauge     { return &Gauge{} }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	return family(r, r.counters, name, "", nil, newCounter).With("")
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return family(r, r.gauges, name, "", nil, newGauge).With("")
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -145,30 +123,6 @@ func family[S any](r *Registry, m map[string]*Family[S], name, key string, bound
 		r.Counter("obs.hist.bounds_conflict").Inc()
 	}
 	return f
-}
-
-// Reset zeroes every metric in place. Pointers handed out earlier stay
-// valid (they observe into the zeroed state), so instrumented components
-// need no re-wiring between measurement windows.
-//
-// Reset holds the registry lock exclusively, so it cannot interleave
-// with Snapshot: a snapshot sees every histogram either entirely before
-// or entirely after a concurrent Reset, never a half-zeroed bucket set.
-// (Observations racing either call are individually atomic and may land
-// on either side of the boundary; that skew is inherent to lock-free
-// recording and bounded by the in-flight operations.)
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, f := range r.counters {
-		f.each(func(_ string, c *Counter) { c.v.Store(0) })
-	}
-	for _, f := range r.gauges {
-		f.each(func(_ string, g *Gauge) { g.v.Store(0) })
-	}
-	for _, f := range r.hists {
-		f.each(func(_ string, h *Histogram) { h.reset() })
-	}
 }
 
 // seriesName renders one series' identity: the family name for a plain

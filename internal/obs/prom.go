@@ -8,8 +8,7 @@ import (
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4), which is what the /metrics endpoint serves.
-// Every counter is named <name>_total; gauges map directly; histograms
-// are exported as summaries — pre-computed p50/p95/p99 quantiles plus
+// Every counter is named <name>_total; histograms are exported as summaries — pre-computed p50/p95/p99 quantiles plus
 // _sum and _count — because the registry estimates quantiles at snapshot
 // time rather than shipping raw buckets. Dotted metric names become
 // underscore-separated (vault.get.ok → vault_get_ok), a labelled series
@@ -38,10 +37,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	for _, name := range sortedKeys(s.Counters) {
 		pn, labels := series(name, "counter")
 		fmt.Fprintf(&b, "%s%s %d\n", pn, labels, s.Counters[name])
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		pn, labels := series(name, "gauge")
-		fmt.Fprintf(&b, "%s%s %d\n", pn, labels, s.Gauges[name])
 	}
 	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]

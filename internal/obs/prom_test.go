@@ -9,7 +9,6 @@ import (
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("vault.get.degraded").Add(3)
-	r.Gauge("cluster.nodes.up").Set(12)
 	h := r.Histogram("vault.get.ok", LatencyBuckets())
 	for i := 0; i < 100; i++ {
 		h.Observe(1e6) // 1ms
@@ -23,8 +22,6 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE vault_get_degraded_total counter",
 		"vault_get_degraded_total 3",
-		"# TYPE cluster_nodes_up gauge",
-		"cluster_nodes_up 12",
 		"# TYPE vault_get_ok summary",
 		`vault_get_ok{quantile="0.5"}`,
 		`vault_get_ok{quantile="0.99"}`,
@@ -121,7 +118,7 @@ func TestWritePrometheusLabeled(t *testing.T) {
 	lc := r.LabeledCounter("api.requests", "tenant")
 	lc.With("acme").Add(42)
 	lc.With("umbrella").Add(7)
-	r.Gauge("api.inflight").Set(3)
+	r.Counter("api.admitted").Add(3)
 	lh := r.LabeledHistogram("vault.put.ns", LatencyBuckets(), "encoding")
 	for i := 0; i < 10; i++ {
 		lh.With("erasure").Observe(2e6)
@@ -136,8 +133,8 @@ func TestWritePrometheusLabeled(t *testing.T) {
 		"# TYPE api_requests_total counter",
 		`api_requests_total{tenant="acme"} 42`,
 		`api_requests_total{tenant="umbrella"} 7`,
-		"# TYPE api_inflight gauge",
-		"api_inflight 3",
+		"# TYPE api_admitted_total counter",
+		"api_admitted_total 3",
 		"# TYPE vault_put_ns summary",
 		`vault_put_ns{encoding="erasure",quantile="0.5"}`,
 		`vault_put_ns{encoding="erasure",quantile="0.99"}`,

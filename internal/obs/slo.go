@@ -169,10 +169,6 @@ func DefaultSLOSpecs() []SLOSpec {
 	}
 }
 
-// SLO returns the instance for (subject, spec name), creating the
-// subject's row on first use; nil if the spec name is not declared.
-func (t *SLOTable) SLO(subject, name string) *SLO { return t.Row(subject)[name] }
-
 // Row returns every SLO for one subject keyed by spec name, creating the
 // row on first use — one lock per request for callers that feed several
 // SLOs per event. Past the subject bound, unseen subjects share the

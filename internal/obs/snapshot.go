@@ -24,7 +24,6 @@ type HistogramSnapshot struct {
 type Snapshot struct {
 	Schema     string                       `json:"schema"`
 	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
@@ -40,14 +39,10 @@ func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Schema:     SchemaVersion,
 		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
 	for _, f := range r.counters {
 		f.each(func(name string, c *Counter) { s.Counters[name] = c.Load() })
-	}
-	for _, f := range r.gauges {
-		f.each(func(name string, g *Gauge) { s.Gauges[name] = g.Load() })
 	}
 	for _, f := range r.hists {
 		f.each(func(name string, h *Histogram) {

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 )
@@ -17,14 +15,13 @@ type Exporter interface {
 }
 
 // JSONL streams completed traces to a writer as one JSON object per
-// line — the structured event journal. The format round-trips through
-// ReadJSONL, so a journal written during a fault campaign can be
-// reloaded and inspected offline.
+// line — the structured event journal.
 type JSONL struct {
 	mu sync.Mutex
 	w  io.Writer
-	// Err holds the first write error; once set, later traces are
-	// dropped (an archival journal must never block the data path).
+	// err holds the first write error; once set, later traces are
+	// dropped (an archival journal must never block the data path), and
+	// Err reports it so the journal's owner can fail loudly at shutdown.
 	err error
 }
 
@@ -58,30 +55,6 @@ func (j *JSONL) Err() error {
 	return j.err
 }
 
-// ReadJSONL parses a journal written by JSONL back into traces.
-func ReadJSONL(r io.Reader) ([]*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	var out []*Trace
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var t Trace
-		if err := json.Unmarshal(b, &t); err != nil {
-			return out, fmt.Errorf("trace: journal line %d: %w", line, err)
-		}
-		out = append(out, &t)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("trace: journal read: %w", err)
-	}
-	return out, nil
-}
-
 // Mem collects completed traces in memory — the exporter tests use.
 type Mem struct {
 	mu     sync.Mutex
@@ -100,11 +73,4 @@ func (m *Mem) Traces() []*Trace {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]*Trace(nil), m.traces...)
-}
-
-// Reset drops everything collected so far.
-func (m *Mem) Reset() {
-	m.mu.Lock()
-	m.traces = nil
-	m.mu.Unlock()
 }

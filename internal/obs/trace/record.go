@@ -32,11 +32,10 @@ func (id *ID) UnmarshalText(b []byte) error {
 // Kind discriminates an Attr's payload.
 type Kind uint8
 
-// Attr kinds. String values live in Str; ints and bools in Num.
+// Attr kinds. String values live in Str; ints in Num.
 const (
 	KindString Kind = iota
 	KindInt
-	KindBool
 )
 
 // Attr is one typed span or event attribute. The payload is stored
@@ -58,28 +57,12 @@ func Int(key string, v int) Attr { return Attr{Key: key, Kind: KindInt, Num: int
 // Int64 builds an integer attribute from an int64 (byte counts, delays).
 func Int64(key string, v int64) Attr { return Attr{Key: key, Kind: KindInt, Num: v} }
 
-// Bool builds a boolean attribute.
-func Bool(key string, v bool) Attr {
-	a := Attr{Key: key, Kind: KindBool}
-	if v {
-		a.Num = 1
-	}
-	return a
-}
-
 // ValueString renders the attribute's payload for display.
 func (a Attr) ValueString() string {
-	switch a.Kind {
-	case KindString:
+	if a.Kind == KindString {
 		return a.Str
-	case KindBool:
-		if a.Num != 0 {
-			return "true"
-		}
-		return "false"
-	default:
-		return strconv.FormatInt(a.Num, 10)
 	}
+	return strconv.FormatInt(a.Num, 10)
 }
 
 // Event is a point-in-time occurrence inside a span — a shard discarded,
@@ -170,16 +153,6 @@ func (t *Trace) Interesting(slowNs int64) bool {
 		}
 	}
 	return false
-}
-
-// Span returns the span with the given ID, or nil.
-func (t *Trace) Span(id uint64) *SpanRecord {
-	for _, s := range t.Spans {
-		if s.SpanID == id {
-			return s
-		}
-	}
-	return nil
 }
 
 // Children returns the spans whose parent is the given span ID, in

@@ -114,9 +114,9 @@ func TestSLOLatency(t *testing.T) {
 
 func TestSLOTableReport(t *testing.T) {
 	tab := NewSLOTable(DefaultSLOSpecs()...)
-	tab.SLO("acme", "availability").RecordAt(t0, true)
-	tab.SLO("umbrella", "availability").RecordAt(t0, false)
-	tab.SLO("umbrella", "get.latency").ObserveAt(t0, 5e6)
+	tab.Row("acme")["availability"].RecordAt(t0, true)
+	tab.Row("umbrella")["availability"].RecordAt(t0, false)
+	tab.Row("umbrella")["get.latency"].ObserveAt(t0, 5e6)
 
 	rep := tab.ReportAt(t0)
 	if rep.Schema != SLOReportSchema {
@@ -145,10 +145,10 @@ func TestSLOTableReport(t *testing.T) {
 func TestSLOTableSubjectOverflow(t *testing.T) {
 	tab := NewSLOTable(SLOSpec{Name: "availability", Objective: 0.999})
 	for i := 0; i < DefaultMaxSeries; i++ {
-		tab.SLO(fmt.Sprintf("t%02d", i), "availability").RecordAt(t0, true)
+		tab.Row(fmt.Sprintf("t%02d", i))["availability"].RecordAt(t0, true)
 	}
-	tab.SLO("extra-1", "availability").RecordAt(t0, false) // lands on overflow row
-	tab.SLO("extra-2", "availability").RecordAt(t0, false) // same row
+	tab.Row("extra-1")["availability"].RecordAt(t0, false) // lands on overflow row
+	tab.Row("extra-2")["availability"].RecordAt(t0, false) // same row
 
 	rep := tab.ReportAt(t0)
 	if len(rep.Subjects) != DefaultMaxSeries+1 {

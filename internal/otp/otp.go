@@ -60,13 +60,6 @@ func (p *Pad) Remaining() int {
 	return len(p.key) - p.next
 }
 
-// Size returns the total pad size in bytes.
-func (p *Pad) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.key)
-}
-
 // Ciphertext is an OTP ciphertext together with the pad interval that
 // encrypted it; the interval (not the key bytes) is what the receiver
 // needs to locate the matching pad region on its own copy.
@@ -121,12 +114,4 @@ func (p *Pad) Decrypt(ct *Ciphertext) ([]byte, error) {
 		p.key[ct.Offset+i] = 0
 	}
 	return msg, nil
-}
-
-// StorageOverhead is the Figure-1 accounting for OTP: ciphertext plus an
-// equally long key that must be stored somewhere, per replica.
-func StorageOverhead(replicas int) float64 {
-	// Each replica stores ciphertext; the key is stored once (or shared).
-	// Cost relative to plaintext: replicas (ciphertext copies) + 1 (key).
-	return float64(replicas + 1)
 }

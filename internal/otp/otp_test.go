@@ -41,7 +41,7 @@ func clonePad(t *testing.T, p *Pad) *Pad {
 
 func TestPadConsumption(t *testing.T) {
 	pad, _ := NewRandomPad(100, rand.Reader)
-	if pad.Remaining() != 100 || pad.Size() != 100 {
+	if pad.Remaining() != 100 {
 		t.Fatal("fresh pad accounting wrong")
 	}
 	if _, err := pad.Encrypt(make([]byte, 60)); err != nil {
@@ -145,12 +145,16 @@ func TestPerfectSecrecyEnumeration(t *testing.T) {
 	}
 }
 
+// TestStorageOverhead is Figure 1's accounting for OTP: a message costs
+// its ciphertext plus an equally long stretch of pad, so 2x.
 func TestStorageOverhead(t *testing.T) {
-	if StorageOverhead(1) != 2.0 {
-		t.Fatalf("single replica OTP overhead = %v, want 2", StorageOverhead(1))
+	pad, _ := NewRandomPad(1000, rand.Reader)
+	ct, err := pad.Encrypt(make([]byte, 600))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if StorageOverhead(3) != 4.0 {
-		t.Fatalf("3-replica OTP overhead = %v, want 4", StorageOverhead(3))
+	if stored := len(ct.Body) + 1000 - pad.Remaining(); stored != 2*600 {
+		t.Fatalf("stored %d bytes for 600, want %d", stored, 2*600)
 	}
 }
 

@@ -2,9 +2,9 @@
 // paths (rs, shamir, packed) use to spread encode/decode work across
 // goroutines.
 //
-// The model is deliberately minimal: a chunked loop (For) and a bounded
-// task runner (Do), both capped by a worker count that defaults to
-// runtime.GOMAXPROCS(0). Work is partitioned statically into contiguous
+// The model is deliberately minimal: a chunked loop (For) and a
+// two-stage pipeline (Pipeline), with For capped by a worker count that
+// defaults to runtime.GOMAXPROCS(0). Work is partitioned statically into contiguous
 // chunks — coding workloads are uniform per byte, so static partitioning
 // beats a work-stealing queue and keeps each worker streaming over one
 // contiguous byte range (cache-friendly, no false sharing on shard
@@ -16,7 +16,6 @@ package parallel
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Workers resolves a requested parallelism degree: values <= 0 select
@@ -86,48 +85,6 @@ func Span(n, k, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// Do runs the given functions with at most p executing concurrently
-// (p <= 0 means GOMAXPROCS) and returns when all have finished. Exactly
-// min(p, len(fns)) goroutines are spawned (one of them the caller), each
-// pulling tasks from a shared index — the seed version spawned one
-// goroutine per task and merely bounded concurrency with a semaphore,
-// which showed up as per-put goroutine churn under profiling.
-func Do(p int, fns ...func()) {
-	if len(fns) == 0 {
-		return
-	}
-	p = Workers(p)
-	if p > len(fns) {
-		p = len(fns)
-	}
-	if p == 1 {
-		for _, fn := range fns {
-			fn()
-		}
-		return
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(fns) {
-				return
-			}
-			fns[i]()
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(p - 1)
-	for i := 1; i < p; i++ {
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
 }
 
 // Pipeline runs a two-stage producer/consumer pipeline over a bounded

@@ -94,60 +94,6 @@ func TestSpanPartitions(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var sum int64
-	fns := make([]func(), 37)
-	for i := range fns {
-		i := i
-		fns[i] = func() { atomic.AddInt64(&sum, int64(i)) }
-	}
-	Do(4, fns...)
-	if sum != 37*36/2 {
-		t.Fatalf("Do: sum = %d, want %d", sum, 37*36/2)
-	}
-	// Serial path.
-	sum = 0
-	Do(1, fns...)
-	if sum != 37*36/2 {
-		t.Fatalf("Do serial: sum = %d, want %d", sum, 37*36/2)
-	}
-}
-
-// TestDoBoundsGoroutines verifies Do spawns at most min(p, len(fns))-1
-// extra goroutines (the caller is one worker): concurrency observed from
-// inside the tasks never exceeds the bound.
-func TestDoBoundsGoroutines(t *testing.T) {
-	const p = 2
-	var cur, peak int64
-	fns := make([]func(), 64)
-	for i := range fns {
-		fns[i] = func() {
-			c := atomic.AddInt64(&cur, 1)
-			for {
-				old := atomic.LoadInt64(&peak)
-				if c <= old || atomic.CompareAndSwapInt64(&peak, old, c) {
-					break
-				}
-			}
-			atomic.AddInt64(&cur, -1)
-		}
-	}
-	Do(p, fns...)
-	bound := int64(p)
-	if g := int64(runtime.GOMAXPROCS(0)); bound > g {
-		bound = g
-	}
-	if peak > bound {
-		t.Fatalf("Do(%d): observed concurrency %d > bound %d", p, peak, bound)
-	}
-	// One task with huge p must not panic or deadlock.
-	ran := false
-	Do(1<<20, func() { ran = true })
-	if !ran {
-		t.Fatal("single fn not run")
-	}
-}
-
 func TestPipelineOrdered(t *testing.T) {
 	var got []int
 	err := Pipeline(2,

@@ -16,9 +16,8 @@
 //
 //   - DataCommittee refreshes bulk GF(2^8) Shamir shares (Herzberg-style
 //     zero-sharing). Dealings carry SHA-256 commitments that let receivers
-//     detect substitution, and an explicit audit step reconstructs a
-//     dealing to verify it shared zero — the "verifiable secret sharing as
-//     a sub-protocol" the paper describes, instantiated with hash
+//     detect substitution — the "verifiable secret sharing as a
+//     sub-protocol" the paper describes, instantiated with hash
 //     commitments (computational integrity is acceptable long-term per
 //     §3.3, since it only needs to hold until the next renewal).
 //
@@ -46,7 +45,6 @@ var (
 	ErrNotZeroSharing = errors.New("pss: dealing does not share zero")
 	ErrWrongCommittee = errors.New("pss: share does not belong to this committee")
 	ErrTooFewHolders  = errors.New("pss: not enough holders to reconstruct")
-	ErrAuditTooSmall  = errors.New("pss: audit requires more opened subshares")
 )
 
 // CommStats accumulates protocol traffic, the measurable cost the paper
@@ -144,31 +142,6 @@ func VerifyDealingFor(dl Dealing, j int) error {
 	}
 	if commitSubShare(dl.SubShares[j]) != dl.Commitments[j] {
 		return fmt.Errorf("%w: dealer %d → holder %d", ErrCommitMismatch, dl.Dealer, j)
-	}
-	return nil
-}
-
-// AuditDealing reconstructs the dealt polynomial from opened subshares and
-// verifies it shares zero. It needs at least t+1 subshares: t to
-// interpolate and at least one more to confirm polynomial degree (the
-// shamir surplus-consistency check). This is the dispute-phase audit: it
-// destroys the dealing's secrecy, which is fine because a disputed dealing
-// is discarded.
-func AuditDealing(dl Dealing, t int, secretLen int) error {
-	if len(dl.SubShares) < t+1 {
-		return fmt.Errorf("%w: have %d, need %d", ErrAuditTooSmall, len(dl.SubShares), t+1)
-	}
-	val, err := shamir.Combine(dl.SubShares)
-	if err != nil {
-		return fmt.Errorf("pss: audit reconstruction: %w", err)
-	}
-	for i, b := range val {
-		if b != 0 {
-			return fmt.Errorf("%w: byte %d is %#x", ErrNotZeroSharing, i, b)
-		}
-	}
-	if len(val) != secretLen {
-		return fmt.Errorf("%w: dealt length %d, want %d", ErrNotZeroSharing, len(val), secretLen)
 	}
 	return nil
 }

@@ -51,35 +51,6 @@ func NewScalarCommittee(g *group.Group, secret *big.Int, n, t int, rnd io.Reader
 	return &ScalarCommittee{G: g, N: n, T: t, Shares: shares, Comms: comms}, nil
 }
 
-// VerifyHolder checks holder i's current share against the committee's
-// public commitments.
-func (c *ScalarCommittee) VerifyHolder(i int) error {
-	if i < 0 || i >= c.N {
-		return fmt.Errorf("%w: holder %d", ErrWrongCommittee, i)
-	}
-	return vss.Verify(c.Comms, c.Shares[i])
-}
-
-// Reconstruct recovers the secret from the holders with the given indices,
-// verifying each contributed share first — a corrupt holder is identified,
-// not merely detected.
-func (c *ScalarCommittee) Reconstruct(holders ...int) (*big.Int, error) {
-	if len(holders) < c.T {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewHolders, len(holders), c.T)
-	}
-	sel := make([]vss.Share, 0, len(holders))
-	for _, h := range holders {
-		if h < 0 || h >= c.N {
-			return nil, fmt.Errorf("%w: holder %d", ErrWrongCommittee, h)
-		}
-		if err := vss.Verify(c.Comms, c.Shares[h]); err != nil {
-			return nil, fmt.Errorf("holder %d: %w", h, err)
-		}
-		sel = append(sel, c.Shares[h])
-	}
-	return vss.Combine(c.G, sel, c.T)
-}
-
 // deal produces holder d's verifiable zero-dealing.
 func (c *ScalarCommittee) deal(d int, rnd io.Reader) (ScalarDealing, error) {
 	// A Pedersen sharing of 0: coefficients a_0 = 0, blinding b_0 random.
@@ -212,7 +183,7 @@ func (c *ScalarCommittee) Redistribute(nNew, tNew int, rnd io.Reader) (*ScalarCo
 	out := &ScalarCommittee{
 		G: g, N: nNew, T: tNew, Epoch: c.Epoch + 1,
 		Shares: newShares,
-		Comms:  &vss.Commitments{G: g, Pedersen: true, C: newC},
+		Comms:  &vss.Commitments{G: g, C: newC},
 		Stats:  c.Stats,
 	}
 	out.Stats.Rounds++
@@ -287,7 +258,7 @@ func (c *ScalarCommittee) Renew(rnd io.Reader) error {
 		}
 		newC[k] = acc
 	}
-	c.Comms = &vss.Commitments{G: c.G, Pedersen: true, C: newC}
+	c.Comms = &vss.Commitments{G: c.G, C: newC}
 	c.Epoch++
 	c.Stats.Rounds++
 	return nil

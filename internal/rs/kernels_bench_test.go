@@ -69,35 +69,6 @@ func BenchmarkRSEncodeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkRSEncodeInto measures the pooled split+parity path used by
-// the vault's batched/chunked writers; allocs/op should read 0 for
-// sub-grain payloads once the pools are warm.
-func BenchmarkRSEncodeInto(b *testing.B) {
-	const k, m = 10, 4
-	c, err := Cached(k, m, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, payload := range []int{4 << 10, 48 << 10, 1 << 20} {
-		data := make([]byte, payload)
-		rand.New(rand.NewSource(int64(payload))).Read(data)
-		b.Run(sizeLabel(payload), func(b *testing.B) {
-			b.SetBytes(int64(payload))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := c.AcquireShards(payload)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := c.EncodeInto(data, s); err != nil {
-					b.Fatal(err)
-				}
-				s.Release()
-			}
-		})
-	}
-}
-
 func sizeLabel(n int) string {
 	if n >= 1<<20 {
 		return fmt.Sprintf("%dMiB", n>>20)

@@ -6,74 +6,6 @@ import (
 	"testing"
 )
 
-// TestEncodeIntoMatchesEncode is the differential check for the pooled
-// path: EncodeInto must produce byte-identical shards to Encode for every
-// shape and size, including sizes that leave a zero-padded tail in dirty
-// pooled memory.
-func TestEncodeIntoMatchesEncode(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, shape := range [][2]int{{1, 0}, {2, 1}, {4, 2}, {10, 4}} {
-		c, err := New(shape[0], shape[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{1, 7, 100, 4096, 4097, 70_000} {
-			data := make([]byte, n)
-			rng.Read(data)
-			want, err := c.Encode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Dirty the pool: acquire, scribble, release, re-acquire.
-			s0, err := c.AcquireShards(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sh := range s0.Shards {
-				for i := range sh {
-					sh[i] = 0xAA
-				}
-			}
-			s0.Release()
-			s, err := c.AcquireShards(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.EncodeInto(data, s); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if !bytes.Equal(want[i], s.Shards[i]) {
-					t.Fatalf("k=%d m=%d n=%d: shard %d differs", shape[0], shape[1], n, i)
-				}
-			}
-			s.Release()
-		}
-	}
-}
-
-func TestEncodeIntoShapeErrors(t *testing.T) {
-	c, _ := New(4, 2)
-	s, err := c.AcquireShards(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Release()
-	if err := c.EncodeInto(nil, s); err == nil {
-		t.Fatal("empty data accepted")
-	}
-	// Wrong size for this set.
-	if err := c.EncodeInto(make([]byte, 5000), s); err == nil {
-		t.Fatal("mismatched set size accepted")
-	}
-	other, _ := New(10, 4)
-	if err := other.EncodeInto(make([]byte, 1000), s); err == nil {
-		t.Fatal("foreign set accepted")
-	}
-	var nilSet *ShardSet
-	nilSet.Release() // nil-safe
-}
-
 func TestCachedReturnsSameCode(t *testing.T) {
 	a, err := Cached(10, 4, 1)
 	if err != nil {
@@ -111,46 +43,8 @@ func TestCachedReturnsSameCode(t *testing.T) {
 	}
 }
 
-// TestEncodeIntoZeroAllocs is the tentpole's steady-state allocation
-// gate: a warm AcquireShards → EncodeInto → Release cycle on a
-// sub-grain payload (the batched small-stripe hot path) must not touch
-// the allocator. Payloads at or above chunkGrain may fan out across
-// goroutines, which allocates by design; the batcher flushes stripes
-// well below that threshold.
-func TestEncodeIntoZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; gate runs in non-race builds")
-	}
-	c, err := Cached(10, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 48<<10) // shard size ~4.8 KiB, far below chunkGrain
-	rand.New(rand.NewSource(7)).Read(data)
-	// Warm the pools and the lazily-built gf256 full table.
-	for i := 0; i < 8; i++ {
-		s, err := c.AcquireShards(len(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.EncodeInto(data, s); err != nil {
-			t.Fatal(err)
-		}
-		s.Release()
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s, _ := c.AcquireShards(len(data))
-		c.EncodeInto(data, s)
-		s.Release()
-	})
-	// A genuine per-op allocation reads >= 1.0; fractional values below
-	// 0.5 are a stray GC clearing the pools mid-run, not a regression.
-	if allocs >= 0.5 {
-		t.Fatalf("steady-state EncodeInto allocates %.2f/op, want 0", allocs)
-	}
-}
-
-// TestVerifyZeroAllocs gates the pooled scrub-path scratch the same way.
+// TestVerifyZeroAllocs gates the pooled scrub-path scratch: a warm Verify
+// on a sub-grain stripe must not touch the allocator.
 func TestVerifyZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in non-race builds")

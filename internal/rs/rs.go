@@ -188,9 +188,6 @@ func mulAssign(coeff byte, tab *[256]byte, src, dst []byte) {
 // DataShards returns k, the number of data shards.
 func (c *Code) DataShards() int { return c.data }
 
-// ParityShards returns m, the number of parity shards.
-func (c *Code) ParityShards() int { return c.parity }
-
 // TotalShards returns n = k + m.
 func (c *Code) TotalShards() int { return c.data + c.parity }
 
@@ -242,9 +239,7 @@ func (c *Code) Encode(data []byte) ([][]byte, error) {
 // length, the first k containing data; the last m are overwritten. The
 // work is split across goroutines by parity row and byte range, bounded
 // by the code's parallelism. Payloads below the parallel grain run fully
-// inline — no goroutines, no closure allocation — which is what makes
-// the steady-state 0 allocs/op gate hold on the batched small-stripe
-// path.
+// inline — no goroutines, no closure allocation.
 func (c *Code) EncodeShards(shards [][]byte) error {
 	if err := c.checkShape(shards, true); err != nil {
 		return err
@@ -274,80 +269,6 @@ func (c *Code) encodeRowRange(i, lo, hi int, shards [][]byte) {
 	for j := 1; j < c.data; j++ {
 		mulAcc(row[j], tabs[j], shards[j][lo:hi], out)
 	}
-}
-
-// ShardSet is a pooled set of shard buffers carved out of one contiguous
-// pooled allocation. Acquire with Code.AcquireShards, fill via
-// Code.EncodeInto, and Release when the shards have been copied out (the
-// cluster copies on Put, so release immediately after dispersal).
-type ShardSet struct {
-	Shards [][]byte
-	buf    *bufpool.Buf
-}
-
-var shardSetPool = sync.Pool{New: func() any { return new(ShardSet) }}
-
-// AcquireShards returns a pooled ShardSet holding TotalShards() slices
-// of ShardSize(dataLen) bytes each. Contents are NOT zeroed — EncodeInto
-// overwrites every byte.
-func (c *Code) AcquireShards(dataLen int) (*ShardSet, error) {
-	if dataLen <= 0 {
-		return nil, ErrEmptyData
-	}
-	n := c.TotalShards()
-	size := c.ShardSize(dataLen)
-	s := shardSetPool.Get().(*ShardSet)
-	s.buf = bufpool.Get(n * size)
-	if cap(s.Shards) < n {
-		s.Shards = make([][]byte, n)
-	} else {
-		s.Shards = s.Shards[:n]
-	}
-	for i := 0; i < n; i++ {
-		s.Shards[i] = s.buf.B[i*size : (i+1)*size : (i+1)*size]
-	}
-	return s, nil
-}
-
-// Release returns the set and its backing buffer to their pools. The
-// shard slices must not be used afterwards.
-func (s *ShardSet) Release() {
-	if s == nil {
-		return
-	}
-	for i := range s.Shards {
-		s.Shards[i] = nil
-	}
-	s.buf.Release()
-	s.buf = nil
-	shardSetPool.Put(s)
-}
-
-// EncodeInto splits data into the set's k data shards (zero-padding the
-// final shard) and computes the m parity shards in place — the pooled,
-// allocation-free counterpart of Encode. The set must come from
-// AcquireShards(len(data)) on the same code.
-func (c *Code) EncodeInto(data []byte, s *ShardSet) error {
-	if len(data) == 0 {
-		return ErrEmptyData
-	}
-	if len(s.Shards) != c.TotalShards() {
-		return fmt.Errorf("%w: set has %d, want %d", ErrShardCount, len(s.Shards), c.TotalShards())
-	}
-	size := len(s.Shards[0])
-	if size != c.ShardSize(len(data)) {
-		return fmt.Errorf("%w: shard size %d for %d data bytes", ErrInvalidDataSize, size, len(data))
-	}
-	for i := 0; i < c.data; i++ {
-		lo := i * size
-		m := 0
-		if lo < len(data) {
-			m = copy(s.Shards[i], data[lo:min(lo+size, len(data))])
-		}
-		// Pooled memory is dirty; zero the padding tail explicitly.
-		clear(s.Shards[i][m:])
-	}
-	return c.EncodeShards(s.Shards)
 }
 
 // forRowChunks runs fn(row, lo, hi) over the product of `rows` output

@@ -270,31 +270,3 @@ func validate(shares []Share) error {
 	}
 	return nil
 }
-
-// Add returns the share-wise sum of two sharings with identical point sets
-// and thresholds. Because sharing is linear, the result is a valid sharing
-// of the sum (XOR) of the two secrets. This homomorphism is the engine of
-// proactive refresh: adding a sharing of zero re-randomises every share
-// without touching the secret.
-func Add(a, b []Share) ([]Share, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: share count %d != %d", ErrInvalidParams, len(a), len(b))
-	}
-	out := make([]Share, len(a))
-	for i := range a {
-		if a[i].X != b[i].X {
-			return nil, fmt.Errorf("%w: x mismatch at %d (%d != %d)", ErrInvalidParams, i, a[i].X, b[i].X)
-		}
-		if a[i].Threshold != b[i].Threshold {
-			return nil, ErrInvalidThreshold
-		}
-		if len(a[i].Payload) != len(b[i].Payload) {
-			return nil, ErrPayloadSize
-		}
-		p := make([]byte, len(a[i].Payload))
-		copy(p, a[i].Payload)
-		gf256.AddSlice(b[i].Payload, p)
-		out[i] = Share{X: a[i].X, Threshold: a[i].Threshold, Payload: p}
-	}
-	return out, nil
-}

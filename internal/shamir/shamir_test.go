@@ -195,16 +195,26 @@ func TestCombineAtRecreatesShares(t *testing.T) {
 	}
 }
 
+// addShares is the share-wise sum of two sharings over the same points,
+// the step pss renewal applies in place: sharing is linear, so the sum
+// shares the XOR of the two secrets.
+func addShares(a, b []Share) []Share {
+	out := make([]Share, len(a))
+	for i := range a {
+		out[i] = a[i].Clone()
+		for j, v := range b[i].Payload {
+			out[i].Payload[j] ^= v
+		}
+	}
+	return out
+}
+
 func TestAddHomomorphism(t *testing.T) {
 	a := []byte{1, 2, 3, 4}
 	b := []byte{0xF0, 0x0F, 0xAA, 0x55}
 	sa, _ := Split(a, 4, 2, rand.Reader)
 	sb, _ := Split(b, 4, 2, rand.Reader)
-	sum, err := Add(sa, sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Combine(sum[:2])
+	got, err := Combine(addShares(sa, sb)[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,28 +233,12 @@ func TestAddZeroSharingRefreshes(t *testing.T) {
 	// change; but the sum still encodes the secret. (The zero sharing here
 	// shares the literal zero string, which is what Herzberg refresh does
 	// modulo the f(0)=0 constraint; pss package handles that precisely.)
-	refreshed, err := Add(orig, zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Combine(refreshed[:2])
+	got, err := Combine(addShares(orig, zero)[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, secret) {
 		t.Fatal("refreshed shares do not reconstruct the secret")
-	}
-}
-
-func TestAddValidation(t *testing.T) {
-	sa, _ := Split([]byte("ab"), 3, 2, rand.Reader)
-	sb, _ := Split([]byte("cd"), 4, 2, rand.Reader)
-	if _, err := Add(sa, sb); !errors.Is(err, ErrInvalidParams) {
-		t.Fatalf("count mismatch: %v", err)
-	}
-	sc, _ := Split([]byte("ef"), 3, 3, rand.Reader)
-	if _, err := Add(sa, sc); !errors.Is(err, ErrInvalidThreshold) {
-		t.Fatalf("threshold mismatch: %v", err)
 	}
 }
 

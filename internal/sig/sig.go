@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Scheme names a registered signature scheme.
@@ -75,16 +74,6 @@ func Get(s Scheme) (Signer, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownScheme, s)
 	}
 	return sg, nil
-}
-
-// Schemes lists registered schemes in deterministic order.
-func Schemes() []Scheme {
-	out := make([]Scheme, 0, len(registry))
-	for s := range registry {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // ---- Ed25519 ----

@@ -3,12 +3,17 @@ package sig
 import (
 	"crypto/rand"
 	"errors"
+	"sort"
 	"testing"
 )
 
+// schemes is every registered scheme, in name order; the loops below
+// cover each one.
+var schemes = []Scheme{ECDSAP256, Ed25519, RSAPSS2048}
+
 func TestAllSchemesSignVerify(t *testing.T) {
 	msg := []byte("long-term integrity needs rotation")
-	for _, s := range Schemes() {
+	for _, s := range schemes {
 		signer, err := Get(s)
 		if err != nil {
 			t.Fatal(err)
@@ -32,7 +37,7 @@ func TestAllSchemesSignVerify(t *testing.T) {
 
 func TestVerifyRejectsTamperedMessage(t *testing.T) {
 	msg := []byte("authentic")
-	for _, s := range Schemes() {
+	for _, s := range schemes {
 		signer, _ := Get(s)
 		kp, _ := signer.Generate(rand.Reader)
 		sigBytes, _ := signer.Sign(kp, msg, rand.Reader)
@@ -44,7 +49,7 @@ func TestVerifyRejectsTamperedMessage(t *testing.T) {
 
 func TestVerifyRejectsTamperedSignature(t *testing.T) {
 	msg := []byte("authentic")
-	for _, s := range Schemes() {
+	for _, s := range schemes {
 		signer, _ := Get(s)
 		kp, _ := signer.Generate(rand.Reader)
 		sigBytes, _ := signer.Sign(kp, msg, rand.Reader)
@@ -57,7 +62,7 @@ func TestVerifyRejectsTamperedSignature(t *testing.T) {
 
 func TestVerifyRejectsWrongKey(t *testing.T) {
 	msg := []byte("authentic")
-	for _, s := range Schemes() {
+	for _, s := range schemes {
 		signer, _ := Get(s)
 		kp1, _ := signer.Generate(rand.Reader)
 		kp2, _ := signer.Generate(rand.Reader)
@@ -75,7 +80,7 @@ func TestUnknownScheme(t *testing.T) {
 }
 
 func TestBadPublicKey(t *testing.T) {
-	for _, s := range Schemes() {
+	for _, s := range schemes {
 		signer, _ := Get(s)
 		if err := signer.Verify([]byte{1, 2, 3}, []byte("m"), []byte("s")); err == nil {
 			t.Fatalf("%s: garbage public key accepted", s)
@@ -99,15 +104,21 @@ func TestBreakSchedule(t *testing.T) {
 	}
 }
 
+// TestSchemesDeterministicOrder pins the list the tests loop over to the
+// registry, in name order, so a newly registered scheme cannot go
+// untested.
 func TestSchemesDeterministicOrder(t *testing.T) {
-	a := Schemes()
-	b := Schemes()
-	if len(a) != 3 {
-		t.Fatalf("%d schemes, want 3", len(a))
+	var registered []Scheme
+	for s := range registry {
+		registered = append(registered, s)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Schemes() order not deterministic")
+	sort.Slice(registered, func(i, j int) bool { return registered[i] < registered[j] })
+	if len(registered) != len(schemes) {
+		t.Fatalf("registry has %v, tests cover %v", registered, schemes)
+	}
+	for i := range registered {
+		if registered[i] != schemes[i] {
+			t.Fatalf("registry has %v, tests cover %v", registered, schemes)
 		}
 	}
 }

@@ -117,9 +117,9 @@ func (s *VSRArchive) Renew(ref *Ref, rnd io.Reader) error {
 
 // Repair rebuilds a lost or corrupted provider's share from t verified
 // providers and re-publishes its commitment. (The deployed protocol
-// blinds the helpers' contributions — see pss.RecoverShare for the
-// blinded variant; at the system layer the observable effect is
-// identical: the provider ends up with a share consistent with the
+// blinds the helpers' contributions with a random polynomial that
+// vanishes at the lost point; at the system layer the observable effect
+// is identical: the provider ends up with a share consistent with the
 // current polynomial.) The rebuilt share is written like any stripe,
 // staged and committed, before its commitment changes.
 func (s *VSRArchive) Repair(ref *Ref, lost int, rnd io.Reader) error {

@@ -348,13 +348,5 @@ func (c *Chain) GroupID() string {
 	return c.groupID
 }
 
-// Head returns the most recent link.
-func (c *Chain) Head() *Link {
-	if len(c.Links) == 0 {
-		return nil
-	}
-	return c.Links[len(c.Links)-1]
-}
-
 // Len returns the number of links.
 func (c *Chain) Len() int { return len(c.Links) }

@@ -1,5 +1,5 @@
-// Package vss implements verifiable secret sharing (VSS) over a
-// prime-order group: Feldman's scheme and Pedersen's scheme.
+// Package vss implements Pedersen verifiable secret sharing (VSS) over a
+// prime-order group.
 //
 // Plain Shamir sharing (package shamir) trusts the dealer and the
 // shareholders: a corrupt dealer can hand out inconsistent shares, and a
@@ -8,12 +8,10 @@
 // sharing (§3.3). VSS fixes this by publishing commitments to the sharing
 // polynomial's coefficients against which every share can be checked.
 //
-// Feldman VSS publishes A_j = g^{a_j}; verification checks
-// g^{s_i} = Π_j A_j^{i^j}. It is only computationally hiding (g^{secret}
-// leaks under a discrete-log break), so this repository uses it as the
-// *baseline* and uses Pedersen VSS — commitments C_j = g^{a_j}·h^{b_j}
-// over a companion blinding polynomial — where long-term confidentiality
-// matters: Pedersen VSS is information-theoretically hiding and is the
+// Feldman VSS publishes A_j = g^{a_j}, which is only computationally
+// hiding: g^{secret} leaks under a discrete-log break. Pedersen VSS
+// commits C_j = g^{a_j}·h^{b_j} over a companion blinding polynomial
+// instead, which is information-theoretically hiding and is the
 // sub-protocol the paper names for safeguarding proactive renewal.
 //
 // Shares here are scalars in Z_q; bulk data takes the GF(256) path
@@ -38,25 +36,20 @@ var (
 	ErrDuplicateShare = errors.New("vss: duplicate share index")
 )
 
-// Share is one participant's scalar share. For Feldman sharings Blind is
-// nil; for Pedersen sharings it carries the share of the blinding
-// polynomial.
+// Share is one participant's scalar share: the secret polynomial's value
+// and the blinding polynomial's value at X.
 type Share struct {
 	X     int64    // evaluation point, 1..n
 	S     *big.Int // f(X) mod q
-	Blind *big.Int // f'(X) mod q, Pedersen only
+	Blind *big.Int // f'(X) mod q
 }
 
-// Commitments is the public verification vector: A_j (Feldman) or
-// C_j (Pedersen), one per polynomial coefficient, degree order.
+// Commitments is the public verification vector C_j, one per polynomial
+// coefficient, degree order.
 type Commitments struct {
-	G        *group.Group
-	Pedersen bool
-	C        []*big.Int
+	G *group.Group
+	C []*big.Int
 }
-
-// Threshold returns t, the reconstruction threshold.
-func (c *Commitments) Threshold() int { return len(c.C) }
 
 // evalPoly evaluates a polynomial with coefficients coeffs (constant
 // first) at x, mod q.
@@ -82,28 +75,6 @@ func randPoly(g *group.Group, secret *big.Int, t int, rnd io.Reader) ([]*big.Int
 		coeffs[j] = c
 	}
 	return coeffs, nil
-}
-
-// FeldmanSplit shares secret (a scalar mod q) into n shares with threshold
-// t and returns the shares plus the public commitment vector.
-func FeldmanSplit(g *group.Group, secret *big.Int, n, t int, rnd io.Reader) ([]Share, *Commitments, error) {
-	if err := checkParams(n, t); err != nil {
-		return nil, nil, err
-	}
-	coeffs, err := randPoly(g, secret, t, rnd)
-	if err != nil {
-		return nil, nil, err
-	}
-	shares := make([]Share, n)
-	for i := 0; i < n; i++ {
-		x := int64(i + 1)
-		shares[i] = Share{X: x, S: evalPoly(coeffs, x, g.Q)}
-	}
-	comms := &Commitments{G: g, Pedersen: false, C: make([]*big.Int, t)}
-	for j, a := range coeffs {
-		comms.C[j] = g.ExpG(a)
-	}
-	return shares, comms, nil
 }
 
 // PedersenSplit shares secret with threshold t, additionally sampling a
@@ -140,7 +111,7 @@ func PedersenSplitWithBlind(g *group.Group, secret, b0 *big.Int, n, t int, rnd i
 		x := int64(i + 1)
 		shares[i] = Share{X: x, S: evalPoly(coeffs, x, g.Q), Blind: evalPoly(blind, x, g.Q)}
 	}
-	comms := &Commitments{G: g, Pedersen: true, C: make([]*big.Int, t)}
+	comms := &Commitments{G: g, C: make([]*big.Int, t)}
 	for j := range coeffs {
 		comms.C[j] = g.Mul(g.ExpG(coeffs[j]), g.ExpH(blind[j]))
 	}
@@ -149,22 +120,16 @@ func PedersenSplitWithBlind(g *group.Group, secret, b0 *big.Int, n, t int, rnd i
 
 // Verify checks a share against the commitment vector:
 //
-//	Feldman:  g^{s}           == Π_j C_j^{x^j}
-//	Pedersen: g^{s} · h^{s'}  == Π_j C_j^{x^j}
+//	g^{s} · h^{s'}  == Π_j C_j^{x^j}
 func Verify(c *Commitments, s Share) error {
 	if s.S == nil || s.X <= 0 {
 		return fmt.Errorf("%w: malformed share", ErrVerifyFailed)
 	}
-	g := c.G
-	var lhs *big.Int
-	if c.Pedersen {
-		if s.Blind == nil {
-			return fmt.Errorf("%w: missing blinding share", ErrVerifyFailed)
-		}
-		lhs = g.Mul(g.ExpG(s.S), g.ExpH(s.Blind))
-	} else {
-		lhs = g.ExpG(s.S)
+	if s.Blind == nil {
+		return fmt.Errorf("%w: missing blinding share", ErrVerifyFailed)
 	}
+	g := c.G
+	lhs := g.Mul(g.ExpG(s.S), g.ExpH(s.Blind))
 	rhs := big.NewInt(1)
 	xj := big.NewInt(1)
 	x := big.NewInt(s.X)
@@ -229,31 +194,6 @@ func lagrangeAtZero(shares []Share, i int, q *big.Int) *big.Int {
 	den.ModInverse(den, q)
 	out := new(big.Int).Mul(num, den)
 	return out.Mod(out, q)
-}
-
-// SplitBytes shares a byte-string secret that fits the group's scalar
-// capacity, using Pedersen VSS (the information-theoretically hiding
-// scheme) by default.
-func SplitBytes(g *group.Group, secret []byte, n, t int, rnd io.Reader) ([]Share, *Commitments, error) {
-	if len(secret) == 0 || len(secret) > g.ScalarCapacity() {
-		return nil, nil, fmt.Errorf("%w: secret length %d (capacity %d)", ErrInvalidParams, len(secret), g.ScalarCapacity())
-	}
-	return PedersenSplit(g, new(big.Int).SetBytes(secret), n, t, rnd)
-}
-
-// CombineBytes reconstructs a byte-string secret of the given length.
-func CombineBytes(g *group.Group, shares []Share, t, secretLen int) ([]byte, error) {
-	s, err := Combine(g, shares, t)
-	if err != nil {
-		return nil, err
-	}
-	b := s.Bytes()
-	if len(b) > secretLen {
-		return nil, fmt.Errorf("%w: reconstructed value exceeds declared length", ErrInvalidParams)
-	}
-	out := make([]byte, secretLen)
-	copy(out[secretLen-len(b):], b)
-	return out, nil
 }
 
 func checkParams(n, t int) error {

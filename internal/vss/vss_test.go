@@ -1,7 +1,6 @@
 package vss
 
 import (
-	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -11,27 +10,6 @@ import (
 )
 
 func tg() *group.Group { return group.Test() }
-
-func TestFeldmanRoundTrip(t *testing.T) {
-	g := tg()
-	secret := big.NewInt(987654321)
-	shares, comms, err := FeldmanSplit(g, secret, 5, 3, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range shares {
-		if err := Verify(comms, s); err != nil {
-			t.Fatalf("share %d failed verification: %v", s.X, err)
-		}
-	}
-	got, err := Combine(g, shares[1:4], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(secret) != 0 {
-		t.Fatalf("reconstructed %v, want %v", got, secret)
-	}
-}
 
 func TestPedersenRoundTrip(t *testing.T) {
 	g := tg()
@@ -56,62 +34,24 @@ func TestPedersenRoundTrip(t *testing.T) {
 
 func TestVerifyDetectsCorruptShare(t *testing.T) {
 	g := tg()
-	for _, pedersen := range []bool{false, true} {
-		var shares []Share
-		var comms *Commitments
-		var err error
-		if pedersen {
-			shares, comms, err = PedersenSplit(g, big.NewInt(1), 4, 2, rand.Reader)
-		} else {
-			shares, comms, err = FeldmanSplit(g, big.NewInt(1), 4, 2, rand.Reader)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := shares[0]
-		bad.S = new(big.Int).Add(bad.S, big.NewInt(1))
-		if err := Verify(comms, bad); !errors.Is(err, ErrVerifyFailed) {
-			t.Fatalf("pedersen=%v: corrupted share accepted: %v", pedersen, err)
-		}
-		if pedersen {
-			bad2 := shares[1]
-			bad2.Blind = new(big.Int).Add(bad2.Blind, big.NewInt(1))
-			if err := Verify(comms, bad2); !errors.Is(err, ErrVerifyFailed) {
-				t.Fatal("corrupted blinding share accepted")
-			}
-			noBlind := shares[2]
-			noBlind.Blind = nil
-			if err := Verify(comms, noBlind); !errors.Is(err, ErrVerifyFailed) {
-				t.Fatal("missing blinding share accepted")
-			}
-		}
-	}
-}
-
-// TestFeldmanLeaksUnderDlogBreak documents WHY Feldman is only
-// computationally hiding: the commitment C_0 = g^secret. An adversary who
-// can compute discrete logs reads the secret straight off the commitment.
-// We play that adversary for a tiny secret by brute force.
-func TestFeldmanLeaksUnderDlogBreak(t *testing.T) {
-	g := tg()
-	secret := big.NewInt(1337) // small enough to brute-force
-	_, comms, err := FeldmanSplit(g, secret, 3, 2, rand.Reader)
+	shares, comms, err := PedersenSplit(g, big.NewInt(1), 4, 2, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// "Cryptanalytic break": brute-force the dlog of C_0.
-	target := comms.C[0]
-	acc := big.NewInt(1)
-	found := int64(-1)
-	for k := int64(0); k <= 100000; k++ {
-		if acc.Cmp(target) == 0 {
-			found = k
-			break
-		}
-		acc = g.Mul(acc, g.G)
+	bad := shares[0]
+	bad.S = new(big.Int).Add(bad.S, big.NewInt(1))
+	if err := Verify(comms, bad); !errors.Is(err, ErrVerifyFailed) {
+		t.Fatalf("corrupted share accepted: %v", err)
 	}
-	if found != 1337 {
-		t.Fatalf("dlog attack recovered %d, want 1337", found)
+	bad2 := shares[1]
+	bad2.Blind = new(big.Int).Add(bad2.Blind, big.NewInt(1))
+	if err := Verify(comms, bad2); !errors.Is(err, ErrVerifyFailed) {
+		t.Fatal("corrupted blinding share accepted")
+	}
+	noBlind := shares[2]
+	noBlind.Blind = nil
+	if err := Verify(comms, noBlind); !errors.Is(err, ErrVerifyFailed) {
+		t.Fatal("missing blinding share accepted")
 	}
 }
 
@@ -135,7 +75,7 @@ func TestPedersenDoesNotLeakUnderDlogBreak(t *testing.T) {
 
 func TestCombineErrors(t *testing.T) {
 	g := tg()
-	shares, _, _ := FeldmanSplit(g, big.NewInt(9), 4, 3, rand.Reader)
+	shares, _, _ := PedersenSplit(g, big.NewInt(9), 4, 3, rand.Reader)
 	if _, err := Combine(g, shares[:2], 3); !errors.Is(err, ErrTooFewShares) {
 		t.Fatalf("too few: %v", err)
 	}
@@ -150,7 +90,7 @@ func TestCombineErrors(t *testing.T) {
 
 func TestParamsValidation(t *testing.T) {
 	g := tg()
-	if _, _, err := FeldmanSplit(g, big.NewInt(1), 3, 4, rand.Reader); !errors.Is(err, ErrInvalidParams) {
+	if _, _, err := PedersenSplit(g, big.NewInt(1), 3, 4, rand.Reader); !errors.Is(err, ErrInvalidParams) {
 		t.Fatalf("t>n: %v", err)
 	}
 	if _, _, err := PedersenSplit(g, big.NewInt(1), 3, 0, rand.Reader); !errors.Is(err, ErrInvalidParams) {
@@ -158,54 +98,11 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
-func TestBytesRoundTrip(t *testing.T) {
-	g := tg()
-	secret := []byte("key material for an object\x00\x01")
-	shares, comms, err := SplitBytes(g, secret, 5, 3, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !comms.Pedersen {
-		t.Fatal("SplitBytes must use the IT-hiding scheme")
-	}
-	got, err := CombineBytes(g, shares[:3], 3, len(secret))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Fatal("byte secret mismatch")
-	}
-}
-
-func TestBytesLeadingZeros(t *testing.T) {
-	g := tg()
-	secret := []byte{0, 0, 7, 0}
-	shares, _, err := SplitBytes(g, secret, 3, 2, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CombineBytes(g, shares[:2], 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Fatalf("leading-zero secret mangled: %v", got)
-	}
-}
-
-func TestBytesTooLong(t *testing.T) {
-	g := tg()
-	long := make([]byte, g.ScalarCapacity()+1)
-	if _, _, err := SplitBytes(g, long, 3, 2, rand.Reader); !errors.Is(err, ErrInvalidParams) {
-		t.Fatalf("oversize secret: %v", err)
-	}
-}
-
 func TestSecretsModQ(t *testing.T) {
 	// Secrets >= q must be reduced, and reconstruction returns the residue.
 	g := tg()
 	big := new(big.Int).Add(g.Q, new(big.Int).SetInt64(5))
-	shares, _, err := FeldmanSplit(g, big, 3, 2, rand.Reader)
+	shares, _, err := PedersenSplit(g, big, 3, 2, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

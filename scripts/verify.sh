@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # One command for everything a change to this repository must keep green:
-# the tier-1 gate, vet (and an offline arm64 cross-vet of the packages
+# the tier-1 gate (which includes TestExportedInventory: every exported
+# name under internal/ has a reader), gofmt, vet (and an offline arm64
+# cross-vet of the packages
 # with per-platform kernel files), one run of papereval (the paper's
 # figures and tables), the race detector on the packages with
 # shared state on the read/write path, a one-iteration smoke of the layer
@@ -16,6 +18,8 @@ go test ./...
 # committed seed derives; named so that no -short habit can skip it.
 go test -count=1 -run 'TestDefaultGroupParameters' ./internal/group
 go vet ./...
+# Formatting; bench/ is its own module and is checked by its own vet.
+test -z "$(gofmt -l . | grep -v '^bench/')"
 # The paper's scoreboard: regenerate it and require Figure 1's orderings.
 # grep without -q reads to the end, so the pipe never breaks early.
 go run ./cmd/papereval | grep -F "shape check: all of the paper's qualitative orderings hold"
@@ -28,8 +32,10 @@ go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit 
 GOMAXPROCS=1 go test -count=20 -run 'HeldCommitFsync|CommitPointsStaySerial|CloseDuringHeldCommitFsync|StageRefusedWhileItsTokenCommits|RacingStageOpsAgreeWithReplay|FailedFsyncPoisonsTheStore|CrashWithBystanderInFlight' ./internal/store/diskstore
 # One iteration of each layer benchmark, so none can rot uncompiled.
 go test -run '^$' -bench 'ExpH|ExpG224|FixedBaseBuild|PedersenCommit|VaultPut|VaultGet|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact|SpanFlat|SpanEnabled' -benchtime 1x ./internal/...
-# The root package's experiment benchmarks (E2/E4/E5/E6/E11) are the only
-# ones that drive the Table 1 systems' store and renew paths.
-go test -run '^$' -bench 'Table1|HNDL|ProactiveRenewal|RenewalComm|PASISSweep' -benchtime 1x .
+# Every root-package experiment benchmark once: they are the only ones
+# that drive the Table 1 systems' store and renew paths, and the ablation
+# and E13 workload ones are the readers behind the inventory's "paper"
+# entries.
+go test -run '^$' -bench . -benchtime 1x .
 go vet -C bench ./...
 go test -C bench ./...
