@@ -126,61 +126,130 @@ func cmdPut(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	object := filepath.Base(*in)
-	for i, sh := range e.Shards {
-		dir := filepath.Join(*store, fmt.Sprintf("node-%02d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, object+".shard"), sh, 0o644); err != nil {
-			fatal(err)
-		}
-	}
 	total, min := enc.Shards()
-	fresh := core.ShardDigests(e.Shards)
-	digests := make([]string, len(fresh))
-	for i, d := range fresh {
-		digests[i] = base64.StdEncoding.EncodeToString(d[:])
+	m := &manifest{
+		Encoding: *encName,
+		N:        total,
+		Min:      min,
+		T:        *t,
+		K:        *k,
+		PlainLen: e.PlainLen,
+		Object:   filepath.Base(*in),
+		Store:    *store,
 	}
-	m := manifest{
-		Encoding:     *encName,
-		N:            total,
-		Min:          min,
-		T:            *t,
-		K:            *k,
-		PlainLen:     e.PlainLen,
-		Object:       object,
-		Store:        *store,
-		PublicMeta:   base64.StdEncoding.EncodeToString(e.PublicMeta),
-		ClientSecret: base64.StdEncoding.EncodeToString(e.ClientSecret),
-		ShardDigests: digests,
-	}
-	mb, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	mpath := filepath.Join(*store, object+".manifest.json")
-	if err := os.WriteFile(mpath, mb, 0o600); err != nil {
+	mpath := filepath.Join(*store, m.Object+".manifest.json")
+	if err := m.write(mpath, e); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("archived %s: %d bytes → %d shards (%s), any %d reconstruct\n",
-		object, len(data), total, *encName, min)
+		m.Object, len(data), total, *encName, min)
 	fmt.Printf("stored bytes: %d (%.2fx)\nmanifest: %s\n", e.StoredBytes(), e.Overhead(), mpath)
 	if len(e.ClientSecret) > 0 {
 		fmt.Printf("NOTE: manifest contains %d bytes of client-side key material — guard it\n", len(e.ClientSecret))
 	}
 }
 
-func loadManifest(path string) (*manifest, error) {
-	b, err := os.ReadFile(path)
+func (m *manifest) shardPath(i int) string {
+	return filepath.Join(m.Store, fmt.Sprintf("node-%02d", i), m.Object+".shard")
+}
+
+// write stores e's shards, one per node directory, and then the manifest
+// at path describing them: put's initial write and a scrub repair's
+// rewrite.
+func (m *manifest) write(path string, e *core.Encoded) error {
+	for i, sh := range e.Shards {
+		if err := os.MkdirAll(filepath.Dir(m.shardPath(i)), 0o755); err != nil {
+			return err
+		}
+		if err := os.WriteFile(m.shardPath(i), sh, 0o644); err != nil {
+			return err
+		}
+	}
+	m.ShardDigests = nil
+	for _, d := range core.ShardDigests(e.Shards) {
+		m.ShardDigests = append(m.ShardDigests, base64.StdEncoding.EncodeToString(d[:]))
+	}
+	m.PublicMeta = base64.StdEncoding.EncodeToString(e.PublicMeta)
+	m.ClientSecret = base64.StdEncoding.EncodeToString(e.ClientSecret)
+	mb, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, mb, 0o600)
+}
+
+// shardSet is one object's shards as read from the node directories,
+// classified against the manifest's digests by core.CheckShards — the
+// check the vault runs on every read. Corrupt shards are dropped, so
+// nothing ever decodes from rotted bytes.
+type shardSet struct {
+	shards                    [][]byte
+	healthy, missing, corrupt []int
+}
+
+// readShards reads every node's shard of m's object and checks it.
+func (m *manifest) readShards() (*shardSet, error) {
+	digests := make([][sha256.Size]byte, len(m.ShardDigests))
+	for i, d := range m.ShardDigests {
+		raw, err := base64.StdEncoding.DecodeString(d)
+		if err != nil || len(raw) != sha256.Size {
+			return nil, fmt.Errorf("manifest digest %d malformed", i)
+		}
+		copy(digests[i][:], raw)
+	}
+	s := &shardSet{shards: make([][]byte, m.N)}
+	for i := range s.shards {
+		if b, err := os.ReadFile(m.shardPath(i)); err == nil {
+			s.shards[i] = b
+		}
+	}
+	s.healthy, s.missing, s.corrupt = core.CheckShards(s.shards, digests)
+	for _, i := range s.corrupt {
+		s.shards[i] = nil
+	}
+	return s, nil
+}
+
+// decode rebuilds m's object from the healthy shards, refusing outright
+// when fewer than m.Min of them remain.
+func (m *manifest) decode(enc core.Encoding, s *shardSet) ([]byte, error) {
+	if len(s.healthy) < m.Min {
+		return nil, fmt.Errorf("%s: %d/%d healthy shards (%d missing, %d corrupt), need %d",
+			m.Object, len(s.healthy), m.N, len(s.missing), len(s.corrupt), m.Min)
+	}
+	meta, err := base64.StdEncoding.DecodeString(m.PublicMeta)
 	if err != nil {
 		return nil, err
 	}
-	var m manifest
-	if err := json.Unmarshal(b, &m); err != nil {
+	secret, err := base64.StdEncoding.DecodeString(m.ClientSecret)
+	if err != nil {
 		return nil, err
 	}
-	return &m, nil
+	data, err := enc.Decode(&core.Encoded{
+		Scheme: m.Encoding, PlainLen: m.PlainLen,
+		Shards: s.shards, PublicMeta: meta, ClientSecret: secret,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("decode from %d/%d healthy shards: %w", len(s.healthy), m.N, err)
+	}
+	return data, nil
+}
+
+// openManifest loads the manifest at path and rebuilds its encoding.
+func openManifest(path string) (*manifest, core.Encoding, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := &manifest{}
+	if err := json.Unmarshal(b, m); err != nil {
+		return nil, nil, err
+	}
+	enc, err := buildEncoding(m.Encoding, m.N, m.T, m.K)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, enc, nil
 }
 
 func cmdGet(args []string) {
@@ -191,48 +260,30 @@ func cmdGet(args []string) {
 	if *mpath == "" || *out == "" {
 		fatal(fmt.Errorf("get: -manifest and -out required"))
 	}
-	m, err := loadManifest(*mpath)
+	if err := get(*mpath, *out); err != nil {
+		fatal(fmt.Errorf("get: %w", err))
+	}
+}
+
+// get recovers the object the manifest at mpath describes into out.
+func get(mpath, out string) error {
+	m, enc, err := openManifest(mpath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	enc, err := buildEncoding(m.Encoding, m.N, m.T, m.K)
+	s, err := m.readShards()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	shards := make([][]byte, m.N)
-	available := 0
-	for i := 0; i < m.N; i++ {
-		p := filepath.Join(m.Store, fmt.Sprintf("node-%02d", i), m.Object+".shard")
-		b, err := os.ReadFile(p)
-		if err != nil {
-			continue
-		}
-		shards[i] = b
-		available++
-	}
-	meta, err := base64.StdEncoding.DecodeString(m.PublicMeta)
+	data, err := m.decode(enc, s)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	secret, err := base64.StdEncoding.DecodeString(m.ClientSecret)
-	if err != nil {
-		fatal(err)
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		return err
 	}
-	e := &core.Encoded{
-		Scheme:       m.Encoding,
-		PlainLen:     m.PlainLen,
-		Shards:       shards,
-		PublicMeta:   meta,
-		ClientSecret: secret,
-	}
-	data, err := enc.Decode(e)
-	if err != nil {
-		fatal(fmt.Errorf("decode with %d/%d shards: %w", available, m.N, err))
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("recovered %s: %d bytes from %d/%d shards → %s\n", m.Object, len(data), available, m.N, *out)
+	fmt.Printf("recovered %s: %d bytes from %d/%d healthy shards → %s\n", m.Object, len(data), len(s.healthy), m.N, out)
+	return nil
 }
 
 func cmdInfo(args []string) {
@@ -242,34 +293,26 @@ func cmdInfo(args []string) {
 	if *mpath == "" {
 		fatal(fmt.Errorf("info: -manifest required"))
 	}
-	m, err := loadManifest(*mpath)
+	m, enc, err := openManifest(*mpath)
 	if err != nil {
 		fatal(err)
 	}
-	enc, err := buildEncoding(m.Encoding, m.N, m.T, m.K)
+	s, err := m.readShards()
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("object:     %s (%d bytes)\n", m.Object, m.PlainLen)
 	fmt.Printf("encoding:   %s (%s, leakage-resilient: %v)\n", enc.Name(), enc.Class(), enc.LeakageResilient())
 	fmt.Printf("dispersal:  %d shards, any %d reconstruct\n", m.N, m.Min)
-	present := 0
-	for i := 0; i < m.N; i++ {
-		p := filepath.Join(m.Store, fmt.Sprintf("node-%02d", i), m.Object+".shard")
-		if _, err := os.Stat(p); err == nil {
-			present++
-		}
-	}
-	fmt.Printf("shards:     %d/%d present — %s\n", present, m.N, healthWord(present, m.Min))
+	fmt.Printf("shards:     %d/%d healthy (%d missing, %d corrupt) — %s\n",
+		len(s.healthy), m.N, len(s.missing), len(s.corrupt), healthWord(len(s.healthy), m.Min))
 }
 
 // cmdScrub verifies every shard against its manifest digest and, with
 // -repair, rebuilds missing or corrupt shards by decoding from the
-// healthy ones and re-encoding. The digest classification is the
-// library's (core.CheckShards — the same logic Vault.Scrub runs against
-// the cluster). Re-encoding draws fresh randomness, so for the
-// sharing-based encodings a repair doubles as a share refresh; the
-// manifest is rewritten to match.
+// healthy ones and re-encoding. Re-encoding draws fresh randomness, so
+// for the sharing-based encodings a repair doubles as a share refresh;
+// the manifest is rewritten to match.
 func cmdScrub(args []string) {
 	fs := flag.NewFlagSet("scrub", flag.ExitOnError)
 	mpath := fs.String("manifest", "", "manifest file")
@@ -278,38 +321,21 @@ func cmdScrub(args []string) {
 	if *mpath == "" {
 		fatal(fmt.Errorf("scrub: -manifest required"))
 	}
-	m, err := loadManifest(*mpath)
+	m, enc, err := openManifest(*mpath)
 	if err != nil {
 		fatal(err)
 	}
-	enc, err := buildEncoding(m.Encoding, m.N, m.T, m.K)
+	s, err := m.readShards()
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("scrub: %w", err))
 	}
-	digests := make([][sha256.Size]byte, len(m.ShardDigests))
-	for i, d := range m.ShardDigests {
-		raw, err := base64.StdEncoding.DecodeString(d)
-		if err != nil || len(raw) != sha256.Size {
-			fatal(fmt.Errorf("scrub: manifest digest %d malformed", i))
-		}
-		copy(digests[i][:], raw)
-	}
-	shards := make([][]byte, m.N)
-	for i := 0; i < m.N; i++ {
-		p := filepath.Join(m.Store, fmt.Sprintf("node-%02d", i), m.Object+".shard")
-		if b, err := os.ReadFile(p); err == nil {
-			shards[i] = b
-		}
-	}
-	healthyIdx, missing, corrupt := core.CheckShards(shards, digests)
-	for _, i := range missing {
+	for _, i := range s.missing {
 		fmt.Printf("node-%02d: MISSING\n", i)
 	}
-	for _, i := range corrupt {
+	for _, i := range s.corrupt {
 		fmt.Printf("node-%02d: CORRUPT (digest mismatch)\n", i)
-		shards[i] = nil // never decode from rotted bytes
 	}
-	healthy, bad := len(healthyIdx), len(missing)+len(corrupt)
+	healthy, bad := len(s.healthy), len(s.missing)+len(s.corrupt)
 	fmt.Printf("scrub: %d healthy, %d bad of %d shards — %s\n", healthy, bad, m.N, healthWord(healthy, m.Min))
 	if bad == 0 || !*repair {
 		if bad > 0 {
@@ -318,41 +344,15 @@ func cmdScrub(args []string) {
 		return
 	}
 	// Repair: decode from healthy shards, re-encode, rewrite everything.
-	meta, _ := base64.StdEncoding.DecodeString(m.PublicMeta)
-	secret, _ := base64.StdEncoding.DecodeString(m.ClientSecret)
-	data, err := enc.Decode(&core.Encoded{
-		Scheme: m.Encoding, PlainLen: m.PlainLen,
-		Shards: shards, PublicMeta: meta, ClientSecret: secret,
-	})
+	data, err := m.decode(enc, s)
 	if err != nil {
-		fatal(fmt.Errorf("repair: cannot decode from %d healthy shards: %w", healthy, err))
+		fatal(fmt.Errorf("repair: %w", err))
 	}
 	e, err := enc.Encode(data, rand.Reader)
 	if err != nil {
 		fatal(err)
 	}
-	for i, sh := range e.Shards {
-		dir := filepath.Join(m.Store, fmt.Sprintf("node-%02d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, m.Object+".shard"), sh, 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	fresh := core.ShardDigests(e.Shards)
-	b64 := make([]string, len(fresh))
-	for i, d := range fresh {
-		b64[i] = base64.StdEncoding.EncodeToString(d[:])
-	}
-	m.PublicMeta = base64.StdEncoding.EncodeToString(e.PublicMeta)
-	m.ClientSecret = base64.StdEncoding.EncodeToString(e.ClientSecret)
-	m.ShardDigests = b64
-	mb, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*mpath, mb, 0o600); err != nil {
+	if err := m.write(*mpath, e); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("repaired: %d shards rewritten (shares re-randomised), manifest updated\n", len(e.Shards))

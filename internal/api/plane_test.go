@@ -463,7 +463,6 @@ counter vault.read.degraded     # /healthz (degraded-read rate)
 counter vault.read.insufficient # /healthz (degraded-read rate)
 counter vault.read.discarded    # TestVaultRotDiscardQueuesScrub, examples/fault-injection
 counter vault.scrub.repairs     # TestVaultRotDiscardQueuesScrub, examples/fault-injection
-counter vault.batch.flushes     # TestBatcherGroupCommitFlushCount
 counter vault.cache.hit{encoding="erasure_coding"}           # checkCacheSeries (against CacheStats)
 counter vault.cache.miss{encoding="erasure_coding"}          # checkCacheSeries, TestMetricsLabeledFamilies
 counter vault.cache.evict{encoding="erasure_coding"}         # TestVaultCacheEvictionSeries

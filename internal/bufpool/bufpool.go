@@ -1,6 +1,6 @@
 // Package bufpool provides size-classed pooled byte buffers for the
-// coding hot paths (rs, shamir, packed) and the vault's batched/chunked
-// write pipeline.
+// coding hot paths (rs, shamir, packed) and the vault's chunked write
+// pipeline.
 //
 // The paper's §3.2 argument prices archival crypto maintenance off raw
 // encode throughput; at that scale the allocator is a real tax — every

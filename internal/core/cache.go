@@ -21,17 +21,15 @@ import (
 //     at all (lazy, lock-free invalidation; stale entries age out of the
 //     LRU like any other cold data).
 //  2. Explicit invalidation under the object write lock. Every mutator
-//     (PutReader, RenewShares, Delete, Scrub, batch flushes) calls
-//     invalidate(id) while holding the
-//     object's write lock. Reads insert while holding the read lock with
+//     (PutReader, RenewShares, Delete, Scrub) calls invalidate(id) while
+//     holding the object's write lock. Reads insert while holding the read lock with
 //     the epoch captured before the fetch, so an insert is serialised
 //     strictly before any later mutation's invalidate — the classic
 //     read-old / write-new / insert-stale interleaving cannot happen.
 //  3. Immutable entries. A cached slice is never written again after
-//     insert; the entry is a private copy or a slice its caller gave up,
-//     and every read writes it out through io.Writer (Get's buffer
-//     copies), so neither caller mutations nor eviction can corrupt a
-//     concurrent reader.
+//     insert; the entry is a slice its reader gave up, and every read
+//     writes it out through io.Writer (Get's buffer copies), so neither
+//     caller mutations nor eviction can corrupt a concurrent reader.
 //
 // Within the byte budget the cache is a segmented LRU (probationary +
 // protected) with a TinyLFU-style frequency sketch as admission filter:
@@ -60,7 +58,7 @@ func cacheOwner(id string) string {
 }
 
 // cacheEntry is one cached decoded object. Entries are immutable after
-// insert (data is a private copy, never written again); list linkage and
+// insert (data is a slice the reader gave up, never written again); list linkage and
 // segment membership are guarded by readCache.mu.
 type cacheEntry struct {
 	id    string
@@ -217,18 +215,13 @@ func (rc *readCache) get(id string, epoch int) ([]byte, bool) {
 	return data, true
 }
 
-// put inserts a private copy of data under id at the given epoch.
-func (rc *readCache) put(id string, epoch int, data []byte) {
-	rc.insert(id, epoch, data, false)
-}
-
 // insert adds data under id at the given epoch, applying the owner
 // share, the admission filter, and segmented-LRU eviction. An existing
 // entry for id (any epoch) is replaced — the caller just read this
-// plaintext at this epoch, which is strictly fresher information. With
-// owned the caller gives data up: the slice itself becomes the entry (no
-// copy), so it must never be written again; otherwise the cache copies.
-func (rc *readCache) insert(id string, epoch int, data []byte, owned bool) {
+// plaintext at this epoch, which is strictly fresher information. The
+// caller gives data up: the slice itself becomes the entry (no copy), so
+// it must never be written again.
+func (rc *readCache) insert(id string, epoch int, data []byte) {
 	size := int64(len(data))
 	if size == 0 || size > rc.maxEntry {
 		return
@@ -268,9 +261,6 @@ func (rc *readCache) insert(id string, epoch int, data []byte, owned bool) {
 			return
 		}
 		rc.evictLocked(victim)
-	}
-	if !owned {
-		data = append([]byte(nil), data...)
 	}
 	e := &cacheEntry{id: id, owner: owner, epoch: epoch, data: data}
 	rc.entries[id] = e

@@ -9,8 +9,8 @@ package core
 //     encoding, same backend, same seeded randomness — and requires
 //     byte-identical results from every read AND byte-identical final
 //     cluster snapshots. Runs the full Figure 1 encoding roster against
-//     both store backends, covering monolithic, chunked, streamed and
-//     batched write shapes.
+//     both store backends, covering monolithic, chunked and streamed
+//     write shapes.
 //
 //   - TestCachePropertyInterleavings replays a long random interleaving
 //     of Put / Get / ReadTo / Delete / RenewShares / AdvanceEpoch /
@@ -72,15 +72,6 @@ func (d *diffPair) putReader(id string, data []byte) {
 	_, e1 := d.cached.PutReader(context.Background(), id, bytes.NewReader(data))
 	_, e2 := d.plain.PutReader(context.Background(), id, bytes.NewReader(data))
 	d.sameErr("putReader "+id, e1, e2)
-}
-
-func (d *diffPair) putBatched(id string, data []byte) {
-	d.t.Helper()
-	b1 := d.cached.NewBatcher()
-	b2 := d.plain.NewBatcher()
-	d.sameErr("batch put "+id, b1.Put(context.Background(), id, data), b2.Put(context.Background(), id, data))
-	b1.Close()
-	b2.Close()
 }
 
 // get reads id from both vaults; when want is non-nil both reads must
@@ -256,12 +247,10 @@ func TestDifferentialCachedVsUncached(t *testing.T) {
 					mono := fill("mono", 400)      // monolithic (< chunk size)
 					chunk := fill("chunk", 2048)   // 4 chunks — exercises prefetch
 					stream := fill("stream", 1300) // streamed, 3 chunks
-					bat := fill("bat", 256)        // batched small object
 
 					d.put("mono", mono)
 					d.put("chunk", chunk)
 					d.putReader("stream", stream)
-					d.putBatched("bat/a", bat)
 
 					// Double reads: the second Get/ReadTo of each id is the
 					// cache-served one in the cached vault.
@@ -269,7 +258,6 @@ func TestDifferentialCachedVsUncached(t *testing.T) {
 						d.get("mono", mono)
 						d.get("chunk", chunk)
 						d.get("stream", stream)
-						d.get("bat/a", bat)
 						d.readTo("chunk", chunk)
 						d.readTo("mono", mono)
 					}
@@ -297,9 +285,6 @@ func TestDifferentialCachedVsUncached(t *testing.T) {
 					d.put("mono", mono2)
 					d.get("mono", mono2)
 					d.get("mono", mono2)
-
-					d.del("bat/a")
-					d.get("bat/a", nil)
 
 					d.snapshotsEqual(8, encodingDeterministic(enc))
 				})

@@ -31,7 +31,7 @@ func fill(id string, n int) []byte {
 
 func TestCacheEpochKeying(t *testing.T) {
 	rc := newReadCache(1<<20, 1.0)
-	rc.put("a", 3, fill("a", 100))
+	rc.insert("a", 3, fill("a", 100))
 	if _, ok := rc.get("a", 3); !ok {
 		t.Fatal("same-epoch lookup missed")
 	}
@@ -42,7 +42,7 @@ func TestCacheEpochKeying(t *testing.T) {
 		t.Fatal("entry served at an earlier epoch")
 	}
 	// Re-insert at the new epoch replaces the stale entry.
-	rc.put("a", 4, fill("a4", 100))
+	rc.insert("a", 4, fill("a4", 100))
 	got, ok := rc.get("a", 4)
 	if !ok || !bytes.Equal(got, fill("a4", 100)) {
 		t.Fatal("replacement at new epoch not served")
@@ -54,8 +54,8 @@ func TestCacheEpochKeying(t *testing.T) {
 
 func TestCacheInvalidate(t *testing.T) {
 	rc := newReadCache(1<<20, 1.0)
-	rc.put("a", 1, fill("a", 64))
-	rc.put("b", 1, fill("b", 64))
+	rc.insert("a", 1, fill("a", 64))
+	rc.insert("b", 1, fill("b", 64))
 	rc.invalidate("a")
 	if _, ok := rc.get("a", 1); ok {
 		t.Fatal("invalidated entry served")
@@ -73,12 +73,12 @@ func TestCacheInvalidate(t *testing.T) {
 func TestCacheByteBudgetAndMaxEntry(t *testing.T) {
 	rc := newReadCache(1024, 1.0)
 	// maxEntry = 1024/8 = 128: a larger object bypasses the cache.
-	rc.put("big", 1, fill("big", 129))
+	rc.insert("big", 1, fill("big", 129))
 	if _, ok := rc.get("big", 1); ok {
 		t.Fatal("oversize entry admitted")
 	}
 	for i := 0; i < 8; i++ {
-		rc.put(fmt.Sprintf("o%d", i), 1, fill(fmt.Sprintf("o%d", i), 128))
+		rc.insert(fmt.Sprintf("o%d", i), 1, fill(fmt.Sprintf("o%d", i), 128))
 	}
 	s := rc.stats()
 	if s.Bytes > 1024 {
@@ -96,7 +96,7 @@ func TestCacheAdmissionProtectsHotSet(t *testing.T) {
 	rc := newReadCache(4096, 1.0) // maxEntry 512
 	hot := []string{"hot/a", "hot/b", "hot/c", "hot/d"}
 	for _, id := range hot {
-		rc.put(id, 1, fill(id, 512))
+		rc.insert(id, 1, fill(id, 512))
 	}
 	// Establish frequency: every hot key touched several times (each get
 	// also promotes it into the protected segment).
@@ -113,7 +113,7 @@ func TestCacheAdmissionProtectsHotSet(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("scan/%d", i)
 		rc.get(id, 1) // the miss that precedes a fill
-		rc.put(id, 1, fill(id, 512))
+		rc.insert(id, 1, fill(id, 512))
 	}
 	for _, id := range hot {
 		if _, ok := rc.get(id, 1); !ok {
@@ -133,7 +133,7 @@ func TestCacheSLRUDemotion(t *testing.T) {
 	ids := make([]string, 8)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("e%d", i)
-		rc.put(ids[i], 1, fill(ids[i], 125))
+		rc.insert(ids[i], 1, fill(ids[i], 125))
 	}
 	for _, id := range ids {
 		rc.get(id, 1) // promote
@@ -159,12 +159,12 @@ func TestCacheSLRUDemotion(t *testing.T) {
 func TestCacheTenantShare(t *testing.T) {
 	rc := newReadCache(4096, 0.25) // 1024 bytes per owner
 	for i := 0; i < 3; i++ {
-		rc.put(fmt.Sprintf("alice/%d", i), 1, fill("a", 256))
-		rc.put(fmt.Sprintf("bob/%d", i), 1, fill("b", 256))
+		rc.insert(fmt.Sprintf("alice/%d", i), 1, fill("a", 256))
+		rc.insert(fmt.Sprintf("bob/%d", i), 1, fill("b", 256))
 	}
 	// Alice blows past her share; every eviction must come from alice/*.
 	for i := 3; i < 10; i++ {
-		rc.put(fmt.Sprintf("alice/%d", i), 1, fill("a", 256))
+		rc.insert(fmt.Sprintf("alice/%d", i), 1, fill("a", 256))
 	}
 	s := rc.stats()
 	if s.OwnerBytes["alice"] > 1024 {
@@ -180,11 +180,11 @@ func TestCacheTenantShare(t *testing.T) {
 	}
 	// An entry larger than the whole share is refused, not force-fitted.
 	before := rc.stats().AdmitRejects
-	rc.put("carol/huge", 1, fill("c", 2048)) // maxEntry=512 rejects first; use share-size probe
-	rc.put("carol/big", 1, fill("c", 300))
-	rc.put("carol/big2", 1, fill("c", 300))
-	rc.put("carol/big3", 1, fill("c", 300))
-	rc.put("carol/big4", 1, fill("c", 300)) // 4th pushes past 1024 → evicts carol's own
+	rc.insert("carol/huge", 1, fill("c", 2048)) // maxEntry=512 rejects first; use share-size probe
+	rc.insert("carol/big", 1, fill("c", 300))
+	rc.insert("carol/big2", 1, fill("c", 300))
+	rc.insert("carol/big3", 1, fill("c", 300))
+	rc.insert("carol/big4", 1, fill("c", 300)) // 4th pushes past 1024 → evicts carol's own
 	s = rc.stats()
 	if s.OwnerBytes["carol"] > 1024 {
 		t.Fatalf("carol over her share: %d", s.OwnerBytes["carol"])
@@ -239,7 +239,7 @@ func TestCacheGetZeroAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	rc := newReadCache(1<<20, 1.0)
-	rc.put("tenant/hot", 7, fill("x", 4096))
+	rc.insert("tenant/hot", 7, fill("x", 4096))
 	rc.get("tenant/hot", 7) // promote to protected before measuring
 	if allocs := testing.AllocsPerRun(1000, func() {
 		if _, ok := rc.get("tenant/hot", 7); !ok {
@@ -524,44 +524,6 @@ func TestVaultCacheChunkedReadTo(t *testing.T) {
 	}
 }
 
-func TestVaultCacheBatchMembers(t *testing.T) {
-	c := cluster.New(8, nil)
-	v := newCachedVault(t, c, 1<<20)
-	b := v.NewBatcher()
-	defer b.Close()
-	d1, d2 := fill("m1", 300), fill("m2", 300)
-	if err := b.Put(context.Background(), "t/m1", d1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put(context.Background(), "t/m2", d2); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		id   string
-		want []byte
-	}{{"t/m1", d1}, {"t/m2", d2}} {
-		if got, err := v.Get(context.Background(), tc.id); err != nil || !bytes.Equal(got, tc.want) {
-			t.Fatalf("fill get %s: %v", tc.id, err)
-		}
-		if got, err := v.Get(context.Background(), tc.id); err != nil || !bytes.Equal(got, tc.want) {
-			t.Fatalf("cached get %s: %v", tc.id, err)
-		}
-	}
-	if s := v.CacheStats(); s.Hits != 2 {
-		t.Fatalf("batch member hits: %+v", s)
-	}
-	// Deleting one member must not disturb the other's cached bytes.
-	if err := v.DeleteContext(context.Background(), "t/m1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Get(context.Background(), "t/m1"); err == nil {
-		t.Fatal("deleted member served")
-	}
-	if got, err := v.Get(context.Background(), "t/m2"); err != nil || !bytes.Equal(got, d2) {
-		t.Fatalf("surviving member after batchmate delete: %v", err)
-	}
-}
-
 func TestVaultWithoutCacheUnchanged(t *testing.T) {
 	c := cluster.New(8, nil)
 	enc := Erasure{K: 4, N: 8}
@@ -589,7 +551,7 @@ func TestPrefetchCancel(t *testing.T) {
 	c := cluster.New(8, nil)
 	reg := obs.NewRegistry()
 	enc := Erasure{K: 4, N: 8}
-	v, err := NewVault(c, enc, WithGroup(group.Test()), WithRegistry(reg), WithChunkSize(256), VaultOption(func(v *Vault) { v.prefetchWindow = 3 }))
+	v, err := NewVault(c, enc, WithGroup(group.Test()), WithRegistry(reg), WithChunkSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,30 +88,6 @@ func TestPutChunkedCancelMidWrite(t *testing.T) {
 	}
 }
 
-// TestPutBatchedCancel cancels batched small-object puts: the member
-// must come back with a context error and the failed batch must leave
-// nothing committed.
-func TestPutBatchedCancel(t *testing.T) {
-	v, c := slowVault(t, 0, 20*time.Millisecond)
-	b := v.NewBatcher()
-	defer b.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- b.Put(ctx, "member", randBytes(t, 512)) }()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	err := await(t, "batched put", done)
-	if err == nil {
-		t.Fatal("canceled batched put succeeded")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v; want errors.Is context.Canceled", err)
-	}
-	if got := c.StoredBytes(); got != 0 {
-		t.Fatalf("StoredBytes = %d after aborted batch; want 0", got)
-	}
-}
-
 // TestGetCancelMidDegraded cancels a read that is grinding through
 // transient faults and slow probes: the caller must get the context
 // error — not a DegradedError blaming the stripe for the caller's own

@@ -9,14 +9,15 @@ package core
 //   - zero orphaned stages after replay,
 //   - no mixed-epoch stripes and no partial stripes (an interrupted
 //     multi-shard commit lands entirely or not at all),
-//   - the victim's stripes — every chunk, every batch member — are all
-//     or nothing: zero bytes or exactly what the op commits,
+//   - the victim's stripes — every chunk — are all or nothing: zero
+//     bytes or exactly what the op commits,
 //   - after re-driving the one legitimately partial operation (delete,
 //     which is per-key), StoredBytes returns exactly to baseline.
 
 import (
 	"bytes"
 	"context"
+	"io"
 	"testing"
 
 	"securearchive/internal/cluster"
@@ -30,12 +31,21 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	keepData := bytes.Repeat([]byte("K"), 100)
 	smallData := bytes.Repeat([]byte("V"), 100) // one chunk (< chunk size)
 	bigData := bytes.Repeat([]byte("W"), 900)   // chunked at chunkSize 256
-	// Two 150-byte members pack into a 333-byte blob: two chunks at 256.
-	putBatched := func(v *Vault) error {
-		return v.putBatch(context.Background(), []*pendingPut{
-			{id: "victim", data: bytes.Repeat([]byte("B"), 150)},
-			{id: "victim2", data: bytes.Repeat([]byte("C"), 150)},
-		})
+	// A streamed put of a reader that cannot say its length: with chunks
+	// above streamProbe the first read fills the probe buffer and moves
+	// to a full chunk, and the rest follows as a second chunk.
+	const streamChunk = 2 * streamProbe
+	streamData := bytes.Repeat([]byte("S"), streamChunk+streamProbe/2)
+	putStreamed := func(v *Vault) error {
+		_, err := v.PutReader(context.Background(), "victim", struct{ io.Reader }{bytes.NewReader(streamData)})
+		return err
+	}
+	scrub := func(v *Vault) error {
+		rep, err := v.Scrub(context.Background(), "victim")
+		if err == nil && !rep.Repaired {
+			t.Error("scrub found nothing to repair")
+		}
+		return err
 	}
 	points := []struct {
 		name string
@@ -45,33 +55,52 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		{"before-wal-sync", diskstore.CrashBeforeWALSync},
 		{"after-wal-sync", diskstore.CrashAfterWALSync},
 	}
-	ops := []struct {
+	type matrixOp struct {
 		name   string
 		victim []byte // nil: the op creates the victim itself
 		isDel  bool
 		run    func(v *Vault) error
-		key    string // cluster object id holding the victim's stripes
-	}{
-		{"put", nil, false, func(v *Vault) error { return v.Put(context.Background(), "victim", smallData) }, "victim"},
-		{"put-chunked", nil, false, func(v *Vault) error { return v.Put(context.Background(), "victim", bigData) }, "victim"},
-		{"put-batched", nil, false, putBatched, batchIDPrefix + "1"},
-		{"renew", smallData, false, func(v *Vault) error { return v.RenewShares(context.Background(), "victim") }, "victim"},
-		{"renew-chunked", bigData, false, func(v *Vault) error { return v.RenewShares(context.Background(), "victim") }, "victim"},
-		{"delete", bigData, true, func(v *Vault) error { return v.DeleteContext(context.Background(), "victim") }, "victim"},
+		chunk  int  // the vault's chunk size; 0 means 256
+		rot    bool // flip a byte of the victim's node-1 chunk-1 shard before the op
 	}
-	setup := func(t *testing.T, c *cluster.Cluster, victim []byte) *Vault {
+	ops := []matrixOp{
+		{name: "put", run: func(v *Vault) error { return v.Put(context.Background(), "victim", smallData) }},
+		{name: "put-chunked", run: func(v *Vault) error { return v.Put(context.Background(), "victim", bigData) }},
+		{name: "put-streamed", run: putStreamed, chunk: streamChunk},
+		{name: "renew", victim: smallData, run: func(v *Vault) error { return v.RenewShares(context.Background(), "victim") }},
+		{name: "renew-chunked", victim: bigData, run: func(v *Vault) error { return v.RenewShares(context.Background(), "victim") }},
+		{name: "scrub-repair", victim: bigData, run: scrub, rot: true},
+		{name: "delete", victim: bigData, isDel: true, run: func(v *Vault) error { return v.DeleteContext(context.Background(), "victim") }},
+	}
+	setup := func(t *testing.T, c *cluster.Cluster, op matrixOp) *Vault {
 		t.Helper()
-		v, err := NewVault(c, Erasure{K: 2, N: nodes}, WithGroup(group.Test()), WithChunkSize(256))
+		chunk := op.chunk
+		if chunk == 0 {
+			chunk = 256
+		}
+		v, err := NewVault(c, Erasure{K: 2, N: nodes}, WithGroup(group.Test()), WithChunkSize(chunk))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := v.Put(context.Background(), "keep", keepData); err != nil {
 			t.Fatal(err)
 		}
-		if victim != nil {
-			if err := v.Put(context.Background(), "victim", victim); err != nil {
+		if op.victim != nil {
+			if err := v.Put(context.Background(), "victim", op.victim); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if op.rot {
+			// Same length, so a rolled-back repair leaves the victim's
+			// byte count where a committed one puts it.
+			key := cluster.ShardKey{Object: "victim", Index: 1, Chunk: 1}
+			sh, err := c.GetCtx(context.Background(), 1, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rotted := append([]byte(nil), sh.Data...)
+			rotted[0] ^= 0xff
+			overwrite(c, 1, key, rotted)
 		}
 		return v
 	}
@@ -84,16 +113,16 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				// What the victim's stripes hold once the op commits: the
 				// same op on a memory cluster (RS is deterministic).
 				mem := cluster.New(nodes, nil)
-				if err := op.run(setup(t, mem, op.victim)); err != nil {
+				if err := op.run(setup(t, mem, op)); err != nil {
 					t.Fatal(err)
 				}
-				full := mem.ObjectBytes(op.key)
+				full := mem.ObjectBytes("victim")
 
 				c, err := cluster.Open(nodes, nil, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				v := setup(t, c, op.victim)
+				v := setup(t, c, op)
 				keepBytes := c.ObjectBytes("keep")
 
 				ds := c.Store().(*diskstore.Store)
@@ -157,7 +186,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					// put), or every chunk of the committed write — for a
 					// renewal, the pre-op and renewed stripes are the same
 					// size — never a fraction.
-					if vb := c2.ObjectBytes(op.key); vb != 0 && vb != full {
+					if vb := c2.ObjectBytes("victim"); vb != 0 && vb != full {
 						t.Errorf("victim bytes = %d, want 0 or %d", vb, full)
 					}
 				}
@@ -170,12 +199,12 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				// cluster must be back to exactly the keep-only baseline.
 				for ch := 0; ch < 8; ch++ {
 					for i := 0; i < nodes; i++ {
-						if err := c2.Delete(i, cluster.ShardKey{Object: op.key, Index: i, Chunk: ch}); err != nil {
+						if err := c2.Delete(i, cluster.ShardKey{Object: "victim", Index: i, Chunk: ch}); err != nil {
 							t.Fatalf("re-driven delete: %v", err)
 						}
 					}
 				}
-				if vb := c2.ObjectBytes(op.key); vb != 0 {
+				if vb := c2.ObjectBytes("victim"); vb != 0 {
 					t.Errorf("victim bytes after re-driven delete = %d", vb)
 				}
 				if got := c2.StoredBytes(); got != keepBytes {

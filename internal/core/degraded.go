@@ -57,9 +57,6 @@ type vaultMetrics struct {
 	readInsufficient *obs.Counter
 	scrubRepairs     *obs.Counter
 
-	// Batched small-object writes (batch.go): flushes performed.
-	batchFlushes *obs.Counter
-
 	// Read cache (cache.go): the vault.cache.* families are labelled by
 	// encoding so hit ratios compare across deployments; each counts
 	// exactly what the matching CacheStats tally does.
@@ -76,7 +73,6 @@ func newVaultMetrics(reg *obs.Registry, encName string) *vaultMetrics {
 		readDegraded:     reg.Counter("vault.read.degraded"),
 		readInsufficient: reg.Counter("vault.read.insufficient"),
 		scrubRepairs:     reg.Counter("vault.scrub.repairs"),
-		batchFlushes:     reg.Counter("vault.batch.flushes"),
 		cacheHit:         reg.LabeledCounter("vault.cache.hit", "encoding").With(slug),
 		cacheMiss:        reg.LabeledCounter("vault.cache.miss", "encoding").With(slug),
 		cacheEvict:       reg.LabeledCounter("vault.cache.evict", "encoding").With(slug),

@@ -62,14 +62,6 @@ func auditLayouts() []auditLayout {
 			}
 			return data, "obj", 0
 		}},
-		{"batch-member", func(t *testing.T, v *Vault) ([]byte, string, int) {
-			data := payload(300)
-			batch := []*pendingPut{{id: "obj", data: data}, {id: "mate", data: payload(200)}}
-			if err := v.putBatch(context.Background(), batch); err != nil || batch[0].err != nil {
-				t.Fatal(err, batch[0].err)
-			}
-			return data, v.lookup("obj").batch.id, 0
-		}},
 	}
 }
 
@@ -200,7 +192,6 @@ func TestReadToCacheTakesOwnership(t *testing.T) {
 		t.Run(lay.name, func(t *testing.T) {
 			want, _, _ := lay.write(t, v)
 			defer v.DeleteContext(context.Background(), "obj")
-			defer v.DeleteContext(context.Background(), "mate")
 			for pass, wantHits := range []int64{0, 1} {
 				before := v.CacheStats().Hits
 				var w bytes.Buffer

@@ -61,38 +61,6 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// FuzzBatchBlob hammers the batched-write blob framing: arbitrary bytes
-// must parse or fail cleanly (bounded allocation — the count field is
-// attacker-controlled), anything that parses must re-encode to the exact
-// same bytes (the format is canonical), and the encoder's reported
-// payload offsets must index the blob correctly.
-func FuzzBatchBlob(f *testing.F) {
-	seed, offs := encodeBatchBlob(
-		[]string{"a", "obj-two", ""},
-		[][]byte{[]byte("payload one"), []byte("p2"), nil})
-	_ = offs
-	f.Add([]byte(nil))
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	// A count field claiming 2^31 members over an empty body.
-	f.Add([]byte{0x80, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		ids, datas, err := decodeBatchBlob(blob)
-		if err != nil {
-			return
-		}
-		re, offsets := encodeBatchBlob(ids, datas)
-		if !bytes.Equal(re, blob) {
-			t.Fatalf("canonical re-encode differs: %d bytes vs %d", len(re), len(blob))
-		}
-		for i, off := range offsets {
-			if !bytes.Equal(re[off:off+len(datas[i])], datas[i]) {
-				t.Fatalf("offset %d of member %d does not locate its payload", off, i)
-			}
-		}
-	})
-}
-
 // FuzzShardCombine feeds a mutated shard into the RS, Shamir and packed
 // combiners. The invariants mirror the vault's read path: the digest
 // check must flag every mutation (that is the oracle that stops

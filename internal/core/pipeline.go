@@ -15,8 +15,8 @@ import (
 	"securearchive/internal/tstamp"
 )
 
-// One object layout: every object, and every batch blob, is a list of
-// chunk stripes under one cluster object id. The writer below splits its
+// One object layout: every object is a list of chunk stripes under its
+// own cluster object id. The writer below splits its
 // input into chunkSize chunks, each encoded as its own stripe, with
 // encoding and staging overlapped as a bounded two-stage pipeline
 // (RapidRAID's shape: hide encode latency behind dispersal instead of
@@ -38,12 +38,11 @@ const pipelineDepth = 2
 // of staging anyway.
 const chunkTailFloor = 64
 
-// layout is the client-side state of one list of chunk stripes. A batch
-// member's own layout carries only its length and (an alias of) its
-// blob's chain; its bytes live in the blob's layout.
+// layout is the client-side state of one object's list of chunk
+// stripes.
 type layout struct {
 	// id is the cluster object id the shards are stored under: the
-	// object's own id, or its batch blob's.
+	// object's own id.
 	id     string
 	chunks []chunkMeta
 	// plainLen is the plaintext length the chain covers.
@@ -268,8 +267,7 @@ func (v *Vault) newStageToken(id string) string {
 // retrying transient faults per the vault's policy (each transient lands
 // on the cluster's cluster.retry{node}). The caller owns the
 // token's lifecycle: commit after every chunk is staged, abort on any
-// error — that single commit is what keeps multi-chunk and multi-member
-// writes atomic.
+// error — that single commit is what keeps multi-chunk writes atomic.
 func (v *Vault) stageShards(ctx context.Context, stage, id string, chunk int, shards [][]byte) error {
 	for i, sh := range shards {
 		if sh == nil {
@@ -310,9 +308,9 @@ const streamProbe = 64 << 10
 
 // readChunk reads the next chunk of up to cs bytes from r into a buffer
 // of its own, with io.ReadFull's contract on the count and error. A
-// source that knows what is left (bytes.Reader: Put, a batch blob, a
-// renewal) gets a buffer one byte over it, so the read also sees EOF.
-// Otherwise, with probe set (the object's first chunk), it reads into a
+// source that knows what is left (bytes.Reader: Put, a renewal) gets a
+// buffer one byte over it, so the read also sees EOF. Otherwise, with
+// probe set (the object's first chunk), it reads into a
 // streamProbe-sized buffer first and moves to a cs-sized one only if
 // that fills.
 func readChunk(r io.Reader, cs int, probe bool) ([]byte, int, error) {

@@ -39,8 +39,7 @@ import (
 const DefaultPrefetchWindow = 2
 
 // prefetcher drives one chunked read's look-ahead. It is used by a
-// single consumer goroutine; the mutable cursors (nextLaunch, consumed)
-// are consumer-private, and the fetch goroutines communicate only
+// single consumer goroutine; the fetch goroutines communicate only
 // through their per-chunk buffered channels.
 type prefetcher struct {
 	v      *Vault
@@ -49,11 +48,8 @@ type prefetcher struct {
 	l      *layout
 	n, min int
 
-	window     int
-	results    []chan *cluster.StripeResult
-	nextLaunch int
-	consumed   int
-	wg         sync.WaitGroup
+	results []chan *cluster.StripeResult
+	wg      sync.WaitGroup
 }
 
 // newPrefetcher builds the look-ahead driver for one read of l's
@@ -67,7 +63,6 @@ func (v *Vault) newPrefetcher(ctx context.Context, l *layout, n, min int) *prefe
 		l:       l,
 		n:       n,
 		min:     min,
-		window:  v.prefetchWindow,
 		results: make([]chan *cluster.StripeResult, len(l.chunks)),
 	}
 }
@@ -89,8 +84,7 @@ func (pf *prefetcher) launch(ci int) {
 // next returns chunk ci's stripe result, launching it and the window
 // ahead of it first, and blocking until the fetch delivers.
 func (pf *prefetcher) next(ci int) *cluster.StripeResult {
-	pf.consumed = ci
-	hi := ci + pf.window
+	hi := ci + DefaultPrefetchWindow
 	if hi > len(pf.results)-1 {
 		hi = len(pf.results) - 1
 	}

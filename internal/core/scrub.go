@@ -84,12 +84,7 @@ func (v *Vault) Scrub(ctx context.Context, id string) (rep *ScrubReport, err err
 		return nil, err
 	}
 	defer obj.mu.Unlock()
-	// A batch member's audit and repair operate on the whole blob (one
-	// member's damage IS the batch's damage); batchmates scrubbed
-	// afterwards find it clean.
-	l, unlock := obj.stripes(true)
-	defer unlock()
-	return v.scrubStripes(ctx, id, l)
+	return v.scrubStripes(ctx, id, &obj.layout)
 }
 
 // ScrubAll scrubs every object (in id order), each rooted in (or joined

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,13 +16,11 @@ import (
 )
 
 // hookStore wraps a backend so a test can hold a write at a chosen point
-// and decide from what else reaches the store, not from a clock. stage,
-// when set, runs before every node's Stage (an error fails the stage);
-// commit, when set, runs before every CommitStage.
+// and decide from what else reaches the store, not from a clock: stage
+// runs before every node's Stage (an error fails the stage).
 type hookStore struct {
 	store.Store
-	stage  func(sh store.Shard) error
-	commit func()
+	stage func(sh store.Shard) error
 }
 
 type hookNode struct {
@@ -35,87 +31,22 @@ type hookNode struct {
 func (s *hookStore) Node(id int) store.NodeStore { return hookNode{s.Store.Node(id), s} }
 
 func (n hookNode) Stage(stage string, sh store.Shard) error {
-	if n.s.stage != nil {
-		if err := n.s.stage(sh); err != nil {
-			return err
-		}
+	if err := n.s.stage(sh); err != nil {
+		return err
 	}
 	return n.NodeStore.Stage(stage, sh)
 }
 
-func (s *hookStore) CommitStage(stage string, epoch int) (int, error) {
-	if s.commit != nil {
-		s.commit()
-	}
-	return s.Store.CommitStage(stage, epoch)
-}
-
 // hookVault is an Erasure 4+8 vault on the test group over a hooked
 // memory store, with its own metrics registry.
-func hookVault(t *testing.T, hs *hookStore) (*Vault, *obs.Registry) {
+func hookVault(t *testing.T, hs *hookStore) *Vault {
 	t.Helper()
-	reg := obs.NewRegistry()
 	v, err := NewVault(cluster.NewWithStore(hs, nil), Erasure{K: 4, N: 8},
-		WithGroup(group.Test()), WithRegistry(reg))
+		WithGroup(group.Test()), WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v, reg
-}
-
-// TestBatcherGroupCommitFlushCount is group commit as a count: while one
-// flush is held at its commit point, 15 more puts queue behind it, and
-// the next leader takes all 15 in one blob. Sixteen members, two flushes.
-func TestBatcherGroupCommitFlushCount(t *testing.T) {
-	held, release := make(chan struct{}), make(chan struct{})
-	var first sync.Once
-	hs := &hookStore{Store: memstore.New(8)}
-	hs.commit = func() {
-		first.Do(func() {
-			close(held)
-			<-release
-		})
-	}
-	v, reg := hookVault(t, hs)
-	b := v.NewBatcher()
-
-	const members = 16
-	want := make([][]byte, members)
-	errs := make(chan error, members)
-	put := func(i int) {
-		want[i] = fill(fmt.Sprintf("member-%d", i), 300+i)
-		go func() { errs <- b.Put(context.Background(), fmt.Sprintf("m%02d", i), want[i]) }()
-	}
-	put(0)
-	<-held
-	for i := 1; i < members; i++ {
-		put(i)
-	}
-	for {
-		b.mu.Lock()
-		queued := len(b.pending)
-		b.mu.Unlock()
-		if queued == members-1 {
-			break
-		}
-		runtime.Gosched()
-	}
-	close(release)
-	for i := 0; i < members; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if got := reg.Counter("vault.batch.flushes").Load(); got != 2 {
-		t.Errorf("vault.batch.flushes = %d, want 2 (one held flush, one for the %d queued behind it)", got, members-1)
-	}
-	for i, data := range want {
-		id := fmt.Sprintf("m%02d", i)
-		if got, err := v.Get(context.Background(), id); err != nil || !bytes.Equal(got, data) {
-			t.Errorf("member %s: read back wrong bytes (err %v)", id, err)
-		}
-	}
+	return v
 }
 
 // overlapGuard bounds how long a held stage waits for the other put. It
@@ -148,7 +79,7 @@ func TestDistinctPutsOverlap(t *testing.T) {
 		}
 		return nil
 	}
-	v, _ := hookVault(t, hs)
+	v := hookVault(t, hs)
 
 	dataA, dataB := fill("a", 2048), fill("b", 2048)
 	errA := make(chan error, 1)

@@ -115,24 +115,19 @@ func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (n int64, er
 			return writeOut(w, id, cached)
 		}
 	}
-	cacheable := v.cache != nil && int64(obj.plainLen) <= v.cache.maxEntry
-	if obj.batch == nil && !cacheable {
+	if v.cache == nil || int64(obj.plainLen) > v.cache.maxEntry {
 		return v.readStripes(ctx, id, &obj.layout, w)
 	}
-	data, err := v.readWhole(ctx, id, obj)
-	if err != nil {
+	var sink chunkSink
+	if _, err := v.readStripes(ctx, id, &obj.layout, &sink); err != nil {
 		return 0, err
 	}
-	if cacheable {
-		// Insert under the still-held read lock: any later mutation of
-		// this object must take the write lock first, and its
-		// invalidate(id) then runs strictly after this insert. An
-		// object's plaintext is private to this call and only read after
-		// this, so the cache takes it as is; a member's is a view into
-		// the blob, which the cache must not pin.
-		v.cache.insert(id, epoch, data, obj.batch == nil)
-	}
-	return writeOut(w, id, data)
+	// Insert under the still-held read lock: any later mutation of this
+	// object must take the write lock first, and its invalidate(id) then
+	// runs strictly after this insert. The plaintext is private to this
+	// call and only read after this, so the cache takes it as is.
+	v.cache.insert(id, epoch, sink.whole)
+	return writeOut(w, id, sink.whole)
 }
 
 func writeOut(w io.Writer, id string, data []byte) (int64, error) {
@@ -143,37 +138,12 @@ func writeOut(w io.Writer, id string, data []byte) (int64, error) {
 	return int64(n), nil
 }
 
-// readWhole reads obj's plaintext into memory: its own chunk list, or a
-// batch member's slice of the blob, checked against the member's digest.
-// The result is private to the call; a member's is a view into the blob.
-// Callers hold obj.mu and have checked liveness.
-func (v *Vault) readWhole(ctx context.Context, id string, obj *vaultObject) ([]byte, error) {
-	l, unlock := obj.stripes(false)
-	defer unlock()
-	var sink chunkSink
-	if _, err := v.readStripes(ctx, id, l, &sink); err != nil {
-		return nil, err
-	}
-	if obj.batch == nil {
-		return sink.whole, nil
-	}
-	m := &obj.batch.members[obj.batchIndex]
-	if m.off+m.n > len(sink.whole) {
-		return nil, fmt.Errorf("core: batch %s blob truncated for member %s", l.id, id)
-	}
-	data := sink.whole[m.off : m.off+m.n]
-	if sha256.Sum256(data) != m.digest {
-		return nil, fmt.Errorf("core: batch member %s digest mismatch", id)
-	}
-	return data, nil
-}
-
 // chunkSink collects a read in memory: Get's caller-owned result, and
-// the buffer a cache fill, a batch member or a renewal reads into. Write
-// copies, as io.Writer requires — a cache hit writes the cache's own
-// entry. readStripes instead hands it each decoded chunk, a fresh slice
-// nothing else holds, and an empty sink keeps that as is: a one-chunk
-// object is never copied.
+// the buffer a cache fill or a renewal reads into. Write copies, as
+// io.Writer requires — a cache hit writes the cache's own entry.
+// readStripes instead hands it each decoded chunk, a fresh slice nothing
+// else holds, and an empty sink keeps that as is: a one-chunk object is
+// never copied.
 type chunkSink struct{ whole []byte }
 
 func (s *chunkSink) Write(p []byte) (int, error) {
@@ -206,7 +176,7 @@ func (v *Vault) readStripes(ctx context.Context, id string, l *layout, w io.Writ
 	// caller releases its lock, so look-ahead goroutines never outlive the
 	// layout they read (see prefetch.go).
 	var pf *prefetcher
-	if v.prefetchWindow > 0 && len(l.chunks) > 1 {
+	if len(l.chunks) > 1 {
 		pf = v.newPrefetcher(ctx, l, n, min)
 		defer pf.stop()
 	}
@@ -293,8 +263,7 @@ type ObjectInfo struct {
 	PlainLen int64
 	// Scheme names the encoding that produced the stored shards.
 	Scheme string
-	// Chunks is the number of chunk stripes the object's bytes live in
-	// (for a batch member, its blob's).
+	// Chunks is the number of chunk stripes the object's bytes live in.
 	Chunks int
 	// Width is the stripe width actually occupied on the cluster.
 	Width int
@@ -309,16 +278,12 @@ func (v *Vault) Stat(id string) (*ObjectInfo, error) {
 		return nil, err
 	}
 	defer obj.mu.RUnlock()
-	// Members share one chain; the batch lock orders this against a
-	// batchmate's renewal.
-	l, unlock := obj.stripes(false)
-	defer unlock()
 	return &ObjectInfo{
 		ID:       id,
 		PlainLen: int64(obj.plainLen),
-		Scheme:   l.chunks[0].enc.Scheme,
-		Chunks:   len(l.chunks),
-		Width:    l.width(),
+		Scheme:   obj.chunks[0].enc.Scheme,
+		Chunks:   len(obj.chunks),
+		Width:    obj.width(),
 		ChainLen: obj.chain.Len(),
 	}, nil
 }

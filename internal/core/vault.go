@@ -75,10 +75,8 @@ type Vault struct {
 	// Per-object operations never touch it.
 	sweepMu sync.Mutex
 
-	// stageSeq uniquifies stage tokens across concurrent dispersals;
-	// batchSeq does the same for batch blob ids (see batch.go).
+	// stageSeq uniquifies stage tokens across concurrent dispersals.
 	stageSeq atomic.Int64
-	batchSeq atomic.Int64
 
 	// streamBuffered/streamPeak meter the streaming writer's in-flight
 	// plaintext bytes (read from the client but not yet staged on the
@@ -96,10 +94,6 @@ type Vault struct {
 	cache      *readCache
 	cacheBytes int64
 	cacheShare float64
-
-	// prefetchWindow is how many chunk-stripe fetches a chunked read
-	// keeps in flight ahead of decode (prefetch.go); <= 0 disables.
-	prefetchWindow int
 
 	// obsReg/obsm are the metrics registry and pre-resolved instruments;
 	// see degraded.go. tracer times every vault op (Put/Get/Renew/Scrub/
@@ -135,28 +129,6 @@ type vaultObject struct {
 
 	// layout is the object's chunk stripes and chain; see pipeline.go.
 	layout
-	// batch points at the shared blob state when this object is a member
-	// of a batched small-object write; nil otherwise. See batch.go.
-	batch *batchState
-	// batchIndex is this member's position in batch.members.
-	batchIndex int
-}
-
-// stripes returns the layout holding obj's bytes: its own, or for a
-// batch member the blob's, with the batch lock taken (the write side
-// when excl). The returned func releases it. Callers hold obj.mu.
-func (obj *vaultObject) stripes(excl bool) (*layout, func()) {
-	bs := obj.batch
-	switch {
-	case bs == nil:
-		return &obj.layout, func() {}
-	case excl:
-		bs.mu.Lock()
-		return &bs.layout, bs.mu.Unlock
-	default:
-		bs.mu.RLock()
-		return &bs.layout, bs.mu.RUnlock
-	}
 }
 
 // stripeIndex hashes an object id onto its lock stripe (FNV-1a).
@@ -297,16 +269,15 @@ func NewVault(c *cluster.Cluster, enc Encoding, opts ...VaultOption) (*Vault, er
 		return nil, fmt.Errorf("core: encoding needs %d nodes, cluster has %d", n, c.Size())
 	}
 	v := &Vault{
-		Cluster:        c,
-		Encoding:       enc,
-		IntegrityMode:  tstamp.RefCommitment,
-		Group:          group.Default(),
-		rnd:            rand.Reader,
-		retry:          cluster.DefaultRetry,
-		chunkSize:      DefaultChunkSize,
-		cacheShare:     DefaultCacheTenantShare,
-		prefetchWindow: DefaultPrefetchWindow,
-		obsReg:         obs.Default(),
+		Cluster:       c,
+		Encoding:      enc,
+		IntegrityMode: tstamp.RefCommitment,
+		Group:         group.Default(),
+		rnd:           rand.Reader,
+		retry:         cluster.DefaultRetry,
+		chunkSize:     DefaultChunkSize,
+		cacheShare:    DefaultCacheTenantShare,
+		obsReg:        obs.Default(),
 	}
 	for i := range v.stripes {
 		v.stripes[i].objects = make(map[string]*vaultObject)
@@ -431,18 +402,14 @@ func (v *Vault) RenewIntegrity(id string, scheme sig.Scheme) error {
 		return err
 	}
 	defer obj.mu.Unlock()
-	// Batch members share one chain; serialise against batchmates.
-	_, unlock := obj.stripes(true)
-	defer unlock()
 	return obj.chain.Renew(scheme, v.Cluster.Epoch(), v.rnd)
 }
 
 // RenewShares re-encodes the object with fresh randomness and rewrites
 // every chunk stripe — the generic renewal that works for any encoding
 // (at full re-encode cost; sharing-specific systems do better, see pss).
-// A batch member renews its whole blob, every batchmate in the same
-// stroke. The whole read-reencode-rewrite sequence holds the object's
-// write lock: a concurrent Get of the same object must never observe a
+// The whole read-reencode-rewrite sequence holds the object's write
+// lock: a concurrent Get of the same object must never observe a
 // half-rewritten shard set, while operations on other objects proceed
 // untouched. The rewrite itself is stage-then-commit: a node failing
 // mid-renewal aborts the stage and the cluster keeps the old encoding
@@ -462,16 +429,13 @@ func (v *Vault) RenewShares(ctx context.Context, id string) (err error) {
 	// The rewrite changes the shard set (and, across an epoch boundary,
 	// the epoch a fresh read would record); drop the cached plaintext
 	// before dispersal so no entry from the pre-renewal stripe survives
-	// the write lock. A member's batchmates keep theirs: their bytes are
-	// untouched by construction, and only this member's lock is held.
+	// the write lock.
 	v.cacheInvalidate(id)
-	l, unlock := obj.stripes(true)
-	defer unlock()
 	var sink chunkSink
-	if _, err := v.readStripes(ctx, id, l, &sink); err != nil {
+	if _, err := v.readStripes(ctx, id, &obj.layout, &sink); err != nil {
 		return err
 	}
-	if err := v.write(ctx, l, bytes.NewReader(sink.whole)); err != nil {
+	if err := v.write(ctx, &obj.layout, bytes.NewReader(sink.whole)); err != nil {
 		return fmt.Errorf("core: renewal of %s rolled back: %w", id, err)
 	}
 	return nil
@@ -495,11 +459,7 @@ func (v *Vault) DeleteContext(ctx context.Context, id string) (err error) {
 	defer obj.mu.Unlock()
 	obj.live.Store(false)
 	v.cacheInvalidate(id)
-	if obj.batch != nil {
-		v.releaseBatchMember(obj)
-	} else {
-		v.replaceChunks(&obj.layout, nil)
-	}
+	v.replaceChunks(&obj.layout, nil)
 	v.unregister(id)
 	return nil
 }
@@ -516,8 +476,6 @@ func (v *Vault) ExportEvidence(id string) ([]byte, error) {
 		return nil, err
 	}
 	defer obj.mu.RUnlock()
-	_, unlock := obj.stripes(false)
-	defer unlock()
 	if err := obj.chain.VerifyOpening(); err != nil {
 		return nil, fmt.Errorf("core: export evidence for %s: %w", id, err)
 	}
@@ -535,19 +493,16 @@ func (v *Vault) Chain(id string) *tstamp.Chain {
 }
 
 // StorageCost measures the object's at-rest overhead from the cluster.
-// Batch members share one stripe and report the blob's ratio.
 func (v *Vault) StorageCost(id string) float64 {
 	obj, err := v.acquire(context.Background(), id, false)
 	if err != nil {
 		return 0
 	}
 	defer obj.mu.RUnlock()
-	l, unlock := obj.stripes(false)
-	defer unlock()
-	if l.plainLen == 0 {
+	if obj.plainLen == 0 {
 		return 0
 	}
-	return float64(v.Cluster.ObjectBytes(l.id)) / float64(l.plainLen)
+	return float64(v.Cluster.ObjectBytes(obj.id)) / float64(obj.plainLen)
 }
 
 // Objects lists stored object ids (unordered). Entries still dispersing

@@ -48,64 +48,6 @@ func readBytes(buf []byte) ([]byte, []byte, error) {
 	return buf[:n], buf[n:], nil
 }
 
-// encodeBatchBlob packs the members of one batched small-object write
-// into a single self-describing blob:
-//
-//	u32 count ‖ count × ( u32 idLen ‖ id ‖ u32 dataLen ‖ data )
-//
-// offsets[i] is the byte offset of member i's payload within the blob,
-// so member reads can slice the decoded blob directly.
-func encodeBatchBlob(ids []string, datas [][]byte) (blob []byte, offsets []int) {
-	size := 4
-	for i := range ids {
-		size += 8 + len(ids[i]) + len(datas[i])
-	}
-	blob = binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(ids)))
-	offsets = make([]int, len(ids))
-	for i := range ids {
-		blob = appendBytes(blob, []byte(ids[i]))
-		blob = binary.BigEndian.AppendUint32(blob, uint32(len(datas[i])))
-		offsets[i] = len(blob)
-		blob = append(blob, datas[i]...)
-	}
-	return blob, offsets
-}
-
-// decodeBatchBlob reverses encodeBatchBlob, returning member ids and
-// payloads (aliasing blob). Strict: a count the buffer cannot hold, any
-// truncated field, or trailing bytes all error — never a panic or an
-// attacker-sized allocation.
-func decodeBatchBlob(blob []byte) ([]string, [][]byte, error) {
-	if len(blob) < 4 {
-		return nil, nil, errTruncated
-	}
-	count := int(binary.BigEndian.Uint32(blob))
-	buf := blob[4:]
-	// Each member occupies at least 8 bytes (two u32 length prefixes).
-	if count < 0 || count > len(buf)/8 {
-		return nil, nil, errTruncated
-	}
-	ids := make([]string, count)
-	datas := make([][]byte, count)
-	for i := 0; i < count; i++ {
-		id, rest, err := readBytes(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		data, rest, err := readBytes(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		ids[i] = string(id)
-		datas[i] = data
-		buf = rest
-	}
-	if len(buf) != 0 {
-		return nil, nil, errTruncated
-	}
-	return ids, datas, nil
-}
-
 // decodeLRSSShare reverses encodeLRSSShare.
 func decodeLRSSShare(buf []byte) (lrss.Share, error) {
 	var s lrss.Share

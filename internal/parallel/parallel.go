@@ -22,7 +22,7 @@ import (
 // runtime.GOMAXPROCS(0), and any request is clamped at GOMAXPROCS — the
 // fork-join helpers here run CPU-bound coding kernels, so workers beyond
 // the scheduler's parallelism are pure goroutine churn (visible as
-// per-put goroutine spawn storms in pprof when tiny batched stripes ask
+// per-put goroutine spawn storms in pprof when tiny stripes ask
 // for W=64 on a small box). This is the single knob the WithParallelism
 // options across rs/shamir/packed/core funnel into; the per-call chunk
 // count in For supplies the third clamp term, min(requested, GOMAXPROCS,

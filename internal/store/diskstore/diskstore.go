@@ -17,11 +17,10 @@
 // Fsync policy (store.Config.Fsync): "commit" (default) fsyncs the
 // segments a commit-point record (commit, put, delete) references, in
 // parallel, before the record is appended, and then the WAL — one
-// ordered pair of fsync steps per durable decision; "always"
-// additionally syncs every stage's segment append and record; "never"
-// skips fsync entirely (still recovers from process kill, not from
-// power loss). Stage and abort records are never individually fsynced
-// even under "commit": a lost stage is exactly an aborted one. A file
+// ordered pair of fsync steps per durable decision; "never" skips
+// fsync entirely (still recovers from process kill, not from power
+// loss). Stage and abort records are never individually fsynced: a
+// lost stage is exactly an aborted one. A file
 // needs an fsync while its synced watermark is below its size, so one
 // fsync covers every stage appended before it, whoever staged them.
 // A failed fsync kills the store: the kernel may already have dropped
@@ -49,7 +48,6 @@ import (
 // Fsync policies.
 const (
 	FsyncCommit = "commit"
-	FsyncAlways = "always"
 	FsyncNever  = "never"
 )
 
@@ -83,8 +81,8 @@ var (
 // Option configures Open.
 type Option func(*Store)
 
-// WithFsync selects the durability policy: FsyncCommit (default),
-// FsyncAlways or FsyncNever.
+// WithFsync selects the durability policy: FsyncCommit (default) or
+// FsyncNever.
 func WithFsync(mode string) Option {
 	return func(s *Store) {
 		if mode != "" {
@@ -172,7 +170,7 @@ func Open(dir string, n int, opts ...Option) (*Store, error) {
 		o(s)
 	}
 	switch s.fsync {
-	case FsyncCommit, FsyncAlways, FsyncNever:
+	case FsyncCommit, FsyncNever:
 	default:
 		return nil, fmt.Errorf("diskstore: unknown fsync policy %q", s.fsync)
 	}
@@ -660,9 +658,6 @@ func (nd *diskNode) Stage(stage string, sh store.Shard) error {
 		return err
 	}
 	nd.staged[sh.Key] = stagedRef{stage: stage, ref: ref}
-	if s.fsync == FsyncAlways {
-		return s.syncUnlocked(addTarget(addTarget(nil, nd.segs[ref.seg]), s.wal))
-	}
 	return nil
 }
 

@@ -271,7 +271,7 @@ func TestSegmentRolling(t *testing.T) {
 }
 
 func TestFsyncPolicies(t *testing.T) {
-	for _, mode := range []string{FsyncCommit, FsyncAlways, FsyncNever} {
+	for _, mode := range []string{FsyncCommit, FsyncNever} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			s := mustOpen(t, dir, 2, WithFsync(mode))

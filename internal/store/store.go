@@ -141,10 +141,9 @@ type Config struct {
 	// Fsync is the disk backend's durability policy: "commit" (the
 	// default — the segment files a commit record references are
 	// fsynced, in parallel, before it is appended, and the record's
-	// fsync is the commit point), "always" (every stage's append and
-	// record synced too) or "never" (benchmark mode: no durability
-	// across power loss, though the log still recovers from process
-	// kill). Under the first two, a failed fsync fails that operation
+	// fsync is the commit point) or "never" (benchmark mode: no
+	// durability across power loss, though the log still recovers from
+	// process kill). Under "commit", a failed fsync fails that operation
 	// and every later one: nothing retries it.
 	Fsync string
 	// MaxSegmentBytes caps each append-only segment file before the

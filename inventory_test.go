@@ -64,9 +64,6 @@ var exportedAllowlist = map[string]string{
 	"core.WithTracer":                 "bench",
 	"store/diskstore.Store.Recovery":  "bench",
 
-	"core.Batcher.Put":                 "item 2",
-	"core.Vault.NewBatcher":            "item 2",
-	"core.WithBatchMaxMembers":         "item 2",
 	"core.Vault.ExportEvidence":        "item 3",
 	"reencrypt":                        "item 5",
 	"tstamp.Unmarshal":                 "item 6",

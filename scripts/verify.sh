@@ -23,6 +23,24 @@ test -z "$(gofmt -l . | grep -v '^bench/')"
 # The paper's scoreboard: regenerate it and require Figure 1's orderings.
 # grep without -q reads to the end, so the pipe never breaks early.
 go run ./cmd/papereval | grep -F "shape check: all of the paper's qualitative orderings hold"
+# archivectl's file path end to end: with one byte of one shard flipped,
+# get must still write the input's exact bytes, and after scrub -repair
+# so must a second get.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/archivectl" ./cmd/archivectl
+head -c 20000 /dev/urandom > "$tmp/f.bin"
+for enc in erasure shamir aes; do
+  "$tmp/archivectl" put -in "$tmp/f.bin" -store "$tmp/$enc" -encoding "$enc" -n 8 -t 4
+  shard="$tmp/$enc/node-00/f.bin.shard"
+  b=$(od -An -tu1 -j100 -N1 "$shard")
+  printf "$(printf '\\%03o' $((b ^ 255)))" | dd of="$shard" bs=1 seek=100 conv=notrunc status=none
+  "$tmp/archivectl" get -manifest "$tmp/$enc/f.bin.manifest.json" -out "$tmp/$enc.out"
+  cmp "$tmp/f.bin" "$tmp/$enc.out"
+  "$tmp/archivectl" scrub -manifest "$tmp/$enc/f.bin.manifest.json" -repair | grep -F "1 bad of 8"
+  "$tmp/archivectl" get -manifest "$tmp/$enc/f.bin.manifest.json" -out "$tmp/$enc.out2"
+  cmp "$tmp/f.bin" "$tmp/$enc.out2"
+done
 # The AVX2 kernels are amd64-only; this keeps the stub every other
 # platform builds (internal/gf256/kernels_other.go) from rotting.
 GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
