@@ -11,9 +11,10 @@
 //	attacksim -campaign hndl|mobile|leakage|faults|all [-epochs N] [-budget B] [-seed S]
 //	          [-transient P] [-offline K] [-corrupt P]
 //
-// The systems under attack commit on group.Test() (256-bit, insecure) so
-// that seeded campaigns reproduce the committed tables; no campaign
-// attacks the group itself.
+// HasDPSS and LINCOS commit on group.Test() (256-bit, insecure) so that
+// seeded campaigns reproduce the committed tables; the vault-backed
+// systems commit on the production group. No campaign attacks the group
+// itself.
 package main
 
 import (
@@ -46,7 +47,7 @@ func main() {
 	corrupt := flag.Float64("corrupt", 0.01, "faults: per-read bit-rot probability")
 	flag.Usage = func() {
 		fmt.Fprint(flag.CommandLine.Output(), "usage: attacksim -campaign hndl|mobile|leakage|faults|all [flags]\n\n"+
-			"The systems under attack commit on group.Test() (256-bit, insecure) so that seeded\n"+
+			"HasDPSS and LINCOS commit on group.Test() (256-bit, insecure) so that seeded\n"+
 			"campaigns reproduce the committed tables; no campaign attacks the group itself.\n\n")
 		flag.PrintDefaults()
 	}

@@ -6,7 +6,8 @@
 // measured ones.
 //
 // Table 1's HasDPSS and LINCOS rows commit on group.Test() (256-bit,
-// insecure), so the table regenerates unchanged; bench/ measures the
+// insecure), so the table regenerates unchanged; the vault-backed rows
+// (CloudAES, AONT-RS, POTSHARDS, PASIS) and bench/ commit on the
 // production group.
 //
 // Usage:
@@ -30,6 +31,7 @@ import (
 	"securearchive/internal/otp"
 	"securearchive/internal/pss"
 	"securearchive/internal/shamir"
+	"securearchive/internal/systems"
 )
 
 func main() {
@@ -94,13 +96,13 @@ func runFigure1(objKiB int) {
 
 func runTable1(objKiB int) {
 	fmt.Println("=== Table 1: system summary (classifications + measured cost) ===")
-	cfg := core.DefaultTable1Config()
+	cfg := systems.DefaultTable1Config()
 	cfg.ObjectLen = objKiB << 10
-	rows, err := core.Table1(cfg, rand.Reader)
+	rows, err := systems.Table1(cfg, rand.Reader)
 	if err != nil {
 		fatal(err)
 	}
-	want := core.Table1Expected()
+	want := systems.Table1Expected()
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "system\ttransit\trest\tcost band\tmeasured (x)\tpaper row matches\n")
 	for _, r := range rows {

@@ -146,33 +146,6 @@ func TestFigure1NumericAnchors(t *testing.T) {
 	}
 }
 
-func TestTable1MatchesPaper(t *testing.T) {
-	rows, err := Table1(Table1Config{Nodes: 8, ObjectLen: 16 << 10}, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("%d rows, want 8", len(rows))
-	}
-	want := Table1Expected()
-	for _, r := range rows {
-		w, ok := want[r.System]
-		if !ok {
-			t.Errorf("unexpected system %q", r.System)
-			continue
-		}
-		if r.TransitClass != w.Transit {
-			t.Errorf("%s transit %s, paper says %s", r.System, r.TransitClass, w.Transit)
-		}
-		if r.RestClass != w.Rest {
-			t.Errorf("%s rest %s, paper says %s", r.System, r.RestClass, w.Rest)
-		}
-		if r.CostBand != w.Cost {
-			t.Errorf("%s cost %s (measured %.2fx), paper says %s", r.System, r.CostBand, r.MeasuredCost, w.Cost)
-		}
-	}
-}
-
 func TestRecommendShortHorizon(t *testing.T) {
 	rec, err := Recommend(Requirements{HorizonYears: 10, MaxOverhead: 2.5, Nodes: 8, Threshold: 4})
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package core is the crypto-agile secure-archival framework this
 // reproduction builds as the paper's called-for (but unbuilt) artifact:
 // a single Encoding abstraction covering every data encoding in Figure 1,
-// a measured regeneration of Figure 1 and Table 1, a policy engine that
+// a measured regeneration of Figure 1 (Table 1 is regenerated beside the
+// systems it measures, in internal/systems), a policy engine that
 // walks the security/cost trade-off the paper says archives are stuck
 // with, and a Vault facade that composes an encoding with dispersal,
 // integrity chains, and renewal.

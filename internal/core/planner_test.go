@@ -1,13 +1,8 @@
 package core
 
 import (
-	"crypto/rand"
 	"errors"
 	"testing"
-
-	"securearchive/internal/adversary"
-	"securearchive/internal/cluster"
-	"securearchive/internal/systems"
 )
 
 func TestPlanRenewalSafety(t *testing.T) {
@@ -73,60 +68,5 @@ func TestMinRenewalsPerEpoch(t *testing.T) {
 	r, err = MinRenewalsPerEpoch(100, 3, 0)
 	if err != nil || r != 1 {
 		t.Fatalf("no adversary: r=%d err=%v", r, err)
-	}
-}
-
-// TestPlannerPredictionsMatchSimulation: run the actual mobile adversary
-// against a simulated archive under both a safe and an unsafe plan, and
-// confirm the planner's verdicts.
-func TestPlannerPredictionsMatchSimulation(t *testing.T) {
-	const objects, threshold, advBudget, epochs = 4, 3, 1, 24
-	for _, perEpoch := range []int{4, 1} { // 4 → refresh every epoch (safe); 1 → every 4 epochs (unsafe)
-		plan, err := PlanRenewal(objects, perEpoch, threshold, advBudget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := cluster.New(8, nil)
-		arch, err := systems.NewVSRArchive(c, 6, threshold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs := make([]*systems.Ref, objects)
-		data := []byte("planned object")
-		for i := range refs {
-			ref, err := arch.Store(string(rune('a'+i)), data, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refs[i] = ref
-		}
-		adv := adversary.NewMobile(advBudget, 31)
-		next := 0
-		for e := 0; e < epochs; e++ {
-			adv.CorruptRandom(c)
-			c.AdvanceEpoch()
-			for k := 0; k < perEpoch; k++ {
-				if err := arch.Renew(refs[next%objects], rand.Reader); err != nil {
-					t.Fatal(err)
-				}
-				next++
-			}
-		}
-		breached := false
-		for _, ref := range refs {
-			if res := arch.Breach(adv, ref, adversary.Breaks{}, 1000); res.Violated {
-				breached = true
-			}
-		}
-		if plan.Safe && breached {
-			t.Fatalf("planner said safe (perEpoch=%d) but simulation breached", perEpoch)
-		}
-		if !plan.Safe && !breached {
-			// Unsafe means "not guaranteed", not "certainly breached";
-			// with this adversary (budget 1, random targeting) and a
-			// 4-epoch window, a breach is likely but not certain. Accept
-			// either outcome but log it.
-			t.Logf("unsafe plan (perEpoch=%d) survived this run — unsafe is a non-guarantee, not a certainty", perEpoch)
-		}
 	}
 }

@@ -8,75 +8,43 @@ import (
 	"securearchive/internal/aont"
 	"securearchive/internal/cascade"
 	"securearchive/internal/cluster"
+	"securearchive/internal/core"
 	"securearchive/internal/sec"
 )
 
 // AONTRS is Resch & Plank's dispersed storage system (Cleversafe / IBM
 // Cloud Object Storage): the all-or-nothing transform blends a random key
-// into the data package, which is then erasure-coded across nodes. Below
-// the threshold a PPT adversary learns nothing and *no key management
-// exists at all*; at or above the threshold the inverse is public. The
-// paper's §3.2 caveat is implemented literally in Breach: once the
-// underlying cipher or hash family breaks, even a single harvested shard
-// leaks plaintext blocks.
-type AONTRS struct {
-	Cluster *cluster.Cluster
-	Scheme  *aont.Scheme
-	pkgLen  map[string]int
-}
+// into the data package, which is then erasure-coded across nodes —
+// core.AONTRS in a vault. Below the threshold a PPT adversary learns
+// nothing and *no key management exists at all*; at or above the
+// threshold the inverse is public. The paper's §3.2 caveat is implemented
+// literally in Breach: once the underlying cipher or hash family breaks,
+// even a single harvested shard leaks plaintext blocks.
+type AONTRS struct{ vaulted }
 
 // NewAONTRS builds the system with k-of-n dispersal.
 func NewAONTRS(c *cluster.Cluster, k, n int) (*AONTRS, error) {
-	sch, err := aont.NewScheme(k, n)
+	if _, err := aont.NewScheme(k, n); err != nil {
+		return nil, err
+	}
+	v, err := newVaulted(c, core.AONTRS{K: k, N: n})
 	if err != nil {
 		return nil, err
 	}
-	if n > c.Size() {
-		return nil, fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
-	}
-	return &AONTRS{Cluster: c, Scheme: sch, pkgLen: make(map[string]int)}, nil
+	return &AONTRS{v}, nil
 }
 
 // Name implements Archive.
 func (s *AONTRS) Name() string { return "AONT-RS" }
 
 // Store implements Archive.
-func (s *AONTRS) Store(object string, data []byte, rnd io.Reader) (*Ref, error) {
-	shards, pkgLen, err := s.Scheme.Encode(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := putShards(s.Cluster, object, shards); err != nil {
-		return nil, err
-	}
-	s.pkgLen[object] = pkgLen
-	return &Ref{System: s.Name(), Object: object, PlainLen: len(data)}, nil
-}
-
-// Retrieve implements Archive.
-func (s *AONTRS) Retrieve(ref *Ref) ([]byte, error) {
-	pkgLen, ok := s.pkgLen[ref.Object]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
-	}
-	shards := getShards(s.Cluster, ref.Object, s.Scheme.Code.TotalShards())
-	pt, err := s.Scheme.Decode(shards, pkgLen, ref.PlainLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
-	}
-	return pt, nil
+func (s *AONTRS) Store(object string, data []byte, _ io.Reader) (*Ref, error) {
+	return s.store(s.Name(), object, data)
 }
 
 // Renew implements Archive: AONT-RS has no in-place refresh; renewal is a
 // full re-encode (read, new blended key, rewrite) — §3.2's I/O bill.
-func (s *AONTRS) Renew(ref *Ref, rnd io.Reader) error {
-	data, err := s.Retrieve(ref)
-	if err != nil {
-		return err
-	}
-	_, err = s.Store(ref.Object, data, rnd)
-	return err
-}
+func (s *AONTRS) Renew(ref *Ref, _ io.Reader) error { return s.renew(ref) }
 
 // Classify implements Archive.
 func (s *AONTRS) Classify() sec.Profile {
@@ -93,7 +61,7 @@ func (s *AONTRS) Classify() sec.Profile {
 // trivially knows the key", §3.2).
 func (s *AONTRS) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks, epoch int) BreachResult {
 	have := adv.MaxAnyEpochShards(ref.Object)
-	k := s.Scheme.Code.DataShards()
+	_, k := s.v.Encoding.Shards()
 	if have >= k {
 		pt, err := s.Retrieve(ref)
 		if err != nil {

@@ -1,12 +1,14 @@
 package systems
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 
 	"securearchive/internal/adversary"
 	"securearchive/internal/cascade"
 	"securearchive/internal/cluster"
+	"securearchive/internal/core"
 	"securearchive/internal/rs"
 	"securearchive/internal/sec"
 )
@@ -27,6 +29,9 @@ type ArchiveSafeLT struct {
 	keys   map[string][]cascade.LayerKey
 	layers map[string][]cascade.Layer
 	ctLen  map[string]int
+	// digests[object][i] is the SHA-256 of shard i as last written:
+	// reads discard a shard that no longer matches and fetch another.
+	digests map[string][][sha256.Size]byte
 }
 
 // NewArchiveSafeLT builds the system with the given layer stack and
@@ -49,6 +54,7 @@ func NewArchiveSafeLT(c *cluster.Cluster, stack []cascade.Scheme, dataShards, pa
 		keys:    make(map[string][]cascade.LayerKey),
 		layers:  make(map[string][]cascade.Layer),
 		ctLen:   make(map[string]int),
+		digests: make(map[string][][sha256.Size]byte),
 	}, nil
 }
 
@@ -75,16 +81,21 @@ func (s *ArchiveSafeLT) Store(object string, data []byte, rnd io.Reader) (*Ref, 
 	s.keys[object] = keys
 	s.layers[object] = env.Layers
 	s.ctLen[object] = len(env.Body)
+	s.digests[object] = core.ShardDigests(shards)
 	return &Ref{System: s.Name(), Object: object, PlainLen: len(data)}, nil
 }
 
-// envelope rebuilds the stored envelope from the cluster.
+// envelope rebuilds the stored envelope from the first k shards that
+// still match their digests.
 func (s *ArchiveSafeLT) envelope(ref *Ref) (*cascade.Envelope, error) {
 	layers, ok := s.layers[ref.Object]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
 	}
-	shards := getShards(s.Cluster, ref.Object, s.Code.TotalShards())
+	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.Code.TotalShards(), s.Code.DataShards(), committed(s.digests[ref.Object]))
+	if err != nil {
+		return nil, err
+	}
 	if err := s.Code.Reconstruct(shards); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
 	}
@@ -131,6 +142,7 @@ func (s *ArchiveSafeLT) Renew(ref *Ref, rnd io.Reader) error {
 	s.keys[ref.Object] = append(s.keys[ref.Object], nk[0])
 	s.layers[ref.Object] = env.Layers
 	s.ctLen[ref.Object] = len(env.Body)
+	s.digests[ref.Object] = core.ShardDigests(shards)
 	return nil
 }
 

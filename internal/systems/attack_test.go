@@ -243,3 +243,56 @@ func TestHasDPSSRenewalDefeatsHarvest(t *testing.T) {
 		t.Fatalf("static HasDPSS shares should fall: %+v", res)
 	}
 }
+
+// TestBreachChunkedObject: a vault object over one chunk is several
+// chunk stripes on every node. A full harvest must recover exactly the
+// object — chunk by chunk for POTSHARDS' shares, one replica's chunks
+// in order for PASIS replication — and two nodes' worth of POTSHARDS
+// shares, below its threshold of 3, must leak nothing. POTSHARDS'
+// RetrieveRobust, which reads past the vault, must read every chunk too.
+func TestBreachChunkedObject(t *testing.T) {
+	obj := make([]byte, 1<<20+100<<10)
+	rand.Read(obj)
+	c := cluster.New(8, nil)
+	pot, err := NewPOTSHARDS(c, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewPASIS(c, PASISReplication, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	potRef, err := pot.Store("pot", obj, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repRef, err := rep.Store("rep", obj, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got, err := pot.RetrieveRobust(potRef, 1); err != nil || !bytes.Equal(got, obj) {
+		t.Fatalf("RetrieveRobust: %d bytes, %v; want the %d-byte object", len(got), err, len(obj))
+	}
+
+	two := adversary.NewMobile(2, 1)
+	two.Corrupt(c, 0)
+	two.Corrupt(c, 1)
+	if res := pot.Breach(two, potRef, adversary.Breaks{}, 0); res.Violated {
+		t.Fatalf("POTSHARDS breached from 2 of 3 shares: %s", res.Reason)
+	}
+
+	all := adversary.NewMobile(c.Size(), 1)
+	for i := 0; i < c.Size(); i++ {
+		all.Corrupt(c, i)
+	}
+	for name, res := range map[string]BreachResult{
+		"POTSHARDS":         pot.Breach(all, potRef, adversary.Breaks{}, 0),
+		"PASIS replication": rep.Breach(all, repRef, adversary.Breaks{}, 0),
+	} {
+		if !res.Full || !bytes.Equal(res.Recovered, obj) {
+			t.Errorf("%s: full harvest recovered %d bytes (full=%v), want the %d-byte object: %s",
+				name, len(res.Recovered), res.Full, len(obj), res.Reason)
+		}
+	}
+}

@@ -43,9 +43,10 @@ func TestInsufficientShardsErrorText(t *testing.T) {
 	}
 }
 
-// The shared degraded-read helper used by POTSHARDS/PASIS/CloudAES must
-// attribute plain outages the same way.
-func TestGetShardsDegradedAttribution(t *testing.T) {
+// The vault-backed systems (POTSHARDS, PASIS, CloudAES, AONT-RS) read
+// through the vault, whose below-threshold error must attribute plain
+// outages the same way, wrapped as ErrRetrieval.
+func TestVaultBackedRetrieveAttribution(t *testing.T) {
 	c := cluster.New(8, nil)
 	pot, err := NewPOTSHARDS(c, 5, 3)
 	if err != nil {

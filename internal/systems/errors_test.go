@@ -15,17 +15,15 @@ import (
 func TestRetrieveUnknownRefs(t *testing.T) {
 	systems, _ := allSystems(t)
 	ghost := &Ref{Object: "never-stored", PlainLen: 10}
-	for _, name := range []string{"cloud", "archivesafe", "aontrs", "hasdpss"} {
+	for _, name := range []string{"cloud", "archivesafe", "aontrs", "potshards", "pasis", "hasdpss"} {
 		if _, err := systems[name].Retrieve(ghost); !errors.Is(err, ErrUnknownRef) {
 			t.Errorf("%s: unknown ref: %v", name, err)
 		}
 	}
-	// The share-based systems fail with a retrieval error (no per-object
-	// state beyond shards).
-	for _, name := range []string{"potshards", "lincos"} {
-		if _, err := systems[name].Retrieve(ghost); err == nil {
-			t.Errorf("%s: ghost retrieve succeeded", name)
-		}
+	// LINCOS keeps no per-object state beyond shards and its chain: it
+	// fails with a retrieval error.
+	if _, err := systems["lincos"].Retrieve(ghost); err == nil {
+		t.Error("lincos: ghost retrieve succeeded")
 	}
 }
 
@@ -167,16 +165,26 @@ func TestPASISErasureBreachPartial(t *testing.T) {
 	}
 }
 
+// TestCloudAESRenewRotatesKey: a renewal re-encrypts under a fresh key
+// and nonce, so every stored shard changes — shard 0 is checked.
 func TestCloudAESRenewRotatesKey(t *testing.T) {
 	c := cluster.New(8, nil)
 	cloud, _ := NewCloudAES(c, 4, 2)
 	ref, _ := cloud.Store("obj", payload, rand.Reader)
-	k1 := append([]byte(nil), cloud.keys["obj"]...)
+	key := cluster.ShardKey{Object: "obj", Index: 0}
+	before, err := c.GetCtx(context.Background(), 0, key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cloud.Renew(ref, rand.Reader); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(k1, cloud.keys["obj"]) {
-		t.Fatal("renew did not rotate the key")
+	after, err := c.GetCtx(context.Background(), 0, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(before.Data, after.Data) {
+		t.Fatal("renew did not re-encrypt shard 0")
 	}
 	got, err := cloud.Retrieve(ref)
 	if err != nil || !bytes.Equal(got, payload) {

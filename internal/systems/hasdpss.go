@@ -64,11 +64,8 @@ func (b LedgerBlock) Hash() [sha256.Size]byte {
 
 // NewHasDPSS builds the system.
 func NewHasDPSS(c *cluster.Cluster, n, t int, grp *group.Group) (*HasDPSS, error) {
-	if n > c.Size() {
-		return nil, fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
-	}
-	if t < 1 || t > n {
-		return nil, fmt.Errorf("systems: invalid threshold %d of %d", t, n)
+	if err := checkSharing(c, n, t); err != nil {
+		return nil, err
 	}
 	if grp == nil {
 		grp = group.Default()

@@ -51,11 +51,8 @@ const padBudget = 1 << 20
 // NewLINCOS builds the system, running one simulated QKD session per node
 // link to establish transit pads.
 func NewLINCOS(c *cluster.Cluster, n, t int, grp *group.Group, seed int64) (*LINCOS, error) {
-	if n > c.Size() {
-		return nil, fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
-	}
-	if t < 1 || t > n {
-		return nil, fmt.Errorf("systems: invalid threshold %d of %d", t, n)
+	if err := checkSharing(c, n, t); err != nil {
+		return nil, err
 	}
 	if grp == nil {
 		grp = group.Default()
@@ -170,7 +167,7 @@ func (s *LINCOS) Store(object string, data []byte, rnd io.Reader) (*Ref, error) 
 
 // Retrieve implements Archive, verifying the timestamp chain's opening.
 func (s *LINCOS) Retrieve(ref *Ref) ([]byte, error) {
-	shares := sharesOf(getShards(s.Cluster, ref.Object, s.N), s.T, s.T)
+	shares := sharesOf(getShards(s.Cluster, ref.Object, 0, s.N), s.T, s.T)
 	if len(shares) < s.T {
 		return nil, fmt.Errorf("%w: %d/%d shares reachable", ErrRetrieval, len(shares), s.T)
 	}
@@ -224,7 +221,7 @@ func (s *LINCOS) Classify() sec.Profile {
 // yield nothing (perfectly hiding), so the only avenue is the mobile
 // adversary assembling a same-epoch threshold of shares at rest.
 func (s *LINCOS) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks, epoch int) BreachResult {
-	shares := harvestedShamir(adv, ref.Object, s.T, true)
+	shares := harvestedShamir(adv, ref.Object, s.T)
 	if len(shares) < s.T {
 		return BreachResult{Reason: fmt.Sprintf("best same-epoch haul is %d/%d shares", len(shares), s.T)}
 	}

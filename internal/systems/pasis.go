@@ -6,6 +6,7 @@ import (
 
 	"securearchive/internal/adversary"
 	"securearchive/internal/cluster"
+	"securearchive/internal/core"
 	"securearchive/internal/rs"
 	"securearchive/internal/sec"
 )
@@ -47,119 +48,51 @@ func (m PASISMode) String() string {
 // scheme its owner picks, from replication through erasure coding to
 // secret sharing. Table 1 renders that flexibility as "ITS (sometimes)"
 // at rest and "Low-High" cost; experiment E11 sweeps the modes to draw
-// the whole band.
+// the whole band. Each mode is a core encoding in a vault: Replication,
+// Erasure, TraditionalEncryption (AES-256-CTR over RS) or SecretSharing.
 type PASIS struct {
-	Cluster *cluster.Cluster
-	Mode    PASISMode
-	N, T    int
-	// inner delegates per mode.
-	cloud *CloudAES
-	pots  *POTSHARDS
-	code  *rs.Code
-	lens  map[string]int
+	vaulted
+	Mode PASISMode
+	N, T int
 }
 
 // NewPASIS builds a PASIS instance fixed to one mode (one per-object
-// policy; construct several for mixed workloads).
+// policy; construct several for mixed workloads). The erasure-coded
+// modes decode from t of n shards; replication keeps n copies.
 func NewPASIS(c *cluster.Cluster, mode PASISMode, n, t int) (*PASIS, error) {
-	p := &PASIS{Cluster: c, Mode: mode, N: n, T: t, lens: make(map[string]int)}
+	var enc core.Encoding
 	var err error
 	switch mode {
 	case PASISReplication:
-		if n > c.Size() {
-			return nil, fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
-		}
+		enc = core.Replication{N: n}
 	case PASISErasure:
-		p.code, err = rs.New(t, n-t)
-		if err != nil {
-			return nil, err
-		}
-		if n > c.Size() {
-			return nil, fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
-		}
+		_, err = rs.New(t, n-t)
+		enc = core.Erasure{K: t, N: n}
 	case PASISEncryptEC:
-		p.cloud, err = NewCloudAES(c, t, n-t)
-		if err != nil {
-			return nil, err
-		}
+		_, err = rs.New(t, n-t)
+		enc = core.TraditionalEncryption{K: t, N: n}
 	case PASISSecretShare:
-		p.pots, err = NewPOTSHARDS(c, n, t)
-		if err != nil {
-			return nil, err
-		}
+		err = checkSharing(c, n, t)
+		enc = core.SecretSharing{T: t, N: n}
 	default:
 		return nil, fmt.Errorf("systems: unknown PASIS mode %d", mode)
 	}
-	return p, nil
+	if err != nil {
+		return nil, err
+	}
+	v, err := newVaulted(c, enc)
+	if err != nil {
+		return nil, err
+	}
+	return &PASIS{vaulted: v, Mode: mode, N: n, T: t}, nil
 }
 
 // Name implements Archive.
 func (p *PASIS) Name() string { return "PASIS" }
 
 // Store implements Archive.
-func (p *PASIS) Store(object string, data []byte, rnd io.Reader) (*Ref, error) {
-	switch p.Mode {
-	case PASISReplication:
-		shards := make([][]byte, p.N)
-		for i := range shards {
-			shards[i] = data
-		}
-		if err := putShards(p.Cluster, object, shards); err != nil {
-			return nil, err
-		}
-		p.lens[object] = len(data)
-	case PASISErasure:
-		shards, err := p.code.Encode(data)
-		if err != nil {
-			return nil, err
-		}
-		if err := putShards(p.Cluster, object, shards); err != nil {
-			return nil, err
-		}
-		p.lens[object] = len(data)
-	case PASISEncryptEC:
-		if _, err := p.cloud.Store(object, data, rnd); err != nil {
-			return nil, err
-		}
-	case PASISSecretShare:
-		if _, err := p.pots.Store(object, data, rnd); err != nil {
-			return nil, err
-		}
-	}
-	return &Ref{System: p.Name(), Object: object, PlainLen: len(data)}, nil
-}
-
-// Retrieve implements Archive.
-func (p *PASIS) Retrieve(ref *Ref) ([]byte, error) {
-	switch p.Mode {
-	case PASISReplication:
-		// One good replica suffices; the degraded read retries flaky
-		// providers before falling back to the next.
-		shards, err := getShardsDegraded(p.Cluster, ref.Object, p.N, 1, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, sh := range shards {
-			if sh != nil {
-				return sh, nil
-			}
-		}
-		return nil, fmt.Errorf("%w: no replica reachable", ErrRetrieval)
-	case PASISErasure:
-		shards, err := getShardsDegraded(p.Cluster, ref.Object, p.code.TotalShards(), p.code.DataShards(), nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.code.Reconstruct(shards); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
-		}
-		return p.code.Join(shards, p.lens[ref.Object])
-	case PASISEncryptEC:
-		return p.cloud.Retrieve(&Ref{System: p.cloud.Name(), Object: ref.Object, PlainLen: ref.PlainLen})
-	case PASISSecretShare:
-		return p.pots.Retrieve(&Ref{System: p.pots.Name(), Object: ref.Object, PlainLen: ref.PlainLen})
-	}
-	return nil, fmt.Errorf("systems: unknown PASIS mode %d", p.Mode)
+func (p *PASIS) Store(object string, data []byte, _ io.Reader) (*Ref, error) {
+	return p.store(p.Name(), object, data)
 }
 
 // Renew implements Archive.
@@ -188,15 +121,21 @@ func (p *PASIS) Classify() sec.Profile {
 func (p *PASIS) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks, epoch int) BreachResult {
 	switch p.Mode {
 	case PASISReplication:
-		if adv.MaxAnyEpochShards(ref.Object) >= 1 {
-			h := adv.Harvest(ref.Object)
-			return BreachResult{Violated: true, Full: true, Recovered: h[0].Shard.Data,
-				Reason: "replication stores plaintext; one node sufficed"}
+		// Every replica is the plaintext: one node's chunks, in order,
+		// are the whole object.
+		h := adv.Harvest(ref.Object)
+		if len(h) == 0 {
+			return BreachResult{Reason: "no replica harvested"}
 		}
-		return BreachResult{Reason: "no replica harvested"}
+		var pt []byte
+		for _, st := range harvestedStripes(adv, ref.Object) {
+			pt = append(pt, st[h[0].Shard.Key.Index]...)
+		}
+		return BreachResult{Violated: true, Full: true, Recovered: pt,
+			Reason: "replication stores plaintext; one node sufficed"}
 	case PASISErasure:
 		have := adv.MaxAnyEpochShards(ref.Object)
-		if have >= p.code.DataShards() {
+		if have >= p.T {
 			return BreachResult{Violated: true, Full: true,
 				Reason: "erasure coding is not encryption: k shards decode publicly"}
 		}
@@ -206,9 +145,9 @@ func (p *PASIS) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks,
 		}
 		return BreachResult{Reason: "no shards harvested"}
 	case PASISEncryptEC:
-		return p.cloud.Breach(adv, &Ref{Object: ref.Object, PlainLen: ref.PlainLen}, breaks, epoch)
+		return breachCiphertext(p.vaulted, adv, ref, breaks, epoch)
 	case PASISSecretShare:
-		return p.pots.Breach(adv, &Ref{Object: ref.Object, PlainLen: ref.PlainLen}, breaks, epoch)
+		return breachStaticShares(adv, ref, p.T)
 	}
 	return BreachResult{Reason: "unknown mode"}
 }

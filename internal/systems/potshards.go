@@ -6,6 +6,7 @@ import (
 
 	"securearchive/internal/adversary"
 	"securearchive/internal/cluster"
+	"securearchive/internal/core"
 	"securearchive/internal/sec"
 	"securearchive/internal/shamir"
 )
@@ -13,71 +14,56 @@ import (
 // POTSHARDS (Storer et al., ToS '09) was the first full archival system
 // built on Shamir's secret sharing: each share goes to an administratively
 // independent provider, giving information-theoretic confidentiality at
-// rest with no keys to manage, at replication-grade storage cost. Its
-// published design does NOT proactively refresh shares — the drawback the
-// paper leads with: "given enough time, we must entertain the possibility
-// that a mobile adversary eventually steals a threshold number of shares."
-// Breach implements exactly that: harvested shares from ANY epochs
-// combine, because the polynomial never changes.
+// rest with no keys to manage, at replication-grade storage cost — here
+// core.SecretSharing in a vault. Its published design does NOT
+// proactively refresh shares — the drawback the paper leads with: "given
+// enough time, we must entertain the possibility that a mobile adversary
+// eventually steals a threshold number of shares." Breach implements
+// exactly that: harvested shares from ANY epochs combine, because the
+// polynomial never changes.
 type POTSHARDS struct {
-	Cluster *cluster.Cluster
-	N, T    int
+	vaulted
+	N, T int
 }
 
 // NewPOTSHARDS builds the system with a (t, n) sharing, one share per node.
 func NewPOTSHARDS(c *cluster.Cluster, n, t int) (*POTSHARDS, error) {
-	if n > c.Size() {
-		return nil, fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
+	if err := checkSharing(c, n, t); err != nil {
+		return nil, err
 	}
-	if t < 1 || t > n {
-		return nil, fmt.Errorf("systems: invalid threshold %d of %d", t, n)
+	v, err := newVaulted(c, core.SecretSharing{T: t, N: n})
+	if err != nil {
+		return nil, err
 	}
-	return &POTSHARDS{Cluster: c, N: n, T: t}, nil
+	return &POTSHARDS{vaulted: v, N: n, T: t}, nil
 }
 
 // Name implements Archive.
 func (s *POTSHARDS) Name() string { return "POTSHARDS" }
 
 // Store implements Archive.
-func (s *POTSHARDS) Store(object string, data []byte, rnd io.Reader) (*Ref, error) {
-	shares, err := shamir.Split(data, s.N, s.T, rnd)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([][]byte, s.N)
-	for i, sh := range shares {
-		shards[i] = sh.Payload
-	}
-	if err := putShards(s.Cluster, object, shards); err != nil {
-		return nil, err
-	}
-	return &Ref{System: s.Name(), Object: object, PlainLen: len(data)}, nil
-}
-
-// Retrieve implements Archive: any t online providers suffice, and the
-// degraded read stops probing once it has them.
-func (s *POTSHARDS) Retrieve(ref *Ref) ([]byte, error) {
-	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.N, s.T, nil)
-	if err != nil {
-		return nil, err
-	}
-	out, err := shamir.Combine(sharesOf(shards, s.T, s.T))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
-	}
-	return out, nil
+func (s *POTSHARDS) Store(object string, data []byte, _ io.Reader) (*Ref, error) {
+	return s.store(s.Name(), object, data)
 }
 
 // RetrieveRobust reads the object even when up to maxErrors providers
-// return CORRUPTED shares — POTSHARDS has no share commitments, so it
-// leans on the Reed-Solomon structure of Shamir shares (McEliece–
-// Sarwate) and Berlekamp–Welch decoding instead. Requires
+// return CORRUPTED shares without any digest to catch them — it leans on
+// the Reed-Solomon structure of Shamir shares (McEliece–Sarwate) and
+// Berlekamp–Welch decoding, chunk stripe by chunk stripe. Requires
 // n ≥ t + 2·maxErrors reachable providers.
 func (s *POTSHARDS) RetrieveRobust(ref *Ref, maxErrors int) ([]byte, error) {
-	shards := getShards(s.Cluster, ref.Object, s.N)
-	out, err := shamir.CombineRobust(sharesOf(shards, s.T, s.N), maxErrors)
+	info, err := s.v.Stat(ref.Object)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
+		return nil, fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
+	}
+	var out []byte
+	for ci := 0; ci < info.Chunks; ci++ {
+		shards := getShards(s.v.Cluster, ref.Object, ci, s.N)
+		part, err := shamir.CombineRobust(sharesOf(shards, s.T, s.N), maxErrors)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
+		}
+		out = append(out, part...)
 	}
 	return out, nil
 }
@@ -96,16 +82,40 @@ func (s *POTSHARDS) Classify() sec.Profile {
 	}
 }
 
-// Breach implements Archive: shares are static, so harvests from
-// different epochs combine freely; breaks are irrelevant.
+// Breach implements Archive.
 func (s *POTSHARDS) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks, epoch int) BreachResult {
-	shares := harvestedShamir(adv, ref.Object, s.T, false)
-	if len(shares) < s.T {
-		return BreachResult{Reason: fmt.Sprintf("%d/%d shares harvested", len(shares), s.T)}
+	return breachStaticShares(adv, ref, s.T)
+}
+
+// breachStaticShares is the Breach of a vault of Shamir shares that are
+// never renewed (POTSHARDS, PASIS secret-share): harvests from different
+// epochs combine freely and breaks are irrelevant. Each chunk stripe
+// needs t shares of its own; the chunks' secrets concatenate to the
+// object.
+func breachStaticShares(adv *adversary.Mobile, ref *Ref, t int) BreachResult {
+	stripes := harvestedStripes(adv, ref.Object)
+	have := 0
+	for ci, st := range stripes {
+		if ci == 0 || len(st) < have {
+			have = len(st)
+		}
 	}
-	pt, err := shamir.Combine(shares[:s.T])
-	if err != nil {
-		return BreachResult{Violated: true, Reason: "threshold met but shares inconsistent"}
+	if have < t {
+		return BreachResult{Reason: fmt.Sprintf("%d/%d shares harvested", have, t)}
+	}
+	var pt []byte
+	for _, st := range stripes {
+		shares := make([]shamir.Share, 0, t)
+		for idx, data := range st {
+			if len(shares) < t {
+				shares = append(shares, shamir.Share{X: byte(idx + 1), Threshold: byte(t), Payload: data})
+			}
+		}
+		part, err := shamir.Combine(shares)
+		if err != nil {
+			return BreachResult{Violated: true, Reason: "threshold met but shares inconsistent"}
+		}
+		pt = append(pt, part...)
 	}
 	return BreachResult{Violated: true, Full: true, Recovered: pt,
 		Reason: "mobile adversary accumulated a threshold of static shares"}

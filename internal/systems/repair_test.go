@@ -93,7 +93,8 @@ func TestVSRRepairValidation(t *testing.T) {
 }
 
 // TestPOTSHARDSRobustRetrieve: a malicious provider returns garbage;
-// POTSHARDS has no commitments, so Berlekamp–Welch decoding carries it.
+// RetrieveRobust checks no digests, so Berlekamp–Welch decoding carries
+// it.
 func TestPOTSHARDSRobustRetrieve(t *testing.T) {
 	c := cluster.New(8, nil)
 	pot, _ := NewPOTSHARDS(c, 6, 2) // n=6, t=2: corrects up to 2 errors
@@ -116,11 +117,11 @@ func TestPOTSHARDSRobustRetrieve(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("robust retrieval failed against 2 malicious providers")
 	}
-	// Plain retrieval would have been poisoned if it picked a bad share
-	// (it reads the first t reachable: provider 1 is in that set).
+	// Plain retrieval routes around both providers too: their shards no
+	// longer match the digests the vault recorded at Store.
 	plain, err := pot.Retrieve(ref)
-	if err == nil && bytes.Equal(plain, payload) {
-		t.Fatal("plain retrieval unexpectedly dodged the malicious provider (test setup wrong)")
+	if err != nil || !bytes.Equal(plain, payload) {
+		t.Fatalf("plain retrieval did not route around the malicious providers: %v", err)
 	}
 }
 

@@ -9,7 +9,7 @@
 //	PASIS         — configurable encoding (replication / EC / sharing)
 //	POTSHARDS     — plain Shamir across independent providers, no renewal
 //	VSR Archive   — Shamir plus verifiable share redistribution/renewal
-//	CloudAES      — the AWS/Azure/GCP baseline: AES-GCM + erasure coding
+//	CloudAES      — the AWS/Azure/GCP baseline: AES-256 + erasure coding
 //
 // Every system implements the same Archive interface: Store/Retrieve
 // against the cluster, a static security classification (Table 1's transit
@@ -17,7 +17,22 @@
 // rather than asserted — a Breach method that plays the paper's adversary:
 // given the mobile adversary's harvest and the cryptanalytic break clock,
 // what does the attacker actually recover? Experiments E2 and E4 run on
-// these implementations.
+// these implementations, and Table1 regenerates the paper's table from
+// them.
+//
+// Four systems store one core encoding each, so their storage half is a
+// core.Vault: CloudAES (core.TraditionalEncryption), AONT-RS
+// (core.AONTRS), POTSHARDS (core.SecretSharing) and PASIS (one of
+// Replication, Erasure, TraditionalEncryption or SecretSharing per
+// instance). They read, write and renew exactly as the vault does —
+// per-shard digests route reads around rotted shards, an integrity chain
+// covers every object, and renewal is the vault's full re-encode. The
+// vault draws its randomness from crypto/rand, so these four ignore the
+// rnd that Store and Renew are given. The other four renew without ever
+// reassembling plaintext — ArchiveSafeLT wraps an outer cipher layer,
+// VSR and LINCOS add a sharing of zero, HasDPSS redistributes to a new
+// committee — which a vault cannot express yet, so they keep the shard
+// helpers below.
 //
 // Every write is atomic, as the vault's are: a Store, Renew, Resize or
 // Repair stages the whole new stripe under one stage token unique to the
@@ -37,6 +52,7 @@ import (
 
 	"securearchive/internal/adversary"
 	"securearchive/internal/cluster"
+	"securearchive/internal/core"
 	"securearchive/internal/sec"
 	"securearchive/internal/shamir"
 )
@@ -95,6 +111,64 @@ func StorageCost(c *cluster.Cluster, ref *Ref) float64 {
 	return float64(c.ObjectBytes(ref.Object)) / float64(ref.PlainLen)
 }
 
+// vaulted is the storage half of the systems whose at-rest form is one
+// core encoding: a vault holding their objects, one shard per node.
+type vaulted struct{ v *core.Vault }
+
+// newVaulted builds the vault for enc over c, refusing a cluster with
+// fewer nodes than enc has shards.
+func newVaulted(c *cluster.Cluster, enc core.Encoding) (vaulted, error) {
+	if n, _ := enc.Shards(); n > c.Size() {
+		return vaulted{}, fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
+	}
+	v, err := core.NewVault(c, enc)
+	return vaulted{v}, err
+}
+
+// store archives data under object for the system named system.
+func (s vaulted) store(system, object string, data []byte) (*Ref, error) {
+	if err := s.v.Put(context.TODO(), object, data); err != nil {
+		return nil, err
+	}
+	return &Ref{System: system, Object: object, PlainLen: len(data)}, nil
+}
+
+// Retrieve implements Archive: the vault's degraded, digest-vetted read.
+// A read below the decode minimum is ErrRetrieval with the vault's
+// "insufficient shards: got 2, want 3 (node 2: down, …)" attribution.
+func (s vaulted) Retrieve(ref *Ref) ([]byte, error) {
+	data, err := s.v.Get(context.TODO(), ref.Object)
+	switch {
+	case errors.Is(err, core.ErrNotFound):
+		return nil, fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
+	case err != nil:
+		return nil, fmt.Errorf("%w: %w", ErrRetrieval, err)
+	}
+	return data, nil
+}
+
+// renew re-encodes the object with fresh randomness as one staged write;
+// a failed renewal leaves the object as it was.
+func (s vaulted) renew(ref *Ref) error {
+	err := s.v.RenewShares(context.TODO(), ref.Object)
+	if errors.Is(err, core.ErrNotFound) {
+		return fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
+	}
+	return err
+}
+
+// checkSharing refuses a (t, n) sharing that c has too few nodes for or
+// that is no threshold scheme.
+func checkSharing(c *cluster.Cluster, n, t int) error {
+	if n > c.Size() {
+		return fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
+	}
+	if t < 1 || t > n {
+		return fmt.Errorf("systems: invalid threshold %d of %d", t, n)
+	}
+	return nil
+}
+
 // --- shared shard-placement helpers ---
 
 // stageSeq uniquifies the stage tokens of concurrent writes.
@@ -131,18 +205,18 @@ func putShards(c *cluster.Cluster, object string, shards [][]byte) (err error) {
 	return err
 }
 
-// getShards fetches the full stripe (nil for unavailable shards),
-// indexed by shard number, retrying transient faults per node. A
-// best-effort read: callers that tolerate holes (robust decoders,
-// breach analysis) take whatever arrived.
-func getShards(c *cluster.Cluster, object string, total int) [][]byte {
-	return c.FetchChunkStripeCtx(context.TODO(), object, 0, total, total, cluster.DefaultRetry, nil).Shards
+// getShards fetches chunk stripe chunk of object in full (nil for
+// unavailable shards), indexed by shard number, retrying transient faults
+// per node. A best-effort read: callers that tolerate holes (robust
+// decoders) take whatever arrived.
+func getShards(c *cluster.Cluster, object string, chunk, total int) [][]byte {
+	return c.FetchChunkStripeCtx(context.TODO(), object, chunk, total, total, cluster.DefaultRetry, nil).Shards
 }
 
-// getShardsDegraded is the PASIS/POTSHARDS-style k-of-n read shared by
-// the survivable systems: fan out the decoder's minimum plus speculative
-// probes, retry transients with bounded backoff, fall back to remaining
-// providers, and stop once want shards are in hand. When fewer than want
+// getShardsDegraded is the k-of-n read shared by the systems outside the
+// vault: fan out the decoder's minimum plus speculative probes, retry
+// transients with bounded backoff, fall back to remaining providers, and
+// stop once want shards are in hand. When fewer than want
 // shards arrive the error reports the shortfall and the per-node causes
 // ("insufficient shards: got 2, want 3 (node 4: corrupt, node 5:
 // down)") — callers must not feed the partial stripe to a decoder.
@@ -204,37 +278,36 @@ func sharesOf(shards [][]byte, t, limit int) []shamir.Share {
 }
 
 // harvestedShamir assembles shamir.Shares from the adversary's harvest of
-// one object: sameEpoch selects whether only shards written in a single
-// epoch may be combined (renewing systems) or any epochs mix (static
-// systems). Returns the largest usable share set.
-func harvestedShamir(adv *adversary.Mobile, object string, threshold int, sameEpoch bool) []shamir.Share {
-	if sameEpoch {
-		best := []shamir.Share(nil)
-		for _, byIdx := range adv.DistinctShards(object) {
-			if len(byIdx) < len(best) || len(byIdx) == 0 {
-				continue
-			}
-			cur := make([]shamir.Share, 0, len(byIdx))
-			for idx, data := range byIdx {
-				cur = append(cur, shamir.Share{X: byte(idx + 1), Threshold: byte(threshold), Payload: data})
-			}
-			if len(cur) > len(best) {
-				best = cur
-			}
+// one object for a renewing system: only shards written in a single epoch
+// combine. Returns the largest usable share set.
+func harvestedShamir(adv *adversary.Mobile, object string, threshold int) []shamir.Share {
+	best := []shamir.Share(nil)
+	for _, byIdx := range adv.DistinctShards(object) {
+		if len(byIdx) <= len(best) {
+			continue
 		}
-		return best
+		best = make([]shamir.Share, 0, len(byIdx))
+		for idx, data := range byIdx {
+			best = append(best, shamir.Share{X: byte(idx + 1), Threshold: byte(threshold), Payload: data})
+		}
 	}
-	// Any epoch: latest version of each index.
-	latest := make(map[int]cluster.Shard)
+	return best
+}
+
+// harvestedStripes sorts the adversary's harvest of a vault object into
+// its chunk stripes: out[ci][i] is shard i of chunk ci. An object over
+// one vault chunk is several stripes, and only shards of one chunk
+// combine.
+func harvestedStripes(adv *adversary.Mobile, object string) []map[int][]byte {
+	var out []map[int][]byte
 	for _, h := range adv.Harvest(object) {
-		prev, ok := latest[h.Shard.Key.Index]
-		if !ok || h.Shard.Epoch > prev.Epoch {
-			latest[h.Shard.Key.Index] = h.Shard
+		k := h.Shard.Key
+		for len(out) <= k.Chunk {
+			out = append(out, map[int][]byte{})
 		}
-	}
-	out := make([]shamir.Share, 0, len(latest))
-	for idx, sh := range latest {
-		out = append(out, shamir.Share{X: byte(idx + 1), Threshold: byte(threshold), Payload: sh.Data})
+		if _, ok := out[k.Chunk][k.Index]; !ok {
+			out[k.Chunk][k.Index] = h.Shard.Data
+		}
 	}
 	return out
 }

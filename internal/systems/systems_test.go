@@ -153,29 +153,9 @@ func TestAvailabilityUnderNodeFailure(t *testing.T) {
 	}
 }
 
-// TestTable1Classifications pins every system's transit/rest classes to
-// the paper's Table 1.
+// TestTable1Classifications pins PASIS's at-rest class per mode — Table
+// 1's "ITS (sometimes)"; TestTable1MatchesPaper checks every row.
 func TestTable1Classifications(t *testing.T) {
-	systems, _ := allSystems(t)
-	want := map[string]struct{ transit, rest sec.Class }{
-		"archivesafe": {sec.Computational, sec.Computational},
-		"aontrs":      {sec.Computational, sec.Computational},
-		"hasdpss":     {sec.Computational, sec.IT},
-		"lincos":      {sec.IT, sec.IT},
-		"potshards":   {sec.Computational, sec.IT},
-		"vsr":         {sec.Computational, sec.IT},
-		"cloud":       {sec.Computational, sec.Computational},
-	}
-	for name, w := range want {
-		p := systems[name].Classify()
-		if p.TransitClass != w.transit {
-			t.Errorf("%s transit = %s, want %s", name, p.TransitClass, w.transit)
-		}
-		if p.RestClass != w.rest {
-			t.Errorf("%s rest = %s, want %s", name, p.RestClass, w.rest)
-		}
-	}
-	// PASIS depends on mode: Table 1's "ITS (sometimes)".
 	c := cluster.New(8, nil)
 	ss, _ := NewPASIS(c, PASISSecretShare, 6, 3)
 	if ss.Classify().RestClass != sec.IT {

@@ -1,4 +1,4 @@
-package core
+package systems
 
 import (
 	"crypto/rand"
@@ -8,7 +8,6 @@ import (
 	"securearchive/internal/cluster"
 	"securearchive/internal/group"
 	"securearchive/internal/sec"
-	"securearchive/internal/systems"
 )
 
 // Table1Row is one measured row of the paper's Table 1.
@@ -40,6 +39,9 @@ func Table1(cfg Table1Config, rnd io.Reader) ([]Table1Row, error) {
 		rnd = rand.Reader
 	}
 	c := cluster.New(cfg.Nodes, nil)
+	// HasDPSS and LINCOS commit on the test group so the table
+	// regenerates unchanged; the four vault-backed rows commit on the
+	// vault's default, the production group.
 	grp := group.Test()
 
 	data := make([]byte, cfg.ObjectLen)
@@ -52,40 +54,40 @@ func Table1(cfg Table1Config, rnd io.Reader) ([]Table1Row, error) {
 	}
 
 	type entry struct {
-		sys   systems.Archive
+		sys   Archive
 		data  []byte
 		renew bool
 	}
 	build := func() ([]entry, error) {
-		asl, err := systems.NewArchiveSafeLT(c, nil, 4, 2)
+		asl, err := NewArchiveSafeLT(c, nil, 4, 2)
 		if err != nil {
 			return nil, err
 		}
-		ars, err := systems.NewAONTRS(c, 4, 6)
+		ars, err := NewAONTRS(c, 4, 6)
 		if err != nil {
 			return nil, err
 		}
-		has, err := systems.NewHasDPSS(c, 6, 3, grp)
+		has, err := NewHasDPSS(c, 6, 3, grp)
 		if err != nil {
 			return nil, err
 		}
-		lin, err := systems.NewLINCOS(c, 6, 3, grp, 7)
+		lin, err := NewLINCOS(c, 6, 3, grp, 7)
 		if err != nil {
 			return nil, err
 		}
-		pas, err := systems.NewPASIS(c, systems.PASISSecretShare, 6, 3)
+		pas, err := NewPASIS(c, PASISSecretShare, 6, 3)
 		if err != nil {
 			return nil, err
 		}
-		pot, err := systems.NewPOTSHARDS(c, 6, 3)
+		pot, err := NewPOTSHARDS(c, 6, 3)
 		if err != nil {
 			return nil, err
 		}
-		vsr, err := systems.NewVSRArchive(c, 6, 3)
+		vsr, err := NewVSRArchive(c, 6, 3)
 		if err != nil {
 			return nil, err
 		}
-		cloud, err := systems.NewCloudAES(c, 4, 2)
+		cloud, err := NewCloudAES(c, 4, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -110,10 +112,10 @@ func Table1(cfg Table1Config, rnd io.Reader) ([]Table1Row, error) {
 		obj := fmt.Sprintf("table1-%d", i)
 		ref, err := e.sys.Store(obj, e.data, rnd)
 		if err != nil {
-			return nil, fmt.Errorf("core: table1 %s: %w", e.sys.Name(), err)
+			return nil, fmt.Errorf("systems: table1 %s: %w", e.sys.Name(), err)
 		}
 		p := e.sys.Classify()
-		p.MeasuredCost = systems.StorageCost(c, ref)
+		p.MeasuredCost = StorageCost(c, ref)
 		p.CostBand = sec.BandFromOverhead(p.MeasuredCost)
 		if e.sys.Name() == "PASIS" {
 			// PASIS's band is Low-High by configurability, not by one

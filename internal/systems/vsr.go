@@ -32,11 +32,8 @@ type VSRArchive struct {
 
 // NewVSRArchive builds the system with a (t, n) sharing.
 func NewVSRArchive(c *cluster.Cluster, n, t int) (*VSRArchive, error) {
-	if n > c.Size() {
-		return nil, fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
-	}
-	if t < 1 || t > n {
-		return nil, fmt.Errorf("systems: invalid threshold %d of %d", t, n)
+	if err := checkSharing(c, n, t); err != nil {
+		return nil, err
 	}
 	return &VSRArchive{Cluster: c, N: n, T: t, commitments: make(map[string][][sha256.Size]byte)}, nil
 }
@@ -159,7 +156,7 @@ func (s *VSRArchive) Classify() sec.Profile {
 
 // Breach implements Archive: only same-write-epoch shares combine.
 func (s *VSRArchive) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks, epoch int) BreachResult {
-	shares := harvestedShamir(adv, ref.Object, s.T, true)
+	shares := harvestedShamir(adv, ref.Object, s.T)
 	if len(shares) < s.T {
 		return BreachResult{Reason: fmt.Sprintf("best same-epoch haul is %d/%d shares", len(shares), s.T)}
 	}

@@ -41,6 +41,24 @@ for enc in erasure shamir aes; do
   "$tmp/archivectl" get -manifest "$tmp/$enc/f.bin.manifest.json" -out "$tmp/$enc.out2"
   cmp "$tmp/f.bin" "$tmp/$enc.out2"
 done
+# Every example end to end (~5 s together): each must exit 0 and print
+# its headline line. hndl-demo and medical-records drive the Table 1
+# systems; it-channels and reencryption-planner are the only readers of
+# internal/bsm and internal/media.
+mkdir "$tmp/ex"
+go build -o "$tmp/ex/" ./examples/...
+while read -r ex line; do
+  "$tmp/ex/$ex" > "$tmp/ex/$ex.out"
+  grep -F "$line" "$tmp/ex/$ex.out"
+done <<'EXAMPLES'
+hndl-demo FULL BREACH
+medical-records replay ok: true
+quickstart timestamp chain valid
+proactive-renewal secret intact: true
+it-channels trade-off
+fault-injection vault.verify
+reencryption-planner tape
+EXAMPLES
 # The AVX2 kernels are amd64-only; this keeps the stub every other
 # platform builds (internal/gf256/kernels_other.go) from rotting.
 GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
