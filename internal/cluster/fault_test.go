@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"securearchive/internal/obs"
 )
 
 func TestFaultPlanTransientDeterministic(t *testing.T) {
@@ -239,6 +241,56 @@ func TestFetchStripeDegraded(t *testing.T) {
 	}
 	if len(res.Discarded) != 2 || res.Discarded[0] != 1 || res.Discarded[1] != 3 {
 		t.Fatalf("discarded = %v, want [1 3]", res.Discarded)
+	}
+}
+
+// TestResumeStripeProbesOnlyUntriedNodes: a resumed read vets the
+// shards in hand, discards and attributes the bad ones, and tops the
+// stripe back up from nodes the first read never tried — no node is
+// fetched twice, and the stripe is counted degraded once.
+func TestResumeStripeProbesOnlyUntriedNodes(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := New(8, nil)
+	c.UseRegistry(reg)
+	for i := 0; i < 8; i++ {
+		put(c, i, ShardKey{Object: "o", Index: i}, []byte{byte(i)})
+	}
+	res := c.FetchChunkStripeCtx(context.Background(), "o", 0, 8, 4, DefaultRetry, nil)
+	if res.Fetched < 4 || res.Degraded() {
+		t.Fatalf("healthy read: fetched %d, degraded %v", res.Fetched, res.Degraded())
+	}
+	// Nodes 0..3 are always probed before four shards can be in hand.
+	bad := map[int]bool{0: true, 1: true, 2: true}
+	valid := func(i int, _ []byte) bool { return !bad[i] }
+	for round := 0; round < 2; round++ {
+		res = c.ResumeChunkStripeCtx(context.Background(), "o", 0, 4, DefaultRetry, res, valid)
+		if res.Fetched < 4 {
+			t.Fatalf("round %d: resumed read got %d/4", round, res.Fetched)
+		}
+		if fmt.Sprint(res.Discarded) != "[0 1 2]" {
+			t.Fatalf("round %d: discarded = %v, want [0 1 2]", round, res.Discarded)
+		}
+		snap := reg.Snapshot()
+		for i := 0; i < 8; i++ {
+			probes := snap.Counters[fmt.Sprintf(`cluster.probe{node="%02d"}`, i)]
+			discards := snap.Counters[fmt.Sprintf(`cluster.discard{node="%02d"}`, i)]
+			if probes > 1 || (i < 4 && probes != 1) {
+				t.Errorf("round %d: node %d probed %d times", round, i, probes)
+			}
+			want := int64(0)
+			if bad[i] {
+				want = 1
+			}
+			if discards != want {
+				t.Errorf("round %d: node %d discards = %d, want %d", round, i, discards, want)
+			}
+			if sh := res.Shards[i]; sh != nil && (bad[i] || sh[0] != byte(i)) {
+				t.Errorf("round %d: shard %d = %v", round, i, sh)
+			}
+		}
+		if n := snap.Counters["cluster.fetch.degraded"]; n != 1 {
+			t.Fatalf("round %d: cluster.fetch.degraded = %d, want 1", round, n)
+		}
 	}
 }
 

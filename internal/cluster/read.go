@@ -227,12 +227,76 @@ func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk,
 	}
 	fctx, fsp := trace.Child(ctx, "cluster.fetch",
 		trace.Str("object", object), trace.Int("chunk", chunk), trace.Int("n", n), trace.Int("want", want))
-	m := c.metrics
-	probes := want + 2
-	if probes > n {
-		probes = n
-	}
 	res.Shards = make([][]byte, n)
+	c.probeStripe(ctx, fctx, object, chunk, want, pol, valid, res, make([]bool, n))
+	c.endFetch(ctx, fsp, res, want, false)
+	return res
+}
+
+// ResumeChunkStripeCtx continues a stripe read that FetchChunkStripeCtx
+// returned as res, for a caller whose decode of it came out wrong: a
+// caller that took shards unvetted finds out here which were bad. It
+// vets every shard in hand with valid, discarding and attributing each
+// one that fails exactly as a probe would (cluster.discard{node}, a
+// shard.discarded event, an ErrShardInvalid entry in Failures and
+// Discarded), then probes only the nodes res never tried, until want
+// shards are in hand again. It updates res in place and returns it; a
+// "cluster.fetch" span with resumed=1 records the work. A stripe the
+// first read already counted as degraded is not counted twice.
+func (c *Cluster) ResumeChunkStripeCtx(ctx context.Context, object string, chunk, want int, pol RetryPolicy, res *StripeResult, valid func(index int, data []byte) bool) *StripeResult {
+	n := len(res.Shards)
+	if want <= 0 || want > n {
+		want = n
+	}
+	fctx, fsp := trace.Child(ctx, "cluster.fetch", trace.Str("object", object),
+		trace.Int("chunk", chunk), trace.Int("n", n), trace.Int("want", want), trace.Int("resumed", 1))
+	wasDegraded := res.Degraded()
+	tried := make([]bool, n)
+	for _, f := range res.Failures {
+		tried[f.Node] = true
+	}
+	for i, sh := range res.Shards {
+		if sh == nil {
+			continue
+		}
+		tried[i] = true
+		if !valid(i, sh) {
+			at(c.metrics.discardAt, i)
+			fsp.Event("shard.discarded", trace.Int("node", i))
+			res.discard(i, fmt.Errorf("%w: node %d %s[%d]", ErrShardInvalid, i, object, i))
+			res.Shards[i] = nil
+			res.Fetched--
+		}
+	}
+	c.probeStripe(ctx, fctx, object, chunk, want, pol, valid, res, tried)
+	c.endFetch(ctx, fsp, res, want, wasDegraded)
+	return res
+}
+
+// discard records node i's shard as failed with err, which wraps
+// ErrShardInvalid.
+func (r *StripeResult) discard(i int, err error) {
+	r.Failures = append(r.Failures, NodeFailure{Node: i, Err: err})
+	r.Discarded = append(r.Discarded, i)
+}
+
+// probeStripe is the fan-out of a stripe read: want minus the shards
+// already in res plus up to two speculative probes walk the nodes not
+// marked tried, in index order, each retried per pol and vetted by valid
+// when non-nil, until res holds want shards or no node is left. fctx
+// carries the read's "cluster.fetch" span, parent of every probe span.
+func (c *Cluster) probeStripe(ctx, fctx context.Context, object string, chunk, want int, pol RetryPolicy, valid func(index int, data []byte) bool, res *StripeResult, tried []bool) {
+	if res.Fetched >= want {
+		return
+	}
+	m := c.metrics
+	left := 0
+	for _, t := range tried {
+		if !t {
+			left++
+		}
+	}
+	probes := min(want-res.Fetched+2, left)
 	var (
 		mu   sync.Mutex
 		next int
@@ -252,7 +316,10 @@ func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk,
 					return
 				}
 				mu.Lock()
-				if res.Fetched >= want || next >= n {
+				for next < len(tried) && tried[next] {
+					next++
+				}
+				if res.Fetched >= want || next >= len(tried) {
 					mu.Unlock()
 					return
 				}
@@ -282,12 +349,11 @@ func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk,
 				psp.End(err)
 				mu.Lock()
 				switch {
+				case errors.Is(err, ErrShardInvalid):
+					res.discard(i, err)
 				case err != nil:
 					res.Failures = append(res.Failures, NodeFailure{Node: i, Err: err})
-					if errors.Is(err, ErrShardInvalid) {
-						res.Discarded = append(res.Discarded, i)
-					}
-				case res.Shards[i] == nil:
+				default:
 					res.Shards[i] = sh.Data
 					res.Fetched++
 				}
@@ -296,6 +362,14 @@ func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk,
 		}()
 	}
 	wg.Wait()
+}
+
+// endFetch closes a stripe read's "cluster.fetch" span fsp: it records
+// cancellation, sorts the per-node records, and counts the read as short
+// or — unless wasDegraded says an earlier read of the same stripe already
+// did — as degraded.
+func (c *Cluster) endFetch(ctx context.Context, fsp trace.Span, res *StripeResult, want int, wasDegraded bool) {
+	res.Canceled = nil
 	if err := ctx.Err(); err != nil && res.Fetched < want {
 		res.Canceled = retryAbort(ctx)
 	}
@@ -306,11 +380,10 @@ func (c *Cluster) FetchChunkStripeCtx(ctx context.Context, object string, chunk,
 	case res.Canceled != nil:
 		fsp.Event("fetch.canceled", trace.Int("got", res.Fetched), trace.Int("want", want))
 	case res.Fetched < want:
-		m.short.Inc()
+		c.metrics.short.Inc()
 		fsp.Event("stripe.short", trace.Int("got", res.Fetched), trace.Int("want", want))
-	case res.Degraded():
-		m.degraded.Inc()
+	case res.Degraded() && !wasDegraded:
+		c.metrics.degraded.Inc()
 	}
 	fsp.End(res.Canceled)
-	return res
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"fmt"
+	"hash"
 	"io"
 	"sync/atomic"
 	"time"
@@ -51,18 +53,36 @@ type layout struct {
 }
 
 // chunkMeta is one chunk stripe's client-side state: its Encoded
-// metadata (Shards nil — those live on nodes) plus per-shard digests,
-// which degraded reads use to discard rotted shards and Scrub uses to
-// localise damage. len(digests) is the width the stripe was actually
-// written with: the vault's Encoding is a mutable field, so the width
-// the current encoding would produce says nothing about stored keys.
+// metadata (Shards nil — those live on nodes), per-shard digests, which
+// reads use to vet the shards they do not take unhashed and Scrub uses
+// to localise damage, and — for every chunk but the last — the object's
+// SHA-256 midstate after the chunk, which a read checks the decoded
+// chunk against. len(digests) is the width the stripe
+// was actually written with: the vault's Encoding is a mutable field, so
+// the width the current encoding would produce says nothing about stored
+// keys.
 type chunkMeta struct {
 	enc     Encoded
 	digests [][sha256.Size]byte
+	mid     *midstate
 }
 
-func newChunkMeta(enc *Encoded) chunkMeta {
-	cm := chunkMeta{enc: *enc, digests: ShardDigests(enc.Shards)}
+// midstate is a running SHA-256 in crypto/sha256's binary form: the
+// chaining value, the length, and the unhashed tail of the input, which
+// is up to 63 plaintext bytes. It is confidential client state.
+type midstate [108]byte
+
+// saveMidstate records h's state.
+func saveMidstate(h hash.Hash) *midstate {
+	var m midstate
+	if b, err := h.(encoding.BinaryAppender).AppendBinary(m[:0]); err != nil || len(b) != len(m) {
+		panic(fmt.Sprintf("core: SHA-256 state is %d bytes, want %d (%v)", len(b), len(m), err))
+	}
+	return &m
+}
+
+func newChunkMeta(enc *Encoded, mid *midstate) chunkMeta {
+	cm := chunkMeta{enc: *enc, digests: ShardDigests(enc.Shards), mid: mid}
 	cm.enc.Shards = nil
 	return cm
 }
@@ -72,6 +92,35 @@ func (cm *chunkMeta) stripe(shards [][]byte) *Encoded {
 	enc := cm.enc
 	enc.Shards = shards
 	return &enc
+}
+
+// rewind puts h in the object's hash state before chunk ci.
+func (l *layout) rewind(h hash.Hash, ci int) error {
+	if ci == 0 {
+		h.Reset()
+		return nil
+	}
+	m := l.chunks[ci-1].mid
+	if m == nil {
+		return fmt.Errorf("core: no hash state recorded after chunk %d", ci-1)
+	}
+	return h.(encoding.BinaryUnmarshaler).UnmarshalBinary(m[:])
+}
+
+// check reports whether h, having absorbed chunks 0..ci, holds what the
+// writer hashed: the midstate recorded after chunk ci, or, after the
+// last chunk, the digest the chain binds. Its errors wrap
+// tstamp.ErrOpeningFailed.
+func (l *layout) check(h hash.Hash, ci int) error {
+	if ci == len(l.chunks)-1 {
+		var digest [sha256.Size]byte
+		h.Sum(digest[:0])
+		return l.chain.VerifyDigest(digest)
+	}
+	if m := l.chunks[ci].mid; m == nil || *saveMidstate(h) != *m {
+		return fmt.Errorf("%w: chunk %d differs from the bytes written", tstamp.ErrOpeningFailed, ci)
+	}
+	return nil
 }
 
 // width is how many shard indexes the widest stripe of l occupies.
@@ -87,6 +136,7 @@ func (l *layout) width() int {
 type encodedChunk struct {
 	idx int
 	enc *Encoded
+	mid *midstate
 }
 
 // staged is a write whose shards sit under an open stage token; commit
@@ -102,8 +152,9 @@ type staged struct {
 // write is the one writer: r's plaintext becomes l's chunk list, staged
 // and committed as one key swap. A layout without a chain — a new object
 // or blob — gets one opened over r's digest before the commit, so a
-// chain failure still aborts cleanly; a renewal keeps its own. Callers
-// hold the lock guarding l; on error l is unchanged and the cluster keeps
+// chain failure still aborts cleanly; a renewal keeps its own, and
+// commits only if the chain still vouches for r's digest. Callers hold
+// the lock guarding l; on error l is unchanged and the cluster keeps
 // whatever l had.
 func (v *Vault) write(ctx context.Context, l *layout, r io.Reader) error {
 	s, err := v.stageStripes(ctx, l.id, r)
@@ -113,6 +164,8 @@ func (v *Vault) write(ctx context.Context, l *layout, r io.Reader) error {
 	chain := l.chain
 	if chain == nil {
 		chain, err = tstamp.NewFromDigest(s.digest, v.IntegrityMode, sig.Ed25519, v.Cluster.Epoch(), v.Group, v.rnd)
+	} else if err = chain.VerifyDigest(s.digest); err != nil {
+		err = fmt.Errorf("core: rewrite of %s: integrity chain rejects the new plaintext: %w", l.id, err)
 	}
 	if err := v.commit(s, err); err != nil {
 		return err
@@ -125,8 +178,9 @@ func (v *Vault) write(ctx context.Context, l *layout, r io.Reader) error {
 // stageStripes runs the reader-fed encode→stage pipeline under a fresh
 // token for id. The producer reads chunkSize-byte chunks with one chunk
 // of lookahead so a sub-floor tail folds into the previous chunk, hashes
-// the plaintext as it passes, and encodes; the consumer stages each
-// chunk. On error the stage is already aborted.
+// each chunk as it is emitted — recording the midstate after every chunk
+// but the last — and encodes; the consumer stages each chunk. On error
+// the stage is already aborted.
 func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*staged, error) {
 	cs := v.chunkSize
 	sctx, sp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
@@ -148,7 +202,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 		func(emit func(encodedChunk) bool) error {
 			var pending []byte // lookahead: last full chunk, unemitted
 			idx := 0
-			emitChunk := func(data []byte) (bool, error) {
+			emitChunk := func(data []byte, last bool) (bool, error) {
 				// Cancellation checkpoint between chunk encodes: a
 				// disconnected client must not keep burning CPU on chunks
 				// nobody will commit.
@@ -163,7 +217,12 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 					return false, fmt.Errorf("core: encode %s chunk %d: %w", id, idx, err)
 				}
 				observeRate(v.obsm.encodeMBs, len(data), time.Since(encStart))
-				ok := emit(encodedChunk{idx: idx, enc: enc})
+				h.Write(data)
+				c := encodedChunk{idx: idx, enc: enc}
+				if !last {
+					c.mid = saveMidstate(h)
+				}
+				ok := emit(c)
 				idx++
 				return ok, nil
 			}
@@ -173,7 +232,6 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 				}
 				buf, n, rerr := readChunk(r, cs, s.n == 0) // probe on the first chunk only
 				if n > 0 {
-					h.Write(buf[:n])
 					s.n += int64(n)
 					track(int64(n))
 				}
@@ -181,7 +239,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 					// A full chunk landed, so the previous one cannot be the
 					// tail — emit it and hold this one back instead.
 					if pending != nil {
-						if ok, err := emitChunk(pending); err != nil || !ok {
+						if ok, err := emitChunk(pending, false); err != nil || !ok {
 							return err // !ok: consumer failed, its error wins
 						}
 					}
@@ -204,13 +262,13 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 					pending = append(pending, tail...) // fold sub-floor tail
 				default:
 					if pending != nil {
-						if ok, err := emitChunk(pending); err != nil || !ok {
+						if ok, err := emitChunk(pending, false); err != nil || !ok {
 							return err
 						}
 					}
 					pending = tail
 				}
-				_, err := emitChunk(pending)
+				_, err := emitChunk(pending, true)
 				return err
 			}
 		},
@@ -224,7 +282,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 			if err := v.stageShards(sctx, s.token, id, c.idx, c.enc.Shards); err != nil {
 				return err
 			}
-			s.chunks = append(s.chunks, newChunkMeta(c.enc))
+			s.chunks = append(s.chunks, newChunkMeta(c.enc, c.mid))
 			track(-int64(c.enc.PlainLen))
 			return nil
 		},

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"securearchive/internal/obs/trace"
-	"securearchive/internal/tstamp"
 )
 
 // Scrubbing: detect missing and rotted shards and rewrite the stripe
@@ -116,33 +115,44 @@ func (v *Vault) ScrubAll(ctx context.Context) ([]*ScrubReport, error) {
 	return reports, errors.Join(errs...)
 }
 
-// verifyRepairSource is the evidence-path check a scrub runs before it
-// re-encodes recovered plaintext over the damaged stripes: its digest
-// must match the chain's AND the commitment must still open
-// (tstamp.Chain.VerifyOpening — the full exponentiation reads skip). A
-// repair rewrites the only copies, so it never rests on the read memo.
-func verifyRepairSource(chain *tstamp.Chain, digest [sha256.Size]byte) error {
-	if err := chain.VerifyDigest(digest); err != nil {
-		return err
+// verifyRecovered is the evidence-path check a scrub runs before it
+// re-encodes recovered plaintext over the damaged chunks (plain[ci] set):
+// each chunk must hash, from the midstate before it, to the state the
+// writer recorded after it — the last one to the digest the chain binds —
+// AND the commitment must still open (tstamp.Chain.VerifyOpening — the
+// full exponentiation reads skip). A repair rewrites the only copies, so
+// it never rests on the read memo.
+func verifyRecovered(l *layout, plain [][]byte) error {
+	h := sha256.New()
+	for ci, p := range plain {
+		if p == nil {
+			continue
+		}
+		if err := l.rewind(h, ci); err != nil {
+			return err
+		}
+		h.Write(p)
+		if err := l.check(h, ci); err != nil {
+			return err
+		}
 	}
-	return chain.VerifyOpening()
+	return l.chain.VerifyOpening()
 }
 
 // scrubStripes is the one scrub: it audits l chunk by chunk, id naming
 // the object it runs for; callers hold the lock guarding l (write side)
 // and have checked liveness. The report aggregates per-node health
 // across chunks (a node is Corrupt if any of its chunk shards rotted,
-// Missing if any is absent, Healthy otherwise). A repair decodes every
-// chunk from its healthy shards, confirms the whole against the chain,
-// then re-encodes only the damaged chunks and stages them under one
-// token, so it commits atomically.
+// Missing if any is absent, Healthy otherwise). A repair decodes only the
+// damaged chunks from their healthy shards, checks them and the
+// commitment (verifyRecovered), then re-encodes them and stages them
+// under one token, so it commits atomically.
 func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubReport, error) {
 	n, _ := v.Encoding.Shards()
 	rep := &ScrubReport{Object: id}
 	nodeMissing := make([]bool, n)
 	nodeCorrupt := make([]bool, n)
-	stripes := make([][][]byte, len(l.chunks))
-	damaged := make([]bool, len(l.chunks))
+	stripes := make([][][]byte, len(l.chunks)) // damaged chunks' healthy shards
 	for ci := range l.chunks {
 		res := v.Cluster.FetchChunkStripeCtx(ctx, l.id, ci, n, n, v.retry, nil)
 		if res.Canceled != nil {
@@ -156,8 +166,9 @@ func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubR
 			nodeCorrupt[i] = true
 			res.Shards[i] = nil
 		}
-		stripes[ci] = res.Shards
-		damaged[ci] = len(missing)+len(corrupt) > 0
+		if len(missing)+len(corrupt) > 0 {
+			stripes[ci] = res.Shards
+		}
 	}
 	for i := 0; i < n; i++ {
 		switch {
@@ -175,22 +186,21 @@ func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubR
 		v.clearDirty(id)
 		return rep, nil
 	}
-	h := sha256.New()
 	plain := make([][]byte, len(l.chunks))
-	for ci := range l.chunks {
-		p, err := v.Encoding.Decode(l.chunks[ci].stripe(stripes[ci]))
+	for ci, stripe := range stripes {
+		if stripe == nil {
+			continue
+		}
+		_, dsp := trace.Child(ctx, "vault.decode", trace.Int("chunk", ci))
+		p, err := v.Encoding.Decode(l.chunks[ci].stripe(stripe))
+		dsp.End(err)
 		if err != nil {
 			return rep, fmt.Errorf("core: scrub %s chunk %d: decode from healthy shards: %w", id, ci, err)
 		}
-		h.Write(p)
-		if damaged[ci] {
-			plain[ci] = p
-		}
+		plain[ci] = p
 	}
-	var digest [sha256.Size]byte
-	h.Sum(digest[:0])
 	_, vsp := trace.Child(ctx, "vault.verify")
-	err := verifyRepairSource(l.chain, digest)
+	err := verifyRecovered(l, plain)
 	vsp.End(err)
 	if err != nil {
 		return rep, fmt.Errorf("core: scrub %s: integrity chain rejects recovered data: %w", id, err)
@@ -210,7 +220,8 @@ func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubR
 			err = fmt.Errorf("core: scrub %s: rewrite of chunk %d rolled back: %w", id, ci, err)
 			return rep, v.commit(s, err)
 		}
-		chunks[ci] = newChunkMeta(enc)
+		// The plaintext is unchanged, so is the hash state after it.
+		chunks[ci] = newChunkMeta(enc, l.chunks[ci].mid)
 	}
 	if err := v.commit(s, nil); err != nil {
 		return rep, fmt.Errorf("core: scrub %s: rewrite rolled back: %w", id, err)

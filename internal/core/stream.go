@@ -4,7 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"securearchive/internal/cluster"
@@ -22,9 +24,10 @@ import (
 // PutReader over the slice.
 //
 // ReadTo is the mirror: chunks decode and flow to an io.Writer as they
-// arrive, with the digest accumulated incrementally and checked against
-// the chain before the last chunk is written. Get is ReadTo into a
-// buffer the caller owns.
+// arrive, each hashed once into the object's running SHA-256 and written
+// only after that state matches the midstate the writer recorded after
+// the chunk — the last chunk's after the chain accepts the digest. Get
+// is ReadTo into a buffer the caller owns.
 
 // streamBufAdd adjusts the in-flight plaintext byte count (read from
 // the client but not yet staged on the cluster) and maintains the
@@ -84,10 +87,11 @@ func (v *Vault) PutReader(ctx context.Context, id string, r io.Reader) (n int64,
 // ReadTo retrieves an object into w, chunk by chunk, so retrieval is as
 // memory-bounded as ingest; an object that fits a read-cache entry is
 // bounded by that, so it is decoded whole, handed to the cache, then
-// written. Returns the number of plaintext bytes written. The integrity
-// chain is checked before the last chunk is written: an error return
-// invalidates any bytes already written to w, and w never received the
-// whole object. The read becomes a "vault.get" span over the stripe
+// written. Returns the number of plaintext bytes written. Every chunk is
+// checked before it is written — against its recorded midstate, the
+// last one against the integrity chain — so w only ever receives checked
+// bytes; an error return still invalidates the bytes already written,
+// and w never received the whole object. The read becomes a "vault.get" span over the stripe
 // fetches (per-node probes with typed failure events), decode, and
 // verify — the breakdown a degraded read needs to explain its latency.
 func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (n int64, err error) {
@@ -152,20 +156,22 @@ func (s *chunkSink) Write(p []byte) (int, error) {
 }
 
 // readStripes is the one reader: the degraded k-of-n read of l's chunk
-// stripes, streaming each decoded chunk to w as it clears; callers hold
-// the lock guarding l and have checked liveness, and id names the object
-// the read is for. Each chunk's fetch fans out the decoder's minimum plus
-// speculative probes, retries transient faults with bounded backoff,
-// discards shards whose digest no longer matches (bit rot, tampering)
-// and pulls from further nodes instead, stopping as soon as the minimum
-// is in hand. A read that had to discard still succeeds but queues id
-// for ScrubAll — routing around bit rot must trigger a repair, not hide
-// the damage; one that cannot reach the minimum returns *DegradedError
-// (errors.Is ErrDegraded) carrying got/want and the per-node causes. The
-// chain verifies the digest of the whole, accumulated incrementally, so
-// the reassembled object never needs to exist in memory.
+// stripes, streaming each decoded chunk to w once it is checked; callers
+// hold the lock guarding l and have checked liveness, and id names the
+// object the read is for. Each chunk's fetch fans out the decoder's
+// minimum plus speculative probes, retries transient faults with bounded
+// backoff, and stops as soon as the minimum is in hand. The chunk is
+// decoded from exactly that minimum, hashed into the object's running
+// SHA-256 and written only if the hash matches what the writer recorded
+// (see checkedChunk), so no byte leaves unchecked and every byte is
+// hashed once. Shards the check says nothing about are vetted by digest:
+// a rotted one is discarded and further nodes are pulled instead. A read
+// that had to discard still succeeds but queues id for ScrubAll —
+// routing around bit rot must trigger a repair, not hide the damage; one
+// that cannot reach the minimum returns *DegradedError (errors.Is
+// ErrDegraded) carrying got/want and the per-node causes. The reassembled
+// object never needs to exist in memory.
 func (v *Vault) readStripes(ctx context.Context, id string, l *layout, w io.Writer) (int64, error) {
-	sp := trace.FromContext(ctx)
 	n, min := v.Encoding.Shards()
 	sink, _ := w.(*chunkSink)
 	if sink != nil && sink.whole == nil && len(l.chunks) > 1 {
@@ -189,47 +195,9 @@ func (v *Vault) readStripes(ctx context.Context, id string, l *layout, w io.Writ
 		} else {
 			res = v.fetchChunk(ctx, l, ci, n, min)
 		}
-		if len(res.Discarded) > 0 {
-			v.obsm.readDiscarded.Add(int64(len(res.Discarded)))
-			v.markDirty(id)
-			sp.Event("read.dirty", trace.Int("chunk", ci), trace.Int("discarded", len(res.Discarded)))
-		}
-		if res.Canceled != nil {
-			// The caller went away mid-read: this is cancellation, not a
-			// degraded stripe — surface the context error so errors.Is
-			// (err, context.Canceled) holds for the abandoning client.
-			return total, fmt.Errorf("core: get %s chunk %d: %w", id, ci, res.Canceled)
-		}
-		if res.Fetched < min {
-			v.obsm.readInsufficient.Inc()
-			sp.Event("read.insufficient",
-				trace.Int("chunk", ci), trace.Int("got", res.Fetched), trace.Int("want", min))
-			return total, &DegradedError{Object: id, Got: res.Fetched, Want: min, Failures: res.Failures}
-		}
-		if res.Degraded() {
-			v.obsm.readDegraded.Inc()
-		}
-		_, dsp := trace.Child(ctx, "vault.decode", trace.Int("chunk", ci), trace.Int("shards", res.Fetched))
-		decStart := time.Now()
-		p, err := v.Encoding.Decode(l.chunks[ci].stripe(res.Shards))
-		dsp.End(err)
+		p, err := v.checkedChunk(ctx, id, l, ci, min, res, h)
 		if err != nil {
-			return total, fmt.Errorf("core: decode %s chunk %d: %w", id, ci, err)
-		}
-		observeRate(v.obsm.decodeMBs, len(p), time.Since(decStart))
-		h.Write(p)
-		if ci == len(l.chunks)-1 {
-			// Verify before the last chunk is written, not after: a
-			// rejected object must fall short of its announced length,
-			// or an HTTP client with Content-Length satisfied sees success.
-			var digest [sha256.Size]byte
-			h.Sum(digest[:0])
-			_, vsp := trace.Child(ctx, "vault.verify")
-			err := l.chain.VerifyDigest(digest)
-			vsp.End(err)
-			if err != nil {
-				return total, fmt.Errorf("core: integrity chain rejects data for %s: %w", id, err)
-			}
+			return total, err
 		}
 		wn := len(p)
 		if sink != nil && sink.whole == nil {
@@ -245,12 +213,105 @@ func (v *Vault) readStripes(ctx context.Context, id string, l *layout, w io.Writ
 	return total, nil
 }
 
-// fetchChunk is the k-of-n stripe fetch of l's chunk ci, validating each
-// shard against the chunk's digests.
+// checkedChunk decodes chunk ci of l from its stripe read res and hashes
+// it into h, which holds the object's state after the chunks before it.
+// It returns the plaintext only if h then matches the midstate the
+// writer recorded after the chunk — or, after the last chunk, the digest
+// the chain binds. The first decode uses exactly min shards, lowest index
+// first, most of them taken unhashed: a changed byte in any of them
+// changes the output (the last data shard's zero padding, which no read
+// returns, is scrub's to find). A chunk that fails its check or its
+// decode gets one "read.mismatch" event; h is rewound, the stripe read
+// resumes with every shard vetted by digest and the missing ones pulled
+// from nodes not yet tried, and the chunk is decoded once more. A second
+// failure is final and wraps tstamp.ErrOpeningFailed.
+func (v *Vault) checkedChunk(ctx context.Context, id string, l *layout, ci, min int, res *cluster.StripeResult, h hash.Hash) (p []byte, err error) {
+	sp := trace.FromContext(ctx)
+	defer func() {
+		if d := len(res.Discarded); d > 0 {
+			v.obsm.readDiscarded.Add(int64(d))
+			v.markDirty(id)
+			sp.Event("read.dirty", trace.Int("chunk", ci), trace.Int("discarded", d))
+		}
+		if res.Canceled == nil && res.Fetched >= min && res.Degraded() {
+			v.obsm.readDegraded.Inc()
+		}
+	}()
+	for vetted := false; ; vetted = true {
+		if res.Canceled != nil {
+			// The caller went away mid-read: this is cancellation, not a
+			// degraded stripe — surface the context error so errors.Is
+			// (err, context.Canceled) holds for the abandoning client.
+			return nil, fmt.Errorf("core: get %s chunk %d: %w", id, ci, res.Canceled)
+		}
+		if res.Fetched < min {
+			v.obsm.readInsufficient.Inc()
+			sp.Event("read.insufficient",
+				trace.Int("chunk", ci), trace.Int("got", res.Fetched), trace.Int("want", min))
+			return nil, &DegradedError{Object: id, Got: res.Fetched, Want: min, Failures: res.Failures}
+		}
+		if p, err = v.decodeChunk(ctx, id, l, ci, min, res.Shards); err == nil {
+			h.Write(p)
+			err = l.check(h, ci)
+			if ci == len(l.chunks)-1 && (err == nil || vetted) {
+				// The chain's verdict, recorded once it stands: a miss on
+				// shards taken unhashed is retried, not a chain failure.
+				_, vsp := trace.Child(ctx, "vault.verify")
+				vsp.End(err)
+			}
+			switch {
+			case err == nil:
+				return p, nil
+			case ci == len(l.chunks)-1:
+				err = fmt.Errorf("core: integrity chain rejects data for %s: %w", id, err)
+			default:
+				err = fmt.Errorf("core: get %s: %w", id, err)
+			}
+		}
+		if vetted {
+			return nil, err
+		}
+		sp.Event("read.mismatch", trace.Int("chunk", ci))
+		if err := l.rewind(h, ci); err != nil {
+			return nil, fmt.Errorf("core: get %s chunk %d: %w", id, ci, err)
+		}
+		digests := l.chunks[ci].digests
+		res = v.Cluster.ResumeChunkStripeCtx(ctx, l.id, ci, min, v.retry, res, func(i int, data []byte) bool {
+			return i < len(digests) && sha256.Sum256(data) == digests[i]
+		})
+	}
+}
+
+// decodeChunk decodes chunk ci of l from exactly min of shards, lowest
+// index first, as a "vault.decode" span.
+func (v *Vault) decodeChunk(ctx context.Context, id string, l *layout, ci, min int, shards [][]byte) ([]byte, error) {
+	used, k := make([][]byte, len(shards)), 0
+	for i, sh := range shards {
+		if sh != nil && k < min {
+			used[i] = sh
+			k++
+		}
+	}
+	_, dsp := trace.Child(ctx, "vault.decode", trace.Int("chunk", ci), trace.Int("shards", k))
+	start := time.Now()
+	p, err := v.Encoding.Decode(l.chunks[ci].stripe(used))
+	dsp.End(err)
+	if err != nil {
+		return nil, fmt.Errorf("core: decode %s chunk %d: %w", id, ci, err)
+	}
+	observeRate(v.obsm.decodeMBs, len(p), time.Since(start))
+	return p, nil
+}
+
+// fetchChunk is the k-of-n stripe fetch of l's chunk ci. The first min
+// shards to arrive are taken without hashing — checkedChunk's check of
+// the decoded chunk covers every shard the decode uses — and any later
+// arrival, a spare, is vetted against its digest.
 func (v *Vault) fetchChunk(ctx context.Context, l *layout, ci, n, min int) *cluster.StripeResult {
 	digests := l.chunks[ci].digests
+	var taken atomic.Int32
 	return v.Cluster.FetchChunkStripeCtx(ctx, l.id, ci, n, min, v.retry, func(i int, data []byte) bool {
-		return i < len(digests) && sha256.Sum256(data) == digests[i]
+		return i < len(digests) && (taken.Add(1) <= int32(min) || sha256.Sum256(data) == digests[i])
 	})
 }
 
