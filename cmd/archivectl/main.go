@@ -226,8 +226,7 @@ func (m *manifest) decode(enc core.Encoding, s *shardSet) ([]byte, error) {
 		return nil, err
 	}
 	data, err := enc.Decode(&core.Encoded{
-		Scheme: m.Encoding, PlainLen: m.PlainLen,
-		Shards: s.shards, PublicMeta: meta, ClientSecret: secret,
+		PlainLen: m.PlainLen, Shards: s.shards, PublicMeta: meta, ClientSecret: secret,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("decode from %d/%d healthy shards: %w", len(s.healthy), m.N, err)

@@ -1,11 +1,13 @@
 // Quickstart: archive a document into a simulated geo-dispersed cluster
-// with information-theoretic confidentiality, lose nodes, renew integrity
-// across a signature-scheme rotation, and read it back.
+// with information-theoretic confidentiality, renew integrity across a
+// signature-scheme rotation, re-encode it under a new encoding, lose
+// nodes, and read it back.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
@@ -55,7 +57,7 @@ func main() {
 	// Decades pass: Ed25519 is looking shaky. Rotate the integrity chain
 	// BEFORE it breaks.
 	c.AdvanceEpoch()
-	if err := vault.RenewIntegrity("census-2026", sig.ECDSAP256); err != nil {
+	if err := vault.RenewIntegrity(ctx, "census-2026", sig.ECDSAP256); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("integrity chain renewed with", sig.ECDSAP256)
@@ -67,6 +69,19 @@ func main() {
 		}
 		fmt.Println("shares proactively re-randomised")
 	}
+
+	// The adversary is expected to reach more nodes: re-encode with a
+	// privacy threshold of 5. The vault's Encoding is what new writes and
+	// renewals use, while each object keeps reading under the encoding
+	// that wrote it; its next share renewal moves it to the new one.
+	vault.Encoding = core.SecretSharing{T: 5, N: 8}
+	if err := vault.RenewShares(ctx, "census-2026"); err != nil {
+		log.Fatal(err)
+	}
+	if got, err := vault.Get(ctx, "census-2026"); err != nil || !bytes.Equal(got, document) {
+		log.Fatalf("re-encoded object does not read back: %v", err)
+	}
+	fmt.Printf("re-encoded to %s: read back ok\n", vault.Encoding.Name())
 
 	// Two regions burn down.
 	c.SetOnline(2, false)

@@ -151,7 +151,7 @@ func TestVaultLifecycleAllEncodings(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.AdvanceEpoch()
-			if err := v.RenewIntegrity("obj", sig.ECDSAP256); err != nil {
+			if err := v.RenewIntegrity(context.Background(), "obj", sig.ECDSAP256); err != nil {
 				t.Fatal(err)
 			}
 			if err := v.RenewShares(context.Background(), "obj"); err != nil {

@@ -338,7 +338,7 @@ func seriesNames(reg *obs.Registry) []string {
 // TestSeriesInventory pins every series the bench-shaped service
 // registers — 14 nodes, RS 10+4, a 4 MiB read cache, a private registry
 // and a disabled tracer shared with the client, as bench/service.go
-// builds it — over one PUT, two GETs, a HEAD, a scrub, a renew and a
+// builds it — over one PUT, two GETs, a HEAD, a scrub, a renew of each mode and a
 // DELETE. Adding or removing a series must edit the list, and every
 // entry names what reads it: a test, the SLO table, /healthz, attacksim
 // or an example.
@@ -378,8 +378,10 @@ func TestSeriesInventory(t *testing.T) {
 	if _, err := cl.Scrub(ctx, "obj"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Renew(ctx, "obj", "shares", ""); err != nil {
-		t.Fatal(err)
+	for _, mode := range []string{"shares", "integrity"} {
+		if _, err := cl.Renew(ctx, "obj", mode, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := cl.Delete(ctx, "obj"); err != nil {
 		t.Fatal(err)
@@ -393,9 +395,9 @@ func TestSeriesInventory(t *testing.T) {
 		"client.get.ok": 2, "api.get.ok": 2, "vault.get.ok": 2,
 		"client.stat.ok": 1, "api.stat.ok": 1,
 		"client.scrub.ok": 1, "api.scrub.ok": 1, "vault.scrub.ok": 1,
-		"client.renew.ok": 1, "api.renew.ok": 1, "vault.renew.ok": 1,
+		"client.renew.ok": 2, "api.renew.ok": 2, "vault.renew.ok": 2,
 		"client.delete.ok": 1, "api.delete.ok": 1, "vault.delete.ok": 1,
-		`api.ok{tenant="default"}`: 7,
+		`api.ok{tenant="default"}`: 8,
 	} {
 		if got := snap.Histograms[name].Count; got != want {
 			t.Errorf("%s count = %d, want %d", name, got, want)

@@ -436,7 +436,7 @@ func (s *Server) handleRenew(w *statusWriter, r *http.Request, tenant string) er
 		if _, err := sig.Get(scheme); err != nil {
 			return badRequestf("unknown signature scheme %q", scheme)
 		}
-		if err := s.vault.RenewIntegrity(key, scheme); err != nil {
+		if err := s.vault.RenewIntegrity(r.Context(), key, scheme); err != nil {
 			return err
 		}
 		if info, err := s.vault.Stat(key); err == nil {

@@ -294,7 +294,8 @@ func TestDifferentialCachedVsUncached(t *testing.T) {
 }
 
 // TestCachePropertyInterleavings replays a pseudo-random op sequence
-// against an exact model of the vault's visible state. Sequential
+// against an exact model of the vault's visible state, with the vault's
+// Encoding rotating through Figure 1 before every write. Sequential
 // execution makes every op's outcome fully determined: any read served
 // from a stale cache entry — wrong epoch, pre-renewal generation,
 // deleted object — is an immediate content mismatch.
@@ -312,11 +313,21 @@ func TestCachePropertyInterleavings(t *testing.T) {
 		ids := []string{"p/a", "p/b", "p/c", "p/d"}
 		model := make(map[string][]byte)
 		gen := make(map[string]int)
+		// Every Put and RenewShares writes under the next Figure 1
+		// encoding, so the vault holds objects under different encodings
+		// and renewals re-encode them.
+		encs := Figure1Encodings(cfgSmall())
+		writes := 0
+		rotate := func() {
+			v.Encoding = encs[writes%len(encs)]
+			writes++
+		}
 
 		for op := 0; op < 400; op++ {
 			id := ids[rng.Intn(len(ids))]
 			switch rng.Intn(8) {
 			case 0, 1: // Put — fresh content every generation
+				rotate()
 				gen[id]++
 				// Sizes straddle the 512-byte chunk threshold so both the
 				// monolithic and the chunked read path flow through the
@@ -369,6 +380,7 @@ func TestCachePropertyInterleavings(t *testing.T) {
 					t.Fatalf("op %d: delete absent %s: err=%v, want ErrNotFound", op, id, err)
 				}
 			case 6: // RenewShares — content survives, cached generation must not
+				rotate()
 				err := v.RenewShares(context.Background(), id)
 				if _, ok := model[id]; ok {
 					if err != nil {

@@ -9,8 +9,8 @@ package core
 //   - zero orphaned stages after replay,
 //   - no mixed-epoch stripes and no partial stripes (an interrupted
 //     multi-shard commit lands entirely or not at all),
-//   - the victim's stripes — every chunk — are all or nothing: zero
-//     bytes or exactly what the op commits,
+//   - the victim's stripes — every chunk — are all or nothing: exactly
+//     the bytes it held before the op, or exactly what the op commits,
 //   - after re-driving the one legitimately partial operation (delete,
 //     which is per-key), StoredBytes returns exactly to baseline.
 
@@ -69,6 +69,11 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		{name: "put-streamed", run: putStreamed, chunk: streamChunk},
 		{name: "renew", victim: smallData, run: func(v *Vault) error { return v.RenewShares(context.Background(), "victim") }},
 		{name: "renew-chunked", victim: bigData, run: func(v *Vault) error { return v.RenewShares(context.Background(), "victim") }},
+		// Same width, other size: every shard of every chunk is replaced.
+		{name: "reencode", victim: bigData, run: func(v *Vault) error {
+			v.Encoding = SecretSharing{T: 2, N: nodes}
+			return v.RenewShares(context.Background(), "victim")
+		}},
 		{name: "scrub-repair", victim: bigData, run: scrub, rot: true},
 		{name: "delete", victim: bigData, isDel: true, run: func(v *Vault) error { return v.DeleteContext(context.Background(), "victim") }},
 	}
@@ -124,6 +129,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				}
 				v := setup(t, c, op)
 				keepBytes := c.ObjectBytes("keep")
+				preBytes := c.ObjectBytes("victim")
 
 				ds := c.Store().(*diskstore.Store)
 				ds.SetCrashPoint(pt.cp)
@@ -182,12 +188,11 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 							t.Errorf("partial stripe %s chunk %d: on %d/%d nodes", sk.obj, sk.chunk, n, nodes)
 						}
 					}
-					// The victim is all-or-nothing: nothing (a rolled-back
-					// put), or every chunk of the committed write — for a
-					// renewal, the pre-op and renewed stripes are the same
-					// size — never a fraction.
-					if vb := c2.ObjectBytes("victim"); vb != 0 && vb != full {
-						t.Errorf("victim bytes = %d, want 0 or %d", vb, full)
+					// The victim is all-or-nothing: what it held before the
+					// op (nothing, for a rolled-back put), or every chunk of
+					// the committed write — never a fraction.
+					if vb := c2.ObjectBytes("victim"); vb != preBytes && vb != full {
+						t.Errorf("victim bytes = %d, want %d (pre-op) or %d (committed)", vb, preBytes, full)
 					}
 				}
 				if kb := c2.ObjectBytes("keep"); kb != keepBytes {

@@ -38,8 +38,6 @@ var (
 
 // Encoded is the dispersal-ready result of encoding one object.
 type Encoded struct {
-	// Scheme names the encoding that produced this.
-	Scheme string
 	// PlainLen is the original data length.
 	PlainLen int
 	// Shards are the node-bound pieces; Decode tolerates nils up to the
@@ -127,7 +125,7 @@ func (r Replication) Encode(data []byte, _ io.Reader) (*Encoded, error) {
 	for i := range shards {
 		shards[i] = append([]byte(nil), data...)
 	}
-	return &Encoded{Scheme: r.Name(), PlainLen: len(data), Shards: shards}, nil
+	return &Encoded{PlainLen: len(data), Shards: shards}, nil
 }
 
 // Decode implements Encoding.
@@ -178,7 +176,7 @@ func (e Erasure) Encode(data []byte, _ io.Reader) (*Encoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Encoded{Scheme: e.Name(), PlainLen: len(data), Shards: shards}, nil
+	return &Encoded{PlainLen: len(data), Shards: shards}, nil
 }
 
 // Decode implements Encoding.
@@ -241,7 +239,6 @@ func (t TraditionalEncryption) Encode(data []byte, rnd io.Reader) (*Encoded, err
 		return nil, err
 	}
 	return &Encoded{
-		Scheme:       t.Name(),
 		PlainLen:     len(data),
 		Shards:       shards,
 		ClientSecret: keys[0].Key,
@@ -328,7 +325,7 @@ func (c CascadeEncryption) Encode(data []byte, rnd io.Reader) (*Encoded, error) 
 		secret = append(secret, byte(len(k.Key)))
 		secret = append(secret, k.Key...)
 	}
-	return &Encoded{Scheme: c.Name(), PlainLen: len(data), Shards: shards, ClientSecret: secret, PublicMeta: meta}, nil
+	return &Encoded{PlainLen: len(data), Shards: shards, ClientSecret: secret, PublicMeta: meta}, nil
 }
 
 // Decode implements Encoding.
@@ -433,7 +430,7 @@ func (e EntropicEncryption) Encode(data []byte, rnd io.Reader) (*Encoded, error)
 	// (the accounting choice Figure 1 implies: cost between encryption
 	// and OTP).
 	meta := append(append([]byte(nil), ct.Seed...), key...)
-	return &Encoded{Scheme: e.Name(), PlainLen: len(data), Shards: shards, PublicMeta: meta, ClientSecret: key}, nil
+	return &Encoded{PlainLen: len(data), Shards: shards, PublicMeta: meta, ClientSecret: key}, nil
 }
 
 // Decode implements Encoding.
@@ -493,7 +490,7 @@ func (a AONTRS) Encode(data []byte, rnd io.Reader) (*Encoded, error) {
 		return nil, err
 	}
 	meta := []byte{byte(pkgLen >> 24), byte(pkgLen >> 16), byte(pkgLen >> 8), byte(pkgLen)}
-	return &Encoded{Scheme: a.Name(), PlainLen: len(data), Shards: shards, PublicMeta: meta}, nil
+	return &Encoded{PlainLen: len(data), Shards: shards, PublicMeta: meta}, nil
 }
 
 // Decode implements Encoding.
@@ -551,7 +548,7 @@ func (s SecretSharing) Encode(data []byte, rnd io.Reader) (*Encoded, error) {
 	for i, sh := range shares {
 		shards[i] = sh.Payload
 	}
-	return &Encoded{Scheme: s.Name(), PlainLen: len(data), Shards: shards}, nil
+	return &Encoded{PlainLen: len(data), Shards: shards}, nil
 }
 
 // Decode implements Encoding.
@@ -611,7 +608,7 @@ func (p PackedSharing) Encode(data []byte, rnd io.Reader) (*Encoded, error) {
 	for i, sh := range shares {
 		shards[i] = sh.Payload
 	}
-	return &Encoded{Scheme: p.Name(), PlainLen: len(data), Shards: shards}, nil
+	return &Encoded{PlainLen: len(data), Shards: shards}, nil
 }
 
 // Decode implements Encoding.
@@ -684,7 +681,7 @@ func (l LRSS) Encode(data []byte, rnd io.Reader) (*Encoded, error) {
 	for i, sh := range shares {
 		shards[i] = encodeLRSSShare(sh)
 	}
-	return &Encoded{Scheme: l.Name(), PlainLen: len(data), Shards: shards}, nil
+	return &Encoded{PlainLen: len(data), Shards: shards}, nil
 }
 
 // Decode implements Encoding.

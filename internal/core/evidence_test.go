@@ -308,7 +308,7 @@ func TestHammerReadsDuringRenewAndScrub(t *testing.T) {
 		if i%2 == 1 {
 			scheme = sig.ECDSAP256
 		}
-		return v.RenewIntegrity("obj", scheme)
+		return v.RenewIntegrity(context.Background(), "obj", scheme)
 	})
 	run(func(i int) error {
 		// Rot a shard so the scrub has something to repair (and so takes

@@ -100,7 +100,7 @@ func FuzzShardCombine(f *testing.F) {
 			// Combining with the rotted shard present must not panic;
 			// whatever it returns is untrusted until the digests speak.
 			_, _ = enc.Decode(&Encoded{
-				Scheme: e.Scheme, PlainLen: e.PlainLen, Shards: mutated,
+				PlainLen: e.PlainLen, Shards: mutated,
 				ClientSecret: e.ClientSecret, PublicMeta: e.PublicMeta,
 			})
 
@@ -116,7 +116,7 @@ func FuzzShardCombine(f *testing.F) {
 				continue
 			}
 			got, err := enc.Decode(&Encoded{
-				Scheme: e.Scheme, PlainLen: e.PlainLen, Shards: mutated,
+				PlainLen: e.PlainLen, Shards: mutated,
 				ClientSecret: e.ClientSecret, PublicMeta: e.PublicMeta,
 			})
 			if err != nil {

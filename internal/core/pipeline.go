@@ -45,7 +45,11 @@ const chunkTailFloor = 64
 type layout struct {
 	// id is the cluster object id the shards are stored under: the
 	// object's own id.
-	id     string
+	id string
+	// enc is the encoding that wrote every chunk of the list: each write
+	// replaces the whole list, and a scrub rewrites a chunk under enc.
+	// Reads, scrubs and Stat use it, never the vault's current Encoding.
+	enc    Encoding
 	chunks []chunkMeta
 	// plainLen is the plaintext length the chain covers.
 	plainLen int
@@ -57,10 +61,7 @@ type layout struct {
 // reads use to vet the shards they do not take unhashed and Scrub uses
 // to localise damage, and — for every chunk but the last — the object's
 // SHA-256 midstate after the chunk, which a read checks the decoded
-// chunk against. len(digests) is the width the stripe
-// was actually written with: the vault's Encoding is a mutable field, so
-// the width the current encoding would produce says nothing about stored
-// keys.
+// chunk against.
 type chunkMeta struct {
 	enc     Encoded
 	digests [][sha256.Size]byte
@@ -123,15 +124,6 @@ func (l *layout) check(h hash.Hash, ci int) error {
 	return nil
 }
 
-// width is how many shard indexes the widest stripe of l occupies.
-func (l *layout) width() int {
-	w := 0
-	for i := range l.chunks {
-		w = max(w, len(l.chunks[i].digests))
-	}
-	return w
-}
-
 // encodedChunk is the pipeline's unit of flow from encode to stage.
 type encodedChunk struct {
 	idx int
@@ -149,15 +141,17 @@ type staged struct {
 	span      trace.Span // cluster.stage, ended by commit
 }
 
-// write is the one writer: r's plaintext becomes l's chunk list, staged
-// and committed as one key swap. A layout without a chain — a new object
-// or blob — gets one opened over r's digest before the commit, so a
-// chain failure still aborts cleanly; a renewal keeps its own, and
-// commits only if the chain still vouches for r's digest. Callers hold
-// the lock guarding l; on error l is unchanged and the cluster keeps
-// whatever l had.
+// write is the one writer: r's plaintext becomes l's chunk list under
+// the vault's current Encoding, which l then records, staged and
+// committed as one key swap. A layout without a chain — a new object or
+// blob — gets one opened over r's digest before the commit, so a chain
+// failure still aborts cleanly; a renewal keeps its own, and commits
+// only if the chain still vouches for r's digest. Callers hold the lock
+// guarding l; on error l is unchanged and the cluster keeps whatever l
+// had.
 func (v *Vault) write(ctx context.Context, l *layout, r io.Reader) error {
-	s, err := v.stageStripes(ctx, l.id, r)
+	enc := v.Encoding
+	s, err := v.stageStripes(ctx, l.id, enc, r)
 	if err != nil {
 		return err
 	}
@@ -170,7 +164,7 @@ func (v *Vault) write(ctx context.Context, l *layout, r io.Reader) error {
 	if err := v.commit(s, err); err != nil {
 		return err
 	}
-	l.chain, l.plainLen = chain, int(s.n)
+	l.enc, l.chain, l.plainLen = enc, chain, int(s.n)
 	v.replaceChunks(l, s.chunks)
 	return nil
 }
@@ -179,9 +173,9 @@ func (v *Vault) write(ctx context.Context, l *layout, r io.Reader) error {
 // token for id. The producer reads chunkSize-byte chunks with one chunk
 // of lookahead so a sub-floor tail folds into the previous chunk, hashes
 // each chunk as it is emitted — recording the midstate after every chunk
-// but the last — and encodes; the consumer stages each chunk. On error
-// the stage is already aborted.
-func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*staged, error) {
+// but the last — and encodes it under enc; the consumer stages each
+// chunk. On error the stage is already aborted.
+func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.Reader) (*staged, error) {
 	cs := v.chunkSize
 	sctx, sp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
 	s := &staged{id: id, token: v.newStageToken(id), span: sp}
@@ -211,14 +205,14 @@ func (v *Vault) stageStripes(ctx context.Context, id string, r io.Reader) (*stag
 				}
 				_, esp := trace.Child(ctx, "vault.encode", trace.Int("chunk", idx), trace.Int("bytes", len(data)))
 				encStart := time.Now()
-				enc, err := v.Encoding.Encode(data, v.rnd)
+				e, err := enc.Encode(data, v.rnd)
 				esp.End(err)
 				if err != nil {
 					return false, fmt.Errorf("core: encode %s chunk %d: %w", id, idx, err)
 				}
 				observeRate(v.obsm.encodeMBs, len(data), time.Since(encStart))
 				h.Write(data)
-				c := encodedChunk{idx: idx, enc: enc}
+				c := encodedChunk{idx: idx, enc: e}
 				if !last {
 					c.mid = saveMidstate(h)
 				}
@@ -341,10 +335,9 @@ func (v *Vault) stageShards(ctx context.Context, stage, id string, chunk int, sh
 
 // replaceChunks installs a committed rewrite's chunk list in l and
 // deletes every shard the old list held that the new one does not — a
-// stripe the rewrite narrowed (the encoding was reconfigured) or a chunk
-// it dropped. With nil it deletes everything: that is Delete. Shard
-// removal is a metadata operation that always succeeds, and absent keys
-// are no-ops.
+// stripe a re-encode narrowed or a chunk it dropped. With nil it deletes
+// everything: that is Delete. Shard removal is a metadata operation that
+// always succeeds, and absent keys are no-ops.
 func (v *Vault) replaceChunks(l *layout, chunks []chunkMeta) {
 	for ci := range l.chunks {
 		keep := 0

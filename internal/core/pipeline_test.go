@@ -14,10 +14,10 @@ import (
 
 // chunkedTestVault builds a vault with a deliberately tiny chunk size so
 // unit-sized objects exercise the multi-chunk pipeline cheaply.
-func chunkedTestVault(t *testing.T, enc Encoding, chunkSize int) (*Vault, *cluster.Cluster) {
+func chunkedTestVault(t *testing.T, enc Encoding, chunkSize int, opts ...VaultOption) (*Vault, *cluster.Cluster) {
 	t.Helper()
 	c := cluster.New(8, nil)
-	v, err := NewVault(c, enc, WithGroup(group.Test()), WithChunkSize(chunkSize))
+	v, err := NewVault(c, enc, append([]VaultOption{WithGroup(group.Test()), WithChunkSize(chunkSize)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,6 @@ func TestPropertyRoundTripSizesAndSubsets(t *testing.T) {
 					shards[i] = nil
 				}
 				got, err := enc.Decode(&Encoded{
-					Scheme:       e.Scheme,
 					PlainLen:     e.PlainLen,
 					Shards:       shards,
 					ClientSecret: e.ClientSecret,

@@ -145,10 +145,11 @@ func verifyRecovered(l *layout, plain [][]byte) error {
 // across chunks (a node is Corrupt if any of its chunk shards rotted,
 // Missing if any is absent, Healthy otherwise). A repair decodes only the
 // damaged chunks from their healthy shards, checks them and the
-// commitment (verifyRecovered), then re-encodes them and stages them
+// commitment (verifyRecovered), then re-encodes them under the layout's
+// own encoding — whatever the vault's Encoding is now — and stages them
 // under one token, so it commits atomically.
 func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubReport, error) {
-	n, _ := v.Encoding.Shards()
+	n, _ := l.enc.Shards()
 	rep := &ScrubReport{Object: id}
 	nodeMissing := make([]bool, n)
 	nodeCorrupt := make([]bool, n)
@@ -192,7 +193,7 @@ func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubR
 			continue
 		}
 		_, dsp := trace.Child(ctx, "vault.decode", trace.Int("chunk", ci))
-		p, err := v.Encoding.Decode(l.chunks[ci].stripe(stripe))
+		p, err := l.enc.Decode(l.chunks[ci].stripe(stripe))
 		dsp.End(err)
 		if err != nil {
 			return rep, fmt.Errorf("core: scrub %s chunk %d: decode from healthy shards: %w", id, ci, err)
@@ -212,7 +213,7 @@ func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubR
 		if p == nil {
 			continue
 		}
-		enc, err := v.Encoding.Encode(p, v.rnd)
+		enc, err := l.enc.Encode(p, v.rnd)
 		if err == nil {
 			err = v.stageShards(sctx, s.token, l.id, ci, enc.Shards)
 		}

@@ -95,8 +95,7 @@ func (v *Vault) PutReader(ctx context.Context, id string, r io.Reader) (n int64,
 // fetches (per-node probes with typed failure events), decode, and
 // verify — the breakdown a degraded read needs to explain its latency.
 func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (n int64, err error) {
-	ctx, sp := v.tracer.Start(ctx, "vault.get",
-		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
+	ctx, sp := v.tracer.Start(ctx, "vault.get", trace.Str("object", id))
 	defer func() {
 		if err == nil {
 			v.obsm.getBytes.Observe(float64(n))
@@ -109,6 +108,7 @@ func (v *Vault) ReadTo(ctx context.Context, id string, w io.Writer) (n int64, er
 		return 0, err
 	}
 	defer obj.mu.RUnlock()
+	sp.SetAttrs(trace.Str("encoding", obj.enc.Name()))
 	// The epoch is captured before the cache probe AND before the stripe
 	// fetch: an entry inserted below is reachable only while the cluster
 	// is still in the epoch the read began in, so an AdvanceEpoch racing
@@ -172,7 +172,7 @@ func (s *chunkSink) Write(p []byte) (int, error) {
 // ErrDegraded) carrying got/want and the per-node causes. The reassembled
 // object never needs to exist in memory.
 func (v *Vault) readStripes(ctx context.Context, id string, l *layout, w io.Writer) (int64, error) {
-	n, min := v.Encoding.Shards()
+	n, min := l.enc.Shards()
 	sink, _ := w.(*chunkSink)
 	if sink != nil && sink.whole == nil && len(l.chunks) > 1 {
 		sink.whole = make([]byte, 0, l.plainLen)
@@ -294,7 +294,7 @@ func (v *Vault) decodeChunk(ctx context.Context, id string, l *layout, ci, min i
 	}
 	_, dsp := trace.Child(ctx, "vault.decode", trace.Int("chunk", ci), trace.Int("shards", k))
 	start := time.Now()
-	p, err := v.Encoding.Decode(l.chunks[ci].stripe(used))
+	p, err := l.enc.Decode(l.chunks[ci].stripe(used))
 	dsp.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode %s chunk %d: %w", id, ci, err)
@@ -322,11 +322,11 @@ type ObjectInfo struct {
 	ID string
 	// PlainLen is the object's plaintext length in bytes.
 	PlainLen int64
-	// Scheme names the encoding that produced the stored shards.
+	// Scheme names the encoding that wrote the stored shards.
 	Scheme string
 	// Chunks is the number of chunk stripes the object's bytes live in.
 	Chunks int
-	// Width is the stripe width actually occupied on the cluster.
+	// Width is the stripe width of that encoding on the cluster.
 	Width int
 	// ChainLen is the integrity chain's link count (grows with renewals).
 	ChainLen int
@@ -339,12 +339,13 @@ func (v *Vault) Stat(id string) (*ObjectInfo, error) {
 		return nil, err
 	}
 	defer obj.mu.RUnlock()
+	width, _ := obj.enc.Shards()
 	return &ObjectInfo{
 		ID:       id,
 		PlainLen: int64(obj.plainLen),
-		Scheme:   obj.chunks[0].enc.Scheme,
+		Scheme:   obj.enc.Name(),
 		Chunks:   len(obj.chunks),
-		Width:    obj.width(),
+		Width:    width,
 		ChainLen: obj.chain.Len(),
 	}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"securearchive/internal/group"
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
+	"securearchive/internal/sig"
 )
 
 // tracedVault builds an 8-node vault over an isolated registry with
@@ -241,4 +242,44 @@ func TestPutTrace(t *testing.T) {
 	if tc.EventCount("stage.committed") != 1 {
 		t.Fatalf("stage.committed events:\n%s", trace.Timeline(tc))
 	}
+}
+
+// Spans name the encoding the object is stored under, not the vault's
+// current one: a Get of an object written under erasure coding says so
+// while the vault writes secret sharing, the renewal that moves it names
+// its target and where it moved from, and a Delete names the encoding
+// the renewal wrote. Both renew modes record under vault.renew.
+func TestSpansNameTheObjectsEncoding(t *testing.T) {
+	v, _, _, mem := tracedVault(t, Erasure{K: 4, N: 8})
+	ctx := context.Background()
+	if err := v.Put(ctx, "obj", []byte("written under erasure coding")); err != nil {
+		t.Fatal(err)
+	}
+	v.Encoding = SecretSharing{T: 4, N: 8}
+	attr := func(root, key, want string) {
+		t.Helper()
+		tc := lastTrace(t, mem, root)
+		if a, ok := tc.RootSpan().Attr(key); !ok || a.Str != want {
+			t.Fatalf("%s %s = %+v, want %q:\n%s", root, key, a, want, trace.Timeline(tc))
+		}
+	}
+	if _, err := v.Get(ctx, "obj"); err != nil {
+		t.Fatal(err)
+	}
+	attr("vault.get", "encoding", "Erasure Coding")
+	if err := v.RenewIntegrity(ctx, "obj", sig.ECDSAP256); err != nil {
+		t.Fatal(err)
+	}
+	attr("vault.renew", "mode", "integrity")
+	if err := v.RenewShares(ctx, "obj"); err != nil {
+		t.Fatal(err)
+	}
+	attr("vault.renew", "mode", "shares")
+	attr("vault.renew", "encoding", "Secret Sharing")
+	attr("vault.renew", "from", "Erasure Coding")
+	v.Encoding = Replication{N: 8}
+	if err := v.DeleteContext(ctx, "obj"); err != nil {
+		t.Fatal(err)
+	}
+	attr("vault.delete", "encoding", "Secret Sharing")
 }

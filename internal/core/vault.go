@@ -43,7 +43,12 @@ const DefaultChunkSize = 1 << 20
 // every stripe lock. See DESIGN.md "Concurrency model" for the lock
 // ordering invariants.
 type Vault struct {
-	Cluster  *cluster.Cluster
+	Cluster *cluster.Cluster
+	// Encoding is the encoding for new writes and renewals. Each object
+	// records the encoding that wrote it and is read and scrubbed under
+	// that, so changing Encoding leaves every stored object readable; an
+	// object moves to the new encoding at its next RenewShares. It may be
+	// changed only while no operation is in flight.
 	Encoding Encoding
 	// IntegrityMode selects hash chains (cheap) or commitment chains
 	// (LINCOS-style, confidentiality-preserving).
@@ -395,9 +400,11 @@ func (v *Vault) DirtyObjects() []string {
 }
 
 // RenewIntegrity appends a fresh signature (rotating schemes) to the
-// object's timestamp chain.
-func (v *Vault) RenewIntegrity(id string, scheme sig.Scheme) error {
-	obj, err := v.acquire(context.Background(), id, true)
+// object's timestamp chain, as a "vault.renew" span with mode=integrity.
+func (v *Vault) RenewIntegrity(ctx context.Context, id string, scheme sig.Scheme) (err error) {
+	ctx, sp := v.tracer.Start(ctx, "vault.renew", trace.Str("object", id), trace.Str("mode", "integrity"))
+	defer func() { sp.End(err) }()
+	obj, err := v.acquire(ctx, id, true)
 	if err != nil {
 		return err
 	}
@@ -408,6 +415,8 @@ func (v *Vault) RenewIntegrity(id string, scheme sig.Scheme) error {
 // RenewShares re-encodes the object with fresh randomness and rewrites
 // every chunk stripe — the generic renewal that works for any encoding
 // (at full re-encode cost; sharing-specific systems do better, see pss).
+// It writes under the vault's current Encoding, so after Encoding changes
+// it is also the re-encode that moves the object to the new one.
 // The whole read-reencode-rewrite sequence holds the object's write
 // lock: a concurrent Get of the same object must never observe a
 // half-rewritten shard set, while operations on other objects proceed
@@ -416,16 +425,20 @@ func (v *Vault) RenewIntegrity(id string, scheme sig.Scheme) error {
 // intact, so the object never ends up with mixed-epoch shards under a
 // stale ClientSecret. The chain is kept: the plaintext it binds is
 // unchanged. The read-back, re-encode, and staged rewrite all nest under
-// one "vault.renew" span.
+// one "vault.renew" span (mode=shares) naming the target encoding, and
+// the one it moves from when they differ.
 func (v *Vault) RenewShares(ctx context.Context, id string) (err error) {
-	ctx, sp := v.tracer.Start(ctx, "vault.renew",
-		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
+	ctx, sp := v.tracer.Start(ctx, "vault.renew", trace.Str("object", id),
+		trace.Str("mode", "shares"), trace.Str("encoding", v.Encoding.Name()))
 	defer func() { sp.End(err) }()
 	obj, err := v.acquire(ctx, id, true)
 	if err != nil {
 		return err
 	}
 	defer obj.mu.Unlock()
+	if obj.enc != v.Encoding {
+		sp.SetAttrs(trace.Str("from", obj.enc.Name()))
+	}
 	// The rewrite changes the shard set (and, across an epoch boundary,
 	// the epoch a fresh read would record); drop the cached plaintext
 	// before dispersal so no entry from the pre-renewal stripe survives
@@ -449,14 +462,14 @@ func (v *Vault) RenewShares(ctx context.Context, id string) (err error) {
 // eat. Shard removal is a metadata operation that always succeeds,
 // mirroring how CommitStage treats already-moved bytes.
 func (v *Vault) DeleteContext(ctx context.Context, id string) (err error) {
-	ctx, sp := v.tracer.Start(ctx, "vault.delete",
-		trace.Str("object", id), trace.Str("encoding", v.Encoding.Name()))
+	ctx, sp := v.tracer.Start(ctx, "vault.delete", trace.Str("object", id))
 	defer func() { sp.End(err) }()
 	obj, err := v.acquire(ctx, id, true)
 	if err != nil {
 		return err
 	}
 	defer obj.mu.Unlock()
+	sp.SetAttrs(trace.Str("encoding", obj.enc.Name()))
 	obj.live.Store(false)
 	v.cacheInvalidate(id)
 	v.replaceChunks(&obj.layout, nil)

@@ -63,7 +63,7 @@ func TestVaultConcurrentPutGet(t *testing.T) {
 				errs <- fmt.Errorf("%s: renew shares: %w", id, err)
 				return
 			}
-			if err := v.RenewIntegrity(id, sig.Ed25519); err != nil {
+			if err := v.RenewIntegrity(context.Background(), id, sig.Ed25519); err != nil {
 				errs <- fmt.Errorf("%s: renew integrity: %w", id, err)
 				return
 			}

@@ -106,10 +106,10 @@ func TestVaultRenewIntegrityRotation(t *testing.T) {
 	if err := v.Put(context.Background(), "r", []byte("rotate me")); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.RenewIntegrity("r", sig.ECDSAP256); err != nil {
+	if err := v.RenewIntegrity(context.Background(), "r", sig.ECDSAP256); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.RenewIntegrity("r", sig.RSAPSS2048); err != nil {
+	if err := v.RenewIntegrity(context.Background(), "r", sig.RSAPSS2048); err != nil {
 		t.Fatal(err)
 	}
 	chain := v.Chain("r")
@@ -171,7 +171,7 @@ func TestVaultExportEvidence(t *testing.T) {
 	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.RenewIntegrity("r", sig.ECDSAP256); err != nil {
+	if err := v.RenewIntegrity(context.Background(), "r", sig.ECDSAP256); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := v.ExportEvidence("r")

@@ -65,7 +65,6 @@ var exportedAllowlist = map[string]string{
 	"store/diskstore.Store.Recovery":  "bench",
 
 	"core.Vault.ExportEvidence":        "item 3",
-	"reencrypt":                        "item 5",
 	"tstamp.Unmarshal":                 "item 6",
 	"core.MinRenewalsPerEpoch":         "item 7",
 	"core.PlanRenewal":                 "item 7",

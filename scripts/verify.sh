@@ -54,6 +54,7 @@ done <<'EXAMPLES'
 hndl-demo FULL BREACH
 medical-records replay ok: true
 quickstart timestamp chain valid
+quickstart re-encoded to Secret Sharing: read back ok
 proactive-renewal secret intact: true
 it-channels trade-off
 fault-injection vault.verify
