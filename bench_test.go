@@ -21,6 +21,7 @@ package securearchive_test
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -249,7 +250,7 @@ func BenchmarkTimestampChain(b *testing.B) {
 	doc := make([]byte, 4096)
 	rand.Read(doc)
 	b.Run("renew", func(b *testing.B) {
-		chain, err := tstamp.New(doc, tstamp.RefHash, sig.Ed25519, 0, nil, rand.Reader)
+		chain, err := tstamp.NewFromDigest(sha256.Sum256(doc), tstamp.RefHash, sig.Ed25519, 0, nil, rand.Reader)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +263,7 @@ func BenchmarkTimestampChain(b *testing.B) {
 		}
 	})
 	b.Run("verify-12-links", func(b *testing.B) {
-		chain, _ := tstamp.New(doc, tstamp.RefHash, sig.Ed25519, 0, nil, rand.Reader)
+		chain, _ := tstamp.NewFromDigest(sha256.Sum256(doc), tstamp.RefHash, sig.Ed25519, 0, nil, rand.Reader)
 		schemes := []sig.Scheme{sig.ECDSAP256, sig.Ed25519}
 		for k := 0; k < 11; k++ {
 			chain.Renew(schemes[k%2], k+1, rand.Reader)

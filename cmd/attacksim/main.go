@@ -240,7 +240,7 @@ func runLeakage() {
 // failing transiently with probability `transient`, and bit rot striking
 // reads with probability `corrupt`. Each epoch every system retrieves
 // its object; a read counts only if it returns the original bytes.
-// Systems that verify what they fetch (VSR's commitments) route around
+// Systems that verify what they fetch (the vault's shard digests) route around
 // rot; systems that combine blindly surface it as corrupted reads.
 func runFaults(epochs int, seed int64, transient float64, offline int, corrupt float64) {
 	fmt.Printf("=== availability: degraded reads under faults (transient=%.2f, offline=%d/8 rotating, bit-rot=%.2f) ===\n",

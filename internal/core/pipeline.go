@@ -359,11 +359,11 @@ const streamProbe = 64 << 10
 
 // readChunk reads the next chunk of up to cs bytes from r into a buffer
 // of its own, with io.ReadFull's contract on the count and error. A
-// source that knows what is left (bytes.Reader: Put, a renewal) gets a
-// buffer one byte over it, so the read also sees EOF. Otherwise, with
-// probe set (the object's first chunk), it reads into a
-// streamProbe-sized buffer first and moves to a cs-sized one only if
-// that fills.
+// source that knows what is left (bytes.Reader: Put) gets a buffer one
+// byte over it, so the read also sees EOF. Otherwise — a streamed put, or
+// a renewal reading its own decoded chunks from a pipe — with probe set
+// (the object's first chunk), it reads into a streamProbe-sized buffer
+// first and moves to a cs-sized one only if that fills.
 func readChunk(r io.Reader, cs int, probe bool) ([]byte, int, error) {
 	size := cs
 	if l, ok := r.(interface{ Len() int }); ok {

@@ -143,8 +143,8 @@ func writeOut(w io.Writer, id string, data []byte) (int64, error) {
 }
 
 // chunkSink collects a read in memory: Get's caller-owned result, and
-// the buffer a cache fill or a renewal reads into. Write copies, as
-// io.Writer requires — a cache hit writes the cache's own entry.
+// the buffer a cache fill reads into. Write copies, as io.Writer
+// requires — a cache hit writes the cache's own entry.
 // readStripes instead hands it each decoded chunk, a fresh slice nothing
 // else holds, and an empty sink keeps that as is: a one-chunk object is
 // never copied.

@@ -413,10 +413,16 @@ func (v *Vault) RenewIntegrity(ctx context.Context, id string, scheme sig.Scheme
 }
 
 // RenewShares re-encodes the object with fresh randomness and rewrites
-// every chunk stripe — the generic renewal that works for any encoding
-// (at full re-encode cost; sharing-specific systems do better, see pss).
+// every chunk stripe — the generic renewal that works for any encoding.
 // It writes under the vault's current Encoding, so after Encoding changes
-// it is also the re-encode that moves the object to the new one.
+// it is also the re-encode that moves the object to the new one. The
+// renewal streams: readStripes writes the checked plaintext into a pipe
+// from one goroutine and write reads it, so only a few chunks are ever in
+// memory, never the whole object. write sees EOF only after the reader
+// has returned, and it changes the layout only after EOF; on any error it
+// changes nothing. Closing the read end with write's error stops a
+// reader that write abandoned, and the goroutine is joined before
+// RenewShares returns; a failed read is returned as it is.
 // The whole read-reencode-rewrite sequence holds the object's write
 // lock: a concurrent Get of the same object must never observe a
 // half-rewritten shard set, while operations on other objects proceed
@@ -444,11 +450,19 @@ func (v *Vault) RenewShares(ctx context.Context, id string) (err error) {
 	// before dispersal so no entry from the pre-renewal stripe survives
 	// the write lock.
 	v.cacheInvalidate(id)
-	var sink chunkSink
-	if _, err := v.readStripes(ctx, id, &obj.layout, &sink); err != nil {
-		return err
+	pr, pw := io.Pipe()
+	read := make(chan error, 1)
+	go func() {
+		_, err := v.readStripes(ctx, id, &obj.layout, pw)
+		pw.CloseWithError(err)
+		read <- err
+	}()
+	err = v.write(ctx, &obj.layout, pr)
+	pr.CloseWithError(err)
+	if rerr := <-read; rerr != nil && errors.Is(err, rerr) {
+		return rerr // the write stopped at the read's failure
 	}
-	if err := v.write(ctx, &obj.layout, bytes.NewReader(sink.whole)); err != nil {
+	if err != nil {
 		return fmt.Errorf("core: renewal of %s rolled back: %w", id, err)
 	}
 	return nil

@@ -47,9 +47,9 @@ type config struct {
 	par int
 }
 
-// WithParallelism bounds the number of goroutines Split, SplitAt, Combine
-// and CombineAt may use. n <= 0 (the default) selects GOMAXPROCS; 1
-// forces the serial path.
+// WithParallelism bounds the number of goroutines Split, SplitAt and
+// Combine may use. n <= 0 (the default) selects GOMAXPROCS; 1 forces the
+// serial path.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.par = n }
 }
@@ -205,18 +205,6 @@ func Combine(shares []Share, opts ...Option) ([]byte, error) {
 		}
 	}
 	return secret, nil
-}
-
-// CombineAt evaluates the sharing polynomial at an arbitrary point x from
-// at least t shares. CombineAt(shares, 0) reconstructs the secret;
-// non-zero x yields the share that a participant with point x would hold,
-// which is what verifiable share redistribution needs.
-func CombineAt(shares []Share, x byte, opts ...Option) ([]byte, error) {
-	if err := validate(shares); err != nil {
-		return nil, err
-	}
-	t := int(shares[0].Threshold)
-	return combineAt(shares[:t], x, resolve(opts)), nil
 }
 
 func combineAt(shares []Share, x byte, cfg config) []byte {

@@ -174,27 +174,6 @@ func TestShareDistributionUniform(t *testing.T) {
 	}
 }
 
-func TestCombineAtRecreatesShares(t *testing.T) {
-	secret := []byte("redistribute me")
-	shares, _ := Split(secret, 5, 3, rand.Reader)
-	// Evaluating at x of share 4 from shares 0..2 must reproduce share 4.
-	got, err := CombineAt(shares[:3], shares[4].X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, shares[4].Payload) {
-		t.Fatal("CombineAt did not reproduce an existing share")
-	}
-	// And at 0 it is the secret.
-	got, err = CombineAt(shares[:3], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Fatal("CombineAt(0) is not the secret")
-	}
-}
-
 // addShares is the share-wise sum of two sharings over the same points,
 // the step pss renewal applies in place: sharing is linear, so the sum
 // shares the XOR of the two secrets.

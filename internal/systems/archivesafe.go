@@ -1,6 +1,7 @@
 package systems
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -86,16 +87,22 @@ func (s *ArchiveSafeLT) Store(object string, data []byte, rnd io.Reader) (*Ref, 
 }
 
 // envelope rebuilds the stored envelope from the first k shards that
-// still match their digests.
+// still match their digests: the degraded k-of-n read discards a shard
+// that fails and tries another node. Below k it is ErrRetrieval naming
+// the shortfall and the per-node causes ("insufficient shards: got 2,
+// want 3 (node 4: corrupt, node 5: down)").
 func (s *ArchiveSafeLT) envelope(ref *Ref) (*cascade.Envelope, error) {
 	layers, ok := s.layers[ref.Object]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
 	}
-	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.Code.TotalShards(), s.Code.DataShards(), committed(s.digests[ref.Object]))
-	if err != nil {
-		return nil, err
+	digests, k := s.digests[ref.Object], s.Code.DataShards()
+	res := s.Cluster.FetchChunkStripeCtx(context.TODO(), ref.Object, 0, s.Code.TotalShards(), k, cluster.DefaultRetry,
+		func(i int, data []byte) bool { return sha256.Sum256(data) == digests[i] })
+	if res.Fetched < k {
+		return nil, fmt.Errorf("%w: insufficient shards: got %d, want %d (%s)", ErrRetrieval, res.Fetched, k, res.FailureSummary())
 	}
+	shards := res.Shards
 	if err := s.Code.Reconstruct(shards); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
 	}

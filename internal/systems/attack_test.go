@@ -167,6 +167,40 @@ func TestRenewalRaceLost(t *testing.T) {
 	}
 }
 
+// TestRenewedSharesBreachPerChunk: a VSR object over three vault chunks
+// is three sharings. A threshold of nodes harvested in one epoch yields
+// t shares of every chunk, and Breach must recover the object exactly;
+// the same nodes split across a renewal yield nothing.
+func TestRenewedSharesBreachPerChunk(t *testing.T) {
+	big := make([]byte, 5<<19) // 2.5 MiB: three 1 MiB chunks
+	rand.Read(big)
+	for _, split := range []bool{false, true} {
+		c := cluster.New(8, nil)
+		vsr, _ := NewVSRArchive(c, 6, 3)
+		ref, err := vsr.Store("obj", big, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv := adversary.NewMobile(3, 5)
+		adv.Corrupt(c, 0)
+		adv.Corrupt(c, 1)
+		if split {
+			c.AdvanceEpoch()
+			if err := vsr.Renew(ref, rand.Reader); err != nil {
+				t.Fatal(err)
+			}
+		}
+		adv.Corrupt(c, 2)
+		res := vsr.Breach(adv, ref, adversary.Breaks{}, 50)
+		switch {
+		case !split && (!res.Full || !bytes.Equal(res.Recovered, big)):
+			t.Fatalf("one-epoch harvest of 3 chunks: full=%v exact=%v (%s)", res.Full, bytes.Equal(res.Recovered, big), res.Reason)
+		case split && res.Violated:
+			t.Fatalf("harvest split by a renewal breached: %s", res.Reason)
+		}
+	}
+}
+
 // TestCascadePartialBreakHolds: with only 2 of 3 families broken,
 // ArchiveSafeLT holds even under full harvest — the combiner property
 // end-to-end.

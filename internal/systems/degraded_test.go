@@ -24,7 +24,7 @@ func TestInsufficientShardsErrorText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node 2 serves bytes that fail the commitment check; 3 and 4 are
+	// Node 2 serves bytes that fail their digest check; 3 and 4 are
 	// down. Two verified shares remain — one short of the threshold.
 	sh, _ := c.GetCtx(context.Background(), 2, cluster.ShardKey{Object: "obj", Index: 2})
 	sh.Data[0] ^= 0xFF

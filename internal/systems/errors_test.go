@@ -15,15 +15,10 @@ import (
 func TestRetrieveUnknownRefs(t *testing.T) {
 	systems, _ := allSystems(t)
 	ghost := &Ref{Object: "never-stored", PlainLen: 10}
-	for _, name := range []string{"cloud", "archivesafe", "aontrs", "potshards", "pasis", "hasdpss"} {
+	for _, name := range []string{"cloud", "archivesafe", "aontrs", "potshards", "pasis", "hasdpss", "vsr", "lincos"} {
 		if _, err := systems[name].Retrieve(ghost); !errors.Is(err, ErrUnknownRef) {
 			t.Errorf("%s: unknown ref: %v", name, err)
 		}
-	}
-	// LINCOS keeps no per-object state beyond shards and its chain: it
-	// fails with a retrieval error.
-	if _, err := systems["lincos"].Retrieve(ghost); err == nil {
-		t.Error("lincos: ghost retrieve succeeded")
 	}
 }
 
@@ -80,27 +75,34 @@ func TestVSRRenewWithNodeDownFails(t *testing.T) {
 	}
 }
 
+// TestLINCOSIntegrityRejectsClusterTamper tampers with LINCOS's shares
+// on the nodes. With three of six tampered, the three intact ones still
+// decode and the read must return the exact bytes; with n−t+1 = 4
+// tampered, fewer than t intact shares remain and the read must fail —
+// never return wrong bytes.
 func TestLINCOSIntegrityRejectsClusterTamper(t *testing.T) {
-	c := cluster.New(8, nil)
-	lin, err := NewLINCOS(c, 6, 3, group.Test(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := lin.Store("obj", payload, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt a threshold of shards CONSISTENTLY is impossible without
-	// the polynomial; corrupt three shards arbitrarily and let Shamir's
-	// surplus consistency or the commitment chain catch the result.
-	for i := 0; i < 3; i++ {
-		sh, _ := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "obj", Index: i})
-		sh.Data[0] ^= 0xFF
-		overwrite(t, c, i, cluster.ShardKey{Object: "obj", Index: i}, sh.Data)
-	}
-	got, err := lin.Retrieve(ref)
-	if err == nil && bytes.Equal(got, payload) {
-		t.Fatal("tampered shards retrieved as authentic")
+	for _, tampered := range []int{3, 4} {
+		c := cluster.New(8, nil)
+		lin, err := NewLINCOS(c, 6, 3, group.Test(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := lin.Store("obj", payload, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tampered; i++ {
+			sh, _ := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "obj", Index: i})
+			sh.Data[0] ^= 0xFF
+			overwrite(t, c, i, cluster.ShardKey{Object: "obj", Index: i}, sh.Data)
+		}
+		got, err := lin.Retrieve(ref)
+		switch {
+		case tampered == 3 && (err != nil || !bytes.Equal(got, payload)):
+			t.Fatalf("3 tampered shares: read %q, %v; want the exact bytes", got, err)
+		case tampered == 4 && err == nil:
+			t.Fatal("4 tampered shares: read succeeded with fewer than t intact")
+		}
 	}
 }
 

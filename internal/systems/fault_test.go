@@ -60,8 +60,9 @@ func TestRetrieveDegradedUnderFaultPlan(t *testing.T) {
 	}
 }
 
-// VSR's commitment check runs inside the degraded fetch: a provider
-// serving rotted bytes is skipped and another provider used instead.
+// VSR's shares are checked against their digests inside the vault's
+// degraded fetch: a provider serving rotted bytes is skipped and another
+// provider used instead.
 func TestVSRRetrieveSkipsRottedProvider(t *testing.T) {
 	c := cluster.New(6, nil)
 	vsr, err := NewVSRArchive(c, 6, 3)

@@ -1,17 +1,18 @@
 package systems
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
 
 	"securearchive/internal/adversary"
 	"securearchive/internal/cluster"
+	"securearchive/internal/core"
 	"securearchive/internal/group"
 	"securearchive/internal/otp"
 	"securearchive/internal/qkd"
 	"securearchive/internal/sec"
-	"securearchive/internal/shamir"
 	"securearchive/internal/sig"
 	"securearchive/internal/tstamp"
 )
@@ -23,21 +24,19 @@ import (
 // integrity evidence itself never leaks anything. This miniature
 // implements all three:
 //
-//   - at rest: (t, n) Shamir shares, one per node, with Herzberg refresh
+//   - at rest: (t, n) Shamir shares, one per node — core.SecretSharing in
+//     a vault — renewed onto fresh polynomials
 //   - in transit: per-link OTP pads produced by simulated BB84 sessions;
-//     shards are pad-encrypted on the wire (and the wire copy is what a
-//     transit eavesdropper would capture — nothing, information-
+//     each link spends a share's worth of pad per store (the wire copy is
+//     what a transit eavesdropper would capture — nothing, information-
 //     theoretically)
-//   - integrity: one commitment-mode timestamp chain per object, renewed
-//     across signature schemes
+//   - integrity: the vault's commitment-mode timestamp chain, one per
+//     object, renewed across signature schemes
 type LINCOS struct {
-	Cluster *cluster.Cluster
-	N, T    int
-	Group   *group.Group
+	vaulted
+	N, T int
 	// pads[i] is the QKD-established pad for the link to node i.
 	pads []*otp.Pad
-	// chains[object] is the object's commitment timestamp chain.
-	chains map[string]*tstamp.Chain
 	// QKDSessions counts BB84 runs, for cost reporting.
 	QKDSessions int
 	// seed drives the deterministic QKD simulation; each replenishment
@@ -49,7 +48,8 @@ type LINCOS struct {
 const padBudget = 1 << 20
 
 // NewLINCOS builds the system, running one simulated QKD session per node
-// link to establish transit pads.
+// link to establish transit pads. Its chains commit in grp
+// (group.Default() when nil).
 func NewLINCOS(c *cluster.Cluster, n, t int, grp *group.Group, seed int64) (*LINCOS, error) {
 	if err := checkSharing(c, n, t); err != nil {
 		return nil, err
@@ -57,7 +57,11 @@ func NewLINCOS(c *cluster.Cluster, n, t int, grp *group.Group, seed int64) (*LIN
 	if grp == nil {
 		grp = group.Default()
 	}
-	s := &LINCOS{Cluster: c, N: n, T: t, Group: grp, chains: make(map[string]*tstamp.Chain), seed: seed}
+	v, err := newVaulted(c, core.SecretSharing{T: t, N: n}, core.WithGroup(grp))
+	if err != nil {
+		return nil, err
+	}
+	s := &LINCOS{vaulted: v, N: n, T: t, seed: seed}
 	s.pads = make([]*otp.Pad, n)
 	for i := 0; i < n; i++ {
 		if err := s.replenishPad(i, padBudget); err != nil {
@@ -130,83 +134,43 @@ func stretchPad(seedKey []byte, n int) (*otp.Pad, error) {
 // Name implements Archive.
 func (s *LINCOS) Name() string { return "LINCOS" }
 
-// Store implements Archive: Shamir-share, pad-encrypt each share for its
-// link, deliver (the node stores the share; the wire saw only OTP
-// ciphertext), and open a commitment timestamp chain.
-func (s *LINCOS) Store(object string, data []byte, rnd io.Reader) (*Ref, error) {
-	shares, err := shamir.Split(data, s.N, s.T, rnd)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([][]byte, s.N)
-	for i, sh := range shares {
-		// Transit: OTP-encrypt on the wire; the receiving node decrypts
-		// with its pad copy. The simulation performs both ends: the pads
-		// package zeroes consumed key, so the node is handed the
-		// plaintext share directly — the wire bytes, the ciphertext's
-		// body, are provably independent of it.
-		pad, err := s.padFor(i, len(sh.Payload))
+// Store implements Archive: every link spends a share's worth of pad —
+// Shamir shares are as long as the data — on the OTP-encrypted wire copy
+// (the receiving node decrypts with its pad copy; the simulation is both
+// ends, and the wire bytes are provably independent of the share), and
+// the vault shares the data and opens its commitment timestamp chain.
+func (s *LINCOS) Store(object string, data []byte, _ io.Reader) (*Ref, error) {
+	wire := make([]byte, len(data))
+	for i := range s.pads {
+		pad, err := s.padFor(i, len(wire))
 		if err != nil {
 			return nil, err
 		}
-		if _, err := pad.Encrypt(sh.Payload); err != nil {
+		if _, err := pad.Encrypt(wire); err != nil {
 			return nil, fmt.Errorf("systems: link %d pad: %w", i, err)
 		}
-		shards[i] = sh.Payload
 	}
-	chain, err := tstamp.New(data, tstamp.RefCommitment, sig.Ed25519, s.Cluster.Epoch(), s.Group, rnd)
-	if err != nil {
-		return nil, err
-	}
-	if err := putShards(s.Cluster, object, shards); err != nil {
-		return nil, err
-	}
-	s.chains[object] = chain
-	return &Ref{System: s.Name(), Object: object, PlainLen: len(data)}, nil
+	return s.store(s.Name(), object, data)
 }
 
-// Retrieve implements Archive, verifying the timestamp chain's opening.
-func (s *LINCOS) Retrieve(ref *Ref) ([]byte, error) {
-	shares := sharesOf(getShards(s.Cluster, ref.Object, 0, s.N), s.T, s.T)
-	if len(shares) < s.T {
-		return nil, fmt.Errorf("%w: %d/%d shares reachable", ErrRetrieval, len(shares), s.T)
-	}
-	data, err := shamir.Combine(shares)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
-	}
-	if chain, ok := s.chains[ref.Object]; ok {
-		if err := chain.VerifyData(data); err != nil {
-			return nil, fmt.Errorf("systems: integrity chain rejects retrieved data: %w", err)
-		}
-	}
-	return data, nil
-}
-
-// Renew implements Archive: Herzberg share refresh, written back as one
-// stripe, then a timestamp-chain renewal rotated across signature
+// Renew implements Archive: the vault's share renewal, which re-encodes
+// every chunk onto a fresh polynomial and writes it back as one staged
+// stripe (standing in for Herzberg's zero-sharing refresh, which never
+// reconstructs), then a timestamp-chain renewal rotated across signature
 // schemes.
-func (s *LINCOS) Renew(ref *Ref, rnd io.Reader) error {
-	chain, ok := s.chains[ref.Object]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
-	}
-	shards, err := refreshShares(s.Cluster, ref.Object, s.N, s.T, ref.PlainLen, rnd, nil)
-	if err != nil {
-		return err
-	}
-	if err := putShards(s.Cluster, ref.Object, shards); err != nil {
+func (s *LINCOS) Renew(ref *Ref, _ io.Reader) error {
+	if err := s.renew(ref); err != nil {
 		return err
 	}
 	// Rotate away from the launch scheme (Ed25519) and never back: a
 	// scheme nearing its end of life must not reappear later in the chain.
 	rotation := []sig.Scheme{sig.ECDSAP256, sig.RSAPSS2048}
-	next := rotation[(chain.Len()-1)%len(rotation)]
-	return chain.Renew(next, s.Cluster.Epoch(), rnd)
+	next := rotation[(s.v.Chain(ref.Object).Len()-1)%len(rotation)]
+	return s.v.RenewIntegrity(context.TODO(), ref.Object, next)
 }
 
 // Chain exposes the object's timestamp chain for integrity experiments.
-func (s *LINCOS) Chain(object string) *tstamp.Chain { return s.chains[object] }
+func (s *LINCOS) Chain(object string) *tstamp.Chain { return s.v.Chain(object) }
 
 // Classify implements Archive: the only all-ITS row of Table 1.
 func (s *LINCOS) Classify() sec.Profile {
@@ -221,14 +185,5 @@ func (s *LINCOS) Classify() sec.Profile {
 // yield nothing (perfectly hiding), so the only avenue is the mobile
 // adversary assembling a same-epoch threshold of shares at rest.
 func (s *LINCOS) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks, epoch int) BreachResult {
-	shares := harvestedShamir(adv, ref.Object, s.T)
-	if len(shares) < s.T {
-		return BreachResult{Reason: fmt.Sprintf("best same-epoch haul is %d/%d shares", len(shares), s.T)}
-	}
-	pt, err := shamir.Combine(shares[:s.T])
-	if err != nil {
-		return BreachResult{Violated: true, Reason: "threshold met but shares inconsistent"}
-	}
-	return BreachResult{Violated: true, Full: true, Recovered: pt,
-		Reason: "adversary out-raced the renewal period"}
+	return breachShares(adv, ref, s.T, true)
 }

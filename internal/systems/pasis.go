@@ -128,7 +128,7 @@ func (p *PASIS) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks,
 			return BreachResult{Reason: "no replica harvested"}
 		}
 		var pt []byte
-		for _, st := range harvestedStripes(adv, ref.Object) {
+		for _, st := range harvestedStripes(adv, ref.Object, false) {
 			pt = append(pt, st[h[0].Shard.Key.Index]...)
 		}
 		return BreachResult{Violated: true, Full: true, Recovered: pt,
@@ -147,7 +147,7 @@ func (p *PASIS) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks,
 	case PASISEncryptEC:
 		return breachCiphertext(p.vaulted, adv, ref, breaks, epoch)
 	case PASISSecretShare:
-		return breachStaticShares(adv, ref, p.T)
+		return breachShares(adv, ref, p.T, false)
 	}
 	return BreachResult{Reason: "unknown mode"}
 }

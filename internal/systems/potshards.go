@@ -1,6 +1,7 @@
 package systems
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -58,8 +59,15 @@ func (s *POTSHARDS) RetrieveRobust(ref *Ref, maxErrors int) ([]byte, error) {
 	}
 	var out []byte
 	for ci := 0; ci < info.Chunks; ci++ {
-		shards := getShards(s.v.Cluster, ref.Object, ci, s.N)
-		part, err := shamir.CombineRobust(sharesOf(shards, s.T, s.N), maxErrors)
+		// Every share that arrives, unvetted: shard i is the share at x = i+1.
+		res := s.v.Cluster.FetchChunkStripeCtx(context.TODO(), ref.Object, ci, s.N, s.N, cluster.DefaultRetry, nil)
+		var shares []shamir.Share
+		for i, data := range res.Shards {
+			if data != nil {
+				shares = append(shares, shamir.Share{X: byte(i + 1), Threshold: byte(s.T), Payload: data})
+			}
+		}
+		part, err := shamir.CombineRobust(shares, maxErrors)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
 		}
@@ -84,16 +92,17 @@ func (s *POTSHARDS) Classify() sec.Profile {
 
 // Breach implements Archive.
 func (s *POTSHARDS) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks, epoch int) BreachResult {
-	return breachStaticShares(adv, ref, s.T)
+	return breachShares(adv, ref, s.T, false)
 }
 
-// breachStaticShares is the Breach of a vault of Shamir shares that are
-// never renewed (POTSHARDS, PASIS secret-share): harvests from different
-// epochs combine freely and breaks are irrelevant. Each chunk stripe
-// needs t shares of its own; the chunks' secrets concatenate to the
-// object.
-func breachStaticShares(adv *adversary.Mobile, ref *Ref, t int) BreachResult {
-	stripes := harvestedStripes(adv, ref.Object)
+// breachShares is the Breach of a vault of Shamir shares. Each chunk
+// stripe needs t shares of its own, and the chunks' secrets concatenate
+// to the object. Shares that are never renewed (POTSHARDS, PASIS
+// secret-share) combine across epochs, and breaks are irrelevant. Shares
+// that are refreshed (VSR, LINCOS) combine only if one write epoch wrote
+// them, so renewed asks for t of them per chunk.
+func breachShares(adv *adversary.Mobile, ref *Ref, t int, renewed bool) BreachResult {
+	stripes := harvestedStripes(adv, ref.Object, renewed)
 	have := 0
 	for ci, st := range stripes {
 		if ci == 0 || len(st) < have {
@@ -101,6 +110,9 @@ func breachStaticShares(adv *adversary.Mobile, ref *Ref, t int) BreachResult {
 		}
 	}
 	if have < t {
+		if renewed {
+			return BreachResult{Reason: fmt.Sprintf("best same-epoch haul is %d/%d shares", have, t)}
+		}
 		return BreachResult{Reason: fmt.Sprintf("%d/%d shares harvested", have, t)}
 	}
 	var pt []byte
@@ -117,6 +129,9 @@ func breachStaticShares(adv *adversary.Mobile, ref *Ref, t int) BreachResult {
 		}
 		pt = append(pt, part...)
 	}
-	return BreachResult{Violated: true, Full: true, Recovered: pt,
-		Reason: "mobile adversary accumulated a threshold of static shares"}
+	reason := "mobile adversary accumulated a threshold of static shares"
+	if renewed {
+		reason = "adversary out-raced the renewal period"
+	}
+	return BreachResult{Violated: true, Full: true, Recovered: pt, Reason: reason}
 }

@@ -191,3 +191,55 @@ func TestHasDPSSResizeTooManyNodes(t *testing.T) {
 		t.Fatal("resize beyond cluster accepted")
 	}
 }
+
+// TestVSRRepairNeedsEveryProvider pins Repair's contract as a vault
+// scrub: repairing provider 2 while provider 4 is down fails and leaves
+// the cluster and the meter as they were; once provider 4 is back, the
+// repair re-shares the whole stripe, so every provider's share changes.
+// The index only names a provider: Repair(ref, 5) rebuilds provider 2's
+// lost share.
+func TestVSRRepairNeedsEveryProvider(t *testing.T) {
+	c := cluster.New(8, nil)
+	vsr, _ := NewVSRArchive(c, 6, 3)
+	ref, err := vsr.Store("obj", payload, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(2, cluster.ShardKey{Object: "obj", Index: 2}); err != nil {
+		t.Fatal(err)
+	}
+	before := make(map[int][]byte)
+	for i := 0; i < 6; i++ {
+		if sh, err := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "obj", Index: i}); err == nil {
+			before[i] = sh.Data
+		}
+	}
+	base, traffic := c.StoredBytes(), vsr.RenewTraffic
+	c.SetOnline(4, false)
+	if err := vsr.Repair(ref, 2, rand.Reader); err == nil {
+		t.Fatal("repair succeeded with a non-target provider down")
+	}
+	wantBaseline(t, c, base)
+	if vsr.RenewTraffic != traffic {
+		t.Fatalf("failed repair metered %d bytes of traffic", vsr.RenewTraffic-traffic)
+	}
+	wantRetrieve(t, vsr, ref, payload)
+	c.SetOnline(4, true)
+	if err := vsr.Repair(ref, 5, rand.Reader); err != nil {
+		t.Fatalf("repair with every provider up: %v", err)
+	}
+	for i := 0; i < 6; i++ {
+		sh, err := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "obj", Index: i})
+		if err != nil {
+			t.Fatalf("provider %d holds no share after the repair: %v", i, err)
+		}
+		if bytes.Equal(sh.Data, before[i]) {
+			t.Fatalf("provider %d's share was not re-randomised", i)
+		}
+	}
+	// Providers 0, 1 and 3 off: the read needs the rebuilt share 2.
+	for _, i := range []int{0, 1, 3} {
+		c.SetOnline(i, false)
+	}
+	wantRetrieve(t, vsr, ref, payload)
+}

@@ -25,9 +25,7 @@ func rot(t *testing.T, c *cluster.Cluster, key cluster.ShardKey, at int) {
 // TestOneRottedShardNeverReadsWrong flips one byte of shard 0, then of
 // shard 1, of a 20,000-byte object in every Table 1 system and every
 // PASIS mode. Five or more healthy shards remain, so every system must
-// read the exact bytes back — except LINCOS, which combines the first t
-// shares blindly and whose chain then fails the read loudly. No system
-// may return wrong bytes with a nil error.
+// read the exact bytes back.
 func TestOneRottedShardNeverReadsWrong(t *testing.T) {
 	key := []byte("a 28-byte master key secret!")
 	obj := make([]byte, 20000)
@@ -67,7 +65,7 @@ func TestOneRottedShardNeverReadsWrong(t *testing.T) {
 				switch {
 				case err == nil && !bytes.Equal(got, tc.data):
 					t.Fatal("wrong bytes with a nil error")
-				case err != nil && tc.name != "LINCOS":
+				case err != nil:
 					t.Fatalf("read failed with %d healthy shards left: %v", c.Size()-1, err)
 				}
 			})

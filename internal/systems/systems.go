@@ -20,27 +20,32 @@
 // these implementations, and Table1 regenerates the paper's table from
 // them.
 //
-// Four systems store one core encoding each, so their storage half is a
+// Six systems store one core encoding each, so their storage half is a
 // core.Vault: CloudAES (core.TraditionalEncryption), AONT-RS
-// (core.AONTRS), POTSHARDS (core.SecretSharing) and PASIS (one of
-// Replication, Erasure, TraditionalEncryption or SecretSharing per
-// instance). They read, write and renew exactly as the vault does —
-// per-shard digests route reads around rotted shards, an integrity chain
-// covers every object, and renewal is the vault's full re-encode. The
-// vault draws its randomness from crypto/rand, so these four ignore the
-// rnd that Store and Renew are given. The other four renew without ever
-// reassembling plaintext — ArchiveSafeLT wraps an outer cipher layer,
-// VSR and LINCOS add a sharing of zero, HasDPSS redistributes to a new
-// committee — which a vault cannot express yet, so they keep the shard
-// helpers below.
+// (core.AONTRS), POTSHARDS, VSR and LINCOS (core.SecretSharing) and
+// PASIS (one of Replication, Erasure, TraditionalEncryption or
+// SecretSharing per instance). They read, write and renew exactly as the
+// vault does: per-shard digests route reads around rotted shards, an
+// integrity chain covers every object, and a renewal is the vault's
+// streamed re-encode, which never holds the whole object in one buffer.
+// For VSR and LINCOS that re-encode stands in for the deployed
+// protocols' zero-sharing refresh: every share lands on a fresh
+// polynomial, which is what defeats the mobile adversary, but each
+// chunk's plaintext passes through the client on the way.
+// The vault draws its randomness from crypto/rand, so these six ignore
+// the rnd that Store and Renew are given. The other two renew in ways a
+// vault does not express: ArchiveSafeLT wraps an outer cipher layer
+// (CascadeEncryption's envelope holds a fixed layer count) and HasDPSS
+// redistributes key-sized scalars to a new committee through Pedersen
+// VSS. They keep the shard helper below.
 //
-// Every write is atomic, as the vault's are: a Store, Renew, Resize or
-// Repair stages the whole new stripe under one stage token unique to the
-// write and commits it as one key swap, aborting on any failure. The
-// client-side state a write changes (keys, layers, commitments,
-// committees, ledgers, traffic meters) changes only after the commit
-// lands, so a write that fails — one node down is enough — leaves the
-// cluster's bytes and the object exactly as they were.
+// Every write is atomic, as the vault's are: a Store, Renew or Resize
+// stages the whole new stripe under one stage token unique to the write
+// and commits it as one key swap, aborting on any failure. The
+// client-side state a write changes (keys, layers, digests, committees,
+// ledgers, traffic meters) changes only after the commit lands, so a
+// write that fails — one node down is enough — leaves the cluster's
+// bytes and the object exactly as they were.
 package systems
 
 import (
@@ -54,7 +59,6 @@ import (
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
 	"securearchive/internal/sec"
-	"securearchive/internal/shamir"
 )
 
 // Errors returned across systems.
@@ -117,11 +121,11 @@ type vaulted struct{ v *core.Vault }
 
 // newVaulted builds the vault for enc over c, refusing a cluster with
 // fewer nodes than enc has shards.
-func newVaulted(c *cluster.Cluster, enc core.Encoding) (vaulted, error) {
+func newVaulted(c *cluster.Cluster, enc core.Encoding, opts ...core.VaultOption) (vaulted, error) {
 	if n, _ := enc.Shards(); n > c.Size() {
 		return vaulted{}, fmt.Errorf("%w: need %d nodes", ErrTooFewNodes, n)
 	}
-	v, err := core.NewVault(c, enc)
+	v, err := core.NewVault(c, enc, opts...)
 	return vaulted{v}, err
 }
 
@@ -147,8 +151,8 @@ func (s vaulted) Retrieve(ref *Ref) ([]byte, error) {
 	return data, nil
 }
 
-// renew re-encodes the object with fresh randomness as one staged write;
-// a failed renewal leaves the object as it was.
+// renew re-encodes the object's shards with fresh randomness as one
+// staged write; a failed renewal leaves the object as it was.
 func (s vaulted) renew(ref *Ref) error {
 	err := s.v.RenewShares(context.TODO(), ref.Object)
 	if errors.Is(err, core.ErrNotFound) {
@@ -169,7 +173,7 @@ func checkSharing(c *cluster.Cluster, n, t int) error {
 	return nil
 }
 
-// --- shared shard-placement helpers ---
+// --- the shard helper of the systems outside the vault ---
 
 // stageSeq uniquifies the stage tokens of concurrent writes.
 var stageSeq atomic.Int64
@@ -205,108 +209,37 @@ func putShards(c *cluster.Cluster, object string, shards [][]byte) (err error) {
 	return err
 }
 
-// getShards fetches chunk stripe chunk of object in full (nil for
-// unavailable shards), indexed by shard number, retrying transient faults
-// per node. A best-effort read: callers that tolerate holes (robust
-// decoders) take whatever arrived.
-func getShards(c *cluster.Cluster, object string, chunk, total int) [][]byte {
-	return c.FetchChunkStripeCtx(context.TODO(), object, chunk, total, total, cluster.DefaultRetry, nil).Shards
-}
-
-// getShardsDegraded is the k-of-n read shared by the systems outside the
-// vault: fan out the decoder's minimum plus speculative probes, retry
-// transients with bounded backoff, fall back to remaining providers, and
-// stop once want shards are in hand. When fewer than want
-// shards arrive the error reports the shortfall and the per-node causes
-// ("insufficient shards: got 2, want 3 (node 4: corrupt, node 5:
-// down)") — callers must not feed the partial stripe to a decoder.
-// valid, when non-nil, vets each shard as it arrives; a shard that fails
-// is discarded and another node tried.
-func getShardsDegraded(c *cluster.Cluster, object string, total, want int, valid func(i int, data []byte) bool) ([][]byte, error) {
-	res := c.FetchChunkStripeCtx(context.TODO(), object, 0, total, want, cluster.DefaultRetry, valid)
-	if res.Fetched < want {
-		return res.Shards, insufficientShards(res, want)
-	}
-	return res.Shards, nil
-}
-
-// refreshShares is the Herzberg share refresh VSR and LINCOS renew with:
-// it reads all n shares of object (each vetted by valid when non-nil)
-// and adds a fresh (t, n) sharing of zero, so the returned stripe holds
-// the same secret on a new polynomial. It writes nothing; the caller
-// commits the whole stripe with putShards.
-func refreshShares(c *cluster.Cluster, object string, n, t, plainLen int, rnd io.Reader, valid func(i int, data []byte) bool) ([][]byte, error) {
-	deal, err := shamir.Split(make([]byte, plainLen), n, t, rnd)
-	if err != nil {
-		return nil, err
-	}
-	shards, err := getShardsDegraded(c, object, n, n, valid)
-	if err != nil {
-		return nil, fmt.Errorf("systems: renewal read: %w", err)
-	}
-	for i, sh := range shards {
-		if len(sh) != plainLen {
-			return nil, fmt.Errorf("systems: renewal read: share %d is %d bytes, want %d", i, len(sh), plainLen)
-		}
-		for k := range sh {
-			sh[k] ^= deal[i].Payload[k]
-		}
-	}
-	return shards, nil
-}
-
-// insufficientShards wraps ErrRetrieval with got/want and per-node
-// attribution from a stripe read that ended below threshold.
-func insufficientShards(res *cluster.StripeResult, want int) error {
-	if s := res.FailureSummary(); s != "" {
-		return fmt.Errorf("%w: insufficient shards: got %d, want %d (%s)", ErrRetrieval, res.Fetched, want, s)
-	}
-	return fmt.Errorf("%w: insufficient shards: got %d, want %d", ErrRetrieval, res.Fetched, want)
-}
-
-// sharesOf turns a fetched Shamir stripe (shard i is the share at
-// x = i+1; nil = not fetched) into at most limit shares of a threshold-t
-// sharing, in node order.
-func sharesOf(shards [][]byte, t, limit int) []shamir.Share {
-	var out []shamir.Share
-	for i, data := range shards {
-		if data != nil && len(out) < limit {
-			out = append(out, shamir.Share{X: byte(i + 1), Threshold: byte(t), Payload: data})
-		}
-	}
-	return out
-}
-
-// harvestedShamir assembles shamir.Shares from the adversary's harvest of
-// one object for a renewing system: only shards written in a single epoch
-// combine. Returns the largest usable share set.
-func harvestedShamir(adv *adversary.Mobile, object string, threshold int) []shamir.Share {
-	best := []shamir.Share(nil)
-	for _, byIdx := range adv.DistinctShards(object) {
-		if len(byIdx) <= len(best) {
-			continue
-		}
-		best = make([]shamir.Share, 0, len(byIdx))
-		for idx, data := range byIdx {
-			best = append(best, shamir.Share{X: byte(idx + 1), Threshold: byte(threshold), Payload: data})
-		}
-	}
-	return best
-}
-
 // harvestedStripes sorts the adversary's harvest of a vault object into
 // its chunk stripes: out[ci][i] is shard i of chunk ci. An object over
 // one vault chunk is several stripes, and only shards of one chunk
-// combine.
-func harvestedStripes(adv *adversary.Mobile, object string) []map[int][]byte {
-	var out []map[int][]byte
+// combine. With sameEpoch they combine only if one write epoch wrote
+// them all — the shares of a system that renews — and out[ci] is the
+// largest such set, the earliest harvested of equal ones.
+func harvestedStripes(adv *adversary.Mobile, object string, sameEpoch bool) []map[int][]byte {
+	type version struct{ chunk, epoch int }
+	var order []version
+	sets := map[version]map[int][]byte{}
 	for _, h := range adv.Harvest(object) {
 		k := h.Shard.Key
-		for len(out) <= k.Chunk {
+		ver := version{chunk: k.Chunk}
+		if sameEpoch {
+			ver.epoch = h.Shard.Epoch
+		}
+		if sets[ver] == nil {
+			sets[ver] = map[int][]byte{}
+			order = append(order, ver)
+		}
+		if _, ok := sets[ver][k.Index]; !ok {
+			sets[ver][k.Index] = h.Shard.Data
+		}
+	}
+	var out []map[int][]byte
+	for _, ver := range order {
+		for len(out) <= ver.chunk {
 			out = append(out, map[int][]byte{})
 		}
-		if _, ok := out[k.Chunk][k.Index]; !ok {
-			out[k.Chunk][k.Index] = h.Shard.Data
+		if len(sets[ver]) > len(out[ver.chunk]) {
+			out[ver.chunk] = sets[ver]
 		}
 	}
 	return out

@@ -1,33 +1,34 @@
 package systems
 
 import (
+	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 
 	"securearchive/internal/adversary"
 	"securearchive/internal/cluster"
+	"securearchive/internal/core"
 	"securearchive/internal/sec"
-	"securearchive/internal/shamir"
 )
 
 // VSRArchive models Wong, Wang & Wing's verifiable secret redistribution
-// archive: Shamir sharing at rest plus a renewal protocol that
-// re-randomises every share, with commitments that let holders verify
-// what they receive. Against the mobile adversary the renewal is the
-// entire defence: shares harvested in different epochs lie on different
-// polynomials and cannot be combined — which Breach demonstrates by
-// insisting on same-epoch shards. The cost, per §3.2, is all-to-all
-// renewal traffic, metered in RenewTraffic.
+// archive: Shamir sharing at rest — core.SecretSharing in a vault, whose
+// per-shard digests play the commitments that let holders verify what
+// they receive — plus a renewal protocol that re-randomises every share.
+// Against the mobile adversary the renewal is the entire defence: shares
+// harvested in different epochs lie on different polynomials and cannot
+// be combined — which Breach demonstrates by insisting on same-epoch
+// shards. The cost, per §3.2, is all-to-all renewal traffic, metered in
+// RenewTraffic.
 type VSRArchive struct {
-	Cluster *cluster.Cluster
-	N, T    int
-	// RenewTraffic accumulates bytes a real deployment would move during
-	// renewals (zero-share dealings + commitment broadcasts).
+	vaulted
+	N, T int
+	// RenewTraffic accumulates bytes a real deployment of the protocol
+	// would move during renewals (zero-share dealings + commitment
+	// broadcasts) and repairs — not what the vault's re-encode moves.
 	RenewTraffic int64
-	// commitments[object][i] is the hash commitment to node i's current
-	// share, refreshed at each renewal — the "verifiable" part.
-	commitments map[string][][sha256.Size]byte
 }
 
 // NewVSRArchive builds the system with a (t, n) sharing.
@@ -35,113 +36,64 @@ func NewVSRArchive(c *cluster.Cluster, n, t int) (*VSRArchive, error) {
 	if err := checkSharing(c, n, t); err != nil {
 		return nil, err
 	}
-	return &VSRArchive{Cluster: c, N: n, T: t, commitments: make(map[string][][sha256.Size]byte)}, nil
+	v, err := newVaulted(c, core.SecretSharing{T: t, N: n})
+	if err != nil {
+		return nil, err
+	}
+	return &VSRArchive{vaulted: v, N: n, T: t}, nil
 }
 
 // Name implements Archive.
 func (s *VSRArchive) Name() string { return "VSR Archive" }
 
 // Store implements Archive.
-func (s *VSRArchive) Store(object string, data []byte, rnd io.Reader) (*Ref, error) {
-	shares, err := shamir.Split(data, s.N, s.T, rnd)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([][]byte, s.N)
-	comms := make([][sha256.Size]byte, s.N)
-	for i, sh := range shares {
-		shards[i] = sh.Payload
-		comms[i] = sha256.Sum256(sh.Payload)
-	}
-	if err := putShards(s.Cluster, object, shards); err != nil {
-		return nil, err
-	}
-	s.commitments[object] = comms
-	return &Ref{System: s.Name(), Object: object, PlainLen: len(data)}, nil
+func (s *VSRArchive) Store(object string, data []byte, _ io.Reader) (*Ref, error) {
+	return s.store(s.Name(), object, data)
 }
 
-// Retrieve implements Archive, verifying each fetched share against its
-// commitment before combining — a corrupt provider is identified during
-// the degraded read itself, and the fetch moves on to another provider
-// rather than failing the stripe.
-func (s *VSRArchive) Retrieve(ref *Ref) ([]byte, error) {
-	comms, ok := s.commitments[ref.Object]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
-	}
-	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.N, s.T, committed(comms))
-	if err != nil {
-		return nil, err
-	}
-	out, err := shamir.Combine(sharesOf(shards, s.T, s.T))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRetrieval, err)
-	}
-	return out, nil
-}
-
-// committed vets fetched share i against its published commitment.
-func committed(comms [][sha256.Size]byte) func(i int, data []byte) bool {
-	return func(i int, data []byte) bool { return sha256.Sum256(data) == comms[i] }
-}
-
-// Renew implements Archive: a Herzberg zero-sharing refresh executed
-// against the stored shards — no reconstruction, no plaintext exposure.
-// Every node's share is read and verified, re-randomised and written
-// back as one stripe, and only then are the commitments republished; the
-// cluster epoch-stamps the rewritten shards, which is what defeats
-// cross-epoch harvest mixing.
-func (s *VSRArchive) Renew(ref *Ref, rnd io.Reader) error {
-	comms, ok := s.commitments[ref.Object]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
-	}
-	shards, err := refreshShares(s.Cluster, ref.Object, s.N, s.T, ref.PlainLen, rnd, committed(comms))
-	if err != nil {
+// Renew implements Archive: the vault's share renewal, which decodes
+// each chunk from digest-checked shares, re-shares it on a fresh
+// polynomial and writes the stripe back as one staged write; the cluster
+// epoch-stamps the rewritten shards, which is what defeats cross-epoch
+// harvest mixing. It stands in for the deployed Herzberg zero-sharing
+// refresh, which never reconstructs: each chunk's plaintext passes
+// through the client here, while RenewTraffic meters the deployed
+// protocol.
+func (s *VSRArchive) Renew(ref *Ref, _ io.Reader) error {
+	if err := s.renew(ref); err != nil {
 		return err
 	}
-	if err := putShards(s.Cluster, ref.Object, shards); err != nil {
-		return err
-	}
-	for i, sh := range shards {
-		comms[i] = sha256.Sum256(sh)
-		s.RenewTraffic += int64(len(sh)) + sha256.Size
-	}
-	// All-to-all dealing traffic of a real (non-simulated) execution.
-	s.RenewTraffic += int64(s.N*(s.N-1)) * int64(ref.PlainLen)
+	// Each node's new share and its commitment broadcast, plus the
+	// all-to-all dealing traffic of a real (non-simulated) execution.
+	s.RenewTraffic += int64(s.N)*int64(ref.PlainLen+sha256.Size) + int64(s.N*(s.N-1))*int64(ref.PlainLen)
 	return nil
 }
 
-// Repair rebuilds a lost or corrupted provider's share from t verified
-// providers and re-publishes its commitment. (The deployed protocol
-// blinds the helpers' contributions with a random polynomial that
-// vanishes at the lost point; at the system layer the observable effect
-// is identical: the provider ends up with a share consistent with the
-// current polynomial.) The rebuilt share is written like any stripe,
-// staged and committed, before its commitment changes.
-func (s *VSRArchive) Repair(ref *Ref, lost int, rnd io.Reader) error {
-	comms, ok := s.commitments[ref.Object]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
-	}
+// Repair rebuilds lost or corrupted shares through the vault's scrub,
+// which finds every missing or rotted share — lost is only checked to
+// name a provider — decodes each damaged chunk from t verified shares
+// and re-shares it on a fresh polynomial, staged and committed like any
+// write. So a repair re-randomises all n shares of a damaged chunk, and
+// every provider must be up for it: one that is down, the target or
+// not, fails the repair and leaves the stripe as it was. (The deployed
+// protocol instead has t helpers send blinded contributions that only
+// the lost provider can combine, so no one reconstructs and the other
+// shares stay put.) As for Renew, RenewTraffic meters the deployed
+// protocol: t blinded contributions and the rebuilt share.
+func (s *VSRArchive) Repair(ref *Ref, lost int, _ io.Reader) error {
 	if lost < 0 || lost >= s.N {
 		return fmt.Errorf("systems: no provider %d", lost)
 	}
-	shards, err := getShardsDegraded(s.Cluster, ref.Object, s.N, s.T, committed(comms))
+	rep, err := s.v.Scrub(context.TODO(), ref.Object)
+	if errors.Is(err, core.ErrNotFound) {
+		return fmt.Errorf("%w: %s", ErrUnknownRef, ref.Object)
+	}
 	if err != nil {
 		return err
 	}
-	payload, err := shamir.CombineAt(sharesOf(shards, s.T, s.T), byte(lost+1))
-	if err != nil {
-		return fmt.Errorf("systems: repair interpolation: %w", err)
+	if rep.Repaired {
+		s.RenewTraffic += int64(s.T*(ref.PlainLen+2) + ref.PlainLen)
 	}
-	stripe := make([][]byte, lost+1)
-	stripe[lost] = payload
-	if err := putShards(s.Cluster, ref.Object, stripe); err != nil {
-		return err
-	}
-	comms[lost] = sha256.Sum256(payload)
-	s.RenewTraffic += int64(s.T*(ref.PlainLen+2) + ref.PlainLen)
 	return nil
 }
 
@@ -156,14 +108,5 @@ func (s *VSRArchive) Classify() sec.Profile {
 
 // Breach implements Archive: only same-write-epoch shares combine.
 func (s *VSRArchive) Breach(adv *adversary.Mobile, ref *Ref, breaks adversary.Breaks, epoch int) BreachResult {
-	shares := harvestedShamir(adv, ref.Object, s.T)
-	if len(shares) < s.T {
-		return BreachResult{Reason: fmt.Sprintf("best same-epoch haul is %d/%d shares", len(shares), s.T)}
-	}
-	pt, err := shamir.Combine(shares[:s.T])
-	if err != nil {
-		return BreachResult{Violated: true, Reason: "threshold met but shares inconsistent"}
-	}
-	return BreachResult{Violated: true, Full: true, Recovered: pt,
-		Reason: "adversary out-raced the renewal period"}
+	return breachShares(adv, ref, s.T, true)
 }

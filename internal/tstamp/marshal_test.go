@@ -2,6 +2,7 @@ package tstamp
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -90,7 +91,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 // round trip and a renewal by the party that holds only the public part;
 // hash-mode evidence carries none.
 func TestMarshalNamesCommitmentGroup(t *testing.T) {
-	c, err := New(doc, RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestMarshalNamesCommitmentGroup(t *testing.T) {
 // before the group field (version 1, no field) still unmarshals, and its
 // public part verifies and renews as before; it names no group.
 func TestUnmarshalVersion1(t *testing.T) {
-	c, err := New(doc, RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

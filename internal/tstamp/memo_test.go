@@ -288,7 +288,7 @@ func TestMemoTamperFallsThrough(t *testing.T) {
 // rebuilt from its public portion can Verify and Renew, and in
 // commitment mode refuses every data check with "opening not held".
 func TestUnmarshalledChainHoldsNoOpening(t *testing.T) {
-	c, err := New(doc, RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

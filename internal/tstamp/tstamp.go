@@ -140,21 +140,13 @@ func (c *Chain) binding() (sum [sha256.Size]byte, ok bool) {
 	return sha256.Sum256(buf[:end]), true
 }
 
-// New starts a chain over data at the given epoch, signed with scheme s.
-// In RefCommitment mode, grp supplies the Pedersen group (nil selects
-// group.Default()); data is committed via its SHA-256 digest embedded as
-// a scalar, so arbitrarily large objects are supported while the
-// commitment itself stays hiding.
-func New(data []byte, mode RefMode, scheme sig.Scheme, epoch int, grp *group.Group, rnd io.Reader) (*Chain, error) {
-	return NewFromDigest(sha256.Sum256(data), mode, scheme, epoch, grp, rnd)
-}
-
 // NewFromDigest starts a chain over data known only by its SHA-256
-// digest — the streaming-ingest entry point: both reference modes bind
-// the object through its digest anyway (RefHash directly, RefCommitment
-// as the committed scalar), so a writer that hashed the object
-// incrementally while dispersing it never needs the whole plaintext in
-// memory to open its chain.
+// digest, at the given epoch, signed with scheme. Both reference modes
+// bind the object through its digest (RefHash directly, RefCommitment as
+// the committed scalar in grp; nil selects group.Default()), so a writer
+// that hashed the object incrementally while dispersing it never needs
+// the whole plaintext in memory to open its chain, and the commitment
+// stays hiding for an object of any size.
 func NewFromDigest(digest [sha256.Size]byte, mode RefMode, scheme sig.Scheme, epoch int, grp *group.Group, rnd io.Reader) (*Chain, error) {
 	c := &Chain{Mode: mode}
 	var ref []byte

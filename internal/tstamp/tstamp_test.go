@@ -14,7 +14,7 @@ var doc = []byte("an archival record that must remain provably intact for a cent
 
 func newHashChain(t *testing.T) *Chain {
 	t.Helper()
-	c, err := New(doc, RefHash, sig.Ed25519, 0, nil, rand.Reader)
+	c, err := NewFromDigest(sha256.Sum256(doc), RefHash, sig.Ed25519, 0, nil, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestEpochMonotonicity(t *testing.T) {
 }
 
 func TestCommitmentModeHidesAndVerifies(t *testing.T) {
-	c, err := New(doc, RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,8 @@ func TestCommitmentModeHidesAndVerifies(t *testing.T) {
 }
 
 func TestCommitmentChainsAreUnlinkable(t *testing.T) {
-	c1, _ := New(doc, RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
-	c2, _ := New(doc, RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c1, _ := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c2, _ := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
 	if string(c1.Links[0].Ref) == string(c2.Links[0].Ref) {
 		t.Fatal("two commitments to the same document are equal: not hiding")
 	}
@@ -199,7 +199,7 @@ func TestLongRotationSchedule(t *testing.T) {
 }
 
 func BenchmarkRenewEd25519(b *testing.B) {
-	c, _ := New(doc, RefHash, sig.Ed25519, 0, nil, rand.Reader)
+	c, _ := NewFromDigest(sha256.Sum256(doc), RefHash, sig.Ed25519, 0, nil, rand.Reader)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Renew(sig.Ed25519, i+1, rand.Reader); err != nil {
@@ -209,7 +209,7 @@ func BenchmarkRenewEd25519(b *testing.B) {
 }
 
 func BenchmarkVerifyChain10Links(b *testing.B) {
-	c, _ := New(doc, RefHash, sig.Ed25519, 0, nil, rand.Reader)
+	c, _ := NewFromDigest(sha256.Sum256(doc), RefHash, sig.Ed25519, 0, nil, rand.Reader)
 	for k := 0; k < 9; k++ {
 		c.Renew(sig.Ed25519, k+1, rand.Reader)
 	}

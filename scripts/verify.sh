@@ -41,6 +41,14 @@ for enc in erasure shamir aes; do
   "$tmp/archivectl" get -manifest "$tmp/$enc/f.bin.manifest.json" -out "$tmp/$enc.out2"
   cmp "$tmp/f.bin" "$tmp/$enc.out2"
 done
+# E5, the mobile adversary against proactive renewal: each system that
+# renews (VSR and LINCOS re-share every chunk on a fresh polynomial,
+# HasDPSS redistributes its committee) must read "renewing true,
+# breached false".
+go run ./cmd/attacksim -campaign mobile > "$tmp/mobile.txt"
+for row in 'VSR Archive' LINCOS HasDPSS; do
+  grep -E "^$row +true +false " "$tmp/mobile.txt"
+done
 # Every example end to end (~5 s together): each must exit 0 and print
 # its headline line. hndl-demo and medical-records drive the Table 1
 # systems; it-channels and reencryption-planner are the only readers of
