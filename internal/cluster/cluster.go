@@ -196,9 +196,10 @@ func (c *Cluster) SetOnline(id int, online bool) error {
 	return nil
 }
 
-// GetCtx fetches a committed shard from a node. The fault plan's
-// injected latency selects on ctx: a cancelled caller stops waiting on a
-// slow node immediately.
+// GetCtx fetches a committed shard from a node. Its Data may be the
+// store's own bytes: the caller must not modify it (store.NodeStore).
+// The fault plan's injected latency selects on ctx: a cancelled caller
+// stops waiting on a slow node immediately.
 func (c *Cluster) GetCtx(ctx context.Context, nodeID int, key ShardKey) (sh Shard, err error) {
 	defer c.metrics.get.observe(time.Now(), &err)
 	n, err := c.Node(nodeID)

@@ -13,10 +13,13 @@ import (
 // per probability draw under the node lock. What replays is each node's
 // draw sequence given the operations that reach that node: the same
 // operations against one node under the same plan see the same faults.
-// A seeded campaign as a whole does not replay exactly. A stripe read
-// (FetchChunkStripeCtx) runs want+2 probe goroutines, and which of them
-// wins decides by timing whether a further node is probed at all, so
-// the set of nodes that consume a draw varies from run to run.
+// An unfaulted stripe read (FetchChunkStripeCtx) draws only from the
+// first want+2 nodes: its probes take nodes in index order, and no more
+// than want+2 shards are ever landed or in flight. A seeded campaign as
+// a whole still does not replay exactly. Timing decides whether a probe
+// that starts late, or one that misses and moves on, finds the read
+// already holding want shards, so which nodes consume a draw varies
+// from run to run.
 //
 // Faults apply to the data path only (PutStagedCtx, GetCtx). CommitStage,
 // AbortStage and Delete are metadata operations the plan never touches:

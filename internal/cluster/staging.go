@@ -19,10 +19,12 @@ import (
 // stage token. It moves real bytes — the fault plan, availability check
 // and traffic metering apply, and the fault plan's injected latency
 // selects on ctx — but the shard stays invisible to GetCtx until
-// CommitStage, the only way a shard becomes live. Re-staging the same key
-// under the same token overwrites (so transient-error retries are
-// idempotent); staging a key already held by a different token returns
-// ErrDuplicateKey, refusing to commit over a foreign stage.
+// CommitStage, the only way a shard becomes live. The store takes
+// ownership of data: the caller must not modify it afterwards.
+// Re-staging the same key under the same token overwrites (so
+// transient-error retries are idempotent); staging a key already held by
+// a different token returns ErrDuplicateKey, refusing to commit over a
+// foreign stage.
 func (c *Cluster) PutStagedCtx(ctx context.Context, nodeID int, stage string, key ShardKey, data []byte) (err error) {
 	defer c.metrics.staged.observe(time.Now(), &err)
 	n, err := c.Node(nodeID)

@@ -81,7 +81,9 @@ type Encoding interface {
 	LeakageResilient() bool
 	// Shards returns (total, minimum-to-decode).
 	Shards() (n, min int)
-	// Encode produces node-ready shards.
+	// Encode produces node-ready shards. They may alias data (the data
+	// shards of every RS-based encoding do), so data must not be
+	// modified while they are in use.
 	Encode(data []byte, rnd io.Reader) (*Encoded, error)
 	// Decode reconstructs from shards (nil = missing).
 	Decode(enc *Encoded) ([]byte, error)

@@ -253,7 +253,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.
 						pending = tail
 					}
 				case pending != nil && n < chunkTailFloor:
-					pending = append(pending, tail...) // fold sub-floor tail
+					pending = fold(pending, tail)
 				default:
 					if pending != nil {
 						if ok, err := emitChunk(pending, false); err != nil || !ok {
@@ -364,6 +364,11 @@ const streamProbe = 64 << 10
 // a renewal reading its own decoded chunks from a pipe — with probe set
 // (the object's first chunk), it reads into a streamProbe-sized buffer
 // first and moves to a cs-sized one only if that fills.
+//
+// The buffer it returns is no larger than what it holds, give or take
+// that one byte: the encoder's data shards alias it and the mem store
+// keeps them, so a short read into a bigger buffer is copied out rather
+// than pinning the whole probe or chunk buffer behind a small object.
 func readChunk(r io.Reader, cs int, probe bool) ([]byte, int, error) {
 	size := cs
 	if l, ok := r.(interface{ Len() int }); ok {
@@ -373,11 +378,26 @@ func readChunk(r io.Reader, cs int, probe bool) ([]byte, int, error) {
 	}
 	buf := make([]byte, size)
 	n, err := io.ReadFull(r, buf)
-	if err != nil || size == cs {
-		return buf, n, err
+	if err == nil && size < cs {
+		full := make([]byte, cs)
+		copy(full, buf)
+		var m int
+		m, err = io.ReadFull(r, full[n:])
+		buf, n = full, n+m
 	}
-	full := make([]byte, cs)
-	copy(full, buf)
-	m, err := io.ReadFull(r, full[n:])
-	return full, n + m, err
+	if err != nil && len(buf)-n > 1 {
+		short := make([]byte, n)
+		copy(short, buf)
+		buf = short
+	}
+	return buf, n, err
+}
+
+// fold appends a sub-floor tail to the chunk before it, in a buffer of
+// exactly their joint length: append would leave the chunk's shards
+// aliasing a buffer grown by a quarter.
+func fold(chunk, tail []byte) []byte {
+	out := make([]byte, len(chunk)+len(tail))
+	copy(out[copy(out, chunk):], tail)
+	return out
 }

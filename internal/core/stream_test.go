@@ -272,6 +272,50 @@ func TestPutReaderProbeBoundaries(t *testing.T) {
 	}
 }
 
+// chunkRecorder is an Encoding that remembers every chunk buffer the
+// writer hands its encoder.
+type chunkRecorder struct {
+	Encoding
+	chunks [][]byte
+}
+
+func (r *chunkRecorder) Encode(data []byte, rnd io.Reader) (*Encoded, error) {
+	r.chunks = append(r.chunks, data)
+	return r.Encoding.Encode(data, rnd)
+}
+
+// TestStreamedPutPinsNoSpareBuffer: Erasure's data shards alias the
+// chunk buffer the writer encodes, and the mem store keeps them, so a
+// buffer with room to spare would stay alive behind the object for as
+// long as it is stored. A 16 KiB streamed put (read into the streamProbe
+// buffer) and a chunk with a folded 63-byte tail must each reach the
+// encoder in a buffer of exactly their length, and the shard node 0
+// holds must be that buffer itself: the bytes moved once.
+func TestStreamedPutPinsNoSpareBuffer(t *testing.T) {
+	const chunk = 2 * streamProbe
+	for _, size := range []int{16 << 10, chunk + chunkTailFloor - 1} {
+		rec := &chunkRecorder{Encoding: Erasure{K: 4, N: 8}}
+		v, c := chunkedTestVault(t, rec, chunk)
+		if _, err := v.PutReader(context.Background(), "obj", &iotaReader{n: size}); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.chunks) != 1 {
+			t.Fatalf("size %d: %d chunks encoded, want 1", size, len(rec.chunks))
+		}
+		buf := rec.chunks[0]
+		if len(buf) != size || cap(buf) != size {
+			t.Errorf("size %d: encoder got a %d-byte chunk in a %d-byte buffer", size, len(buf), cap(buf))
+		}
+		sh, err := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "obj"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &sh.Data[0] != &buf[0] {
+			t.Errorf("size %d: node 0 holds a copy of the chunk, not the chunk", size)
+		}
+	}
+}
+
 // TestPutReaderSmallObjectAllocBytes gates what a sub-chunk streamed put
 // allocates in the benchmark's shape (16 KiB body, RS 10+4, the default
 // 1 MiB chunk): the probe buffer, not a chunk buffer — 1.1 MB before.

@@ -197,37 +197,45 @@ func (c *Code) ShardSize(dataLen int) int {
 	return (dataLen + c.data - 1) / c.data
 }
 
-// Split partitions data into exactly k equally sized shards, zero-padding
-// the final shard. The shards do not alias data.
+// Split partitions data into exactly k equally sized shards without
+// copying it: every shard that lies wholly inside data is a capped
+// sub-slice of it (an append to one never reaches the next), and only a
+// short last shard — with its zero padding — and any shard past the end
+// of data are allocated. The shards alias data, so neither may be
+// modified while the other is in use. The returned slice has room to
+// append the m parity shards.
 func (c *Code) Split(data []byte) ([][]byte, error) {
 	if len(data) == 0 {
 		return nil, ErrEmptyData
 	}
 	size := c.ShardSize(len(data))
-	shards := make([][]byte, c.data)
+	shards := make([][]byte, c.data, c.TotalShards())
 	for i := range shards {
+		lo, hi := i*size, (i+1)*size
+		if hi <= len(data) {
+			shards[i] = data[lo:hi:hi]
+			continue
+		}
 		shards[i] = make([]byte, size)
-		lo := i * size
 		if lo < len(data) {
-			copy(shards[i], data[lo:min(lo+size, len(data))])
+			copy(shards[i], data[lo:])
 		}
 	}
 	return shards, nil
 }
 
 // Encode splits data into k shards, computes the m parity shards, and
-// returns all n shards. Use Join (with the original length) to recover the
-// data after Reconstruct.
+// returns all n shards. The data shards alias data (see Split); only the
+// parity and a padded last data shard are new memory. Use Join (with the
+// original length) to recover the data after Reconstruct.
 func (c *Code) Encode(data []byte) ([][]byte, error) {
-	dataShards, err := c.Split(data)
+	shards, err := c.Split(data)
 	if err != nil {
 		return nil, err
 	}
-	shards := make([][]byte, c.TotalShards())
-	copy(shards, dataShards)
-	size := len(dataShards[0])
-	for i := c.data; i < c.TotalShards(); i++ {
-		shards[i] = make([]byte, size)
+	size := len(shards[0])
+	for range c.parity {
+		shards = append(shards, make([]byte, size))
 	}
 	if err := c.EncodeShards(shards); err != nil {
 		return nil, err

@@ -209,6 +209,47 @@ func TestSplitPadding(t *testing.T) {
 	}
 }
 
+// TestSplitAliasesData: a data shard that lies wholly inside the input
+// is a capped window onto it, so Encode copies no data bytes and an
+// append to one shard cannot reach the next; a short last shard is a
+// fresh zero-padded slice, so the padding never writes past the input.
+func TestSplitAliasesData(t *testing.T) {
+	c, _ := New(4, 2)
+	data := make([]byte, 4*100)
+	rand.New(rand.NewSource(3)).Read(data)
+	shards, err := c.Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		if &shards[i][0] != &data[i*100] || cap(shards[i]) != 100 {
+			t.Fatalf("data shard %d is not data[%d:%d] capped (cap %d)", i, i*100, (i+1)*100, cap(shards[i]))
+		}
+	}
+
+	short := data[:4*100-3]
+	beyond := append([]byte(nil), data[len(short):]...)
+	shards, err = c.Split(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if &shards[i][0] != &short[i*100] {
+			t.Fatalf("full data shard %d does not alias the input", i)
+		}
+	}
+	last := shards[3]
+	if &last[0] == &short[300] {
+		t.Fatal("short last shard aliases the input")
+	}
+	if !bytes.Equal(last[:97], short[300:]) || !bytes.Equal(last[97:], []byte{0, 0, 0}) {
+		t.Fatalf("short last shard = %v, want the input's last 97 bytes and 3 zeros", last)
+	}
+	if !bytes.Equal(data[len(short):], beyond) {
+		t.Fatal("padding wrote past the end of the input")
+	}
+}
+
 func TestSplitEmpty(t *testing.T) {
 	c, _ := New(4, 0)
 	if _, err := c.Split(nil); !errors.Is(err, ErrEmptyData) {

@@ -4,6 +4,13 @@
 // fast path for tests, benchmarks and simulations where at-rest
 // durability is irrelevant, and the behavioural reference the disk
 // backend is differentially tested against.
+//
+// It keeps the slices it is handed: Put and Stage store sh.Data as is,
+// and Get returns the stored slice, so a shard's bytes are never copied
+// on their way in or out (store.NodeStore's ownership rule). Corrupt
+// replaces a shard's bytes with a damaged copy instead of flipping the
+// bit in place, so a slice a reader already holds never changes under
+// it. Only Snapshot copies.
 package memstore
 
 import (
@@ -93,7 +100,6 @@ type nodeStore struct {
 func (n *nodeStore) Put(sh store.Shard) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sh.Data = append([]byte(nil), sh.Data...)
 	n.shards[sh.Key] = sh
 	return nil
 }
@@ -102,11 +108,7 @@ func (n *nodeStore) Get(key store.ShardKey) (store.Shard, bool, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	sh, ok := n.shards[key]
-	if !ok {
-		return store.Shard{}, false, nil
-	}
-	out := store.Shard{Key: sh.Key, Epoch: sh.Epoch, Data: append([]byte(nil), sh.Data...)}
-	return out, true, nil
+	return sh, ok, nil
 }
 
 func (n *nodeStore) Delete(key store.ShardKey) error {
@@ -120,7 +122,6 @@ func (n *nodeStore) Delete(key store.ShardKey) error {
 func (n *nodeStore) Stage(stage string, sh store.Shard) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sh.Data = append([]byte(nil), sh.Data...)
 	n.staged[sh.Key] = stagedShard{stage: stage, sh: sh}
 	return nil
 }
@@ -152,6 +153,7 @@ func (n *nodeStore) Corrupt(key store.ShardKey, bit int) bool {
 	if !ok || len(sh.Data) == 0 || bit < 0 || bit >= len(sh.Data)*8 {
 		return false
 	}
+	sh.Data = append([]byte(nil), sh.Data...)
 	sh.Data[bit/8] ^= 1 << (bit % 8)
 	n.shards[key] = sh
 	return true

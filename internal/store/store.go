@@ -41,10 +41,20 @@ type Shard struct {
 }
 
 // NodeStore is one node's shard storage. Implementations are safe for
-// concurrent use and own their bytes: Put/Stage copy data in, Get and
-// Snapshot return data the caller may keep (mutating it never reaches
-// the store — except through Corrupt, which is how injected bit rot
-// damages the bytes *at rest*).
+// concurrent use, and the bytes they hold are immutable, so a shard's
+// bytes move once between the writer's buffer and the node:
+//   - Put and Stage take ownership of Data. The caller must not modify
+//     it afterwards (an encoder's shards may alias its input chunk; the
+//     writer drops the chunk once it is staged).
+//   - Get returns bytes the caller must not modify. They may be the
+//     stored bytes themselves (memstore) or a fresh read (diskstore);
+//     either way they never change under the caller, and the caller may
+//     keep them.
+//   - Corrupt, which is how injected bit rot damages the bytes *at
+//     rest*, is copy-on-write: it replaces the stored bytes, and a slice
+//     a reader already holds keeps what it had.
+//   - Snapshot returns copies: it is the adversary's exfiltration, and
+//     the adversary may do what it likes with them.
 //
 // The staging area is the node-local half of the cluster's
 // stage-then-commit protocol: Stage parks a shard under a stage token,
@@ -55,22 +65,24 @@ type Shard struct {
 // later re-Put of the same key.
 type NodeStore interface {
 	// Put commits a shard directly, replacing any previous version of
-	// the key. The shard's Epoch is stored as given. The cluster never
-	// calls it (Stage then CommitStage is its one write path); it stays
-	// while the benchmark's store decorator implements it.
+	// the key, and takes ownership of sh.Data. The shard's Epoch is
+	// stored as given. The cluster never calls it (Stage then
+	// CommitStage is its one write path); it stays while the
+	// benchmark's store decorator implements it.
 	Put(sh Shard) error
-	// Get returns the committed shard for the key. The second result is
-	// false when the key is absent; the error reports storage failures
-	// (I/O, post-crash use), never absence.
+	// Get returns the committed shard for the key; its Data must not be
+	// modified. The second result is false when the key is absent; the
+	// error reports storage failures (I/O, post-crash use), never
+	// absence.
 	Get(key ShardKey) (Shard, bool, error)
 	// Delete removes the committed shard and any staged entry for the
 	// key. Deleting an absent key is not an error.
 	Delete(key ShardKey) error
-	// Stage parks a shard under the stage token, invisible to Get.
-	// Re-staging the same key under the same token overwrites.
-	// Staging over a key held by a different token is the caller's
-	// bug — implementations may overwrite; the cluster checks
-	// StagedOwner first and refuses with its own error.
+	// Stage parks a shard under the stage token, invisible to Get, and
+	// takes ownership of sh.Data. Re-staging the same key under the
+	// same token overwrites. Staging over a key held by a different
+	// token is the caller's bug — implementations may overwrite; the
+	// cluster checks StagedOwner first and refuses with its own error.
 	Stage(stage string, sh Shard) error
 	// StagedOwner returns the token holding a staged entry for the key,
 	// if any.
@@ -82,7 +94,8 @@ type NodeStore interface {
 	// its data (fault injection sizes its bit flip from this).
 	ShardLen(key ShardKey) (int, bool)
 	// Corrupt flips one bit of the committed shard's bytes at rest —
-	// persistent rot that a later read or scrub still sees. Returns
+	// persistent rot that a later read or scrub still sees. It writes a
+	// new version: bytes an earlier Get returned do not change. Returns
 	// false when the key is absent or the shard is empty.
 	Corrupt(key ShardKey, bit int) bool
 	// Snapshot returns copies of all committed shards, in no particular

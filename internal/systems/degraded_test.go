@@ -1,7 +1,6 @@
 package systems
 
 import (
-	"context"
 	"crypto/rand"
 	"errors"
 	"strings"
@@ -26,9 +25,7 @@ func TestInsufficientShardsErrorText(t *testing.T) {
 	}
 	// Node 2 serves bytes that fail their digest check; 3 and 4 are
 	// down. Two verified shares remain — one short of the threshold.
-	sh, _ := c.GetCtx(context.Background(), 2, cluster.ShardKey{Object: "obj", Index: 2})
-	sh.Data[0] ^= 0xFF
-	overwrite(t, c, 2, cluster.ShardKey{Object: "obj", Index: 2}, sh.Data)
+	rot(t, c, cluster.ShardKey{Object: "obj", Index: 2}, 0)
 	c.SetOnline(3, false)
 	c.SetOnline(4, false)
 

@@ -92,9 +92,7 @@ func TestLINCOSIntegrityRejectsClusterTamper(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < tampered; i++ {
-			sh, _ := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "obj", Index: i})
-			sh.Data[0] ^= 0xFF
-			overwrite(t, c, i, cluster.ShardKey{Object: "obj", Index: i}, sh.Data)
+			rot(t, c, cluster.ShardKey{Object: "obj", Index: i}, 0)
 		}
 		got, err := lin.Retrieve(ref)
 		switch {

@@ -65,9 +65,7 @@ func TestVSRRepairSkipsCorruptHelpers(t *testing.T) {
 	vsr, _ := NewVSRArchive(c, 6, 3)
 	ref, _ := vsr.Store("obj", payload, rand.Reader)
 	// Corrupt helper 0's shard; repair of node 5 must route around it.
-	sh, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "obj", Index: 0})
-	sh.Data[0] ^= 0xFF
-	overwrite(t, c, 0, cluster.ShardKey{Object: "obj", Index: 0}, sh.Data)
+	rot(t, c, cluster.ShardKey{Object: "obj", Index: 0}, 0)
 	if err := vsr.Repair(ref, 5, rand.Reader); err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +103,11 @@ func TestPOTSHARDSRobustRetrieve(t *testing.T) {
 	// Two providers go malicious.
 	for _, i := range []int{1, 4} {
 		sh, _ := c.GetCtx(context.Background(), i, cluster.ShardKey{Object: "obj", Index: i})
-		for j := range sh.Data {
-			sh.Data[j] ^= byte(j + 17)
+		bad := append([]byte(nil), sh.Data...)
+		for j := range bad {
+			bad[j] ^= byte(j + 17)
 		}
-		overwrite(t, c, i, cluster.ShardKey{Object: "obj", Index: i}, sh.Data)
+		overwrite(t, c, i, cluster.ShardKey{Object: "obj", Index: i}, bad)
 	}
 	got, err := pot.RetrieveRobust(ref, 2)
 	if err != nil {

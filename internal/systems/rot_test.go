@@ -11,15 +11,17 @@ import (
 	"securearchive/internal/group"
 )
 
-// rot flips one byte of the live shard at key on its node.
+// rot flips one byte of the live shard at key on its node. It writes a
+// damaged copy: the bytes a read returns belong to the store.
 func rot(t *testing.T, c *cluster.Cluster, key cluster.ShardKey, at int) {
 	t.Helper()
 	sh, err := c.GetCtx(context.Background(), key.Index, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.Data[at] ^= 0xFF
-	overwrite(t, c, key.Index, key, sh.Data)
+	b := append([]byte(nil), sh.Data...)
+	b[at] ^= 0xFF
+	overwrite(t, c, key.Index, key, b)
 }
 
 // TestOneRottedShardNeverReadsWrong flips one byte of shard 0, then of

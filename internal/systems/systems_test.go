@@ -245,9 +245,7 @@ func TestVSRVerifiedRetrievalSkipsCorruptProvider(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 0 returns garbage.
-	sh, _ := c.GetCtx(context.Background(), 0, cluster.ShardKey{Object: "obj", Index: 0})
-	sh.Data[0] ^= 0xFF
-	overwrite(t, c, 0, cluster.ShardKey{Object: "obj", Index: 0}, sh.Data)
+	rot(t, c, cluster.ShardKey{Object: "obj", Index: 0}, 0)
 	got, err := vsr.Retrieve(ref)
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ EXAMPLES
 # The AVX2 kernels are amd64-only; this keeps the stub every other
 # platform builds (internal/gf256/kernels_other.go) from rotting.
 GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
-go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore ./internal/obs/... ./internal/cluster ./internal/systems
+go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore ./internal/store/memstore ./internal/obs/... ./internal/cluster ./internal/systems
 # The store's held-fsync and crash-with-bystander tests, repeated on one
 # core, where an interleaving that only a second CPU hides would show.
 GOMAXPROCS=1 go test -count=20 -run 'HeldCommitFsync|CommitPointsStaySerial|CloseDuringHeldCommitFsync|StageRefusedWhileItsTokenCommits|RacingStageOpsAgreeWithReplay|FailedFsyncPoisonsTheStore|CrashWithBystanderInFlight' ./internal/store/diskstore
