@@ -1,7 +1,9 @@
 // Quickstart: archive a document into a simulated geo-dispersed cluster
 // with information-theoretic confidentiality, renew integrity across a
 // signature-scheme rotation, re-encode it under a new encoding, lose
-// nodes, and read it back.
+// nodes, and read it back. A public index archived beside it under plain
+// erasure coding gets a hash chain, and the re-encode to secret sharing
+// upgrades that to a commitment chain.
 //
 //	go run ./examples/quickstart
 package main
@@ -16,6 +18,7 @@ import (
 	"securearchive/internal/core"
 	"securearchive/internal/group"
 	"securearchive/internal/sig"
+	"securearchive/internal/tstamp"
 )
 
 func main() {
@@ -70,18 +73,39 @@ func main() {
 		fmt.Println("shares proactively re-randomised")
 	}
 
+	// A public index of the archive needs no confidentiality: plain
+	// erasure coding, whose nodes hold its bytes in the clear, so its
+	// chain is a cheap hash chain.
+	vault.Encoding = core.Erasure{K: 4, N: 8}
+	index := []byte("census-2026: 1 sealed record set, opens 2126")
+	if err := vault.Put(ctx, "census-index", index); err != nil {
+		log.Fatal(err)
+	}
+	mode := func(id string) string {
+		if vault.Chain(id).Mode == tstamp.RefHash {
+			return "hash"
+		}
+		return "commitment"
+	}
+	indexMode := mode("census-index")
+
 	// The adversary is expected to reach more nodes: re-encode with a
 	// privacy threshold of 5. The vault's Encoding is what new writes and
 	// renewals use, while each object keeps reading under the encoding
-	// that wrote it; its next share renewal moves it to the new one.
+	// that wrote it; its next share renewal moves it to the new one. The
+	// index moves too, and now that its bytes are hidden its hash chain,
+	// which publishes their digest, is upgraded to a commitment chain.
 	vault.Encoding = core.SecretSharing{T: 5, N: 8}
-	if err := vault.RenewShares(ctx, "census-2026"); err != nil {
-		log.Fatal(err)
-	}
-	if got, err := vault.Get(ctx, "census-2026"); err != nil || !bytes.Equal(got, document) {
-		log.Fatalf("re-encoded object does not read back: %v", err)
+	for id, want := range map[string][]byte{"census-2026": document, "census-index": index} {
+		if err := vault.RenewShares(ctx, id); err != nil {
+			log.Fatal(err)
+		}
+		if got, err := vault.Get(ctx, id); err != nil || !bytes.Equal(got, want) {
+			log.Fatalf("re-encoded %s does not read back: %v", id, err)
+		}
 	}
 	fmt.Printf("re-encoded to %s: read back ok\n", vault.Encoding.Name())
+	fmt.Printf("index chain: %s -> %s\n", indexMode, mode("census-index"))
 
 	// Two regions burn down.
 	c.SetOnline(2, false)

@@ -377,8 +377,8 @@ func TestObjectIDLengthCap(t *testing.T) {
 
 // BenchmarkAPIPut16KiB is one small PUT through the whole service on
 // loopback — client, HTTP, tenant accounting, the vault's streamed put
-// with its commitment on the production group, RS 10+4 onto a mem
-// store: the benchmark's ingest_small without the fsync.
+// with its hash chain (an Erasure object's), RS 10+4 onto a mem store:
+// the benchmark's ingest_small without the fsync.
 func BenchmarkAPIPut16KiB(b *testing.B) {
 	c := cluster.New(14, nil)
 	defer c.Close()

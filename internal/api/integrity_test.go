@@ -46,7 +46,8 @@ func TestGetChainFailureReachesTheClient(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Corrupt the object's commitment inside the vault.
+				// Corrupt the object's chain reference inside the vault:
+				// an Erasure object's hash chain binds its digest there.
 				ref := v.Chain(api.DefaultTenant + "/doc").Links[0].Ref
 				ref[0] ^= 1
 				errsBefore := reg.Snapshot().Histograms["api.get.err"].Count

@@ -123,14 +123,17 @@ func (r Replication) Encode(data []byte, _ io.Reader) (*Encoded, error) {
 	if r.N < 1 {
 		return nil, fmt.Errorf("%w: replication n=%d", ErrBadEncoding, r.N)
 	}
+	// Every replica is data itself: a store never writes into a shard it
+	// holds (store.NodeStore), so the replicas need not be copies.
 	shards := make([][]byte, r.N)
 	for i := range shards {
-		shards[i] = append([]byte(nil), data...)
+		shards[i] = data
 	}
 	return &Encoded{PlainLen: len(data), Shards: shards}, nil
 }
 
-// Decode implements Encoding.
+// Decode implements Encoding. It returns a copy: the replica it reads
+// is a store's bytes, which the caller must not modify.
 func (r Replication) Decode(enc *Encoded) ([]byte, error) {
 	for _, s := range enc.Shards {
 		if s != nil {

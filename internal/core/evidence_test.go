@@ -19,7 +19,13 @@ import (
 // Retrieval path vs. evidence path (DESIGN.md): a read checks the
 // object's digest against the chain's opening memo; scrub-repair and
 // ExportEvidence re-open the Pedersen commitment in full. These tests
-// corrupt the commitment and require every path to notice.
+// corrupt the chain's reference and require every path to notice. The
+// mode follows the encoding (chainMode), so they run over Erasure, whose
+// objects get a hash chain, and TraditionalEncryption, the same RS stripe
+// under a commitment chain.
+
+// chainModeEncodings stores one object of each chain mode.
+var chainModeEncodings = []Encoding{Erasure{K: 4, N: 8}, TraditionalEncryption{K: 4, N: 8}}
 
 // auditLayout writes one object in a given on-cluster layout and says
 // which cluster object id and chunk hold its stripe.
@@ -74,84 +80,92 @@ func readBoth(v *Vault, id string) (got []byte, streamed bytes.Buffer, err error
 	return got, streamed, err
 }
 
-// TestAuditPaths: with the commitment corrupted, (a) reads fail with the
-// integrity-chain error, (b) scrub refuses to repair a damaged stripe
-// from the recovered plaintext, (c) ExportEvidence refuses; with the
+// TestAuditPaths: with the chain's reference corrupted, (a) reads fail
+// with the integrity-chain error, (b) scrub refuses to repair a damaged
+// stripe from the recovered plaintext, (c) ExportEvidence refuses — a
+// commitment because it no longer opens, a hash because link 0's
+// signature no longer covers it (tstamp.Chain.VerifyOpening); with the
 // corruption undone — and on an object never touched — all three succeed.
 func TestAuditPaths(t *testing.T) {
 	for _, lay := range auditLayouts() {
 		for _, cached := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/cache=%v", lay.name, cached), func(t *testing.T) {
-				c := cluster.New(8, nil)
-				opts := []VaultOption{WithGroup(group.Test()), WithChunkSize(auditChunk)}
-				if cached {
-					opts = append(opts, WithReadCache(1<<20))
+				for _, enc := range chainModeEncodings {
+					t.Run(enc.Name(), func(t *testing.T) { auditPaths(t, lay, cached, enc) })
 				}
-				v, err := NewVault(c, Erasure{K: 4, N: 8}, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, stripeID, chunk := lay.write(t, v)
-				rot := func() {
-					overwrite(c, 3, cluster.ShardKey{Object: stripeID, Index: 3, Chunk: chunk}, []byte("rot"))
-				}
-				healthy := func(when string) {
-					t.Helper()
-					got, streamed, err := readBoth(v, "obj")
-					if err != nil || !bytes.Equal(got, want) || !bytes.Equal(streamed.Bytes(), want) {
-						t.Fatalf("%s: read: %v", when, err)
-					}
-					rot()
-					rep, err := v.Scrub(context.Background(), "obj")
-					if err != nil || !rep.Repaired {
-						t.Fatalf("%s: scrub: repaired=%v err=%v", when, rep != nil && rep.Repaired, err)
-					}
-					blob, err := v.ExportEvidence("obj")
-					if err != nil {
-						t.Fatalf("%s: export: %v", when, err)
-					}
-					if _, err := tstamp.Unmarshal(blob); err != nil {
-						t.Fatalf("%s: exported evidence: %v", when, err)
-					}
-				}
-				healthy("untouched")
-
-				// Corrupt the commitment behind the vault's back. The scrub
-				// above dropped any cache entry, so reads go to the chain.
-				ref := v.Chain("obj").Links[0].Ref
-				ref[len(ref)/2] ^= 0x10
-				got, streamed, err := readBoth(v, "obj")
-				if !errors.Is(err, tstamp.ErrOpeningFailed) || !strings.Contains(err.Error(), "integrity chain rejects") {
-					t.Fatalf("read over a corrupt commitment: %v", err)
-				}
-				if got != nil || streamed.Len() >= len(want) {
-					t.Fatalf("read over a corrupt commitment delivered %d/%d bytes (Get %d)", streamed.Len(), len(want), len(got))
-				}
-				if cached {
-					if st := v.CacheStats(); st.Entries != 0 {
-						t.Fatalf("rejected read populated the cache: %+v", st)
-					}
-				}
-				rot()
-				before := c.StoredBytes()
-				rep, err := v.Scrub(context.Background(), "obj")
-				if !errors.Is(err, tstamp.ErrOpeningFailed) || !strings.Contains(err.Error(), "integrity chain rejects recovered") {
-					t.Fatalf("scrub over a corrupt commitment: %v", err)
-				}
-				if rep == nil || rep.Repaired || rep.Clean() || c.StoredBytes() != before {
-					t.Fatalf("scrub over a corrupt commitment rewrote the stripe: %+v", rep)
-				}
-				if _, err := v.ExportEvidence("obj"); !errors.Is(err, tstamp.ErrOpeningFailed) {
-					t.Fatalf("export over a corrupt commitment: %v", err)
-				}
-
-				// Undo the corruption: the same object is good again, and the
-				// damage the refused scrub left in place now gets repaired.
-				ref[len(ref)/2] ^= 0x10
-				healthy("restored")
 			})
 		}
 	}
+}
+
+func auditPaths(t *testing.T, lay auditLayout, cached bool, enc Encoding) {
+	c := cluster.New(8, nil)
+	opts := []VaultOption{WithGroup(group.Test()), WithChunkSize(auditChunk)}
+	if cached {
+		opts = append(opts, WithReadCache(1<<20))
+	}
+	v, err := NewVault(c, enc, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, stripeID, chunk := lay.write(t, v)
+	rot := func() {
+		overwrite(c, 3, cluster.ShardKey{Object: stripeID, Index: 3, Chunk: chunk}, []byte("rot"))
+	}
+	healthy := func(when string) {
+		t.Helper()
+		got, streamed, err := readBoth(v, "obj")
+		if err != nil || !bytes.Equal(got, want) || !bytes.Equal(streamed.Bytes(), want) {
+			t.Fatalf("%s: read: %v", when, err)
+		}
+		rot()
+		rep, err := v.Scrub(context.Background(), "obj")
+		if err != nil || !rep.Repaired {
+			t.Fatalf("%s: scrub: repaired=%v err=%v", when, rep != nil && rep.Repaired, err)
+		}
+		blob, err := v.ExportEvidence("obj")
+		if err != nil {
+			t.Fatalf("%s: export: %v", when, err)
+		}
+		if _, err := tstamp.Unmarshal(blob); err != nil {
+			t.Fatalf("%s: exported evidence: %v", when, err)
+		}
+	}
+	healthy("untouched")
+
+	// Corrupt the reference behind the vault's back. The scrub
+	// above dropped any cache entry, so reads go to the chain.
+	ref := v.Chain("obj").Links[0].Ref
+	ref[len(ref)/2] ^= 0x10
+	got, streamed, err := readBoth(v, "obj")
+	if !errors.Is(err, tstamp.ErrOpeningFailed) || !strings.Contains(err.Error(), "integrity chain rejects") {
+		t.Fatalf("read over a corrupt reference: %v", err)
+	}
+	if got != nil || streamed.Len() >= len(want) {
+		t.Fatalf("read over a corrupt reference delivered %d/%d bytes (Get %d)", streamed.Len(), len(want), len(got))
+	}
+	if cached {
+		if st := v.CacheStats(); st.Entries != 0 {
+			t.Fatalf("rejected read populated the cache: %+v", st)
+		}
+	}
+	rot()
+	before := c.StoredBytes()
+	rep, err := v.Scrub(context.Background(), "obj")
+	if !errors.Is(err, tstamp.ErrOpeningFailed) || !strings.Contains(err.Error(), "integrity chain rejects recovered") {
+		t.Fatalf("scrub over a corrupt reference: %v", err)
+	}
+	if rep == nil || rep.Repaired || rep.Clean() || c.StoredBytes() != before {
+		t.Fatalf("scrub over a corrupt reference rewrote the stripe: %+v", rep)
+	}
+	if _, err := v.ExportEvidence("obj"); !errors.Is(err, tstamp.ErrOpeningFailed) {
+		t.Fatalf("export over a corrupt reference: %v", err)
+	}
+
+	// Undo the corruption: the same object is good again, and the
+	// damage the refused scrub left in place now gets repaired.
+	ref[len(ref)/2] ^= 0x10
+	healthy("restored")
 }
 
 // TestReadToWithholdsLastChunk: a streamed read of a multi-chunk object
@@ -215,12 +229,14 @@ func TestReadToCacheTakesOwnership(t *testing.T) {
 	}
 }
 
-// productionVault is the benchmark's configuration: RS 10+4 on 14 nodes,
-// the library's default group (no WithGroup), cache off so every Get is
-// the miss path.
-func productionVault(tb testing.TB, mode tstamp.RefMode) *Vault {
+// productionVault is the benchmark's configuration: enc on 14 nodes, the
+// library's default group (no WithGroup), cache off so every Get is the
+// miss path. The benchmark's own encoding is Erasure{10, 14}, which gets
+// a hash chain; TraditionalEncryption{10, 14} is the same stripe under a
+// commitment chain.
+func productionVault(tb testing.TB, enc Encoding) *Vault {
 	tb.Helper()
-	v, err := NewVault(cluster.New(14, nil), Erasure{K: 10, N: 14}, VaultOption(func(v *Vault) { v.IntegrityMode = mode }))
+	v, err := NewVault(cluster.New(14, nil), enc)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -229,40 +245,64 @@ func productionVault(tb testing.TB, mode tstamp.RefMode) *Vault {
 
 // TestGetAllocsCommitmentNearHash is the read path's cost gate, stated
 // in allocations so it holds on one core with no clock: a 2048-bit
-// big.Int.Exp makes dozens of allocations, so a production-group Get
-// within a small constant of a RefHash Get ran no exponentiation.
+// big.Int.Exp makes dozens of allocations, so a production-group Get of
+// a commitment-chained object within a small constant of a hash-chained
+// one ran no exponentiation. The mode follows the encoding, so the two
+// objects are the same RS 10+4 stripe under TraditionalEncryption and
+// Erasure, and the allocations their decoders differ by are taken out.
 func TestGetAllocsCommitmentNearHash(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	data := make([]byte, 16<<10)
 	rand.Read(data)
-	allocs := func(mode tstamp.RefMode) float64 {
-		v := productionVault(t, mode)
+	allocs := func(enc Encoding, mode tstamp.RefMode) (get, decode float64) {
+		v := productionVault(t, enc)
 		if _, err := v.PutReader(context.Background(), "obj", bytes.NewReader(data)); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(50, func() {
+		if got := v.Chain("obj").Mode; got != mode {
+			t.Fatalf("%s object has chain mode %d, want %d", enc.Name(), got, mode)
+		}
+		get = testing.AllocsPerRun(50, func() {
 			if _, err := v.Get(context.Background(), "obj"); err != nil {
 				t.Fatal(err)
 			}
 		})
+		e, err := enc.Encode(data, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode = testing.AllocsPerRun(50, func() {
+			if _, err := enc.Decode(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return get, decode
 	}
-	hash, commitment := allocs(tstamp.RefHash), allocs(tstamp.RefCommitment)
-	t.Logf("allocs per 16 KiB Get: RefHash %.0f, RefCommitment %.0f", hash, commitment)
-	if commitment > hash+2 {
-		t.Fatalf("RefCommitment Get makes %.0f allocations, RefHash %.0f: the read path is re-opening the commitment", commitment, hash)
+	hash, hashDec := allocs(Erasure{K: 10, N: 14}, tstamp.RefHash)
+	commitment, commitDec := allocs(TraditionalEncryption{K: 10, N: 14}, tstamp.RefCommitment)
+	t.Logf("allocs per 16 KiB Get: hash chain %.0f (decode %.0f), commitment chain %.0f (decode %.0f)", hash, hashDec, commitment, commitDec)
+	if commitment-commitDec > hash-hashDec+2 {
+		t.Fatalf("commitment-chained Get makes %.0f allocations beyond its decode, hash-chained %.0f: the read path is re-opening the commitment",
+			commitment-commitDec, hash-hashDec)
 	}
 }
 
 // TestHammerReadsDuringRenewAndScrub: 8 goroutines on ONE object — Get
 // and ReadTo (cache hits and misses) against RenewIntegrity, which
 // appends to the chain the readers verify against, and Scrub, which
-// re-opens it and rewrites the stripe. Run under -race: the memo is
-// read without synchronisation by design.
+// re-checks it and rewrites the stripe, under each chain mode. Run under
+// -race: the memo is read without synchronisation by design.
 func TestHammerReadsDuringRenewAndScrub(t *testing.T) {
+	for _, enc := range chainModeEncodings {
+		t.Run(enc.Name(), func(t *testing.T) { hammerReads(t, enc) })
+	}
+}
+
+func hammerReads(t *testing.T, enc Encoding) {
 	c := cluster.New(8, nil)
-	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithGroup(group.Test()),
+	v, err := NewVault(c, enc, WithGroup(group.Test()),
 		WithChunkSize(auditChunk), WithReadCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +361,7 @@ func TestHammerReadsDuringRenewAndScrub(t *testing.T) {
 	if got := v.Chain("obj").Len(); got != rounds+1 {
 		t.Fatalf("chain has %d links, want %d", got, rounds+1)
 	}
-	if err := v.Chain("obj").VerifyOpening(); err != nil {
+	if _, err := v.ExportEvidence("obj"); err != nil {
 		t.Fatal(err)
 	}
 }

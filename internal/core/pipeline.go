@@ -13,6 +13,7 @@ import (
 	"securearchive/internal/cluster"
 	"securearchive/internal/obs/trace"
 	"securearchive/internal/parallel"
+	"securearchive/internal/sec"
 	"securearchive/internal/sig"
 	"securearchive/internal/tstamp"
 )
@@ -141,24 +142,45 @@ type staged struct {
 	span      trace.Span // cluster.stage, ended by commit
 }
 
+// chainMode is the reference mode of a chain opened for an object under
+// enc: a hash where the nodes hold the bytes in the clear (class none),
+// a commitment wherever the encoding hides them. Computational classes
+// get the commitment too, because a published digest lets anyone
+// confirm a guess of the plaintext, which AES under a random key does
+// not.
+func chainMode(enc Encoding) tstamp.RefMode {
+	if enc.Class() == sec.None {
+		return tstamp.RefHash
+	}
+	return tstamp.RefCommitment
+}
+
 // write is the one writer: r's plaintext becomes l's chunk list under
 // the vault's current Encoding, which l then records, staged and
 // committed as one key swap. A layout without a chain — a new object or
-// blob — gets one opened over r's digest before the commit, so a chain
-// failure still aborts cleanly; a renewal keeps its own, and commits
-// only if the chain still vouches for r's digest. Callers hold the lock
-// guarding l; on error l is unchanged and the cluster keeps whatever l
-// had.
+// blob — gets one opened over r's digest in the encoding's chainMode
+// before the commit, so a chain failure still aborts cleanly. A renewal
+// keeps its own, and commits only if the chain still vouches for r's
+// digest; a hash chain whose object moves to a hiding encoding is first
+// upgraded to a commitment chain, also before the commit. Callers hold
+// the lock guarding l; on error l is unchanged and the cluster keeps
+// whatever l had.
 func (v *Vault) write(ctx context.Context, l *layout, r io.Reader) error {
 	enc := v.Encoding
 	s, err := v.stageStripes(ctx, l.id, enc, r)
 	if err != nil {
 		return err
 	}
-	chain := l.chain
-	if chain == nil {
-		chain, err = tstamp.NewFromDigest(s.digest, v.IntegrityMode, sig.Ed25519, v.Cluster.Epoch(), v.Group, v.rnd)
-	} else if err = chain.VerifyDigest(s.digest); err != nil {
+	chain, mode := l.chain, chainMode(enc)
+	switch {
+	case chain == nil:
+		chain, err = tstamp.NewFromDigest(s.digest, mode, sig.Ed25519, v.Cluster.Epoch(), v.Group, v.rnd)
+	case chain.Mode == tstamp.RefHash && mode == tstamp.RefCommitment:
+		chain, err = chain.Upgrade(s.digest, v.Cluster.Epoch(), v.Group, v.rnd)
+	default:
+		err = chain.VerifyDigest(s.digest)
+	}
+	if err != nil && l.chain != nil {
 		err = fmt.Errorf("core: rewrite of %s: integrity chain rejects the new plaintext: %w", l.id, err)
 	}
 	if err := v.commit(s, err); err != nil {
@@ -195,6 +217,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.
 	err := parallel.Pipeline(pipelineDepth,
 		func(emit func(encodedChunk) bool) error {
 			var pending []byte // lookahead: last full chunk, unemitted
+			var probe []byte   // readChunk's probe buffer, reused per chunk
 			idx := 0
 			emitChunk := func(data []byte, last bool) (bool, error) {
 				// Cancellation checkpoint between chunk encodes: a
@@ -224,7 +247,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, err)
 				}
-				buf, n, rerr := readChunk(r, cs, s.n == 0) // probe on the first chunk only
+				buf, n, rerr := readChunk(r, cs, &probe)
 				if n > 0 {
 					s.n += int64(n)
 					track(int64(n))
@@ -351,34 +374,43 @@ func (v *Vault) replaceChunks(l *layout, chunks []chunkMeta) {
 	l.chunks = chunks
 }
 
-// streamProbe is the size of the buffer a streamed put reads its first
-// bytes into. Most objects are far smaller than a chunk, and a zeroed
-// chunk-sized buffer per put was most of a small put's allocation; an
-// object that fills the probe pays one extra streamProbe-byte copy.
+// streamProbe is the size of the buffer a streamed put reads each
+// chunk's first bytes into. Most objects are far smaller than a chunk,
+// and a zeroed chunk-sized buffer per put was most of a small put's
+// allocation; after a full chunk, the next read may find only EOF, or a
+// short tail. A chunk that fills the probe pays one extra
+// streamProbe-byte copy.
 const streamProbe = 64 << 10
 
 // readChunk reads the next chunk of up to cs bytes from r into a buffer
 // of its own, with io.ReadFull's contract on the count and error. A
 // source that knows what is left (bytes.Reader: Put) gets a buffer one
 // byte over it, so the read also sees EOF. Otherwise — a streamed put, or
-// a renewal reading its own decoded chunks from a pipe — with probe set
-// (the object's first chunk), it reads into a streamProbe-sized buffer
-// first and moves to a cs-sized one only if that fills.
+// a renewal reading its own decoded chunks from a pipe — it reads into
+// *probe, a streamProbe-sized buffer it allocates once per stream and
+// reuses for every chunk, and moves to a cs-sized one only if that
+// fills.
 //
 // The buffer it returns is no larger than what it holds, give or take
 // that one byte: the encoder's data shards alias it and the mem store
 // keeps them, so a short read into a bigger buffer is copied out rather
 // than pinning the whole probe or chunk buffer behind a small object.
-func readChunk(r io.Reader, cs int, probe bool) ([]byte, int, error) {
-	size := cs
+// The probe itself is returned only with an error, which ends the
+// stream, so no stored shard aliases a buffer that is read into again.
+func readChunk(r io.Reader, cs int, probe *[]byte) ([]byte, int, error) {
+	var buf []byte
 	if l, ok := r.(interface{ Len() int }); ok {
-		size = min(cs, l.Len()+1)
-	} else if probe && cs > streamProbe {
-		size = streamProbe
+		buf = make([]byte, min(cs, l.Len()+1))
+	} else if cs > streamProbe {
+		if *probe == nil {
+			*probe = make([]byte, streamProbe)
+		}
+		buf = *probe
+	} else {
+		buf = make([]byte, cs)
 	}
-	buf := make([]byte, size)
 	n, err := io.ReadFull(r, buf)
-	if err == nil && size < cs {
+	if err == nil && len(buf) < cs {
 		full := make([]byte, cs)
 		copy(full, buf)
 		var m int

@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
+	"securearchive/internal/sec"
+	"securearchive/internal/tstamp"
 )
 
 // reencodeRoster is one encoding per Figure 1 point, at widths from 5 to
@@ -108,10 +110,13 @@ func TestMixedEncodingVault(t *testing.T) {
 // 81 ordered pairs of encodings: RenewShares after Encoding changes. The
 // object must round-trip, report the target encoding, occupy exactly
 // what a fresh write under the target does (a narrower stripe's dropped
-// shard indexes are deleted), and keep its integrity chain: same length,
-// still exportable. It logs the bytes the re-encode moved per user byte
-// and requires at least a read of the source's minimum shards plus a
-// full write of the target's footprint.
+// shard indexes are deleted), and keep its integrity chain, or its
+// upgrade: the chain is hash mode iff source and target are both class
+// none, a hash chain moving to a hiding encoding becomes the Prior of a
+// fresh commitment chain, every other pair keeps the very chain it had,
+// and the result is still exportable. It logs the bytes the re-encode
+// moved per user byte and requires at least a read of the source's
+// minimum shards plus a full write of the target's footprint.
 func TestReencodeEveryPair(t *testing.T) {
 	roster := reencodeRoster()
 	data := make([]byte, reencodeLen)
@@ -123,7 +128,7 @@ func TestReencodeEveryPair(t *testing.T) {
 				if err := v.Put(context.Background(), "obj", data); err != nil {
 					t.Fatal(err)
 				}
-				links := v.Chain("obj").Len()
+				before := v.Chain("obj")
 				n, min := from.Shards()
 				readFloor := c.ObjectBytes("obj") * int64(min) / int64(n)
 
@@ -142,8 +147,17 @@ func TestReencodeEveryPair(t *testing.T) {
 				if got, want := c.StoredBytes(), fc.StoredBytes(); got != want {
 					t.Fatalf("StoredBytes after re-encode = %d, a fresh write stores %d", got, want)
 				}
-				if got := v.Chain("obj").Len(); got != links {
-					t.Fatalf("chain has %d links after re-encode, want %d", got, links)
+				after := v.Chain("obj")
+				bothNone := from.Class() == sec.None && to.Class() == sec.None
+				if (after.Mode == tstamp.RefHash) != bothNone {
+					t.Fatalf("chain mode %d after re-encode; hash iff both classes are none (%v, %v)", after.Mode, from.Class(), to.Class())
+				}
+				upgrade := before.Mode == tstamp.RefHash && to.Class() != sec.None
+				switch {
+				case upgrade && (after.Prior != before || after.Len() != 1):
+					t.Fatalf("hash chain not upgraded: prior kept %v, %d links", after.Prior == before, after.Len())
+				case !upgrade && (after != before || after.Len() != 1):
+					t.Fatalf("chain replaced or grown (%d links) by a re-encode that keeps it", after.Len())
 				}
 				if _, err := v.ExportEvidence("obj"); err != nil {
 					t.Fatalf("export evidence after re-encode: %v", err)

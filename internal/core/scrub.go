@@ -18,14 +18,26 @@ import (
 
 // ShardDigests computes per-shard SHA-256 digests (zero digest for nil
 // shards) — the client-side health reference the vault keeps per object.
+// A shard that is the same memory as the one before it, as Replication's
+// replicas are, is hashed once.
 func ShardDigests(shards [][]byte) [][sha256.Size]byte {
 	out := make([][sha256.Size]byte, len(shards))
 	for i, sh := range shards {
-		if sh != nil {
+		switch {
+		case sh == nil:
+		case i > 0 && sameBytes(sh, shards[i-1]):
+			out[i] = out[i-1] // a replica aliasing its predecessor
+		default:
 			out[i] = sha256.Sum256(sh)
 		}
 	}
 	return out
+}
+
+// sameBytes reports whether a and b are the same memory: same first byte
+// and same length.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 // CheckShards classifies a fetched stripe against expected digests:
@@ -119,9 +131,10 @@ func (v *Vault) ScrubAll(ctx context.Context) ([]*ScrubReport, error) {
 // re-encodes recovered plaintext over the damaged chunks (plain[ci] set):
 // each chunk must hash, from the midstate before it, to the state the
 // writer recorded after it — the last one to the digest the chain binds —
-// AND the commitment must still open (tstamp.Chain.VerifyOpening — the
-// full exponentiation reads skip). A repair rewrites the only copies, so
-// it never rests on the read memo.
+// AND the chain's reference must still hold (tstamp.Chain.VerifyOpening:
+// a commitment must still open — the full exponentiation reads skip — and
+// a hash must still be what link 0 signed). A repair rewrites the only
+// copies, so it never rests on the read memo.
 func verifyRecovered(l *layout, plain [][]byte) error {
 	h := sha256.New()
 	for ci, p := range plain {

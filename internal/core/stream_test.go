@@ -272,6 +272,51 @@ func TestPutReaderProbeBoundaries(t *testing.T) {
 	}
 }
 
+// readSizes is an iotaReader that records where each Read started and
+// how large a buffer it was handed.
+type readSizes struct {
+	iotaReader
+	reads [][2]int // offset, len(p)
+}
+
+func (r *readSizes) Read(p []byte) (int, error) {
+	r.reads = append(r.reads, [2]int{r.off, len(p)})
+	return r.iotaReader.Read(p)
+}
+
+// TestStreamedPutReadsNoChunkAfterLastFull: after a streamed put's last
+// full chunk, what follows — EOF, a tail that folds, a short tail, one
+// that fills the probe — is read through the probe-sized buffer, never a
+// fresh chunk-sized one, and every body still stores what Put of the
+// same slice stores.
+func TestStreamedPutReadsNoChunkAfterLastFull(t *testing.T) {
+	const chunk = 2 * streamProbe
+	v, _ := chunkedTestVault(t, Erasure{K: 4, N: 8}, chunk)
+	for _, tail := range []int{0, 1, chunkTailFloor - 1, chunkTailFloor, streamProbe - 1, streamProbe, streamProbe + 1} {
+		size := 2*chunk + tail
+		want := iotaBytes(size)
+		r := &readSizes{iotaReader: iotaReader{n: size}}
+		id := fmt.Sprint("tail-", tail)
+		if n, err := v.PutReader(context.Background(), id, r); err != nil || n != int64(size) {
+			t.Fatalf("tail %d: PutReader = %d, %v", tail, n, err)
+		}
+		for _, rd := range r.reads {
+			if rd[0] >= 2*chunk && rd[1] >= chunk {
+				t.Fatalf("tail %d: a Read at offset %d got a %d-byte buffer after the last full chunk", tail, rd[0], rd[1])
+			}
+		}
+		if err := v.Put(context.Background(), "ref-"+id, want); err != nil {
+			t.Fatal(err)
+		}
+		if got, ref := stripeTableOf(t, v, id), stripeTableOf(t, v, "ref-"+id); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("tail %d: stripe lengths %v, Put stored %v", tail, got.lens, ref.lens)
+		}
+		if got, err := v.Get(context.Background(), id); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("tail %d: Get: %v", tail, err)
+		}
+	}
+}
+
 // chunkRecorder is an Encoding that remembers every chunk buffer the
 // writer hands its encoder.
 type chunkRecorder struct {
@@ -353,10 +398,12 @@ func TestPutReaderSmallObjectAllocBytes(t *testing.T) {
 // over 14 disk-store nodes — where resident set, not CPU, is what a
 // doubled ingest rate runs into: the vault's entry and chain plus 14
 // shards indexed in the store. Measured between forced collections it is
-// 2.3 KB; it was 4.0 KB with a 40-byte index entry in one map per node,
+// 1.7 KB, since an Erasure object's chain is a hash chain with no
+// opening; it was 4.0 KB with a 40-byte index entry in one map per node,
 // 3.5 KB with the entry narrowed to 24 bytes, 2.5 KB with one
-// stripe-keyed index for the whole store, and the rest is the opening's
-// r shrinking from 256 to 32 bytes with the group's q.
+// stripe-keyed index for the whole store, and 2.1–2.3 KB with a
+// commitment chain whose opening's r had shrunk from 256 to 32 bytes
+// with the group's q.
 func TestResidentBytesPerSmallObject(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

@@ -50,8 +50,9 @@ type Vault struct {
 	// object moves to the new encoding at its next RenewShares. It may be
 	// changed only while no operation is in flight.
 	Encoding Encoding
-	// IntegrityMode selects hash chains (cheap) or commitment chains
-	// (LINCOS-style, confidentiality-preserving).
+	// IntegrityMode is ignored by the vault: each object's chain mode
+	// follows its encoding (chainMode in pipeline.go). Only the benchmark
+	// still reads it, and ROADMAP item 1's benchmark change deletes it.
 	IntegrityMode tstamp.RefMode
 	Group         *group.Group
 	rnd           io.Reader
@@ -274,15 +275,14 @@ func NewVault(c *cluster.Cluster, enc Encoding, opts ...VaultOption) (*Vault, er
 		return nil, fmt.Errorf("core: encoding needs %d nodes, cluster has %d", n, c.Size())
 	}
 	v := &Vault{
-		Cluster:       c,
-		Encoding:      enc,
-		IntegrityMode: tstamp.RefCommitment,
-		Group:         group.Default(),
-		rnd:           rand.Reader,
-		retry:         cluster.DefaultRetry,
-		chunkSize:     DefaultChunkSize,
-		cacheShare:    DefaultCacheTenantShare,
-		obsReg:        obs.Default(),
+		Cluster:    c,
+		Encoding:   enc,
+		Group:      group.Default(),
+		rnd:        rand.Reader,
+		retry:      cluster.DefaultRetry,
+		chunkSize:  DefaultChunkSize,
+		cacheShare: DefaultCacheTenantShare,
+		obsReg:     obs.Default(),
 	}
 	for i := range v.stripes {
 		v.stripes[i].objects = make(map[string]*vaultObject)
@@ -429,10 +429,12 @@ func (v *Vault) RenewIntegrity(ctx context.Context, id string, scheme sig.Scheme
 // untouched. The rewrite itself is stage-then-commit: a node failing
 // mid-renewal aborts the stage and the cluster keeps the old encoding
 // intact, so the object never ends up with mixed-epoch shards under a
-// stale ClientSecret. The chain is kept: the plaintext it binds is
-// unchanged. The read-back, re-encode, and staged rewrite all nest under
-// one "vault.renew" span (mode=shares) naming the target encoding, and
-// the one it moves from when they differ.
+// stale ClientSecret. The chain is kept, since the plaintext it binds is
+// unchanged, unless a hash chain's object moves to an encoding that
+// hides its bytes: then write upgrades it to a commitment chain, inside
+// the same all-or-nothing rewrite. The read-back, re-encode, and staged
+// rewrite all nest under one "vault.renew" span (mode=shares) naming the
+// target encoding, and the one it moves from when they differ.
 func (v *Vault) RenewShares(ctx context.Context, id string) (err error) {
 	ctx, sp := v.tracer.Start(ctx, "vault.renew", trace.Str("object", id),
 		trace.Str("mode", "shares"), trace.Str("encoding", v.Encoding.Name()))
@@ -493,10 +495,14 @@ func (v *Vault) DeleteContext(ctx context.Context, id string) (err error) {
 
 // ExportEvidence serialises an object's timestamp chain for off-archive
 // escrow: integrity evidence is itself archival data and must survive
-// this process. In commitment mode the export contains no digest of the
-// data — it is safe to publish. Export is on the evidence path: the
-// commitment is re-opened in full first, so evidence whose commitment
-// no longer matches the retained opening is refused, not escrowed.
+// this process. An object under an encoding that hides its bytes has a
+// commitment chain, whose export contains no digest of the data — it is
+// safe to publish. A class-none object's hash chain is its digest, which
+// lets a holder confirm a guess of bytes the nodes already hold in the
+// clear. Export is on the evidence path: the reference is re-checked in
+// full first (tstamp.Chain.VerifyOpening), so evidence whose commitment
+// no longer matches the retained opening, or whose digest is no longer
+// what link 0 signed, is refused, not escrowed.
 func (v *Vault) ExportEvidence(id string) ([]byte, error) {
 	obj, err := v.acquire(context.Background(), id, false)
 	if err != nil {

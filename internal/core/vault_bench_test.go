@@ -6,21 +6,20 @@ import (
 	"crypto/rand"
 	"fmt"
 	"testing"
-
-	"securearchive/internal/tstamp"
 )
 
 // Vault-level benchmarks on the production configuration (see
-// productionVault): what the integrity chain's reference mode costs a
-// 16 KiB and a 4 MiB object per Get and per Put, with group.Default(). A
-// RefCommitment Get stays within 10 % of RefHash (reads run no
-// exponentiation); a RefCommitment Put is RefHash plus one ~0.25 ms
-// commitment.
+// productionVault): what each chain mode costs a 16 KiB and a 4 MiB
+// object per Get and per Put, with group.Default(). The mode follows the
+// encoding, so the two cases are the same RS 10+4 stripe under Erasure
+// (a hash chain) and TraditionalEncryption (a commitment chain, plus
+// AES-CTR over the plaintext). A commitment Get runs no exponentiation;
+// a commitment Put pays one ~0.25 ms commitment.
 
-var benchModes = []struct {
+var benchEncodings = []struct {
 	name string
-	mode tstamp.RefMode
-}{{"RefHash", tstamp.RefHash}, {"RefCommitment", tstamp.RefCommitment}}
+	enc  Encoding
+}{{"Erasure", Erasure{K: 10, N: 14}}, {"TraditionalEncryption", TraditionalEncryption{K: 10, N: 14}}}
 
 // benchSizes are a small object (one chunk) and a 4 MiB one, which the
 // default 1 MiB chunk size cuts into four stripes: the multi-chunk read
@@ -34,9 +33,9 @@ func BenchmarkVaultGet(b *testing.B) {
 	for _, sz := range benchSizes {
 		data := make([]byte, sz.n)
 		rand.Read(data)
-		for _, m := range benchModes {
-			b.Run(m.name+"/"+sz.name, func(b *testing.B) {
-				v := productionVault(b, m.mode)
+		for _, e := range benchEncodings {
+			b.Run(e.name+"/"+sz.name, func(b *testing.B) {
+				v := productionVault(b, e.enc)
 				if _, err := v.PutReader(context.Background(), "obj", bytes.NewReader(data)); err != nil {
 					b.Fatal(err)
 				}
@@ -57,9 +56,9 @@ func BenchmarkVaultPut(b *testing.B) {
 	for _, sz := range benchSizes {
 		data := make([]byte, sz.n)
 		rand.Read(data)
-		for _, m := range benchModes {
-			b.Run(m.name+"/"+sz.name, func(b *testing.B) {
-				v := productionVault(b, m.mode)
+		for _, e := range benchEncodings {
+			b.Run(e.name+"/"+sz.name, func(b *testing.B) {
+				v := productionVault(b, e.enc)
 				b.SetBytes(int64(len(data)))
 				b.ReportAllocs()
 				b.ResetTimer()

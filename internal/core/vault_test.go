@@ -101,6 +101,83 @@ func TestVaultIntegrityChainRejectsTamperedCluster(t *testing.T) {
 	}
 }
 
+// TestReplicasShareTheChunk: Replication's replicas are the chunk the
+// writer encoded, not copies of it. Bit rot on one node's replica leaves
+// every other node's bytes intact (the mem store's Corrupt copies before
+// it flips), a read still returns the object, and Decode hands out a copy
+// of its own.
+func TestReplicasShareTheChunk(t *testing.T) {
+	rec := &chunkRecorder{Encoding: Replication{N: 4}}
+	v, c := chunkedTestVault(t, rec, 4096)
+	data := iotaBytes(3000)
+	if _, err := v.PutReader(context.Background(), "obj", &iotaReader{n: len(data)}); err != nil {
+		t.Fatal(err)
+	}
+	chunk := rec.chunks[0]
+	key := cluster.ShardKey{Object: "obj"}
+	replica := func(i int) []byte {
+		key := key
+		key.Index = i
+		sh, err := c.GetCtx(context.Background(), i, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sh.Data
+	}
+	for i := 0; i < 4; i++ {
+		if r := replica(i); &r[0] != &chunk[0] || len(r) != len(chunk) {
+			t.Fatalf("node %d holds a copy of the chunk, not the chunk", i)
+		}
+	}
+	rotKey := key
+	rotKey.Index = 1
+	if !c.Store().Node(1).Corrupt(rotKey, 5) {
+		t.Fatal("premise: the mem store corrupts a stored replica")
+	}
+	if bytes.Equal(replica(1), data) {
+		t.Fatal("premise: the corrupted replica differs")
+	}
+	for _, i := range []int{0, 2, 3} {
+		if !bytes.Equal(replica(i), data) {
+			t.Fatalf("bit rot on node 1 reached node %d's replica", i)
+		}
+	}
+	if !bytes.Equal(chunk, data) {
+		t.Fatal("bit rot on node 1 reached the writer's chunk")
+	}
+	for _, online := range []bool{false, true} { // read around node 0, then through it
+		if err := c.SetOnline(0, online); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := v.Get(context.Background(), "obj"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read with node 0 online=%v: %v", online, err)
+		}
+	}
+	got, err := Replication{N: 4}.Decode(&Encoded{PlainLen: len(data), Shards: [][]byte{chunk, chunk}})
+	if err != nil || !bytes.Equal(got, data) || &got[0] == &chunk[0] {
+		t.Fatalf("Decode: %v; returned the replica itself: %v", err, err == nil && &got[0] == &chunk[0])
+	}
+}
+
+// TestShardDigestsOfAliasedShards: a shard that is the memory of the one
+// before it gets that one's digest; a shorter window onto it, or equal
+// bytes elsewhere, are hashed for what they are.
+func TestShardDigestsOfAliasedShards(t *testing.T) {
+	data := iotaBytes(100)
+	other := iotaBytes(100)
+	shards := [][]byte{data, data, data[:10], data, nil, other, data[1:]}
+	got := ShardDigests(shards)
+	for i, sh := range shards {
+		var want [sha256.Size]byte
+		if sh != nil {
+			want = sha256.Sum256(sh)
+		}
+		if got[i] != want {
+			t.Fatalf("shard %d: digest %x, want %x", i, got[i], want)
+		}
+	}
+}
+
 func TestVaultRenewIntegrityRotation(t *testing.T) {
 	v, _ := testVault(t, SecretSharing{T: 4, N: 8})
 	if err := v.Put(context.Background(), "r", []byte("rotate me")); err != nil {
@@ -141,16 +218,18 @@ func TestVaultRenewShares(t *testing.T) {
 	}
 }
 
+// TestVaultHashIntegrityMode: an object under an encoding whose nodes
+// hold its bytes in the clear gets a hash chain, whose reference is the
+// plaintext's digest, and reads back through it.
 func TestVaultHashIntegrityMode(t *testing.T) {
-	c := cluster.New(8, nil)
-	v, err := NewVault(c, TraditionalEncryption{K: 4, N: 8},
-		VaultOption(func(v *Vault) { v.IntegrityMode = tstamp.RefHash }), WithGroup(group.Test()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, _ := testVault(t, Erasure{K: 4, N: 8})
 	data := []byte("hash-chained record")
 	if err := v.Put(context.Background(), "r", data); err != nil {
 		t.Fatal(err)
+	}
+	d := sha256.Sum256(data)
+	if chain := v.Chain("r"); chain.Mode != tstamp.RefHash || !bytes.Equal(chain.Links[0].Ref, d[:]) {
+		t.Fatalf("Erasure object's chain: mode %d, ref %x; want a hash chain over %x", chain.Mode, chain.Links[0].Ref, d)
 	}
 	got, err := v.Get(context.Background(), "r")
 	if err != nil || !bytes.Equal(got, data) {
@@ -191,7 +270,8 @@ func TestVaultExportEvidence(t *testing.T) {
 	if chain.GroupID() != v.Group.ID() {
 		t.Fatalf("exported evidence names group %q, the vault commits on %q", chain.GroupID(), v.Group.ID())
 	}
-	// Commitment mode: the export must not contain the data's digest.
+	// A SecretSharing object has a commitment chain: the export must not
+	// contain the data's digest.
 	d := sha256.Sum256(data)
 	if bytes.Contains(blob, d[:]) {
 		t.Fatal("exported evidence leaks the data digest")

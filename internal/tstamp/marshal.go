@@ -11,8 +11,9 @@ import (
 // outlive processes and machines, so the public portion of a chain has a
 // stable serialised form. The owner-held commitment opening is
 // deliberately NOT serialised here — it is key material, stored and
-// shared by the owner's own means (e.g. a vss sharing). This package has
-// no way to attach an opening to an unmarshalled chain.
+// shared by the owner's own means (e.g. a vss sharing). So is an
+// upgraded chain's Prior, whose first link is the object's digest. This
+// package has no way to attach either to an unmarshalled chain.
 
 // wireLink is the serialised form of one link.
 type wireLink struct {

@@ -34,6 +34,29 @@ func TestChainCreateAndVerify(t *testing.T) {
 	}
 }
 
+// TestHashVerifyOpeningChecksLinkZero: a hash chain has no opening, so
+// the evidence-path check is that link 0 still signs the reference. A
+// read compares a digest with the reference and cannot tell a changed
+// reference from changed data; this check can.
+func TestHashVerifyOpeningChecksLinkZero(t *testing.T) {
+	c := newHashChain(t)
+	if err := c.Renew(sig.ECDSAP256, 1, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.VerifyOpening(); err != nil {
+		t.Fatal(err)
+	}
+	ref := c.Links[0].Ref
+	ref[3] ^= 1
+	if err := c.VerifyOpening(); !errors.Is(err, ErrOpeningFailed) {
+		t.Fatalf("VerifyOpening over a changed reference: %v", err)
+	}
+	ref[3] ^= 1
+	if err := c.VerifyOpening(); err != nil {
+		t.Fatalf("VerifyOpening after restoring the reference: %v", err)
+	}
+}
+
 func TestRenewalRotatesSchemes(t *testing.T) {
 	c := newHashChain(t)
 	if err := c.Renew(sig.ECDSAP256, 100, rand.Reader); err != nil {

@@ -63,6 +63,7 @@ hndl-demo FULL BREACH
 medical-records replay ok: true
 quickstart timestamp chain valid
 quickstart re-encoded to Secret Sharing: read back ok
+quickstart index chain: hash -> commitment
 proactive-renewal secret intact: true
 it-channels trade-off
 fault-injection vault.verify
