@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -329,12 +330,53 @@ func (s *Server) handlePut(w *statusWriter, r *http.Request, tenant string) erro
 		return fmt.Errorf("%w: tenant %q over %d bytes", ErrQuotaBytes, tenant, q.MaxBytes)
 	}
 	qr := &quotaReader{r: r.Body, u: u, max: q.MaxBytes, tenant: tenant}
-	n, err := s.vault.PutReader(r.Context(), key, qr)
+	var body io.Reader = uploadBody{qr}
+	if r.ContentLength >= 0 {
+		body = &sizedBody{uploadBody{qr}, r.ContentLength}
+	}
+	n, err := s.vault.PutReader(r.Context(), key, body)
 	qr.settle(err == nil)
 	if err != nil {
 		return err
 	}
 	return writeJSON(w, http.StatusCreated, PutResult{ID: strings.TrimPrefix(key, tenant+"/"), Bytes: n})
+}
+
+// errTruncatedBody is an upload whose body ended before the request
+// did: the client's connection closed mid-body.
+var errTruncatedBody = fmt.Errorf("%w: upload body ended early", errBadRequest)
+
+// uploadBody is a PUT's body as the vault reads it. net/http reports a
+// body cut short — by its Content-Length or its chunk framing — as
+// io.ErrUnexpectedEOF, which the vault's chunk reader takes for a short
+// last chunk; uploadBody makes it errTruncatedBody, so the put fails
+// whether or not the closed connection has cancelled the request's
+// context yet.
+type uploadBody struct{ r io.Reader }
+
+func (b uploadBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err == io.ErrUnexpectedEOF {
+		err = errTruncatedBody
+	}
+	return n, err
+}
+
+// sizedBody is an upload that announced its Content-Length. Len reports
+// the bytes still to come, so the vault reads a body shorter than a chunk
+// straight into a buffer of its size instead of through its probe buffer.
+type sizedBody struct {
+	uploadBody
+	left int64
+}
+
+// Len reports the bytes still to come.
+func (b *sizedBody) Len() int { return int(b.left) }
+
+func (b *sizedBody) Read(p []byte) (int, error) {
+	n, err := b.uploadBody.Read(p)
+	b.left -= int64(n)
+	return n, err
 }
 
 func (s *Server) handleGet(w *statusWriter, r *http.Request, tenant string) error {

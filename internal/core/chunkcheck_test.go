@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"securearchive/internal/cluster"
@@ -68,20 +69,31 @@ func rotShard(t *testing.T, c *cluster.Cluster, ci, node int) {
 	overwrite(c, node, key, b)
 }
 
-// TestMidstatesRecordedForAllButLastChunk: the writer keeps one 108-byte
-// midstate per chunk but the last, so a one-chunk object keeps none.
-func TestMidstatesRecordedForAllButLastChunk(t *testing.T) {
+// TestMidstatesRecordedForFullChunks: the writer keeps one 108-byte
+// midstate per full chunk — at least the chunk size long, so every chunk
+// but the last, and the last too when it is full — and none for a chunk
+// shorter than that, so a one-chunk object below the chunk size keeps
+// none.
+func TestMidstatesRecordedForFullChunks(t *testing.T) {
 	v, _, _, _, _ := checkedVault(t)
 	for ci, cm := range v.lookup("obj").chunks {
-		if last := ci == checkedChunks-1; (cm.mid == nil) != last {
-			t.Errorf("chunk %d: midstate recorded = %v, want %v", ci, cm.mid != nil, !last)
+		if last := ci == checkedChunks-1; (cm.mid() == nil) != last {
+			t.Errorf("chunk %d: midstate recorded = %v, want %v", ci, cm.mid() != nil, !last)
 		}
 	}
 	if err := v.Put(context.Background(), "small", []byte("one chunk")); err != nil {
 		t.Fatal(err)
 	}
-	if cm := v.lookup("small").chunks; len(cm) != 1 || cm[0].mid != nil {
+	if cm := v.lookup("small").chunks; len(cm) != 1 || cm[0].mid() != nil {
 		t.Fatalf("one-chunk object keeps a midstate")
+	}
+	if err := v.Put(context.Background(), "full", make([]byte, 2*auditChunk)); err != nil {
+		t.Fatal(err)
+	}
+	for ci, cm := range v.lookup("full").chunks {
+		if cm.mid() == nil {
+			t.Errorf("object of two full chunks: chunk %d keeps no midstate", ci)
+		}
 	}
 }
 
@@ -162,14 +174,19 @@ func TestReadStopsBeforeUndecodableChunk(t *testing.T) {
 }
 
 // TestScrubRepairKeepsMidstate: repairing one chunk of four decodes only
-// that chunk, and the rewritten chunk keeps its midstate, so the next
+// that chunk, and the rewritten full chunk's metadata — midstate, span
+// states and parity digests — equals the original write's, so the next
 // read checks every chunk on the fast path.
 func TestScrubRepairKeepsMidstate(t *testing.T) {
 	v, c, reg, mem, data := checkedVault(t)
+	orig := v.lookup("obj").chunks[1]
 	rotShard(t, c, 1, 2)
 	rep, err := v.Scrub(context.Background(), "obj")
 	if err != nil || !rep.Repaired {
 		t.Fatalf("scrub: %+v %v", rep, err)
+	}
+	if now := v.lookup("obj").chunks[1]; now.st == nil || !reflect.DeepEqual(now, orig) {
+		t.Fatalf("repaired chunk's metadata differs from the original write's")
 	}
 	tc := lastTrace(t, mem, "vault.scrub")
 	decodes := 0

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding"
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -58,15 +60,38 @@ type layout struct {
 }
 
 // chunkMeta is one chunk stripe's client-side state: its Encoded
-// metadata (Shards nil — those live on nodes), per-shard digests, which
-// reads use to vet the shards they do not take unhashed and Scrub uses
-// to localise damage, and — for every chunk but the last — the object's
-// SHA-256 midstate after the chunk, which a read checks the decoded
-// chunk against.
+// metadata (Shards nil — those live on nodes), what each shard is
+// checked against (holds), and, for a full chunk, the object's hash
+// states around it.
 type chunkMeta struct {
-	enc     Encoded
+	enc Encoded
+	// digests holds each shard's SHA-256 digest; a span shard's entry
+	// stays zero, its bytes are checked against the object's hash states.
 	digests [][sha256.Size]byte
-	mid     *midstate
+	// st is nil for a chunk shorter than the vault's chunk size: only an
+	// object's last chunk can be one.
+	st *chunkStates
+}
+
+// chunkStates is what the writer records for a full chunk, one of at
+// least the vault's chunk size. mid is the object's SHA-256 state after
+// the chunk, which a read checks the decoded chunk against (the last
+// chunk against the chain instead). spans, indexed by shard, places each
+// shard whose bytes are a span of the chunk's plaintext — Erasure's data
+// shards, every Replication replica — between two such states; it is nil
+// when no shard is one.
+type chunkStates struct {
+	mid   midstate
+	spans []span
+}
+
+// span says a shard is a stretch of the object's plaintext: its first n
+// bytes take the object's hash state from from (nil: the empty state) to
+// to, and its other pad bytes are zero. A span with to nil is none: that
+// shard is checked by digest.
+type span struct {
+	from, to *midstate
+	n, pad   int
 }
 
 // midstate is a running SHA-256 in crypto/sha256's binary form: the
@@ -74,17 +99,209 @@ type chunkMeta struct {
 // is up to 63 plaintext bytes. It is confidential client state.
 type midstate [108]byte
 
-// saveMidstate records h's state.
-func saveMidstate(h hash.Hash) *midstate {
-	var m midstate
+// save records h's state in m.
+func (m *midstate) save(h hash.Hash) {
 	if b, err := h.(encoding.BinaryAppender).AppendBinary(m[:0]); err != nil || len(b) != len(m) {
 		panic(fmt.Sprintf("core: SHA-256 state is %d bytes, want %d (%v)", len(b), len(m), err))
 	}
-	return &m
 }
 
-func newChunkMeta(enc *Encoded, mid *midstate) chunkMeta {
-	cm := chunkMeta{enc: *enc, digests: ShardDigests(enc.Shards), mid: mid}
+// resume puts h in state m; nil is the empty state.
+func resume(h hash.Hash, m *midstate) error {
+	if m == nil {
+		h.Reset()
+		return nil
+	}
+	return h.(encoding.BinaryUnmarshaler).UnmarshalBinary(m[:])
+}
+
+// mid is the object's hash state after the chunk, nil if none was
+// recorded.
+func (cm *chunkMeta) mid() *midstate {
+	if cm.st == nil {
+		return nil
+	}
+	return &cm.st.mid
+}
+
+// span is shard i's span, nil when the shard is checked by digest — as
+// every shard is when st is nil.
+func (st *chunkStates) span(i int) *span {
+	if st == nil || i >= len(st.spans) || st.spans[i].to == nil {
+		return nil
+	}
+	return &st.spans[i]
+}
+
+// isSpan reports whether shard i is a span.
+func (st *chunkStates) isSpan(i int) bool { return st.span(i) != nil }
+
+// holds reports whether data is the shard the writer stored at index i:
+// a span shard when its padding is zero and resuming the state before it
+// over its plaintext bytes reproduces the whole state after it, buffered
+// tail included; any other shard when its digest matches. It is the one
+// shard check — a read's spare vetting and resumed read, and scrub — and
+// is safe for concurrent use.
+func (cm *chunkMeta) holds(i int, data []byte) bool {
+	if i >= len(cm.digests) {
+		return false
+	}
+	s := cm.st.span(i)
+	if s == nil {
+		return sha256.Sum256(data) == cm.digests[i]
+	}
+	if !s.padded(data) {
+		return false
+	}
+	h := sha256.New()
+	if resume(h, s.from) != nil {
+		return false
+	}
+	h.Write(data[:s.n])
+	var got midstate
+	got.save(h)
+	return got == *s.to
+}
+
+// padded reports whether data has the span's length and zero padding.
+func (s *span) padded(data []byte) bool {
+	if len(data) != s.n+s.pad {
+		return false
+	}
+	for _, b := range data[s.n:] {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// padded reports whether every span shard among shards, a stripe a read
+// decodes, has its length and zero padding: the decode returns no
+// padding byte, so this is the read's one look at it.
+func (cm *chunkMeta) padded(shards [][]byte) bool {
+	for i, sh := range shards {
+		if s := cm.st.span(i); s != nil && sh != nil && !s.padded(sh) {
+			return false
+		}
+	}
+	return true
+}
+
+// hashChunk writes chunk data, whose encoding produced shards, into h,
+// the object's running hash, which holds state from (nil: the empty
+// state). A chunk shorter than the vault's chunk size (full false) gets
+// no states. A full chunk is still hashed once, with h's state saved at
+// every span boundary inside it (findSpans); the state from before it
+// and the mid after it bound the first and last spans, so an
+// Erasure{K, N} chunk adds K−1 states and its data shards need no
+// digest.
+func hashChunk(h hash.Hash, data []byte, shards [][]byte, from *midstate, full bool) *chunkStates {
+	if !full {
+		h.Write(data)
+		return nil
+	}
+	st := &chunkStates{}
+	at := findSpans(data, shards)
+	if at == nil {
+		h.Write(data)
+		st.mid.save(h)
+		return st
+	}
+	cuts := make([]int, 0, 2*len(at))
+	for _, a := range at {
+		if a.n > 0 {
+			cuts = append(cuts, a.off, a.off+a.n)
+		}
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	// The boundaries strictly inside the chunk get states of their own.
+	inner := cuts
+	if len(inner) > 0 && inner[0] == 0 {
+		inner = inner[1:]
+	}
+	if len(inner) > 0 && inner[len(inner)-1] == len(data) {
+		inner = inner[:len(inner)-1]
+	}
+	states := make([]midstate, len(inner))
+	hashed := 0
+	for j, c := range inner {
+		h.Write(data[hashed:c])
+		hashed = c
+		states[j].save(h)
+	}
+	h.Write(data[hashed:])
+	st.mid.save(h)
+	state := func(off int) *midstate {
+		switch off {
+		case 0:
+			return from
+		case len(data):
+			return &st.mid
+		}
+		j, _ := slices.BinarySearch(inner, off)
+		return &states[j]
+	}
+	st.spans = make([]span, len(shards))
+	for i, a := range at {
+		if a.n > 0 {
+			st.spans[i] = span{from: state(a.off), to: state(a.off + a.n), n: a.n, pad: a.pad}
+		}
+	}
+	return st
+}
+
+// spanAt places a shard in its chunk: its first n bytes are
+// data[off:off+n] and its other pad bytes are zero; n 0 is no span.
+type spanAt struct{ off, n, pad int }
+
+// findSpans finds the shards whose bytes are a span of chunk data, with
+// one byte comparison at most: a shard that is data's own memory at the
+// offset the spans before it reached (Erasure's data shards, which
+// rs.Split aliases) or at data's start (a Replication replica) is a
+// span, and so is a shard that runs past data's end if it starts with
+// the rest of data and is zero after it (the padded last data shard).
+// It returns nil when no shard is a span.
+func findSpans(data []byte, shards [][]byte) []spanAt {
+	var at []spanAt
+	off := 0
+	for i, sh := range shards {
+		rest := len(data) - off
+		var a spanAt
+		switch {
+		case len(sh) == 0:
+		case aliases(sh, data, off):
+			a = spanAt{off: off, n: len(sh)}
+		case aliases(sh, data, 0):
+			a = spanAt{n: len(sh)}
+		case rest > 0 && len(sh) > rest && bytes.Equal(sh[:rest], data[off:]):
+			if s := (span{n: rest, pad: len(sh) - rest}); s.padded(sh) {
+				a = spanAt{off: off, n: rest, pad: s.pad}
+			}
+		}
+		if a.n == 0 {
+			continue
+		}
+		if at == nil {
+			at = make([]spanAt, len(shards))
+		}
+		at[i] = a
+		off = max(off, a.off+a.n)
+	}
+	return at
+}
+
+// aliases reports whether sh is data's own memory from off on.
+func aliases(sh, data []byte, off int) bool {
+	return off < len(data) && len(sh) <= len(data)-off && &sh[0] == &data[off]
+}
+
+// newChunkMeta is the metadata of chunk stripe enc with hash states st:
+// each shard that is not a span gets its digest.
+func newChunkMeta(enc *Encoded, st *chunkStates) chunkMeta {
+	cm := chunkMeta{enc: *enc, st: st}
+	cm.digests = shardDigests(enc.Shards, st.isSpan)
 	cm.enc.Shards = nil
 	return cm
 }
@@ -96,17 +313,25 @@ func (cm *chunkMeta) stripe(shards [][]byte) *Encoded {
 	return &enc
 }
 
+// before is the object's hash state before chunk ci: nil, the empty
+// state, for chunk 0, else the state recorded after chunk ci−1.
+func (l *layout) before(ci int) (*midstate, error) {
+	if ci == 0 {
+		return nil, nil
+	}
+	if m := l.chunks[ci-1].mid(); m != nil {
+		return m, nil
+	}
+	return nil, fmt.Errorf("core: no hash state recorded after chunk %d", ci-1)
+}
+
 // rewind puts h in the object's hash state before chunk ci.
 func (l *layout) rewind(h hash.Hash, ci int) error {
-	if ci == 0 {
-		h.Reset()
-		return nil
+	m, err := l.before(ci)
+	if err != nil {
+		return err
 	}
-	m := l.chunks[ci-1].mid
-	if m == nil {
-		return fmt.Errorf("core: no hash state recorded after chunk %d", ci-1)
-	}
-	return h.(encoding.BinaryUnmarshaler).UnmarshalBinary(m[:])
+	return resume(h, m)
 }
 
 // check reports whether h, having absorbed chunks 0..ci, holds what the
@@ -119,7 +344,10 @@ func (l *layout) check(h hash.Hash, ci int) error {
 		h.Sum(digest[:0])
 		return l.chain.VerifyDigest(digest)
 	}
-	if m := l.chunks[ci].mid; m == nil || *saveMidstate(h) != *m {
+	m := l.chunks[ci].mid()
+	var got midstate
+	got.save(h)
+	if m == nil || got != *m {
 		return fmt.Errorf("%w: chunk %d differs from the bytes written", tstamp.ErrOpeningFailed, ci)
 	}
 	return nil
@@ -129,7 +357,7 @@ func (l *layout) check(h hash.Hash, ci int) error {
 type encodedChunk struct {
 	idx int
 	enc *Encoded
-	mid *midstate
+	st  *chunkStates
 }
 
 // staged is a write whose shards sit under an open stage token; commit
@@ -193,10 +421,12 @@ func (v *Vault) write(ctx context.Context, l *layout, r io.Reader) error {
 
 // stageStripes runs the reader-fed encode→stage pipeline under a fresh
 // token for id. The producer reads chunkSize-byte chunks with one chunk
-// of lookahead so a sub-floor tail folds into the previous chunk, hashes
-// each chunk as it is emitted — recording the midstate after every chunk
-// but the last — and encodes it under enc; the consumer stages each
-// chunk. On error the stage is already aborted.
+// of lookahead so a sub-floor tail folds into the previous chunk,
+// encodes each chunk under enc as it is emitted and hashes it once
+// (hashChunk: a full chunk keeps the states its span shards are checked
+// by, and the midstate after it); the consumer digests the shards that
+// are no span and stages the chunk. On error the stage is already
+// aborted.
 func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.Reader) (*staged, error) {
 	cs := v.chunkSize
 	sctx, sp := trace.Child(ctx, "cluster.stage", trace.Str("object", id))
@@ -218,8 +448,9 @@ func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.
 		func(emit func(encodedChunk) bool) error {
 			var pending []byte // lookahead: last full chunk, unemitted
 			var probe []byte   // readChunk's probe buffer, reused per chunk
+			var from *midstate // h's state before the next chunk
 			idx := 0
-			emitChunk := func(data []byte, last bool) (bool, error) {
+			emitChunk := func(data []byte) (bool, error) {
 				// Cancellation checkpoint between chunk encodes: a
 				// disconnected client must not keep burning CPU on chunks
 				// nobody will commit.
@@ -234,12 +465,11 @@ func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.
 					return false, fmt.Errorf("core: encode %s chunk %d: %w", id, idx, err)
 				}
 				observeRate(v.obsm.encodeMBs, len(data), time.Since(encStart))
-				h.Write(data)
-				c := encodedChunk{idx: idx, enc: e}
-				if !last {
-					c.mid = saveMidstate(h)
+				st := hashChunk(h, data, e.Shards, from, len(data) >= cs)
+				if st != nil {
+					from = &st.mid
 				}
-				ok := emit(c)
+				ok := emit(encodedChunk{idx: idx, enc: e, st: st})
 				idx++
 				return ok, nil
 			}
@@ -256,7 +486,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.
 					// A full chunk landed, so the previous one cannot be the
 					// tail — emit it and hold this one back instead.
 					if pending != nil {
-						if ok, err := emitChunk(pending, false); err != nil || !ok {
+						if ok, err := emitChunk(pending); err != nil || !ok {
 							return err // !ok: consumer failed, its error wins
 						}
 					}
@@ -279,13 +509,13 @@ func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.
 					pending = fold(pending, tail)
 				default:
 					if pending != nil {
-						if ok, err := emitChunk(pending, false); err != nil || !ok {
+						if ok, err := emitChunk(pending); err != nil || !ok {
 							return err
 						}
 					}
 					pending = tail
 				}
-				_, err := emitChunk(pending, true)
+				_, err := emitChunk(pending)
 				return err
 			}
 		},
@@ -299,7 +529,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.
 			if err := v.stageShards(sctx, s.token, id, c.idx, c.enc.Shards); err != nil {
 				return err
 			}
-			s.chunks = append(s.chunks, newChunkMeta(c.enc, c.mid))
+			s.chunks = append(s.chunks, newChunkMeta(c.enc, c.st))
 			track(-int64(c.enc.PlainLen))
 			return nil
 		},
@@ -374,33 +604,39 @@ func (v *Vault) replaceChunks(l *layout, chunks []chunkMeta) {
 	l.chunks = chunks
 }
 
-// streamProbe is the size of the buffer a streamed put reads each
-// chunk's first bytes into. Most objects are far smaller than a chunk,
-// and a zeroed chunk-sized buffer per put was most of a small put's
-// allocation; after a full chunk, the next read may find only EOF, or a
-// short tail. A chunk that fills the probe pays one extra
+// streamProbe is the size of the buffer a streamed put of unknown
+// length reads each chunk's first bytes into. Most objects are far
+// smaller than a chunk, and a zeroed chunk-sized buffer per put was most
+// of a small put's allocation; after a full chunk, the next read may find
+// only EOF, or a short tail. A chunk that fills the probe pays one extra
 // streamProbe-byte copy.
 const streamProbe = 64 << 10
 
+// sizedSource is a source that knows how many bytes are left before its
+// end: Len reports them.
+type sizedSource interface{ Len() int }
+
 // readChunk reads the next chunk of up to cs bytes from r into a buffer
 // of its own, with io.ReadFull's contract on the count and error. A
-// source that knows what is left (bytes.Reader: Put) gets a buffer one
-// byte over it, so the read also sees EOF. Otherwise — a streamed put, or
-// a renewal reading its own decoded chunks from a pipe — it reads into
+// sizedSource — bytes.Reader (Put), the api's body of announced length —
+// gets a buffer of exactly what is left when that is under cs, and its
+// stream ends there. Otherwise — a streamed put of unknown length, or a
+// renewal reading its own decoded chunks from a pipe — it reads into
 // *probe, a streamProbe-sized buffer it allocates once per stream and
 // reuses for every chunk, and moves to a cs-sized one only if that
 // fills.
 //
 // The buffer it returns is no larger than what it holds, give or take
-// that one byte: the encoder's data shards alias it and the mem store
-// keeps them, so a short read into a bigger buffer is copied out rather
-// than pinning the whole probe or chunk buffer behind a small object.
-// The probe itself is returned only with an error, which ends the
-// stream, so no stored shard aliases a buffer that is read into again.
+// one byte: the encoder's data shards alias it and the mem store keeps
+// them, so a short read into a bigger buffer is copied out rather than
+// pinning the whole probe or chunk buffer behind a small object. The
+// probe itself is returned only with an error, which ends the stream, so
+// no stored shard aliases a buffer that is read into again.
 func readChunk(r io.Reader, cs int, probe *[]byte) ([]byte, int, error) {
 	var buf []byte
-	if l, ok := r.(interface{ Len() int }); ok {
-		buf = make([]byte, min(cs, l.Len()+1))
+	sized := false
+	if l, ok := r.(sizedSource); ok {
+		buf, sized = make([]byte, min(cs, l.Len())), true
 	} else if cs > streamProbe {
 		if *probe == nil {
 			*probe = make([]byte, streamProbe)
@@ -410,7 +646,13 @@ func readChunk(r io.Reader, cs int, probe *[]byte) ([]byte, int, error) {
 		buf = make([]byte, cs)
 	}
 	n, err := io.ReadFull(r, buf)
-	if err == nil && len(buf) < cs {
+	switch {
+	case err != nil || len(buf) == cs:
+	case sized && n == 0:
+		err = io.EOF
+	case sized:
+		err = io.ErrUnexpectedEOF // the source's own count ends it here
+	default:
 		full := make([]byte, cs)
 		copy(full, buf)
 		var m int

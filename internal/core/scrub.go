@@ -21,11 +21,17 @@ import (
 // A shard that is the same memory as the one before it, as Replication's
 // replicas are, is hashed once.
 func ShardDigests(shards [][]byte) [][sha256.Size]byte {
+	return shardDigests(shards, nil)
+}
+
+// shardDigests is ShardDigests leaving zero the digest of every shard i
+// that skip, when not nil, reports: the vault's span shards.
+func shardDigests(shards [][]byte, skip func(i int) bool) [][sha256.Size]byte {
 	out := make([][sha256.Size]byte, len(shards))
 	for i, sh := range shards {
 		switch {
-		case sh == nil:
-		case i > 0 && sameBytes(sh, shards[i-1]):
+		case sh == nil, skip != nil && skip(i):
+		case i > 0 && sameBytes(sh, shards[i-1]) && (skip == nil || !skip(i-1)):
 			out[i] = out[i-1] // a replica aliasing its predecessor
 		default:
 			out[i] = sha256.Sum256(sh)
@@ -45,11 +51,19 @@ func sameBytes(a, b []byte) bool {
 // mismatching). Indices beyond the digest list count as healthy when
 // present.
 func CheckShards(shards [][]byte, digests [][sha256.Size]byte) (healthy, missing, corrupt []int) {
+	return classify(shards, func(i int, sh []byte) bool {
+		return i >= len(digests) || sha256.Sum256(sh) == digests[i]
+	})
+}
+
+// classify partitions a fetched stripe into healthy (present and ok),
+// missing (nil) and corrupt (present and not ok) shard indices.
+func classify(shards [][]byte, ok func(i int, sh []byte) bool) (healthy, missing, corrupt []int) {
 	for i, sh := range shards {
 		switch {
 		case sh == nil:
 			missing = append(missing, i)
-		case i < len(digests) && sha256.Sum256(sh) != digests[i]:
+		case !ok(i, sh):
 			corrupt = append(corrupt, i)
 		default:
 			healthy = append(healthy, i)
@@ -75,8 +89,9 @@ type ScrubReport struct {
 func (r *ScrubReport) Clean() bool { return len(r.Missing) == 0 && len(r.Corrupt) == 0 }
 
 // Scrub audits one object's stripes: it fetches every shard (retrying
-// transient faults), classifies each against the object's digests, and —
-// when damage is found — decodes from the healthy shards, verifies the
+// transient faults), classifies each by the chunk's shard check
+// (chunkMeta.holds: hash states for a span shard, a digest otherwise),
+// and — when damage is found — decodes from the healthy shards, verifies the
 // plaintext against the integrity chain, re-encodes the damaged chunks
 // with fresh randomness and rewrites them through stage-then-commit, as
 // Put and RenewShares write. The report describes
@@ -172,7 +187,7 @@ func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubR
 		if res.Canceled != nil {
 			return rep, fmt.Errorf("core: scrub %s chunk %d: %w", id, ci, res.Canceled)
 		}
-		_, missing, corrupt := CheckShards(res.Shards, l.chunks[ci].digests)
+		_, missing, corrupt := classify(res.Shards, l.chunks[ci].holds)
 		for _, i := range missing {
 			nodeMissing[i] = true
 		}
@@ -222,6 +237,7 @@ func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubR
 	sctx, ssp := trace.Child(ctx, "cluster.stage", trace.Str("object", l.id))
 	s := &staged{id: l.id, token: v.newStageToken(l.id), span: ssp}
 	chunks := append([]chunkMeta(nil), l.chunks...)
+	h := sha256.New()
 	for ci, p := range plain {
 		if p == nil {
 			continue
@@ -230,12 +246,19 @@ func (v *Vault) scrubStripes(ctx context.Context, id string, l *layout) (*ScrubR
 		if err == nil {
 			err = v.stageShards(sctx, s.token, l.id, ci, enc.Shards)
 		}
+		var from *midstate
+		if err == nil {
+			if from, err = l.before(ci); err == nil {
+				err = resume(h, from)
+			}
+		}
 		if err != nil {
 			err = fmt.Errorf("core: scrub %s: rewrite of chunk %d rolled back: %w", id, ci, err)
 			return rep, v.commit(s, err)
 		}
-		// The plaintext is unchanged, so is the hash state after it.
-		chunks[ci] = newChunkMeta(enc, l.chunks[ci].mid)
+		// The plaintext is unchanged, so are the hash states in and after
+		// it; the new shards' spans are found as the writer finds them.
+		chunks[ci] = newChunkMeta(enc, hashChunk(h, p, enc.Shards, from, l.chunks[ci].st != nil))
 	}
 	if err := v.commit(s, nil); err != nil {
 		return rep, fmt.Errorf("core: scrub %s: rewrite rolled back: %w", id, err)

@@ -164,13 +164,14 @@ func (s *chunkSink) Write(p []byte) (int, error) {
 // decoded from exactly that minimum, hashed into the object's running
 // SHA-256 and written only if the hash matches what the writer recorded
 // (see checkedChunk), so no byte leaves unchecked and every byte is
-// hashed once. Shards the check says nothing about are vetted by digest:
-// a rotted one is discarded and further nodes are pulled instead. A read
-// that had to discard still succeeds but queues id for ScrubAll —
-// routing around bit rot must trigger a repair, not hide the damage; one
-// that cannot reach the minimum returns *DegradedError (errors.Is
-// ErrDegraded) carrying got/want and the per-node causes. The reassembled
-// object never needs to exist in memory.
+// hashed once. Shards the check says nothing about are vetted by the
+// chunk's shard check (chunkMeta.holds): a rotted one is discarded and
+// further nodes are pulled instead. A read that had to discard still
+// succeeds but queues id for ScrubAll — routing around bit rot must
+// trigger a repair, not hide the damage; one that cannot reach the
+// minimum returns *DegradedError (errors.Is ErrDegraded) carrying
+// got/want and the per-node causes. The reassembled object never needs
+// to exist in memory.
 func (v *Vault) readStripes(ctx context.Context, id string, l *layout, w io.Writer) (int64, error) {
 	n, min := l.enc.Shards()
 	sink, _ := w.(*chunkSink)
@@ -219,12 +220,13 @@ func (v *Vault) readStripes(ctx context.Context, id string, l *layout, w io.Writ
 // writer recorded after the chunk — or, after the last chunk, the digest
 // the chain binds. The first decode uses exactly min shards, lowest index
 // first, most of them taken unhashed: a changed byte in any of them
-// changes the output (the last data shard's zero padding, which no read
-// returns, is scrub's to find). A chunk that fails its check or its
-// decode gets one "read.mismatch" event; h is rewound, the stripe read
-// resumes with every shard vetted by digest and the missing ones pulled
-// from nodes not yet tried, and the chunk is decoded once more. A second
-// failure is final and wraps tstamp.ErrOpeningFailed.
+// changes the output, and a span shard's padding, which the output does
+// not hold, must be zero (decodeChunk). A chunk that fails its check or
+// its decode gets one "read.mismatch" event; h is rewound, the stripe
+// read resumes with every shard vetted by the chunk's shard check
+// (chunkMeta.holds) and the missing ones pulled from nodes not yet tried,
+// and the chunk is decoded once more. A second failure is final and
+// wraps tstamp.ErrOpeningFailed.
 func (v *Vault) checkedChunk(ctx context.Context, id string, l *layout, ci, min int, res *cluster.StripeResult, h hash.Hash) (p []byte, err error) {
 	sp := trace.FromContext(ctx)
 	defer func() {
@@ -275,15 +277,17 @@ func (v *Vault) checkedChunk(ctx context.Context, id string, l *layout, ci, min 
 		if err := l.rewind(h, ci); err != nil {
 			return nil, fmt.Errorf("core: get %s chunk %d: %w", id, ci, err)
 		}
-		digests := l.chunks[ci].digests
-		res = v.Cluster.ResumeChunkStripeCtx(ctx, l.id, ci, min, v.retry, res, func(i int, data []byte) bool {
-			return i < len(digests) && sha256.Sum256(data) == digests[i]
-		})
+		res = v.Cluster.ResumeChunkStripeCtx(ctx, l.id, ci, min, v.retry, res, l.chunks[ci].holds)
 	}
 }
 
+// errPadding is a decode refused because a span shard it would use has
+// padding that is not zero.
+var errPadding = fmt.Errorf("%w: a data shard's padding is not zero", ErrDecodeFailed)
+
 // decodeChunk decodes chunk ci of l from exactly min of shards, lowest
-// index first, as a "vault.decode" span.
+// index first, as a "vault.decode" span. It refuses a stripe whose span
+// shards' padding is not zero (errPadding).
 func (v *Vault) decodeChunk(ctx context.Context, id string, l *layout, ci, min int, shards [][]byte) ([]byte, error) {
 	used, k := make([][]byte, len(shards)), 0
 	for i, sh := range shards {
@@ -294,7 +298,12 @@ func (v *Vault) decodeChunk(ctx context.Context, id string, l *layout, ci, min i
 	}
 	_, dsp := trace.Child(ctx, "vault.decode", trace.Int("chunk", ci), trace.Int("shards", k))
 	start := time.Now()
-	p, err := l.enc.Decode(l.chunks[ci].stripe(used))
+	cm := &l.chunks[ci]
+	var p []byte
+	err := errPadding
+	if cm.padded(used) {
+		p, err = l.enc.Decode(cm.stripe(used))
+	}
 	dsp.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: decode %s chunk %d: %w", id, ci, err)
@@ -306,12 +315,14 @@ func (v *Vault) decodeChunk(ctx context.Context, id string, l *layout, ci, min i
 // fetchChunk is the k-of-n stripe fetch of l's chunk ci. The first min
 // shards to arrive are taken without hashing — checkedChunk's check of
 // the decoded chunk covers every shard the decode uses — and any later
-// arrival, a spare, is vetted against its digest.
+// arrival, a spare, is vetted by the chunk's shard check
+// (chunkMeta.holds): a span shard against the object's hash states, any
+// other against its digest.
 func (v *Vault) fetchChunk(ctx context.Context, l *layout, ci, n, min int) *cluster.StripeResult {
-	digests := l.chunks[ci].digests
+	cm := &l.chunks[ci]
 	var taken atomic.Int32
 	return v.Cluster.FetchChunkStripeCtx(ctx, l.id, ci, n, min, v.retry, func(i int, data []byte) bool {
-		return i < len(digests) && (taken.Add(1) <= int32(min) || sha256.Sum256(data) == digests[i])
+		return i < len(cm.digests) && (taken.Add(1) <= int32(min) || cm.holds(i, data))
 	})
 }
 

@@ -204,11 +204,12 @@ func TestPutReaderMemoryBounded(t *testing.T) {
 	}
 }
 
-// stripeTable is an object's stored shape: plaintext length and shard
-// digests per chunk stripe.
+// stripeTable is an object's stored shape: plaintext length, shard
+// digests and hash states per chunk stripe.
 type stripeTable struct {
 	lens    []int
 	digests [][][32]byte
+	states  []*chunkStates
 }
 
 func stripeTableOf(t *testing.T, v *Vault, id string) stripeTable {
@@ -221,6 +222,7 @@ func stripeTableOf(t *testing.T, v *Vault, id string) stripeTable {
 	for _, cm := range obj.chunks {
 		st.lens = append(st.lens, cm.enc.PlainLen)
 		st.digests = append(st.digests, cm.digests)
+		st.states = append(st.states, cm.st)
 	}
 	return st
 }
@@ -228,9 +230,9 @@ func stripeTableOf(t *testing.T, v *Vault, id string) stripeTable {
 // TestPutReaderProbeBoundaries walks body sizes across both buffer edges
 // of the streamed put — the streamProbe first read and the chunk — from
 // a reader that trickles one byte per Read and from one that hands over
-// everything at once. Each must store the stripes (lengths and shard
-// digests; RS is deterministic), the chain digest and the Get bytes that
-// Put of the same slice stores.
+// everything at once. Each must store the stripes (lengths, shard
+// digests and hash states; RS is deterministic), the chain digest and
+// the Get bytes that Put of the same slice stores.
 func TestPutReaderProbeBoundaries(t *testing.T) {
 	const chunk = 2 * streamProbe
 	sizes := []int{

@@ -76,6 +76,10 @@ go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit 
 # The store's held-fsync and crash-with-bystander tests, repeated on one
 # core, where an interleaving that only a second CPU hides would show.
 GOMAXPROCS=1 go test -count=20 -run 'HeldCommitFsync|CommitPointsStaySerial|CloseDuringHeldCommitFsync|StageRefusedWhileItsTokenCommits|RacingStageOpsAgreeWithReplay|FailedFsyncPoisonsTheStore|CrashWithBystanderInFlight' ./internal/store/diskstore
+# The shard-rot tests (span rot matrix, per-chunk rot), repeated on one
+# core: each asserts only what does not depend on which probe lands
+# first, and this is where a result that does would show.
+GOMAXPROCS=1 go test -count=20 -run 'TestSpanRotMatrix|TestReadRoutesAroundRotInEveryChunk|TestReadStopsBeforeUndecodableChunk|TestScrubRepairKeepsMidstate|TestHealthyReadDecodesFromMinimum' ./internal/core
 # One iteration of each layer benchmark, so none can rot uncompiled.
 go test -run '^$' -bench 'ExpH|ExpG224|FixedBaseBuild|PedersenCommit|VaultPut|VaultGet|APIPut|CommitStage|GF256Kernels|RSEncodeParallel|ErasureDecodeIntact|SpanFlat|SpanEnabled' -benchtime 1x ./internal/...
 # Every root-package experiment benchmark once: they are the only ones
