@@ -42,8 +42,9 @@ func main() {
 
 	// Act 1: degraded reads. n−t nodes go dark — three lose their disks
 	// outright, one keeps its share through the blackout — and the
-	// survivors fail 30% of operations transiently. The vault fans out
-	// probes, retries transients with backoff, and stops at t shares.
+	// survivors fail 30% of operations transiently. The vault walks the
+	// nodes, retries transients with backoff, fans out when a probe
+	// stalls, and stops at t shares.
 	fmt.Printf("--- act 1: %d/%d nodes offline (3 disks lost), survivors 30%% flaky ---\n", n-t, n)
 	plan := &cluster.FaultPlan{
 		Seed:    2026,

@@ -348,10 +348,10 @@ var errTruncatedBody = fmt.Errorf("%w: upload body ended early", errBadRequest)
 
 // uploadBody is a PUT's body as the vault reads it. net/http reports a
 // body cut short — by its Content-Length or its chunk framing — as
-// io.ErrUnexpectedEOF, which the vault's chunk reader takes for a short
-// last chunk; uploadBody makes it errTruncatedBody, so the put fails
-// whether or not the closed connection has cancelled the request's
-// context yet.
+// io.ErrUnexpectedEOF, which fails the vault's put like any source
+// error; uploadBody makes it errTruncatedBody, so the client is told it
+// sent a bad request whether or not the closed connection has cancelled
+// the request's context yet.
 type uploadBody struct{ r io.Reader }
 
 func (b uploadBody) Read(p []byte) (int, error) {

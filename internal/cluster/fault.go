@@ -13,13 +13,15 @@ import (
 // per probability draw under the node lock. What replays is each node's
 // draw sequence given the operations that reach that node: the same
 // operations against one node under the same plan see the same faults.
-// An unfaulted stripe read (FetchChunkStripeCtx) draws only from the
-// first want+2 nodes: its probes take nodes in index order, and no more
-// than want+2 shards are ever landed or in flight. A seeded campaign as
-// a whole still does not replay exactly. Timing decides whether a probe
-// that starts late, or one that misses and moves on, finds the read
-// already holding want shards, so which nodes consume a draw varies
-// from run to run.
+// An unfaulted stripe read (FetchChunkStripeCtx) draws from exactly the
+// first want nodes: it probes them one at a time, in index order, on the
+// caller's goroutine. A faulted one that does not hedge draws from the
+// nodes in order until want shards are in hand, so it replays too. Only
+// a hedge makes the draw timing-dependent: a probe that outlives the
+// deadline (a fault's injected latency or a retry backoff) starts
+// walkers beside it, and timing then decides which of them take which
+// node and whether a late one finds the read already holding want
+// shards, so a seeded campaign as a whole still does not replay exactly.
 //
 // Faults apply to the data path only (PutStagedCtx, GetCtx). CommitStage,
 // AbortStage and Delete are metadata operations the plan never touches:

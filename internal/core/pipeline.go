@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -493,7 +494,7 @@ func (v *Vault) stageStripes(ctx context.Context, id string, enc Encoding, r io.
 					pending = buf
 					continue
 				}
-				if rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
+				if rerr != io.EOF && rerr != errShortChunk {
 					return fmt.Errorf("core: read %s chunk %d: %w", id, idx, rerr)
 				}
 				tail := buf[:n]
@@ -616,15 +617,23 @@ const streamProbe = 64 << 10
 // end: Len reports them.
 type sizedSource interface{ Len() int }
 
+// errShortChunk is readChunk's report of a stream that ended partway
+// into a chunk: the bytes it returns are the last chunk. It is not
+// io.ErrUnexpectedEOF, which a source may return for a stream cut off
+// short of its end (net/http does for a truncated body) and which fails
+// the read like any other source error.
+var errShortChunk = errors.New("core: stream ends inside a chunk")
+
 // readChunk reads the next chunk of up to cs bytes from r into a buffer
-// of its own, with io.ReadFull's contract on the count and error. A
-// sizedSource — bytes.Reader (Put), the api's body of announced length —
-// gets a buffer of exactly what is left when that is under cs, and its
-// stream ends there. Otherwise — a streamed put of unknown length, or a
-// renewal reading its own decoded chunks from a pipe — it reads into
-// *probe, a streamProbe-sized buffer it allocates once per stream and
-// reuses for every chunk, and moves to a cs-sized one only if that
-// fills.
+// of its own, with io.ReadFull's contract on the count and error, except
+// that a stream ending partway into the chunk is errShortChunk (see
+// readFull). A sizedSource — bytes.Reader (Put), the api's body of
+// announced length — gets a buffer of exactly what is left when that is
+// under cs, and its stream ends there. Otherwise — a streamed put of
+// unknown length, or a renewal reading its own decoded chunks from a
+// pipe — it reads into *probe, a streamProbe-sized buffer it allocates
+// once per stream and reuses for every chunk, and moves to a cs-sized
+// one only if that fills.
 //
 // The buffer it returns is no larger than what it holds, give or take
 // one byte: the encoder's data shards alias it and the mem store keeps
@@ -645,18 +654,21 @@ func readChunk(r io.Reader, cs int, probe *[]byte) ([]byte, int, error) {
 	} else {
 		buf = make([]byte, cs)
 	}
-	n, err := io.ReadFull(r, buf)
+	n, err := readFull(r, buf)
 	switch {
 	case err != nil || len(buf) == cs:
 	case sized && n == 0:
 		err = io.EOF
 	case sized:
-		err = io.ErrUnexpectedEOF // the source's own count ends it here
+		err = errShortChunk // the source's own count ends it here
 	default:
 		full := make([]byte, cs)
 		copy(full, buf)
 		var m int
-		m, err = io.ReadFull(r, full[n:])
+		m, err = readFull(r, full[n:])
+		if err == io.EOF {
+			err = errShortChunk // the probe's bytes came before it
+		}
 		buf, n = full, n+m
 	}
 	if err != nil && len(buf)-n > 1 {
@@ -665,6 +677,26 @@ func readChunk(r io.Reader, cs int, probe *[]byte) ([]byte, int, error) {
 		buf = short
 	}
 	return buf, n, err
+}
+
+// readFull is io.ReadFull, except that a stream ending after some bytes
+// but short of len(buf) is errShortChunk: io.ReadFull reports it as
+// io.ErrUnexpectedEOF, which it also passes through from the source.
+func readFull(r io.Reader, buf []byte) (int, error) {
+	var n int
+	var err error
+	for n < len(buf) && err == nil {
+		var m int
+		m, err = r.Read(buf[n:])
+		n += m
+	}
+	switch {
+	case n == len(buf):
+		return n, nil
+	case err == io.EOF && n > 0:
+		return n, errShortChunk
+	}
+	return n, err
 }
 
 // fold appends a sub-floor tail to the chunk before it, in a buffer of

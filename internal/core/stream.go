@@ -158,9 +158,10 @@ func (s *chunkSink) Write(p []byte) (int, error) {
 // readStripes is the one reader: the degraded k-of-n read of l's chunk
 // stripes, streaming each decoded chunk to w once it is checked; callers
 // hold the lock guarding l and have checked liveness, and id names the
-// object the read is for. Each chunk's fetch fans out the decoder's
-// minimum plus speculative probes, retries transient faults with bounded
-// backoff, and stops as soon as the minimum is in hand. The chunk is
+// object the read is for. Each chunk's fetch walks the nodes for the
+// decoder's minimum, fanning out only when a probe stalls, retries
+// transient faults with bounded backoff, and stops as soon as the
+// minimum is in hand. The chunk is
 // decoded from exactly that minimum, hashed into the object's running
 // SHA-256 and written only if the hash matches what the writer recorded
 // (see checkedChunk), so no byte leaves unchecked and every byte is

@@ -160,6 +160,70 @@ func TestPutReaderEmpty(t *testing.T) {
 	}
 }
 
+// cutReader is a source cut off short of its end: it serves r's bytes,
+// then io.ErrUnexpectedEOF where r ends.
+type cutReader struct{ r io.Reader }
+
+func (c cutReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
+}
+
+// sizedCutReader is a cutReader that announces more bytes than it holds,
+// as a body of announced length cut off mid-transfer does.
+type sizedCutReader struct {
+	cutReader
+	left int
+}
+
+func (s *sizedCutReader) Len() int { return s.left }
+
+func (s *sizedCutReader) Read(p []byte) (int, error) {
+	n, err := s.cutReader.Read(p)
+	s.left -= n
+	return n, err
+}
+
+// TestPutReaderSourceCutOffFails: a source that returns 5000 bytes and
+// then io.ErrUnexpectedEOF has not ended, it has failed, so the put
+// fails: nothing stays staged, StoredBytes is back at its baseline, and
+// the id is not archived. That holds for a source that announces its
+// length and one that does not, in one chunk and across several.
+func TestPutReaderSourceCutOffFails(t *testing.T) {
+	const got, announced = 5000, 16384
+	for _, cs := range []int{2048, 1 << 20} {
+		for _, sized := range []bool{false, true} {
+			t.Run(fmt.Sprintf("chunk%d/sized=%v", cs, sized), func(t *testing.T) {
+				v, c := chunkedTestVault(t, Erasure{K: 4, N: 8}, cs)
+				if _, err := v.PutReader(context.Background(), "before", bytes.NewReader(iotaBytes(3000))); err != nil {
+					t.Fatal(err)
+				}
+				baseline := c.StoredBytes()
+				var r io.Reader = cutReader{&iotaReader{n: got, step: 1000}}
+				if sized {
+					r = &sizedCutReader{cutReader{&iotaReader{n: got, step: 1000}}, announced}
+				}
+				n, err := v.PutReader(context.Background(), "cut", r)
+				if !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("PutReader of a cut-off source = %d bytes, err %v; want io.ErrUnexpectedEOF", n, err)
+				}
+				if s := c.StagedCount(); s != 0 {
+					t.Fatalf("StagedCount = %d after the failed put, want 0", s)
+				}
+				if s := c.StoredBytes(); s != baseline {
+					t.Fatalf("StoredBytes = %d after the failed put, want baseline %d", s, baseline)
+				}
+				if _, err := v.Get(context.Background(), "cut"); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("Get of the failed put = %v, want ErrNotFound", err)
+				}
+			})
+		}
+	}
+}
+
 // TestPutReaderDuplicate: streaming puts respect write-once semantics.
 func TestPutReaderDuplicate(t *testing.T) {
 	v, _ := chunkedTestVault(t, Erasure{K: 4, N: 8}, 2048)

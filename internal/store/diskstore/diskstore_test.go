@@ -959,3 +959,101 @@ func TestCrashWithBystanderInFlight(t *testing.T) {
 		})
 	}
 }
+
+// holdReads swaps the read seam so that every shard-body read blocks
+// until release is called; held is closed when the first one arrives.
+// At cleanup it releases, closes s and restores the seam.
+func holdReads(t *testing.T, s *Store) (held <-chan struct{}, release func()) {
+	arrived, gate := make(chan struct{}), make(chan struct{})
+	var arrive, open sync.Once
+	release = func() { open.Do(func() { close(gate) }) }
+	orig := readFile
+	readFile = func(f *os.File, b []byte, off int64) (int, error) {
+		arrive.Do(func() { close(arrived) })
+		<-gate
+		return orig(f, b, off)
+	}
+	t.Cleanup(func() {
+		release()
+		s.Close()
+		readFile = orig
+	})
+	return arrived, release
+}
+
+// TestGetRacesCloseCorruptAndRollover: Get reads a body with s.mu
+// released. With a Get held inside its read, a Corrupt of its shard,
+// Puts that roll its node over to a new segment, and then (in two of the
+// cases) a Close or a crash all finish without waiting for it. Released,
+// the Get returns the bytes on disk, the flipped bit included, while the
+// store lives, and the store's death once it has closed or crashed: the
+// read then meets a closed file (and under FsyncNever the crash has cut
+// the segment to nothing), never a panic.
+func TestGetRacesCloseCorruptAndRollover(t *testing.T) {
+	for _, end := range []string{"live", "close", "crash"} {
+		t.Run(end, func(t *testing.T) {
+			s := mustOpen(t, t.TempDir(), 1, WithFsync(FsyncNever), WithMaxSegmentBytes(4<<10))
+			body := bytes.Repeat([]byte{7}, 512)
+			k := key("obj", 0, 0)
+			if err := s.Node(0).Put(store.Shard{Key: k, Data: body}); err != nil {
+				t.Fatal(err)
+			}
+			held, release := holdReads(t, s)
+			type result struct {
+				sh  store.Shard
+				ok  bool
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				sh, ok, err := s.Node(0).Get(k)
+				done <- result{sh, ok, err}
+			}()
+			await(t, held, "the Get's read")
+			others := make(chan error, 1)
+			go func() {
+				if !s.Node(0).Corrupt(k, 0) {
+					others <- errors.New("Corrupt failed")
+					return
+				}
+				for i := range 10 { // ten 512-byte bodies overflow a 4 KiB segment
+					if err := s.Node(0).Put(store.Shard{Key: key("roll", i, 0), Data: body}); err != nil {
+						others <- err
+						return
+					}
+				}
+				s.mu.Lock()
+				ref, _ := s.index.get(0, k)
+				rolled := s.nodes[0].cur != ref.seg
+				s.mu.Unlock()
+				var err error
+				switch {
+				case !rolled:
+					err = errors.New("node 0 did not roll over to a new segment")
+				case end == "close":
+					err = s.Close()
+				case end == "crash":
+					s.SetCrashPoint(CrashMidSegmentAppend)
+					if perr := s.Node(0).Put(store.Shard{Key: key("last", 0, 0), Data: body}); !errors.Is(perr, ErrCrashed) {
+						err = fmt.Errorf("crashing Put = %v, want ErrCrashed", perr)
+					}
+				}
+				others <- err
+			}()
+			if err := await(t, others, "Corrupt, rolling Puts and the "+end+" beside a held read"); err != nil {
+				t.Fatal(err)
+			}
+			release()
+			r := await(t, done, "the held Get")
+			flipped := append([]byte{body[0] ^ 1}, body[1:]...)
+			switch {
+			case end == "live" && (r.err != nil || !r.ok || !bytes.Equal(r.sh.Data, flipped)):
+				t.Fatalf("held Get = %d bytes ok=%v err=%v, want the bytes on disk, bit 0 flipped", len(r.sh.Data), r.ok, r.err)
+			case end == "close" && !errors.Is(r.err, ErrClosed):
+				t.Fatalf("held Get across Close = %v, want ErrClosed", r.err)
+			case end == "crash" && !errors.Is(r.err, ErrCrashed):
+				t.Fatalf("held Get across a crash = %v, want ErrCrashed", r.err)
+			}
+		})
+	}
+}

@@ -86,6 +86,11 @@ func (a *appendFile) append(b []byte) (int64, error) {
 // that tests can hold or fail an fsync; nothing else assigns it.
 var syncFile = (*os.File).Sync
 
+// readFile is every shard-body read the store issues (readBody). It is
+// a variable only so that tests can hold a read; nothing else assigns
+// it.
+var readFile = (*os.File).ReadAt
+
 // sync fsyncs and advances the durable watermark.
 func (a *appendFile) sync() error {
 	if a.synced == a.size {
