@@ -90,6 +90,12 @@ type Cluster struct {
 	// metrics mirrors the accounting above into the obs registry; see
 	// metrics.go and UseRegistry.
 	metrics *clusterMetrics
+
+	// hedgeAfter is the hedge deadline of a stripe read's probe
+	// (hedgeDeadline; see probeStripe). A field only so that a test can
+	// pin it; the read path never derives it from the metrics, so which
+	// registry is attached does not change how a read behaves.
+	hedgeAfter time.Duration
 }
 
 // TotalBytesMoved returns the bytes transferred in either direction
@@ -117,7 +123,7 @@ func NewWithStore(bk store.Store, regions []string) *Cluster {
 	if len(regions) == 0 {
 		regions = DefaultRegions
 	}
-	c := &Cluster{backend: bk}
+	c := &Cluster{backend: bk, hedgeAfter: hedgeDeadline}
 	for i := 0; i < bk.Nodes(); i++ {
 		c.nodes = append(c.nodes, &Node{
 			ID:     i,
