@@ -31,7 +31,6 @@ import (
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
 	"securearchive/internal/costmodel"
-	"securearchive/internal/group"
 	"securearchive/internal/lrss"
 	"securearchive/internal/pss"
 	"securearchive/internal/qkd"
@@ -75,7 +74,6 @@ func BenchmarkTable1(b *testing.B) {
 	data := make([]byte, 256<<10)
 	rand.Read(data)
 	key := []byte("a 28-byte master key secret!")
-	grp := group.Test()
 	makers := []mk{
 		{"ArchiveSafeLT", func(c *cluster.Cluster) (systems.Archive, []byte, error) {
 			s, err := systems.NewArchiveSafeLT(c, nil, 4, 2)
@@ -86,11 +84,11 @@ func BenchmarkTable1(b *testing.B) {
 			return s, data, err
 		}},
 		{"HasDPSS", func(c *cluster.Cluster) (systems.Archive, []byte, error) {
-			s, err := systems.NewHasDPSS(c, 6, 3, grp)
+			s, err := systems.NewHasDPSS(c, 6, 3)
 			return s, key, err
 		}},
 		{"LINCOS", func(c *cluster.Cluster) (systems.Archive, []byte, error) {
-			s, err := systems.NewLINCOS(c, 6, 3, grp, 1)
+			s, err := systems.NewLINCOS(c, 6, 3, 1)
 			return s, data, err
 		}},
 		{"PASIS", func(c *cluster.Cluster) (systems.Archive, []byte, error) {
@@ -189,7 +187,7 @@ func BenchmarkHNDL(b *testing.B) {
 		var breached float64
 		for i := 0; i < b.N; i++ {
 			c := cluster.New(8, nil)
-			sys, err := systems.NewLINCOS(c, 6, 3, group.Test(), int64(i))
+			sys, err := systems.NewLINCOS(c, 6, 3, int64(i))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,10 +11,7 @@
 //	attacksim -campaign hndl|mobile|leakage|faults|all [-epochs N] [-budget B] [-seed S]
 //	          [-transient P] [-offline K] [-corrupt P]
 //
-// HasDPSS and LINCOS commit on group.Test() (256-bit, insecure) so that
-// seeded campaigns reproduce the committed tables; the vault-backed
-// systems commit on the production group. No campaign attacks the group
-// itself.
+// No campaign attacks the commitment group itself.
 package main
 
 import (
@@ -22,13 +19,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
 	"securearchive/internal/adversary"
 	"securearchive/internal/cascade"
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/lrss"
 	"securearchive/internal/obs"
 	"securearchive/internal/shamir"
@@ -46,25 +43,23 @@ func main() {
 	offline := flag.Int("offline", 2, "faults: nodes offline at a time (rotating)")
 	corrupt := flag.Float64("corrupt", 0.01, "faults: per-read bit-rot probability")
 	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), "usage: attacksim -campaign hndl|mobile|leakage|faults|all [flags]\n\n"+
-			"HasDPSS and LINCOS commit on group.Test() (256-bit, insecure) so that seeded\n"+
-			"campaigns reproduce the committed tables; no campaign attacks the group itself.\n\n")
+		fmt.Fprint(flag.CommandLine.Output(), "usage: attacksim -campaign hndl|mobile|leakage|faults|all [flags]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
 	switch *campaign {
 	case "hndl":
-		runHNDL(*epochs, *budget, *seed)
+		runHNDL(os.Stdout, *epochs, *budget, *seed)
 	case "mobile":
-		runMobile(*epochs, *budget, *seed)
+		runMobile(os.Stdout, *epochs, *budget, *seed)
 	case "leakage":
 		runLeakage()
 	case "faults":
 		runFaults(*epochs, *seed, *transient, *offline, *corrupt)
 	case "all":
-		runHNDL(*epochs, *budget, *seed)
-		runMobile(*epochs, *budget, *seed)
+		runHNDL(os.Stdout, *epochs, *budget, *seed)
+		runMobile(os.Stdout, *epochs, *budget, *seed)
 		runLeakage()
 		runFaults(*epochs, *seed, *transient, *offline, *corrupt)
 	default:
@@ -76,7 +71,6 @@ func main() {
 // buildSystems constructs all eight systems on a fresh 8-node cluster.
 func buildSystems() (map[string]systems.Archive, *cluster.Cluster, error) {
 	c := cluster.New(8, nil)
-	grp := group.Test()
 	out := map[string]systems.Archive{}
 	var err error
 	add := func(name string, sys systems.Archive, e error) {
@@ -98,9 +92,9 @@ func buildSystems() (map[string]systems.Archive, *cluster.Cluster, error) {
 	add("potshards", pot, e)
 	vsr, e := systems.NewVSRArchive(c, 6, 3)
 	add("vsr", vsr, e)
-	lin, e := systems.NewLINCOS(c, 6, 3, grp, 7)
+	lin, e := systems.NewLINCOS(c, 6, 3, 7)
 	add("lincos", lin, e)
-	has, e := systems.NewHasDPSS(c, 6, 3, grp)
+	has, e := systems.NewHasDPSS(c, 6, 3)
 	add("hasdpss", has, e)
 	return out, c, err
 }
@@ -119,8 +113,8 @@ var doomsday = adversary.Breaks{
 	HashBroken: 100,
 }
 
-func runHNDL(epochs, budget int, seed int64) {
-	fmt.Println("=== E4: Harvest Now, Decrypt Later (no renewals; all crypto breaks at epoch 100) ===")
+func runHNDL(out io.Writer, epochs, budget int, seed int64) {
+	fmt.Fprintln(out, "=== E4: Harvest Now, Decrypt Later (no renewals; all crypto breaks at epoch 100) ===")
 	sys, c, err := buildSystems()
 	if err != nil {
 		fatal(err)
@@ -138,7 +132,7 @@ func runHNDL(epochs, budget int, seed int64) {
 		adv.CorruptRandom(c)
 		c.AdvanceEpoch()
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "system\tat harvest time\tat doomsday (epoch 100)\treason\n")
 	for _, name := range []string{"cloud", "archivesafe", "aontrs", "potshards", "vsr", "lincos", "hasdpss"} {
 		early := sys[name].Breach(adv, refs[name], doomsday, c.Epoch())
@@ -146,12 +140,12 @@ func runHNDL(epochs, budget int, seed int64) {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", sys[name].Name(), verdict(early), verdict(late), late.Reason)
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
-func runMobile(epochs, budget int, seed int64) {
-	fmt.Println("=== E5: mobile adversary vs proactive renewal ===")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func runMobile(out io.Writer, epochs, budget int, seed int64) {
+	fmt.Fprintln(out, "=== E5: mobile adversary vs proactive renewal ===")
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "system\trenewing\tbreached\tdetail\n")
 	for _, renew := range []bool{false, true} {
 		sys, c, err := buildSystems()
@@ -185,7 +179,7 @@ func runMobile(epochs, budget int, seed int64) {
 		}
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
 func isUnsupported(err error) bool {

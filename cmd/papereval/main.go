@@ -5,11 +5,6 @@
 // re-encryption arithmetic — printing paper-stated values next to
 // measured ones.
 //
-// Table 1's HasDPSS and LINCOS rows commit on group.Test() (256-bit,
-// insecure), so the table regenerates unchanged; the vault-backed rows
-// (CloudAES, AONT-RS, POTSHARDS, PASIS) and bench/ commit on the
-// production group.
-//
 // Usage:
 //
 //	papereval [-figure1] [-table1] [-reencrypt] [-renewal] [-advantage] [-all] [-obj KiB]
@@ -22,6 +17,7 @@ import (
 	"crypto/rand"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -43,10 +39,7 @@ func main() {
 	all := flag.Bool("all", false, "run everything")
 	objKiB := flag.Int("obj", 256, "object size in KiB for measurements")
 	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), "usage: papereval [flags]\n\n"+
-			"Table 1's HasDPSS and LINCOS rows commit on group.Test() (256-bit, insecure) so\n"+
-			"the table regenerates unchanged. bench/ measures the production group (2048-bit p,\n"+
-			"256-bit q).\n\n")
+		fmt.Fprint(flag.CommandLine.Output(), "usage: papereval [flags]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -55,31 +48,31 @@ func main() {
 		*all = true
 	}
 	if *all || *figure1 {
-		runFigure1(*objKiB)
+		runFigure1(os.Stdout, *objKiB)
 	}
 	if *all || *table1 {
-		runTable1(*objKiB)
+		runTable1(os.Stdout, *objKiB)
 	}
 	if *all || *reencrypt {
-		runReencrypt()
+		runReencrypt(os.Stdout)
 	}
 	if *all || *renewal {
-		runRenewal()
+		runRenewal(os.Stdout)
 	}
 	if *all || *adv {
 		runAdvantage()
 	}
 }
 
-func runFigure1(objKiB int) {
-	fmt.Println("=== Figure 1: storage cost vs security level (measured) ===")
+func runFigure1(out io.Writer, objKiB int) {
+	fmt.Fprintln(out, "=== Figure 1: storage cost vs security level (measured) ===")
 	cfg := core.DefaultFigure1Config()
 	cfg.ObjectLen = objKiB << 10
 	pts, err := core.Figure1(cfg, rand.Reader)
 	if err != nil {
 		fatal(err)
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "encoding\tsecurity\tlevel\tleak-resilient\toverhead (x)\n")
 	for _, p := range pts {
 		fmt.Fprintf(w, "%s\t%s\t%d\t%v\t%.2f\n",
@@ -87,15 +80,15 @@ func runFigure1(objKiB int) {
 	}
 	w.Flush()
 	if bad := core.Figure1Shape(pts); len(bad) > 0 {
-		fmt.Println("SHAPE VIOLATIONS:", bad)
+		fmt.Fprintln(out, "SHAPE VIOLATIONS:", bad)
 	} else {
-		fmt.Println("shape check: all of the paper's qualitative orderings hold")
+		fmt.Fprintln(out, "shape check: all of the paper's qualitative orderings hold")
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
-func runTable1(objKiB int) {
-	fmt.Println("=== Table 1: system summary (classifications + measured cost) ===")
+func runTable1(out io.Writer, objKiB int) {
+	fmt.Fprintln(out, "=== Table 1: system summary (classifications + measured cost) ===")
 	cfg := systems.DefaultTable1Config()
 	cfg.ObjectLen = objKiB << 10
 	rows, err := systems.Table1(cfg, rand.Reader)
@@ -103,7 +96,7 @@ func runTable1(objKiB int) {
 		fatal(err)
 	}
 	want := systems.Table1Expected()
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "system\ttransit\trest\tcost band\tmeasured (x)\tpaper row matches\n")
 	for _, r := range rows {
 		exp, ok := want[r.System]
@@ -112,11 +105,11 @@ func runTable1(objKiB int) {
 			r.System, r.TransitClass, r.RestClass, r.CostBand, r.MeasuredCost, match)
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
-func runReencrypt() {
-	fmt.Println("=== §3.2: archive re-encryption campaign durations ===")
+func runReencrypt(out io.Writer) {
+	fmt.Fprintln(out, "=== §3.2: archive re-encryption campaign durations ===")
 	paper := map[string]float64{
 		"Oak Ridge HPSS":       6.75,
 		"ECMWF MARS":           10.35,
@@ -127,7 +120,7 @@ func runReencrypt() {
 	if err != nil {
 		fatal(err)
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "archive\tpaper (mo)\tread-only (mo)\t+write x2 (mo)\t+reserve x4 (mo)\n")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\t%.2f\n",
@@ -135,7 +128,7 @@ func runReencrypt() {
 	}
 	w.Flush()
 
-	fmt.Println("\nextrapolation at CERN-EOS throughput (909 TB/day), write+reserve:")
+	fmt.Fprintln(out, "\nextrapolation at CERN-EOS throughput (909 TB/day), write+reserve:")
 	sizes := []float64{1e18, 1e19, 1e20, 1e21}
 	labels := []string{"1 EB", "10 EB", "100 EB", "1 ZB"}
 	months, err := costmodel.Sweep(sizes, 909e12, costmodel.Scenario{WriteBack: true, ForegroundReserve: true})
@@ -143,14 +136,14 @@ func runReencrypt() {
 		fatal(err)
 	}
 	for i := range sizes {
-		fmt.Printf("  %-7s %8.0f months (%.0f years)\n", labels[i], months[i], months[i]/12)
+		fmt.Fprintf(out, "  %-7s %8.0f months (%.0f years)\n", labels[i], months[i], months[i]/12)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
-func runRenewal() {
-	fmt.Println("=== §3.2: proactive share-renewal campaign pricing ===")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func runRenewal(out io.Writer) {
+	fmt.Fprintln(out, "=== §3.2: proactive share-renewal campaign pricing ===")
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "committee n\ttraffic per 1MB object\tcampaign for 1PB @ 400TB/day (mo)\n")
 	for _, n := range []int{4, 8, 16, 32, 64} {
 		per := pss.RenewalTraffic(n, 1<<20)
@@ -161,7 +154,7 @@ func runRenewal() {
 		fmt.Fprintf(w, "%d\t%.1f MB\t%.2f\n", n, float64(per)/1e6, mo)
 	}
 	w.Flush()
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
 // runAdvantage measures the paper's Definitions 2.1/2.2 empirically:

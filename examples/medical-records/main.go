@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/sig"
 	"securearchive/internal/systems"
 )
@@ -25,17 +24,15 @@ func main() {
 		"hospital-dc", "university-archive", "national-library",
 		"cloud-a", "cloud-b", "overseas-trustee",
 	})
-	grp := group.Test()
-
 	archive, err := systems.NewVSRArchive(providers, 6, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	keyMgmt, err := systems.NewHasDPSS(providers, 6, 3, grp)
+	keyMgmt, err := systems.NewHasDPSS(providers, 6, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lincos, err := systems.NewLINCOS(providers, 6, 3, grp, 99)
+	lincos, err := systems.NewLINCOS(providers, 6, 3, 99)
 	if err != nil {
 		log.Fatal(err)
 	}

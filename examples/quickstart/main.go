@@ -16,7 +16,6 @@ import (
 
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/sig"
 	"securearchive/internal/tstamp"
 )
@@ -42,11 +41,9 @@ func main() {
 		fmt.Println("  caveat:", cv)
 	}
 
-	// Build a vault with the recommended encoding. (group.Test keeps the
-	// Pedersen commitments fast and the demo on the group the figures use;
-	// production omits WithGroup and gets group.Default(), 2048-bit p and
-	// 256-bit q, at ~0.25 ms a commitment.)
-	vault, err := core.NewVault(c, rec.Encoding, core.WithGroup(group.Test()))
+	// Build a vault with the recommended encoding. Its chains commit on
+	// group.Default(), 2048-bit p and 256-bit q, at ~0.25 ms a commitment.
+	vault, err := core.NewVault(c, rec.Encoding)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"securearchive/internal/cascade"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/otp"
 	"securearchive/internal/qkd"
 	"securearchive/internal/sig"
@@ -32,12 +31,11 @@ import (
 // its integrity chain valid, and the adversary empty-handed.
 func TestCenturySimulation(t *testing.T) {
 	c := cluster.New(8, nil)
-	grp := group.Test()
 	archive, err := systems.NewVSRArchive(c, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lincos, err := systems.NewLINCOS(c, 6, 3, grp, 11)
+	lincos, err := systems.NewLINCOS(c, 6, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +141,7 @@ func TestVaultLifecycleAllEncodings(t *testing.T) {
 		enc := enc
 		t.Run(enc.Name(), func(t *testing.T) {
 			c := cluster.New(8, nil)
-			v, err := core.NewVault(c, enc, core.WithGroup(group.Test()))
+			v, err := core.NewVault(c, enc)
 			if err != nil {
 				t.Fatal(err)
 			}

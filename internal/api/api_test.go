@@ -17,7 +17,6 @@ import (
 	"securearchive/internal/api/client"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 )
 
@@ -31,7 +30,7 @@ func newService(t *testing.T, cfg api.Config) (*core.Vault, *cluster.Cluster, *c
 	c := cluster.New(8, nil)
 	t.Cleanup(func() { c.Close() })
 	v, err := core.NewVault(c, core.Erasure{K: 4, N: 8},
-		core.WithGroup(group.Test()), core.WithChunkSize(testChunk))
+		core.WithChunkSize(testChunk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +298,7 @@ func TestGracefulShutdown(t *testing.T) {
 	c := cluster.New(8, nil)
 	defer c.Close()
 	v, err := core.NewVault(c, core.Erasure{K: 4, N: 8},
-		core.WithGroup(group.Test()), core.WithChunkSize(testChunk))
+		core.WithChunkSize(testChunk))
 	if err != nil {
 		t.Fatal(err)
 	}

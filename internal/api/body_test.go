@@ -15,7 +15,6 @@ import (
 	"securearchive/internal/api"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 )
 
@@ -37,7 +36,7 @@ func TestTruncatedUploadStoresNothing(t *testing.T) {
 			reg := obs.NewRegistry()
 			c := cluster.New(8, nil)
 			t.Cleanup(func() { c.Close() })
-			v, err := core.NewVault(c, core.Erasure{K: 4, N: 8}, core.WithGroup(group.Test()), core.WithChunkSize(testChunk))
+			v, err := core.NewVault(c, core.Erasure{K: 4, N: 8}, core.WithChunkSize(testChunk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +114,7 @@ func TestSmallPutReadsIntoExactBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race for the alloc gate")
 	}
-	v, err := core.NewVault(cluster.New(14, nil), core.Erasure{K: 10, N: 14}, core.WithGroup(group.Test()))
+	v, err := core.NewVault(cluster.New(14, nil), core.Erasure{K: 10, N: 14})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"securearchive/internal/api/client"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 )
 
@@ -24,7 +23,6 @@ func TestUsageReportsTenantCacheBytes(t *testing.T) {
 	c := cluster.New(8, nil)
 	t.Cleanup(func() { c.Close() })
 	v, err := core.NewVault(c, core.Erasure{K: 4, N: 8},
-		core.WithGroup(group.Test()),
 		core.WithChunkSize(testChunk),
 		core.WithReadCache(1<<20),
 		core.WithCacheTenantShare(0.5),

@@ -14,7 +14,6 @@ import (
 	"securearchive/internal/api/client"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 )
 
@@ -31,8 +30,7 @@ func TestGetChainFailureReachesTheClient(t *testing.T) {
 			t.Run(fmt.Sprintf("%dB/cache=%d", size, cacheBytes), func(t *testing.T) {
 				c := cluster.New(8, nil)
 				t.Cleanup(func() { c.Close() })
-				v, err := core.NewVault(c, core.Erasure{K: 4, N: 8}, core.WithGroup(group.Test()),
-					core.WithChunkSize(testChunk), core.WithReadCache(cacheBytes))
+				v, err := core.NewVault(c, core.Erasure{K: 4, N: 8}, core.WithChunkSize(testChunk), core.WithReadCache(cacheBytes))
 				if err != nil {
 					t.Fatal(err)
 				}

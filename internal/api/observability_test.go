@@ -15,7 +15,6 @@ import (
 	"securearchive/internal/api/client"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
 )
@@ -43,7 +42,7 @@ func newPlane(t *testing.T, cfg api.Config) *plane {
 	t.Cleanup(func() { p.c.Close() })
 	var err error
 	p.v, err = core.NewVault(p.c, core.Erasure{K: 4, N: 8},
-		core.WithGroup(group.Test()), core.WithChunkSize(testChunk),
+		core.WithChunkSize(testChunk),
 		core.WithRegistry(p.reg), core.WithTracer(p.tr))
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"securearchive/internal/api/client"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
 )
@@ -348,8 +347,7 @@ func TestSeriesInventory(t *testing.T) {
 	c := cluster.New(14, nil)
 	c.UseRegistry(reg)
 	t.Cleanup(func() { c.Close() })
-	v, err := core.NewVault(c, core.Erasure{N: 14, K: 10}, core.WithGroup(group.Test()),
-		core.WithReadCache(4<<20), core.WithRegistry(reg), core.WithTracer(tr))
+	v, err := core.NewVault(c, core.Erasure{N: 14, K: 10}, core.WithReadCache(4<<20), core.WithRegistry(reg), core.WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestHashCommitLengthAmbiguity(t *testing.T) {
 }
 
 func TestPedersenRoundTrip(t *testing.T) {
-	p := NewPedersen(group.Test())
+	p := NewPedersen(group.Default())
 	m := big.NewInt(123456789)
 	c, op, err := p.Commit(m, rand.Reader)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestPedersenRoundTrip(t *testing.T) {
 }
 
 func TestPedersenBindingRejectsWrongOpening(t *testing.T) {
-	p := NewPedersen(group.Test())
+	p := NewPedersen(group.Default())
 	c, op, _ := p.Commit(big.NewInt(42), rand.Reader)
 	bad := PedersenOpening{M: big.NewInt(43), R: op.R}
 	if err := p.Verify(c, bad); !errors.Is(err, ErrVerifyFailed) {
@@ -94,7 +94,7 @@ func TestPedersenBindingRejectsWrongOpening(t *testing.T) {
 // is also a commitment to any m2 = m1+δ under a shifted opening — i.e.
 // the commitment value alone cannot pin down m.
 func TestPedersenPerfectHiding(t *testing.T) {
-	p := NewPedersen(group.Test())
+	p := NewPedersen(group.Default())
 	m1 := big.NewInt(1000)
 	delta := big.NewInt(77)
 	c1, op1, _ := p.Commit(m1, rand.Reader)
@@ -110,7 +110,7 @@ func TestPedersenPerfectHiding(t *testing.T) {
 // TestPedersenHomomorphism: Commit(m1, r1) · Commit(m2, r2) opens as
 // (m1+m2, r1+r2), the additive homomorphism Pedersen VSS renewal relies on.
 func TestPedersenHomomorphism(t *testing.T) {
-	p := NewPedersen(group.Test())
+	p := NewPedersen(group.Default())
 	m1, m2 := big.NewInt(11), big.NewInt(31)
 	c1, o1, _ := p.Commit(m1, rand.Reader)
 	c2, o2, _ := p.Commit(m2, rand.Reader)
@@ -128,7 +128,7 @@ func TestPedersenHomomorphism(t *testing.T) {
 }
 
 func TestPedersenSerialisation(t *testing.T) {
-	p := NewPedersen(group.Test())
+	p := NewPedersen(group.Default())
 	c, _, _ := p.Commit(big.NewInt(5), rand.Reader)
 	rt := PedersenCommitmentFromBytes(c.Bytes())
 	if c.C.Cmp(rt.C) != 0 {
@@ -141,7 +141,7 @@ func TestPedersenSerialisation(t *testing.T) {
 }
 
 func TestVerifyNilSafety(t *testing.T) {
-	p := NewPedersen(group.Test())
+	p := NewPedersen(group.Default())
 	if err := p.Verify(PedersenCommitment{}, PedersenOpening{}); !errors.Is(err, ErrVerifyFailed) {
 		t.Fatal("nil commitment/opening did not fail cleanly")
 	}
@@ -175,12 +175,12 @@ func safePrimeGroup(t *testing.T) *group.Group {
 }
 
 // TestCommitWithMatchesGenericExp pins CommitWith to the textbook
-// formula g^m·h^r mod p computed with big.Int.Exp, on both built-in
-// groups and a safe-prime one, for digest-sized and full-width m,
+// formula g^m·h^r mod p computed with big.Int.Exp, on the production
+// group and a safe-prime one, for digest-sized and full-width m,
 // full-width r, and scalars outside [0, q) — the one-pass walk of the
 // fixed-base tables must not change one bit of any commitment.
 func TestCommitWithMatchesGenericExp(t *testing.T) {
-	for _, g := range []*group.Group{group.Test(), group.Default(), safePrimeGroup(t)} {
+	for _, g := range []*group.Group{group.Default(), safePrimeGroup(t)} {
 		p := NewPedersen(g)
 		rng := mrand.New(mrand.NewSource(int64(g.P.BitLen())))
 		formula := func(m, r *big.Int) *big.Int {
@@ -274,7 +274,7 @@ func BenchmarkPedersenCommitDefaultGroup(b *testing.B) {
 }
 
 func BenchmarkPedersenCommitTestGroup(b *testing.B) {
-	p := NewPedersen(group.Test())
+	p := NewPedersen(group.Default())
 	m := big.NewInt(123456789)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -41,7 +41,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 	"securearchive/internal/store"
 )
@@ -222,7 +221,6 @@ func TestDifferentialCachedVsUncached(t *testing.T) {
 					const seed = 42
 					mk := func(c *cluster.Cluster, cacheBytes int64) *Vault {
 						opts := []VaultOption{
-							WithGroup(group.Test()),
 							VaultOption(func(v *Vault) { v.rnd = mrand.New(mrand.NewSource(seed)) }),
 							WithChunkSize(512),
 							WithRegistry(obs.NewRegistry()),
@@ -302,7 +300,6 @@ func TestDifferentialCachedVsUncached(t *testing.T) {
 func TestCachePropertyInterleavings(t *testing.T) {
 	forEachBackend(t, 8, func(t *testing.T, c *cluster.Cluster) {
 		v, err := NewVault(c, Erasure{K: 4, N: 8},
-			WithGroup(group.Test()),
 			WithReadCache(64<<10),
 			WithChunkSize(512),
 			WithRegistry(obs.NewRegistry()))
@@ -464,7 +461,6 @@ func hammerCacheCoherence(t *testing.T, c *cluster.Cluster) {
 		Default: cluster.NodeFaults{TransientProb: 0.05},
 	})
 	v, err := NewVault(c, Erasure{K: 4, N: 8},
-		WithGroup(group.Test()),
 		WithReadCache(1<<20),
 		WithChunkSize(256), // 512-byte payloads span 2 chunks → prefetch path
 		WithRegistry(obs.NewRegistry()))

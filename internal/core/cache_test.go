@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 )
 
@@ -312,7 +311,7 @@ func FuzzFreqSketch(f *testing.F) {
 func newCachedVault(t *testing.T, c *cluster.Cluster, cacheBytes int64, opts ...VaultOption) *Vault {
 	t.Helper()
 	enc := Erasure{K: 4, N: 8}
-	opts = append([]VaultOption{WithGroup(group.Test()), WithReadCache(cacheBytes), WithRegistry(obs.NewRegistry())}, opts...)
+	opts = append([]VaultOption{WithReadCache(cacheBytes), WithRegistry(obs.NewRegistry())}, opts...)
 	v, err := NewVault(c, enc, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +526,7 @@ func TestVaultCacheChunkedReadTo(t *testing.T) {
 func TestVaultWithoutCacheUnchanged(t *testing.T) {
 	c := cluster.New(8, nil)
 	enc := Erasure{K: 4, N: 8}
-	v, err := NewVault(c, enc, WithGroup(group.Test()), WithRegistry(obs.NewRegistry()))
+	v, err := NewVault(c, enc, WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +550,7 @@ func TestPrefetchCancel(t *testing.T) {
 	c := cluster.New(8, nil)
 	reg := obs.NewRegistry()
 	enc := Erasure{K: 4, N: 8}
-	v, err := NewVault(c, enc, WithGroup(group.Test()), WithRegistry(reg), WithChunkSize(256))
+	v, err := NewVault(c, enc, WithRegistry(reg), WithChunkSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 )
 
 // Cancellation regression suite: every vault operation that crosses the
@@ -28,7 +27,7 @@ func slowVault(t *testing.T, chunkSize int, latency time.Duration) (*Vault, *clu
 	c := cluster.New(8, nil)
 	t.Cleanup(func() { c.Close() })
 	c.SetFaultPlan(&cluster.FaultPlan{Seed: 1, Default: cluster.NodeFaults{Latency: latency}})
-	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithGroup(group.Test()), WithChunkSize(chunkSize))
+	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithChunkSize(chunkSize))
 	if err != nil {
 		t.Fatal(err)
 	}

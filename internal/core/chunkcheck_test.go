@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
 	"securearchive/internal/tstamp"
@@ -40,7 +39,7 @@ func checkedVault(t *testing.T) (*Vault, *cluster.Cluster, *obs.Registry, *trace
 	tr.SetEnabled(true)
 	mem := &trace.Mem{}
 	tr.AddExporter(mem)
-	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithGroup(group.Test()), WithRegistry(reg), WithTracer(tr), WithChunkSize(auditChunk))
+	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithRegistry(reg), WithTracer(tr), WithChunkSize(auditChunk))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/store"
 	"securearchive/internal/store/diskstore"
 )
@@ -83,7 +82,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 		if chunk == 0 {
 			chunk = 256
 		}
-		v, err := NewVault(c, Erasure{K: 2, N: nodes}, WithGroup(group.Test()), WithChunkSize(chunk))
+		v, err := NewVault(c, Erasure{K: 2, N: nodes}, WithChunkSize(chunk))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 )
 
@@ -66,7 +65,7 @@ func TestVaultRotDiscardQueuesScrub(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := cluster.New(8, nil)
 	c.UseRegistry(reg)
-	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithGroup(group.Test()), WithRegistry(reg))
+	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestVaultMetricsSnapshot(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := cluster.New(8, nil)
 	c.UseRegistry(reg)
-	v, err := NewVault(c, SecretSharing{T: 4, N: 8}, WithGroup(group.Test()), WithRegistry(reg))
+	v, err := NewVault(c, SecretSharing{T: 4, N: 8}, WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestRetriesLandOnTheClustersRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := cluster.New(8, nil)
 	c.UseRegistry(reg)
-	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithGroup(group.Test()), WithRegistry(reg),
+	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithRegistry(reg),
 		VaultOption(func(v *Vault) {
 			v.retry = cluster.RetryPolicy{MaxAttempts: 32, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
 		}))

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/sig"
 	"securearchive/internal/tstamp"
 )
@@ -100,7 +99,7 @@ func TestAuditPaths(t *testing.T) {
 
 func auditPaths(t *testing.T, lay auditLayout, cached bool, enc Encoding) {
 	c := cluster.New(8, nil)
-	opts := []VaultOption{WithGroup(group.Test()), WithChunkSize(auditChunk)}
+	opts := []VaultOption{WithChunkSize(auditChunk)}
 	if cached {
 		opts = append(opts, WithReadCache(1<<20))
 	}
@@ -197,8 +196,7 @@ func TestReadToWithholdsLastChunk(t *testing.T) {
 // hit must serve them.
 func TestReadToCacheTakesOwnership(t *testing.T) {
 	c := cluster.New(8, nil)
-	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithGroup(group.Test()),
-		WithChunkSize(auditChunk), WithReadCache(1<<20))
+	v, err := NewVault(c, Erasure{K: 4, N: 8}, WithChunkSize(auditChunk), WithReadCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +300,7 @@ func TestHammerReadsDuringRenewAndScrub(t *testing.T) {
 
 func hammerReads(t *testing.T, enc Encoding) {
 	c := cluster.New(8, nil)
-	v, err := NewVault(c, enc, WithGroup(group.Test()),
-		WithChunkSize(auditChunk), WithReadCache(1<<20))
+	v, err := NewVault(c, enc, WithChunkSize(auditChunk), WithReadCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

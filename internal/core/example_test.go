@@ -7,7 +7,6 @@ import (
 
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 )
 
 // Example walks the framework's happy path: ask the policy engine for an
@@ -27,7 +26,7 @@ func Example() {
 	fmt.Println("needs renewal:", rec.NeedsProactiveRenewal)
 
 	c := cluster.New(8, nil)
-	vault, err := core.NewVault(c, rec.Encoding, core.WithGroup(group.Test()))
+	vault, err := core.NewVault(c, rec.Encoding)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/store"
 )
 
@@ -54,7 +53,7 @@ func hammerOverlappingIDs(t *testing.T, c *cluster.Cluster) {
 		Default: cluster.NodeFaults{TransientProb: 0.05},
 	})
 	enc := SecretSharing{T: 4, N: 8}
-	v, err := NewVault(c, enc, WithGroup(group.Test()))
+	v, err := NewVault(c, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestHammerDistinctIDsWithDeletes(t *testing.T) {
 
 func hammerDistinctIDsWithDeletes(t *testing.T, c *cluster.Cluster) {
 	enc := Erasure{K: 4, N: 8}
-	v, err := NewVault(c, enc, WithGroup(group.Test()))
+	v, err := NewVault(c, enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 )
 
 // chunkedTestVault builds a vault with a deliberately tiny chunk size so
@@ -17,7 +16,7 @@ import (
 func chunkedTestVault(t *testing.T, enc Encoding, chunkSize int, opts ...VaultOption) (*Vault, *cluster.Cluster) {
 	t.Helper()
 	c := cluster.New(8, nil)
-	v, err := NewVault(c, enc, append([]VaultOption{WithGroup(group.Test()), WithChunkSize(chunkSize)}, opts...)...)
+	v, err := NewVault(c, enc, append([]VaultOption{WithChunkSize(chunkSize)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

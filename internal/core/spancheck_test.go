@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 )
 
@@ -38,7 +37,7 @@ func spanVault(t *testing.T, enc Encoding) (*Vault, *cluster.Cluster, *obs.Regis
 	reg := obs.NewRegistry()
 	c := cluster.New(14, nil)
 	c.UseRegistry(reg)
-	v, err := NewVault(c, enc, WithGroup(group.Test()), WithRegistry(reg), WithChunkSize(spanChunk))
+	v, err := NewVault(c, enc, WithRegistry(reg), WithChunkSize(spanChunk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func hashedPerByte(l *layout, shardLen int) float64 {
 // 14 digests and no hash state.
 func TestWhatAPutHashes(t *testing.T) {
 	ctx := context.Background()
-	rsVault, err := NewVault(cluster.New(14, nil), Erasure{K: 10, N: 14}, WithGroup(group.Test()))
+	rsVault, err := NewVault(cluster.New(14, nil), Erasure{K: 10, N: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestWhatAPutHashes(t *testing.T) {
 		t.Fatalf("16 KiB object: want one chunk with 14 digests and no hash state")
 	}
 
-	repVault, err := NewVault(cluster.New(3, nil), Replication{N: 3}, WithGroup(group.Test()), WithChunkSize(64<<10))
+	repVault, err := NewVault(cluster.New(3, nil), Replication{N: 3}, WithChunkSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 	"securearchive/internal/store"
 	"securearchive/internal/store/memstore"
@@ -37,12 +36,12 @@ func (n hookNode) Stage(stage string, sh store.Shard) error {
 	return n.NodeStore.Stage(stage, sh)
 }
 
-// hookVault is an Erasure 4+8 vault on the test group over a hooked
+// hookVault is an Erasure 4+8 vault over a hooked
 // memory store, with its own metrics registry.
 func hookVault(t *testing.T, hs *hookStore) *Vault {
 	t.Helper()
 	v, err := NewVault(cluster.NewWithStore(hs, nil), Erasure{K: 4, N: 8},
-		WithGroup(group.Test()), WithRegistry(obs.NewRegistry()))
+		WithRegistry(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}

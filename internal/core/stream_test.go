@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/store"
 )
 
@@ -434,7 +433,7 @@ func TestPutReaderSmallObjectAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	v, err := NewVault(cluster.New(14, nil), Erasure{K: 10, N: 14}, WithGroup(group.Test()))
+	v, err := NewVault(cluster.New(14, nil), Erasure{K: 10, N: 14})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/obs"
 	"securearchive/internal/obs/trace"
 	"securearchive/internal/sig"
@@ -25,7 +24,7 @@ func tracedVault(t *testing.T, enc Encoding) (*Vault, *cluster.Cluster, *trace.T
 	tr.SetEnabled(true)
 	mem := &trace.Mem{}
 	tr.AddExporter(mem)
-	v, err := NewVault(c, enc, WithGroup(group.Test()), WithRegistry(reg), WithTracer(tr))
+	v, err := NewVault(c, enc, WithRegistry(reg), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

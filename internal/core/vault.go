@@ -216,10 +216,9 @@ var (
 // VaultOption configures NewVault.
 type VaultOption func(*Vault)
 
-// WithGroup overrides the commitment group. Production callers must not
-// pass it: the default (group.Default(), a 256-bit-order subgroup of a
-// 2048-bit field) is the only secure choice. It exists so tests and the
-// paper-figure tools can run the chain on group.Test().
+// WithGroup overrides the commitment group, group.Default(). It stays only
+// because the benchmark module's tests still pass it (ROADMAP item 1a
+// deletes those calls, then WithGroup).
 func WithGroup(g *group.Group) VaultOption {
 	return func(v *Vault) { v.Group = g }
 }

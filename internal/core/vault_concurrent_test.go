@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/sig"
 )
 
@@ -20,7 +19,7 @@ import (
 func TestVaultConcurrentPutGet(t *testing.T) {
 	c := cluster.New(8, nil)
 	v, err := NewVault(c, SecretSharing{T: 4, N: 8},
-		WithGroup(group.Test()), WithParallelism(2))
+		WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}

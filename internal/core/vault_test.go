@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/sig"
 	"securearchive/internal/tstamp"
 )
@@ -28,7 +27,7 @@ func overwrite(c *cluster.Cluster, node int, key cluster.ShardKey, data []byte) 
 func testVault(t *testing.T, enc Encoding) (*Vault, *cluster.Cluster) {
 	t.Helper()
 	c := cluster.New(8, nil)
-	v, err := NewVault(c, enc, WithGroup(group.Test()))
+	v, err := NewVault(c, enc)
 	if err != nil {
 		t.Fatal(err)
 	}

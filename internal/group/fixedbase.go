@@ -21,8 +21,8 @@ const (
 	combBlocks = 2
 	combCols   = 16
 
-	// combBits is the widest exponent a comb serves: all of Z_q on both
-	// built-in groups (256 and 255 bits), digest scalars (224) included.
+	// combBits is the widest exponent a comb serves: all of Z_q on the
+	// production group (256 bits), digest scalars (224) included.
 	combBits = combTeeth * combBlocks * combCols
 )
 

@@ -10,11 +10,9 @@
 // property LINCOS exploits to keep timestamped data confidential against
 // unbounded adversaries.
 //
-// Two instances are provided: Default (a 2048-bit p with a 256-bit q,
-// both derived verifiably from a seed; DESIGN.md "Commitment group") for
-// production, and Test (a deterministically generated 256-bit safe-prime
-// group) for fast unit tests. All arithmetic is math/big; this
-// repository is stdlib-only by design.
+// One instance is provided, Default: a 2048-bit p with a 256-bit q, both
+// derived verifiably from a seed (DESIGN.md "Commitment group"). All
+// arithmetic is math/big; this repository is stdlib-only by design.
 package group
 
 import (
@@ -41,7 +39,6 @@ type Group struct {
 var (
 	zero = new(big.Int)
 	one  = big.NewInt(1)
-	two  = big.NewInt(2)
 )
 
 // The production parameters, FIPS 186-4 A.1.1.2 in shape with SHA-256 and
@@ -70,8 +67,6 @@ const (
 var (
 	defaultOnce  sync.Once
 	defaultGroup *Group
-	testOnce     sync.Once
-	testGroup    *Group
 )
 
 // hashToInt expands tag to 256·blocks bits: SHA-256(tag ‖ j) for each
@@ -102,49 +97,9 @@ func Default() *Group {
 	return defaultGroup
 }
 
-// Test returns a small (256-bit) safe-prime group, p = 2q+1, generated
-// deterministically, for unit tests where 2048-bit arithmetic would
-// dominate runtime. Its parameters are far too small for real security.
-// The same instance is returned on every call.
-func Test() *Group {
-	testOnce.Do(func() {
-		// Deterministic search: find the first safe prime p = 2q+1 with q
-		// prime, scanning odd candidates from a fixed 256-bit start.
-		q := new(big.Int).Lsh(one, 254)
-		q.Add(q, big.NewInt(297)) // fixed offset; makes q odd
-		for {
-			if q.ProbablyPrime(32) {
-				p := new(big.Int).Lsh(q, 1)
-				p.Add(p, one)
-				if p.ProbablyPrime(32) {
-					testGroup = fromSafePrime(p)
-					return
-				}
-			}
-			q.Add(q, two)
-		}
-	})
-	return testGroup
-}
-
-// fromSafePrime builds a Group from a safe prime p, with g = 4 and h
-// hashed into the quadratic-residue subgroup.
-func fromSafePrime(p *big.Int) *Group {
-	q := new(big.Int).Sub(p, one)
-	q.Rsh(q, 1)
-	g := big.NewInt(4) // 2^2: a QR, so order divides q; q prime and g != 1 → order q
-	// Derive h with an unknown discrete log: hash a domain tag to bytes,
-	// reduce mod p, square to land in QR(p). Nothing-up-my-sleeve.
-	seed := sha256.Sum256([]byte("securearchive/group h-generator v1"))
-	hBase := new(big.Int).SetBytes(seed[:])
-	for {
-		h := new(big.Int).Exp(hBase, two, p)
-		if h.Cmp(one) != 0 && h.Cmp(g) != 0 {
-			return &Group{P: p, Q: q, G: g, H: h}
-		}
-		hBase.Add(hBase, one)
-	}
-}
+// Test returns Default. It stays only because the benchmark module's tests
+// still call it (ROADMAP item 1a deletes those calls, then Test).
+func Test() *Group { return Default() }
 
 // RandScalar returns a uniformly random element of Z_q read from rnd.
 func (gr *Group) RandScalar(rnd io.Reader) (*big.Int, error) {

@@ -12,22 +12,6 @@ import (
 	"testing"
 )
 
-func TestTestGroupParameters(t *testing.T) {
-	g := Test()
-	// p = 2q + 1
-	p2 := new(big.Int).Lsh(g.Q, 1)
-	p2.Add(p2, big.NewInt(1))
-	if p2.Cmp(g.P) != 0 {
-		t.Fatal("p != 2q+1")
-	}
-	if !g.P.ProbablyPrime(32) || !g.Q.ProbablyPrime(32) {
-		t.Fatal("p or q not prime")
-	}
-	if g.P.BitLen() != 256 {
-		t.Fatalf("test group has %d-bit p, want 256", g.P.BitLen())
-	}
-}
-
 // candidate is cand(label, c) of the defaultSeed comment in group.go.
 func candidate(label string, c uint32, blocks int) *big.Int {
 	var be [4]byte
@@ -113,16 +97,44 @@ const rfc3526Prime2048 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
 	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
 	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
 
-func safePrime2048(t testing.TB) *Group {
-	p, ok := new(big.Int).SetString(rfc3526Prime2048, 16)
+// safePrime256 is a 256-bit safe prime p = 2q+1 (the first above
+// 2^255 + 594), whose 255-bit q is one bit short of the comb: its group
+// covers the comb's edge from below.
+const safePrime256 = "800000000000000000000000000000000000000000000000000000000002FF7F"
+
+func safePrime2048(t testing.TB) *Group { return safePrimeGroup(t, rfc3526Prime2048) }
+
+// safePrimeGroup builds a fresh Group from the safe prime p in hex.
+func safePrimeGroup(t testing.TB, hexP string) *Group {
+	p, ok := new(big.Int).SetString(hexP, 16)
 	if !ok {
-		t.Fatal("bad RFC 3526 constant")
+		t.Fatal("bad safe-prime constant")
 	}
 	return fromSafePrime(p)
 }
 
+// fromSafePrime builds a Group from a safe prime p, with g = 4 and h
+// hashed into the quadratic-residue subgroup.
+func fromSafePrime(p *big.Int) *Group {
+	two := big.NewInt(2)
+	q := new(big.Int).Sub(p, one)
+	q.Rsh(q, 1)
+	g := big.NewInt(4) // 2^2: a QR, so order divides q; q prime and g != 1 → order q
+	// Derive h with an unknown discrete log: hash a domain tag to bytes,
+	// reduce mod p, square to land in QR(p). Nothing-up-my-sleeve.
+	seed := sha256.Sum256([]byte("securearchive/group h-generator v1"))
+	hBase := new(big.Int).SetBytes(seed[:])
+	for {
+		h := new(big.Int).Exp(hBase, two, p)
+		if h.Cmp(one) != 0 && h.Cmp(g) != 0 {
+			return &Group{P: p, Q: q, G: g, H: h}
+		}
+		hBase.Add(hBase, one)
+	}
+}
+
 func TestGeneratorsHaveOrderQ(t *testing.T) {
-	g := Test()
+	g := Default()
 	if !g.Contains(g.G) {
 		t.Fatal("G not in subgroup")
 	}
@@ -139,7 +151,7 @@ func TestGeneratorsHaveOrderQ(t *testing.T) {
 }
 
 func TestContainsRejects(t *testing.T) {
-	g := Test()
+	g := Default()
 	if g.Contains(big.NewInt(0)) {
 		t.Error("0 accepted")
 	}
@@ -160,7 +172,7 @@ func TestContainsRejects(t *testing.T) {
 }
 
 func TestRandScalarRange(t *testing.T) {
-	g := Test()
+	g := Default()
 	for i := 0; i < 100; i++ {
 		k, err := g.RandScalar(rand.Reader)
 		if err != nil {
@@ -173,7 +185,7 @@ func TestRandScalarRange(t *testing.T) {
 }
 
 func TestExpHomomorphism(t *testing.T) {
-	g := Test()
+	g := Default()
 	a, _ := g.RandScalar(rand.Reader)
 	b, _ := g.RandScalar(rand.Reader)
 	// g^a * g^b == g^(a+b mod q)
@@ -187,7 +199,7 @@ func TestExpHomomorphism(t *testing.T) {
 }
 
 func TestExpIdentity(t *testing.T) {
-	g := Test()
+	g := Default()
 	if g.ExpG(big.NewInt(0)).Cmp(big.NewInt(1)) != 0 {
 		t.Fatal("g^0 != 1")
 	}
@@ -200,10 +212,10 @@ func TestExpIdentity(t *testing.T) {
 }
 
 func TestReduceScalarEmbedsLosslessly(t *testing.T) {
-	g := Test()
+	g := Default()
 	cap := g.ScalarCapacity()
 	if cap < 16 {
-		t.Fatalf("test group capacity %d too small", cap)
+		t.Fatalf("capacity %d too small", cap)
 	}
 	msg := make([]byte, cap)
 	for i := range msg {
@@ -221,23 +233,8 @@ func TestReduceScalarEmbedsLosslessly(t *testing.T) {
 }
 
 func TestDeterministicInstances(t *testing.T) {
-	if Test() != Test() {
-		t.Fatal("Test() returned different instances")
-	}
 	if Default() != Default() {
 		t.Fatal("Default() returned different instances")
-	}
-	if Test().P.Cmp(Default().P) == 0 {
-		t.Fatal("test and default groups identical")
-	}
-}
-
-func BenchmarkExpTestGroup(b *testing.B) {
-	g := Test()
-	k, _ := g.RandScalar(rand.Reader)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ExpG(k)
 	}
 }
 
@@ -264,8 +261,9 @@ func checkFixed(t *testing.T, g *Group, e *big.Int) {
 	}
 }
 
-// TestFixedBaseMatchesGenericExp is the differential: on both built-in
-// groups, and on a safe-prime 2048-bit group whose q is wider than the
+// TestFixedBaseMatchesGenericExp is the differential: on the production
+// group (256-bit q), on the 256-bit safe-prime group (255-bit q), and on a
+// safe-prime 2048-bit group whose q is wider than the
 // comb (so its long exponents take the big.Int.Exp fallback and its short
 // ones the table), ExpG/ExpH return, bit for bit, what big.Int.Exp
 // returns — for seeded random scalars of every bit-length class (with the
@@ -276,7 +274,7 @@ func TestFixedBaseMatchesGenericExp(t *testing.T) {
 		name   string
 		g      *Group
 		random int
-	}{{"test", Test(), 200}, {"default", Default(), 200}, {"safeprime", safePrime2048(t), 40}} {
+	}{{"safeprime256", safePrimeGroup(t, safePrime256), 200}, {"default", Default(), 200}, {"safeprime", safePrime2048(t), 40}} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
 			rng := mrand.New(mrand.NewSource(20))
@@ -327,7 +325,7 @@ func edgeScalars(g *Group) []*big.Int {
 // scalars, and on the safe-prime group where one term walks the comb
 // while the other falls back.
 func TestExpGHMatchesGenericExp(t *testing.T) {
-	for _, g := range []*Group{Test(), Default(), safePrime2048(t)} {
+	for _, g := range []*Group{safePrimeGroup(t, safePrime256), Default(), safePrime2048(t)} {
 		rng := mrand.New(mrand.NewSource(22))
 		check := func(m, r *big.Int) {
 			t.Helper()
@@ -356,7 +354,7 @@ func TestExpGHMatchesGenericExp(t *testing.T) {
 // ExpH of a group no one has used yet (run under -race): all must get the
 // right element, and the table they share must be one table.
 func TestFixedBaseBuildsOncePerGroup(t *testing.T) {
-	g := fromSafePrime(Test().P)
+	g := safePrimeGroup(t, safePrime256)
 	e := new(big.Int).Sub(g.Q, big.NewInt(12345))
 	want := oracle(g, g.H, e)
 	var wg sync.WaitGroup

@@ -12,7 +12,7 @@ import (
 )
 
 func TestScalarCommitteeRoundTrip(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	secret := big.NewInt(918273645)
 	c, err := NewScalarCommittee(g, secret, 5, 3, rand.Reader)
 	if err != nil {
@@ -33,7 +33,7 @@ func TestScalarCommitteeRoundTrip(t *testing.T) {
 }
 
 func TestScalarRenewPreservesSecretAndVerifiability(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	secret := big.NewInt(777)
 	c, err := NewScalarCommittee(g, secret, 4, 2, rand.Reader)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestScalarRenewPreservesSecretAndVerifiability(t *testing.T) {
 }
 
 func TestScalarRenewChangesSharesAndCommitments(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	c, _ := NewScalarCommittee(g, big.NewInt(5), 3, 2, rand.Reader)
 	s0 := new(big.Int).Set(c.Shares[0].S)
 	c0 := new(big.Int).Set(c.Comms.C[0])
@@ -76,7 +76,7 @@ func TestScalarRenewChangesSharesAndCommitments(t *testing.T) {
 }
 
 func TestScalarStaleShareFailsVerification(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	c, _ := NewScalarCommittee(g, big.NewInt(31337), 4, 2, rand.Reader)
 	stolen := c.Shares[0] // adversary's pre-renewal copy
 	if err := c.Renew(rand.Reader); err != nil {
@@ -90,7 +90,7 @@ func TestScalarStaleShareFailsVerification(t *testing.T) {
 }
 
 func TestVerifyScalarDealingRejectsNonZero(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	c, _ := NewScalarCommittee(g, big.NewInt(1), 4, 2, rand.Reader)
 	dl, err := c.deal(0, rand.Reader)
 	if err != nil {
@@ -117,7 +117,7 @@ func TestVerifyScalarDealingRejectsNonZero(t *testing.T) {
 }
 
 func TestScalarReconstructIdentifiesCorruptHolder(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	c, _ := NewScalarCommittee(g, big.NewInt(12345), 4, 2, rand.Reader)
 	c.Shares[1].S = new(big.Int).Add(c.Shares[1].S, big.NewInt(1))
 	if _, err := reconstruct(c, 0, 1); !errors.Is(err, vss.ErrVerifyFailed) {
@@ -131,7 +131,7 @@ func TestScalarReconstructIdentifiesCorruptHolder(t *testing.T) {
 }
 
 func TestScalarCommitteeStats(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	c, _ := NewScalarCommittee(g, big.NewInt(7), 5, 3, rand.Reader)
 	if err := c.Renew(rand.Reader); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestScalarCommitteeStats(t *testing.T) {
 }
 
 func TestScalarRedistributeGrow(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	secret := big.NewInt(192837465)
 	c, err := NewScalarCommittee(g, secret, 5, 3, rand.Reader)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestScalarRedistributeGrow(t *testing.T) {
 }
 
 func TestScalarRedistributeShrink(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	secret := big.NewInt(555)
 	c, _ := NewScalarCommittee(g, secret, 6, 4, rand.Reader)
 	c2, err := c.Redistribute(3, 2, rand.Reader)
@@ -191,7 +191,7 @@ func TestScalarRedistributeShrink(t *testing.T) {
 }
 
 func TestScalarRedistributeInvalidatesOld(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	c, _ := NewScalarCommittee(g, big.NewInt(7), 4, 2, rand.Reader)
 	if _, err := c.Redistribute(4, 2, rand.Reader); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestScalarRedistributeInvalidatesOld(t *testing.T) {
 }
 
 func TestScalarRedistributeThenRenew(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	secret := big.NewInt(31415926)
 	c, _ := NewScalarCommittee(g, secret, 4, 2, rand.Reader)
 	c2, err := c.Redistribute(6, 3, rand.Reader)
@@ -226,7 +226,7 @@ func TestScalarRedistributeThenRenew(t *testing.T) {
 }
 
 func TestScalarRedistributeValidation(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	c, _ := NewScalarCommittee(g, big.NewInt(1), 4, 2, rand.Reader)
 	if _, err := c.Redistribute(2, 3, rand.Reader); !errors.Is(err, ErrInvalidParams) {
 		t.Fatalf("t>n: %v", err)
@@ -237,7 +237,7 @@ func TestScalarRedistributeValidation(t *testing.T) {
 // tampered with (so its sub-dealing no longer matches the committee's
 // public commitments) is caught by the external consistency check.
 func TestScalarRedistributeDetectsCheatingDealer(t *testing.T) {
-	g := group.Test()
+	g := group.Default()
 	c, _ := NewScalarCommittee(g, big.NewInt(99), 4, 2, rand.Reader)
 	c.Shares[0].S = new(big.Int).Add(c.Shares[0].S, big.NewInt(1))
 	if _, err := c.Redistribute(4, 2, rand.Reader); err == nil {
@@ -259,7 +259,7 @@ func reconstruct(c *ScalarCommittee, holders ...int) (*big.Int, error) {
 }
 
 func BenchmarkScalarRenew5of3(b *testing.B) {
-	g := group.Test()
+	g := group.Default()
 	c, _ := NewScalarCommittee(g, big.NewInt(99), 5, 3, rand.Reader)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 )
 
 // TestOneNodeDownWritesAreAllOrNothing takes one node of an 8-node
@@ -28,8 +27,8 @@ func TestOneNodeDownWritesAreAllOrNothing(t *testing.T) {
 	}{
 		{"ArchiveSafeLT", payload, func(c *cluster.Cluster) (Archive, error) { return NewArchiveSafeLT(c, nil, 4, 2) }},
 		{"AONT-RS", payload, func(c *cluster.Cluster) (Archive, error) { return NewAONTRS(c, 4, 6) }},
-		{"HasDPSS", key, func(c *cluster.Cluster) (Archive, error) { return NewHasDPSS(c, 6, 3, group.Test()) }},
-		{"LINCOS", payload, func(c *cluster.Cluster) (Archive, error) { return NewLINCOS(c, 6, 3, group.Test(), 1) }},
+		{"HasDPSS", key, func(c *cluster.Cluster) (Archive, error) { return NewHasDPSS(c, 6, 3) }},
+		{"LINCOS", payload, func(c *cluster.Cluster) (Archive, error) { return NewLINCOS(c, 6, 3, 1) }},
 		{"PASIS", payload, func(c *cluster.Cluster) (Archive, error) { return NewPASIS(c, PASISErasure, 6, 3) }},
 		{"POTSHARDS", payload, func(c *cluster.Cluster) (Archive, error) { return NewPOTSHARDS(c, 6, 3) }},
 		{"VSR", payload, func(c *cluster.Cluster) (Archive, error) { return NewVSRArchive(c, 6, 3) }},
@@ -84,7 +83,7 @@ func TestOneNodeDownWritesAreAllOrNothing(t *testing.T) {
 
 	t.Run("HasDPSS/resize/node6", func(t *testing.T) {
 		c := cluster.New(8, nil)
-		h, err := NewHasDPSS(c, 6, 3, group.Test())
+		h, err := NewHasDPSS(c, 6, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"securearchive/internal/adversary"
 	"securearchive/internal/cascade"
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 )
 
 // harvestAll corrupts every node over successive epochs with the given
@@ -246,7 +245,7 @@ func TestAONTSingleShardLeakUnderBreak(t *testing.T) {
 // system: scalar shares from different epochs cannot be combined.
 func TestHasDPSSRenewalDefeatsHarvest(t *testing.T) {
 	c := cluster.New(8, nil)
-	h, _ := NewHasDPSS(c, 6, 3, group.Test())
+	h, _ := NewHasDPSS(c, 6, 3)
 	key := []byte("a 28-byte master key secret!")
 	ref, err := h.Store("k", key, rand.Reader)
 	if err != nil {
@@ -265,7 +264,7 @@ func TestHasDPSSRenewalDefeatsHarvest(t *testing.T) {
 	}
 	// Sanity: without renewal the same sweep wins.
 	c2 := cluster.New(8, nil)
-	h2, _ := NewHasDPSS(c2, 6, 3, group.Test())
+	h2, _ := NewHasDPSS(c2, 6, 3)
 	ref2, _ := h2.Store("k", key, rand.Reader)
 	adv2 := adversary.NewMobile(1, 22)
 	for e := 0; e < 12; e++ {

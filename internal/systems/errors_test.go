@@ -9,7 +9,6 @@ import (
 
 	"securearchive/internal/adversary"
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 )
 
 func TestRetrieveUnknownRefs(t *testing.T) {
@@ -83,7 +82,7 @@ func TestVSRRenewWithNodeDownFails(t *testing.T) {
 func TestLINCOSIntegrityRejectsClusterTamper(t *testing.T) {
 	for _, tampered := range []int{3, 4} {
 		c := cluster.New(8, nil)
-		lin, err := NewLINCOS(c, 6, 3, group.Test(), 3)
+		lin, err := NewLINCOS(c, 6, 3, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +107,7 @@ func TestLINCOSIntegrityRejectsClusterTamper(t *testing.T) {
 // pad pools; the system must run further sessions rather than fail.
 func TestLINCOSPadReplenishment(t *testing.T) {
 	c := cluster.New(8, nil)
-	lin, err := NewLINCOS(c, 6, 3, group.Test(), 17)
+	lin, err := NewLINCOS(c, 6, 3, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestCloudAESRenewRotatesKey(t *testing.T) {
 
 func TestHasDPSSStaleShareRejectedAtRetrieve(t *testing.T) {
 	c := cluster.New(8, nil)
-	h, _ := NewHasDPSS(c, 6, 3, group.Test())
+	h, _ := NewHasDPSS(c, 6, 3)
 	key := []byte("a 28-byte master key secret!")
 	ref, _ := h.Store("k", key, rand.Reader)
 	// Keep node 0's pre-renewal shard and put it back afterwards: the

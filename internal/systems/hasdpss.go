@@ -62,16 +62,13 @@ func (b LedgerBlock) Hash() [sha256.Size]byte {
 	return out
 }
 
-// NewHasDPSS builds the system.
-func NewHasDPSS(c *cluster.Cluster, n, t int, grp *group.Group) (*HasDPSS, error) {
+// NewHasDPSS builds the system, its commitments in group.Default().
+func NewHasDPSS(c *cluster.Cluster, n, t int) (*HasDPSS, error) {
 	if err := checkSharing(c, n, t); err != nil {
 		return nil, err
 	}
-	if grp == nil {
-		grp = group.Default()
-	}
 	return &HasDPSS{
-		Cluster: c, N: n, T: t, Group: grp,
+		Cluster: c, N: n, T: t, Group: group.Default(),
 		committees: make(map[string]*pss.ScalarCommittee),
 		secretLen:  make(map[string]int),
 	}, nil
@@ -124,8 +121,9 @@ func (s *HasDPSS) Store(object string, data []byte, rnd io.Reader) (*Ref, error)
 // putCommittee writes cm's shares as one stripe, share i to node i.
 func (s *HasDPSS) putCommittee(object string, cm *pss.ScalarCommittee) error {
 	shards := make([][]byte, len(cm.Shares))
+	width := (s.Group.Q.BitLen() + 7) / 8
 	for i, sh := range cm.Shares {
-		shards[i] = encodeScalarShare(sh.S, sh.Blind)
+		shards[i] = encodeScalarShare(sh.S, sh.Blind, width)
 	}
 	return putShards(s.Cluster, object, shards)
 }
@@ -140,15 +138,16 @@ func cloneCommittee(cm *pss.ScalarCommittee) *pss.ScalarCommittee {
 	return &next
 }
 
-// encodeScalarShare serialises (S, Blind) with length framing.
-func encodeScalarShare(sc, blind *big.Int) []byte {
-	sb := sc.Bytes()
-	bb := blind.Bytes()
-	out := make([]byte, 0, 4+len(sb)+len(bb))
-	out = append(out, byte(len(sb)>>8), byte(len(sb)))
-	out = append(out, sb...)
-	out = append(out, byte(len(bb)>>8), byte(len(bb)))
-	out = append(out, bb...)
+// encodeScalarShare serialises (S, Blind) with length framing, each at
+// width bytes (q's byte length), so a share's size, and with it Table 1's
+// measured cost, does not depend on its value.
+func encodeScalarShare(sc, blind *big.Int, width int) []byte {
+	out := make([]byte, 2*(2+width))
+	for i, x := range []*big.Int{sc, blind} {
+		f := out[i*(2+width) : (i+1)*(2+width)]
+		f[0], f[1] = byte(width>>8), byte(width)
+		x.FillBytes(f[2:])
+	}
 	return out
 }
 

@@ -9,7 +9,6 @@ import (
 	"securearchive/internal/adversary"
 	"securearchive/internal/cluster"
 	"securearchive/internal/core"
-	"securearchive/internal/group"
 	"securearchive/internal/otp"
 	"securearchive/internal/qkd"
 	"securearchive/internal/sec"
@@ -48,16 +47,12 @@ type LINCOS struct {
 const padBudget = 1 << 20
 
 // NewLINCOS builds the system, running one simulated QKD session per node
-// link to establish transit pads. Its chains commit in grp
-// (group.Default() when nil).
-func NewLINCOS(c *cluster.Cluster, n, t int, grp *group.Group, seed int64) (*LINCOS, error) {
+// link to establish transit pads.
+func NewLINCOS(c *cluster.Cluster, n, t int, seed int64) (*LINCOS, error) {
 	if err := checkSharing(c, n, t); err != nil {
 		return nil, err
 	}
-	if grp == nil {
-		grp = group.Default()
-	}
-	v, err := newVaulted(c, core.SecretSharing{T: t, N: n}, core.WithGroup(grp))
+	v, err := newVaulted(c, core.SecretSharing{T: t, N: n})
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 )
 
 func TestVSRRepairRebuildsLostProvider(t *testing.T) {
@@ -126,7 +125,7 @@ func TestPOTSHARDSRobustRetrieve(t *testing.T) {
 
 func TestHasDPSSResize(t *testing.T) {
 	c := cluster.New(8, nil)
-	h, _ := NewHasDPSS(c, 4, 2, group.Test())
+	h, _ := NewHasDPSS(c, 4, 2)
 	key := []byte("a 28-byte master key secret!")
 	ref, err := h.Store("k", key, rand.Reader)
 	if err != nil {
@@ -167,7 +166,7 @@ func TestHasDPSSResize(t *testing.T) {
 
 func TestHasDPSSResizeThenRenew(t *testing.T) {
 	c := cluster.New(8, nil)
-	h, _ := NewHasDPSS(c, 4, 2, group.Test())
+	h, _ := NewHasDPSS(c, 4, 2)
 	key := []byte("key material for rotation...")
 	ref, _ := h.Store("k", key, rand.Reader)
 	if err := h.Resize(ref, 6, 3, rand.Reader); err != nil {
@@ -184,7 +183,7 @@ func TestHasDPSSResizeThenRenew(t *testing.T) {
 
 func TestHasDPSSResizeTooManyNodes(t *testing.T) {
 	c := cluster.New(4, nil)
-	h, _ := NewHasDPSS(c, 4, 2, group.Test())
+	h, _ := NewHasDPSS(c, 4, 2)
 	ref, _ := h.Store("k", []byte("kkkk"), rand.Reader)
 	if err := h.Resize(ref, 9, 4, rand.Reader); err == nil {
 		t.Fatal("resize beyond cluster accepted")

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 )
 
 // rot flips one byte of the live shard at key on its node. It writes a
@@ -40,8 +39,8 @@ func TestOneRottedShardNeverReadsWrong(t *testing.T) {
 	cases := []rotCase{
 		{"ArchiveSafeLT", obj, func(c *cluster.Cluster) (Archive, error) { return NewArchiveSafeLT(c, nil, 4, 2) }},
 		{"AONT-RS", obj, func(c *cluster.Cluster) (Archive, error) { return NewAONTRS(c, 4, 6) }},
-		{"HasDPSS", key, func(c *cluster.Cluster) (Archive, error) { return NewHasDPSS(c, 6, 3, group.Test()) }},
-		{"LINCOS", obj, func(c *cluster.Cluster) (Archive, error) { return NewLINCOS(c, 6, 3, group.Test(), 1) }},
+		{"HasDPSS", key, func(c *cluster.Cluster) (Archive, error) { return NewHasDPSS(c, 6, 3) }},
+		{"LINCOS", obj, func(c *cluster.Cluster) (Archive, error) { return NewLINCOS(c, 6, 3, 1) }},
 		{"POTSHARDS", obj, func(c *cluster.Cluster) (Archive, error) { return NewPOTSHARDS(c, 6, 3) }},
 		{"VSR", obj, func(c *cluster.Cluster) (Archive, error) { return NewVSRArchive(c, 6, 3) }},
 		{"CloudAES", obj, func(c *cluster.Cluster) (Archive, error) { return NewCloudAES(c, 4, 2) }},

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/sec"
 )
 
@@ -53,7 +52,7 @@ func allSystems(t *testing.T) (map[string]Archive, *cluster.Cluster) {
 	}
 	out["vsr"] = vsr
 
-	lin, err := NewLINCOS(c, 6, 3, group.Test(), 1)
+	lin, err := NewLINCOS(c, 6, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +64,7 @@ func allSystems(t *testing.T) (map[string]Archive, *cluster.Cluster) {
 	}
 	out["pasis"] = pas
 
-	has, err := NewHasDPSS(c, 6, 3, group.Test())
+	has, err := NewHasDPSS(c, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestVSRVerifiedRetrievalSkipsCorruptProvider(t *testing.T) {
 
 func TestHasDPSSLedger(t *testing.T) {
 	c := cluster.New(8, nil)
-	h, _ := NewHasDPSS(c, 6, 3, group.Test())
+	h, _ := NewHasDPSS(c, 6, 3)
 	ref, err := h.Store("k1", []byte("key material"), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -279,18 +278,18 @@ func TestHasDPSSLedger(t *testing.T) {
 
 func TestHasDPSSRejectsBulkData(t *testing.T) {
 	c := cluster.New(8, nil)
-	h, _ := NewHasDPSS(c, 6, 3, group.Test())
+	h, _ := NewHasDPSS(c, 6, 3)
 	if _, err := h.Store("big", make([]byte, 1000), rand.Reader); err == nil {
 		t.Fatal("bulk data accepted by key-management system")
 	}
 }
 
-// TestHasDPSSDefaultGroupCapacity pins what a nil group means for secret
-// size: the production group's q is 256 bits, so a key of up to 31 bytes
+// TestHasDPSSDefaultGroupCapacity pins the secret size the commitment
+// group allows: the production group's q is 256 bits, so a key of up to 31 bytes
 // round-trips and a 32-byte one is refused with the capacity named.
 func TestHasDPSSDefaultGroupCapacity(t *testing.T) {
 	c := cluster.New(8, nil)
-	h, err := NewHasDPSS(c, 6, 3, nil)
+	h, err := NewHasDPSS(c, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +309,7 @@ func TestHasDPSSDefaultGroupCapacity(t *testing.T) {
 
 func TestLINCOSIntegrityChain(t *testing.T) {
 	c := cluster.New(8, nil)
-	lin, err := NewLINCOS(c, 6, 3, group.Test(), 5)
+	lin, err := NewLINCOS(c, 6, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,16 +39,12 @@ func Table1(cfg Table1Config, rnd io.Reader) ([]Table1Row, error) {
 		rnd = rand.Reader
 	}
 	c := cluster.New(cfg.Nodes, nil)
-	// HasDPSS and LINCOS commit on the test group so the table
-	// regenerates unchanged; the four vault-backed rows commit on the
-	// vault's default, the production group.
-	grp := group.Test()
 
 	data := make([]byte, cfg.ObjectLen)
 	if _, err := io.ReadFull(rnd, data); err != nil {
 		return nil, err
 	}
-	keyData := make([]byte, grp.ScalarCapacity())
+	keyData := make([]byte, group.Default().ScalarCapacity())
 	if _, err := io.ReadFull(rnd, keyData); err != nil {
 		return nil, err
 	}
@@ -67,11 +63,11 @@ func Table1(cfg Table1Config, rnd io.Reader) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		has, err := NewHasDPSS(c, 6, 3, grp)
+		has, err := NewHasDPSS(c, 6, 3)
 		if err != nil {
 			return nil, err
 		}
-		lin, err := NewLINCOS(c, 6, 3, grp, 7)
+		lin, err := NewLINCOS(c, 6, 3, 7)
 		if err != nil {
 			return nil, err
 		}

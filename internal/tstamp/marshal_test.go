@@ -91,7 +91,10 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 // round trip and a renewal by the party that holds only the public part;
 // hash-mode evidence carries none.
 func TestMarshalNamesCommitmentGroup(t *testing.T) {
-	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	// A group that is not the production one: its generators swapped.
+	d := group.Default()
+	other := &group.Group{P: d.P, Q: d.Q, G: d.H, H: d.G}
+	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, other, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +106,8 @@ func TestMarshalNamesCommitmentGroup(t *testing.T) {
 	if err := json.Unmarshal(blob, &w); err != nil {
 		t.Fatal(err)
 	}
-	if w.Version != 2 || w.Group != group.Test().ID() || len(w.Group) != 32 {
-		t.Fatalf("marshalled version %d group %q, want 2 and %q", w.Version, w.Group, group.Test().ID())
+	if w.Version != 2 || w.Group != other.ID() || len(w.Group) != 32 {
+		t.Fatalf("marshalled version %d group %q, want 2 and %q", w.Version, w.Group, other.ID())
 	}
 	rt, err := Unmarshal(blob)
 	if err != nil {
@@ -112,7 +115,7 @@ func TestMarshalNamesCommitmentGroup(t *testing.T) {
 	}
 	// The mismatch a verifier must be able to see: evidence committed on
 	// one group is not evidence on the production group.
-	if rt.GroupID() != group.Test().ID() || rt.GroupID() == group.Default().ID() {
+	if rt.GroupID() != other.ID() || rt.GroupID() == d.ID() {
 		t.Fatalf("unmarshalled chain names group %q", rt.GroupID())
 	}
 	if err := rt.Renew(sig.ECDSAP256, 5, rand.Reader); err != nil {
@@ -122,7 +125,7 @@ func TestMarshalNamesCommitmentGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt2, err := Unmarshal(blob2); err != nil || rt2.GroupID() != group.Test().ID() || rt2.Len() != 2 {
+	if rt2, err := Unmarshal(blob2); err != nil || rt2.GroupID() != other.ID() || rt2.Len() != 2 {
 		t.Fatalf("group lost across renew and re-marshal: %v", err)
 	}
 
@@ -140,7 +143,7 @@ func TestMarshalNamesCommitmentGroup(t *testing.T) {
 // before the group field (version 1, no field) still unmarshals, and its
 // public part verifies and renews as before; it names no group.
 func TestUnmarshalVersion1(t *testing.T) {
-	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Default(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func runMemoSequence(t *testing.T, grp *group.Group, seed int64, steps int) {
 // digest bytes — and never to accept what the pre-memo check rejected.
 func TestMemoDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 240; seed++ {
-		runMemoSequence(t, group.Test(), seed, 24)
+		runMemoSequence(t, group.Default(), seed, 24)
 	}
 	// The production group, fewer and shorter (every reference check is
 	// a 2048-bit exponentiation).
@@ -197,7 +197,7 @@ func TestMemoDifferential(t *testing.T) {
 // differential run covers statistically.
 func TestMemoTamperFallsThrough(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(7))
-	grp := group.Test()
+	grp := group.Default()
 	t.Run("tail bytes are checked", func(t *testing.T) {
 		c, m := newMemoChain(t, grp, rng)
 		d := m.orig
@@ -288,7 +288,7 @@ func TestMemoTamperFallsThrough(t *testing.T) {
 // rebuilt from its public portion can Verify and Renew, and in
 // commitment mode refuses every data check with "opening not held".
 func TestUnmarshalledChainHoldsNoOpening(t *testing.T) {
-	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Default(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,8 +105,8 @@ const linkStack = 1024
 
 // committedBytes is how much of the object's SHA-256 digest commitment
 // mode embeds as the Pedersen scalar: 224 bits keeps it below the
-// subgroup order q of every supported group (group.Test() has a 255-bit
-// q), so m mod q loses nothing. Digest bytes 28..31 are covered by the
+// subgroup order q (256 bits in group.Default()), so m mod q loses
+// nothing. Digest bytes 28..31 are covered by the
 // opening memo, not by the commitment.
 const committedBytes = 28
 

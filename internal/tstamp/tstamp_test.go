@@ -150,7 +150,7 @@ func TestEpochMonotonicity(t *testing.T) {
 }
 
 func TestCommitmentModeHidesAndVerifies(t *testing.T) {
-	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c, err := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Default(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ func TestCommitmentModeHidesAndVerifies(t *testing.T) {
 }
 
 func TestCommitmentChainsAreUnlinkable(t *testing.T) {
-	c1, _ := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
-	c2, _ := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
+	c1, _ := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Default(), rand.Reader)
+	c2, _ := NewFromDigest(sha256.Sum256(doc), RefCommitment, sig.Ed25519, 0, group.Default(), rand.Reader)
 	if string(c1.Links[0].Ref) == string(c2.Links[0].Ref) {
 		t.Fatal("two commitments to the same document are equal: not hiding")
 	}

@@ -37,7 +37,7 @@ func newUpgraded(t testing.TB, grp *group.Group) (*Chain, [sha256.Size]byte) {
 // digest and nothing else, re-opens, renews, and marshals without the
 // prior. The prior is left as it was.
 func TestUpgradeCommitsToThePrior(t *testing.T) {
-	c, digest := newUpgraded(t, group.Test())
+	c, digest := newUpgraded(t, group.Default())
 	old := c.Prior
 	if c.Mode != RefCommitment || c.Len() != 1 || c.Links[0].Mode != RefCommitment || old == nil || old.Len() != 2 {
 		t.Fatalf("mode %d, %d links, prior %v", c.Mode, c.Len(), old != nil)
@@ -87,14 +87,14 @@ func TestUpgradeCommitsToThePrior(t *testing.T) {
 func TestUpgradeRefusals(t *testing.T) {
 	digest := sha256.Sum256(doc)
 	h, _ := NewFromDigest(digest, RefHash, sig.Ed25519, 4, nil, rand.Reader)
-	if _, err := h.Upgrade(sha256.Sum256([]byte("other")), 5, group.Test(), rand.Reader); !errors.Is(err, ErrOpeningFailed) {
+	if _, err := h.Upgrade(sha256.Sum256([]byte("other")), 5, group.Default(), rand.Reader); !errors.Is(err, ErrOpeningFailed) {
 		t.Fatalf("upgrade over another digest: %v", err)
 	}
-	if _, err := h.Upgrade(digest, 3, group.Test(), rand.Reader); !errors.Is(err, ErrEpochOrder) {
+	if _, err := h.Upgrade(digest, 3, group.Default(), rand.Reader); !errors.Is(err, ErrEpochOrder) {
 		t.Fatalf("upgrade before the prior head: %v", err)
 	}
-	c, _ := NewFromDigest(digest, RefCommitment, sig.Ed25519, 0, group.Test(), rand.Reader)
-	if _, err := c.Upgrade(digest, 5, group.Test(), rand.Reader); err == nil {
+	c, _ := NewFromDigest(digest, RefCommitment, sig.Ed25519, 0, group.Default(), rand.Reader)
+	if _, err := c.Upgrade(digest, 5, group.Default(), rand.Reader); err == nil {
 		t.Fatal("upgrade of a commitment chain")
 	}
 }
@@ -104,7 +104,7 @@ func TestUpgradeRefusals(t *testing.T) {
 // takes the full path, which recomputes the scalar from the digest and
 // the prior head and fails. Restoring the value passes again.
 func TestUpgradeTamperFallsThrough(t *testing.T) {
-	c, digest := newUpgraded(t, group.Test())
+	c, digest := newUpgraded(t, group.Default())
 	head := c.Prior.Links[len(c.Prior.Links)-1]
 	for _, tc := range []struct {
 		name   string
@@ -165,7 +165,7 @@ func TestUpgradeTamperFallsThrough(t *testing.T) {
 // upgrade link was signed — a break after it does no damage, a break
 // before it does.
 func TestUpgradeHorizon(t *testing.T) {
-	c, _ := newUpgraded(t, group.Test()) // Ed25519 at 0, ECDSA at 3, upgrade at 5
+	c, _ := newUpgraded(t, group.Default()) // Ed25519 at 0, ECDSA at 3, upgrade at 5
 	if err := c.Verify(20, sig.BreakSchedule{sig.Ed25519: 4, sig.ECDSAP256: 6}); !errors.Is(err, ErrLateRenewal) {
 		t.Fatalf("ECDSA broke at 6, after the upgrade, but its own link is the head at 20: %v", err)
 	}

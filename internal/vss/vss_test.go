@@ -9,7 +9,7 @@ import (
 	"securearchive/internal/group"
 )
 
-func tg() *group.Group { return group.Test() }
+func tg() *group.Group { return group.Default() }
 
 func TestPedersenRoundTrip(t *testing.T) {
 	g := tg()

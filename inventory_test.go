@@ -59,9 +59,11 @@ var exportedAllowlist = map[string]string{
 	"cluster.Cluster.TotalBytesMoved": "bench",
 	"cluster.Cluster.UseRegistry":     "bench",
 	"core.Vault.StreamPeakBuffered":   "bench",
+	"core.WithGroup":                  "bench",
 	"core.WithParallelism":            "bench",
 	"core.WithRegistry":               "bench",
 	"core.WithTracer":                 "bench",
+	"group.Test":                      "bench",
 	"store/diskstore.Store.Recovery":  "bench",
 	"tstamp.Chain.VerifyData":         "bench",
 

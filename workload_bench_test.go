@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"securearchive/internal/cluster"
-	"securearchive/internal/group"
 	"securearchive/internal/systems"
 	"securearchive/internal/workload"
 )
@@ -122,7 +121,7 @@ func BenchmarkIngestMixHasDPSSKeys(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c := cluster.New(8, nil)
-		sys, err := systems.NewHasDPSS(c, 6, 3, group.Test())
+		sys, err := systems.NewHasDPSS(c, 6, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
