@@ -17,7 +17,11 @@
 // Fsync policy (store.Config.Fsync): "commit" (default) fsyncs the
 // segments a commit-point record (commit, put, delete) references, in
 // parallel, before the record is appended, and then the WAL — one
-// ordered pair of fsync steps per durable decision; "never" skips
+// ordered pair of fsync steps per durable decision. Each step first
+// starts writeback of every file it is about to fsync, from the file's
+// synced watermark (sync_file_range on linux/amd64 and arm64, nothing
+// elsewhere), so the parallel fsyncs wait on writes already in flight;
+// the hint makes nothing durable and raises no watermark. "never" skips
 // fsync entirely (still recovers from process kill, not from power
 // loss). Stage and abort records are never individually fsynced: a
 // lost stage is exactly an aborted one. A file

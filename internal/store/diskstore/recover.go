@@ -161,8 +161,13 @@ func (s *Store) applyRecord(payload []byte) {
 }
 
 // validRef cross-checks a replayed reference against the segment bytes
-// it claims to describe.
+// it claims to describe. A segment number the node never allocated (0,
+// or at or above next, which scanSegments put past every segment file)
+// is refused before anything is opened: seg would create the file.
 func (nd *diskNode) validRef(rec walShardRecord) bool {
+	if rec.ref.seg == 0 || rec.ref.seg >= nd.next {
+		return false
+	}
 	af, err := nd.seg(rec.ref.seg)
 	if err != nil {
 		return false

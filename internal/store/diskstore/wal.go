@@ -86,6 +86,11 @@ func (a *appendFile) append(b []byte) (int64, error) {
 // that tests can hold or fail an fsync; nothing else assigns it.
 var syncFile = (*os.File).Sync
 
+// startWriteback is every writeback hint the store issues
+// (syncParallel). It is a variable only so that tests can record the
+// hints; nothing else assigns it.
+var startWriteback = writeback
+
 // readFile is every shard-body read the store issues (readBody). It is
 // a variable only so that tests can hold a read; nothing else assigns
 // it.
@@ -103,16 +108,17 @@ func (a *appendFile) sync() error {
 	return nil
 }
 
-// syncTarget is a file to fsync and the size it had when the target was
-// taken: the prefix the fsync is sure to cover, whatever is appended
-// while it runs.
+// syncTarget is a file to fsync, its synced watermark when the target
+// was taken (where its writeback starts) and its size then: the prefix
+// the fsync is sure to cover, whatever is appended while it runs.
 type syncTarget struct {
-	af   *appendFile
-	size int64
+	af         *appendFile
+	from, size int64
 }
 
-// addTarget lists af at its current size unless it has nothing unsynced
-// or is listed already.
+// addTarget lists af at its current watermark and size unless it has
+// nothing unsynced or is listed already. Caller holds s.mu, which guards
+// both.
 func addTarget(ts []syncTarget, af *appendFile) []syncTarget {
 	if af.synced >= af.size {
 		return ts
@@ -122,13 +128,21 @@ func addTarget(ts []syncTarget, af *appendFile) []syncTarget {
 			return ts
 		}
 	}
-	return append(ts, syncTarget{af, af.size})
+	return append(ts, syncTarget{af, af.synced, af.size})
 }
 
-// syncParallel fsyncs every target's file, one goroutine per file, and
-// returns once all have finished. It touches no watermark, so it may
-// run without the lock that guards them.
+// syncParallel starts writeback of every target's unsynced range, one
+// file after another on the caller's goroutine, then fsyncs every
+// target's file, one goroutine per file, and returns once all have
+// finished. The writeback pass puts all the files' pages in flight
+// before the first fsync blocks, so the fsyncs wait on writes already
+// under way instead of each starting its own. Only the fsyncs make
+// anything durable. It touches no watermark (a target carries the one
+// it needs), so it may run without the lock that guards them.
 func syncParallel(ts []syncTarget) error {
+	for _, t := range ts {
+		startWriteback(t.af.f, t.from)
+	}
 	if len(ts) == 1 {
 		return syncFile(ts[0].af.f)
 	}

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # One command for everything a change to this repository must keep green:
 # the tier-1 gate (which includes TestExportedInventory: every exported
-# name under internal/ has a reader), gofmt, vet (and an offline arm64
-# cross-vet of the packages
-# with per-platform kernel files), one run of papereval (the paper's
-# figures and tables), the race detector on the packages with
-# shared state on the read/write path, a one-iteration smoke of the layer
-# and experiment benchmarks, and the nested bench/ module — which
+# name under internal/ has a reader), gofmt, vet (and offline arm64,
+# darwin and 386 cross-vets of the packages with per-platform files),
+# one run of papereval (the paper's figures and tables), the race
+# detector on the packages with shared state on the read/write path, a
+# one-iteration smoke of the layer and experiment benchmarks, and the
+# nested bench/ module — which
 # tier-1 does not build, so without this nothing notices when a change
 # under internal/ breaks the benchmark.
 set -euo pipefail
@@ -72,11 +72,16 @@ EXAMPLES
 # The AVX2 kernels are amd64-only; this keeps the stub every other
 # platform builds (internal/gf256/kernels_other.go) from rotting.
 GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
+# The store's writeback hint is a syscall on linux/amd64 and arm64 only;
+# these keep the no-op every other platform builds
+# (internal/store/diskstore/writeback_other.go) from rotting.
+GOOS=darwin go vet ./internal/store/diskstore
+GOARCH=386 go vet ./internal/store/diskstore
 go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore ./internal/store/memstore ./internal/obs/... ./internal/cluster ./internal/systems
-# The store's held-fsync, crash-with-bystander and lock-free-read tests,
-# repeated on one core, where an interleaving that only a second CPU
-# hides would show.
-GOMAXPROCS=1 go test -count=20 -run 'HeldCommitFsync|CommitPointsStaySerial|CloseDuringHeldCommitFsync|StageRefusedWhileItsTokenCommits|RacingStageOpsAgreeWithReplay|FailedFsyncPoisonsTheStore|CrashWithBystanderInFlight|GetRacesCloseCorruptAndRollover' ./internal/store/diskstore
+# The store's held-fsync, crash-with-bystander, writeback-order and
+# lock-free-read tests, repeated on one core, where an interleaving that
+# only a second CPU hides would show.
+GOMAXPROCS=1 go test -count=20 -run 'HeldCommitFsync|CommitPointsStaySerial|CloseDuringHeldCommitFsync|StageRefusedWhileItsTokenCommits|RacingStageOpsAgreeWithReplay|FailedFsyncPoisonsTheStore|CrashWithBystanderInFlight|WritebackPrecedesEveryFsync|GetRacesCloseCorruptAndRollover' ./internal/store/diskstore
 # The stripe read's walk and hedge, repeated on one core: an unfaulted
 # read makes exactly want Gets one at a time, a stalled probe fans out
 # to want+2, a transient node inside the walk still yields want, and a
