@@ -17,18 +17,21 @@
 // Fsync policy (store.Config.Fsync): "commit" (default) fsyncs the
 // segments a commit-point record (commit, put, delete) references, in
 // parallel, before the record is appended, and then the WAL — one
-// ordered pair of fsync steps per durable decision. Each step first
-// starts writeback of every file it is about to fsync, from the file's
-// synced watermark (sync_file_range on linux/amd64 and arm64, nothing
-// elsewhere), so the parallel fsyncs wait on writes already in flight;
-// the hint makes nothing durable and raises no watermark. "never" skips
-// fsync entirely (still recovers from process kill, not from power
-// loss). Stage and abort records are never individually fsynced: a
-// lost stage is exactly an aborted one. A file
-// needs an fsync while its synced watermark is below its size, so one
-// fsync covers every stage appended before it, whoever staged them.
-// A failed fsync kills the store: the kernel may already have dropped
-// the pages it could not write, so no later fsync could vouch for them.
+// ordered pair of fsync steps per durable decision. Each file a step
+// fsyncs has its writeback started once beforehand, from its synced
+// watermark (sync_file_range on linux/amd64 and arm64, nothing
+// elsewhere), so the fsyncs wait on writes already in flight. A
+// CommitStage starts its segments' writeback before it queues for
+// commitMu, so they are on their way to disk while an earlier commit
+// point's fsyncs run; Put and the WAL step start theirs just before
+// their fsyncs. The hint makes nothing durable and raises no watermark.
+// "never" skips fsync entirely (still recovers from process kill, not
+// from power loss). Stage and abort records are never individually
+// fsynced: a lost stage is exactly an aborted one. A file needs an fsync
+// while its synced watermark is below its size, so one fsync covers
+// every stage appended before it, whoever staged them. A failed fsync
+// kills the store: the kernel may already have dropped the pages it
+// could not write, so no later fsync could vouch for them.
 //
 // Locking: commitMu serialises the commit points (CommitStage, Put,
 // Delete) and Close; mu guards the maps, sizes, watermarks and appends,
@@ -322,15 +325,19 @@ func (nd *diskNode) appendShard(key store.ShardKey, data []byte, epoch int) (sha
 }
 
 // syncUnlocked fsyncs the targets in parallel with s.mu released, then
-// raises each file's watermark to the size the target captured. Caller
-// holds s.mu; it is held again on return, and the store may have died
-// meanwhile. A failed fsync poisons the store. Under FsyncNever it does
-// nothing.
-func (s *Store) syncUnlocked(ts []syncTarget) error {
+// raises each file's watermark to the size the target captured. Unless
+// the caller hinted them already, it first starts their writeback
+// (startWritebacks). Caller holds s.mu; it is held again on return, and
+// the store may have died meanwhile. A failed fsync poisons the store.
+// Under FsyncNever it does nothing.
+func (s *Store) syncUnlocked(ts []syncTarget, hinted bool) error {
 	if s.fsync == FsyncNever || len(ts) == 0 {
 		return nil
 	}
 	s.mu.Unlock()
+	if !hinted {
+		startWritebacks(ts)
+	}
 	err := syncParallel(ts)
 	s.mu.Lock()
 	if err != nil {
@@ -370,7 +377,7 @@ func (s *Store) commitPoint(rec []byte) error {
 	if s.crash == CrashAfterWALSync {
 		return s.dieAfterWALSync()
 	}
-	return s.syncUnlocked(addTarget(nil, s.wal))
+	return s.syncUnlocked(addTarget(nil, s.wal), false)
 }
 
 // Nodes returns the node count.
@@ -389,14 +396,17 @@ func (s *Store) Recovery() RecoveryReport {
 // CommitStage promotes every shard staged under the token across all
 // nodes: the segments holding them are fsynced in parallel, then one
 // commit record carrying the epoch is appended and fsynced — the commit
-// point — and only then does the in-memory index flip. Stages under the
-// token are refused while it runs. The record covers exactly the shards
-// still staged with the collected reference when it is appended (an
+// point — and only then does the in-memory index flip. Before it queues
+// for commitMu it starts those segments' writeback (hintStaged), and the
+// fsyncs inside do not hint them again. Stages under the token are
+// refused while it runs. The record covers exactly the shards still
+// staged with the collected reference when it is appended (an
 // AbortStage, or a Stage of the key under another token, may have
 // dropped some during the segment fsyncs), which is what replay promotes
 // for it too. An error means the stripe did not commit (after
 // ErrCrashed, Open decides from what the log retained).
 func (s *Store) CommitStage(stage string, epoch int) (int, error) {
+	s.hintStaged(stage)
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.mu.Lock()
@@ -409,23 +419,18 @@ func (s *Store) CommitStage(stage string, epoch int) (int, error) {
 		key store.ShardKey
 		ref shardRef
 	}
-	var flips []flip
-	var segs []syncTarget
-	for _, nd := range s.nodes {
-		for key, st := range nd.staged {
-			if st.stage != stage {
-				continue
-			}
-			flips = append(flips, flip{nd, key, st.ref})
-			segs = addTarget(segs, nd.segs[st.ref.seg])
-		}
-	}
+	flips := make([]flip, 0, len(s.nodes))
+	segs := make([]syncTarget, 0, len(s.nodes))
+	s.eachStaged(stage, func(nd *diskNode, key store.ShardKey, ref shardRef) {
+		flips = append(flips, flip{nd, key, ref})
+		segs = addTarget(segs, nd.segs[ref.seg])
+	})
 	if len(flips) == 0 {
 		return 0, nil
 	}
 	s.committing, s.inCommit = stage, true
 	defer func() { s.inCommit = false }()
-	if err := s.syncUnlocked(segs); err != nil {
+	if err := s.syncUnlocked(segs, true); err != nil {
 		return 0, err
 	}
 	kept := flips[:0]
@@ -456,6 +461,40 @@ func (s *Store) CommitStage(stage string, epoch int) (int, error) {
 	return len(kept), nil
 }
 
+// hintStaged starts writeback of the segments holding the token's staged
+// shards, each from its synced watermark, with no lock held: a commit
+// that queues behind another commit point's fsyncs has its bodies on
+// their way to disk meanwhile. Only the fsyncs under commitMu make them
+// durable. A Close racing it leaves the hints on closed files, where
+// they do nothing. Under FsyncNever it does nothing.
+func (s *Store) hintStaged(stage string) {
+	if s.fsync == FsyncNever {
+		return
+	}
+	s.mu.Lock()
+	var segs []syncTarget
+	if s.dead == nil {
+		segs = make([]syncTarget, 0, len(s.nodes))
+		s.eachStaged(stage, func(nd *diskNode, _ store.ShardKey, ref shardRef) {
+			segs = addTarget(segs, nd.segs[ref.seg])
+		})
+	}
+	s.mu.Unlock()
+	startWritebacks(segs)
+}
+
+// eachStaged calls fn for every shard staged under the token, on every
+// node; fn may delete the shard it is given. Caller holds s.mu.
+func (s *Store) eachStaged(stage string, fn func(nd *diskNode, key store.ShardKey, ref shardRef)) {
+	for _, nd := range s.nodes {
+		for key, st := range nd.staged {
+			if st.stage == stage {
+				fn(nd, key, st.ref)
+			}
+		}
+	}
+}
+
 // AbortStage drops every shard staged under the token. The abort record
 // is appended but never individually fsynced: a lost abort and a lost
 // stage recover identically (the stage is discarded).
@@ -466,15 +505,10 @@ func (s *Store) AbortStage(stage string) (int, error) {
 		return 0, s.dead
 	}
 	dropped := 0
-	for _, nd := range s.nodes {
-		for key, st := range nd.staged {
-			if st.stage != stage {
-				continue
-			}
-			delete(nd.staged, key)
-			dropped++
-		}
-	}
+	s.eachStaged(stage, func(nd *diskNode, key store.ShardKey, _ shardRef) {
+		delete(nd.staged, key)
+		dropped++
+	})
 	if dropped == 0 {
 		return 0, nil
 	}
@@ -556,7 +590,7 @@ func (nd *diskNode) Put(sh store.Shard) error {
 	if err != nil {
 		return err
 	}
-	if err := s.syncUnlocked(addTarget(nil, nd.segs[ref.seg])); err != nil {
+	if err := s.syncUnlocked(addTarget(nil, nd.segs[ref.seg]), false); err != nil {
 		return err
 	}
 	var r recBuf

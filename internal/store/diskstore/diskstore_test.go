@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -518,14 +519,18 @@ func TestIndexEntryLimits(t *testing.T) {
 
 // commitStripe14 stages 14 shards of 1.6 KiB one per node under a
 // token of its own and commits them: the store's share of one small PUT
-// in the benchmark's shape.
-func commitStripe14(s *Store, i int64) error {
+// in the benchmark's shape. between, if not nil, runs after the stages
+// and before the commit, on the body every shard carries.
+func commitStripe14(s *Store, i int64, between func(body []byte)) error {
 	body := bytes.Repeat([]byte{0xA5}, 1639)
 	obj, tok := fmt.Sprintf("bench/obj-%d", i), fmt.Sprintf("vault:bench/obj-%d#%d", i, i)
 	for n := 0; n < 14; n++ {
 		if err := s.Node(n).Stage(tok, store.Shard{Key: key(obj, n, 0), Data: body}); err != nil {
 			return err
 		}
+	}
+	if between != nil {
+		between(body)
 	}
 	if n, err := s.CommitStage(tok, 0); n != 14 || err != nil {
 		return fmt.Errorf("CommitStage: n=%d err=%v", n, err)
@@ -544,15 +549,24 @@ func BenchmarkCommitStage14(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := commitStripe14(s, int64(i)); err != nil {
+		if err := commitStripe14(s, int64(i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// hashStripe14 is a small PUT's own CPU work on its stripe: SHA-256 over
+// its 14 shard bodies, 1.4 bytes hashed per user byte.
+func hashStripe14(body []byte) {
+	for range 14 {
+		sha256.Sum256(body)
+	}
+}
+
 // BenchmarkCommitStage14Parallel is the same PUTs from GOMAXPROCS
-// clients at once, each under its own tokens: commit points queue behind
-// one another, stages run beside them.
+// clients at once, each under its own tokens and each hashing its stripe
+// between its stages and its commit: commit points queue behind one
+// another, while stages and hashing run beside them.
 func BenchmarkCommitStage14Parallel(b *testing.B) {
 	s, err := Open(b.TempDir(), 14, WithFsync(FsyncCommit))
 	if err != nil {
@@ -564,7 +578,7 @@ func BenchmarkCommitStage14Parallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := commitStripe14(s, seq.Add(1)); err != nil {
+			if err := commitStripe14(s, seq.Add(1), hashStripe14); err != nil {
 				b.Error(err)
 				return
 			}
@@ -972,14 +986,16 @@ func TestFailedFsyncPoisonsTheStore(t *testing.T) {
 }
 
 // TestWritebackPrecedesEveryFsync records the writeback hints and the
-// fsyncs of one 14-shard CommitStage. Each fsync round (the segments,
-// then the WAL) hints every file it fsyncs exactly once, from the synced
-// watermark its target captured, and hints them all before its first
-// fsync; no hint raises a watermark, so the fsyncs alone do.
+// fsyncs of one 14-shard CommitStage. Every file that is fsynced is
+// hinted exactly once, before its fsync, from the synced watermark its
+// target captured: the 14 segments before the commit queues for
+// commitMu, all of them before the first segment fsync, and the WAL
+// under commitMu once the segment fsyncs are done. No hint raises a
+// watermark, so the fsyncs alone do.
 func TestWritebackPrecedesEveryFsync(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), 14)
 	defer s.Close()
-	if err := commitStripe14(s, 0); err != nil {
+	if err := commitStripe14(s, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	tok := "vault:bench/obj-1#1"
@@ -1004,8 +1020,8 @@ func TestWritebackPrecedesEveryFsync(t *testing.T) {
 	captured := watermarks()
 
 	type event struct {
-		fsync bool
-		af    *appendFile
+		fsync, queued bool // queued: commitMu held when a hint is issued
+		af            *appendFile
 	}
 	var (
 		mu        sync.Mutex
@@ -1016,20 +1032,23 @@ func TestWritebackPrecedesEveryFsync(t *testing.T) {
 		origWrite = startWriteback
 	)
 	t.Cleanup(func() { syncFile, startWriteback = origSync, origWrite })
-	startWriteback = func(f *os.File, from int64) {
+	startWriteback = func(af *appendFile, from int64) {
 		mu.Lock()
-		af := files[f]
 		if from != captured[af] {
-			problems = append(problems, fmt.Sprintf("%s hinted from %d, its target captured %d", f.Name(), from, captured[af]))
+			problems = append(problems, fmt.Sprintf("%s hinted from %d, its target captured %d", af.f.Name(), from, captured[af]))
 		}
-		events = append(events, event{false, af})
+		queued := !s.commitMu.TryLock()
+		if !queued {
+			s.commitMu.Unlock()
+		}
+		events = append(events, event{false, queued, af})
 		atHint = watermarks()
 		mu.Unlock()
-		origWrite(f, from)
+		origWrite(af, from)
 	}
 	syncFile = func(f *os.File) error {
 		mu.Lock()
-		events = append(events, event{true, files[f]})
+		events = append(events, event{true, true, files[f]})
 		for af, w := range watermarks() {
 			if atHint != nil && w != atHint[af] {
 				problems = append(problems, fmt.Sprintf("%s watermark %d before its fsync, %d at the hint", af.f.Name(), w, atHint[af]))
@@ -1046,18 +1065,22 @@ func TestWritebackPrecedesEveryFsync(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
-	// The rounds in order: hints then fsyncs of the 14 segments, then of
-	// the WAL. Within a phase the order is free.
+	// The calls in order: the 14 segments' hints before the commit
+	// queues, their fsyncs under commitMu, then the WAL's hint and fsync.
+	// Within a phase the order is free.
 	phases := []struct {
-		fsync bool
-		files []*appendFile
-	}{{false, segs}, {true, segs}, {false, []*appendFile{s.wal}}, {true, []*appendFile{s.wal}}}
+		fsync, queued bool
+		files         []*appendFile
+	}{{false, false, segs}, {true, true, segs}, {false, true, []*appendFile{s.wal}}, {true, true, []*appendFile{s.wal}}}
 	describe := func() string {
 		var b strings.Builder
 		for _, e := range events {
 			kind := "hint"
-			if e.fsync {
+			switch {
+			case e.fsync:
 				kind = "fsync"
+			case e.queued:
+				kind = "hint(queued)"
 			}
 			name := e.af.f.Name()
 			fmt.Fprintf(&b, " %s:%s/%s", kind, filepath.Base(filepath.Dir(name)), filepath.Base(name))
@@ -1070,12 +1093,12 @@ func TestWritebackPrecedesEveryFsync(t *testing.T) {
 		for _, af := range ph.files {
 			want[af]++
 		}
-		for n := 0; n < len(ph.files) && len(rest) > 0 && rest[0].fsync == ph.fsync; n++ {
+		for n := 0; n < len(ph.files) && len(rest) > 0 && rest[0].fsync == ph.fsync && rest[0].queued == ph.queued; n++ {
 			got[rest[0].af]++
 			rest = rest[1:]
 		}
 		if !maps.Equal(got, want) {
-			t.Fatalf("phase %d (fsync %v) is not one call on each of its %d files; calls:%s", i, ph.fsync, len(ph.files), describe())
+			t.Fatalf("phase %d (fsync %v, commitMu held %v) is not one call on each of its %d files; calls:%s", i, ph.fsync, ph.queued, len(ph.files), describe())
 		}
 	}
 	if len(rest) > 0 {
@@ -1086,6 +1109,168 @@ func TestWritebackPrecedesEveryFsync(t *testing.T) {
 			t.Errorf("%s synced to %d of %d bytes after the commit", af.f.Name(), af.synced, af.size)
 		}
 	}
+}
+
+type hintCall struct {
+	af   *appendFile
+	from int64
+}
+
+// TestQueuedCommitHintsWhileTheFirstFsyncs: commit A is parked in its
+// segment fsync, holding commitMu, when token B is staged and committed.
+// B's 14 segments are hinted, each from the watermark its target
+// captured, while A is still parked, and no fsync for B starts before A's
+// WAL fsync has returned. Released, both commit, and a reopen replays
+// both.
+func TestQueuedCommitHintsWhileTheFirstFsyncs(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 14)
+	stageStripe(t, s, "a", "ta", []byte("first"))
+	held, release := holdSyncs(t, s, ".seg")
+	var (
+		mu    sync.Mutex
+		calls []string // "start seg", "end wal", ... in the order they happen
+	)
+	holding := syncFile
+	syncFile = func(f *os.File) error {
+		kind := "seg"
+		if strings.HasSuffix(f.Name(), "wal") {
+			kind = "wal"
+		}
+		mu.Lock()
+		calls = append(calls, "start "+kind)
+		mu.Unlock()
+		err := holding(f)
+		mu.Lock()
+		calls = append(calls, "end "+kind)
+		mu.Unlock()
+		return err
+	}
+	t.Cleanup(func() { syncFile = holding })
+	first := commitAsync(s, "ta", 1)
+	await(t, held, "A's segment fsync")
+
+	s.mu.Lock()
+	captured := map[*appendFile]int64{}
+	for _, nd := range s.nodes {
+		af := nd.segs[nd.cur]
+		captured[af] = af.synced
+	}
+	s.mu.Unlock()
+	hints := make(chan hintCall, 64)
+	origWrite := startWriteback
+	startWriteback = func(af *appendFile, from int64) {
+		hints <- hintCall{af, from}
+		origWrite(af, from)
+	}
+	t.Cleanup(func() { startWriteback = origWrite })
+	second := make(chan commitResult, 1)
+	go func() {
+		for i := 0; i < 14; i++ {
+			if err := s.Node(i).Stage("tb", store.Shard{Key: key("b", i, 0), Data: []byte("second")}); err != nil {
+				second <- commitResult{0, err}
+				return
+			}
+		}
+		n, err := s.CommitStage("tb", 2)
+		second <- commitResult{n, err}
+	}()
+	for i := 0; i < 14; i++ {
+		h := await(t, hints, "B's segment hints")
+		w, ok := captured[h.af]
+		if !ok || h.from != w {
+			t.Fatalf("hint %d on %s from %d; want a current segment, from its watermark %d", i, h.af.f.Name(), h.from, w)
+		}
+		delete(captured, h.af)
+	}
+	select {
+	case r := <-first:
+		t.Fatalf("A returned (%d, %v) before its fsync was released", r.n, r.err)
+	case r := <-second:
+		t.Fatalf("B returned (%d, %v) while A held commitMu", r.n, r.err)
+	default:
+	}
+
+	release()
+	for name, c := range map[string]<-chan commitResult{"A": first, "B": second} {
+		if r := await(t, c, name+"'s CommitStage"); r.n != 14 || r.err != nil {
+			t.Fatalf("%s's CommitStage = %d, %v", name, r.n, r.err)
+		}
+	}
+	mu.Lock()
+	var before []string // every fsync started before A's WAL fsync returned
+	for _, c := range calls {
+		if c == "end wal" {
+			break
+		}
+		if strings.HasPrefix(c, "start") {
+			before = append(before, c)
+		}
+	}
+	mu.Unlock()
+	if len(before) != 15 || before[14] != "start wal" {
+		t.Fatalf("fsyncs started before A's WAL fsync returned: %v; want A's 14 segments and its WAL", before)
+	}
+	all := make([]bool, 14)
+	for i := range all {
+		all[i] = true
+	}
+	s.Close()
+	s2 := mustOpen(t, dir, 14)
+	defer s2.Close()
+	checkStripe(t, s2, "after replay", "a", []byte("first"), 1, all...)
+	checkStripe(t, s2, "after replay", "b", []byte("second"), 2, all...)
+}
+
+// TestCloseRacesAHintedCommit: commit A is parked in its segment fsync
+// when B's CommitStage starts hinting, and B is held inside its first
+// hint while a Close, queued behind A, runs once A is released. B's
+// hints then land on closed files, where they do nothing, and B gets
+// ErrClosed. A reopen finds A committed and B's stages orphaned.
+func TestCloseRacesAHintedCommit(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 3)
+	stageStripe(t, s, "a", "ta", []byte("first"))
+	held, release := holdSyncs(t, s, ".seg")
+	first := commitAsync(s, "ta", 1)
+	await(t, held, "A's segment fsync")
+	stageStripe(t, s, "b", "tb", []byte("second"))
+
+	hinting, resume := make(chan struct{}), make(chan struct{})
+	var nth atomic.Int32
+	origWrite := startWriteback
+	startWriteback = func(af *appendFile, from int64) {
+		if nth.Add(1) == 1 {
+			close(hinting)
+			<-resume
+		}
+		origWrite(af, from)
+	}
+	t.Cleanup(func() { startWriteback = origWrite })
+	second := commitAsync(s, "tb", 2)
+	await(t, hinting, "B's first hint")
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	release()
+	if r := await(t, first, "A's CommitStage"); r.n != 3 || r.err != nil {
+		t.Fatalf("A's CommitStage = %d, %v", r.n, r.err)
+	}
+	if err := await(t, closed, "Close"); err != nil {
+		t.Fatalf("Close = %v", err)
+	}
+	close(resume)
+	if r := await(t, second, "B's CommitStage"); r.n != 0 || !errors.Is(r.err, ErrClosed) {
+		t.Fatalf("B's CommitStage after Close = %d, %v; want ErrClosed", r.n, r.err)
+	}
+	origWrite(s.wal, 0) // a hint on a closed handle does nothing
+
+	s2 := mustOpen(t, dir, 3)
+	defer s2.Close()
+	if rep := s2.Recovery(); rep.OrphanedStages != 3 || rep.InvalidRefs != 0 {
+		t.Fatalf("recovery = %+v, want B's 3 orphaned stages", rep)
+	}
+	checkStripe(t, s2, "after reopen", "a", []byte("first"), 1, true, true, true)
+	checkStripe(t, s2, "after reopen", "b", nil, 0, false, false, false)
 }
 
 // TestCrashWithBystanderInFlight is the crash matrix's two commit-point

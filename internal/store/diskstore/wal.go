@@ -52,8 +52,9 @@ const (
 // the loss of everything still sitting in the page cache at power cut.
 type appendFile struct {
 	f      *os.File
-	size   int64 // logical end of file (all appended bytes)
-	synced int64 // bytes known durable (last fsync)
+	size   int64         // logical end of file (all appended bytes)
+	synced int64         // bytes known durable (last fsync)
+	wb     writebackHint // set up once, when the file is opened
 }
 
 // openAppend opens (creating if needed) path for appending and reading.
@@ -69,7 +70,9 @@ func openAppend(path string) (*appendFile, error) {
 		f.Close()
 		return nil, err
 	}
-	return &appendFile{f: f, size: fi.Size(), synced: fi.Size()}, nil
+	a := &appendFile{f: f, size: fi.Size(), synced: fi.Size()}
+	a.wb.open(f)
+	return a, nil
 }
 
 // append writes b at the logical end and returns its offset.
@@ -87,9 +90,12 @@ func (a *appendFile) append(b []byte) (int64, error) {
 var syncFile = (*os.File).Sync
 
 // startWriteback is every writeback hint the store issues
-// (syncParallel). It is a variable only so that tests can record the
-// hints; nothing else assigns it.
-var startWriteback = writeback
+// (startWritebacks): it asks the kernel to start writing a back from
+// offset from to its end. It is only a hint: it waits for nothing, makes
+// nothing durable, raises no watermark, and does nothing once the file
+// is closed. It is a variable only so that tests can record the hints;
+// nothing else assigns it.
+var startWriteback = func(a *appendFile, from int64) { a.wb.start(from) }
 
 // readFile is every shard-body read the store issues (readBody). It is
 // a variable only so that tests can hold a read; nothing else assigns
@@ -131,18 +137,23 @@ func addTarget(ts []syncTarget, af *appendFile) []syncTarget {
 	return append(ts, syncTarget{af, af.synced, af.size})
 }
 
-// syncParallel starts writeback of every target's unsynced range, one
-// file after another on the caller's goroutine, then fsyncs every
-// target's file, one goroutine per file, and returns once all have
-// finished. The writeback pass puts all the files' pages in flight
-// before the first fsync blocks, so the fsyncs wait on writes already
-// under way instead of each starting its own. Only the fsyncs make
-// anything durable. It touches no watermark (a target carries the one
-// it needs), so it may run without the lock that guards them.
-func syncParallel(ts []syncTarget) error {
+// startWritebacks hints every target's unsynced range, from the
+// watermark the target captured, one file after another on the caller's
+// goroutine, so all the files' pages are in flight before an fsync
+// blocks. It touches no watermark, so it may run without s.mu.
+func startWritebacks(ts []syncTarget) {
 	for _, t := range ts {
-		startWriteback(t.af.f, t.from)
+		startWriteback(t.af, t.from)
 	}
+}
+
+// syncParallel fsyncs every target's file, one goroutine per file, and
+// returns once all have finished. Only these fsyncs make anything
+// durable; the caller has started the targets' writeback first
+// (startWritebacks), so they wait on writes already under way instead of
+// each starting its own. It touches no watermark (a target carries the
+// size it covers), so it may run without the lock that guards them.
+func syncParallel(ts []syncTarget) error {
 	if len(ts) == 1 {
 		return syncFile(ts[0].af.f)
 	}

@@ -4,6 +4,7 @@ package diskstore
 
 import (
 	"os"
+	"sync"
 	"syscall"
 )
 
@@ -11,18 +12,40 @@ import (
 // range's dirty pages and return without waiting for it.
 const syncFileRangeWrite = 2
 
-// writeback asks the kernel to start writing f back from offset from to
-// its end (sync_file_range with nbytes 0). It is only a hint: it waits
-// for nothing, makes nothing durable, and its error is dropped, since a
-// write that fails comes back from the fsync that follows. amd64 and
-// arm64 share the plain (fd, offset, nbytes, flags) argument layout;
+// writebackHint issues sync_file_range(fd, from, 0,
+// SYNC_FILE_RANGE_WRITE) on one file through its RawConn. The RawConn
+// and the callback Control runs are made once, at open, and the callback
+// reads its offset from the struct under mu, so a hint allocates nothing.
+// Control holds the descriptor for the call, so a hint racing Close
+// reaches the file or no file; on a closed one it does nothing. amd64
+// and arm64 share the plain (fd, offset, nbytes, flags) argument layout;
 // 386 and ppc64 do not, and get the no-op.
-func writeback(f *os.File, from int64) {
+type writebackHint struct {
+	rc   syscall.RawConn
+	mu   sync.Mutex
+	from int64
+	call func(fd uintptr)
+}
+
+func (h *writebackHint) open(f *os.File) {
 	rc, err := f.SyscallConn()
 	if err != nil {
 		return
 	}
-	rc.Control(func(fd uintptr) {
-		syscall.Syscall6(syscall.SYS_SYNC_FILE_RANGE, fd, uintptr(from), 0, syncFileRangeWrite, 0, 0)
-	})
+	h.rc = rc
+	h.call = func(fd uintptr) {
+		syscall.Syscall6(syscall.SYS_SYNC_FILE_RANGE, fd, uintptr(h.from), 0, syncFileRangeWrite, 0, 0)
+	}
+}
+
+// start hints the range from from to the file's end. Its error is
+// dropped: a write that fails comes back from the fsync that follows.
+func (h *writebackHint) start(from int64) {
+	if h.rc == nil {
+		return
+	}
+	h.mu.Lock()
+	h.from = from
+	h.rc.Control(h.call)
+	h.mu.Unlock()
 }

@@ -4,6 +4,9 @@ package diskstore
 
 import "os"
 
-// writeback is a no-op where the store does not issue sync_file_range:
-// the fsync alone starts and waits for the writeback.
-func writeback(*os.File, int64) {}
+// writebackHint is empty where the store does not issue
+// sync_file_range: the fsync alone starts and waits for the writeback.
+type writebackHint struct{}
+
+func (*writebackHint) open(*os.File) {}
+func (*writebackHint) start(int64)   {}

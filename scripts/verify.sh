@@ -78,10 +78,10 @@ GOARCH=arm64 go vet ./internal/gf256/ ./internal/rs/
 GOOS=darwin go vet ./internal/store/diskstore
 GOARCH=386 go vet ./internal/store/diskstore
 go test -race ./internal/gf256 ./internal/rs ./internal/group ./internal/commit ./internal/tstamp ./internal/core ./internal/api ./internal/store/diskstore ./internal/store/memstore ./internal/obs/... ./internal/cluster ./internal/systems
-# The store's held-fsync, crash-with-bystander, writeback-order and
-# lock-free-read tests, repeated on one core, where an interleaving that
-# only a second CPU hides would show.
-GOMAXPROCS=1 go test -count=20 -run 'HeldCommitFsync|CommitPointsStaySerial|CloseDuringHeldCommitFsync|StageRefusedWhileItsTokenCommits|RacingStageOpsAgreeWithReplay|FailedFsyncPoisonsTheStore|CrashWithBystanderInFlight|WritebackPrecedesEveryFsync|GetRacesCloseCorruptAndRollover' ./internal/store/diskstore
+# The store's held-fsync, crash-with-bystander, writeback-order,
+# queued-commit hint and lock-free-read tests, repeated on one core,
+# where an interleaving that only a second CPU hides would show.
+GOMAXPROCS=1 go test -count=20 -run 'HeldCommitFsync|CommitPointsStaySerial|CloseDuringHeldCommitFsync|StageRefusedWhileItsTokenCommits|RacingStageOpsAgreeWithReplay|FailedFsyncPoisonsTheStore|CrashWithBystanderInFlight|WritebackPrecedesEveryFsync|QueuedCommitHintsWhileTheFirstFsyncs|CloseRacesAHintedCommit|GetRacesCloseCorruptAndRollover' ./internal/store/diskstore
 # The stripe read's walk and hedge, repeated on one core: an unfaulted
 # read makes exactly want Gets one at a time, a stalled probe fans out
 # to want+2, a transient node inside the walk still yields want, and a
